@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet lint staticcheck race race-harness race-sharded chaos fuzz bench bench-kernel bench-sharded bench-buffers alloc-gate snapshot-pin results profile
+.PHONY: verify build test vet lint staticcheck race race-harness race-sharded chaos fuzz bench benchmark perf-gate alloc-gate snapshot-pin results profile
 
 # Tier-1: build + tests, then vet, then the custom static-invariant
 # suite, then the cycle-kernel allocation gate, then the worker pool's
@@ -54,15 +54,19 @@ race:
 race-harness:
 	$(GO) test -race ./internal/harness/... ./internal/sim/...
 
-# The sharded cycle kernel under the race detector with a pinned
-# scheduler width: the serial-vs-sharded byte-identity pin, cross-mode
-# snapshot restore, sharded reset, and the full-harness run (fault
-# timeline + hazard + watchdog + sampler attached) at shard counts
-# including one that does not divide the node count. Every parallel
-# phase and merge barrier executes with real goroutine interleaving.
+# The cycle kernel's inline/forked seam under the race detector with a
+# pinned scheduler width: the one-range-vs-many byte-identity pin,
+# cross-partition snapshot restore, sharded reset, the worker-panic
+# hand-off, the full-harness run (fault timeline + hazard + watchdog +
+# sampler attached) at shard counts including one that does not divide
+# the node count, the scan-everything reference cross-check, and the
+# golden pin against the deleted serial kernel. Every forked phase and
+# merge barrier executes with real goroutine interleaving. The network
+# half runs ~9 minutes on the 2-core reference container, hence the
+# explicit timeout.
 race-sharded:
-	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'TestSharded|TestShardPartition' \
+	GOMAXPROCS=4 $(GO) test -race -count=1 -timeout 30m \
+		-run 'TestSharded|TestShardPartition|TestActiveSetMatchesBruteForce|TestKernelGolden' \
 		./internal/network/ ./internal/sim/
 
 # The chaos soaks (random fail/repair timeline, the load-coupled hazard
@@ -99,86 +103,25 @@ snapshot-pin:
 alloc-gate:
 	$(GO) test ./internal/network/ -run TestSteadyStateZeroAlloc -count=1
 
-# Cycle-kernel microbenchmarks (idle / low-load / saturated step cost on
-# a 16x16 torus), regenerating BENCH_PR4.json. The baseline block pins
-# the pre-refactor numbers (commit 2ec2b68, same machine class) so the
-# artifact always carries the before/after comparison.
-bench-kernel:
+# The repository's one performance benchmark (BENCHMARK.json,
+# benchmark/README.md): five workloads, each untraced then traced in a
+# fresh child process. The document goes to BENCH_DOC; trace files and
+# checkpoints go under profile/bench/. `make bench` above still runs the
+# Benchmark* microbenchmarks for use while working on one layer.
+BENCH_DOC ?= profile/bench.json
+benchmark:
 	@mkdir -p profile
-	$(GO) test ./internal/network/ -run '^$$' -bench BenchmarkStep -benchmem -count=1 \
-		| tee profile/bench_kernel.txt
-	@awk 'BEGIN { \
-		print "{"; \
-		print "  \"schema\": \"kernel-bench/1\","; \
-		print "  \"benchmark\": \"internal/network BenchmarkStep* (16x16 CR torus, 2 VCs)\","; \
-		print "  \"baseline_commit\": \"2ec2b68\","; \
-		print "  \"baseline\": ["; \
-		print "    {\"name\": \"StepIdle\", \"ns_per_op\": 32167, \"bytes_per_op\": 0, \"allocs_per_op\": 0},"; \
-		print "    {\"name\": \"StepLowLoad\", \"ns_per_op\": 86231, \"bytes_per_op\": 19112, \"allocs_per_op\": 180},"; \
-		print "    {\"name\": \"StepSaturated\", \"ns_per_op\": 197583, \"bytes_per_op\": 70100, \"allocs_per_op\": 533}"; \
-		print "  ],"; \
-		print "  \"current\": ["; \
-	} \
-	/^BenchmarkStep/ { \
-		name = $$1; sub(/^Benchmark/, "", name); sub(/-[0-9]+$$/, "", name); \
-		if (n++) printf ",\n"; \
-		printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-			name, $$3, $$5, $$7; \
-	} \
-	END { print "\n  ]\n}" }' profile/bench_kernel.txt > BENCH_PR4.json
-	@cat BENCH_PR4.json
+	$(GO) run ./benchmark -all -seed 1 -out profile/bench > $(BENCH_DOC)
+	@echo "benchmark document: $(BENCH_DOC)"
 
-# Sharded-kernel benchmarks (serial vs sharded step cost at 64x64,
-# 256x256 and 1024x1024), regenerating BENCH_PR8.json. The rows record
-# whatever the current host measures; the artifact's host block captures
-# GOMAXPROCS so single-core runs (where sharding is pure overhead) are
-# distinguishable from multi-core ones (where 256x256 saturated should
-# approach GOMAXPROCS-way speedup).
-bench-sharded:
-	@mkdir -p profile
-	$(GO) test ./internal/network/ -run '^$$' -bench BenchmarkStepShard -benchmem -count=1 -timeout 60m \
-		| tee profile/bench_sharded.txt
-	@awk 'BEGIN { \
-		print "{"; \
-		print "  \"schema\": \"kernel-bench/1\","; \
-		print "  \"benchmark\": \"internal/network BenchmarkStepShard (CR torus; k64/k256 at 0.9 load, k1024 at 0.05)\","; \
-		print "  \"gomaxprocs\": "'"$$(nproc)"'","; \
-		print "  \"current\": ["; \
-	} \
-	/^BenchmarkStep/ { \
-		name = $$1; sub(/^Benchmark/, "", name); sub(/-[0-9]+$$/, "", name); \
-		if (n++) printf ",\n"; \
-		printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-			name, $$3, $$5, $$7; \
-	} \
-	END { print "\n  ]\n}" }' profile/bench_sharded.txt > BENCH_PR8.json
-	@cat BENCH_PR8.json
-
-# Buffer-organization benchmarks (step cost fifo vs damq vs shared at a
-# saturated 64x64 CR torus, serial and sharded), regenerating
-# BENCH_PR9.json. The pooled organizations pay free-list pointer chasing
-# and the granted-window ledger per head/tail against the static arena's
-# modulo indexing; the sharded rows add the window advertisements riding
-# the credit mailbox matrix.
-bench-buffers:
-	@mkdir -p profile
-	$(GO) test ./internal/network/ -run '^$$' -bench BenchmarkStepBufferOrg -benchmem -count=1 -timeout 30m \
-		| tee profile/bench_buforg.txt
-	@awk 'BEGIN { \
-		print "{"; \
-		print "  \"schema\": \"kernel-bench/1\","; \
-		print "  \"benchmark\": \"internal/network BenchmarkStepBufferOrg (64x64 CR torus, 0.9 load)\","; \
-		print "  \"gomaxprocs\": "'"$$(nproc)"'","; \
-		print "  \"current\": ["; \
-	} \
-	/^BenchmarkStep/ { \
-		name = $$1; sub(/^Benchmark/, "", name); sub(/-[0-9]+$$/, "", name); \
-		if (n++) printf ",\n"; \
-		printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-			name, $$3, $$5, $$7; \
-	} \
-	END { print "\n  ]\n}" }' profile/bench_buforg.txt > BENCH_PR9.json
-	@cat BENCH_PR9.json
+# Regression gate: every end-to-end metric of BENCH_DOC against the
+# checked-in baseline, per workload, within the bounds BENCHMARK.json
+# fixes; model.*/core.*/ckpt_bytes/success_share must match exactly.
+# The baseline's host was in a slow stretch (benchmark/README.md,
+# "Baseline"), so for a claim re-run the parent beside the change and
+# compare those two documents instead.
+perf-gate:
+	$(GO) run ./benchmark -compare benchmark/baseline.json $(BENCH_DOC)
 
 # Regenerate the quick-scale result tables checked into the repo.
 results:

@@ -10,10 +10,10 @@
 // Grid-based experiments run their sweep points over a worker pool
 // (-parallel, default all cores); results are byte-identical for every
 // worker count, so -parallel only changes wall-clock. Independently,
-// -shards N splits each simulated network itself across N workers (the
-// sharded cycle kernel, pinned byte-identical to the serial one) —
+// -shards N splits each simulated network itself into N node ranges
+// stepped by N workers (byte-identical to the one-range default) —
 // useful when one big network, not many points, dominates the run.
-// Profiling flags force both back to serial for a clean call tree.
+// Profiling flags force both back to 1 for a clean call tree.
 // Progress and timing go to stderr, result tables to stdout. -json additionally
 // writes a versioned machine-readable artifact (schema, git version,
 // config echo, per-point wall-clock, per-point failures) for the
@@ -114,7 +114,7 @@ func run() (code int) {
 		csv           = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		list          = flag.Bool("list", false, "list experiments and exit")
 		parallel      = flag.Int("parallel", 0, "sweep worker pool size (0 = all cores, 1 = serial; results identical)")
-		shards        = flag.Int("shards", 0, "shard each simulated network across N workers (0/1 = serial kernel; results identical)")
+		shards        = flag.Int("shards", 0, "shard each simulated network across N workers (0/1 = one range, inline on the caller's goroutine; results identical)")
 		buforg        = flag.String("buforg", "", "router buffer organization for experiments that don't pick their own: fifo (default), damq or shared — changes results")
 		timeout       = flag.Duration("point-timeout", 0, "per-sweep-point wall-clock budget (0 = unbounded); exceeded points are recorded as errors")
 		jsonOut       = flag.String("json", "", "also write a versioned JSON results artifact to this file")
@@ -150,7 +150,7 @@ func run() (code int) {
 	}
 	// Profiling wants one goroutine doing the simulating, so the profile
 	// reads as a single clean call tree: force the harness's serial mode
-	// and the serial cycle kernel.
+	// and the cycle kernel's single inline range.
 	profiling := *cpuProf != "" || *memProf != "" || *traceOut != ""
 	if profiling {
 		*parallel = 1

@@ -1,26 +1,29 @@
 // Package shardsafe implements the crlint analyzer that proves shard
-// isolation statically: code reachable from the parallel phase bodies
-// of the sharded cycle kernel must not touch Network-level shared state
-// outside the sanctioned seams.
+// isolation statically: code reachable from the per-range phase bodies
+// of the cycle kernel must not touch Network-level shared state outside
+// the sanctioned seams.
 //
-// The sharded kernel (internal/network/shard.go, DESIGN.md §10) runs
-// the node-ordered phases on worker goroutines, one per shard, with the
-// guarantee that results are byte-identical to the serial kernel. That
-// only holds — and only races are absent — because workers confine
-// their side effects to three seams: their own shard's sink (merged in
-// shard order at the barrier), the credit mailbox matrix (commutative,
-// applied column-wise by the owner), and shard-local state reached
-// through the shard descriptors. A stray write to a Network field from
+// The cycle kernel (internal/network/shard.go, DESIGN.md §5 and §10)
+// partitions the nodes into contiguous ranges and runs the node-ordered
+// phases one body per range — inline for a single range, on one worker
+// goroutine per range otherwise — with the guarantee that results are
+// byte-identical for every range count. That only holds — and only
+// races are absent — because the bodies confine their side effects to
+// three seams: their own range's sink (merged in range order at the
+// barrier), the credit mailbox matrix (commutative, applied column-wise
+// by the owner), and range-local state reached through the shard
+// descriptors. There is one copy of each body, so the discipline binds
+// the single-range case as well. A stray write to a Network field from
 // a phase body compiles fine and may pass the quick-scale `-race` soak,
 // which never schedules the interleaving that corrupts it. shardsafe is
 // the static complement to TestShardedMatchesSerial and `make
 // race-sharded`.
 //
 // Mechanically: the roots are the methods whose name starts with
-// "shard" (shardWorker and the shard* phase bodies); the analyzer walks
-// the package-local call graph from them — direct calls to same-package
-// functions and methods, function literals inlined — and inside every
-// reachable body flags
+// "shard" (shardWorker, shardRun and the shard* phase bodies); the
+// analyzer walks the package-local call graph from them — direct calls
+// to same-package functions and methods, function literals inlined —
+// and inside every reachable body flags
 //
 //   - writes (assignments, ++/--) whose target chain is rooted at a
 //     receiver/variable of the root methods' type (Network),
@@ -68,11 +71,11 @@ var Analyzer = &analysis.Analyzer{
 // shard-local seam: each worker touches only its own shard descriptor.
 const seamField = "shards"
 
-// rootPrefix marks the parallel phase bodies.
+// rootPrefix marks the per-range phase bodies and what forks them.
 const rootPrefix = "shard"
 
 func run(pass *analysis.Pass) error {
-	// Shard isolation is a property of the sharded kernel; only the
+	// Shard isolation is a property of the cycle kernel; only the
 	// network package (or a fixture standing for it) declares one.
 	if pass.CorePath() != "crnet/internal/network" {
 		return nil

@@ -1,6 +1,6 @@
 // Package network is a shardsafe fixture: this directory maps to
 // crnet/internal/network, so the analyzer treats the shard* methods
-// below as the parallel phase roots and polices what they reach.
+// below as the per-range phase roots and polices what they reach.
 package network
 
 // topo stands in for the immutable topology interface.
@@ -26,7 +26,8 @@ type receiver struct{ got []int }
 
 func (r *receiver) drain() { r.got = r.got[:0] }
 
-// sink collects per-shard side effects; Network embeds the serial one.
+// sink collects one context's side effects; Network embeds the
+// coordinator's, each shard its own.
 type sink struct {
 	signals    []int
 	deliveries int
@@ -36,7 +37,9 @@ func (s *sink) bump() { s.deliveries++ }
 
 type shard struct {
 	sink
-	credits []int
+	credits  []int
+	worklist nodeSet
+	panicked any
 }
 
 type Network struct {
@@ -45,7 +48,7 @@ type Network struct {
 	recvMark  []bool
 	routers   []*router
 	receivers []receiver
-	activeI   nodeSet
+	stray     nodeSet // a worklist that belongs on the shard descriptor
 	tracer    func(int)
 	hooks     topo
 	cfg       cfg
@@ -63,12 +66,14 @@ type Network struct {
 // shardWorker is a root: everything it reaches is checked.
 func (n *Network) shardWorker(si int) {
 	sh := &n.shards[si]
+	defer func() { sh.panicked = recover() }()   // the panic hand-off rides the descriptor
+	sh.worklist.add(int32(si))                   // shard-local worklist: fine
 	sh.credits = sh.credits[:0]                  // shard-local: rooted at the descriptor
 	n.shards[si].credits = append(sh.credits, 7) // sanctioned seam: through shards
 	n.recvMark[si] = false                       // want `write to shared Network\.recvMark in shardWorker`
 	n.deliveries++                               // want `write to shared Network\.sink in shardWorker`
 	n.tracer(si)                                 // want `call through shared func field Network\.tracer in shardWorker`
-	n.activeI.add(int32(si))                     // want `call to add on shared field Network\.activeI in shardWorker`
+	n.stray.add(int32(si))                       // want `call to add on shared field Network\.stray in shardWorker`
 	n.bump()                                     // want `call to bump on shared field Network\.sink in shardWorker`
 	_ = n.hooks.neighbor(si)                     // want `call to neighbor on shared field Network\.hooks in shardWorker`
 	_ = n.topo.neighbor(si)                      // field-level escape with a reason
@@ -106,7 +111,7 @@ func (n *Network) bury() { // want `//cr:sharded needs a justification`
 	n.cycle++
 }
 
-// merge is neither a root nor reachable from one: the serial half may
+// merge is neither a root nor reachable from one: the coordinator may
 // touch anything.
 func (n *Network) merge() {
 	n.recvMark[0] = true

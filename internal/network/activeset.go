@@ -52,7 +52,7 @@ func (s *nodeSet) prepare() {
 }
 
 // drop removes id from the bitmap only; the caller compacts ids itself
-// while iterating (see phaseTransmit).
+// while iterating (see shardTransmit).
 func (s *nodeSet) drop(id int32) { s.member[id] = false }
 
 // reset empties the set. The dirty flag is cleared too: an empty list

@@ -13,8 +13,8 @@ import (
 
 // Buffer-organization benchmarks: the per-cycle cost of Network.Step
 // under each router buffer organization at a saturated 64x64 CR torus,
-// serial and sharded. These are the rows `make bench-buffers` records
-// in BENCH_PR9.json. The interesting comparison is fifo vs the pooled
+// on one range and on four. The last recorded rows are in DESIGN.md
+// §11. The interesting comparison is fifo vs the pooled
 // organizations at shards0: the linked-slot pools trade the static
 // arena's modulo indexing for free-list pointer chasing plus the
 // granted-window ledger on every head/tail, and the sharded rows show

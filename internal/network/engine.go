@@ -9,15 +9,15 @@ import (
 // Hooks is the single seam through which external machinery attaches to
 // the cycle kernel. Everything that is not the network itself — the
 // fault timeline, the invariant watchdog, the metrics sampler — plugs in
-// here; the kernel consults each at one documented point of the step
-// pipeline and nowhere else.
+// here; the kernel consults each at one documented point of Step and
+// nowhere else.
 type Hooks struct {
 	// Faults is the permanent-fault timeline, consulted once per cycle in
 	// the fault-events phase. A nil Faults falls back to Config.Faults
 	// (which may itself be nil: no permanent faults).
 	Faults *faults.Schedule
 
-	// Monitor runs after the phase pipeline, before the cycle counter
+	// Monitor runs after the eight phases, before the cycle counter
 	// advances (it sees the network state at the end of cycle N with
 	// Cycle() == N). Its first error latches the network unhealthy (see
 	// Health); subsequent cycles skip it.
@@ -40,56 +40,42 @@ func (n *Network) SetHooks(h Hooks) {
 	n.hooks = h
 }
 
-// enginePhase is one stage of the per-cycle kernel. run reports whether
-// any flit made progress (moved across the switch or arrived over a
-// link) — the signal feeding CyclesSinceProgress.
-type enginePhase struct {
-	name string
-	run  func(*Network) bool
-}
-
-// pipeline is the cycle kernel's phase sequence — the authoritative,
-// ordered statement of what one simulated cycle does. Determinism
+// Step advances the simulation one cycle. Its body is the authoritative,
+// ordered statement of what one simulated cycle does: determinism
 // depends on this order and on every phase iterating its worklist in
-// ascending (node, port) order; see the package comment for why signals
-// precede arrivals.
-var pipeline = [...]enginePhase{
-	{"signals", func(n *Network) bool { n.phaseSignals(); return false }},
-	{"arrivals", (*Network).phaseArrivals},
-	{"fault-events", func(n *Network) bool { n.phaseFaultEvents(); return false }},
-	{"injectors", func(n *Network) bool { n.phaseInjectors(); return false }},
-	{"allocate", func(n *Network) bool { n.phaseAllocate(); return false }},
-	{"transmit", (*Network).phaseTransmit},
-	{"fkills", func(n *Network) bool { n.phaseFKills(); return false }},
-	{"credits", func(n *Network) bool { n.phaseCredits(); return false }},
-}
-
-// Step advances the simulation one cycle: the phase pipeline, invariant
-// checks (Config.Check), the Monitor hook, the cycle increment, and the
-// Observer hook, in that order. With Config.Shards > 1 the pipeline
-// runs sharded (see shard.go) with byte-identical results; the
-// brute-force reference flag always selects the serial kernel.
+// ascending (node, port) order (see the package comment for why signals
+// precede arrivals). Phases named phase*/prepass*/apply* run on the
+// calling goroutine — the coordinator; forkJoin runs a phase body once
+// per node range (inline for one range, one goroutine each for several;
+// see shard.go), and mergeBarrier folds the ranges' side effects back
+// in range order, so results are byte-identical for every Config.Shards.
 //
 //cr:hotpath cycle-kernel entry point; zero-alloc steady state (TestSteadyStateZeroAlloc)
 func (n *Network) Step() {
-	if n.shards != nil && !n.bruteForce {
-		n.stepSharded()
-		return
-	}
-	progressed := false
-	for i := range pipeline {
-		if pipeline[i].run(n) {
-			progressed = true
-		}
-	}
-	n.finishStep(progressed)
+	n.phaseSignals()
+	arrived := n.prepassArrivals()
+	n.forkJoin(spArrivals)
+	n.phaseFaultEvents()
+	n.forkJoin(spInjectors)
+	n.mergeBarrier()
+	n.forkJoin(spAllocate)
+	n.mergeBarrier()
+	n.forkJoin(spTransmit)
+	moved := n.mergeBarrier()
+	n.forkJoin(spFKills)
+	n.mergeBarrier()
+	n.applyGlobalCredits()
+	n.forkJoin(spCredits)
+	n.mergeBarrier()
+	n.finishStep(arrived || moved)
 }
 
-// finishStep is the per-cycle epilogue shared by the serial and sharded
-// kernels: the progress clock, invariant checks, the Monitor hook, the
-// cycle increment, and the Observer hook.
+// finishStep is the per-cycle epilogue: the progress clock (progressed
+// reports whether any flit moved across a switch or arrived over a
+// link), invariant checks, the Monitor hook, the cycle increment, and
+// the Observer hook.
 //
-//cr:hotpath per-cycle epilogue of both kernels
+//cr:hotpath per-cycle epilogue
 func (n *Network) finishStep(progressed bool) {
 	if progressed {
 		n.lastProgress = n.cycle
@@ -120,14 +106,4 @@ func (n *Network) Run(cycles int64) {
 	for i := int64(0); i < cycles; i++ {
 		n.Step()
 	}
-}
-
-// PhaseNames returns the pipeline's phase names in execution order, for
-// documentation and tooling.
-func PhaseNames() []string {
-	out := make([]string, len(pipeline))
-	for i, p := range pipeline {
-		out[i] = p.name
-	}
-	return out
 }

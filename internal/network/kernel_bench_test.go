@@ -10,8 +10,8 @@ import (
 )
 
 // Kernel microbenchmarks: the per-cycle cost of Network.Step at three
-// operating points. These are the numbers `make bench-kernel` records in
-// BENCH_PR4.json; the low-load case is the one the active-set scheduler
+// operating points. Their history is the table in DESIGN.md §5; the
+// low-load case is the one the active-set scheduler
 // is designed for (most of the network idle, cost O(active) instead of
 // O(network)).
 //

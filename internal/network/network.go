@@ -21,17 +21,18 @@
 //  9. Invariant checks (Config.Check), the Monitor hook (which can latch
 //     the network unhealthy), the cycle increment, and the Observer hook.
 //
-// The pipeline itself is declared in engine.go; external machinery (the
-// fault timeline, the invariant watchdog, the metrics sampler) attaches
-// through the Hooks seam there. The phases are activity-driven: each
-// walks an incrementally maintained worklist of busy links and active
-// routers/injectors/receivers (see step.go), so idle cycles cost
+// That order is stated once, as the body of Step in engine.go; external
+// machinery (the fault timeline, the invariant watchdog, the metrics
+// sampler) attaches through the Hooks seam there. There is one kernel:
+// the nodes are partitioned into contiguous ranges (one range unless
+// Config.Shards > 1), phases 2 and 4–8 run one body per range (shard.go)
+// — inline on the caller's goroutine for one range, forked for several —
+// and phases 1 and 3 run on the caller. The phases are activity-driven:
+// each walks an incrementally maintained worklist of busy links and
+// active routers/injectors/receivers (see step.go), so idle cycles cost
 // O(active) rather than O(network) while producing byte-identical
-// results to a full scan.
-//
-// With Config.Shards > 1 the same pipeline runs sharded across worker
-// goroutines with results byte-identical to the serial kernel; see
-// shard.go for the partitioning and merge discipline.
+// results to a full scan — and to every other range count; see shard.go
+// for the partitioning and merge discipline.
 package network
 
 import (
@@ -114,12 +115,12 @@ type Config struct {
 	// process from it.
 	Hazard *faults.HazardSpec
 
-	// Shards, when > 1, steps the network across that many worker
-	// goroutines (clamped to the node count), partitioning the node set
-	// into contiguous id ranges. Results are byte-identical to the
-	// serial kernel for every shard count — see shard.go for the
-	// ordering discipline — so Shards, like the harness worker count,
-	// only changes wall-clock. 0 or 1 selects the serial kernel.
+	// Shards partitions the node set into that many contiguous id ranges
+	// (clamped to the node count) and steps each range's phase bodies on
+	// its own goroutine. 0 or 1 runs the single range inline on the
+	// caller's goroutine. Results are byte-identical for every count —
+	// see shard.go for the ordering discipline — so Shards, like the
+	// harness worker count, only changes wall-clock.
 	Shards int
 
 	// Check enables router invariant verification every cycle (slow;
@@ -145,9 +146,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.EjectionChannels == 0 {
 		c.EjectionChannels = 1
-	}
-	if c.Shards < 0 {
-		c.Shards = 0
 	}
 	if c.RouterTimeout > 0 && c.Protocol == core.Plain {
 		return fmt.Errorf("network: RouterTimeout needs CR or FCR (sources must retransmit)")
@@ -229,8 +227,8 @@ type scheduledSignal struct {
 // n counts plain refunds; w carries a window delta advertised by the
 // shared buffer organizations (grants positive, release shrinks
 // negative; always 0 for static FIFO). Both are additive and commute
-// within a cycle, so the sharded kernel's credit matrix applies them
-// with no global ordering.
+// within a cycle, so the credit matrix applies them with no global
+// ordering.
 type creditEvent struct {
 	node int32
 	port int16
@@ -249,8 +247,8 @@ type fkillReq struct {
 // Network is a complete simulated machine. Construct with New, drive
 // with Step, feed with SubmitMessage, observe with DrainDeliveries and
 // the stats accessors. Not safe for concurrent use (with Shards > 1
-// the network manages its own internal workers; the external contract
-// is unchanged).
+// the network forks and joins its own workers inside Step; the external
+// contract is unchanged).
 type Network struct {
 	cfg Config
 	//cr:nosnap immutable, rebuilt from Config by the constructor; the snapshot carries the config fingerprint instead
@@ -282,14 +280,12 @@ type Network struct {
 	corrupter faults.Corrupter
 	wormBuf   []router.WormAt //cr:nosnap per-call scratch for worm sweeps
 
-	// sink holds the cross-node side-effect queues of the serial
-	// execution context: scheduled signals, deferred credits, FKILL
-	// requests, the busy-link worklist, accepting receivers, completed
+	// sink holds the coordinator's cross-node side-effect queues:
+	// scheduled signals, the credits its own phases defer, completed
 	// deliveries, and the flit counters fed from hot paths. Embedding
-	// promotes the fields (n.credits, n.flitsInjected, ...), keeping
-	// the serial kernel untouched; in sharded mode each shard owns its
-	// own sink and the barriers merge them into this one in shard order
-	// (see shard.go).
+	// promotes the fields (n.signals, n.flitsInjected, ...). Each node
+	// range owns its own sink and the barriers merge them into this one
+	// in range order (see shard.go).
 	sink
 
 	// drained holds the slice handed out by the previous
@@ -297,21 +293,13 @@ type Network struct {
 	// (double buffering, no allocation).
 	drained []core.Delivery //cr:nosnap spare drain buffer; pending deliveries ride the sink, the spare is re-grown on demand
 
-	// Activity worklists (see step.go for the maintenance protocol).
-	linkScratch []linkRef //cr:nosnap consumed worklist; LoadState rebuilds it from the restored busy links
-	activeR     nodeSet   // routers with buffered flits
-	activeI     nodeSet   // injectors with queued or in-flight work
-	recvMark    []bool    //cr:nosnap dedup bitmap, clear between cycles; LoadState re-allocates it
-
-	// bruteForce disables the worklists and restores scan-everything
-	// phases; the soak test cross-checks the two cycle by cycle.
-	// It also forces the serial kernel regardless of Config.Shards.
-	bruteForce bool //cr:nosnap test-only cross-check toggle, not simulation state
-
-	// Sharded stepping (nil unless Config.Shards > 1): the shard
-	// descriptors, the node→shard index, and the fork/join group.
+	// shards are the node ranges — always at least one — each owning its
+	// nodes' activity worklists (see step.go for the maintenance
+	// protocol); nodeShard is the node→range index and wg the fork/join
+	// group. recvMark dedups a range's recvPend appends within a cycle.
 	shards    []shard
-	nodeShard []int32 //cr:nosnap derived node-to-shard index, rebuilt from Config by initShards
+	nodeShard []int32 //cr:nosnap derived node-to-range index, rebuilt from Config by initShards
+	recvMark  []bool  //cr:nosnap dedup bitmap, clear between cycles; LoadState re-marks it from recvPend
 	//cr:nosnap synchronization primitive; serializing it is meaningless
 	//cr:sharded the fork/join group is the shard synchronization protocol itself
 	wg sync.WaitGroup
@@ -356,8 +344,6 @@ func New(cfg Config) *Network {
 		rcfg:      cfg.routerConfig(),
 		ccfg:      cfg.coreConfig(),
 		corrupter: newCorrupter(cfg),
-		activeR:   newNodeSet(nodes),
-		activeI:   newNodeSet(nodes),
 		recvMark:  make([]bool, nodes),
 		hooks:     Hooks{Faults: cfg.Faults},
 		lastFault: -1,
@@ -407,11 +393,13 @@ func (n *Network) routerAt(id topology.NodeID) *router.Router {
 			// upstream router feeding each input port. Deltas ride the
 			// same deterministic credit queues as plain refunds; adverts
 			// originate only in phases executed by this node's owner
-			// (arrivals, transmit, signals), so sinkFor is race-free.
+			// (arrivals, transmit) or by the coordinator while no body
+			// runs (signals, fault sweeps), so the owner's sink is
+			// race-free.
 			node := id
 			r.SetAdvertiser(func(port, vc, delta int) {
 				up, upPort := n.upstreamOf(node, port)
-				n.pushCreditEv(n.sinkFor(node), creditEvent{
+				n.pushCreditEv(&n.shardOf(node).sink, creditEvent{
 					node: int32(up), port: int16(upPort), vc: uint8(vc), w: int32(delta),
 				})
 			})
@@ -476,8 +464,8 @@ func newCorrupter(cfg Config) faults.Corrupter {
 }
 
 // injPort adapts a router injection channel to core.Port. Its methods
-// run inside the injector phase — under sharding that is the owning
-// shard's worker, so all side effects flow through the node's sink.
+// run inside the injector phase, in the body of the node's own range,
+// so all side effects flow through that range's sink.
 type injPort struct {
 	net  *Network
 	node topology.NodeID
@@ -493,15 +481,15 @@ func (p injPort) Free() int {
 }
 
 func (p injPort) Inject(f flit.Flit) {
-	sk := p.net.sinkFor(p.node)
-	p.net.traceTo(sk, EvInject, p.node, p.ch, 0, f.Worm, f.Seq)
-	sk.flitsInjected++
-	p.net.activateRouter(p.node)
+	sh := p.net.shardOf(p.node)
+	p.net.traceTo(&sh.sink, EvInject, p.node, p.ch, 0, f.Worm, f.Seq)
+	sh.flitsInjected++
+	sh.activeR.add(int32(p.node))
 	p.net.routerAt(p.node).Inject(p.ch, f)
 }
 
 func (p injPort) Kill(worm flit.WormID) {
-	sk := p.net.sinkFor(p.node)
+	sk := &p.net.shardOf(p.node).sink
 	r := p.net.routerAt(p.node)
 	sig := router.Signal{Kind: router.KillFwd, Port: r.InjPort(p.ch), VC: 0, Worm: worm}
 	sk.emitBuf = r.ApplySignal(sig, sk.emitBuf[:0])
@@ -516,8 +504,8 @@ type fkillPort struct {
 }
 
 func (p fkillPort) FKill(ch int, worm flit.WormID) {
-	sk := p.net.sinkFor(p.node)
-	sk.fkills = append(sk.fkills, fkillReq{node: p.node, ch: ch, worm: worm})
+	sh := p.net.shardOf(p.node)
+	sh.fkills = append(sh.fkills, fkillReq{node: p.node, ch: ch, worm: worm})
 }
 
 // Cycle returns the current simulation time.
@@ -534,7 +522,7 @@ func (n *Network) Receiver(id topology.NodeID) *core.Receiver { return n.receive
 
 // SubmitMessage queues m at its source node's injector.
 func (n *Network) SubmitMessage(m flit.Message) {
-	n.activateInjector(m.Src)
+	n.shardOf(m.Src).activeI.add(int32(m.Src))
 	n.injectorAt(m.Src).Submit(m)
 }
 
@@ -598,17 +586,18 @@ func (n *Network) Reset() {
 			rc.Reset()
 		}
 	}
-	n.linkScratch = n.linkScratch[:0]
-	n.activeR.reset()
-	n.activeI.reset()
-	for _, id := range n.recvPend {
-		n.recvMark[id] = false
-	}
-	n.recvPend = n.recvPend[:0]
+	n.resetShards()
+	n.hooks.Faults.Rewind()
+}
+
+// resetShards empties every range's sink, queues and worklists.
+func (n *Network) resetShards() {
 	for i := range n.shards {
+		for _, id := range n.shards[i].recvPend {
+			n.recvMark[id] = false
+		}
 		n.shards[i].reset()
 	}
-	n.hooks.Faults.Rewind()
 }
 
 // CyclesSinceProgress returns how long no flit has moved or arrived;

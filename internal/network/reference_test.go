@@ -1,0 +1,65 @@
+package network
+
+// The scan-everything reference stepper. It states a cycle the way the
+// pre-worklist kernel did — visit every link and every constructed
+// router, injector and receiver, in ascending order, every cycle — by
+// overwriting the single range's worklists with a full scan before each
+// phase body runs, so nothing the production activation bookkeeping put
+// (or forgot to put) in them is ever read. The per-component work is the
+// production bodies'; what is under test is only which components the
+// worklists select. TestActiveSetMatchesBruteForce steps it against
+// Step, cycle by cycle.
+
+// stepReference is Step (engine.go) with a scan in front of every phase
+// that walks a worklist. It needs the one-range partition.
+func stepReference(n *Network) {
+	if len(n.shards) != 1 {
+		panic("stepReference: reference stepper wants Config.Shards <= 1")
+	}
+	sh := &n.shards[0]
+	n.phaseSignals()
+	sh.busyLinks = sh.busyLinks[:0]
+	for id := 0; id < n.nodes; id++ {
+		for p := 0; p < n.deg; p++ {
+			if n.linkAt(id, p).busy {
+				sh.busyLinks = append(sh.busyLinks, linkRef{node: int32(id), port: int32(p)})
+			}
+		}
+	}
+	arrived := n.prepassArrivals()
+	n.shardArrivals(sh)
+	n.phaseFaultEvents()
+	scanInto(&sh.activeI, len(n.injectors), func(id int) bool { return n.injectors[id] != nil })
+	n.shardInjectors(sh)
+	n.mergeBarrier()
+	constructedRouter := func(id int) bool { return n.routers[id] != nil }
+	scanInto(&sh.activeR, len(n.routers), constructedRouter)
+	n.shardAllocate(sh)
+	n.mergeBarrier()
+	scanInto(&sh.activeR, len(n.routers), constructedRouter)
+	n.shardTransmit(sh)
+	moved := n.mergeBarrier()
+	n.shardFKills(sh)
+	n.mergeBarrier()
+	n.applyGlobalCredits()
+	sh.recvPend = sh.recvPend[:0]
+	for id, rc := range n.receivers {
+		if rc != nil {
+			sh.recvPend = append(sh.recvPend, int32(id))
+		}
+	}
+	n.shardCredits(sh)
+	n.mergeBarrier()
+	n.finishStep(arrived || moved)
+}
+
+// scanInto replaces set's contents with every id in [0, count) that
+// satisfies has, ascending.
+func scanInto(set *nodeSet, count int, has func(id int) bool) {
+	set.reset()
+	for id := 0; id < count; id++ {
+		if has(id) {
+			set.add(int32(id))
+		}
+	}
+}

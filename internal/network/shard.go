@@ -6,59 +6,51 @@ import (
 	"crnet/internal/topology"
 )
 
-// Sharded stepping: one simulation partitioned across worker
-// goroutines with byte-identical results to the serial kernel
-// (see DESIGN.md §10).
+// The cycle kernel over node ranges (see DESIGN.md §5 and §10).
 //
-// The node set is split into contiguous id ranges, one per shard. Each
-// phase of the engine.go pipeline runs either serially on the
-// coordinator (signals and fault events, whose iteration order is
-// queue order rather than node order) or fanned out across the shards
-// with a full barrier between phases. Workers touch only state owned
-// by their node range — routers, injectors, receivers, output links,
-// worklists — and push every cross-node side effect into their own
-// sink; the coordinator merges the sinks *in shard order* at each
-// barrier. Because shards are contiguous ascending id ranges and every
-// phase walks its shard-local worklist ascending, concatenating the
-// per-shard queues in shard order reproduces exactly the sequence the
-// serial kernel would have appended — which is why results (traces,
-// signal queues, delivery streams, stats) are byte-identical for every
-// shard count.
+// The node set is split into contiguous id ranges: one covering every
+// node when Config.Shards <= 1, Config.Shards of them otherwise. Each
+// phase of a cycle (Step, engine.go) runs either on the coordinator —
+// the goroutine that called Step — for the phases whose iteration order
+// is queue order rather than node order (signals, fault events, the
+// arrivals prepass), or once per range through forkJoin, with a barrier
+// between phases. A phase body touches only state owned by its range —
+// routers, injectors, receivers, output links, worklists — and pushes
+// every cross-node side effect into the range's own sink; the
+// coordinator merges the sinks *in range order* at each barrier.
+// Because ranges are contiguous ascending id ranges and every body
+// walks its worklist ascending, concatenating the per-range queues in
+// range order is the sequence a single walk over all nodes appends —
+// which is why results (traces, signal queues, delivery streams, stats)
+// are byte-identical for every range count. One range is the serial
+// case: forkJoin calls its body inline, and the merge is a plain move.
 //
-// Credits are the one cross-shard flow that may target any node, so
-// each shard sink carries a per-destination-shard matrix row
-// (outCredits); in the credits phase each worker applies column
-// [me] of every row to its own routers. Credit application is
-// commutative (pure counter increments, read only by the next cycle's
-// allocate), so only the multiset matters, and the matrix needs no
-// global ordering.
+// Credits are the one cross-range flow that may target any node, so
+// each range sink carries a per-destination-range matrix row
+// (outCredits); in the credits phase each body applies column [me] of
+// every row to its own routers. Credit application is commutative (pure
+// counter increments, read only by the next cycle's allocate), so only
+// the multiset matters, and the matrix needs no global ordering.
 
 // sink collects the cross-node side effects of one execution context:
-// the serial kernel's (embedded in Network) or one shard's. Appends are
+// the coordinator's (embedded in Network) or one range's. Appends are
 // always made by the context that owns the sink; merging into the
-// global sink happens only at barriers, on the coordinator.
+// coordinator's happens only at barriers, on the coordinator.
 type sink struct {
 	signals    []scheduledSignal
 	credits    []creditEvent
-	fkills     []fkillReq
-	busyLinks  []linkRef
-	recvPend   []int32
 	deliveries []core.Delivery
 	emitBuf    []router.Emit
 
-	// outCredits is the per-destination-shard credit matrix row; nil on
-	// the serial sink (credits then go to the flat queue above).
+	// outCredits is the per-destination-range credit matrix row; nil on
+	// the coordinator's sink (its credits go to the flat queue above,
+	// applied by applyGlobalCredits).
 	outCredits [][]creditEvent
 
-	// events buffers trace events when deferred is set (shard sinks):
-	// workers cannot call the tracer concurrently, so they record and
-	// the coordinator replays in shard order at the barrier.
-	events   []Event
-	deferred bool
-
-	// moved reports switch-transmission progress for this context's
-	// transmit phase; ORed into the cycle's progress flag.
-	moved bool
+	// events buffers trace events: phase bodies cannot call the tracer
+	// concurrently, so every context records and the coordinator replays
+	// in range order at the barrier.
+	events []Event
 
 	killsDropped  int64
 	flitsInjected int64
@@ -69,50 +61,58 @@ type sink struct {
 func (s *sink) reset() {
 	s.signals = s.signals[:0]
 	s.credits = s.credits[:0]
-	s.fkills = s.fkills[:0]
-	s.busyLinks = s.busyLinks[:0]
-	s.recvPend = s.recvPend[:0]
 	s.deliveries = s.deliveries[:0]
 	s.emitBuf = s.emitBuf[:0]
 	for i := range s.outCredits {
 		s.outCredits[i] = s.outCredits[i][:0]
 	}
 	s.events = s.events[:0]
-	s.moved = false
 	s.killsDropped, s.flitsInjected, s.flitsEjected = 0, 0, 0
 }
 
 // shard owns the contiguous node range [lo, hi): those nodes'
-// routers/injectors/receivers, their output links, and the shard-local
-// activity worklists.
+// routers/injectors/receivers, their output links, and the activity
+// worklists over them (see step.go for the maintenance protocol).
 type shard struct {
 	sink
 	lo, hi int32
 
-	activeR nodeSet // this shard's routers with buffered flits
-	activeI nodeSet // this shard's injectors with pending work
+	activeR   nodeSet   // this range's routers with buffered flits
+	activeI   nodeSet   // this range's injectors with pending work
+	busyLinks []linkRef // this range's output links carrying a flit
+	recvPend  []int32   // this range's receivers that accepted a flit this cycle
+	fkills    []fkillReq
 
 	// arrivals is this cycle's bucket of busy links whose flit lands in
-	// this shard, filled by the coordinator's arrivals prepass in
-	// global (node, port) order.
+	// this range, filled by the coordinator's arrivals prepass in global
+	// (node, port) order.
 	arrivals []linkRef
+
+	// moved reports switch-transmission progress in this range's transmit
+	// phase; the barrier ORs it into the cycle's progress flag.
+	moved bool
+	// panicked carries a forked body's panic to the coordinator.
+	panicked any
 }
 
 func (sh *shard) reset() {
 	sh.sink.reset()
 	sh.activeR.reset()
 	sh.activeI.reset()
+	sh.busyLinks = sh.busyLinks[:0]
+	sh.recvPend = sh.recvPend[:0]
+	sh.fkills = sh.fkills[:0]
 	sh.arrivals = sh.arrivals[:0]
+	sh.moved = false
 }
 
-// initShards builds the shard partition. s <= 1 selects the serial
-// kernel (no shards); s is clamped to the node count. The first
-// (nodes mod s) shards are one node larger, so every shard count —
-// dividing the node count or not — yields a total, contiguous,
-// ascending partition.
+// initShards builds the range partition: s ranges, at least one and at
+// most one per node. The first (nodes mod s) ranges are one node larger,
+// so every count — dividing the node count or not — yields a total,
+// contiguous, ascending partition.
 func (n *Network) initShards(s int) {
-	if s <= 1 {
-		return
+	if s < 1 {
+		s = 1
 	}
 	if s > n.nodes {
 		s = n.nodes
@@ -131,7 +131,6 @@ func (n *Network) initShards(s int) {
 		sh.activeR = newNodeSet(n.nodes)
 		sh.activeI = newNodeSet(n.nodes)
 		sh.outCredits = make([][]creditEvent, s)
-		sh.deferred = true
 		for id := lo; id < lo+size; id++ {
 			n.nodeShard[id] = int32(i)
 		}
@@ -139,21 +138,17 @@ func (n *Network) initShards(s int) {
 	}
 }
 
-// sinkFor returns the sink owning node's side effects: the node's
-// shard sink when sharded, the serial sink otherwise. In parallel
-// phases the executing worker is always node's owner, so the returned
-// sink is safe to append to without synchronization.
-func (n *Network) sinkFor(node topology.NodeID) *sink {
-	if n.shards == nil {
-		return &n.sink
-	}
-	return &n.shards[n.nodeShard[node]].sink
+// shardOf returns the range owning node. In forked phases the executing
+// body is always node's owner, so the range's sink and worklists are
+// safe to append to without synchronization.
+func (n *Network) shardOf(node topology.NodeID) *shard {
+	return &n.shards[n.nodeShard[node]]
 }
 
 // pushCredit queues one deferred credit refund toward (node, port, vc).
-// On a shard sink the refund is filed in the matrix row under the
-// *destination* node's shard; on the serial sink it goes to the flat
-// queue applied at the top of the credits phase.
+// On a range sink the refund is filed in the matrix row under the
+// *destination* node's range; on the coordinator's sink it goes to the
+// flat queue applied by applyGlobalCredits.
 func (n *Network) pushCredit(sk *sink, node topology.NodeID, port, vc, cnt int) {
 	n.pushCreditEv(sk, creditEvent{node: int32(node), port: int16(port), vc: uint8(vc), n: int32(cnt)})
 }
@@ -171,7 +166,7 @@ func (n *Network) pushCreditEv(sk *sink, ev creditEvent) {
 	sk.credits = append(sk.credits, ev)
 }
 
-// shardPhase selects the worker body in forkJoin.
+// shardPhase selects the per-range body in forkJoin.
 type shardPhase uint8
 
 const (
@@ -183,22 +178,49 @@ const (
 	spCredits
 )
 
-// forkJoin runs one parallel phase: every shard's body on its own
-// goroutine, full barrier before returning. Goroutines are per-phase
-// rather than long-lived so the Network needs no Close and an idle
-// network holds no threads; the spawn cost is far below one phase's
-// work at the sizes where sharding is worth enabling.
+// forkJoin runs one per-range phase, full barrier before returning. A
+// single range runs inline on the caller's goroutine; several run one
+// goroutine each. Goroutines are per-phase rather than long-lived so the
+// Network needs no Close and an idle network holds no threads; the spawn
+// cost is far below one phase's work at the sizes where sharding is
+// worth enabling.
+//
+// A panic in a forked body is carried back and re-raised here, on the
+// caller's goroutine, where the caller's recover (harness.SweepSafe, a
+// test) can see it as it would with one range; the lowest range wins so
+// the outcome does not depend on scheduling. The re-raised value is the
+// original one — the worker's stack is gone, and one range (same
+// results, by construction) is the way to get it.
 func (n *Network) forkJoin(ph shardPhase) {
+	if len(n.shards) == 1 {
+		n.shardRun(&n.shards[0], ph)
+		return
+	}
 	n.wg.Add(len(n.shards))
 	for i := range n.shards {
-		go n.shardWorker(i, ph)
+		go n.shardWorker(&n.shards[i], ph)
 	}
 	n.wg.Wait()
+	var first any
+	for i := len(n.shards) - 1; i >= 0; i-- {
+		if p := n.shards[i].panicked; p != nil {
+			first, n.shards[i].panicked = p, nil
+		}
+	}
+	if first != nil {
+		panic(first)
+	}
 }
 
-func (n *Network) shardWorker(i int, ph shardPhase) {
-	defer n.wg.Done()
-	sh := &n.shards[i]
+func (n *Network) shardWorker(sh *shard, ph shardPhase) {
+	defer func() {
+		sh.panicked = recover()
+		n.wg.Done()
+	}()
+	n.shardRun(sh, ph)
+}
+
+func (n *Network) shardRun(sh *shard, ph shardPhase) {
 	switch ph {
 	case spArrivals:
 		n.shardArrivals(sh)
@@ -211,22 +233,22 @@ func (n *Network) shardWorker(i int, ph shardPhase) {
 	case spFKills:
 		n.shardFKills(sh)
 	case spCredits:
-		n.shardCredits(sh, int32(i))
+		n.shardCredits(sh)
 	}
 }
 
-// mergeBarrier drains every shard sink into the global one, in shard
-// order. Shards are contiguous ascending node ranges and each phase
-// body iterates ascending, so this concatenation reproduces the exact
-// append order of the serial kernel; buffered trace events replay the
-// same way.
-func (n *Network) mergeBarrier() {
+// mergeBarrier drains the coordinator's buffered trace events and then
+// every range sink into the coordinator's, in range order, and reports
+// whether any range's transmit moved a flit. Ranges are contiguous
+// ascending node ranges and each phase body iterates ascending, so this
+// concatenation is the append order of one walk over all nodes;
+// buffered trace events replay the same way.
+func (n *Network) mergeBarrier() bool {
+	n.flushEvents(&n.sink)
+	moved := false
 	for i := range n.shards {
 		sh := &n.shards[i]
-		for _, ev := range sh.events {
-			n.tracer(ev)
-		}
-		sh.events = sh.events[:0]
+		n.flushEvents(&sh.sink)
 		if len(sh.signals) > 0 {
 			n.signals = append(n.signals, sh.signals...)
 			sh.signals = sh.signals[:0]
@@ -235,63 +257,25 @@ func (n *Network) mergeBarrier() {
 			n.deliveries = append(n.deliveries, sh.deliveries...)
 			sh.deliveries = sh.deliveries[:0]
 		}
-		if len(sh.credits) > 0 {
-			// Shard sinks file credits in the matrix, so this queue is
-			// normally empty; merged defensively to keep the invariant
-			// "every queued credit is applied this cycle".
-			n.credits = append(n.credits, sh.credits...)
-			sh.credits = sh.credits[:0]
-		}
-	}
-}
-
-// stepSharded is Step's sharded twin: the same eight phases in the
-// same order, with the node-ordered phases fanned out and a barrier
-// (plus sink merge) between phases. Signals and fault events stay on
-// the coordinator — their iteration order is queue order, which no
-// spatial partition preserves — as does the arrivals prepass, which
-// must draw the corruption RNG in global link order.
-func (n *Network) stepSharded() {
-	n.phaseSignals()
-	any := n.prepassArrivals()
-	n.forkJoin(spArrivals)
-	n.phaseFaultEvents()
-	n.forkJoin(spInjectors)
-	n.mergeBarrier()
-	n.forkJoin(spAllocate)
-	n.mergeBarrier()
-	n.forkJoin(spTransmit)
-	n.mergeBarrier()
-	moved := false
-	for i := range n.shards {
-		if n.shards[i].moved {
-			moved = true
-			n.shards[i].moved = false
-		}
-	}
-	n.forkJoin(spFKills)
-	n.mergeBarrier()
-	n.applyGlobalCredits()
-	n.forkJoin(spCredits)
-	n.mergeBarrier()
-	for i := range n.shards {
-		sh := &n.shards[i]
-		n.sink.killsDropped += sh.killsDropped
-		n.sink.flitsInjected += sh.flitsInjected
-		n.sink.flitsEjected += sh.flitsEjected
+		n.killsDropped += sh.killsDropped
+		n.flitsInjected += sh.flitsInjected
+		n.flitsEjected += sh.flitsEjected
 		sh.killsDropped, sh.flitsInjected, sh.flitsEjected = 0, 0, 0
+		moved = moved || sh.moved
+		sh.moved = false
 	}
-	n.finishStep(any || moved)
+	return moved
 }
 
-// prepassArrivals is the serial half of the sharded arrivals phase: it
-// walks every shard's busy-link worklist in shard order (= the serial
-// kernel's append order), clears link occupancy, applies drops and the
-// corruption process (whose RNG stream must be drawn in global link
-// order), emits the arrival traces, and buckets each surviving flit's
-// link ref under the *downstream* node's shard for the parallel apply.
+// prepassArrivals is the coordinator's half of the arrivals phase: it
+// walks every range's busy-link worklist in range order (= ascending
+// (node, port), the order a full scan visits them), clears link
+// occupancy, applies drops and the corruption process (whose RNG stream
+// must be drawn in global link order), emits the arrival traces, and
+// buckets each surviving flit's link ref under the *downstream* node's
+// range for the per-range apply. It reports whether any flit arrived.
 //
-//cr:hotpath serial half of the sharded arrivals phase
+//cr:hotpath coordinator half of the arrivals phase
 func (n *Network) prepassArrivals() bool {
 	any := false
 	for si := range n.shards {
@@ -312,7 +296,7 @@ func (n *Network) prepassArrivals() bool {
 				n.trace(EvCorrupt, topology.NodeID(l.toNode), int(l.toPort), int(l.vc), l.f.Worm, l.f.Seq)
 			}
 			n.trace(EvArrive, topology.NodeID(l.toNode), int(l.toPort), int(l.vc), l.f.Worm, l.f.Seq)
-			dst := &n.shards[n.nodeShard[l.toNode]]
+			dst := n.shardOf(topology.NodeID(l.toNode))
 			dst.arrivals = append(dst.arrivals, ref)
 		}
 		sh.busyLinks = sh.busyLinks[:0]
@@ -320,11 +304,12 @@ func (n *Network) prepassArrivals() bool {
 	return any
 }
 
-// shardArrivals applies this shard's bucketed arrivals: hand each flit
-// to its (owned) downstream router, refund straggler credits upstream
-// through the matrix, and activate the router.
+// shardArrivals applies this range's bucketed arrivals: hand each flit
+// to its (owned) downstream router, refund the upstream credit of an
+// absorbed tear-down straggler through the matrix, and activate the
+// router.
 //
-//cr:hotpath parallel half of the sharded arrivals phase
+//cr:hotpath per-range half of the arrivals phase
 func (n *Network) shardArrivals(sh *shard) {
 	sk := &sh.sink
 	for _, ref := range sh.arrivals {
@@ -337,9 +322,12 @@ func (n *Network) shardArrivals(sh *shard) {
 	sh.arrivals = sh.arrivals[:0]
 }
 
-// shardInjectors is phaseInjectors over this shard's worklist.
+// shardInjectors advances the protocol engine of every injector in this
+// range with pending work. An injector whose channels are all idle and
+// whose queue is empty provably does nothing in Tick, so it is pruned
+// until the next SubmitMessage re-activates it.
 //
-//cr:hotpath sharded injectors phase body
+//cr:hotpath injectors phase body
 func (n *Network) shardInjectors(sh *shard) {
 	sh.activeI.prepare()
 	kept := sh.activeI.ids[:0]
@@ -355,9 +343,9 @@ func (n *Network) shardInjectors(sh *shard) {
 	sh.activeI.ids = kept
 }
 
-// shardAllocate is phaseAllocate over this shard's worklist.
+// shardAllocate routes waiting headers and claims output channels.
 //
-//cr:hotpath sharded allocate phase body
+//cr:hotpath allocate phase body
 func (n *Network) shardAllocate(sh *shard) {
 	sk := &sh.sink
 	sh.activeR.prepare()
@@ -370,15 +358,18 @@ func (n *Network) shardAllocate(sh *shard) {
 	}
 }
 
-// shardTransmit is phaseTransmit over this shard's worklist.
+// shardTransmit forwards one flit per output channel per router; ejected
+// flits reach receivers, network flits enter links, dequeues earn
+// deferred upstream credits. Routers left with no buffered flits are
+// pruned from the active set; a future arrival or injection re-adds
+// them.
 //
-//cr:hotpath sharded transmit phase body
+//cr:hotpath transmit phase body
 func (n *Network) shardTransmit(sh *shard) {
-	sk := &sh.sink
 	kept := sh.activeR.ids[:0]
 	for _, id := range sh.activeR.ids {
-		if n.transmitRouter(sk, int(id)) {
-			sk.moved = true
+		if n.transmitRouter(sh, int(id)) {
+			sh.moved = true
 		}
 		if n.routers[id].Busy() {
 			kept = append(kept, id)
@@ -389,12 +380,14 @@ func (n *Network) shardTransmit(sh *shard) {
 	sh.activeR.ids = kept
 }
 
-// shardFKills is phaseFKills over this shard's queue. FKill requests
-// are filed at the receiver's own node, so the queue already contains
-// only owned nodes and — being appended during the ascending transmit
-// walk — is already in serial order.
+// shardFKills applies receiver-initiated backward tear-downs (local;
+// propagation next cycle). FKill requests are filed at the receiver's
+// own node, so the queue contains only owned nodes and — being appended
+// during the ascending transmit walk — is in node order. Deliveries are
+// collected after tear-downs (credits phase) so a rejected worm can
+// never appear in the same cycle's output.
 //
-//cr:hotpath sharded fkills phase body
+//cr:hotpath fkills phase body
 func (n *Network) shardFKills(sh *shard) {
 	if len(sh.fkills) == 0 {
 		return
@@ -410,13 +403,13 @@ func (n *Network) shardFKills(sh *shard) {
 	}
 }
 
-// applyGlobalCredits serially applies the coordinator-accumulated
-// credit queue (from the serial phases: signal delivery and fault
-// sweeps) before the parallel matrix application; order does not
-// matter — credits are commutative within a cycle — but these may
-// target any node, so they cannot be applied from a worker.
+// applyGlobalCredits applies the coordinator-accumulated credit queue
+// (from the coordinator's phases: signal delivery and fault sweeps)
+// before the per-range matrix application; order does not matter —
+// credits are commutative within a cycle — but these may target any
+// node, so they cannot be applied from a range body.
 //
-//cr:hotpath serial half of the sharded credits phase
+//cr:hotpath coordinator half of the credits phase
 func (n *Network) applyGlobalCredits() {
 	for _, c := range n.credits {
 		n.routerAt(topology.NodeID(c.node)).ApplyCredit(int(c.port), int(c.vc), int(c.n), int(c.w))
@@ -424,13 +417,16 @@ func (n *Network) applyGlobalCredits() {
 	n.credits = n.credits[:0]
 }
 
-// shardCredits applies column [me] of every shard's credit matrix to
-// this shard's routers, then drains this shard's accepting receivers
-// (ascending node order within the shard, matching the serial drain).
+// shardCredits applies column [me] of every range's credit matrix to
+// this range's routers (credits earned this cycle become visible next),
+// then collects deliveries. Only receivers that accepted a flit this
+// cycle can hold deliveries, so only those (recvPend, in ascending node
+// order by construction) are drained.
 //
-//cr:hotpath sharded credits phase body
-func (n *Network) shardCredits(sh *shard, me int32) {
+//cr:hotpath credits phase body
+func (n *Network) shardCredits(sh *shard) {
 	sk := &sh.sink
+	me := n.nodeShard[sh.lo]
 	for si := range n.shards {
 		cell := n.shards[si].outCredits[me]
 		for _, c := range cell {
@@ -438,9 +434,9 @@ func (n *Network) shardCredits(sh *shard, me int32) {
 		}
 		n.shards[si].outCredits[me] = cell[:0]
 	}
-	for _, id := range sk.recvPend {
+	for _, id := range sh.recvPend {
 		n.recvMark[id] = false //cr:sharded recvMark[id] belongs to the shard that owns node id
 		n.drainReceiver(sk, int(id), n.receivers[id])
 	}
-	sk.recvPend = sk.recvPend[:0]
+	sh.recvPend = sh.recvPend[:0]
 }

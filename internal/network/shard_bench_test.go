@@ -10,13 +10,14 @@ import (
 	"crnet/internal/traffic"
 )
 
-// Sharded-kernel benchmarks: the per-cycle cost of Network.Step at
-// three machine scales, serial (shards0) versus sharded. These are the
-// rows `make bench-sharded` records in BENCH_PR8.json.
+// Forked-kernel benchmarks: the per-cycle cost of Network.Step at
+// three machine scales, one inline range (shards0) versus several
+// forked ones. The last recorded rows are in DESIGN.md §10.
 //
-// The interesting row is 256x256 saturated: the shard phases dominate
-// the cycle there, so on a multi-core host the sharded kernel should
-// approach GOMAXPROCS-way speedup over shards0 (minus barrier costs).
+// The interesting row is 256x256 saturated: the per-range phases
+// dominate the cycle there, so on a multi-core host the forked rows
+// should approach GOMAXPROCS-way speedup over shards0 (minus barrier
+// costs).
 // On a single-core host the sharded rows instead measure pure
 // orchestration overhead — goroutine fork/join and mailbox merging with
 // no parallelism to pay for it — which is also worth pinning.

@@ -8,6 +8,8 @@ import (
 
 	"crnet/internal/core"
 	"crnet/internal/faults"
+	"crnet/internal/flit"
+	"crnet/internal/harness"
 	"crnet/internal/rng"
 	"crnet/internal/routing"
 	"crnet/internal/snapshot"
@@ -26,15 +28,24 @@ func shardCounts() []int {
 	return counts
 }
 
-// TestShardedMatchesSerial is the tentpole pin: the sharded kernel must
-// reproduce the serial kernel byte for byte — same per-cycle delivery
-// stream, same cycle counts, same stats, same trace event sequence —
-// across random topologies with transient corruption, a permanent
-// fail/repair timeline, and load-coupled hazard failures all enabled,
-// for every shard count including non-dividing ones.
-func TestShardedMatchesSerial(t *testing.T) {
+// pinConfig is one TestShardedMatchesSerial configuration; TestKernelGolden
+// replays the same six against digests recorded from the pre-unification
+// serial kernel.
+type pinConfig struct {
+	name     string
+	cfg      Config
+	load     float64
+	msgLen   int
+	timeline faults.TimelineConfig
+}
+
+// shardedPinConfigs draws the six random topologies with transient
+// corruption, a permanent fail/repair timeline, and load-coupled hazard
+// failures all enabled.
+func shardedPinConfigs() []pinConfig {
 	r := rng.New(0x5A4DED)
 	const configs = 6
+	var out []pinConfig
 	for i := 0; i < configs; i++ {
 		cfg, load, msgLen := randomConfig(r, uint64(i)+8000)
 		cfg.TransientRate = 2e-3
@@ -47,32 +58,51 @@ func TestShardedMatchesSerial(t *testing.T) {
 			EvalEvery:   32,
 			Seed:        uint64(i)*131 + 7,
 		}
-		timeline := faults.TimelineConfig{
-			Links:    LinksOf(cfg.Topo),
-			LinkMTBF: 900, LinkMTTR: 60,
-			Start: 50, Horizon: 2000,
-			Seed: uint64(i)*77 + 3,
-		}
-		name := fmt.Sprintf("cfg%02d_%s_%s", i, cfg.Topo.Name(), cfg.Protocol)
-		t.Run(name, func(t *testing.T) {
-			type tracedSnapshot struct {
-				kernelSnapshot
-				events []Event
-			}
-			run := func(shards int) tracedSnapshot {
-				c := cfg
-				c.Shards = shards
-				c.Faults = faults.RandomTimeline(timeline)
-				n := New(c)
-				var snap tracedSnapshot
-				n.SetTracer(func(ev Event) { snap.events = append(snap.events, ev) })
-				gen := traffic.NewGenerator(c.Topo, traffic.Uniform{Nodes: c.Topo.Nodes()}, load, msgLen, c.Seed+5)
-				snap.kernelSnapshot = runKernel(n, gen, 1200, 1200*60)
-				return snap
-			}
-			serial := run(0)
+		out = append(out, pinConfig{
+			name: fmt.Sprintf("cfg%02d_%s_%s", i, cfg.Topo.Name(), cfg.Protocol),
+			cfg:  cfg, load: load, msgLen: msgLen,
+			timeline: faults.TimelineConfig{
+				Links:    LinksOf(cfg.Topo),
+				LinkMTBF: 900, LinkMTTR: 60,
+				Start: 50, Horizon: 2000,
+				Seed: uint64(i)*77 + 3,
+			},
+		})
+	}
+	return out
+}
+
+// tracedSnapshot is a run's kernelSnapshot plus its full trace stream.
+type tracedSnapshot struct {
+	kernelSnapshot
+	events []Event
+}
+
+func (pc pinConfig) run(shards int) tracedSnapshot {
+	c := pc.cfg
+	c.Shards = shards
+	c.Faults = faults.RandomTimeline(pc.timeline)
+	n := New(c)
+	var snap tracedSnapshot
+	n.SetTracer(func(ev Event) { snap.events = append(snap.events, ev) })
+	gen := traffic.NewGenerator(c.Topo, traffic.Uniform{Nodes: c.Topo.Nodes()}, pc.load, pc.msgLen, c.Seed+5)
+	snap.kernelSnapshot = runKernel(n, gen, 1200, 1200*60)
+	return snap
+}
+
+// TestShardedMatchesSerial is the tentpole pin: every shard count must
+// reproduce the single-range run byte for byte — same per-cycle delivery
+// stream, same cycle counts, same stats, same trace event sequence —
+// across random topologies with transient corruption, a permanent
+// fail/repair timeline, and load-coupled hazard failures all enabled,
+// including counts that do not divide the node count.
+func TestShardedMatchesSerial(t *testing.T) {
+	for _, pc := range shardedPinConfigs() {
+		pc := pc
+		t.Run(pc.name, func(t *testing.T) {
+			serial := pc.run(0)
 			for _, s := range shardCounts() {
-				got := run(s)
+				got := pc.run(s)
 				if !reflect.DeepEqual(got.kernelSnapshot, serial.kernelSnapshot) {
 					t.Errorf("shards=%d diverged from serial:\nsharded: cycle=%d deliveries=%d inj=%+v flits=%d\nserial:  cycle=%d deliveries=%d inj=%+v flits=%d",
 						s, got.cycle, len(got.deliveries), got.inj, got.flits,
@@ -207,6 +237,69 @@ func TestShardedReset(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("sharded run after Reset diverged: first cycle=%d deliveries=%d, second cycle=%d deliveries=%d",
 			first.cycle, len(first.deliveries), second.cycle, len(second.deliveries))
+	}
+}
+
+// plantedPanic panics on the first header any router tries to route,
+// from inside the allocate phase body.
+type plantedPanic struct{ routing.MinimalAdaptive }
+
+func (plantedPanic) Route(req routing.Request, _ []routing.Candidate) []routing.Candidate {
+	panic(fmt.Sprintf("planted panic routing at node %d", req.Cur))
+}
+
+// TestShardedPanicReachesCaller pins that a panic inside a phase body
+// surfaces on the goroutine that called Step whether the body ran inline
+// or forked, so harness.SweepSafe turns it into one point's error
+// instead of the process dying on a worker nobody can recover — and that
+// it is the same panic either way: the planted point has every node
+// route a header in cycle 0, so every range panics in the same phase,
+// and the lowest range's value is re-raised — the one a single ascending
+// walk hits first.
+func TestShardedPanicReachesCaller(t *testing.T) {
+	topo := topology.NewTorus(4, 2)
+	sweep := func(shards int) ([]int, []harness.PointError) {
+		return harness.SweepSafe(3, harness.SafeOptions{}, func(i int, _ <-chan struct{}) (int, error) {
+			cfg := Config{
+				Topo:     topo,
+				Alg:      routing.MinimalAdaptive{},
+				Protocol: core.CR,
+				Backoff:  core.Backoff{Kind: core.BackoffExponential, Gap: 8},
+				Shards:   shards,
+				Seed:     uint64(i),
+			}
+			if i == 1 {
+				cfg.Alg = plantedPanic{}
+			}
+			n := New(cfg)
+			if i == 1 {
+				for src := 0; src < topo.Nodes(); src++ {
+					n.SubmitMessage(flit.Message{
+						ID:  flit.MessageID(1 + src),
+						Src: topology.NodeID(src), Dst: topology.NodeID((src + 5) % topo.Nodes()),
+						DataLen: 4,
+					})
+				}
+			}
+			gen := traffic.NewGenerator(topo, traffic.Uniform{Nodes: topo.Nodes()}, 0.5, 6, 31)
+			return len(runKernel(n, gen, 300, 300*50).deliveries), nil
+		})
+	}
+	var inline []int
+	for _, shards := range []int{1, 2} {
+		res, errs := sweep(shards)
+		if len(errs) != 1 || errs[0].Index != 1 || errs[0].Kind != harness.PointPanicKind {
+			t.Fatalf("shards=%d: point errors = %+v, want one panic at point 1", shards, errs)
+		}
+		if want := "planted panic routing at node 0"; errs[0].Err != want {
+			t.Errorf("shards=%d: panic %q, want %q", shards, errs[0].Err, want)
+		}
+		if inline == nil {
+			inline = res
+		}
+		if res[0] == 0 || res[2] == 0 || !reflect.DeepEqual(res, inline) {
+			t.Errorf("shards=%d: surviving points = %v, want the inline run's %v (both non-zero)", shards, res, inline)
+		}
 	}
 }
 

@@ -28,17 +28,17 @@ import (
 // channel geometry, protocol parameters, fault timeline, seeds) is
 // reconstructed by New rather than serialized.
 //
-// Hooks, the tracer and the brute-force flag are runtime attachments,
-// not simulation state; they are preserved across LoadState.
+// Hooks and the tracer are runtime attachments, not simulation state;
+// they are preserved across LoadState.
 
 // ConfigFingerprint returns a 64-bit digest of the network's effective
 // configuration (defaults filled in), covering every knob that shapes
 // simulation behavior. Two networks with equal fingerprints are
 // structurally interchangeable for checkpoint/restore. Shards is
-// deliberately excluded: the sharded kernel is byte-identical to the
-// serial one, so a snapshot taken from a serial network restores into a
-// sharded twin (and vice versa) — the worklists are saved as their
-// merged, sorted union, which both kernels accept (see saveNodeSet).
+// deliberately excluded: results are byte-identical for every range
+// count, so a snapshot restores into a network partitioned differently
+// from the one that wrote it — the per-range worklists are saved as
+// their merged union in range order (see saveMergedNodeSets).
 func (n *Network) ConfigFingerprint() uint64 {
 	h := fnv.New64a()
 	c := &n.cfg
@@ -107,11 +107,13 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 		e.Int(int(c.n))
 		e.Int(int(c.w))
 	}
-	e.Uvarint(uint64(len(n.fkills)))
-	for _, f := range n.fkills {
-		e.Varint(int64(f.node))
-		e.Int(f.ch)
-		e.U64(uint64(f.worm))
+	e.Uvarint(n.sumShards(func(sh *shard) int { return len(sh.fkills) }))
+	for i := range n.shards {
+		for _, f := range n.shards[i].fkills {
+			e.Varint(int64(f.node))
+			e.Int(f.ch)
+			e.U64(uint64(f.worm))
+		}
 	}
 	e.Uvarint(uint64(len(n.deliveries)))
 	for i := range n.deliveries {
@@ -126,42 +128,21 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 		e.Varint(d.HeadArrived)
 	}
 
-	// The worklists: in sharded mode they live per shard, holding only
-	// owned nodes, so concatenating them in shard order (contiguous
-	// ascending ranges) is their merged, globally ordered union — the
-	// exact sequence the serial kernel would hold. The per-shard node
-	// sets are sorted before the merge so the union is sorted with the
-	// needs-sort flag clear, which both kernels accept on load.
-	nbusy := len(n.busyLinks)
-	for i := range n.shards {
-		nbusy += len(n.shards[i].busyLinks)
-	}
-	e.Uvarint(uint64(nbusy))
-	for _, ref := range n.busyLinks {
-		e.Varint(int64(ref.node))
-		e.Varint(int64(ref.port))
-	}
+	// The worklists live per range, holding only owned nodes, so
+	// concatenating them in range order (contiguous ascending ranges) is
+	// their merged, globally ordered union — the same bytes whatever the
+	// partition, which is what lets LoadState deal them out to a
+	// different one.
+	e.Uvarint(n.sumShards(func(sh *shard) int { return len(sh.busyLinks) }))
 	for i := range n.shards {
 		for _, ref := range n.shards[i].busyLinks {
 			e.Varint(int64(ref.node))
 			e.Varint(int64(ref.port))
 		}
 	}
-	if n.shards == nil {
-		saveNodeSet(e, &n.activeR)
-		saveNodeSet(e, &n.activeI)
-	} else {
-		saveMergedNodeSets(e, n.shards, func(sh *shard) *nodeSet { return &sh.activeR })
-		saveMergedNodeSets(e, n.shards, func(sh *shard) *nodeSet { return &sh.activeI })
-	}
-	npend := len(n.recvPend)
-	for i := range n.shards {
-		npend += len(n.shards[i].recvPend)
-	}
-	e.Uvarint(uint64(npend))
-	for _, id := range n.recvPend {
-		e.Varint(int64(id))
-	}
+	saveMergedNodeSets(e, n.shards, func(sh *shard) *nodeSet { return &sh.activeR })
+	saveMergedNodeSets(e, n.shards, func(sh *shard) *nodeSet { return &sh.activeI })
+	e.Uvarint(n.sumShards(func(sh *shard) int { return len(sh.recvPend) }))
 	for i := range n.shards {
 		for _, id := range n.shards[i].recvPend {
 			e.Varint(int64(id))
@@ -200,11 +181,26 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 	}
 }
 
-// saveMergedNodeSets writes the shard-partitioned node sets as one
-// sorted union: each shard's set is sorted in place (prepare is
-// idempotent and deterministic), and shard order concatenation of
-// contiguous ascending ranges is globally sorted, so the needs-sort
-// flag is written clear.
+// sumShards sums a per-range queue length over every range.
+func (n *Network) sumShards(length func(*shard) int) uint64 {
+	total := 0
+	for i := range n.shards {
+		total += length(&n.shards[i])
+	}
+	return uint64(total)
+}
+
+// saveMergedNodeSets writes the range-partitioned node sets as one
+// sorted union: each range's set is sorted in place (prepare is
+// idempotent and deterministic — the next phase to walk the set would
+// run it anyway), and range order concatenation of contiguous ascending
+// ranges is globally sorted, so the needs-sort flag is written clear.
+//
+// The sets are not reconstructed from first principles on load because
+// membership is not a pure function of the rest of the state (e.g. a
+// stale FKILL leaves an idle injector in the set until its next tick
+// prunes it), and any divergence would change worklist iteration
+// against an unbroken run.
 func saveMergedNodeSets(e *snapshot.Encoder, shards []shard, pick func(*shard) *nodeSet) {
 	total := 0
 	for i := range shards {
@@ -221,38 +217,37 @@ func saveMergedNodeSets(e *snapshot.Encoder, shards []shard, pick func(*shard) *
 	e.Bool(false)
 }
 
-// saveNodeSet encodes an activity worklist verbatim: the pending ids in
-// their current order plus the needs-sort flag. The sets are not
-// reconstructed from first principles on load because membership is not
-// a pure function of the rest of the state (e.g. a stale FKILL leaves
-// an idle injector in the set until its next tick prunes it), and any
-// divergence would change worklist iteration against an unbroken run.
-func saveNodeSet(e *snapshot.Encoder, s *nodeSet) {
-	e.Uvarint(uint64(len(s.ids)))
-	for _, id := range s.ids {
-		e.Varint(int64(id))
+// loadNode decodes a node id that LoadState is about to index with,
+// rejecting one outside the network.
+func (n *Network) loadNode(d *snapshot.Decoder, what string) (topology.NodeID, error) {
+	id := d.Varint()
+	if err := d.Err(); err != nil {
+		return 0, err
 	}
-	e.Bool(s.dirty)
+	if id < 0 || id >= int64(n.nodes) {
+		return 0, fmt.Errorf("network: snapshot %s id %d outside [0,%d)", what, id, n.nodes)
+	}
+	return topology.NodeID(id), nil
 }
 
-func loadNodeSet(d *snapshot.Decoder, s *nodeSet) error {
-	count := d.Count(len(s.member))
+// loadNodeSets decodes one merged node-set section, dealing each id to
+// the range that owns it. The needs-sort flag is read and dropped:
+// snapshots written by the pre-range serial kernel carry it set (their
+// ids are in insertion order), and add marks the receiving set dirty
+// either way, so it is re-sorted before its first walk.
+func (n *Network) loadNodeSets(d *snapshot.Decoder, pick func(*shard) *nodeSet) error {
+	count := d.Count(n.nodes)
 	if err := d.Err(); err != nil {
 		return err
 	}
-	s.reset()
 	for i := 0; i < count; i++ {
-		id := d.Varint()
-		if err := d.Err(); err != nil {
+		id, err := n.loadNode(d, "worklist")
+		if err != nil {
 			return err
 		}
-		if id < 0 || id >= int64(len(s.member)) {
-			return fmt.Errorf("network: snapshot worklist id %d outside [0,%d)", id, len(s.member))
-		}
-		s.member[id] = true
-		s.ids = append(s.ids, int32(id))
+		pick(n.shardOf(id)).add(int32(id))
 	}
-	s.dirty = d.Bool()
+	d.Bool()
 	return d.Err()
 }
 
@@ -327,13 +322,16 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	n.fkills = n.fkills[:0]
+	// The per-range queues and worklists are dealt out to their owners
+	// as they decode; empty them all first.
+	n.resetShards()
 	for i := 0; i < nfk; i++ {
-		n.fkills = append(n.fkills, fkillReq{
-			node: topology.NodeID(d.Varint()),
-			ch:   d.Int(),
-			worm: flit.WormID(d.U64()),
-		})
+		node, err := n.loadNode(d, "fkill")
+		if err != nil {
+			return err
+		}
+		sh := n.shardOf(node)
+		sh.fkills = append(sh.fkills, fkillReq{node: node, ch: d.Int(), worm: flit.WormID(d.U64())})
 	}
 	ndel := d.Count(maxQueueItems)
 	if err := d.Err(); err != nil {
@@ -358,38 +356,36 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	n.busyLinks = n.busyLinks[:0]
 	for i := 0; i < nbusy; i++ {
-		n.busyLinks = append(n.busyLinks, linkRef{
-			node: int32(d.Varint()),
-			port: int32(d.Varint()),
-		})
+		node, err := n.loadNode(d, "busy-link")
+		if err != nil {
+			return err
+		}
+		port := d.Varint()
+		if port < 0 || port >= int64(n.deg) {
+			return fmt.Errorf("network: snapshot busy-link port %d outside [0,%d)", port, n.deg)
+		}
+		sh := n.shardOf(node)
+		sh.busyLinks = append(sh.busyLinks, linkRef{node: int32(node), port: int32(port)})
 	}
-	n.linkScratch = n.linkScratch[:0]
-	if err := loadNodeSet(d, &n.activeR); err != nil {
+	if err := n.loadNodeSets(d, func(sh *shard) *nodeSet { return &sh.activeR }); err != nil {
 		return fmt.Errorf("network: activeR: %w", err)
 	}
-	if err := loadNodeSet(d, &n.activeI); err != nil {
+	if err := n.loadNodeSets(d, func(sh *shard) *nodeSet { return &sh.activeI }); err != nil {
 		return fmt.Errorf("network: activeI: %w", err)
 	}
-	npend := d.Count(len(n.recvMark))
+	npend := d.Count(n.nodes)
 	if err := d.Err(); err != nil {
 		return err
 	}
-	for _, id := range n.recvPend {
-		n.recvMark[id] = false
-	}
-	n.recvPend = n.recvPend[:0]
 	for i := 0; i < npend; i++ {
-		id := d.Varint()
-		if err := d.Err(); err != nil {
+		id, err := n.loadNode(d, "recvPend")
+		if err != nil {
 			return err
 		}
-		if id < 0 || id >= int64(len(n.recvMark)) {
-			return fmt.Errorf("network: snapshot recvPend id %d outside [0,%d)", id, len(n.recvMark))
-		}
 		n.recvMark[id] = true
-		n.recvPend = append(n.recvPend, int32(id))
+		sh := n.shardOf(id)
+		sh.recvPend = append(sh.recvPend, int32(id))
 	}
 
 	if err := n.corrupter.LoadState(d); err != nil {
@@ -439,45 +435,7 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	n.redistributeWorklists()
 	return nil
-}
-
-// redistributeWorklists moves the globally-loaded worklists onto the
-// shards that own them (no-op on a serial network). LoadState decodes
-// into the global structures exactly as the serial kernel holds them;
-// splitting preserves relative order per shard, which is all the
-// sharded kernel needs (sets re-sort on prepare, busy-link and recvPend
-// entries were saved in globally ascending order).
-func (n *Network) redistributeWorklists() {
-	if n.shards == nil {
-		return
-	}
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.busyLinks = sh.busyLinks[:0]
-		sh.activeR.reset()
-		sh.activeI.reset()
-		sh.recvPend = sh.recvPend[:0]
-	}
-	for _, ref := range n.busyLinks {
-		sh := &n.shards[n.nodeShard[ref.node]]
-		sh.busyLinks = append(sh.busyLinks, ref)
-	}
-	n.busyLinks = n.busyLinks[:0]
-	for _, id := range n.activeR.ids {
-		n.shards[n.nodeShard[id]].activeR.add(id)
-	}
-	n.activeR.reset()
-	for _, id := range n.activeI.ids {
-		n.shards[n.nodeShard[id]].activeI.add(id)
-	}
-	n.activeI.reset()
-	for _, id := range n.recvPend {
-		sh := &n.shards[n.nodeShard[id]]
-		sh.recvPend = append(sh.recvPend, id)
-	}
-	n.recvPend = n.recvPend[:0]
 }
 
 // maxQueueItems bounds decoded queue lengths so a corrupt length field

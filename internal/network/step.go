@@ -10,18 +10,20 @@ import (
 	"crnet/internal/topology"
 )
 
-// This file implements the pipeline phases (see engine.go for the phase
-// order and the hook seam). The kernel is activity-driven: instead of
-// scanning every link, router, injector and receiver each cycle, each
-// phase walks an incrementally maintained worklist, so an idle cycle
-// costs O(active components), not O(network).
+// This file holds the coordinator's phases (signals, fault events) and
+// the per-component bodies every range shares (transmitRouter,
+// drainReceiver, routeEmits); the per-range phase bodies and the
+// fork/join machinery are in shard.go, the phase order in engine.go.
 //
-// Worklists and their maintenance:
+// The kernel is activity-driven: instead of scanning every link, router,
+// injector and receiver each cycle, each phase walks an incrementally
+// maintained worklist owned by the node's range, so an idle cycle costs
+// O(active components), not O(network).
 //
-//   - busyLinks: links carrying a flit, appended during transmit in
-//     ascending (node, port) order — which is exactly the order a full
-//     scan would visit them, so arrival order (and therefore every
-//     downstream result) is unchanged.
+//   - busyLinks: a range's output links carrying a flit, appended during
+//     transmit in ascending (node, port) order — which is exactly the
+//     order a full scan would visit them, so arrival order (and therefore
+//     every downstream result) is unchanged.
 //   - activeR: routers with at least one buffered flit. A router enters
 //     when a flit lands (arrival or injection) and leaves when transmit
 //     finds it drained. Routers without buffered flits provably no-op in
@@ -36,110 +38,15 @@ import (
 //
 // Both node sets are sorted ascending before use (nodeSet.prepare), so
 // phase order matches the full scan's and cannot depend on incidental
-// insertion order. The brute-force variants (bruteForce flag) scan
-// everything exactly as the pre-worklist kernel did; the soak test
-// cross-checks the two cycle by cycle. With Config.Shards > 1 the
-// worklists live per shard and the node-ordered phases run on the shard
-// workers (see shard.go); every phase body here threads the executing
-// context's sink explicitly so the serial and sharded kernels share one
-// implementation of the per-node work.
-
-func (n *Network) activateRouter(id topology.NodeID) {
-	if n.shards != nil {
-		n.shards[n.nodeShard[id]].activeR.add(int32(id))
-		return
-	}
-	if !n.bruteForce {
-		n.activeR.add(int32(id))
-	}
-}
-
-func (n *Network) activateInjector(id topology.NodeID) {
-	if n.shards != nil {
-		n.shards[n.nodeShard[id]].activeI.add(int32(id))
-		return
-	}
-	if !n.bruteForce {
-		n.activeI.add(int32(id)) //cr:sharded serial-kernel arm; sharded mode took the shards[...] branch above
-	}
-}
-
-// phaseArrivals lands the flits that crossed links last cycle, applying
-// transient fault corruption. Absorbed tear-down stragglers refund the
-// upstream credit immediately (deferred to the credit phase).
-//
-//cr:hotpath arrivals phase of the cycle kernel
-func (n *Network) phaseArrivals() bool {
-	if n.bruteForce {
-		return n.phaseArrivalsBrute()
-	}
-	// Swap the worklist out; transmit refills busyLinks this cycle.
-	n.linkScratch, n.busyLinks = n.busyLinks, n.linkScratch[:0]
-	any := false
-	for _, ref := range n.linkScratch {
-		l := n.linkAt(int(ref.node), int(ref.port))
-		if !l.busy {
-			continue // the flit was dropped by a fault after launch
-		}
-		any = true
-		if n.arrive(int(ref.node), int(ref.port), l) {
-			n.activateRouter(topology.NodeID(l.toNode))
-		}
-	}
-	return any
-}
-
-func (n *Network) phaseArrivalsBrute() bool {
-	n.busyLinks = n.busyLinks[:0] // discard the (unused) worklist
-	any := false
-	for id := 0; id < n.nodes; id++ {
-		for p := 0; p < n.deg; p++ {
-			l := n.linkAt(id, p)
-			if !l.busy {
-				continue
-			}
-			any = true
-			n.arrive(id, p, l)
-		}
-	}
-	return any
-}
-
-// arrive completes one link traversal: fault corruption is applied in
-// place on the link's flit slot (so the hot path allocates nothing), the
-// flit is handed to the downstream router, and straggler absorption
-// refunds the upstream credit. It reports whether the flit reached the
-// downstream router (false when the link died mid-flight). Serial
-// kernel only; the sharded kernel splits this between prepassArrivals
-// and shardArrivals.
-//
-//cr:hotpath per-flit arrival; runs once per busy link per cycle
-func (n *Network) arrive(id, p int, l *link) bool {
-	l.busy = false
-	if !l.up {
-		// The link died while the flit was in flight.
-		n.flitsDropped++
-		return false
-	}
-	if n.corrupter.Apply(&l.f) {
-		n.flitsDegraded++
-		n.trace(EvCorrupt, topology.NodeID(l.toNode), int(l.toPort), int(l.vc), l.f.Worm, l.f.Seq)
-	}
-	n.trace(EvArrive, topology.NodeID(l.toNode), int(l.toPort), int(l.vc), l.f.Worm, l.f.Seq)
-	if n.routerAt(topology.NodeID(l.toNode)).AcceptFlit(int(l.toPort), int(l.vc), l.f) {
-		// Straggler of a torn-down worm: consumed silently, credit flows
-		// back as if it had been forwarded.
-		n.pushCredit(&n.sink, topology.NodeID(id), p, int(l.vc), 1)
-	}
-	return true
-}
+// insertion order. The scan-everything reference stepper that
+// cross-checks the worklists cycle by cycle lives in reference_test.go.
 
 // phaseFaultEvents applies the scheduled fault timeline, then — on its
 // evaluation grid — the load-coupled hazard process. Timeline events
 // always land before hazard events at the same cycle, and the hazard
 // samples utilization signals collected this cycle, so the composite
-// event order is deterministic. Always serial: event order is timeline
-// order, not node order.
+// event order is deterministic. Runs on the coordinator: event order is
+// timeline order, not node order.
 //
 //cr:hotpath fault-events phase: one Pop plus one Due check per cycle
 func (n *Network) phaseFaultEvents() {
@@ -280,30 +187,14 @@ func (n *Network) repairLink(id, p int) {
 		down.ResetInput(int(l.toPort))
 	}
 	// Scrub credit refunds queued for the dead-era output: the repair
-	// resets its credits to full, so applying them would overflow. The
-	// filter compacts in place onto the queue's own backing array. In
-	// sharded mode the refunds may also sit in the credit matrix —
-	// specifically in every shard's cell targeting this node's shard —
-	// so those cells are scrubbed too.
-	kept := n.credits[:0]
-	for _, c := range n.credits {
-		if int(c.node) != id || int(c.port) != p {
-			kept = append(kept, c)
-		}
-	}
-	n.credits = kept
-	if n.shards != nil {
-		d := n.nodeShard[id]
-		for si := range n.shards {
-			cell := n.shards[si].outCredits[d]
-			k := cell[:0]
-			for _, c := range cell {
-				if int(c.node) != id || int(c.port) != p {
-					k = append(k, c)
-				}
-			}
-			n.shards[si].outCredits[d] = k
-		}
+	// resets its credits to full, so applying them would overflow. They
+	// sit in the coordinator's flat queue and in every range's credit
+	// matrix cell targeting this node's range; each filter compacts in
+	// place onto the queue's own backing array.
+	n.credits = scrubCredits(n.credits, id, p)
+	d := n.nodeShard[id]
+	for si := range n.shards {
+		n.shards[si].outCredits[d] = scrubCredits(n.shards[si].outCredits[d], id, p)
 	}
 	if up := n.routers[id]; up != nil {
 		up.SetLinkUp(p)
@@ -313,10 +204,21 @@ func (n *Network) repairLink(id, p int) {
 	n.trace(EvLinkUp, topology.NodeID(id), p, 0, 0, -1)
 }
 
+// scrubCredits drops the refunds addressed to output (id, p) from q.
+func scrubCredits(q []creditEvent, id, p int) []creditEvent {
+	kept := q[:0]
+	for _, c := range q {
+		if int(c.node) != id || int(c.port) != p {
+			kept = append(kept, c)
+		}
+	}
+	return kept
+}
+
 // phaseSignals delivers the tear-down signals scheduled for this cycle.
 // The queue is intrinsically activity-proportional: an idle network has
-// no signals in flight. Always serial: the queue's order is append
-// order from last cycle's phases, not node order, so no spatial
+// no signals in flight. Runs on the coordinator: the queue's order is
+// append order from last cycle's phases, not node order, so no spatial
 // partition preserves it.
 //
 //cr:hotpath signals phase of the cycle kernel
@@ -333,105 +235,14 @@ func (n *Network) phaseSignals() {
 	}
 }
 
-// phaseInjectors advances the protocol engine of every node with pending
-// work. An injector whose channels are all idle and whose queue is empty
-// provably does nothing in Tick, so it is pruned until the next
-// SubmitMessage re-activates it.
-//
-//cr:hotpath injectors phase of the cycle kernel
-func (n *Network) phaseInjectors() {
-	if n.bruteForce {
-		for _, in := range n.injectors {
-			if in != nil {
-				in.Tick(n.cycle)
-			}
-		}
-		return
-	}
-	n.activeI.prepare()
-	kept := n.activeI.ids[:0]
-	for _, id := range n.activeI.ids {
-		in := n.injectors[id]
-		in.Tick(n.cycle)
-		if in.Busy() || in.QueueLen() > 0 {
-			kept = append(kept, id)
-		} else {
-			n.activeI.drop(id)
-		}
-	}
-	n.activeI.ids = kept
-}
-
-// phaseAllocate routes waiting headers and claims output channels.
-//
-//cr:hotpath allocate phase of the cycle kernel
-func (n *Network) phaseAllocate() {
-	if n.bruteForce {
-		for id, r := range n.routers {
-			if r == nil {
-				continue
-			}
-			n.emitBuf = r.RouteAndAllocate(n.emitBuf[:0])
-			if len(n.emitBuf) > 0 {
-				n.routeEmits(&n.sink, topology.NodeID(id), n.emitBuf)
-			}
-		}
-		return
-	}
-	n.activeR.prepare()
-	for _, id := range n.activeR.ids {
-		r := n.routers[id]
-		n.emitBuf = r.RouteAndAllocate(n.emitBuf[:0])
-		if len(n.emitBuf) > 0 {
-			n.routeEmits(&n.sink, topology.NodeID(id), n.emitBuf)
-		}
-	}
-}
-
-// phaseTransmit forwards one flit per output channel per router; ejected
-// flits reach receivers, network flits enter links, dequeues earn
-// deferred upstream credits. Routers left with no buffered flits are
-// pruned from the active set; a future arrival or injection re-adds
-// them.
-//
-//cr:hotpath transmit phase of the cycle kernel
-func (n *Network) phaseTransmit() bool {
-	if n.bruteForce {
-		moved := false
-		for id := range n.routers {
-			if n.routers[id] == nil {
-				continue
-			}
-			if n.transmitRouter(&n.sink, id) {
-				moved = true
-			}
-		}
-		return moved
-	}
-	moved := false
-	kept := n.activeR.ids[:0]
-	for _, id := range n.activeR.ids {
-		if n.transmitRouter(&n.sink, int(id)) {
-			moved = true
-		}
-		if n.routers[id].Busy() {
-			kept = append(kept, id)
-		} else {
-			n.activeR.drop(id)
-		}
-	}
-	n.activeR.ids = kept
-	return moved
-}
-
 // transmitRouter runs one router's switch-transmission, wiring its flit
 // movements into links, receivers, the busy-link worklist and the
-// deferred credit queue — all through the executing context's sink, so
-// serial and sharded transmit share this body.
+// deferred credit queue — all through sh, the range that owns the node.
 //
 //cr:hotpath per-router transmit; runs once per active router per cycle
-func (n *Network) transmitRouter(sk *sink, id int) bool {
+func (n *Network) transmitRouter(sh *shard, id int) bool {
 	moved := false
+	sk := &sh.sink
 	r := n.routers[id]
 	node := topology.NodeID(id)
 	deg := r.Degree()
@@ -447,7 +258,7 @@ func (n *Network) transmitRouter(sk *sink, id int) bool {
 				sk.flitsEjected++
 				if !n.recvMark[id] {
 					n.recvMark[id] = true //cr:sharded recvMark[id] belongs to the shard that owns node id
-					sk.recvPend = append(sk.recvPend, int32(id))
+					sh.recvPend = append(sh.recvPend, int32(id))
 				}
 				n.receiverAt(node).Accept(outPort-deg, f, n.cycle)
 				return
@@ -463,7 +274,7 @@ func (n *Network) transmitRouter(sk *sink, id int) bool {
 			l.vc = uint8(outVC)
 			l.f = f
 			l.flits++
-			sk.busyLinks = append(sk.busyLinks, linkRef{node: int32(id), port: int32(outPort)})
+			sh.busyLinks = append(sh.busyLinks, linkRef{node: int32(id), port: int32(outPort)})
 		},
 		//cr:alloc non-escaping closure, stack-allocated; verified by TestSteadyStateZeroAlloc
 		func(inPort, inVC int) {
@@ -472,55 +283,6 @@ func (n *Network) transmitRouter(sk *sink, id int) bool {
 		},
 	)
 	return moved
-}
-
-// phaseFKills applies receiver-initiated backward tear-downs.
-//
-//cr:hotpath fkills phase of the cycle kernel
-func (n *Network) phaseFKills() {
-	if len(n.fkills) == 0 {
-		return
-	}
-	reqs := n.fkills
-	n.fkills = n.fkills[:0]
-	for _, req := range reqs {
-		r := n.routerAt(req.node)
-		sig := router.Signal{Kind: router.KillBwd, Port: r.EjPort(req.ch), VC: 0, Worm: req.worm}
-		n.emitBuf = r.ApplySignal(sig, n.emitBuf[:0])
-		n.routeEmits(&n.sink, req.node, n.emitBuf)
-	}
-	// Deliveries are collected after tear-downs so a rejected worm can
-	// never appear in the same cycle's output.
-}
-
-// phaseCredits applies deferred credit refunds and collects deliveries.
-// Only receivers that accepted a flit this cycle can hold deliveries, so
-// only those (recvPend, in ascending node order by construction) are
-// drained.
-//
-//cr:hotpath credits phase of the cycle kernel
-func (n *Network) phaseCredits() {
-	for _, c := range n.credits {
-		n.routers[c.node].ApplyCredit(int(c.port), int(c.vc), int(c.n), int(c.w))
-	}
-	n.credits = n.credits[:0]
-	if n.bruteForce {
-		for _, id := range n.recvPend {
-			n.recvMark[id] = false
-		}
-		n.recvPend = n.recvPend[:0]
-		for id, rc := range n.receivers {
-			if rc != nil {
-				n.drainReceiver(&n.sink, id, rc)
-			}
-		}
-		return
-	}
-	for _, id := range n.recvPend {
-		n.recvMark[id] = false
-		n.drainReceiver(&n.sink, int(id), n.receivers[id])
-	}
-	n.recvPend = n.recvPend[:0]
 }
 
 //cr:hotpath per-receiver delivery drain, once per accepting receiver per cycle
@@ -551,8 +313,8 @@ func (n *Network) upstreamOf(id topology.NodeID, p int) (topology.NodeID, int) {
 // propagation (scheduled for next cycle), credit refunds (deferred to
 // this cycle's credit phase), receiver discards and injector FKILL
 // notifications (immediate). All queue appends go through sk — in a
-// parallel phase that is the emitting node's own shard sink, merged
-// into the global queues at the barrier.
+// forked phase that is the emitting node's own range sink, merged into
+// the coordinator's queues at the barrier.
 //
 //cr:hotpath tear-down emit fan-out, called from allocate/signal/fkill phases
 func (n *Network) routeEmits(sk *sink, node topology.NodeID, emits []router.Emit) {
@@ -580,7 +342,7 @@ func (n *Network) routeEmits(sk *sink, node topology.NodeID, emits []router.Emit
 		case router.EmitKillBwd:
 			if e.Port >= deg {
 				// Reached the source injection channel.
-				n.activateInjector(node)
+				n.shardOf(node).activeI.add(int32(node))
 				n.injectorAt(node).FKilled(e.Worm, n.cycle)
 				continue
 			}

@@ -84,32 +84,38 @@ func (e Event) String() string {
 }
 
 // Tracer receives every traced event; install with SetTracer. The
-// tracer runs synchronously inside the cycle loop — keep it cheap.
+// tracer runs synchronously inside Step, on the goroutine that called
+// it — keep it cheap. Events reach it in a deterministic order that
+// does not depend on Config.Shards, but not at the instant they occur:
+// each phase records, and the barrier that ends it replays (see
+// mergeBarrier), so a tracer must not read network state.
 type Tracer func(Event)
 
 // SetTracer installs (or, with nil, removes) the event tracer. Tracing
 // is off by default and costs nothing when off.
 func (n *Network) SetTracer(t Tracer) { n.tracer = t }
 
+// trace records an event from a coordinator phase.
 func (n *Network) trace(kind EventKind, node topology.NodeID, port, vc int, worm flit.WormID, seq int) {
-	if n.tracer == nil {
-		return
-	}
-	n.tracer(Event{Cycle: n.cycle, Kind: kind, Node: node, Port: port, VC: vc, Worm: worm, Seq: seq})
+	n.traceTo(&n.sink, kind, node, port, vc, worm, seq)
 }
 
-// traceTo is trace through an execution context's sink: a shard sink
-// (deferred) buffers the event for the coordinator to replay in shard
-// order at the barrier, so sharded runs emit the exact serial event
-// sequence; the serial sink calls the tracer directly.
+// traceTo records an event in an execution context's sink. Phase bodies
+// of different ranges may run concurrently and the tracer is one shared
+// callback, so nothing calls it here: the coordinator replays the
+// buffers, its own first and then the ranges' in range order, at the
+// next barrier — the order one walk over all nodes would have emitted.
 func (n *Network) traceTo(sk *sink, kind EventKind, node topology.NodeID, port, vc int, worm flit.WormID, seq int) {
 	if n.tracer == nil {
 		return
 	}
-	ev := Event{Cycle: n.cycle, Kind: kind, Node: node, Port: port, VC: vc, Worm: worm, Seq: seq}
-	if sk.deferred {
-		sk.events = append(sk.events, ev)
-		return
+	sk.events = append(sk.events, Event{Cycle: n.cycle, Kind: kind, Node: node, Port: port, VC: vc, Worm: worm, Seq: seq})
+}
+
+// flushEvents replays a sink's buffered trace events; coordinator only.
+func (n *Network) flushEvents(sk *sink) {
+	for _, ev := range sk.events {
+		n.tracer(ev)
 	}
-	n.tracer(ev) //cr:sharded shard sinks are always deferred; this call runs only on the serial path
+	sk.events = sk.events[:0]
 }

@@ -34,12 +34,12 @@ type Scale struct {
 	// experiment drivers: 0 means runtime.GOMAXPROCS(0), 1 runs
 	// serially. Results are byte-identical for every value.
 	Parallel int
-	// Shards selects the sharded cycle kernel for every sweep point
-	// whose network config does not choose for itself: 0 or 1 runs the
-	// serial kernel, N > 1 splits each simulated network across N
-	// workers (see network.Config.Shards). Like Parallel, results are
-	// byte-identical for every value — the sharded kernel is pinned
-	// against the serial one — so Shards only changes wall-clock.
+	// Shards sets network.Config.Shards for every sweep point whose
+	// network config does not choose for itself: 0 or 1 runs the single
+	// node range inline on the point's goroutine, N > 1 splits each
+	// simulated network into N ranges stepped by N workers. Like
+	// Parallel, results are byte-identical for every value, so Shards
+	// only changes wall-clock.
 	Shards int
 	// BufOrg overrides the router buffer organization for every sweep
 	// point whose network config keeps the static default (points that
