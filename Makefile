@@ -91,11 +91,15 @@ bench:
 # Deterministic-resume pin: checkpoint at cycle K, restore, continue —
 # byte-identical to an unbroken run, at the network, replayer, service
 # and binary (crsimd) layers, under the race detector and uncached so
-# the guarantee cannot silently go stale.
+# the guarantee cannot silently go stale. The second run restores the
+# checkpoint files under internal/network/testdata that earlier commits
+# wrote (serial kernel; DAMQ and credit-shared on the linked-slot pool);
+# it is separate because a '/' in -run filters every test's subtests.
 snapshot-pin:
 	$(GO) test -race -count=1 \
 		-run 'TestResume|TestServiceResume|TestReplayerPosition|TestResetAfterRestore' \
 		./internal/network/ ./internal/sim/ ./internal/workload/ ./cmd/crsimd/
+	$(GO) test -race -count=1 -run 'TestKernelGolden/resume' ./internal/network/
 
 # Allocation-regression gate: after warmup, one loaded simulation cycle
 # (traffic + step + drain) must not allocate. Run uncached so it cannot

@@ -133,7 +133,7 @@ func buildConfig(topoName string, k, dims int, protocol, algName string, vcs, bu
 		b = core.Backoff{Kind: core.BackoffStatic, Gap: gap}
 	}
 
-	return network.Config{
+	cfg := network.Config{
 		Topo:              topo,
 		Alg:               alg,
 		Protocol:          proto,
@@ -145,7 +145,8 @@ func buildConfig(topoName string, k, dims int, protocol, algName string, vcs, bu
 		Backoff:           b,
 		TransientRate:     faultRate,
 		Seed:              seed,
-	}, nil
+	}
+	return cfg, cfg.Validate()
 }
 
 func printReport(cfg network.Config, pattern string, load float64, msgLen int, m sim.Metrics) {

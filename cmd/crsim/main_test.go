@@ -80,6 +80,25 @@ func TestBuildConfigErrors(t *testing.T) {
 	}
 }
 
+// TestBuildConfigRejectsInvalidNetwork: flag values the network cannot
+// be built from are a usage error, not a panic from the first cycle.
+func TestBuildConfigRejectsInvalidNetwork(t *testing.T) {
+	cases := []struct {
+		name                      string
+		proto, alg                string
+		vcs, bufDepth, injCh, ejC int
+	}{
+		{"-inj -1", "cr", "", 0, 2, -1, 1},
+		{"-bufdepth -3", "cr", "", 0, -3, 1, 1},
+		{"-routing dor -protocol plain -vcs 1", "plain", "dor", 1, 2, 1, 1},
+	}
+	for _, c := range cases {
+		if _, err := buildConfig("torus", 4, 2, c.proto, c.alg, c.vcs, c.bufDepth, c.injCh, c.ejC, 0, "exp", 0, 1); err == nil {
+			t.Errorf("crsim -k 4 %s: accepted", c.name)
+		}
+	}
+}
+
 func TestBuildConfigDuato(t *testing.T) {
 	cfg, err := buildConfig("torus", 4, 2, "plain", "duato", 0, 2, 1, 1, 0, "exp", 0, 1)
 	if err != nil {

@@ -14,11 +14,11 @@ import (
 // Buffer-organization benchmarks: the per-cycle cost of Network.Step
 // under each router buffer organization at a saturated 64x64 CR torus,
 // on one range and on four. The last recorded rows are in DESIGN.md
-// §11. The interesting comparison is fifo vs the pooled
-// organizations at shards0: the linked-slot pools trade the static
-// arena's modulo indexing for free-list pointer chasing plus the
-// granted-window ledger on every head/tail, and the sharded rows show
-// the window advertisements riding the credit mailbox matrix.
+// §11. Storage is the same rings in every organization; what differs at
+// shards0 is the granted-window ledger on every head/tail and the
+// traffic the wider windows produce (longer padded worms under shared),
+// and the sharded rows show the window advertisements riding the credit
+// mailbox matrix.
 func BenchmarkStepBufferOrg(b *testing.B) {
 	for _, org := range router.BufferOrgs {
 		for _, shards := range []int{0, 4} {

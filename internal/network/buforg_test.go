@@ -20,74 +20,55 @@ import (
 // default never touches.
 var sharedOrgs = []router.BufferOrg{router.OrgDAMQ, router.OrgCreditShared}
 
-// TestShardedMatchesSerialBufferOrgs extends the serial/sharded pin to
-// the shared buffer organizations: window grants, release top-ups and
-// shrink advertisements all ride the cross-shard credit mailbox matrix,
-// and the delivery stream, stats and trace must stay byte-identical to
-// the serial kernel for every shard count — under transient corruption,
-// a permanent fail/repair timeline and load-coupled hazards, which add
-// kill teardowns and link repairs (the paths where the grant ledger is
-// subtlest).
-func TestShardedMatchesSerialBufferOrgs(t *testing.T) {
+// bufOrgPinConfigs draws three random topologies per shared
+// organization, under the same corruption, fail/repair timeline and
+// hazards as the static-FIFO pins — which add kill teardowns and link
+// repairs, the paths where the grant ledger is subtlest.
+// TestKernelGolden replays the same six against digests recorded from
+// the linked-slot pool this store replaced.
+func bufOrgPinConfigs() []pinConfig {
+	var out []pinConfig
 	for _, org := range sharedOrgs {
 		r := rng.New(0xB0F0 + uint64(org))
 		const configs = 3
 		for i := 0; i < configs; i++ {
 			cfg, load, msgLen := randomConfig(r, uint64(i)+9300+1000*uint64(org))
 			cfg.BufOrg = org
-			cfg.TransientRate = 2e-3
-			cfg.Hazard = &faults.HazardSpec{
-				LinkLambda0: 2e-5,
-				NodeLambda0: 8e-6,
-				Alpha:       4,
-				LinkMTTR:    150,
-				NodeMTTR:    200,
-				EvalEvery:   32,
-				Seed:        uint64(i)*131 + 7,
-			}
-			timeline := faults.TimelineConfig{
-				Links:    LinksOf(cfg.Topo),
-				LinkMTBF: 900, LinkMTTR: 60,
-				Start: 50, Horizon: 2000,
-				Seed: uint64(i)*77 + 3,
-			}
 			name := fmt.Sprintf("%s_cfg%02d_%s_%s", org, i, cfg.Topo.Name(), cfg.Protocol)
-			t.Run(name, func(t *testing.T) {
-				type tracedSnapshot struct {
-					kernelSnapshot
-					events []Event
-				}
-				run := func(shards int) tracedSnapshot {
-					c := cfg
-					c.Shards = shards
-					c.Faults = faults.RandomTimeline(timeline)
-					n := New(c)
-					var snap tracedSnapshot
-					n.SetTracer(func(ev Event) { snap.events = append(snap.events, ev) })
-					gen := traffic.NewGenerator(c.Topo, traffic.Uniform{Nodes: c.Topo.Nodes()}, load, msgLen, c.Seed+5)
-					snap.kernelSnapshot = runKernel(n, gen, 1200, 1200*60)
-					return snap
-				}
-				serial := run(0)
-				for _, s := range shardCounts() {
-					got := run(s)
-					if !reflect.DeepEqual(got.kernelSnapshot, serial.kernelSnapshot) {
-						t.Errorf("shards=%d diverged from serial:\nsharded: cycle=%d deliveries=%d flits=%d\nserial:  cycle=%d deliveries=%d flits=%d",
-							s, got.cycle, len(got.deliveries), got.flits,
-							serial.cycle, len(serial.deliveries), serial.flits)
-						continue
-					}
-					if !reflect.DeepEqual(got.events, serial.events) {
-						t.Errorf("shards=%d trace diverged (%d vs %d events)", s, len(got.events), len(serial.events))
-					}
-				}
-			})
+			out = append(out, newPinConfig(name, i, cfg, load, msgLen))
 		}
+	}
+	return out
+}
+
+// TestShardedMatchesSerialBufferOrgs extends the serial/sharded pin to
+// the shared buffer organizations: window grants, release top-ups and
+// shrink advertisements all ride the cross-shard credit mailbox matrix,
+// and the delivery stream, stats and trace must stay byte-identical to
+// the serial kernel for every shard count.
+func TestShardedMatchesSerialBufferOrgs(t *testing.T) {
+	for _, pc := range bufOrgPinConfigs() {
+		pc := pc
+		t.Run(pc.name, func(t *testing.T) {
+			serial := pc.run(0)
+			for _, s := range shardCounts() {
+				got := pc.run(s)
+				if !reflect.DeepEqual(got.kernelSnapshot, serial.kernelSnapshot) {
+					t.Errorf("shards=%d diverged from serial:\nsharded: cycle=%d deliveries=%d flits=%d\nserial:  cycle=%d deliveries=%d flits=%d",
+						s, got.cycle, len(got.deliveries), got.flits,
+						serial.cycle, len(serial.deliveries), serial.flits)
+					continue
+				}
+				if !reflect.DeepEqual(got.events, serial.events) {
+					t.Errorf("shards=%d trace diverged (%d vs %d events)", s, len(got.events), len(serial.events))
+				}
+			}
+		})
 	}
 }
 
 // TestResumeBufferOrgStores pins the snapshot round trip of the
-// organization-specific state: buffered flit chains, the granted-window
+// organization-specific state: buffered FIFOs, the granted-window
 // ledger, grant rotation cursors and per-output windows must all
 // restore such that the resumed network replays the rest of the run
 // byte-identically — for every organization, mid-flight, with faults
@@ -154,9 +135,9 @@ func TestResumeBufferOrgStores(t *testing.T) {
 
 // TestChaosSoakBufferOrgs soaks the shared organizations under
 // transient corruption and kill-heavy load with Check enabled, so
-// every cycle audits slot conservation (per pool, Σ VC chain lengths +
-// free-list length == pool size), the granted-window ledger bounds and
-// the credit/window ranges — across the teardown churn where the grant
+// every cycle audits flit conservation (per pool, Σ occupancy of its
+// VCs == the pool's counter), the granted-window ledger bounds and the
+// credit/window ranges — across the teardown churn where the grant
 // tenure protocol is subtlest. The accounting oracle is strict: every
 // submitted message must deliver exactly once (or be counted failed).
 //

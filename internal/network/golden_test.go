@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,7 +10,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"crnet/internal/flit"
+	"crnet/internal/router"
 	"crnet/internal/snapshot"
+	"crnet/internal/topology"
 )
 
 // The cross-commit identity pin. Every other equivalence test in this
@@ -21,6 +25,12 @@ import (
 // survived equals the one that was deleted. The recorder cannot be
 // rebuilt from this tree (that kernel is gone); the digest functions
 // below are what it ran.
+//
+// The pooled_* entries were recorded the same way from commit 878c4f8,
+// the last with the linked-slot pooledStore behind the bufStore
+// interface: the DAMQ and credit-shared runs and checkpoint files below
+// are the check that the ring+ledger store equals the pool it replaced,
+// and that files written before the change still load.
 
 // kernelGolden is testdata/kernel_golden.json.
 type kernelGolden struct {
@@ -40,6 +50,24 @@ type kernelGolden struct {
 		FlagOffsets [2]int `json:"needs_sort_flag_offsets"`
 		Digest      string `json:"digest"`
 	} `json:"resume"`
+	// PooledRuns maps each TestShardedMatchesSerialBufferOrgs
+	// configuration to the digest of its serial run on the linked-slot
+	// pool.
+	PooledRuns map[string]string `json:"pooled_runs"`
+	// PooledResume describes one checkpoint per shared organization,
+	// written by the linked-slot pool from a pooledSnapCfg network under
+	// pooledSubmit at Cycle (submitted, not yet stepped). The recorder
+	// chose a cycle where GrantsAbove granted windows stood above the
+	// reserve and RotationsSet pools had a non-zero grant rotation, so
+	// the file's ledger section is not the as-constructed one.
+	PooledResume map[string]struct {
+		File         string `json:"file"`
+		Cycle        int64  `json:"cycle"`
+		Until        int64  `json:"until"`
+		GrantsAbove  int    `json:"grants_above_reserve"`
+		RotationsSet int    `json:"nonzero_grant_rotations"`
+		Digest       string `json:"digest"`
+	} `json:"pooled_resume"`
 }
 
 const goldenSnapshotFile = "serial_midrun.crsnap"
@@ -56,7 +84,7 @@ func digestRun(s tracedSnapshot) string {
 // resumeTail runs a network standing at the golden checkpoint (cycle K
 // submitted, not yet stepped) on to cycle until, and digests everything
 // observable: the trace stream, the delivery log, the counters.
-func resumeTail(n *Network, until int64) string {
+func resumeTail(n *Network, until int64, submit func(*Network, int64)) string {
 	h := sha256.New()
 	n.SetTracer(func(ev Event) { fmt.Fprintf(h, "%+v\n", ev) })
 	var log []string
@@ -64,10 +92,40 @@ func resumeTail(n *Network, until int64) string {
 	for _, d := range n.DrainDeliveries() {
 		log = append(log, fmt.Sprintf("%+v", d))
 	}
-	snapRun(n, until, &log)
+	snapRunWith(n, until, &log, submit)
 	fmt.Fprintf(h, "%q\n%+v %+v %+v %d %d %d\n", log, n.InjectorStats(), n.ReceiverStats(),
 		n.RouterStats(), n.TransientFaults(), n.flitsDropped, n.DroppedKillSignals())
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// pooledSnapCfg is the network the pooled checkpoints were taken from:
+// snapCfg (4x4 torus, FCR, transient corruption, two fail/repair pairs)
+// with two VCs, so both shared organizations have siblings to share with.
+func pooledSnapCfg(org router.BufferOrg) Config {
+	c := snapCfg()
+	c.BufOrg = org
+	c.VCs = 2
+	return c
+}
+
+// pooledSubmit is the schedule they ran under: every node submits a
+// 4..10-flit message every tenth cycle, staggered, which keeps several
+// worms contending for each pool (snapSubmit's one message per three
+// cycles never makes two siblings active at once).
+func pooledSubmit(n *Network, cycle int64) {
+	nodes := int64(n.Topology().Nodes())
+	for src := int64(0); src < nodes; src++ {
+		if (cycle+3*src)%10 != 0 {
+			continue
+		}
+		n.SubmitMessage(flit.Message{
+			ID:         flit.MessageID(cycle*nodes + src + 1),
+			Src:        topology.NodeID(src),
+			Dst:        topology.NodeID((src + 1 + (cycle/10+src)%(nodes-1)) % nodes),
+			DataLen:    int(4 + (cycle+src)%7),
+			CreateTime: cycle,
+		})
+	}
 }
 
 func TestKernelGolden(t *testing.T) {
@@ -80,20 +138,24 @@ func TestKernelGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, pc := range shardedPinConfigs() {
-		pc := pc
-		t.Run(pc.name, func(t *testing.T) {
-			want, ok := g.Runs[pc.name]
-			if !ok {
-				t.Fatalf("no recorded digest for %s", pc.name)
-			}
-			for _, shards := range []int{1, 2, 7} {
-				if got := digestRun(pc.run(shards)); got != want {
-					t.Errorf("shards=%d: digest %s, recorded serial kernel %s", shards, got, want)
+	replay := func(pcs []pinConfig, recorded map[string]string) {
+		for _, pc := range pcs {
+			pc := pc
+			t.Run(pc.name, func(t *testing.T) {
+				want, ok := recorded[pc.name]
+				if !ok {
+					t.Fatalf("no recorded digest for %s", pc.name)
 				}
-			}
-		})
+				for _, shards := range []int{1, 2, 7} {
+					if got := digestRun(pc.run(shards)); got != want {
+						t.Errorf("shards=%d: digest %s, recorded %s", shards, got, want)
+					}
+				}
+			})
+		}
 	}
+	replay(shardedPinConfigs(), g.Runs)
+	replay(bufOrgPinConfigs(), g.PooledRuns)
 
 	t.Run("resume", func(t *testing.T) {
 		cycle, payload, err := snapshot.ReadFile(filepath.Join("testdata", goldenSnapshotFile))
@@ -120,9 +182,50 @@ func TestKernelGolden(t *testing.T) {
 			if err := n.LoadState(snapshot.NewDecoder(payload)); err != nil {
 				t.Fatalf("shards=%d: %v", shards, err)
 			}
-			if got := resumeTail(n, g.Resume.Until); got != g.Resume.Digest {
+			if got := resumeTail(n, g.Resume.Until, snapSubmit); got != g.Resume.Digest {
 				t.Errorf("shards=%d: resumed digest %s, recorded unbroken run %s", shards, got, g.Resume.Digest)
 			}
 		}
 	})
+
+	// Subtest names start with "resume" so `make snapshot-pin` selects
+	// them together with the one above (-run 'TestKernelGolden/resume').
+	for _, org := range sharedOrgs {
+		org := org
+		t.Run("resume_"+org.String(), func(t *testing.T) {
+			rec, ok := g.PooledResume[org.String()]
+			if !ok || rec.GrantsAbove == 0 || rec.RotationsSet == 0 {
+				t.Fatalf("no recorded checkpoint with a moved ledger for %s: %+v", org, rec)
+			}
+			cycle, payload, err := snapshot.ReadFile(filepath.Join("testdata", rec.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cycle != rec.Cycle {
+				t.Fatalf("snapshot cycle %d, golden says %d", cycle, rec.Cycle)
+			}
+			for _, shards := range []int{1, 2, 7} {
+				c := pooledSnapCfg(org)
+				c.Shards = shards
+				n := New(c)
+				// LoadState checks the file's ConfigFingerprint first, so
+				// loading at all pins the fingerprint to the recorder's.
+				if err := n.LoadState(snapshot.NewDecoder(payload)); err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				if shards == 1 {
+					// The ledger the file carries survives the store: saving
+					// straight back reproduces the recorder's bytes.
+					var e snapshot.Encoder
+					n.SaveState(&e)
+					if !bytes.Equal(e.Bytes(), payload) {
+						t.Error("re-saving the restored network does not reproduce the recorded payload")
+					}
+				}
+				if got := resumeTail(n, rec.Until, pooledSubmit); got != rec.Digest {
+					t.Errorf("shards=%d: resumed digest %s, recorded unbroken run %s", shards, got, rec.Digest)
+				}
+			}
+		})
+	}
 }

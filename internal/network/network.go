@@ -62,17 +62,14 @@ type Config struct {
 	// BufDepth is the per-VC buffer depth; 0 means 2 (the paper's CR
 	// setting).
 	BufDepth int
-	// BufOrg selects the router input-buffer organization: static
-	// per-VC FIFOs (the default), per-port DAMQ pools, or one
-	// router-wide credit-shared pool (see router.BufferOrg). The slot
-	// budget is identical across organizations; they differ in how the
-	// slots may be shared.
+	// BufOrg selects the router input-buffer organization: fixed
+	// per-VC windows (the default), per-port DAMQ pools, or one
+	// router-wide credit-shared pool (see router.BufferOrg). The flit
+	// budget is identical across organizations; they differ in how
+	// much of it one VC's window may be granted. Under the shared
+	// organizations every VC always keeps a window of 1 and may be
+	// granted up to BufDepth more.
 	BufOrg router.BufferOrg
-	// BufReserve and BufShare parameterize the shared organizations:
-	// the per-VC reserved slot minimum (0 means 1) and the sharing cap
-	// above it (0 means BufDepth). Ignored for static FIFO.
-	BufReserve int
-	BufShare   int
 	// InjectionChannels and EjectionChannels size the node interface;
 	// 0 means 1.
 	InjectionChannels int
@@ -150,8 +147,21 @@ func (c *Config) fillDefaults() error {
 	if c.RouterTimeout > 0 && c.Protocol == core.Plain {
 		return fmt.Errorf("network: RouterTimeout needs CR or FCR (sources must retransmit)")
 	}
-	return nil
+	// Routers, injectors and receivers are built lazily on a node's
+	// first touch; check what they would reject now, so an invalid
+	// configuration fails at construction and not from inside Step.
+	if err := c.routerConfig().Validate(); err != nil {
+		return err
+	}
+	if min := c.Alg.MinVCs(c.Topo); c.VCs < min {
+		return fmt.Errorf("network: %s needs %d VCs on %s, config has %d", c.Alg.Name(), min, c.Topo.Name(), c.VCs)
+	}
+	return c.coreConfig().Validate()
 }
+
+// Validate reports whether New would accept the configuration, with
+// defaults applied to a copy.
+func (c Config) Validate() error { return c.fillDefaults() }
 
 func (c Config) routerConfig() router.Config {
 	return router.Config{
@@ -165,8 +175,6 @@ func (c Config) routerConfig() router.Config {
 		MaxDetours:        c.MaxDetours,
 		Select:            c.Select,
 		Org:               c.BufOrg,
-		BufReserve:        c.BufReserve,
-		BufShare:          c.BufShare,
 		Check:             c.Check,
 	}
 }

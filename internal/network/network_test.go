@@ -1,6 +1,7 @@
 package network
 
 import (
+	"strings"
 	"testing"
 
 	"crnet/internal/core"
@@ -470,4 +471,35 @@ func TestConfigDefaultsAndErrors(t *testing.T) {
 		}
 	}()
 	New(Config{})
+}
+
+// TestNewRejectsInvalidConfig: routers, injectors and receivers are
+// built lazily, so the configurations they reject must be refused by New
+// itself — not accepted and left to panic from the first SubmitMessage
+// or from inside Step (on a forked range when Shards > 1).
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	torus := topology.NewTorus(4, 2)
+	cases := []struct {
+		name, wantSub string
+		cfg           Config
+	}{
+		{"negative-bufdepth", "BufDepth", Config{Topo: torus, Alg: routing.MinimalAdaptive{}, Protocol: core.CR, BufDepth: -1}},
+		{"negative-injection-channels", "injection", Config{Topo: torus, Alg: routing.MinimalAdaptive{}, Protocol: core.CR, InjectionChannels: -1}},
+		{"misroute-without-detours", "MaxDetours", Config{Topo: torus, Alg: routing.MinimalAdaptive{}, Protocol: core.CR, MisrouteAfter: 2}},
+		{"unknown-buforg", "buffer org", Config{Topo: torus, Alg: routing.MinimalAdaptive{}, Protocol: core.CR, BufOrg: 9}},
+		{"dor-on-torus-one-vc", "needs 2 VCs", Config{Topo: torus, Alg: routing.DOR{}, Protocol: core.Plain, VCs: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+				t.Errorf("Validate() = %v, want an error mentioning %q", err, tc.wantSub)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("New returned a network for an invalid configuration")
+				}
+			}()
+			New(tc.cfg)
+		})
+	}
 }

@@ -39,35 +39,41 @@ type pinConfig struct {
 	timeline faults.TimelineConfig
 }
 
-// shardedPinConfigs draws the six random topologies with transient
-// corruption, a permanent fail/repair timeline, and load-coupled hazard
-// failures all enabled.
+// newPinConfig turns the i-th random draw of a pin matrix into a
+// pinConfig with transient corruption, a permanent fail/repair
+// timeline, and load-coupled hazard failures all enabled.
+func newPinConfig(name string, i int, cfg Config, load float64, msgLen int) pinConfig {
+	cfg.TransientRate = 2e-3
+	cfg.Hazard = &faults.HazardSpec{
+		LinkLambda0: 2e-5,
+		NodeLambda0: 8e-6,
+		Alpha:       4,
+		LinkMTTR:    150,
+		NodeMTTR:    200,
+		EvalEvery:   32,
+		Seed:        uint64(i)*131 + 7,
+	}
+	return pinConfig{
+		name: name,
+		cfg:  cfg, load: load, msgLen: msgLen,
+		timeline: faults.TimelineConfig{
+			Links:    LinksOf(cfg.Topo),
+			LinkMTBF: 900, LinkMTTR: 60,
+			Start: 50, Horizon: 2000,
+			Seed: uint64(i)*77 + 3,
+		},
+	}
+}
+
+// shardedPinConfigs draws the six random static-FIFO topologies.
 func shardedPinConfigs() []pinConfig {
 	r := rng.New(0x5A4DED)
 	const configs = 6
 	var out []pinConfig
 	for i := 0; i < configs; i++ {
 		cfg, load, msgLen := randomConfig(r, uint64(i)+8000)
-		cfg.TransientRate = 2e-3
-		cfg.Hazard = &faults.HazardSpec{
-			LinkLambda0: 2e-5,
-			NodeLambda0: 8e-6,
-			Alpha:       4,
-			LinkMTTR:    150,
-			NodeMTTR:    200,
-			EvalEvery:   32,
-			Seed:        uint64(i)*131 + 7,
-		}
-		out = append(out, pinConfig{
-			name: fmt.Sprintf("cfg%02d_%s_%s", i, cfg.Topo.Name(), cfg.Protocol),
-			cfg:  cfg, load: load, msgLen: msgLen,
-			timeline: faults.TimelineConfig{
-				Links:    LinksOf(cfg.Topo),
-				LinkMTBF: 900, LinkMTTR: 60,
-				Start: 50, Horizon: 2000,
-				Seed: uint64(i)*77 + 3,
-			},
-		})
+		name := fmt.Sprintf("cfg%02d_%s_%s", i, cfg.Topo.Name(), cfg.Protocol)
+		out = append(out, newPinConfig(name, i, cfg, load, msgLen))
 	}
 	return out
 }

@@ -45,10 +45,12 @@ func (n *Network) ConfigFingerprint() uint64 {
 	fmt.Fprintf(h, "topo=%s nodes=%d alg=%s proto=%d vcs=%d buf=%d inj=%d ej=%d",
 		c.Topo.Name(), c.Topo.Nodes(), c.Alg.Name(), c.Protocol, c.VCs, c.BufDepth,
 		c.InjectionChannels, c.EjectionChannels)
-	if c.BufOrg != router.OrgStaticFIFO || c.BufReserve != 0 || c.BufShare != 0 {
-		// Appended conditionally so every pre-seam fingerprint (always
-		// static FIFO with default knobs) is unchanged.
-		fmt.Fprintf(h, " buforg=%d rsv=%d share=%d", c.BufOrg, c.BufReserve, c.BufShare)
+	if c.BufOrg != router.OrgStaticFIFO {
+		// Appended conditionally so every static-FIFO fingerprint is
+		// what it was before organizations existed. "rsv=0 share=0" are
+		// the two retired sizing knobs at the only value they ever had;
+		// the literal keeps files written before they went restorable.
+		fmt.Fprintf(h, " buforg=%d rsv=0 share=0", c.BufOrg)
 	}
 	fmt.Fprintf(h, " timeout=%d rtimeout=%d backoff=%d/%d/%d maxattempts=%d",
 		c.Timeout, c.RouterTimeout, c.Backoff.Kind, c.Backoff.Gap, c.Backoff.Cap, c.MaxAttempts)

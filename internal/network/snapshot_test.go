@@ -63,9 +63,12 @@ func snapSubmit(n *Network, cycle int64) {
 // snapRun advances the network from its current cycle to cycle `to`,
 // submitting the schedule and recording every delivery as a formatted
 // line (cycle-ordered; order within a cycle is the drain order).
-func snapRun(n *Network, to int64, log *[]string) {
+func snapRun(n *Network, to int64, log *[]string) { snapRunWith(n, to, log, snapSubmit) }
+
+// snapRunWith is snapRun under another deterministic schedule.
+func snapRunWith(n *Network, to int64, log *[]string, submit func(*Network, int64)) {
 	for n.Cycle() < to {
-		snapSubmit(n, n.Cycle())
+		submit(n, n.Cycle())
 		n.Step()
 		for _, d := range n.DrainDeliveries() {
 			*log = append(*log, fmt.Sprintf("c%d msg=%d worm=%d src=%d len=%d ok=%t ha=%d st=%+v",

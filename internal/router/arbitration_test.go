@@ -40,7 +40,7 @@ func TestSwitchArbitrationInterleavesWorms(t *testing.T) {
 			func(p, vc int, f flit.Flit) {
 				sequence = append(sequence, f.Worm.Message())
 				// Return the credit immediately: downstream is fast.
-				r.Credit(p, vc)
+				r.ApplyCredit(p, vc, 1, 0)
 			},
 			func(int, int) {},
 		)
@@ -86,7 +86,7 @@ func TestUncontendedWormStreamsAtFullRate(t *testing.T) {
 		r.Transmit(
 			func(p, vc int, f flit.Flit) {
 				moves++
-				r.Credit(p, vc)
+				r.ApplyCredit(p, vc, 1, 0)
 			},
 			func(int, int) {},
 		)

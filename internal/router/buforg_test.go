@@ -29,7 +29,8 @@ func TestBufferOrgParse(t *testing.T) {
 }
 
 // TestBufferOrgGeometry pins the pool geometry and window math: the
-// slot budget is the same in every organization, and the window cap
+// modelled budget is the same in every organization, every ring is as
+// long as the largest window its VC can be granted, and the window cap
 // respects both the share bound and the siblings' reserves.
 func TestBufferOrgGeometry(t *testing.T) {
 	const deg = 2
@@ -37,9 +38,13 @@ func TestBufferOrgGeometry(t *testing.T) {
 	nIn := deg*cfg.VCs + cfg.InjectionChannels
 	for _, org := range BufferOrgs {
 		cfg.Org = org
-		s := newBufStore(cfg, deg, nIn)
-		if got, want := s.totalSlots(), nIn*cfg.BufDepth; got != want {
-			t.Errorf("%s: totalSlots %d, want %d", org, got, want)
+		r := orgTestRouter(org)
+		if got, want := r.BufferCapacity(), nIn*cfg.BufDepth; got != want {
+			t.Errorf("%s: BufferCapacity %d, want %d", org, got, want)
+		}
+		s := &r.store
+		if got, want := len(s.arena), nIn*cfg.maxWindow(deg); got != want {
+			t.Errorf("%s: arena %d slots, want %d (one maxWindow ring per VC)", org, got, want)
 		}
 		// Injection channels are private BufDepth windows in every org.
 		if got := s.capOf(nIn - 1); got != cfg.BufDepth {
@@ -49,9 +54,9 @@ func TestBufferOrgGeometry(t *testing.T) {
 			t.Errorf("%s: network capOf %d, want maxWindow %d", org, got, want)
 		}
 	}
-	// DAMQ, VCs=2, depth=2: pool of 4 slots over 2 VCs, reserve 1 →
+	// DAMQ, VCs=2, depth=2: pool of 4 flits over 2 VCs, reserve 1 →
 	// window cap min(1+2, 4-1) = 3. Shared: pool of 8 over 4 VCs →
-	// min(1+2, 8-3) = 3. A deep share cap is clamped by the reserves.
+	// min(1+2, 8-3) = 3.
 	cfg.Org = OrgDAMQ
 	if w := cfg.maxWindow(deg); w != 3 {
 		t.Errorf("damq maxWindow = %d, want 3", w)
@@ -60,11 +65,6 @@ func TestBufferOrgGeometry(t *testing.T) {
 	if w := cfg.maxWindow(deg); w != 3 {
 		t.Errorf("shared maxWindow = %d, want 3", w)
 	}
-	cfg.BufShare = 100
-	if w, want := cfg.maxWindow(deg), cfg.poolSlots(deg)-(cfg.groupVCs(deg)-1); w != want {
-		t.Errorf("shared maxWindow with huge share = %d, want reserve-clamped %d", w, want)
-	}
-	cfg.BufShare = 0
 	if cfg.AbsorbDepth(deg) != cfg.maxWindow(deg) {
 		t.Error("AbsorbDepth must equal maxWindow for shared orgs")
 	}
@@ -74,17 +74,57 @@ func TestBufferOrgGeometry(t *testing.T) {
 	}
 }
 
+// storeFixture is a bare store of the given organization over deg 2 ×
+// testConfig, with the occupancy counts the router would keep.
+type storeFixture struct {
+	*store
+	ins []inVC
+	nIn int
+}
+
+func newStoreFixture(org BufferOrg) *storeFixture {
+	const deg = 2
+	cfg := testConfig()
+	cfg.Org = org
+	nIn := deg*cfg.VCs + cfg.InjectionChannels
+	s := newStore(cfg, deg, nIn)
+	fx := &storeFixture{store: &s, ins: make([]inVC, nIn), nIn: nIn}
+	for i := range fx.ins {
+		fx.ins[i].p, fx.ins[i].vc = i/cfg.VCs, i%cfg.VCs
+	}
+	return fx
+}
+
+func (fx *storeFixture) push(i int, f flit.Flit) {
+	fx.store.push(i, fx.ins[i].count, f)
+	fx.ins[i].count++
+}
+
+func (fx *storeFixture) pop(i int) flit.Flit {
+	fx.ins[i].count--
+	return fx.store.pop(i)
+}
+
+func (fx *storeFixture) purge(i int) {
+	fx.store.purge(i, fx.ins[i].count)
+	fx.ins[i].count = 0
+}
+
+func (fx *storeFixture) audit(t *testing.T) {
+	t.Helper()
+	if err := fx.check(fx.ins); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPooledGrantLifecycle drives the granted-window ledger of one DAMQ
 // pool through its whole protocol: grant on head (capped by the pool
 // budget), release with shrink advertisement and round-robin sibling
 // top-up, the tenure freeze across purge, and the silent link-repair
 // reset.
 func TestPooledGrantLifecycle(t *testing.T) {
-	const deg = 2
-	cfg := testConfig()
-	cfg.Org = OrgDAMQ
-	nIn := deg*cfg.VCs + cfg.InjectionChannels
-	s := newBufStore(cfg, deg, nIn).(*pooledStore)
+	fx := newStoreFixture(OrgDAMQ)
+	s := fx.store
 	// Pool 0 hosts VCs 0 and 1: poolCap 4, reserve 1, window cap 3.
 	if s.granted[0] != 1 || s.granted[1] != 1 || s.grantSum[0] != 2 {
 		t.Fatalf("fresh ledger granted=%v grantSum=%v", s.granted, s.grantSum)
@@ -99,30 +139,29 @@ func TestPooledGrantLifecycle(t *testing.T) {
 	}
 	// Purge of VC 0 must NOT shrink its grant: the tenure freezes (a
 	// kill can race a same-cycle reclaim upstream — see Router.purge).
-	s.purge(0)
+	fx.purge(0)
 	if s.granted[0] != 3 || s.grantSum[0] != 4 {
 		t.Fatalf("purge moved the ledger: granted=%v sum=%d", s.granted, s.grantSum)
 	}
 	// Normal release of VC 0: shrink back to the reserve, advertise -2,
 	// and top VC 1 (active) up round-robin with the freed budget.
-	var ads [][2]int
-	s.release(0,
-		func(j int) bool { return j == 1 },
-		func(j, delta int) { ads = append(ads, [2]int{j, delta}) })
+	var ads [][3]int
+	record := func(port, vc, delta int) { ads = append(ads, [3]int{port, vc, delta}) }
+	fx.ins[1].active = true
+	s.release(0, fx.ins, record)
 	if s.granted[0] != 1 || s.granted[1] != 3 || s.grantSum[0] != 4 {
 		t.Fatalf("after release granted=%v sum=%d", s.granted, s.grantSum)
 	}
-	want := [][2]int{{0, -2}, {1, 2}}
+	want := [][3]int{{0, 0, -2}, {0, 1, 2}}
 	if len(ads) != 2 || ads[0] != want[0] || ads[1] != want[1] {
 		t.Fatalf("release advertisements %v, want %v", ads, want)
 	}
 	// Release with no active sibling: the budget just returns.
-	var quiet [][2]int
-	s.release(1,
-		func(int) bool { return false },
-		func(j, delta int) { quiet = append(quiet, [2]int{j, delta}) })
-	if len(quiet) != 1 || quiet[0] != [2]int{1, -2} || s.grantSum[0] != 2 {
-		t.Fatalf("idle release ads=%v sum=%d", quiet, s.grantSum[0])
+	ads = nil
+	fx.ins[1].active = false
+	s.release(1, fx.ins, record)
+	if len(ads) != 1 || ads[0] != [3]int{0, 1, -2} || s.grantSum[0] != 2 {
+		t.Fatalf("idle release ads=%v sum=%d", ads, s.grantSum[0])
 	}
 	// Link repair: resetGrant returns a stranded tenure silently.
 	s.grantOnHead(1)
@@ -134,123 +173,153 @@ func TestPooledGrantLifecycle(t *testing.T) {
 	if s.grantSum[1] != 2 {
 		t.Fatalf("pool 1 ledger moved: sum=%d", s.grantSum[1])
 	}
-	counts := func(int) int { return 0 }
-	if err := s.check(counts); err != nil {
-		t.Fatalf("ledger audit: %v", err)
-	}
+	fx.audit(t)
 }
 
 // TestPooledFIFOOrder interleaves pushes, pops and purges across VCs
-// sharing one pool and verifies per-VC FIFO order, slot conservation
-// and injection-window independence.
+// sharing one pool and verifies per-VC FIFO order, flit conservation
+// and injection-window independence; then moves more than a ring's
+// length through one pooled VC, with a purge in between, so the ring
+// wraps and its phase is non-zero.
 func TestPooledFIFOOrder(t *testing.T) {
-	const deg = 2
-	cfg := testConfig()
-	cfg.Org = OrgCreditShared
-	nIn := deg*cfg.VCs + cfg.InjectionChannels
-	s := newBufStore(cfg, deg, nIn).(*pooledStore)
-	counts := make([]int, nIn)
-	push := func(i int, f flit.Flit) { s.push(i, counts[i], f); counts[i]++ }
-	pop := func(i int) flit.Flit { counts[i]--; return s.pop(i) }
-
+	fx := newStoreFixture(OrgCreditShared)
+	s := fx.store
 	fr := frame(7, 0, 2, 6, 0, 0)
 	// Grow the windows first, as the router does on head accept — the
 	// audit enforces occupancy within the granted window.
 	s.grantOnHead(0)
 	s.grantOnHead(1)
-	// Interleave two VCs of the shared pool so their chains' slots mix.
-	push(0, fr.FlitAt(0))
-	push(1, fr.FlitAt(3))
-	push(0, fr.FlitAt(1))
-	push(1, fr.FlitAt(4))
-	push(0, fr.FlitAt(2))
-	inj := nIn - 1
-	push(inj, fr.FlitAt(5))
-	if err := s.check(func(j int) int { return counts[j] }); err != nil {
-		t.Fatal(err)
-	}
+	// Interleave two VCs of the shared pool.
+	fx.push(0, fr.FlitAt(0))
+	fx.push(1, fr.FlitAt(3))
+	fx.push(0, fr.FlitAt(1))
+	fx.push(1, fr.FlitAt(4))
+	fx.push(0, fr.FlitAt(2))
+	inj := fx.nIn - 1
+	fx.push(inj, fr.FlitAt(5))
+	fx.audit(t)
 	if f := s.front(0); f.Seq != fr.FlitAt(0).Seq {
 		t.Fatalf("front(0) seq %d", f.Seq)
 	}
 	for k := 0; k < 3; k++ {
-		if f := pop(0); f.Seq != fr.FlitAt(k).Seq {
+		if f := fx.pop(0); f.Seq != fr.FlitAt(k).Seq {
 			t.Fatalf("VC0 pop %d returned seq %d", k, f.Seq)
 		}
 	}
-	s.purge(1)
-	counts[1] = 0
-	if f := pop(inj); !f.Tail {
+	fx.purge(1)
+	if f := fx.pop(inj); !f.Tail {
 		t.Fatal("injection pop lost the tail flit")
 	}
-	if err := s.check(func(j int) int { return counts[j] }); err != nil {
-		t.Fatal(err)
+	fx.audit(t)
+	if s.used[0] != 0 {
+		t.Fatalf("pool counter not back to zero after drain: %d", s.used[0])
 	}
-	if s.freeN[0] != s.poolCap {
-		t.Fatalf("pool not fully free after drain: %d/%d", s.freeN[0], s.poolCap)
+
+	// Wrap: 2*stride+1 flits through VC 0, never more than two buffered,
+	// purged once part-way (which rewinds the ring to offset zero).
+	long := frame(8, 0, 2, 2*s.stride+1, 0, 0)
+	next := 0
+	for k := 0; k < 2*s.stride+1; k++ {
+		fx.push(0, long.FlitAt(k))
+		if fx.ins[0].count == 2 {
+			if f := fx.pop(0); f.Seq != long.FlitAt(next).Seq {
+				t.Fatalf("wrap: pop returned seq %d, want %d", f.Seq, long.FlitAt(next).Seq)
+			}
+			next++
+		}
+		if k == s.stride {
+			fx.purge(0)
+			next = k + 1
+		}
+		fx.audit(t)
+	}
+	if s.head[0] == 0 {
+		t.Fatal("wrap case left the ring at offset zero; it no longer exercises ring phase")
+	}
+	if f := fx.pop(0); !f.Tail || fx.ins[0].count != 0 || s.used[0] != 0 {
+		t.Fatalf("wrap: last flit %v, count %d, pool counter %d", f, fx.ins[0].count, s.used[0])
 	}
 }
 
-// TestPooledSnapshotCanonical pins that the snapshot encoding depends
-// only on logical FIFO order, not slot placement: a store whose chains
-// are scrambled across the pool round-trips to a byte-identical
-// re-encoding (free lists are rebuilt canonically on load).
-func TestPooledSnapshotCanonical(t *testing.T) {
-	const deg = 2
-	cfg := testConfig()
-	cfg.Org = OrgCreditShared
-	nIn := deg*cfg.VCs + cfg.InjectionChannels
-	build := func() (*pooledStore, []int) {
-		s := newBufStore(cfg, deg, nIn).(*pooledStore)
-		counts := make([]int, nIn)
-		fr := frame(9, 1, 3, 8, 0, 1)
-		push := func(i, k int) { s.push(i, counts[i], fr.FlitAt(k)); counts[i]++ }
-		// Scramble slot placement: interleaved pushes with pops between.
-		push(0, 0)
-		push(1, 1)
-		push(0, 2)
-		s.pop(0)
-		counts[0]--
-		push(2, 3)
-		push(0, 4)
-		s.grantOnHead(0)
-		return s, counts
+// TestPoolExhaustedPanics plants the violation the per-pool occupancy
+// counter exists for: an upstream that overruns the pool's budget while
+// every VC is still under its own admission cap. A DAMQ port pool holds
+// 4 flits over two VCs whose caps are 3 each.
+func TestPoolExhaustedPanics(t *testing.T) {
+	r := orgTestRouter(OrgDAMQ)
+	fr := frame(5, 0, 2, 5, 0, 0)
+	for k := 0; k < 4; k++ {
+		r.push(r.in(0, k%2), fr.FlitAt(k))
 	}
-	encode := func(s *pooledStore, counts []int) []byte {
-		var e snapshot.Encoder
-		for i := 0; i < nIn; i++ {
-			e.Uvarint(uint64(counts[i]))
-			s.saveVC(&e, i, counts[i])
+	v := r.in(0, 0)
+	if v.count >= r.store.capOf(int(v.idx)) {
+		t.Fatalf("VC at its own cap (%d flits); the test would not isolate the pool bound", v.count)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "buffer pool exhausted") {
+			t.Fatalf("push past poolCap: recovered %q, want the pool-exhausted panic", msg)
 		}
-		s.saveExtra(&e)
+	}()
+	r.push(v, fr.FlitAt(4))
+}
+
+// TestPooledSnapshotCanonical pins that the snapshot encoding depends
+// only on logical FIFO order, not ring phase: a store whose rings have
+// been advanced by pops round-trips to a byte-identical re-encoding
+// (every restored ring starts at offset zero).
+func TestPooledSnapshotCanonical(t *testing.T) {
+	src := newStoreFixture(OrgCreditShared)
+	fr := frame(9, 1, 3, 8, 0, 1)
+	// Advance ring phases: interleaved pushes with pops between.
+	src.push(0, fr.FlitAt(0))
+	src.push(1, fr.FlitAt(1))
+	src.push(0, fr.FlitAt(2))
+	src.pop(0)
+	src.push(2, fr.FlitAt(3))
+	src.push(0, fr.FlitAt(4))
+	src.grantOnHead(0)
+	if src.head[0] == 0 {
+		t.Fatal("source ring 0 is at offset zero; the test no longer exercises ring phase")
+	}
+	encode := func(fx *storeFixture) []byte {
+		var e snapshot.Encoder
+		for i := range fx.ins {
+			e.Uvarint(uint64(fx.ins[i].count))
+			fx.saveVC(&e, i, fx.ins[i].count)
+		}
+		fx.saveLedger(&e)
 		return e.Bytes()
 	}
-	src, counts := build()
-	raw := encode(src, counts)
-	dst := newBufStore(cfg, deg, nIn).(*pooledStore)
+	raw := encode(src)
+	dst := newStoreFixture(OrgCreditShared)
 	d := snapshot.NewDecoder(raw)
-	got := make([]int, nIn)
-	for i := 0; i < nIn; i++ {
-		got[i] = d.Count(dst.capOf(i))
-		if err := dst.loadVC(d, i, got[i]); err != nil {
+	for i := range dst.ins {
+		dst.ins[i].count = d.Count(dst.capOf(i))
+		if err := dst.loadVC(d, i, dst.ins[i].count); err != nil {
 			t.Fatalf("loadVC(%d): %v", i, err)
 		}
 	}
-	if err := dst.loadExtra(d); err != nil {
-		t.Fatalf("loadExtra: %v", err)
+	if err := dst.loadLedger(d, dst.ins); err != nil {
+		t.Fatalf("loadLedger: %v", err)
 	}
-	if err := dst.check(func(j int) int { return got[j] }); err != nil {
-		t.Fatalf("restored audit: %v", err)
-	}
-	if again := encode(dst, got); !bytes.Equal(again, raw) {
+	dst.audit(t)
+	if again := encode(dst); !bytes.Equal(again, raw) {
 		t.Fatal("re-encoding after restore is not byte-identical")
 	}
 }
 
+// orgTestRouter is a degree-2 router (node 1 of a 4-ring) over
+// testConfig under the given organization.
+func orgTestRouter(org BufferOrg) *Router {
+	cfg := testConfig()
+	cfg.Org = org
+	return New(1, topology.NewTorus(4, 1), routing.MinimalAdaptive{}, cfg)
+}
+
 func sharedTestRouter(t *testing.T) *Router {
 	t.Helper()
-	cfg := testConfig()
-	cfg.Org = OrgCreditShared
-	return New(1, topology.NewTorus(4, 1), routing.MinimalAdaptive{}, cfg)
+	return orgTestRouter(OrgCreditShared)
 }
 
 // TestLoadStateRejectsCorruptSnapshots is the regression table for the
@@ -301,7 +370,7 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		}},
 		{"granted-over-cap", "granted window", func(t *testing.T) []byte {
 			r := sharedTestRouter(t)
-			r.store.(*pooledStore).granted[0] = 99
+			r.store.granted[0] = 99
 			return save(r)
 		}},
 		{"granted-below-occupancy", "exceeds granted", func(t *testing.T) []byte {
@@ -317,15 +386,14 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			// Every grant individually legal (<= cap 3) but the sum (12)
 			// oversubscribes the 8-slot pool budget.
 			r := sharedTestRouter(t)
-			ps := r.store.(*pooledStore)
-			for i := range ps.granted {
-				ps.granted[i] = 3
+			for i := range r.store.granted {
+				r.store.granted[i] = 3
 			}
 			return save(r)
 		}},
 		{"grant-rotation-out-of-range", "grant rotation", func(t *testing.T) []byte {
 			r := sharedTestRouter(t)
-			r.store.(*pooledStore).grantRR[0] = 9
+			r.store.grantRR[0] = 9
 			return save(r)
 		}},
 		{"credit-over-window", "outside bounds", func(t *testing.T) []byte {

@@ -19,10 +19,10 @@ import "fmt"
 //   - every routed input VC's allocated output VC is held by its worm
 //   - inactive input VCs hold no flits and no allocation
 //   - the cached buffered-flit counter matches the sum over input VCs
-//   - the buffer store's internal audit passes: slot conservation (per
-//     pool, Σ VC chain lengths + free-list length == pool size), chain
-//     lengths matching the router's occupancy counts, and the granted-
-//     window ledger within bounds (shared organizations)
+//   - the store's ledger audit passes (shared organizations): granted
+//     windows within bounds and covering their occupancy, per-pool sums
+//     within the budget, and flit conservation (per pool, Σ occupancy of
+//     its VCs == the pool's occupancy counter)
 func (r *Router) CheckInvariants() error {
 	total := 0
 	for i := range r.ins {
@@ -73,7 +73,7 @@ func (r *Router) CheckInvariants() error {
 			}
 		}
 	}
-	if err := r.store.check(func(j int) int { return r.ins[j].count }); err != nil {
+	if err := r.store.check(r.ins); err != nil {
 		return fmt.Errorf("router %d: buffer store: %w", r.id, err)
 	}
 	return nil
@@ -97,9 +97,10 @@ func (r *Router) BufferedFlits() int { return r.buffered }
 
 // BufferCapacity returns the total flit capacity across every input VC
 // (network and injection buffers): the denominator that turns
-// BufferedFlits into an occupancy fraction. The slot budget is the same
-// for every buffer organization.
-func (r *Router) BufferCapacity() int { return r.store.totalSlots() }
+// BufferedFlits into an occupancy fraction. It is the modelled budget,
+// BufDepth per VC, which is the same for every buffer organization (the
+// shared orgs' rings are one slot longer; see buforg.go).
+func (r *Router) BufferCapacity() int { return len(r.ins) * r.cfg.BufDepth }
 
 // ActiveWormCount returns how many input VCs currently host a worm.
 func (r *Router) ActiveWormCount() int {

@@ -19,11 +19,12 @@
 // Layout: all virtual-channel state lives in flat, index-addressed
 // slices — one contiguous []inVC for every input VC (network ports
 // first, injection channels after), one contiguous []outVC behind the
-// per-port output views, and a bufStore (see buforg.go) holding every
-// input VC's FIFO storage under the configured buffer organization
-// (static per-VC windows, per-port DAMQ pools, or one router-wide
-// credit-shared pool). Construction performs the only allocations; the
-// steady state allocates nothing in any organization.
+// per-port output views, and one store (see buforg.go) holding every
+// input VC's FIFO as a private ring, under a window ledger whose
+// geometry is the configured buffer organization (no sharing, per-port
+// DAMQ pools, or one router-wide credit-shared pool). Construction
+// performs the only allocations; the steady state allocates nothing in
+// any organization.
 //
 // Activity: Busy reports whether any flit is buffered here. A router
 // with no buffered flits has nothing to do in RouteAndAllocate or
@@ -112,21 +113,15 @@ type Config struct {
 	// Org selects the input-buffer organization (default static FIFO;
 	// see buforg.go).
 	Org BufferOrg
-	// BufReserve is the per-VC reserved slot minimum under the shared
-	// organizations (DAMQ, credit-shared); 0 means 1. Ignored for
-	// static FIFO.
-	BufReserve int
-	// BufShare is the per-VC sharing cap above the reserve under the
-	// shared organizations; 0 means BufDepth. A VC's window never
-	// exceeds BufReserve+BufShare (further clamped so every sibling
-	// keeps its reserve). Ignored for static FIFO.
-	BufShare int
 	// Check enables internal invariant verification after every phase;
 	// used by tests.
 	Check bool
 }
 
-func (c Config) validate() error {
+// Validate reports the first structural parameter a router cannot be
+// built from. New panics on the same conditions; the network validates
+// up front because it constructs routers lazily.
+func (c Config) Validate() error {
 	if c.VCs < 1 {
 		return fmt.Errorf("router: VCs = %d", c.VCs)
 	}
@@ -143,21 +138,15 @@ func (c Config) validate() error {
 	if c.Org != OrgStaticFIFO && c.Org != OrgDAMQ && c.Org != OrgCreditShared {
 		return fmt.Errorf("router: unknown buffer org %d", c.Org)
 	}
-	if c.BufReserve < 0 || c.BufReserve > c.BufDepth {
-		return fmt.Errorf("router: BufReserve = %d with BufDepth = %d", c.BufReserve, c.BufDepth)
-	}
-	if c.BufShare < 0 {
-		return fmt.Errorf("router: BufShare = %d", c.BufShare)
-	}
 	return nil
 }
 
 // inVC is the state of one input virtual channel: the occupancy of its
-// FIFO (storage lives in the router's bufStore, addressed by the flat
+// FIFO (storage lives in the router's store, addressed by the flat
 // index idx) plus the worm claim and output allocation. p/vc record the
 // VC's own address so flat iteration needs no index arithmetic.
 type inVC struct {
-	idx   int32 // flat index into the router's bufStore
+	idx   int32 // flat index into the router's store
 	count int   // FIFO occupancy
 
 	p  int // input port this VC belongs to
@@ -275,15 +264,12 @@ type Router struct {
 	// reallocated, so *inVC pointers into it stay valid for the router's
 	// lifetime.
 	ins   []inVC
-	store bufStore // FIFO storage under the configured organization
+	store store // every input VC's ring, plus the window ledger
 
 	// advert publishes window deltas upstream for the shared
 	// organizations (nil until SetAdvertiser; static FIFO never calls
-	// it). activeFn/emitFn are the pre-bound closures handed to
-	// bufStore.release so the hot path passes no new allocations.
-	advert   CreditAdvert       //cr:nosnap callback, reattached by the owner after restore
-	activeFn func(j int) bool   //cr:nosnap pre-bound closure, rebuilt at construction
-	emitFn   func(j, delta int) //cr:nosnap pre-bound closure, rebuilt at construction
+	// it).
+	advert CreditAdvert //cr:nosnap callback, reattached by the owner after restore
 
 	outs     []output // per output port; vcs window into outArena
 	outArena []outVC  //cr:nosnap backing arena; its state is serialized through the outs windows
@@ -310,7 +296,7 @@ type Router struct {
 // algorithm alg. It panics on invalid configuration (construction-time
 // errors are programming errors).
 func New(id topology.NodeID, topo topology.Topology, alg routing.Algorithm, cfg Config) *Router {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if min := alg.MinVCs(topo); cfg.VCs < min {
@@ -320,7 +306,7 @@ func New(id topology.NodeID, topo topology.Topology, alg routing.Algorithm, cfg 
 	r := &Router{id: id, topo: topo, alg: alg, cfg: cfg, deg: deg}
 	nIn := deg*cfg.VCs + cfg.InjectionChannels
 	r.ins = make([]inVC, nIn)
-	r.store = newBufStore(cfg, deg, nIn)
+	r.store = newStore(cfg, deg, nIn)
 	for i := range r.ins {
 		v := &r.ins[i]
 		v.idx = int32(i)
@@ -354,14 +340,6 @@ func New(id topology.NodeID, topo topology.Topology, alg routing.Algorithm, cfg 
 	}
 	r.portBuf = make([]topology.Port, 0, deg)
 	r.linkUp = func(port topology.Port) bool { return r.outs[port].linkUp }
-	r.activeFn = func(j int) bool { return r.ins[j].active }
-	r.emitFn = func(j, delta int) {
-		if r.advert == nil {
-			return
-		}
-		v := &r.ins[j]
-		r.advert(v.p, v.vc, delta)
-	}
 	return r
 }
 

@@ -129,7 +129,7 @@ func TestCreditsBlockTransmission(t *testing.T) {
 	}
 	// Refund one credit; one more flit (freshly injected) moves.
 	r.Inject(0, fr.FlitAt(2))
-	r.Credit(int(topology.PortFor(0, true)), vcOf(t, r))
+	r.ApplyCredit(int(topology.PortFor(0, true)), vcOf(t, r), 1, 0)
 	if moves, _ := drain(r); len(moves) != 1 {
 		t.Fatal("credit refund did not unblock transmission")
 	}
@@ -475,7 +475,7 @@ func TestCreditOverflowPanicsInCheckMode(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 10; i++ {
-		r.Credit(0, 0)
+		r.ApplyCredit(0, 0, 1, 0)
 	}
 }
 
@@ -498,7 +498,7 @@ func TestSelectFirstAlwaysLowestCandidate(t *testing.T) {
 		// network's downstream straggler-absorption would do this).
 		r.ApplySignal(Signal{Kind: KillFwd, Port: r.InjPort(0), VC: 0, Worm: fr.WormID()}, nil)
 		r.ApplySignal(Signal{Kind: KillBwd, Port: 0, VC: 0, Worm: fr.WormID()}, nil)
-		r.Credit(moves[0].port, moves[0].vc)
+		r.ApplyCredit(moves[0].port, moves[0].vc, 1, 0)
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ type Emit struct {
 // credit ∈ [0, window] holds unconditionally.
 func (r *Router) purge(v *inVC) int {
 	n := v.count
-	r.store.purge(int(v.idx))
+	r.store.purge(int(v.idx), n)
 	v.count = 0
 	r.buffered -= n
 	r.stats.PurgedFlits += int64(n)
@@ -220,27 +220,6 @@ func (r *Router) BlockedWorms(min int, buf []BlockedWorm) []BlockedWorm {
 	return buf
 }
 
-// Credit refunds one downstream buffer credit to output port p, VC vc.
-// The overflow check is exact only for static FIFO, where the window is
-// the constant BufDepth; the shared organizations can interleave plain
-// refunds with window shrinks inside one credit phase, so their
-// end-of-cycle bound (credit <= window) is asserted by CheckInvariants
-// instead.
-func (r *Router) Credit(p, vc int) {
-	o := &r.outs[p].vcs[vc]
-	o.credit++
-	if r.cfg.Check && r.cfg.Org == OrgStaticFIFO && !r.outs[p].ejection && o.credit > r.cfg.BufDepth {
-		panic(fmt.Sprintf("router %d: credit overflow on output (%d,%d)", r.id, p, vc))
-	}
-}
-
-// CreditN refunds n credits at once (purge refunds).
-func (r *Router) CreditN(p, vc, n int) {
-	for i := 0; i < n; i++ {
-		r.Credit(p, vc)
-	}
-}
-
 // CreditAdvert publishes a downstream window delta for this router's
 // input (port, vc) back to the upstream router feeding it. The network
 // installs one per router (shared organizations only); deltas ride the
@@ -257,7 +236,12 @@ func (r *Router) SetAdvertiser(a CreditAdvert) { r.advert = a }
 
 // ApplyCredit applies one credit event to output (p, vc): n plain
 // refunds plus a window delta w (grants are positive, release shrinks
-// negative). Plain credit application is ApplyCredit(p, vc, n, 0).
+// negative). Plain credit application is ApplyCredit(p, vc, n, 0). The
+// overflow check is exact only for static FIFO, where the window is the
+// constant BufDepth; the shared organizations can interleave plain
+// refunds with window shrinks inside one credit phase, so their
+// end-of-cycle bound (credit <= window) is asserted by CheckInvariants
+// instead.
 func (r *Router) ApplyCredit(p, vc, n, w int) {
 	o := &r.outs[p].vcs[vc]
 	o.credit += n + w

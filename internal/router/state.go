@@ -19,17 +19,19 @@ import (
 //
 // FIFOs are written front-to-back and restored into a freshly reset
 // store: only the logical order is observable (push and pop address
-// slots relative to the front), so slot placement and free-list order
-// are rebuilt canonically on load instead of being serialized — the
-// encoding is independent of buffer history in every organization.
+// slots relative to the front), so a ring's phase is not serialized and
+// every restored FIFO starts at offset zero — the encoding is
+// independent of buffer history in every organization. The per-pool
+// occupancy counters are likewise recomputed from the restored counts.
 //
 // LoadState range-validates everything a corrupt or hostile snapshot
 // could use to break the kernel: per-VC counts against the
 // organization's cap (Decoder.Count), aggregate occupancy against pool
-// capacity (loadVC fails when a pool runs out of slots even though each
-// VC's count was individually plausible), the granted-window ledger
-// against [reserve, maxWindow] and pool budget (loadExtra), and output
-// credit/window pairs against 0 <= credit <= window <= maxWindow.
+// capacity (loadVC fails when a pool's budget is oversubscribed even
+// though each VC's count was individually plausible), the granted-window
+// ledger against [reserve, maxWindow], its VC's occupancy and the pool
+// budget (loadLedger), and output credit/window pairs against
+// 0 <= credit <= window <= maxWindow.
 
 // SaveState appends the router's mutable state to a snapshot.
 func (r *Router) SaveState(e *snapshot.Encoder) {
@@ -46,7 +48,7 @@ func (r *Router) SaveState(e *snapshot.Encoder) {
 		e.Bool(v.purgeValid)
 		e.Int(v.blocked)
 	}
-	r.store.saveExtra(e)
+	r.store.saveLedger(e)
 	for p := range r.outs {
 		o := &r.outs[p]
 		e.Int(o.rr)
@@ -106,7 +108,7 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 		v.purgeValid = d.Bool()
 		v.blocked = d.Int()
 	}
-	if err := r.store.loadExtra(d); err != nil {
+	if err := r.store.loadLedger(d, r.ins); err != nil {
 		return fmt.Errorf("router %d: buffer store: %w", r.id, err)
 	}
 	wLo, wHi := r.cfg.initWindow(), r.cfg.maxWindow(r.deg)

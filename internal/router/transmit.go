@@ -85,7 +85,7 @@ func (r *Router) Transmit(moveFlit func(outPort, outVC int, f flit.Flit), credit
 			// The worm has fully left this input VC: shrink its shared
 			// window back to the reserve and re-grant the freed budget to
 			// active siblings (no-op for static FIFO).
-			r.store.release(int(v.idx), r.activeFn, r.emitFn)
+			r.store.release(int(v.idx), r.ins, r.advert)
 		}
 		if v.p < r.deg {
 			creditFlit(v.p, v.vc)

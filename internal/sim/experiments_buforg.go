@@ -48,13 +48,7 @@ func E31BufferOrgs(s Scale) *stats.Table {
 // window cap for the shared organizations).
 func orgBoundModel(s Scale, net network.Config) bound.Model {
 	topo := s.torus()
-	rc := router.Config{
-		VCs:        net.VCs,
-		BufDepth:   net.BufDepth,
-		Org:        net.BufOrg,
-		BufReserve: net.BufReserve,
-		BufShare:   net.BufShare,
-	}
+	rc := router.Config{VCs: net.VCs, BufDepth: net.BufDepth, Org: net.BufOrg}
 	return bound.Model{
 		Degree:            topo.Degree(),
 		Diameter:          topo.Diameter(),

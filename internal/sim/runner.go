@@ -67,6 +67,9 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() error {
+	if err := c.Net.Validate(); err != nil {
+		return err
+	}
 	if c.Lengths == nil {
 		if c.MsgLen < 1 {
 			return fmt.Errorf("sim: MsgLen = %d", c.MsgLen)

@@ -87,6 +87,9 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Net.Topo == nil {
 		return nil, fmt.Errorf("sim: service requires a topology")
 	}
+	if err := cfg.Net.Validate(); err != nil {
+		return nil, err
+	}
 	if got, want := cfg.Trace.Nodes, cfg.Net.Topo.Nodes(); got != want {
 		return nil, fmt.Errorf("sim: trace %q has %d nodes, topology %q has %d",
 			cfg.Trace.Name, got, cfg.Net.Topo.Name(), want)

@@ -179,3 +179,17 @@ func TestServiceDoneDrains(t *testing.T) {
 		t.Fatalf("delivered %d of %d submitted", st.Delivered, st.Submitted)
 	}
 }
+
+// TestInvalidNetworkIsAnError: a network configuration the lazily built
+// routers would reject comes back as an error from Run and NewService,
+// not as a panic from the first cycle.
+func TestInvalidNetworkIsAnError(t *testing.T) {
+	svc := svcCfg()
+	svc.Net.InjectionChannels = -1
+	if _, err := NewService(svc); err == nil {
+		t.Error("NewService accepted InjectionChannels = -1")
+	}
+	if _, err := Run(Config{Net: svc.Net, Load: 0.1, MsgLen: 8, MeasureCycles: 10}); err == nil {
+		t.Error("Run accepted InjectionChannels = -1")
+	}
+}
