@@ -77,13 +77,18 @@ race-sharded:
 chaos:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestChaosSoak|TestSweepSurvives|TestSweepPointTimeout|TestDegradeControllerRecovers|TestHazardNetworkDeterminism' ./internal/sim/ ./internal/network/
 
-# Short-budget fuzz pass over the checkpoint-container reader: arbitrary
-# bytes must yield either a valid canonical container or a *FormatError,
-# never a panic or a partial payload. CI runs this budget on every
+# Short-budget fuzz pass over the two checkpoint readers. The container
+# reader: arbitrary bytes must yield either a valid canonical container
+# (or an older accepted version's payload, intact) or a *FormatError,
+# never a panic or a partial payload. The network payload reader, in
+# both layouts: an error or a restored network, never a panic. The
+# minimize budget is capped so a 10 s pass is spent finding inputs, not
+# shrinking the first interesting one. CI runs this budget on every
 # merge; crank FUZZTIME locally for a deeper soak.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/snapshot/ -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -run '^FuzzDecode$$'
+	$(GO) test ./internal/network/ -fuzz '^FuzzNetworkLoadState$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^FuzzNetworkLoadState$$'
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
@@ -91,13 +96,17 @@ bench:
 # Deterministic-resume pin: checkpoint at cycle K, restore, continue —
 # byte-identical to an unbroken run, at the network, replayer, service
 # and binary (crsimd) layers, under the race detector and uncached so
-# the guarantee cannot silently go stale. The second run restores the
-# checkpoint files under internal/network/testdata that earlier commits
-# wrote (serial kernel; DAMQ and credit-shared on the linked-slot pool);
-# it is separate because a '/' in -run filters every test's subtests.
+# the guarantee cannot silently go stale — including a node first built
+# after the restore, a restore into a network that had built other
+# nodes, and the sparse512 shape restoring exactly what was saved. The
+# second run restores the checkpoint files under internal/network/testdata
+# that earlier commits wrote in the dense payload layout (serial kernel;
+# DAMQ and credit-shared on the linked-slot pool) and re-saves them in the
+# sparse one; it is separate because a '/' in -run filters every test's
+# subtests.
 snapshot-pin:
 	$(GO) test -race -count=1 \
-		-run 'TestResume|TestServiceResume|TestReplayerPosition|TestResetAfterRestore' \
+		-run 'TestResume|TestServiceResume|TestReplayerPosition|TestResetAfterRestore|TestRestoreIntoDirtyTarget|TestSparseSnapshot|TestReadsDoNotConstruct' \
 		./internal/network/ ./internal/sim/ ./internal/workload/ ./cmd/crsimd/
 	$(GO) test -race -count=1 -run 'TestKernelGolden/resume' ./internal/network/
 

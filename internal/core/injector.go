@@ -104,11 +104,10 @@ type Injector struct {
 	// queue[qhead:] holds the pending messages; the consumed prefix is
 	// compacted away periodically so steady-state popping neither shifts
 	// elements nor reallocates.
-	queue      []flit.Message
-	qhead      int
-	jitter     *rng.Source
-	jitterSeed uint64 //cr:nosnap construction-time seed; the live jitter rng state is what snapshots carry
-	stats      InjStats
+	queue  []flit.Message
+	qhead  int
+	jitter *rng.Source
+	stats  InjStats
 
 	failures []Failure
 }
@@ -125,28 +124,14 @@ func NewInjector(cfg Config, topo topology.Topology, node topology.NodeID, ports
 	if len(ports) == 0 {
 		panic("core: injector needs at least one port")
 	}
-	js := seed ^ (uint64(node)+1)*0x9e3779b97f4a7c15
 	return &Injector{
-		cfg:        cfg,
-		topo:       topo,
-		node:       node,
-		ports:      ports,
-		chs:        make([]chState, len(ports)),
-		jitter:     rng.New(js),
-		jitterSeed: js,
+		cfg:    cfg,
+		topo:   topo,
+		node:   node,
+		ports:  ports,
+		chs:    make([]chState, len(ports)),
+		jitter: rng.New(seed ^ (uint64(node)+1)*0x9e3779b97f4a7c15),
 	}
-}
-
-// Reset returns the injector to its initial state: channels idle, queue
-// empty, stats zeroed, and the jitter stream rewound to its seed, so a
-// reset injector reproduces a fresh one's behavior exactly.
-func (in *Injector) Reset() {
-	clear(in.chs)
-	in.queue = in.queue[:0]
-	in.qhead = 0
-	in.stats = InjStats{}
-	in.failures = in.failures[:0]
-	in.jitter = rng.New(in.jitterSeed)
 }
 
 // backoffGap returns the jittered retransmission gap after a failed

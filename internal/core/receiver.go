@@ -117,24 +117,6 @@ func (rc *Receiver) Drain() []Delivery {
 	return d
 }
 
-// Reset returns the receiver to its initial empty state, retaining its
-// allocated buffers.
-func (rc *Receiver) Reset() {
-	// The visit order only decides which *assembly pointers land where in
-	// the pool, and getAsm zeroes a record before reuse, so pointer
-	// identity is the sole difference — unobservable in any simulation
-	// output.
-	//cr:orderinvariant only pool pointer order varies; records are zeroed on reuse
-	for w, a := range rc.asm {
-		rc.putAsm(a)
-		delete(rc.asm, w)
-	}
-	clear(rc.lastSeen)
-	rc.deliveries = rc.deliveries[:0]
-	rc.drained = rc.drained[:0]
-	rc.stats = RecvStats{}
-}
-
 // getAsm takes an assembly record from the pool (or allocates one) and
 // initializes it.
 //

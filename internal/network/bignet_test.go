@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -17,21 +18,23 @@ import (
 // that touches a corner of the network pays only for that corner. The
 // test routes real traffic through a handful of neighborhoods under the
 // sharded kernel and then checks both that deliveries happen and that
-// the component arrays stayed almost entirely nil.
+// the component arrays stayed almost entirely nil — and that they still
+// are after a checkpoint and a restore into a fresh network.
 func TestMillionNodeTorus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-node construction is slow in -short mode")
 	}
 	const k = 1024
 	topo := topology.NewTorus(k, 2)
-	n := New(Config{
+	cfg := Config{
 		Topo:     topo,
 		Alg:      routing.MinimalAdaptive{},
 		Protocol: core.CR,
 		Backoff:  core.Backoff{Kind: core.BackoffExponential, Gap: 8},
 		Shards:   8,
 		Seed:     1,
-	})
+	}
+	n := New(cfg)
 	if n.LinkCount() != k*k*4 {
 		t.Fatalf("link count = %d, want %d", n.LinkCount(), k*k*4)
 	}
@@ -46,29 +49,48 @@ func TestMillionNodeTorus(t *testing.T) {
 		pairs = append(pairs, [2]topology.NodeID{src, dst})
 	}
 	var id flit.MessageID
-	for _, p := range pairs {
-		id++
-		n.SubmitMessage(flit.Message{ID: id, Src: p[0], Dst: p[1], DataLen: 4})
+	// wave submits one message per pair and steps until all arrive.
+	wave := func(n *Network) {
+		t.Helper()
+		for _, p := range pairs {
+			id++
+			n.SubmitMessage(flit.Message{ID: id, Src: p[0], Dst: p[1], DataLen: 4, CreateTime: n.Cycle()})
+		}
+		delivered := 0
+		for c := 0; c < 400 && delivered < len(pairs); c++ {
+			n.Step()
+			delivered += len(n.DrainDeliveries())
+		}
+		if delivered != len(pairs) {
+			t.Fatalf("delivered %d of %d messages in 400 cycles", delivered, len(pairs))
+		}
 	}
-	delivered := 0
-	for c := 0; c < 400 && delivered < len(pairs); c++ {
-		n.Step()
-		delivered += len(n.DrainDeliveries())
-	}
-	if delivered != len(pairs) {
-		t.Fatalf("delivered %d of %d messages in 400 cycles", delivered, len(pairs))
-	}
+	wave(n)
 
 	// The diet itself: lazy construction must have left nearly all of
 	// the million component slots nil.
-	built := 0
-	for id := range n.routers {
-		if n.routers[id] != nil {
-			built++
-		}
+	routers, _, _ := built(n)
+	if routers == 0 || routers > 1024 {
+		t.Fatalf("constructed %d routers, want a small non-zero neighborhood", routers)
 	}
-	if built == 0 || built > 1024 {
-		t.Fatalf("constructed %d routers, want a small non-zero neighborhood", built)
+
+	// And it survives a checkpoint: the save describes the neighborhoods,
+	// the restore into a fresh network builds only them, and a second
+	// wave lands the restored network where it lands the original. One
+	// network is live at a time.
+	ckpt := saveBytes(n)
+	firstID := id
+	wave(n)
+	want := saveBytes(n)
+	n = New(cfg)
+	mustLoad(t, n, ckpt)
+	if r, _, _ := built(n); r != routers {
+		t.Fatalf("restore built %d routers, the snapshot carries %d", r, routers)
+	}
+	id = firstID
+	wave(n)
+	if !bytes.Equal(saveBytes(n), want) {
+		t.Fatal("restored million-node network diverged from the original")
 	}
 
 	runtime.GC()
@@ -80,5 +102,5 @@ func TestMillionNodeTorus(t *testing.T) {
 		t.Fatalf("heap after million-node run = %d MiB, budget %d MiB",
 			ms.HeapAlloc>>20, heapBudget>>20)
 	}
-	t.Logf("heap after run: %d MiB, routers built: %d", ms.HeapAlloc>>20, built)
+	t.Logf("heap after run: %d MiB, routers built: %d, checkpoint: %d KiB", ms.HeapAlloc>>20, routers, len(ckpt)>>10)
 }

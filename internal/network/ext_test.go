@@ -236,7 +236,7 @@ func TestCompressionlessSlackBoundParametric(t *testing.T) {
 			src := topology.NodeID(8 - dist)
 			n.SubmitMessage(flit.Message{ID: 2, Src: src, Dst: 0, DataLen: 500})
 			n.Run(120)
-			st := n.Injector(src).Stats()
+			st := n.injectors[src].Stats()
 			injected := st.DataFlits + st.PadFlits
 			bound := int64(core.SlackBound(dist, depth))
 			if injected > bound {

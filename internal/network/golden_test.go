@@ -158,13 +158,7 @@ func TestKernelGolden(t *testing.T) {
 	replay(bufOrgPinConfigs(), g.PooledRuns)
 
 	t.Run("resume", func(t *testing.T) {
-		cycle, payload, err := snapshot.ReadFile(filepath.Join("testdata", goldenSnapshotFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cycle != g.Resume.Cycle {
-			t.Fatalf("snapshot cycle %d, golden says %d", cycle, g.Resume.Cycle)
-		}
+		payload := readPinnedSnapshot(t, goldenSnapshotFile, g.Resume.Cycle)
 		flags := 0
 		for _, off := range g.Resume.FlagOffsets {
 			if payload[off] > 1 {
@@ -175,17 +169,7 @@ func TestKernelGolden(t *testing.T) {
 		if flags == 0 {
 			t.Fatal("recorded snapshot has no needs-sort flag set; it no longer covers that path")
 		}
-		for _, shards := range []int{1, 2, 7} {
-			c := snapCfg()
-			c.Shards = shards
-			n := New(c)
-			if err := n.LoadState(snapshot.NewDecoder(payload)); err != nil {
-				t.Fatalf("shards=%d: %v", shards, err)
-			}
-			if got := resumeTail(n, g.Resume.Until, snapSubmit); got != g.Resume.Digest {
-				t.Errorf("shards=%d: resumed digest %s, recorded unbroken run %s", shards, got, g.Resume.Digest)
-			}
-		}
+		resumePinned(t, payload, snapCfg, snapSubmit, g.Resume.Until, g.Resume.Digest)
 	})
 
 	// Subtest names start with "resume" so `make snapshot-pin` selects
@@ -197,35 +181,77 @@ func TestKernelGolden(t *testing.T) {
 			if !ok || rec.GrantsAbove == 0 || rec.RotationsSet == 0 {
 				t.Fatalf("no recorded checkpoint with a moved ledger for %s: %+v", org, rec)
 			}
-			cycle, payload, err := snapshot.ReadFile(filepath.Join("testdata", rec.File))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cycle != rec.Cycle {
-				t.Fatalf("snapshot cycle %d, golden says %d", cycle, rec.Cycle)
-			}
-			for _, shards := range []int{1, 2, 7} {
-				c := pooledSnapCfg(org)
-				c.Shards = shards
-				n := New(c)
-				// LoadState checks the file's ConfigFingerprint first, so
-				// loading at all pins the fingerprint to the recorder's.
-				if err := n.LoadState(snapshot.NewDecoder(payload)); err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				if shards == 1 {
-					// The ledger the file carries survives the store: saving
-					// straight back reproduces the recorder's bytes.
-					var e snapshot.Encoder
-					n.SaveState(&e)
-					if !bytes.Equal(e.Bytes(), payload) {
-						t.Error("re-saving the restored network does not reproduce the recorded payload")
-					}
-				}
-				if got := resumeTail(n, rec.Until, pooledSubmit); got != rec.Digest {
-					t.Errorf("shards=%d: resumed digest %s, recorded unbroken run %s", shards, got, rec.Digest)
-				}
-			}
+			payload := readPinnedSnapshot(t, rec.File, rec.Cycle)
+			resumePinned(t, payload, func() Config { return pooledSnapCfg(org) }, pooledSubmit, rec.Until, rec.Digest)
 		})
+	}
+}
+
+// pinnedSnapshots are the checkpoint files earlier commits wrote, in the
+// dense payload layout under container version 3, by content hash: they
+// are what "old files still load" means, so they are never re-recorded.
+var pinnedSnapshots = map[string]string{
+	goldenSnapshotFile:     "3d1d294293230911ff7f21f3f64360ab58b42831617e6d67f9c27ab96221b5d2",
+	"damq_midrun.crsnap":   "974e9be72c7cd03454d5fcec32658220be637c524514c3a321f8f74a60fbd055",
+	"shared_midrun.crsnap": "d7b5595ff7ddb49d088ac0daef573b9cdccfd6fe3f2a92c8ef40c1035a85795c",
+}
+
+// readPinnedSnapshot returns the payload of a pinned checkpoint file
+// after checking that the file is the recorded one.
+func readPinnedSnapshot(t *testing.T, file string, wantCycle int64) []byte {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != pinnedSnapshots[file] {
+		t.Fatalf("%s is not the file the earlier commit wrote (sha256 %x)", file, sum)
+	}
+	cycle, payload, err := snapshot.Decode(path, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cycle != wantCycle {
+		t.Fatalf("snapshot cycle %d, golden says %d", cycle, wantCycle)
+	}
+	return payload
+}
+
+// resumePinned restores a dense-layout payload at 1, 2 and 7 ranges and
+// checks each continuation against the recorded unbroken run. LoadState
+// checks the payload's fingerprint first, so loading at all pins
+// ConfigFingerprint to the recorder's. The restored network is fully
+// built, as the file says, and saves in the sparse layout; that save
+// must carry everything the file did, so it too resumes to the digest.
+func resumePinned(t *testing.T, payload []byte, cfg func() Config, submit func(*Network, int64), until int64, digest string) {
+	t.Helper()
+	for _, shards := range []int{1, 2, 7} {
+		c := cfg()
+		c.Shards = shards
+		n := New(c)
+		if err := n.LoadState(snapshot.NewDecoder(payload)); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if shards == 1 {
+			if r, i, rc := built(n); r != n.nodes || i != n.nodes || rc != n.nodes {
+				t.Errorf("dense payload restored %d/%d/%d routers/injectors/receivers of %d nodes", r, i, rc, n.nodes)
+			}
+			resaved := saveBytes(n)
+			if bytes.Equal(resaved[:8], payload[:8]) {
+				t.Error("re-saving the restored network wrote the dense layout's fingerprint")
+			}
+			again := New(cfg())
+			mustLoad(t, again, resaved)
+			if !bytes.Equal(saveBytes(again), resaved) {
+				t.Error("the sparse re-save does not round-trip to its own bytes")
+			}
+			if got := resumeTail(again, until, submit); got != digest {
+				t.Errorf("re-saved in the sparse layout and reloaded: digest %s, recorded unbroken run %s", got, digest)
+			}
+		}
+		if got := resumeTail(n, until, submit); got != digest {
+			t.Errorf("shards=%d: resumed digest %s, recorded unbroken run %s", shards, got, digest)
+		}
 	}
 }

@@ -452,16 +452,6 @@ func (n *Network) receiverAt(id topology.NodeID) *core.Receiver {
 	return rc
 }
 
-// forceConstruct materializes every lazily-constructed component, for
-// the paths that need the full population (snapshot encode/decode).
-func (n *Network) forceConstruct() {
-	for id := 0; id < n.nodes; id++ {
-		n.routerAt(topology.NodeID(id))
-		n.injectorAt(topology.NodeID(id))
-		n.receiverAt(topology.NodeID(id))
-	}
-}
-
 // newCorrupter builds the configured transient-corruption process; New
 // and Reset share it so a reset network replays the same fault stream.
 func newCorrupter(cfg Config) faults.Corrupter {
@@ -522,12 +512,6 @@ func (n *Network) Cycle() int64 { return n.cycle }
 // Topology returns the network's topology.
 func (n *Network) Topology() topology.Topology { return n.topo }
 
-// Injector returns node id's injector (for submitting traffic).
-func (n *Network) Injector(id topology.NodeID) *core.Injector { return n.injectorAt(id) }
-
-// Receiver returns node id's receiver.
-func (n *Network) Receiver(id topology.NodeID) *core.Receiver { return n.receiverAt(id) }
-
 // SubmitMessage queues m at its source node's injector.
 func (n *Network) SubmitMessage(m flit.Message) {
 	n.shardOf(m.Src).activeI.add(int32(m.Src))
@@ -545,13 +529,14 @@ func (n *Network) DrainDeliveries() []core.Delivery {
 	return d
 }
 
-// Reset returns the network to its initial post-New state in place,
-// retaining allocated buffers: cycle zero, empty queues and worklists,
-// all links up, routers/injectors/receivers reset, counters cleared,
-// the transient-corruption stream re-seeded and the fault timeline
-// rewound. Installed hooks and the tracer are kept. A reset network is
-// bit-for-bit equivalent to a freshly constructed one: identical
-// traffic yields identical results (see TestResetDeterminism).
+// Reset returns the network to its initial post-New state in place:
+// cycle zero, empty queues and worklists, all links up, every router,
+// injector and receiver dropped (they are rebuilt lazily, so the memory
+// of the previous run is given back), counters cleared, the
+// transient-corruption stream re-seeded and the fault timeline rewound.
+// Installed hooks and the tracer are kept. A reset network is a freshly
+// constructed one: it saves to the same bytes, and identical traffic
+// yields identical results (see TestResetDeterminism).
 //
 // Reset panics if the network is latched unhealthy: a watchdog
 // violation must not be silently discarded by reuse. Callers that mean
@@ -575,25 +560,11 @@ func (n *Network) Reset() {
 		n.hazard.Rewind()
 	}
 	for i := range n.links {
-		l := &n.links[i]
-		l.up = l.exists
-		l.downRefs = 0
-		l.busy = false
-		l.flits = 0
+		n.links[i].makePristine()
 	}
-	for id := 0; id < n.nodes; id++ {
-		// Lazily-constructed components that exist are reset in place
-		// (keeping their buffers); absent ones are already pristine.
-		if r := n.routers[id]; r != nil {
-			r.Reset()
-		}
-		if in := n.injectors[id]; in != nil {
-			in.Reset()
-		}
-		if rc := n.receivers[id]; rc != nil {
-			rc.Reset()
-		}
-	}
+	clear(n.routers)
+	clear(n.injectors)
+	clear(n.receivers)
 	n.resetShards()
 	n.hooks.Faults.Rewind()
 }

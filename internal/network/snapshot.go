@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 
 	"crnet/internal/core"
 	"crnet/internal/flit"
@@ -28,8 +29,26 @@ import (
 // channel geometry, protocol parameters, fault timeline, seeds) is
 // reconstructed by New rather than serialized.
 //
+// The same word names the payload's layout, because LoadState is handed
+// a bare payload (the container's version field never reaches it), so
+// the payload has to describe itself. SaveState writes the configuration
+// digest continued over layoutSuffix, and the sparse layout: links as
+// runs of pristine links between explicit records, and only the routers,
+// injectors and receivers that exist (see saveLinks and saveNodes). A
+// payload opening with the bare ConfigFingerprint is the dense layout
+// every earlier build wrote (one record per link, every node's three
+// components); LoadState still reads it and nothing writes it. What a
+// node's components are is behaviour; whether they have been built yet
+// is only bytes — an unbuilt component is exactly a pristine one — so a
+// dense file loads fully built, re-saves fully built, and steps
+// identically to the lazy network it was taken from.
+//
 // Hooks and the tracer are runtime attachments, not simulation state;
 // they are preserved across LoadState.
+
+// layoutSuffix continues the configuration digest into the fingerprint
+// of the sparse payload layout (snapshot.FormatVersion 4).
+const layoutSuffix = " layout=sparse4"
 
 // ConfigFingerprint returns a 64-bit digest of the network's effective
 // configuration (defaults filled in), covering every knob that shapes
@@ -39,7 +58,11 @@ import (
 // count, so a snapshot restores into a network partitioned differently
 // from the one that wrote it — the per-range worklists are saved as
 // their merged union in range order (see saveMergedNodeSets).
-func (n *Network) ConfigFingerprint() uint64 {
+func (n *Network) ConfigFingerprint() uint64 { return n.fingerprint("") }
+
+// fingerprint digests the configuration followed by suffix. SaveState
+// opens a payload with fingerprint(layoutSuffix).
+func (n *Network) fingerprint(suffix string) uint64 {
 	h := fnv.New64a()
 	c := &n.cfg
 	fmt.Fprintf(h, "topo=%s nodes=%d alg=%s proto=%d vcs=%d buf=%d inj=%d ej=%d",
@@ -65,6 +88,7 @@ func (n *Network) ConfigFingerprint() uint64 {
 	for _, ev := range c.Faults.Events() {
 		fmt.Fprintf(h, " %s", ev)
 	}
+	io.WriteString(h, suffix)
 	return h.Sum64()
 }
 
@@ -73,25 +97,9 @@ func (n *Network) ConfigFingerprint() uint64 {
 // covers the queues that are only non-empty mid-step, so the boundary
 // requirement is about observational convention, not correctness.
 func (n *Network) SaveState(e *snapshot.Encoder) {
-	e.U64(n.ConfigFingerprint())
+	e.U64(n.fingerprint(layoutSuffix))
 	e.Varint(n.cycle)
-
-	for id := 0; id < n.nodes; id++ {
-		for p := 0; p < n.deg; p++ {
-			l := n.linkAt(id, p)
-			if !l.exists {
-				continue
-			}
-			e.Bool(l.up)
-			e.Int(int(l.downRefs))
-			e.Bool(l.busy)
-			if l.busy {
-				e.Int(int(l.vc))
-				flit.PutFlit(e, &l.f)
-			}
-			e.Varint(l.flits)
-		}
-	}
+	n.saveLinks(e)
 
 	e.Uvarint(uint64(len(n.signals)))
 	for _, s := range n.signals {
@@ -172,14 +180,149 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 	e.Varint(n.flitsEjected)
 	e.Varint(n.failEvents)
 
-	// Components are constructed lazily; the snapshot covers the full
-	// population, so materialize the stragglers (their state is still
-	// pristine, and a pristine component encodes its initial state).
-	n.forceConstruct()
-	for id := range n.routers {
-		n.routers[id].SaveState(e)
-		n.injectors[id].SaveState(e)
-		n.receivers[id].SaveState(e)
+	n.saveNodes(e)
+}
+
+// Flag bits of an explicit link record.
+const (
+	linkFlagUp       = 1 << iota // the link is up
+	linkFlagBusy                 // a flit is crossing: its VC and the flit follow
+	linkFlagDownRefs             // failure causes are outstanding: their count follows
+	linkFlagsAll     = linkFlagUp | linkFlagBusy | linkFlagDownRefs
+)
+
+// pristine reports whether the link is as New left it, which is all a
+// run of the link section says about the links it covers.
+func (l *link) pristine() bool {
+	return l.up && l.downRefs == 0 && !l.busy && l.flits == 0
+}
+
+// makePristine returns the link to the state New left it in.
+func (l *link) makePristine() {
+	l.up, l.downRefs, l.busy, l.flits = l.exists, 0, false, 0
+}
+
+// saveLinks writes the existing links in (node, port) order as
+// alternating pristine-run lengths and explicit records:
+//
+//	uvarint  pristine links skipped before the next record
+//	u8       flags (linkFlag*)
+//	varint   downRefs       if linkFlagDownRefs
+//	varint   vc, flit       if linkFlagBusy
+//	varint   flits (traversal count)
+//
+// The section ends when every existing link is accounted for, so a
+// trailing run is written only when it is non-empty and an untouched
+// network costs one varint.
+func (n *Network) saveLinks(e *snapshot.Encoder) {
+	run := uint64(0)
+	for id := 0; id < n.nodes; id++ {
+		for p := 0; p < n.deg; p++ {
+			l := &n.links[id*n.deg+p]
+			if !l.exists {
+				continue
+			}
+			if l.pristine() {
+				run++
+				continue
+			}
+			e.Uvarint(run)
+			run = 0
+			var flags uint8
+			if l.up {
+				flags |= linkFlagUp
+			}
+			if l.busy {
+				flags |= linkFlagBusy
+			}
+			if l.downRefs != 0 {
+				flags |= linkFlagDownRefs
+			}
+			e.U8(flags)
+			if l.downRefs != 0 {
+				e.Int(int(l.downRefs))
+			}
+			if l.busy {
+				e.Int(int(l.vc))
+				flit.PutFlit(e, &l.f)
+			}
+			e.Varint(l.flits)
+		}
+	}
+	if run > 0 {
+		e.Uvarint(run)
+	}
+}
+
+// Presence bits of a node run: which of a node's three lazily built
+// components exist.
+const (
+	hasRouter = 1 << iota
+	hasInjector
+	hasReceiver
+	presenceAll = hasRouter | hasInjector | hasReceiver
+)
+
+// presence returns node id's presence bits.
+func (n *Network) presence(id int) uint8 {
+	var m uint8
+	if n.routers[id] != nil {
+		m |= hasRouter
+	}
+	if n.injectors[id] != nil {
+		m |= hasInjector
+	}
+	if n.receivers[id] != nil {
+		m |= hasReceiver
+	}
+	return m
+}
+
+// saveNodes writes the components that exist, as runs of consecutive
+// nodes that have the same ones built:
+//
+//	uvarint  run count
+//	per run: uvarint first node id, uvarint node count, u8 presence,
+//	         then per node the router, injector and receiver payloads
+//	         its presence bits name, in that order
+//
+// Runs ascend and never touch a node with nothing built, so a fully
+// built network is one run and a network with four thousand built nodes
+// in a quarter of a million pays for the four thousand.
+func (n *Network) saveNodes(e *snapshot.Encoder) {
+	runs, prev := uint64(0), uint8(0)
+	for id := 0; id < n.nodes; id++ {
+		m := n.presence(id)
+		if m != 0 && m != prev {
+			runs++
+		}
+		prev = m
+	}
+	e.Uvarint(runs)
+	for id := 0; id < n.nodes; {
+		m := n.presence(id)
+		if m == 0 {
+			id++
+			continue
+		}
+		end := id + 1
+		for end < n.nodes && n.presence(end) == m {
+			end++
+		}
+		e.Uvarint(uint64(id))
+		e.Uvarint(uint64(end - id))
+		e.U8(m)
+		for ; id < end; id++ {
+			if m&hasRouter != 0 {
+				n.routers[id].SaveState(e)
+			}
+			if m&hasInjector != 0 {
+				n.injectors[id].SaveState(e)
+			}
+			if m&hasReceiver != 0 {
+				n.receivers[id].SaveState(e)
+			}
+		}
 	}
 }
 
@@ -260,33 +403,27 @@ func (n *Network) loadNodeSets(d *snapshot.Decoder, pick func(*shard) *nodeSet) 
 // After the fingerprint gate the decode mutates in place — the caller
 // (see sim.Service.Restore and crsimd) treats any error as fatal for
 // this network instance.
+//
+// The network ends up with exactly the components the payload carries:
+// a slot the payload does not name is returned to nil, whatever the
+// target had built, and is constructed on its first touch against the
+// restored link state like any other lazy node. A payload in the dense
+// layout (see the file comment) names every node.
 func (n *Network) LoadState(d *snapshot.Decoder) error {
 	fp := d.U64()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if want := n.ConfigFingerprint(); fp != want {
+	dense := false
+	switch want := n.fingerprint(layoutSuffix); fp {
+	case want:
+	case n.ConfigFingerprint():
+		dense = true
+	default:
 		return fmt.Errorf("network: snapshot fingerprint %016x does not match configuration %016x", fp, want)
 	}
 	n.cycle = d.Varint()
-
-	for id := 0; id < n.nodes; id++ {
-		for p := 0; p < n.deg; p++ {
-			l := n.linkAt(id, p)
-			if !l.exists {
-				continue
-			}
-			l.up = d.Bool()
-			l.downRefs = int16(d.Int())
-			l.busy = d.Bool()
-			if l.busy {
-				l.vc = uint8(d.Int())
-				l.f = flit.GetFlit(d)
-			}
-			l.flits = d.Varint()
-		}
-	}
-	if err := d.Err(); err != nil {
+	if err := n.loadLinks(d, dense); err != nil {
 		return fmt.Errorf("network: link state: %w", err)
 	}
 
@@ -422,22 +559,115 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 		return err
 	}
 
-	n.forceConstruct()
-	for id := range n.routers {
-		if err := n.routers[id].LoadState(d); err != nil {
-			return err
-		}
-		if err := n.injectors[id].LoadState(d); err != nil {
-			return fmt.Errorf("network: injector %d: %w", id, err)
-		}
-		if err := n.receivers[id].LoadState(d); err != nil {
-			return fmt.Errorf("network: receiver %d: %w", id, err)
+	return n.loadNodes(d, dense)
+}
+
+// loadLinks decodes the link section (see saveLinks); dense selects the
+// older layout, one up/downRefs/busy/flits record per link.
+func (n *Network) loadLinks(d *snapshot.Decoder, dense bool) error {
+	// run counts the pristine links still to skip; atRun says the next
+	// item in the stream is a run length.
+	run, atRun := uint64(0), true
+	for id := 0; id < n.nodes; id++ {
+		for p := 0; p < n.deg; p++ {
+			l := &n.links[id*n.deg+p]
+			if !l.exists {
+				continue
+			}
+			if dense {
+				l.up = d.Bool()
+				l.downRefs = int16(d.Int())
+				l.busy = d.Bool()
+			} else {
+				if atRun {
+					run, atRun = d.Uvarint(), false
+				}
+				if run > 0 {
+					run--
+					l.makePristine()
+					continue
+				}
+				atRun = true
+				flags := d.U8()
+				if flags&^linkFlagsAll != 0 {
+					return fmt.Errorf("link (%d,%d): unknown flags %#02x", id, p, flags)
+				}
+				l.up = flags&linkFlagUp != 0
+				l.busy = flags&linkFlagBusy != 0
+				l.downRefs = 0
+				if flags&linkFlagDownRefs != 0 {
+					l.downRefs = int16(d.Int())
+				}
+			}
+			if l.busy {
+				l.vc = uint8(d.Int())
+				l.f = flit.GetFlit(d)
+			}
+			l.flits = d.Varint()
+			if err := d.Err(); err != nil {
+				return fmt.Errorf("link (%d,%d): %w", id, p, err)
+			}
 		}
 	}
-	if err := d.Err(); err != nil {
-		return err
+	if run > 0 {
+		return fmt.Errorf("pristine-link run extends %d links past the last link", run)
 	}
-	return nil
+	return d.Err()
+}
+
+// loadNodes decodes the component section (see saveNodes), dropping
+// whatever the target had built and building what the section names;
+// dense selects the older layout, which is one implicit run of every
+// node with everything built.
+func (n *Network) loadNodes(d *snapshot.Decoder, dense bool) error {
+	runs := 1
+	if !dense {
+		runs = d.Count(n.nodes)
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("network: node runs: %w", err)
+		}
+	}
+	clear(n.routers)
+	clear(n.injectors)
+	clear(n.receivers)
+	next := uint64(0) // the first node id no run has covered yet
+	for i := 0; i < runs; i++ {
+		first, count, mask := uint64(0), uint64(n.nodes), uint8(presenceAll)
+		if !dense {
+			first, count, mask = d.Uvarint(), d.Uvarint(), d.U8()
+			if err := d.Err(); err != nil {
+				return fmt.Errorf("network: node run %d: %w", i, err)
+			}
+			if first < next {
+				return fmt.Errorf("network: node run %d starts at node id %d, before the end of the previous run (%d)", i, first, next)
+			}
+			if count == 0 || first >= uint64(n.nodes) || count > uint64(n.nodes)-first {
+				return fmt.Errorf("network: node run %d covers %d node ids from %d, outside [0,%d)", i, count, first, n.nodes)
+			}
+			if mask == 0 || mask&^presenceAll != 0 {
+				return fmt.Errorf("network: node run %d has presence bits %#02x, want a non-empty subset of %#02x", i, mask, presenceAll)
+			}
+		}
+		next = first + count
+		for id := topology.NodeID(first); id < topology.NodeID(next); id++ {
+			if mask&hasRouter != 0 {
+				if err := n.routerAt(id).LoadState(d); err != nil {
+					return err
+				}
+			}
+			if mask&hasInjector != 0 {
+				if err := n.injectorAt(id).LoadState(d); err != nil {
+					return fmt.Errorf("network: injector %d: %w", id, err)
+				}
+			}
+			if mask&hasReceiver != 0 {
+				if err := n.receiverAt(id).LoadState(d); err != nil {
+					return fmt.Errorf("network: receiver %d: %w", id, err)
+				}
+			}
+		}
+	}
+	return d.Err()
 }
 
 // maxQueueItems bounds decoded queue lengths so a corrupt length field

@@ -1,0 +1,427 @@
+package network
+
+import (
+	"bytes"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"crnet/internal/core"
+	"crnet/internal/faults"
+	"crnet/internal/flit"
+	"crnet/internal/routing"
+	"crnet/internal/snapshot"
+	"crnet/internal/topology"
+)
+
+// Tests for the sparse checkpoint layout: the payload carries what has
+// been built and nothing else, a restore builds exactly that, and none
+// of it is observable in the run that follows.
+
+func saveBytes(n *Network) []byte {
+	var e snapshot.Encoder
+	n.SaveState(&e)
+	return e.Bytes()
+}
+
+func mustLoad(t *testing.T, n *Network, payload []byte) {
+	t.Helper()
+	d := snapshot.NewDecoder(payload)
+	if err := n.LoadState(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// built counts the constructed routers, injectors and receivers.
+func built(n *Network) (routers, injectors, receivers int) {
+	for id := 0; id < n.nodes; id++ {
+		m := n.presence(id)
+		routers += int(m & hasRouter)
+		injectors += int(m & hasInjector >> 1)
+		receivers += int(m & hasReceiver >> 2)
+	}
+	return
+}
+
+// lazyCfg is an 8x8 FCR torus in which node lazyNode's two links to its
+// +x neighbour fail at cycle 40 and stay down until cycle 2000.
+// lazySubmit keeps the first lazyQuiet cycles of traffic inside row 0, so
+// rows 2..6 are still unbuilt then; afterwards every node talks,
+// lazyNode included.
+const (
+	lazyK     = 8
+	lazyNode  = 4*lazyK + 3
+	lazyQuiet = 300
+)
+
+func lazyCfg(shards int) Config {
+	topo := topology.NewTorus(lazyK, 2)
+	next, _ := topo.Neighbor(lazyNode, 0)
+	back := int(topo.ReversePort(lazyNode, 0))
+	return Config{
+		Topo:          topo,
+		Alg:           routing.MinimalAdaptive{},
+		Protocol:      core.FCR,
+		Backoff:       core.Backoff{Kind: core.BackoffExponential, Gap: 8},
+		TransientRate: 2e-3,
+		Seed:          29,
+		Shards:        shards,
+		Faults: faults.NewSchedule([]faults.Event{
+			{Cycle: 40, Link: faults.LinkID{Node: lazyNode, Port: 0}},
+			{Cycle: 40, Link: faults.LinkID{Node: int(next), Port: back}},
+			{Cycle: 2000, Link: faults.LinkID{Node: lazyNode, Port: 0}, Up: true},
+			{Cycle: 2000, Link: faults.LinkID{Node: int(next), Port: back}, Up: true},
+		}),
+		Check: true,
+	}
+}
+
+func lazySubmit(n *Network, cycle int64) {
+	if cycle%2 != 0 {
+		return
+	}
+	i := cycle / 2
+	src, dst := i%4, (i+1+i/4%3)%4 // both in row 0, columns 0..3
+	if cycle >= lazyQuiet {
+		nodes := int64(n.nodes)
+		src = (i * 7) % nodes
+		if i%5 == 0 {
+			src = lazyNode
+		}
+		dst = (src + 1 + (i*11)%(nodes-1)) % nodes
+	}
+	n.SubmitMessage(flit.Message{
+		ID:         flit.MessageID(i + 1),
+		Src:        topology.NodeID(src),
+		Dst:        topology.NodeID(dst),
+		DataLen:    int(6 + cycle%5),
+		CreateTime: cycle,
+	})
+}
+
+// lazyRun steps n under lazySubmit up to cycle `to`, accumulating the
+// observable run into snap.
+func lazyRun(n *Network, to int64, snap *kernelSnapshot) {
+	for n.Cycle() < to {
+		lazySubmit(n, n.Cycle())
+		n.Step()
+		ds := n.DrainDeliveries()
+		snap.perCycle = append(snap.perCycle, len(ds))
+		snap.deliveries = append(snap.deliveries, ds...)
+	}
+	snap.cycle = n.Cycle()
+	snap.inj = n.InjectorStats()
+	snap.recv = n.ReceiverStats()
+	snap.flits = n.RouterStats().FlitsMoved
+	snap.transient = n.TransientFaults()
+	snap.dropped = n.flitsDropped
+}
+
+// TestResumeUntouchedThenRestored: a node that nothing had touched when
+// the checkpoint was taken, with a failed link the fault timeline took
+// down before the save, is first built after the restore — against the
+// restored link state — and the run is the unbroken one: same
+// deliveries in the same cycles, same counters, same final bytes,
+// whatever partition the restoring network uses.
+func TestResumeUntouchedThenRestored(t *testing.T) {
+	const K, M = lazyQuiet, 1200
+
+	ref := New(lazyCfg(1))
+	var want kernelSnapshot
+	lazyRun(ref, M, &want)
+	wantFinal := saveBytes(ref)
+	if ref.routers[lazyNode] == nil || want.inj.Retries == 0 || len(want.deliveries) == 0 {
+		t.Fatal("reference run never built the lazy node, retried or delivered; test is vacuous")
+	}
+
+	first := New(lazyCfg(1))
+	var head kernelSnapshot
+	lazyRun(first, K, &head)
+	if first.routers[lazyNode] != nil || first.linkAt(lazyNode, 0).up {
+		t.Fatal("at the checkpoint the lazy node is built or its link is still up; test is vacuous")
+	}
+	ckpt := saveBytes(first)
+
+	for _, shards := range []int{1, 2, 7} {
+		resumed := New(lazyCfg(shards))
+		mustLoad(t, resumed, ckpt)
+		if resumed.routers[lazyNode] != nil {
+			t.Fatalf("shards=%d: restore built a node the snapshot does not carry", shards)
+		}
+		got := kernelSnapshot{
+			perCycle:   append([]int(nil), head.perCycle...),
+			deliveries: append([]core.Delivery(nil), head.deliveries...),
+		}
+		lazyRun(resumed, M, &got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: resumed run diverged: %d deliveries by cycle %d, unbroken %d by %d",
+				shards, len(got.deliveries), got.cycle, len(want.deliveries), want.cycle)
+		}
+		if !bytes.Equal(saveBytes(resumed), wantFinal) {
+			t.Errorf("shards=%d: final state differs from the unbroken run's", shards)
+		}
+	}
+}
+
+// TestRestoreIntoDirtyTarget: LoadState leaves the target with the
+// snapshot's components and no others — nodes the target had built that
+// the snapshot lacks are dropped, links it had dirtied inside a pristine
+// run are pristine again — so it re-saves to the snapshot's bytes.
+func TestRestoreIntoDirtyTarget(t *testing.T) {
+	donor := New(lazyCfg(1))
+	var snap kernelSnapshot
+	lazyRun(donor, lazyQuiet, &snap)
+	ckpt := saveBytes(donor)
+
+	target := New(lazyCfg(2))
+	lazyRun(target, 900, &kernelSnapshot{})
+	if r, _, _ := built(target); r != target.nodes {
+		t.Fatalf("target built %d of %d routers; want a fully dirty target", r, target.nodes)
+	}
+	mustLoad(t, target, ckpt)
+	if !bytes.Equal(saveBytes(target), ckpt) {
+		t.Fatal("dirty target does not re-save to the snapshot's bytes")
+	}
+	dr, di, dc := built(donor)
+	tr, ti, tc := built(target)
+	if dr != tr || di != ti || dc != tc {
+		t.Fatalf("target has %d/%d/%d routers/injectors/receivers, snapshot carries %d/%d/%d", tr, ti, tc, dr, di, dc)
+	}
+	var a, b kernelSnapshot
+	lazyRun(donor, 700, &a)
+	lazyRun(target, 700, &b)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("restored dirty target diverged from the donor")
+	}
+}
+
+// TestSparseSnapshotRestoresWhatWasSaved is the sparse512 shape at a
+// size a unit test can afford: a 128x128 torus with traffic confined to
+// a few 4x4 neighbourhoods. The checkpoint's size follows the built
+// nodes, not the topology, and the network restored from it has built
+// exactly the components the source had.
+func TestSparseSnapshotRestoresWhatWasSaved(t *testing.T) {
+	const k = 128
+	cfg := func() Config {
+		return Config{
+			Topo:     topology.NewTorus(k, 2),
+			Alg:      routing.MinimalAdaptive{},
+			Protocol: core.CR,
+			Backoff:  core.Backoff{Kind: core.BackoffExponential, Gap: 8},
+			Seed:     3,
+		}
+	}
+	corners := []int{5*k + 9, 40*k + 77, 90*k + 30, 120*k + 120}
+	submit := func(n *Network, cycle int64) {
+		for i, c := range corners {
+			a, b := (cycle+int64(i))%16, (cycle*5+3)%16
+			if a == b {
+				continue
+			}
+			n.SubmitMessage(flit.Message{
+				ID:         flit.MessageID(cycle*int64(len(corners)) + int64(i) + 1),
+				Src:        topology.NodeID(c + int(a/4)*k + int(a%4)),
+				Dst:        topology.NodeID(c + int(b/4)*k + int(b%4)),
+				DataLen:    5,
+				CreateTime: cycle,
+			})
+		}
+	}
+	run := func(n *Network, to int64) {
+		for n.Cycle() < to {
+			if n.Cycle()%4 == 0 {
+				submit(n, n.Cycle())
+			}
+			n.Step()
+			n.DrainDeliveries()
+		}
+	}
+
+	src := New(cfg())
+	run(src, 400)
+	routers, injectors, receivers := built(src)
+	if routers == 0 || routers > 16*len(corners) || src.PendingWorms() == 0 {
+		t.Fatalf("source built %d routers with %d worms pending; want a busy, sparse network", routers, src.PendingWorms())
+	}
+	ckpt := saveBytes(src)
+	// A built router is a few hundred bytes; the dense layout spent ~110
+	// on each of the 16 384 nodes and 4 on each of the 65 536 links.
+	if max := 1024 * routers; len(ckpt) > max {
+		t.Errorf("checkpoint of %d built routers is %d bytes, want under %d", routers, len(ckpt), max)
+	}
+
+	dst := New(cfg())
+	mustLoad(t, dst, ckpt)
+	if r, i, c := built(dst); r != routers || i != injectors || c != receivers {
+		t.Fatalf("restored network built %d/%d/%d routers/injectors/receivers, snapshot carries %d/%d/%d",
+			r, i, c, routers, injectors, receivers)
+	}
+	if !bytes.Equal(saveBytes(dst), ckpt) {
+		t.Fatal("restored network re-saves differently")
+	}
+	run(src, 800)
+	run(dst, 800)
+	if !bytes.Equal(saveBytes(dst), saveBytes(src)) {
+		t.Fatal("restored network diverged from its source")
+	}
+}
+
+// TestLoadStateRejectsCorruptSnapshots is the network-level table beside
+// the router's: every field the sparse layout added is range-checked, and
+// a bad value is an error that names it — never a panic, a hang, or
+// construction driven by a count the payload cannot back.
+func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
+	donor := New(lazyCfg(1))
+	lazyRun(donor, lazyQuiet, &kernelSnapshot{})
+	clean := saveBytes(donor)
+	var linkSec, nodeSec snapshot.Encoder
+	donor.saveLinks(&linkSec)
+	donor.saveNodes(&nodeSec)
+	// The payload is fingerprint, cycle, links, queues..., nodes.
+	var cyc snapshot.Encoder
+	cyc.Varint(donor.cycle)
+	linkOff := 8 + cyc.Len()
+	nodeOff := len(clean) - nodeSec.Len()
+	if !bytes.Equal(clean[linkOff:linkOff+linkSec.Len()], linkSec.Bytes()) || !bytes.Equal(clean[nodeOff:], nodeSec.Bytes()) {
+		t.Fatal("section offsets are wrong; the table below would mangle the wrong bytes")
+	}
+	nodes, links := uint64(donor.nodes), uint64(donor.LinkCount())
+
+	withLinks := func(build func(e *snapshot.Encoder)) []byte {
+		var e snapshot.Encoder
+		e.Raw(clean[:linkOff])
+		build(&e)
+		e.Raw(clean[linkOff+linkSec.Len():])
+		return e.Bytes()
+	}
+	withNodes := func(build func(e *snapshot.Encoder)) []byte {
+		var e snapshot.Encoder
+		e.Raw(clean[:nodeOff])
+		build(&e)
+		return e.Bytes()
+	}
+	nodeRun := func(e *snapshot.Encoder, first, count uint64, mask uint8) {
+		e.Uvarint(first)
+		e.Uvarint(count)
+		e.U8(mask)
+	}
+	// routerBytes is one valid router payload, to sit inside a run.
+	var rb snapshot.Encoder
+	donor.routers[0].SaveState(&rb)
+	routerBytes := rb.Bytes()
+
+	cases := []struct {
+		name, wantSub string
+		payload       []byte
+	}{
+		{"node-id-out-of-range", "outside [0,64)", withNodes(func(e *snapshot.Encoder) {
+			e.Uvarint(1)
+			nodeRun(e, nodes, 1, hasRouter)
+		})},
+		{"node-run-overruns", "outside [0,64)", withNodes(func(e *snapshot.Encoder) {
+			e.Uvarint(1)
+			nodeRun(e, nodes-1, 2, hasRouter)
+		})},
+		{"node-run-wraps", "outside [0,64)", withNodes(func(e *snapshot.Encoder) {
+			e.Uvarint(1)
+			nodeRun(e, 3, ^uint64(0)-1, hasRouter)
+		})},
+		{"node-run-empty", "covers 0 node ids", withNodes(func(e *snapshot.Encoder) {
+			e.Uvarint(1)
+			nodeRun(e, 3, 0, hasRouter)
+		})},
+		{"node-ids-descending", "before the end of the previous run", withNodes(func(e *snapshot.Encoder) {
+			e.Uvarint(2)
+			nodeRun(e, 9, 1, hasRouter)
+			e.Raw(routerBytes)
+			nodeRun(e, 2, 1, hasRouter)
+		})},
+		{"node-ids-overlapping", "before the end of the previous run", withNodes(func(e *snapshot.Encoder) {
+			e.Uvarint(2)
+			nodeRun(e, 4, 2, hasRouter)
+			e.Raw(routerBytes)
+			e.Raw(routerBytes)
+			nodeRun(e, 5, 1, hasRouter)
+		})},
+		{"presence-empty", "presence bits 0x00", withNodes(func(e *snapshot.Encoder) {
+			e.Uvarint(1)
+			nodeRun(e, 0, 1, 0)
+		})},
+		{"presence-unknown", "presence bits 0x09", withNodes(func(e *snapshot.Encoder) {
+			e.Uvarint(1)
+			nodeRun(e, 0, 1, hasRouter|8)
+		})},
+		{"node-run-count-over-nodes", "node runs", withNodes(func(e *snapshot.Encoder) {
+			e.Uvarint(nodes + 1)
+		})},
+		{"node-run-truncated", "node run 0", withNodes(func(e *snapshot.Encoder) {
+			e.Uvarint(1)
+			e.Uvarint(0)
+		})},
+		{"nodes-unbacked", "router 0", withNodes(func(e *snapshot.Encoder) {
+			// Every node claimed, nothing behind the claim.
+			e.Uvarint(1)
+			nodeRun(e, 0, nodes, presenceAll)
+		})},
+		{"link-run-past-link-count", "pristine-link run", withLinks(func(e *snapshot.Encoder) {
+			e.Uvarint(links + 1)
+		})},
+		{"link-run-huge", "pristine-link run", withLinks(func(e *snapshot.Encoder) {
+			e.Uvarint(1 << 62)
+		})},
+		{"link-flags-unknown", "unknown flags 0x09", withLinks(func(e *snapshot.Encoder) {
+			e.Uvarint(0)
+			e.U8(linkFlagUp | 8)
+		})},
+		{"link-record-truncated", "link state", clean[:linkOff+linkSec.Len()/2]},
+		{"link-run-truncated", "link state", clean[:linkOff]},
+	}
+	if err := New(lazyCfg(1)).LoadState(snapshot.NewDecoder(clean)); err != nil {
+		t.Fatalf("clean snapshot rejected: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := New(lazyCfg(1))
+			err := n.LoadState(snapshot.NewDecoder(tc.payload))
+			if err == nil {
+				t.Fatal("corrupt snapshot accepted")
+			}
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not name the field (want %q)", err, tc.wantSub)
+			}
+			if r, _, _ := built(n); r > 2 {
+				t.Fatalf("rejected snapshot still had %d routers built", r)
+			}
+		})
+	}
+}
+
+// FuzzNetworkLoadState offers arbitrary payloads to LoadState and asks
+// only that it return: an error or success, never a panic. The seeds are
+// the three recorded dense payloads and a sparse save, each from its own
+// configuration; every input is offered to all four, so a mutation that
+// leaves the leading fingerprint alone gets past one gate, in that
+// payload's layout.
+func FuzzNetworkLoadState(f *testing.F) {
+	for _, file := range []string{goldenSnapshotFile, "damq_midrun.crsnap", "shared_midrun.crsnap"} {
+		_, payload, err := snapshot.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	donor := New(lazyCfg(1))
+	lazyRun(donor, lazyQuiet, &kernelSnapshot{})
+	f.Add(saveBytes(donor))
+
+	configs := []Config{lazyCfg(1), snapCfg(), pooledSnapCfg(sharedOrgs[0]), pooledSnapCfg(sharedOrgs[1])}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, cfg := range configs {
+			New(cfg).LoadState(snapshot.NewDecoder(payload))
+		}
+	})
+}

@@ -360,43 +360,6 @@ func (r *Router) numVCs(p int) int {
 	return 1
 }
 
-// Reset returns the router to its as-constructed state — empty buffers,
-// full credits, live links recomputed from the topology, zeroed
-// counters and arbitration pointers — without allocating. Network.Reset
-// uses it to reuse a network across runs.
-func (r *Router) Reset() {
-	for i := range r.ins {
-		v := &r.ins[i]
-		v.count = 0
-		v.active, v.routed = false, false
-		v.worm = 0
-		v.outP, v.outV = -1, -1
-		v.purgeWorm, v.purgeValid = 0, false
-		v.blocked = 0
-	}
-	r.store.reset()
-	for p := range r.outs {
-		o := &r.outs[p]
-		o.rr = 0
-		if o.ejection {
-			o.linkUp = true
-			o.vcs[0] = outVC{credit: 1 << 30, window: 1 << 30}
-			continue
-		}
-		_, connected := r.topo.Neighbor(r.id, topology.Port(p))
-		o.linkUp = connected
-		w := r.cfg.initWindow()
-		for vc := range o.vcs {
-			o.vcs[vc] = outVC{credit: w, window: w}
-		}
-	}
-	r.buffered = 0
-	r.allocRR = 0
-	r.stats = Stats{}
-	r.maxHops = 0
-	r.maxHopsWorm = 0
-}
-
 // ID returns the router's node id.
 func (r *Router) ID() topology.NodeID { return r.id }
 

@@ -41,7 +41,18 @@ const Magic = "CRSNAP01"
 // Version 3 (buffer organizations): the router payload gains a per-VC
 // store section, a per-organization window/grant ledger and a window
 // field per output VC, and credit events carry a window delta.
-const FormatVersion = 3
+//
+// Version 4 (sparse network payload): the network payload opens with a
+// layout-qualified fingerprint, writes links as runs of pristine links
+// between flag-byte records, and carries only the routers, injectors and
+// receivers that have been built. Nothing else moved, and the network
+// reader tells the two layouts apart by that leading word, so Decode
+// still accepts version 3 containers; builds that predate version 4
+// refuse its files by this number.
+const FormatVersion = 4
+
+// oldestReadable is the lowest payload schema version Decode accepts.
+const oldestReadable = 3
 
 const headerSize = len(Magic) + 4 + 8 + 8 // magic + version + cycle + length
 
@@ -74,6 +85,9 @@ func Encode(cycle int64, payload []byte) []byte {
 
 // Decode validates a container and returns its cycle and payload. The
 // payload slice aliases data. name labels errors (a path, or "<mem>").
+// Containers of versions oldestReadable to FormatVersion are accepted;
+// the payload is returned as written and its reader sorts out which
+// layout it holds.
 func Decode(name string, data []byte) (int64, []byte, error) {
 	fail := func(reason string, args ...any) (int64, []byte, error) {
 		return 0, nil, &FormatError{Path: name, Reason: fmt.Sprintf(reason, args...)}
@@ -86,8 +100,8 @@ func Decode(name string, data []byte) (int64, []byte, error) {
 	}
 	d := NewDecoder(data[len(Magic):])
 	version := d.U32()
-	if version != FormatVersion {
-		return fail("format version %d, this build reads %d", version, FormatVersion)
+	if version < oldestReadable || version > FormatVersion {
+		return fail("format version %d, this build reads %d to %d", version, oldestReadable, FormatVersion)
 	}
 	cycle := int64(d.U64())
 	n := d.U64()

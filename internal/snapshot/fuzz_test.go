@@ -3,14 +3,31 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"testing"
 )
+
+// stampVersion returns a copy of a well-formed container with its
+// version word set to v and the CRC recomputed over the result.
+func stampVersion(container []byte, v uint32) []byte {
+	var e Encoder
+	e.buf = append(e.buf, container[:len(Magic)]...)
+	e.U32(v)
+	e.buf = append(e.buf, container[len(Magic)+4:len(container)-4]...)
+	e.U32(crc32.ChecksumIEEE(e.buf))
+	return e.buf
+}
 
 // FuzzDecode hammers the checkpoint-container reader with arbitrary
 // bytes. The contract under test: Decode never panics, rejects every
 // malformed container with a *FormatError and no payload, and anything
-// it accepts is a container it would itself have produced — re-encoding
-// the returned cycle and payload reproduces the input byte-for-byte.
+// it accepts is a container it would itself have produced. For a
+// FormatVersion container that is canonical re-encoding: the returned
+// cycle and payload encode back to the input byte for byte. For an
+// accepted older version (oldestReadable up) the cycle and payload come
+// back intact, so they encode to the input re-stamped with the current
+// version — the only bytes that differ are the version word and the CRC
+// covering it.
 func FuzzDecode(f *testing.F) {
 	// Seeds: a valid container, interesting truncations and header
 	// corruptions of it, and degenerate inputs.
@@ -29,6 +46,9 @@ func FuzzDecode(f *testing.F) {
 	flip2 := append([]byte(nil), valid...)
 	flip2[headerSize+3] ^= 0x01 // payload bit
 	f.Add(flip2)
+	f.Add(stampVersion(valid, oldestReadable))   // older, still read
+	f.Add(stampVersion(valid, oldestReadable-1)) // too old
+	f.Add(stampVersion(valid, FormatVersion+1))  // from the future
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cycle, payload, err := Decode("<fuzz>", data)
@@ -42,8 +62,7 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		}
-		// Accepted: the container must round-trip canonically.
-		if !bytes.Equal(Encode(cycle, payload), data) {
+		if !bytes.Equal(Encode(cycle, payload), stampVersion(data, FormatVersion)) {
 			t.Fatalf("accepted container is not canonical: cycle %d, %d payload bytes", cycle, len(payload))
 		}
 	})

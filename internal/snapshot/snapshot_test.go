@@ -168,6 +168,14 @@ func TestFileCorruptionDetected(t *testing.T) {
 	if _, _, err := Decode(path, mut); err == nil {
 		t.Fatal("future version not refused")
 	}
+	// The previous version is still read, payload intact; older ones
+	// are not.
+	if c, p, err := Decode(path, stampVersion(data, oldestReadable)); err != nil || c != 7 || !bytes.Equal(p, bytes.Repeat([]byte{0x5a}, 256)) {
+		t.Fatalf("version %d container: cycle %d, %d payload bytes, err %v", oldestReadable, c, len(p), err)
+	}
+	if _, _, err := Decode(path, stampVersion(data, oldestReadable-1)); err == nil {
+		t.Fatalf("version %d not refused", oldestReadable-1)
+	}
 }
 
 func TestLatest(t *testing.T) {
