@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet lint staticcheck race race-harness race-sharded chaos fuzz bench benchmark perf-gate alloc-gate snapshot-pin results profile
+.PHONY: verify build test vet lint staticcheck race race-harness race-sharded chaos fuzz bench benchmark perf-gate alloc-gate snapshot-pin results results-check profile
 
 # Tier-1: build + tests, then vet, then the custom static-invariant
 # suite, then the cycle-kernel allocation gate, then the worker pool's
@@ -48,9 +48,10 @@ staticcheck:
 race:
 	$(GO) test -race ./...
 
-# The harness worker pool and the sim grids it drives, under -race.
+# The harness worker pool and the sim drivers it runs, under -race.
 # This includes the determinism regression test that compares
-# parallel=1 against parallel=8 byte for byte.
+# parallel=1 against parallel=8 and shards=2 byte for byte — on five
+# experiments here; plain `go test` runs it on all 32.
 race-harness:
 	$(GO) test -race ./internal/harness/... ./internal/sim/...
 
@@ -90,8 +91,10 @@ fuzz:
 	$(GO) test ./internal/snapshot/ -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -run '^FuzzDecode$$'
 	$(GO) test ./internal/network/ -fuzz '^FuzzNetworkLoadState$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^FuzzNetworkLoadState$$'
 
+# The per-layer Benchmark* microbenchmarks, for use while working on one
+# layer; `make benchmark` below is the repository's performance number.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/...
 
 # Deterministic-resume pin: checkpoint at cycle K, restore, continue —
 # byte-identical to an unbroken run, at the network, replayer, service
@@ -119,8 +122,7 @@ alloc-gate:
 # The repository's one performance benchmark (BENCHMARK.json,
 # benchmark/README.md): five workloads, each untraced then traced in a
 # fresh child process. The document goes to BENCH_DOC; trace files and
-# checkpoints go under profile/bench/. `make bench` above still runs the
-# Benchmark* microbenchmarks for use while working on one layer.
+# checkpoints go under profile/bench/.
 BENCH_DOC ?= profile/bench.json
 benchmark:
 	@mkdir -p profile
@@ -137,8 +139,18 @@ perf-gate:
 	$(GO) run ./benchmark -compare benchmark/baseline.json $(BENCH_DOC)
 
 # Regenerate the quick-scale result tables checked into the repo.
+RESULTS_CMD = $(GO) run ./cmd/crbench -exp all -scale quick -quiet
 results:
-	$(GO) run ./cmd/crbench -exp all -scale quick -quiet > results_quick.txt
+	$(RESULTS_CMD) > results_quick.txt
+
+# The checked-in tables are what the code produces: regenerate them to a
+# temporary file and compare byte for byte (~2 min on 2 cores; CI runs it
+# as its own job, `make verify` does not). crbench's exit status also
+# fails the target on a FAIL row or a failed sweep point.
+results-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+		$(RESULTS_CMD) > "$$tmp" && cmp "$$tmp" results_quick.txt && \
+		echo "results_quick.txt is current"
 
 # Profile a representative sweep (E5 buffer-depth grid, serial mode for
 # a clean call tree). Inspect with `go tool pprof profile/cpu.out` or

@@ -1,13 +1,13 @@
 // Command crbench regenerates the paper's tables and figures.
 //
-// Each experiment (E1..E24, see DESIGN.md) sweeps the parameter the
+// Each experiment (E1..E32, see DESIGN.md) sweeps the parameter the
 // corresponding figure plots and prints the series as an aligned table
 // (or CSV with -csv). -scale quick runs an 8x8 torus with short windows;
 // -scale full reproduces the paper's 16x16 torus. -chaos selects the
 // chaos/robustness subset (E22-E24, E29-E30); -bisect runs checkpoint
 // bisection forensics (see sim.Bisect) instead of experiments.
 //
-// Grid-based experiments run their sweep points over a worker pool
+// Every experiment runs its simulations over one worker pool
 // (-parallel, default all cores); results are byte-identical for every
 // worker count, so -parallel only changes wall-clock. Independently,
 // -shards N splits each simulated network itself into N node ranges
@@ -16,15 +16,14 @@
 // Profiling flags force both back to 1 for a clean call tree.
 // Progress and timing go to stderr, result tables to stdout. -json additionally
 // writes a versioned machine-readable artifact (schema, git version,
-// config echo, per-point wall-clock, per-point failures) for the
-// BENCH_*.json perf trajectory.
+// config echo, per-point wall-clock, per-point failures).
 //
-// Sweeps are crash-proof: a point that panics, trips the invariant
-// watchdog, or exceeds -point-timeout is recorded in the artifact's
-// errors section and the remaining points still run. crbench exits
-// non-zero when a property table (E14, E24) contains a FAIL row or any
-// sweep point failed, so CI catches broken protocol claims even though
-// the run itself completes.
+// Sweeps are crash-proof: a point that panics, errors, trips the
+// invariant watchdog, or exceeds -point-timeout is recorded in the
+// artifact's errors section and the remaining points still run. crbench
+// exits non-zero when a table's pass or verdict column (E14, E24, E28,
+// E30, E32) contains a FAIL or any sweep point failed, so CI catches
+// broken protocol claims even though the run itself completes.
 //
 // Examples:
 //
@@ -51,6 +50,7 @@ import (
 	"crnet/internal/invariant"
 	"crnet/internal/router"
 	"crnet/internal/sim"
+	"crnet/internal/stats"
 )
 
 // selectExperiments resolves an -exp argument: "all", a single id, or a
@@ -71,27 +71,12 @@ func selectExperiments(arg string) ([]sim.Experiment, error) {
 	return out, nil
 }
 
-// failRows returns the failing property rows of a table: those whose
-// "pass" column reads FAIL. Tables without a pass column have none.
-func failRows(t interface {
-	NumRows() int
-	Row(int) []string
-}, columns []string) []string {
-	passCol := -1
-	for i, c := range columns {
-		if c == "pass" {
-			passCol = i
-		}
-	}
-	if passCol < 0 {
-		return nil
-	}
+// failRows names a table's failing rows — E14/E24/E30's properties,
+// E28/E32's verdicts — by their first cell.
+func failRows(t *stats.Table) []string {
 	var out []string
-	for i := 0; i < t.NumRows(); i++ {
-		row := t.Row(i)
-		if row[passCol] == "FAIL" {
-			out = append(out, row[0])
-		}
+	for _, row := range t.Failures() {
+		out = append(out, row[0])
 	}
 	return out
 }
@@ -316,7 +301,7 @@ func run() (code int) {
 		} else {
 			fmt.Print(tbl.String())
 		}
-		if fr := failRows(tbl, tbl.Columns); len(fr) != 0 {
+		if fr := failRows(tbl); len(fr) != 0 {
 			failed = true
 			fmt.Fprintf(os.Stderr, "%s: FAIL: %s\n", e.ID, strings.Join(fr, "; "))
 		}

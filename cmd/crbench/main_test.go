@@ -32,15 +32,24 @@ func TestFailRowsDetectsFailCells(t *testing.T) {
 	prop.AddRow("a", "1", "1", "PASS")
 	prop.AddRow("b", "2", "0", "FAIL")
 	prop.AddRow("c", "0", "0", "PASS")
-	if got := failRows(prop, prop.Columns); len(got) != 1 || got[0] != "b" {
+	if got := failRows(prop); len(got) != 1 || got[0] != "b" {
 		t.Fatalf("failRows = %v, want [b]", got)
 	}
 
-	// Tables without a pass column never gate the exit code, even if a
-	// cell happens to contain the string FAIL.
+	// E28 and E32 call their column "verdict"; a FAIL there gates the
+	// exit code the same way.
+	resume := stats.NewTable("E28-shaped", "scenario", "ckpt_cycle", "stream_hash", "verdict")
+	resume.AddRow("uniform/CR", 2000, "abc", stats.Verdict(true))
+	resume.AddRow("bursty/FCR+faults", 2000, "def", stats.Verdict(false))
+	if got := failRows(resume); len(got) != 1 || got[0] != "bursty/FCR+faults" {
+		t.Fatalf("failRows = %v, want [bursty/FCR+faults]", got)
+	}
+
+	// Tables without a pass/verdict column never gate the exit code,
+	// even if a cell happens to contain the string FAIL.
 	plain := stats.NewTable("series", "scheme", "note")
 	plain.AddRow("x", "FAIL")
-	if got := failRows(plain, plain.Columns); got != nil {
-		t.Fatalf("pass-less table produced failures: %v", got)
+	if got := failRows(plain); got != nil {
+		t.Fatalf("verdict-less table produced failures: %v", got)
 	}
 }

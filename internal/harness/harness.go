@@ -15,17 +15,13 @@
 // used for long sweeps (see progress.go).
 package harness
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
-// Options configures one Sweep.
+// Options configures the worker pool of one SweepSafe.
 type Options struct {
 	// Workers bounds the worker pool. 0 (or negative) means
-	// runtime.GOMAXPROCS(0); 1 runs the sweep serially on the calling
-	// goroutine, which is useful for profiling and as the determinism
-	// reference.
+	// runtime.GOMAXPROCS(0); 1 runs the points one at a time, which is
+	// useful for profiling and as the determinism reference.
 	Workers int
 	// OnPoint, when non-nil, is called once per completed point, from
 	// the completing worker's goroutine. It must be safe for concurrent
@@ -46,80 +42,6 @@ func (o Options) workers(n int) int {
 		w = 1
 	}
 	return w
-}
-
-// Sweep evaluates fn(i) for every i in [0, n) over the worker pool and
-// returns the results indexed by i. The returned slice is identical for
-// any worker count: result order is grid order, never completion order.
-// fn must not depend on shared mutable state (each simulation point
-// builds its own network); panics in fn propagate to the caller.
-func Sweep[T any](n int, opt Options, fn func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	results := make([]T, n)
-	w := opt.workers(n)
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			results[i] = fn(i)
-			if opt.OnPoint != nil {
-				opt.OnPoint()
-			}
-		}
-		return results
-	}
-
-	// Each worker pulls the next unclaimed index and writes only its own
-	// slot, so the only shared state is the index counter and the
-	// panic-forwarding cell.
-	var (
-		next     int64
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		panicked any
-	)
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= int64(n) {
-			return -1
-		}
-		i := int(next)
-		next++
-		return i
-	}
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := claim()
-				if i < 0 {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							mu.Lock()
-							if panicked == nil {
-								panicked = r
-							}
-							mu.Unlock()
-						}
-					}()
-					results[i] = fn(i)
-					if opt.OnPoint != nil {
-						opt.OnPoint()
-					}
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	return results
 }
 
 // PointSeed derives the RNG seed for one grid point from the sweep's

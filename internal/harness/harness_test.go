@@ -13,9 +13,14 @@ import (
 	"crnet/internal/stats"
 )
 
+// pure adapts a point function that cannot fail to SweepSafe's shape.
+func pure[T any](fn func(i int) T) func(int, <-chan struct{}) (T, error) {
+	return func(i int, _ <-chan struct{}) (T, error) { return fn(i), nil }
+}
+
 func TestSweepReturnsGridOrder(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 8, 100} {
-		got := Sweep(37, Options{Workers: workers}, func(i int) int { return i * i })
+	for _, workers := range []int{-1, 0, 1, 2, 8, 100} {
+		got, _ := SweepSafe(37, SafeOptions{Options: Options{Workers: workers}}, pure(func(i int) int { return i * i }))
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, v, i*i)
@@ -24,18 +29,24 @@ func TestSweepReturnsGridOrder(t *testing.T) {
 	}
 }
 
+// An empty (or negative) grid runs nothing: no point, no OnPoint.
 func TestSweepEmpty(t *testing.T) {
-	if got := Sweep(0, Options{}, func(i int) int { return i }); got != nil {
-		t.Fatalf("empty sweep returned %v", got)
+	for _, n := range []int{0, -3} {
+		called := false
+		opt := SafeOptions{Options: Options{OnPoint: func() { called = true }}}
+		got, errs := SweepSafe(n, opt, pure(func(i int) int { called = true; return i }))
+		if got != nil || errs != nil || called {
+			t.Fatalf("n=%d: empty sweep returned %v, %v (called=%v)", n, got, errs, called)
+		}
 	}
 }
 
 func TestSweepRunsEveryPointOnce(t *testing.T) {
 	var calls [64]int32
-	Sweep(len(calls), Options{Workers: 7}, func(i int) struct{} {
+	SweepSafe(len(calls), SafeOptions{Options: Options{Workers: 7}}, pure(func(i int) struct{} {
 		atomic.AddInt32(&calls[i], 1)
 		return struct{}{}
-	})
+	}))
 	for i, c := range calls {
 		if c != 1 {
 			t.Fatalf("point %d ran %d times", i, c)
@@ -43,9 +54,16 @@ func TestSweepRunsEveryPointOnce(t *testing.T) {
 	}
 }
 
+// OnPoint fires once per point whether the point succeeded or failed.
 func TestSweepOnPointCount(t *testing.T) {
 	var n int64
-	Sweep(25, Options{Workers: 4, OnPoint: func() { atomic.AddInt64(&n, 1) }}, func(i int) int { return i })
+	opt := SafeOptions{Options: Options{Workers: 4, OnPoint: func() { atomic.AddInt64(&n, 1) }}}
+	SweepSafe(25, opt, func(i int, _ <-chan struct{}) (int, error) {
+		if i%5 == 0 {
+			return 0, fmt.Errorf("point %d", i)
+		}
+		return i, nil
+	})
 	if n != 25 {
 		t.Fatalf("OnPoint fired %d times, want 25", n)
 	}
@@ -53,7 +71,7 @@ func TestSweepOnPointCount(t *testing.T) {
 
 func TestSweepBoundsWorkers(t *testing.T) {
 	var live, peak int64
-	Sweep(32, Options{Workers: 3}, func(i int) int {
+	SweepSafe(32, SafeOptions{Options: Options{Workers: 3}}, pure(func(i int) int {
 		cur := atomic.AddInt64(&live, 1)
 		for {
 			p := atomic.LoadInt64(&peak)
@@ -64,24 +82,10 @@ func TestSweepBoundsWorkers(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		atomic.AddInt64(&live, -1)
 		return i
-	})
+	}))
 	if peak > 3 {
 		t.Fatalf("pool ran %d concurrent points, bound is 3", peak)
 	}
-}
-
-func TestSweepPropagatesPanic(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("worker panic was swallowed")
-		}
-	}()
-	Sweep(8, Options{Workers: 4}, func(i int) int {
-		if i == 5 {
-			panic("boom")
-		}
-		return i
-	})
 }
 
 func TestPointSeed(t *testing.T) {

@@ -48,17 +48,20 @@ const (
 	PointTimedOut  = "timeout"
 )
 
-// SweepSafe is Sweep hardened for chaos runs: fn returns an error
-// instead of panicking the sweep, panics are captured per point, and an
-// optional per-point timeout cancels runaways. The sweep always
-// completes; failed points keep the zero T in the results slice and are
-// reported in the second return value, sorted by index. fn receives a
-// cancel channel that closes when the point times out — long-running
-// points should poll it (sim.Config.Cancel does).
+// SweepSafe evaluates fn(i) for every i in [0, n) over the worker pool
+// and returns the results indexed by i: result order is grid order,
+// never completion order. fn must not depend on shared mutable state
+// (each simulation point builds its own network). The sweep always
+// completes: an error fn returns, a panic inside it, or an overrun of
+// the optional per-point timeout fails that point only. Failed points
+// keep the zero T in the results slice and are reported in the second
+// return value, sorted by index. fn receives a cancel channel that
+// closes when the point times out — long-running points should poll it
+// (sim.Config.Cancel does).
 //
-// Result determinism matches Sweep: successful slots are byte-identical
-// for any worker count. Which points fail is deterministic for errors
-// and panics; timeouts depend on wall-clock by nature.
+// Successful slots are byte-identical for any worker count. Which
+// points fail is deterministic for errors and panics; timeouts depend
+// on wall-clock by nature.
 func SweepSafe[T any](n int, opt SafeOptions, fn func(i int, cancel <-chan struct{}) (T, error)) ([]T, []PointError) {
 	if n <= 0 {
 		return nil, nil

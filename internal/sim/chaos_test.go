@@ -27,28 +27,13 @@ var soakScale = Scale{
 	Seed:    1,
 }
 
-func tableFailures(t *testing.T, tbl interface {
-	NumRows() int
-	Row(int) []string
-}, passCol int) []string {
-	t.Helper()
-	var fails []string
-	for i := 0; i < tbl.NumRows(); i++ {
-		row := tbl.Row(i)
-		if row[passCol] == "FAIL" {
-			fails = append(fails, row[0]+"="+row[1])
-		}
-	}
-	return fails
-}
-
 // TestChaosSoak runs the E24 chaos soak (random fail/repair timeline
 // over links and nodes, invariant watchdog auditing every scan period)
 // and requires every property row to PASS. The Makefile's chaos target
 // runs exactly this test under the race detector.
 func TestChaosSoak(t *testing.T) {
 	tbl := E24ChaosSoak(soakScale)
-	if fails := tableFailures(t, tbl, 3); len(fails) != 0 {
+	if fails := tbl.Failures(); len(fails) != 0 {
 		t.Fatalf("chaos soak property failures: %v\n%s", fails, tbl.String())
 	}
 }

@@ -30,23 +30,21 @@ type Scale struct {
 	// Seed drives all stochastic processes.
 	Seed uint64
 
-	// Parallel bounds the harness worker pool used by grid-based
-	// experiment drivers: 0 means runtime.GOMAXPROCS(0), 1 runs
-	// serially. Results are byte-identical for every value.
+	// Parallel bounds the harness worker pool every experiment's
+	// simulations run on: 0 means runtime.GOMAXPROCS(0), 1 runs them one
+	// at a time. Results are byte-identical for every value.
 	Parallel int
-	// Shards sets network.Config.Shards for every sweep point whose
-	// network config does not choose for itself: 0 or 1 runs the single
-	// node range inline on the point's goroutine, N > 1 splits each
-	// simulated network into N ranges stepped by N workers. Like
-	// Parallel, results are byte-identical for every value, so Shards
-	// only changes wall-clock.
+	// Shards is the network.Config.Shards the network constructors
+	// below hand out: 0 or 1 runs the single node range inline on the
+	// point's goroutine, N > 1 splits each simulated network into N
+	// ranges stepped by N workers. Like Parallel, results are
+	// byte-identical for every value, so Shards only changes wall-clock.
 	Shards int
-	// BufOrg overrides the router buffer organization for every sweep
-	// point whose network config keeps the static default (points that
-	// pick an organization themselves — the E31 axis — are left alone).
-	// Unlike Shards this DOES change results: it is the crbench -buforg
-	// axis for re-running experiments under DAMQ or credit-shared
-	// buffers.
+	// BufOrg is the router buffer organization the network constructors
+	// below hand out; a driver that sets an organization on the config
+	// it gets back — the E31/E32 axis — keeps its own. Unlike Shards
+	// this DOES change results: it is the crbench -buforg axis for
+	// re-running experiments under DAMQ or credit-shared buffers.
 	BufOrg router.BufferOrg
 	// Progress, when non-nil, receives per-sweep progress lines
 	// (points done/total, ETA) — normally os.Stderr so stdout stays
@@ -96,18 +94,28 @@ var Full = Scale{
 
 func (s Scale) torus() *topology.Grid { return topology.NewTorus(s.K, 2) }
 
+// netOn returns the network every experiment config starts from: 2-flit
+// buffers, exponential backoff, and the Scale-level Seed, Shards and
+// BufOrg. It is the one place those three reach a network.Config.
+func (s Scale) netOn(topo topology.Topology, alg routing.Algorithm, proto core.Protocol) network.Config {
+	return network.Config{
+		Topo:     topo,
+		Alg:      alg,
+		Protocol: proto,
+		BufDepth: 2,
+		BufOrg:   s.BufOrg,
+		Backoff:  core.Backoff{Kind: core.BackoffExponential, Gap: 8},
+		Seed:     s.Seed,
+		Shards:   s.Shards,
+	}
+}
+
 // crNet returns the canonical CR network: fully adaptive minimal
 // routing, no virtual channels, 2-flit buffers, exponential backoff.
 func (s Scale) crNet() network.Config {
-	return network.Config{
-		Topo:     s.torus(),
-		Alg:      routing.MinimalAdaptive{},
-		Protocol: core.CR,
-		VCs:      1,
-		BufDepth: 2,
-		Backoff:  core.Backoff{Kind: core.BackoffExponential, Gap: 8},
-		Seed:     s.Seed,
-	}
+	c := s.netOn(s.torus(), routing.MinimalAdaptive{}, core.CR)
+	c.VCs = 1
+	return c
 }
 
 // fcrNet returns the canonical FCR network.
@@ -120,32 +128,9 @@ func (s Scale) fcrNet() network.Config {
 // dorNet returns the paper's DOR baseline: dimension-order routing with
 // the 2-VC dateline discipline and the given FIFO depth per VC.
 func (s Scale) dorNet(lanes, bufDepth int) network.Config {
-	return network.Config{
-		Topo:     s.torus(),
-		Alg:      routing.DOR{Lanes: lanes},
-		Protocol: core.Plain,
-		BufDepth: bufDepth,
-		Seed:     s.Seed,
-	}
-}
-
-func (s Scale) run(net network.Config, pattern string, load float64, msgLen int) Metrics {
-	if net.BufOrg == router.OrgStaticFIFO {
-		net.BufOrg = s.BufOrg
-	}
-	m, err := Run(Config{
-		Net:           net,
-		Pattern:       pattern,
-		Load:          load,
-		MsgLen:        msgLen,
-		WarmupCycles:  s.Warmup,
-		MeasureCycles: s.Measure,
-		Seed:          s.Seed + 77,
-	})
-	if err != nil {
-		panic(err) // experiment configurations are static; errors are bugs
-	}
-	return m
+	c := s.netOn(s.torus(), routing.DOR{Lanes: lanes}, core.Plain)
+	c.BufDepth = bufDepth
+	return c
 }
 
 // Experiment is one reproducible artifact of the paper.
@@ -220,6 +205,16 @@ func loadColumns() []string {
 	return []string{"scheme", "offered(frac)", "thpt(flits/node/cyc)", "avg_latency", "p95", "note"}
 }
 
+// propertyTable starts a PASS/FAIL property table (E14, E24, E30);
+// checkRow appends its rows and stats.Table.Failures reads them back.
+func propertyTable(title string) *stats.Table {
+	return stats.NewTable(title, "property", "value", "expectation", "pass")
+}
+
+func checkRow(t *stats.Table, name string, value interface{}, ok bool, expectation string) {
+	t.AddRow(name, fmt.Sprint(value), expectation, stats.Verdict(ok))
+}
+
 // E1LatencyVsLoad reproduces the paper's base CR performance curves:
 // average latency and accepted throughput against offered load, uniform
 // traffic, 16-flit messages on the torus.
@@ -237,9 +232,9 @@ func E1LatencyVsLoad(s Scale) *stats.Table {
 func E2KillRate(s Scale) *stats.Table {
 	t := stats.NewTable("E2: CR kill/retry behavior vs load",
 		"offered(frac)", "kills/msg", "retries/msg", "pad_overhead", "avg_latency")
-	for _, load := range s.Loads {
-		m := s.run(s.crNet(), "uniform", load, s.MsgLen)
-		t.AddRow(load, m.KillsPerMsg, m.RetriesPerMsg, m.PadOverhead, m.AvgLatency)
+	pts := s.loadGrid("CR", "uniform", s.crNet())
+	for i, m := range s.sweep("E2", pts) {
+		t.AddRow(pts[i].Load, m.KillsPerMsg, m.RetriesPerMsg, m.PadOverhead, m.AvgLatency)
 	}
 	return t
 }
@@ -281,16 +276,11 @@ func E3RetransmissionGap(s Scale) *stats.Table {
 func E4PDSEstimate(s Scale) *stats.Table {
 	t := stats.NewTable("E4: potential deadlock situations (Duato escape usage) vs CR kills",
 		"offered(frac)", "duato_pds/msg", "cr_kills/msg", "duato_thpt", "cr_thpt")
-	duato := network.Config{
-		Topo:     s.torus(),
-		Alg:      routing.Duato{AdaptiveVCs: 1},
-		Protocol: core.Plain,
-		BufDepth: 2,
-		Seed:     s.Seed,
-	}
-	for _, load := range s.Loads {
-		md := s.run(duato, "uniform", load, s.MsgLen)
-		mc := s.run(s.crNet(), "uniform", load, s.MsgLen)
+	duato := s.netOn(s.torus(), routing.Duato{AdaptiveVCs: 1}, core.Plain)
+	pts := append(s.loadGrid("Duato", "uniform", duato), s.loadGrid("CR", "uniform", s.crNet())...)
+	ms := s.sweep("E4", pts)
+	for i, load := range s.Loads {
+		md, mc := ms[i], ms[len(s.Loads)+i]
 		t.AddRow(load, md.PDSPerMsg, mc.KillsPerMsg, md.Throughput, mc.Throughput)
 	}
 	return t
@@ -339,19 +329,17 @@ func E6VirtualChannels(s Scale) *stats.Table {
 // peak throughput; widening the interface lets CR's adaptivity show.
 func E7InterfaceBandwidth(s Scale) *stats.Table {
 	t := stats.NewTable("E7 (Fig. 14e,f): interface channels per node", loadColumns()...)
+	var pts []Point
 	for _, ch := range []int{1, 2, 4} {
 		cr := s.crNet()
 		cr.InjectionChannels, cr.EjectionChannels = ch, ch
 		dor := s.dorNet(1, 8)
 		dor.InjectionChannels, dor.EjectionChannels = ch, ch
-		for _, load := range s.Loads {
-			m := s.run(cr, "uniform", load, s.MsgLen)
-			addLoadRow(t, fmt.Sprintf("CR(ch=%d)", ch), load, m)
-		}
-		for _, load := range s.Loads {
-			m := s.run(dor, "uniform", load, s.MsgLen)
-			addLoadRow(t, fmt.Sprintf("DOR(ch=%d)", ch), load, m)
-		}
+		pts = append(pts, s.loadGrid(fmt.Sprintf("CR(ch=%d)", ch), "uniform", cr)...)
+		pts = append(pts, s.loadGrid(fmt.Sprintf("DOR(ch=%d)", ch), "uniform", dor)...)
+	}
+	for i, m := range s.sweep("E7", pts) {
+		addLoadRow(t, pts[i].Series, pts[i].Load, m)
 	}
 	return t
 }

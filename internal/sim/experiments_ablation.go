@@ -41,16 +41,19 @@ func E21PaddingMargin(s Scale) *stats.Table {
 	t := stats.NewTable("E21: FCR padding-margin ablation (fault rate 2e-3, load 0.3)",
 		"pad_adjust", "lost_msgs", "stale_signals", "fkills/msg", "avg_latency")
 	const load = 0.3
+	var pts []Point
 	for _, adjust := range []int{-100, -24, -12, -6, 0, 8} {
 		net := s.fcrNet()
 		net.TransientRate = 2e-3
 		net.PadAdjust = adjust
-		m := s.run(net, "uniform", load, s.MsgLen)
+		pts = append(pts, s.point("FCR", load, net))
+	}
+	for i, m := range s.sweep("E21", pts) {
 		// A lost message is one the source completed but the receiver
 		// rejected: it shows up as a censored window message after the
 		// drain. The FKILL that should have caught it dies mid-path at a
 		// hop the tail already released (a stale backward signal).
-		t.AddRow(adjust, m.Censored, m.StaleSignals, m.FKillsPerMsg, m.AvgLatency)
+		t.AddRow(pts[i].Net.PadAdjust, m.Censored, m.StaleSignals, m.FKillsPerMsg, m.AvgLatency)
 	}
 	return t
 }

@@ -35,20 +35,29 @@ func E19Applications(s Scale) *stats.Table {
 		{"CR", s.crNet()},
 		{"DOR", s.dorNet(1, 2)},
 	}
+	// One job per (workload, scheme), each with a workload instance of
+	// its own: a workload carries the run's progress.
+	type job struct {
+		w      workload.Workload
+		scheme string
+		cfg    network.Config
+	}
+	var jobs []job
 	for i := range mkWorkloads() {
 		for _, sc := range schemes {
-			w := mkWorkloads()[i]
-			res, err := workload.Drive(network.New(sc.cfg), w, budget)
-			if err != nil {
-				panic(err)
-			}
-			cycles := fmt.Sprint(res.CompletionCycles)
-			if !res.Completed {
-				cycles = "DNF"
-			}
-			perMsg := float64(res.CompletionCycles) / float64(res.Messages)
-			t.AddRow(w.Name(), sc.name, cycles, res.Messages, res.Kills, perMsg)
+			jobs = append(jobs, job{mkWorkloads()[i], sc.name, sc.cfg})
 		}
+	}
+	results := sweepJobs(s, "E19", len(jobs), func(i int, _ <-chan struct{}) (workload.Result, error) {
+		return workload.Drive(network.New(jobs[i].cfg), jobs[i].w, budget)
+	})
+	for i, res := range results {
+		cycles := fmt.Sprint(res.CompletionCycles)
+		if !res.Completed {
+			cycles = "DNF"
+		}
+		perMsg := float64(res.CompletionCycles) / float64(res.Messages)
+		t.AddRow(jobs[i].w.Name(), jobs[i].scheme, cycles, res.Messages, res.Kills, perMsg)
 	}
 	return t
 }

@@ -81,16 +81,12 @@ func E32LatencyBound(s Scale) *stats.Table {
 	for i, m := range s.sweep("E32", pts) {
 		mod := orgBoundModel(s, pts[i].Net)
 		b := mod.NetworkBound()
-		verdict := "PASS"
-		if m.MaxNetResidence > int64(b) {
-			verdict = "FAIL"
-		}
 		headroom := 0.0
 		if m.MaxNetResidence > 0 {
 			headroom = float64(b) / float64(m.MaxNetResidence)
 		}
 		t.AddRow(pts[i].Series, pts[i].Load, mod.Absorb, mod.FlowLen(mod.Diameter),
-			b, m.MaxNetResidence, headroom, verdict)
+			b, m.MaxNetResidence, headroom, stats.Verdict(m.MaxNetResidence <= int64(b)))
 	}
 	return t
 }

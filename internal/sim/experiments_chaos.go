@@ -1,14 +1,11 @@
 package sim
 
 import (
-	"fmt"
-
 	"crnet/internal/faults"
 	"crnet/internal/flit"
 	"crnet/internal/harness"
 	"crnet/internal/invariant"
 	"crnet/internal/network"
-	"crnet/internal/rng"
 	"crnet/internal/stats"
 	"crnet/internal/topology"
 	"crnet/internal/traffic"
@@ -46,17 +43,9 @@ func E22BurstyFaults(s Scale) *stats.Table {
 // failRepairSchedule picks n random links and returns a timeline that
 // fails all of them at failAt and repairs all of them at repairAt.
 func failRepairSchedule(links []faults.LinkID, n int, failAt, repairAt int64, seed uint64) *faults.Schedule {
-	if n > len(links) {
-		panic(fmt.Sprintf("sim: want %d dead links, only %d candidates", n, len(links)))
-	}
-	r := rng.New(seed)
-	perm := make([]int, len(links))
-	r.Perm(perm)
-	events := make([]faults.Event, 0, 2*n)
-	for i := 0; i < n; i++ {
-		events = append(events,
-			faults.Event{Cycle: failAt, Link: links[perm[i]]},
-			faults.Event{Cycle: repairAt, Link: links[perm[i]], Up: true})
+	var events []faults.Event
+	for _, down := range faults.RandomLinks(links, n, failAt, seed).Events() {
+		events = append(events, down, faults.Event{Cycle: repairAt, Link: down.Link, Up: true})
 	}
 	return faults.NewSchedule(events)
 }
@@ -84,14 +73,6 @@ func E23FailRepair(s Scale) *stats.Table {
 	cfg.MaxDetours = 4
 	cfg.Faults = failRepairSchedule(network.LinksOf(topo), deadLinks, failAt, repairAt,
 		harness.PointSeed(s.Seed, 2300))
-	net := network.New(cfg)
-
-	pattern, err := traffic.ByName("uniform", topo)
-	if err != nil {
-		panic(err)
-	}
-	gen := traffic.NewGeneratorLengths(topo, pattern, load, traffic.FixedLength(s.MsgLen),
-		harness.PointSeed(s.Seed, 2301))
 
 	// Creation-cycle phase boundaries: [warmup,failAt) clean,
 	// [failAt,repairAt) faulted, [repairAt,settleEnd) settling (the
@@ -111,61 +92,80 @@ func E23FailRepair(s Scale) *stats.Table {
 		return len(bounds) - 1
 	}
 	const phases = 4
-	var (
-		window    = make(map[flit.MessageID]int64)
-		pending   int // measured messages not yet delivered
-		lat       [phases]stats.Welford
-		hist      [phases]*stats.Histogram
-		delivered [phases]int64
-		failedAt  [phases + 1]int64 // injector Failed counter at warmup end + each phase boundary
-	)
-	for p := range hist {
-		hist[p] = stats.NewHistogram(16, 4096)
+	type phaseRow struct {
+		lat                    float64
+		p95, delivered, failed int64
 	}
-	drainEnd := injEnd + 4*s.Measure
-	for cycle := int64(0); cycle < drainEnd; cycle++ {
-		if cycle == s.Warmup {
-			failedAt[0] = net.InjectorStats().Failed
+	// The per-phase bucketing needs its own cycle loop, so the whole run
+	// is one job of the sweep engine rather than a Point.
+	rows := sweepJobs(s, "E23", 1, func(int, <-chan struct{}) (out [phases]phaseRow, err error) {
+		net := network.New(cfg)
+		pattern, err := traffic.ByName("uniform", topo)
+		if err != nil {
+			return out, err
 		}
-		for p, b := range bounds {
-			if cycle == b {
-				failedAt[p+1] = net.InjectorStats().Failed
+		gen := traffic.NewGeneratorLengths(topo, pattern, load, traffic.FixedLength(s.MsgLen),
+			harness.PointSeed(s.Seed, 2301))
+		var (
+			window    = make(map[flit.MessageID]int64)
+			pending   int // measured messages not yet delivered
+			lat       [phases]stats.Welford
+			hist      [phases]*stats.Histogram
+			delivered [phases]int64
+			failedAt  [phases + 1]int64 // injector Failed counter at warmup end + each phase boundary
+		)
+		for p := range hist {
+			hist[p] = stats.NewHistogram(16, 4096)
+		}
+		drainEnd := injEnd + 4*s.Measure
+		for cycle := int64(0); cycle < drainEnd; cycle++ {
+			if cycle == s.Warmup {
+				failedAt[0] = net.InjectorStats().Failed
 			}
-		}
-		if cycle < injEnd {
-			for node := 0; node < topo.Nodes(); node++ {
-				if m, ok := gen.Tick(topology.NodeID(node), cycle); ok {
-					if phaseOf(m.CreateTime) >= 0 {
-						window[m.ID] = m.CreateTime
-						pending++
-					}
-					net.SubmitMessage(m)
+			for p, b := range bounds {
+				if cycle == b {
+					failedAt[p+1] = net.InjectorStats().Failed
 				}
 			}
-		}
-		net.Step()
-		for _, d := range net.DrainDeliveries() {
-			created, ok := window[d.Msg]
-			if !ok {
-				continue
+			if cycle < injEnd {
+				for node := 0; node < topo.Nodes(); node++ {
+					if m, ok := gen.Tick(topology.NodeID(node), cycle); ok {
+						if phaseOf(m.CreateTime) >= 0 {
+							window[m.ID] = m.CreateTime
+							pending++
+						}
+						net.SubmitMessage(m)
+					}
+				}
 			}
-			delete(window, d.Msg)
-			pending--
-			p := phaseOf(created)
-			delivered[p]++
-			lat[p].Add(float64(d.Time - created))
-			hist[p].Add(d.Time - created)
+			net.Step()
+			for _, d := range net.DrainDeliveries() {
+				created, ok := window[d.Msg]
+				if !ok {
+					continue
+				}
+				delete(window, d.Msg)
+				pending--
+				p := phaseOf(created)
+				delivered[p]++
+				lat[p].Add(float64(d.Time - created))
+				hist[p].Add(d.Time - created)
+			}
+			if cycle >= injEnd && pending == 0 {
+				break
+			}
 		}
-		if cycle >= injEnd && pending == 0 {
-			break
+		// Failures during the drain (if any) attribute to the last phase.
+		failedAt[phases] = net.InjectorStats().Failed
+		for p := range out {
+			out[p] = phaseRow{lat[p].Mean(), hist[p].Percentile(0.95), delivered[p], failedAt[p+1] - failedAt[p]}
 		}
-	}
-	// Failures during the drain (if any) attribute to the last phase.
-	failedAt[phases] = net.InjectorStats().Failed
+		return out, nil
+	})[0]
 
-	names := [phases]string{"baseline", "faulted", "settling", "recovered"}
-	for p := 0; p < phases; p++ {
-		t.AddRow(names[p], w, lat[p].Mean(), hist[p].Percentile(0.95), delivered[p], failedAt[p+1]-failedAt[p])
+	for p, name := range [phases]string{"baseline", "faulted", "settling", "recovered"} {
+		r := rows[p]
+		t.AddRow(name, w, r.lat, r.p95, r.delivered, r.failed)
 	}
 	return t
 }
@@ -176,8 +176,7 @@ func E23FailRepair(s Scale) *stats.Table {
 // rows — a FAIL here means the protocol (or the simulator) broke under
 // chaos, and crbench exits non-zero on it.
 func E24ChaosSoak(s Scale) *stats.Table {
-	t := stats.NewTable("E24: chaos soak with invariant watchdog (FCR, load=0.3)",
-		"property", "value", "expectation", "pass")
+	t := propertyTable("E24: chaos soak with invariant watchdog (FCR, load=0.3)")
 	const load = 0.3
 	topo := s.torus()
 	horizon := s.Warmup + s.Measure
@@ -196,34 +195,38 @@ func E24ChaosSoak(s Scale) *stats.Table {
 	cfg.MisrouteAfter = 2
 	cfg.MaxDetours = 4
 	cfg.Faults = timeline
-	m, err := Run(Config{
-		Net:           cfg,
-		Pattern:       "uniform",
-		Load:          load,
-		MsgLen:        s.MsgLen,
-		WarmupCycles:  s.Warmup,
-		MeasureCycles: s.Measure,
-		Seed:          harness.PointSeed(s.Seed, 2401),
-		Watchdog:      &invariant.Config{},
-	})
+	type outcome struct {
+		Metrics
+		err error
+	}
+	// The run's error is a property row, not a lost point: the job keeps
+	// it beside the partial metrics instead of handing it to the engine.
+	r := sweepJobs(s, "E24", 1, func(_ int, cancel <-chan struct{}) (outcome, error) {
+		m, err := Run(Config{
+			Net:           cfg,
+			Pattern:       "uniform",
+			Load:          load,
+			MsgLen:        s.MsgLen,
+			WarmupCycles:  s.Warmup,
+			MeasureCycles: s.Measure,
+			Seed:          harness.PointSeed(s.Seed, 2401),
+			Watchdog:      &invariant.Config{},
+			Cancel:        cancel,
+		})
+		return outcome{m, err}, nil
+	})[0]
+	m := r.Metrics
 
-	check := func(name string, value interface{}, ok bool, expectation string) {
-		pass := "PASS"
-		if !ok {
-			pass = "FAIL"
-		}
-		t.AddRow(name, fmt.Sprint(value), expectation, pass)
-	}
 	health := "healthy"
-	if err != nil {
-		health = err.Error()
+	if r.err != nil {
+		health = r.err.Error()
 	}
-	check("run health", health, err == nil, "healthy")
-	check("invariant violations", m.Violations, m.Violations == 0, "0")
-	check("watchdog scans", m.WatchdogScans, m.WatchdogScans > 0, "> 0 (watchdog not vacuous)")
-	check("fault events scheduled", faultEvents, faultEvents > 0, "> 0 (chaos not vacuous)")
-	check("delivered messages", m.Delivered, m.Delivered > 0, "> 0")
-	check("corrupt deliveries", m.DeliveredCorrupt, m.DeliveredCorrupt == 0, "0")
-	check("order violations", m.OrderErrors, m.OrderErrors == 0, "0")
+	checkRow(t, "run health", health, r.err == nil, "healthy")
+	checkRow(t, "invariant violations", m.Violations, m.Violations == 0, "0")
+	checkRow(t, "watchdog scans", m.WatchdogScans, m.WatchdogScans > 0, "> 0 (watchdog not vacuous)")
+	checkRow(t, "fault events scheduled", faultEvents, faultEvents > 0, "> 0 (chaos not vacuous)")
+	checkRow(t, "delivered messages", m.Delivered, m.Delivered > 0, "> 0")
+	checkRow(t, "corrupt deliveries", m.DeliveredCorrupt, m.DeliveredCorrupt == 0, "0")
+	checkRow(t, "order violations", m.OrderErrors, m.OrderErrors == 0, "0")
 	return t
 }

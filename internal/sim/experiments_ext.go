@@ -24,19 +24,19 @@ import (
 func E15TimeoutSchemes(s Scale) *stats.Table {
 	t := stats.NewTable("E15 (Sec. 7/8): source-based vs path-wide timeout",
 		"scheme", "offered(frac)", "thpt(flits/node/cyc)", "avg_latency", "kills/msg", "retries/msg")
-	for _, load := range s.Loads {
-		m := s.run(s.crNet(), "uniform", load, s.MsgLen)
-		t.AddRow("source-based", load, m.Throughput, m.AvgLatency, m.KillsPerMsg, m.RetriesPerMsg)
-	}
-	for _, load := range s.Loads {
-		net := s.crNet()
-		// Same detection horizon as the source scheme's default rule;
-		// the source timeout is disabled to isolate the scheme.
-		net.RouterTimeout = s.MsgLen
-		net.Timeout = 1 << 20
-		m := s.run(net, "uniform", load, s.MsgLen)
-		// Path-wide kills surface as FKILL retransmissions at sources.
-		t.AddRow("path-wide", load, m.Throughput, m.AvgLatency, m.FKillsPerMsg, m.RetriesPerMsg)
+	pathWide := s.crNet()
+	// Same detection horizon as the source scheme's default rule; the
+	// source timeout is disabled to isolate the scheme.
+	pathWide.RouterTimeout = s.MsgLen
+	pathWide.Timeout = 1 << 20
+	pts := append(s.loadGrid("source-based", "uniform", s.crNet()), s.loadGrid("path-wide", "uniform", pathWide)...)
+	for i, m := range s.sweep("E15", pts) {
+		kills := m.KillsPerMsg
+		if pts[i].Net.RouterTimeout > 0 {
+			// Path-wide kills surface as FKILL retransmissions at sources.
+			kills = m.FKillsPerMsg
+		}
+		t.AddRow(pts[i].Series, pts[i].Load, m.Throughput, m.AvgLatency, kills, m.RetriesPerMsg)
 	}
 	return t
 }
@@ -50,31 +50,22 @@ func E16TurnModel(s Scale) *stats.Table {
 	t := stats.NewTable("E16: adaptivity without VCs on the mesh: DOR vs west-first vs CR",
 		"pattern", "scheme", "offered(frac)", "thpt(flits/node/cyc)", "avg_latency")
 	mesh := topology.NewMesh(s.K, 2)
-	mk := func(alg routing.Algorithm, proto core.Protocol) network.Config {
-		return network.Config{
-			Topo:     mesh,
-			Alg:      alg,
-			Protocol: proto,
-			BufDepth: 2,
-			Backoff:  core.Backoff{Kind: core.BackoffExponential, Gap: 8},
-			Seed:     s.Seed,
-		}
-	}
 	schemes := []struct {
 		name string
 		cfg  network.Config
 	}{
-		{"DOR", mk(routing.DOR{}, core.Plain)},
-		{"west-first", mk(routing.WestFirst{}, core.Plain)},
-		{"CR", mk(routing.MinimalAdaptive{}, core.CR)},
+		{"DOR", s.netOn(mesh, routing.DOR{}, core.Plain)},
+		{"west-first", s.netOn(mesh, routing.WestFirst{}, core.Plain)},
+		{"CR", s.netOn(mesh, routing.MinimalAdaptive{}, core.CR)},
 	}
+	var pts []Point
 	for _, pattern := range []string{"uniform", "transpose"} {
 		for _, sc := range schemes {
-			for _, load := range s.Loads {
-				m := s.run(sc.cfg, pattern, load, s.MsgLen)
-				t.AddRow(pattern, sc.name, load, m.Throughput, m.AvgLatency)
-			}
+			pts = append(pts, s.loadGrid(sc.name, pattern, sc.cfg)...)
 		}
+	}
+	for i, m := range s.sweep("E16", pts) {
+		t.AddRow(pts[i].Pattern, pts[i].Series, pts[i].Load, m.Throughput, m.AvgLatency)
 	}
 	return t
 }
@@ -87,11 +78,12 @@ func E16TurnModel(s Scale) *stats.Table {
 func E17LatencyDistribution(s Scale) *stats.Table {
 	t := stats.NewTable("E17: latency distribution tails, CR vs DOR",
 		"scheme", "offered(frac)", "avg", "p50", "p95", "p99", "max")
+	var pts []Point
 	for _, load := range []float64{0.3, 0.6} {
-		mc := s.run(s.crNet(), "uniform", load, s.MsgLen)
-		md := s.run(s.dorNet(1, 2), "uniform", load, s.MsgLen)
-		t.AddRow("CR", load, mc.AvgLatency, mc.P50Latency, mc.P95Latency, mc.P99Latency, mc.MaxLatency)
-		t.AddRow("DOR", load, md.AvgLatency, md.P50Latency, md.P95Latency, md.P99Latency, md.MaxLatency)
+		pts = append(pts, s.point("CR", load, s.crNet()), s.point("DOR", load, s.dorNet(1, 2)))
+	}
+	for i, m := range s.sweep("E17", pts) {
+		t.AddRow(pts[i].Series, pts[i].Load, m.AvgLatency, m.P50Latency, m.P95Latency, m.P99Latency, m.MaxLatency)
 	}
 	return t
 }
@@ -104,29 +96,16 @@ func E18BimodalTraffic(s Scale) *stats.Table {
 	t := stats.NewTable("E18: bimodal traffic (4/64-flit mix)",
 		"scheme", "long_frac", "offered(frac)", "thpt(flits/node/cyc)", "avg_latency", "p99")
 	const load = 0.4
+	var pts []Point
 	for _, longFrac := range []float64{0.0, 0.1, 0.3, 0.5} {
-		model := traffic.Bimodal{Short: 4, Long: 64, LongFrac: longFrac}
-		for _, sc := range []struct {
-			name string
-			net  network.Config
-		}{
-			{"CR", s.crNet()},
-			{"DOR", s.dorNet(1, 2)},
-		} {
-			m, err := Run(Config{
-				Net:           sc.net,
-				Pattern:       "uniform",
-				Load:          load,
-				Lengths:       model,
-				WarmupCycles:  s.Warmup,
-				MeasureCycles: s.Measure,
-				Seed:          s.Seed + 77,
-			})
-			if err != nil {
-				panic(err)
-			}
-			t.AddRow(sc.name, longFrac, load, m.Throughput, m.AvgLatency, m.P99Latency)
-		}
+		cr, dor := s.point("CR", load, s.crNet()), s.point("DOR", load, s.dorNet(1, 2))
+		cr.Lengths = traffic.Bimodal{Short: 4, Long: 64, LongFrac: longFrac}
+		dor.Lengths = cr.Lengths
+		pts = append(pts, cr, dor)
+	}
+	for i, m := range s.sweep("E18", pts) {
+		longFrac := pts[i].Lengths.(traffic.Bimodal).LongFrac
+		t.AddRow(pts[i].Series, longFrac, load, m.Throughput, m.AvgLatency, m.P99Latency)
 	}
 	return t
 }

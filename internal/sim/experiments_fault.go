@@ -18,19 +18,19 @@ import (
 func E8TransientFaults(s Scale) *stats.Table {
 	t := stats.NewTable("E8: transient faults, FCR vs unprotected CR (load=0.4)",
 		"scheme", "fault_rate", "avg_latency", "fkills/msg", "corrupt_deliveries", "late_fkills")
-	rates := []float64{0, 1e-5, 1e-4, 1e-3, 1e-2}
 	const load = 0.4
-	for _, rate := range rates {
-		net := s.fcrNet()
-		net.TransientRate = rate
-		m := s.run(net, "uniform", load, s.MsgLen)
-		t.AddRow("FCR", rate, m.AvgLatency, m.FKillsPerMsg, m.DeliveredCorrupt, m.LateFKills)
+	var pts []Point
+	for _, sc := range []struct {
+		name string
+		net  network.Config
+	}{{"FCR", s.fcrNet()}, {"CR", s.crNet()}} {
+		for _, rate := range []float64{0, 1e-5, 1e-4, 1e-3, 1e-2} {
+			sc.net.TransientRate = rate
+			pts = append(pts, s.point(sc.name, load, sc.net))
+		}
 	}
-	for _, rate := range rates {
-		net := s.crNet()
-		net.TransientRate = rate
-		m := s.run(net, "uniform", load, s.MsgLen)
-		t.AddRow("CR", rate, m.AvgLatency, m.FKillsPerMsg, m.DeliveredCorrupt, m.LateFKills)
+	for i, m := range s.sweep("E8", pts) {
+		t.AddRow(pts[i].Series, pts[i].Net.TransientRate, m.AvgLatency, m.FKillsPerMsg, m.DeliveredCorrupt, m.LateFKills)
 	}
 	return t
 }
@@ -44,7 +44,9 @@ func E9PermanentFaults(s Scale) *stats.Table {
 	t := stats.NewTable("E9: permanent link faults under FCR (load=0.3)",
 		"dead_links", "thpt(flits/node/cyc)", "avg_latency", "p95", "misroutes", "failed_msgs")
 	const load = 0.3
-	for _, dead := range []int{0, 1, 2, 4, 8} {
+	deads := []int{0, 1, 2, 4, 8}
+	var pts []Point
+	for _, dead := range deads {
 		net := s.fcrNet()
 		net.MisrouteAfter = 2
 		net.MaxDetours = 4
@@ -54,8 +56,10 @@ func E9PermanentFaults(s Scale) *stats.Table {
 			// sweep points (and from the traffic seeds).
 			net.Faults = faults.RandomLinks(network.LinksOf(net.Topo), dead, s.Warmup, harness.PointSeed(s.Seed, 900+dead))
 		}
-		m := s.run(net, "uniform", load, s.MsgLen)
-		t.AddRow(dead, m.Throughput, m.AvgLatency, m.P95Latency, m.Misroutes, m.FailedMessages)
+		pts = append(pts, s.point("FCR", load, net))
+	}
+	for i, m := range s.sweep("E9", pts) {
+		t.AddRow(deads[i], m.Throughput, m.AvgLatency, m.P95Latency, m.Misroutes, m.FailedMessages)
 	}
 	return t
 }
@@ -68,18 +72,20 @@ func E10TimeoutSensitivity(s Scale) *stats.Table {
 	t := stats.NewTable("E10: timeout sensitivity",
 		"timeout", "offered(frac)", "avg_latency", "kills/msg", "retries/msg")
 	timeouts := []int{8, 16, 32, 64, 128, 0} // 0 = the paper's rule
-	loads := []float64{0.3, 0.6, 0.8}
+	var pts []Point
 	for _, timeout := range timeouts {
 		name := fmt.Sprint(timeout)
 		if timeout == 0 {
 			name = "rule(LxVC)"
 		}
-		for _, load := range loads {
-			net := s.crNet()
-			net.Timeout = timeout
-			m := s.run(net, "uniform", load, s.MsgLen)
-			t.AddRow(name, load, m.AvgLatency, m.KillsPerMsg, m.RetriesPerMsg)
+		net := s.crNet()
+		net.Timeout = timeout
+		for _, load := range []float64{0.3, 0.6, 0.8} {
+			pts = append(pts, s.point(name, load, net))
 		}
+	}
+	for i, m := range s.sweep("E10", pts) {
+		t.AddRow(pts[i].Series, pts[i].Load, m.AvgLatency, m.KillsPerMsg, m.RetriesPerMsg)
 	}
 	return t
 }
@@ -157,10 +163,16 @@ func E12TrafficPatterns(s Scale) *stats.Table {
 func E13PaddingOverhead(s Scale) *stats.Table {
 	t := stats.NewTable("E13: padding overhead vs message length (load=0.2)",
 		"msg_len", "cr_pad/data", "fcr_pad/data", "cr_latency", "fcr_latency")
+	var pts []Point
 	for _, msgLen := range []int{4, 8, 16, 32, 64} {
-		mc := s.run(s.crNet(), "uniform", 0.2, msgLen)
-		mf := s.run(s.fcrNet(), "uniform", 0.2, msgLen)
-		t.AddRow(msgLen, mc.PadOverhead, mf.PadOverhead, mc.AvgLatency, mf.AvgLatency)
+		cr, fcr := s.point("CR", 0.2, s.crNet()), s.point("FCR", 0.2, s.fcrNet())
+		cr.MsgLen, fcr.MsgLen = msgLen, msgLen
+		pts = append(pts, cr, fcr)
+	}
+	ms := s.sweep("E13", pts)
+	for i := 0; i < len(ms); i += 2 {
+		mc, mf := ms[i], ms[i+1]
+		t.AddRow(pts[i].MsgLen, mc.PadOverhead, mf.PadOverhead, mc.AvgLatency, mf.AvgLatency)
 	}
 	return t
 }
@@ -170,23 +182,15 @@ func E13PaddingOverhead(s Scale) *stats.Table {
 // intact data under FCR with faults, zero late FKILLs (padding bound),
 // and liveness (no failed messages below saturation).
 func E14Properties(s Scale) *stats.Table {
-	t := stats.NewTable("E14: protocol properties under stress",
-		"property", "value", "expectation", "pass")
+	t := propertyTable("E14: protocol properties under stress")
 	net := s.fcrNet()
 	net.TransientRate = 1e-3
-	m := s.run(net, "uniform", 0.6, s.MsgLen)
-	check := func(name string, value interface{}, ok bool, expectation string) {
-		pass := "PASS"
-		if !ok {
-			pass = "FAIL"
-		}
-		t.AddRow(name, fmt.Sprint(value), expectation, pass)
-	}
-	check("corrupt deliveries (FCR)", m.DeliveredCorrupt, m.DeliveredCorrupt == 0, "0")
-	check("late FKILLs", m.LateFKills, m.LateFKills == 0, "0")
-	check("order violations", m.OrderErrors, m.OrderErrors == 0, "0")
-	check("failed messages", m.FailedMessages, m.FailedMessages == 0, "0")
-	check("transient faults injected", m.TransientFaults, m.TransientFaults > 0, "> 0 (test not vacuous)")
-	check("fkill retries observed", m.FKillsPerMsg, m.FKillsPerMsg > 0 || m.TransientFaults == 0, "> 0 under faults")
+	m := s.sweep("E14", []Point{s.point("FCR", 0.6, net)})[0]
+	checkRow(t, "corrupt deliveries (FCR)", m.DeliveredCorrupt, m.DeliveredCorrupt == 0, "0")
+	checkRow(t, "late FKILLs", m.LateFKills, m.LateFKills == 0, "0")
+	checkRow(t, "order violations", m.OrderErrors, m.OrderErrors == 0, "0")
+	checkRow(t, "failed messages", m.FailedMessages, m.FailedMessages == 0, "0")
+	checkRow(t, "transient faults injected", m.TransientFaults, m.TransientFaults > 0, "> 0 (test not vacuous)")
+	checkRow(t, "fkill retries observed", m.FKillsPerMsg, m.FKillsPerMsg > 0 || m.TransientFaults == 0, "> 0 under faults")
 	return t
 }

@@ -129,8 +129,7 @@ func E29AvailabilityCurves(s Scale) *stats.Table {
 // expected to carry a larger undelivered backlog and worse tail
 // latency. PASS/FAIL rows, like E24: a FAIL fails crbench.
 func E30DegradationSoak(s Scale) *stats.Table {
-	t := stats.NewTable("E30: degradation soak, controller on vs off (FCR+misroute, load=0.8, alpha=8)",
-		"property", "value", "expectation", "pass")
+	t := propertyTable("E30: degradation soak, controller on vs off (FCR+misroute, load=0.8, alpha=8)")
 	const load = 0.8
 	hazard := &faults.HazardSpec{
 		LinkLambda0: 2e-6,
@@ -144,7 +143,14 @@ func E30DegradationSoak(s Scale) *stats.Table {
 	net.MaxDetours = 4
 	net.Hazard = hazard
 
-	runArm := func(deg *DegradeConfig, seedIdx int) Metrics {
+	// Both arms share one traffic seed so they face the same offered
+	// stream; the controller is the only difference.
+	arms := []*DegradeConfig{{
+		LatencySLO: 8 * int64(s.MsgLen) * 4,
+		Window:     256,
+		FailBudget: 4,
+	}, nil}
+	ms := sweepJobs(s, "E30", len(arms), func(i int, cancel <-chan struct{}) (Metrics, error) {
 		m, err := Run(Config{
 			Net:           net,
 			Pattern:       "uniform",
@@ -152,54 +158,41 @@ func E30DegradationSoak(s Scale) *stats.Table {
 			MsgLen:        s.MsgLen,
 			WarmupCycles:  s.Warmup,
 			MeasureCycles: s.Measure,
-			Seed:          harness.PointSeed(s.Seed, seedIdx),
+			Seed:          harness.PointSeed(s.Seed, 3001),
 			Watchdog:      &invariant.Config{},
-			Degrade:       deg,
+			Degrade:       arms[i],
+			Cancel:        cancel,
 		})
 		if err != nil {
 			// An aborted arm still reports: the PASS/FAIL rows expose it.
 			m.DegradeFinal = "aborted: " + err.Error()
 		}
-		return m
-	}
-	// Both arms share one traffic seed so they face the same offered
-	// stream; the controller is the only difference.
-	on := runArm(&DegradeConfig{
-		LatencySLO: 8 * int64(s.MsgLen) * 4,
-		Window:     256,
-		FailBudget: 4,
-	}, 3001)
-	off := runArm(nil, 3001)
+		return m, nil
+	})
+	on, off := ms[0], ms[1]
 
-	check := func(name string, value interface{}, ok bool, expectation string) {
-		pass := "PASS"
-		if !ok {
-			pass = "FAIL"
-		}
-		t.AddRow(name, fmt.Sprint(value), expectation, pass)
-	}
-	check("on: invariant violations", on.Violations, on.Violations == 0, "0")
-	check("on: watchdog scans", on.WatchdogScans, on.WatchdogScans > 0, "> 0 (watchdog not vacuous)")
-	check("on: fault events", on.FaultEventsApplied, on.FaultEventsApplied > 0, "> 0 (hazard not vacuous)")
-	check("on: controller engaged (shed)", on.ShedMessages, on.ShedMessages > 0, "> 0")
-	check("on: delivered messages", on.Delivered, on.Delivered > 0, "> 0")
-	check("on: corrupt deliveries", on.DeliveredCorrupt, on.DeliveredCorrupt == 0, "0")
+	checkRow(t, "on: invariant violations", on.Violations, on.Violations == 0, "0")
+	checkRow(t, "on: watchdog scans", on.WatchdogScans, on.WatchdogScans > 0, "> 0 (watchdog not vacuous)")
+	checkRow(t, "on: fault events", on.FaultEventsApplied, on.FaultEventsApplied > 0, "> 0 (hazard not vacuous)")
+	checkRow(t, "on: controller engaged (shed)", on.ShedMessages, on.ShedMessages > 0, "> 0")
+	checkRow(t, "on: delivered messages", on.Delivered, on.Delivered > 0, "> 0")
+	checkRow(t, "on: corrupt deliveries", on.DeliveredCorrupt, on.DeliveredCorrupt == 0, "0")
 	// Goodput floor: shedding must not cost delivered throughput. Backing
 	// offered load off a storm-choked fabric should deliver at least as
 	// many messages as stuffing it full does — that is the whole case for
 	// graceful degradation.
-	check("on: goodput floor", on.Delivered, on.Delivered >= off.Delivered,
+	checkRow(t, "on: goodput floor", on.Delivered, on.Delivered >= off.Delivered,
 		fmt.Sprintf(">= %d (controller-off delivered)", off.Delivered))
-	check("off: fault events", off.FaultEventsApplied, off.FaultEventsApplied > 0, "> 0 (contrast not vacuous)")
+	checkRow(t, "off: fault events", off.FaultEventsApplied, off.FaultEventsApplied > 0, "> 0 (contrast not vacuous)")
 	// The contrast: without shedding the same storm leaves a larger
 	// undelivered backlog (censored + abandoned).
 	onBacklog := on.Censored + on.FailedMessages
 	offBacklog := off.Censored + off.FailedMessages
-	check("off: backlog exceeds on-arm", fmt.Sprintf("off=%d on=%d", offBacklog, onBacklog),
+	checkRow(t, "off: backlog exceeds on-arm", fmt.Sprintf("off=%d on=%d", offBacklog, onBacklog),
 		offBacklog > onBacklog, "controller-off backlog > controller-on")
-	check("availability (on vs off)",
+	checkRow(t, "availability (on vs off)",
 		fmt.Sprintf("on=%.4f off=%.4f", availabilityOf(on), availabilityOf(off)),
 		availabilityOf(on) >= availabilityOf(off), "on >= off")
-	check("on: final controller state", on.DegradeFinal, on.DegradeFinal != "", "reported")
+	checkRow(t, "on: final controller state", on.DegradeFinal, on.DegradeFinal != "", "reported")
 	return t
 }

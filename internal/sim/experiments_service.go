@@ -45,21 +45,28 @@ func E27TraceReplay(s Scale) *stats.Table {
 			return c
 		}},
 	}
+	// One job per (trace, scheme); the two schemes of a workload share
+	// the one read-only trace.
+	var cfgs []ServiceConfig
 	for _, g := range gens {
-		spec := workload.TraceFor(topo, 0.4, s.MsgLen, cycles, s.Seed+101, capacity)
-		trace := g.gen(spec)
+		trace := g.gen(workload.TraceFor(topo, 0.4, s.MsgLen, cycles, s.Seed+101, capacity))
 		for _, nc := range nets {
-			svc, err := NewService(ServiceConfig{Net: nc.cfg(), Trace: trace, Loop: true})
-			if err != nil {
-				panic(err)
-			}
-			if err := svc.Step(cycles); err != nil {
-				panic(err)
-			}
-			st := svc.Status()
-			t.AddRow(g.name, nc.name, st.Delivered, st.Corrupt,
-				st.AvgLatency, st.P95Latency, st.P99Latency, st.StreamHash)
+			cfgs = append(cfgs, ServiceConfig{Net: nc.cfg(), Trace: trace, Loop: true})
 		}
+	}
+	sts := sweepJobs(s, "E27", len(cfgs), func(i int, _ <-chan struct{}) (ServiceStatus, error) {
+		svc, err := NewService(cfgs[i])
+		if err == nil {
+			err = svc.Step(cycles)
+		}
+		if err != nil {
+			return ServiceStatus{}, err
+		}
+		return svc.Status(), nil
+	})
+	for i, st := range sts {
+		t.AddRow(gens[i/len(nets)].name, nets[i%len(nets)].name, st.Delivered, st.Corrupt,
+			st.AvgLatency, st.P95Latency, st.P99Latency, st.StreamHash)
 	}
 	return t
 }
@@ -107,40 +114,40 @@ func E28KillResume(s Scale) *stats.Table {
 				SampleEvery: 500}
 		}},
 	}
-	for _, sc := range scenarios {
-		ref := mustService(sc.build())
-		mustStep(ref, cycles)
-
-		first := mustService(sc.build())
-		mustStep(first, ckptAt)
-		ckpt := first.Save()
-
-		resumed := mustService(sc.build())
-		if err := resumed.Restore(ckpt); err != nil {
-			panic(err)
+	type outcome struct {
+		ref   ServiceStatus
+		equal bool
+	}
+	res := sweepJobs(s, "E28", len(scenarios), func(i int, _ <-chan struct{}) (outcome, error) {
+		// started builds a fresh service, optionally restores ckpt into
+		// it, and advances it n cycles.
+		started := func(ckpt []byte, n int64) (*Service, error) {
+			svc, err := NewService(scenarios[i].build())
+			if err == nil && ckpt != nil {
+				err = svc.Restore(ckpt)
+			}
+			if err == nil {
+				err = svc.Step(n)
+			}
+			return svc, err
 		}
-		mustStep(resumed, cycles-ckptAt)
-
-		verdict := "PASS"
-		if ref.StreamHash() != resumed.StreamHash() || !bytes.Equal(ref.Save(), resumed.Save()) {
-			verdict = "FAIL"
+		ref, err := started(nil, cycles)
+		if err != nil {
+			return outcome{}, err
 		}
-		st := ref.Status()
-		t.AddRow(sc.name, ckptAt, cycles, st.Delivered, st.StreamHash, verdict)
+		first, err := started(nil, ckptAt)
+		if err != nil {
+			return outcome{}, err
+		}
+		resumed, err := started(first.Save(), cycles-ckptAt)
+		if err != nil {
+			return outcome{}, err
+		}
+		equal := ref.StreamHash() == resumed.StreamHash() && bytes.Equal(ref.Save(), resumed.Save())
+		return outcome{ref.Status(), equal}, nil
+	})
+	for i, r := range res {
+		t.AddRow(scenarios[i].name, ckptAt, cycles, r.ref.Delivered, r.ref.StreamHash, stats.Verdict(r.equal))
 	}
 	return t
-}
-
-func mustService(cfg ServiceConfig) *Service {
-	s, err := NewService(cfg)
-	if err != nil {
-		panic(err) // experiment configurations are static; errors are bugs
-	}
-	return s
-}
-
-func mustStep(s *Service, n int64) {
-	if err := s.Step(n); err != nil {
-		panic(err)
-	}
 }

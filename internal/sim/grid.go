@@ -4,7 +4,6 @@ import (
 	"crnet/internal/harness"
 	"crnet/internal/invariant"
 	"crnet/internal/network"
-	"crnet/internal/router"
 	"crnet/internal/traffic"
 )
 
@@ -34,10 +33,6 @@ type Point struct {
 	// Degrade, when set, installs the graceful-degradation controller
 	// on the point's run (see sim.Config.Degrade).
 	Degrade *DegradeConfig
-	// Replicate distinguishes repeated runs of an otherwise identical
-	// point; it is provenance only (each point already derives an
-	// independent seed from its grid index).
-	Replicate int
 	// SampleEvery/SampleCap, when SampleEvery is positive, enable the
 	// per-cycle metrics sampler for this point (see sim.Config); the
 	// resulting time-series rides in Metrics.Series.
@@ -45,42 +40,47 @@ type Point struct {
 	SampleCap   int
 }
 
-// sweep executes a point grid over the crash-proof harness and returns
-// the metrics in grid order. Each point derives its own traffic seed
-// via splitmix64 from (Scale.Seed, point index), so the stochastic
-// streams are independent of both neighbouring points and worker
-// scheduling: serial and parallel runs are bitwise identical.
+// sweepJobs is the one place an experiment driver starts simulations:
+// it runs n independent jobs over the crash-proof harness and returns
+// their results in job order, byte-identical for every Scale.Parallel.
 //
-// A point that errors, panics or exceeds Scale.PointTimeout no longer
-// takes the sweep down: its slot holds zero metrics, the failure is
+// A job that errors, panics or exceeds Scale.PointTimeout does not take
+// the experiment down: its slot holds the zero T, the failure is
 // reported through Scale.CollectErrors (and from there into the JSON
-// artifact's errors section), and every other point still completes.
-func (s Scale) sweep(label string, points []Point) []Metrics {
+// artifact's errors section), and every other job still completes.
+// job receives the channel that closes on timeout.
+func sweepJobs[T any](s Scale, label string, n int, job func(i int, cancel <-chan struct{}) (T, error)) []T {
 	var onPoint func()
 	if s.Progress != nil {
-		pr := harness.NewProgress(s.Progress, label, len(points))
-		onPoint = pr.Point
+		onPoint = harness.NewProgress(s.Progress, label, n).Point
 	}
 	// Wall-clock timing is the harness's concern, not the core's: the
-	// sweep engine measures each point and reports it back here, so this
+	// sweep engine measures each job and reports it back here, so this
 	// package stays free of time.Now (crlint wallclock).
-	durs := make([]float64, len(points))
-	opt := harness.SafeOptions{
+	durs := make([]float64, n)
+	out, errs := harness.SweepSafe(n, harness.SafeOptions{
 		Options:      harness.Options{Workers: s.Parallel, OnPoint: onPoint},
 		PointTimeout: s.PointTimeout,
 		OnPointMS:    func(i int, ms float64) { durs[i] = ms },
+	}, job)
+	if s.Collect != nil {
+		s.Collect(label, durs)
 	}
-	ms, errs := harness.SweepSafe(len(points), opt, func(i int, cancel <-chan struct{}) (Metrics, error) {
+	if s.CollectErrors != nil && len(errs) > 0 {
+		s.CollectErrors(label, errs)
+	}
+	return out
+}
+
+// sweep runs a point grid as sweepJobs and returns the metrics in grid
+// order. Each point derives its own traffic seed via splitmix64 from
+// (Scale.Seed, point index), so the stochastic streams are independent
+// of both neighbouring points and worker scheduling.
+func (s Scale) sweep(label string, points []Point) []Metrics {
+	ms := sweepJobs(s, label, len(points), func(i int, cancel <-chan struct{}) (Metrics, error) {
 		p := points[i]
-		net := p.Net
-		if net.Shards == 0 {
-			net.Shards = s.Shards
-		}
-		if net.BufOrg == router.OrgStaticFIFO {
-			net.BufOrg = s.BufOrg
-		}
-		m, err := Run(Config{
-			Net:           net,
+		return Run(Config{
+			Net:           p.Net,
 			Pattern:       p.Pattern,
 			Load:          p.Load,
 			MsgLen:        p.MsgLen,
@@ -94,17 +94,7 @@ func (s Scale) sweep(label string, points []Point) []Metrics {
 			SampleEvery:   p.SampleEvery,
 			SampleCap:     p.SampleCap,
 		})
-		if err != nil {
-			return Metrics{}, err
-		}
-		return m, nil
 	})
-	if s.Collect != nil {
-		s.Collect(label, durs)
-	}
-	if s.CollectErrors != nil && len(errs) > 0 {
-		s.CollectErrors(label, errs)
-	}
 	if s.CollectSeries != nil {
 		var series []harness.PointSeries
 		for i, m := range ms {
@@ -121,6 +111,12 @@ func (s Scale) sweep(label string, points []Point) []Metrics {
 		}
 	}
 	return ms
+}
+
+// point is the common point shape: uniform traffic at the scale's
+// default message length.
+func (s Scale) point(series string, load float64, net network.Config) Point {
+	return Point{Series: series, Pattern: "uniform", Load: load, MsgLen: s.MsgLen, Net: net}
 }
 
 // loadGrid builds the common sweep shape: one point per offered-load

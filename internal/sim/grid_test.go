@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"crnet/internal/network"
+	"crnet/internal/router"
 )
 
 func TestSweepPreservesGridOrder(t *testing.T) {
@@ -35,8 +38,8 @@ func TestSweepPerPointSeedsDiffer(t *testing.T) {
 	// streams via their grid index, hence (almost surely) different
 	// delivered counts or latencies.
 	pts := []Point{
-		{Series: "r0", Pattern: "uniform", Load: 0.5, MsgLen: 8, Net: s.crNet(), Replicate: 0},
-		{Series: "r1", Pattern: "uniform", Load: 0.5, MsgLen: 8, Net: s.crNet(), Replicate: 1},
+		{Series: "r0", Pattern: "uniform", Load: 0.5, MsgLen: 8, Net: s.crNet()},
+		{Series: "r1", Pattern: "uniform", Load: 0.5, MsgLen: 8, Net: s.crNet()},
 	}
 	ms := s.sweep("reps", pts)
 	if ms[0] == ms[1] {
@@ -81,6 +84,36 @@ func TestLoadGrid(t *testing.T) {
 	for i, p := range pts {
 		if p.Load != tiny.Loads[i] || p.Series != "CR" || p.Pattern != "transpose" || p.MsgLen != tiny.MsgLen {
 			t.Fatalf("point %d malformed: %+v", i, p)
+		}
+	}
+}
+
+// A Scale-level buffer organization (crbench -buforg) is the default the
+// network constructors hand out, not an override: every E31 arm sets
+// its own organization, so the table — its fifo rows included — is the
+// same under -buforg damq as without it. (Comparing the fifo and damq
+// series to each other would prove nothing: they sit at different grid
+// indices and so draw different traffic anyway.)
+func TestE31ArmsKeepTheirOwnBufOrg(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs E31 twice at tiny scale")
+	}
+	underDAMQ := tiny
+	underDAMQ.BufOrg = router.OrgDAMQ
+	want, got := E31BufferOrgs(tiny).String(), E31BufferOrgs(underDAMQ).String()
+	if got != want {
+		t.Fatalf("Scale.BufOrg=damq changed E31, whose arms each pick their organization:\n--- default ---\n%s--- damq ---\n%s", want, got)
+	}
+}
+
+// The Scale-level Shards and BufOrg reach a network through the
+// constructors, which is the only place they are applied.
+func TestScaleDefaultsReachConstructors(t *testing.T) {
+	s := tiny
+	s.Shards, s.BufOrg = 2, router.OrgCreditShared
+	for name, c := range map[string]network.Config{"crNet": s.crNet(), "fcrNet": s.fcrNet(), "dorNet": s.dorNet(1, 4)} {
+		if c.Shards != 2 || c.BufOrg != router.OrgCreditShared {
+			t.Errorf("%s: Shards=%d BufOrg=%v, want 2 and shared", name, c.Shards, c.BufOrg)
 		}
 	}
 }

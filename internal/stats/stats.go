@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -312,24 +311,28 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Sort orders rows by the given column parsed as a float; non-numeric
-// cells sort last, ties keep insertion order.
-func (t *Table) Sort(column int) {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		a, errA := parseFloat(t.rows[i][column])
-		b, errB := parseFloat(t.rows[j][column])
-		if errA != nil {
-			return false
-		}
-		if errB != nil {
-			return true
-		}
-		return a < b
-	})
+// Verdict is the cell text of a pass/fail column: "PASS" or "FAIL".
+func Verdict(ok bool) string {
+	if ok {
+		return "PASS"
+	}
+	return "FAIL"
 }
 
-func parseFloat(s string) (float64, error) {
-	var f float64
-	_, err := fmt.Sscanf(s, "%g", &f)
-	return f, err
+// Failures returns the rows whose verdict cell — the column named
+// "pass" or "verdict" — reads FAIL. Tables without such a column have
+// none, whatever their cells say.
+func (t *Table) Failures() [][]string {
+	var out [][]string
+	for c, name := range t.Columns {
+		if name != "pass" && name != "verdict" {
+			continue
+		}
+		for _, r := range t.rows {
+			if r[c] == Verdict(false) {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
 }

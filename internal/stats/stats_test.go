@@ -253,17 +253,6 @@ func TestTableRowMismatchPanics(t *testing.T) {
 	tb.AddRow(1)
 }
 
-func TestTableSort(t *testing.T) {
-	tb := NewTable("x", "v")
-	tb.AddRow(3.0)
-	tb.AddRow(1.0)
-	tb.AddRow(2.0)
-	tb.Sort(0)
-	if tb.Row(0)[0] != "1.0" || tb.Row(2)[0] != "3.0" {
-		t.Fatalf("sort failed: %v %v %v", tb.Row(0), tb.Row(1), tb.Row(2))
-	}
-}
-
 func TestTableCSVQuoteEscaping(t *testing.T) {
 	tb := NewTable("", "c")
 	tb.AddRow(`say "hi"`)
@@ -283,16 +272,5 @@ func TestHistogramPercentileBounds(t *testing.T) {
 	}
 	if h.Percentile(2) != h.Percentile(1) {
 		t.Fatal("p > 1 not clamped")
-	}
-}
-
-func TestTableSortNonNumericLast(t *testing.T) {
-	tb := NewTable("x", "v")
-	tb.AddRow("saturated")
-	tb.AddRow(2.0)
-	tb.AddRow(1.0)
-	tb.Sort(0)
-	if tb.Row(0)[0] != "1.0" || tb.Row(2)[0] != "saturated" {
-		t.Fatalf("non-numeric sort wrong: %v %v %v", tb.Row(0), tb.Row(1), tb.Row(2))
 	}
 }
