@@ -3,14 +3,19 @@
 
 GO ?= go
 
-.PHONY: verify build test vet lint staticcheck race race-harness race-sharded chaos fuzz bench benchmark perf-gate alloc-gate snapshot-pin results results-check profile
+.PHONY: verify verify-full build test vet lint staticcheck race race-harness race-sharded race-sharded-full chaos fuzz bench benchmark perf-gate alloc-gate snapshot-pin results results-check profile
 
 # Tier-1: build + tests, then vet, then the custom static-invariant
 # suite, then the cycle-kernel allocation gate, then the worker pool's
 # determinism test under the race detector (fast, targeted), then the
 # sharded-kernel race gate, then the checkpoint/restore resume pin,
-# then the chaos soak.
-verify: build test vet lint alloc-gate race-harness race-sharded snapshot-pin chaos
+# then the chaos soak. About 5 minutes on the 2-core reference container.
+GATES = build test vet lint alloc-gate race-harness
+verify: $(GATES) race-sharded snapshot-pin chaos
+
+# The same gates with the sharded-kernel race gate at its full range
+# matrix (about 9 minutes more); CI's verify job runs this one.
+verify-full: $(GATES) race-sharded-full snapshot-pin chaos
 
 build:
 	$(GO) build ./...
@@ -57,18 +62,23 @@ race-harness:
 
 # The cycle kernel's inline/forked seam under the race detector with a
 # pinned scheduler width: the one-range-vs-many byte-identity pin,
-# cross-partition snapshot restore, sharded reset, the worker-panic
-# hand-off, the full-harness run (fault timeline + hazard + watchdog +
-# sampler attached) at shard counts including one that does not divide
-# the node count, the scan-everything reference cross-check, and the
-# golden pin against the deleted serial kernel. Every forked phase and
-# merge barrier executes with real goroutine interleaving. The network
-# half runs ~9 minutes on the 2-core reference container, hence the
-# explicit timeout.
+# cross-partition snapshot restore, the worker-panic hand-off, the
+# full-harness run (fault timeline + hazard + watchdog + sampler
+# attached) at shard counts including one that does not divide the node
+# count, the scan-everything reference cross-check, and the golden pin
+# against the deleted serial kernel. Every forked phase and merge
+# barrier executes with real goroutine interleaving. -short replays the
+# byte-identity and golden pins at one forked range count (2) beside the
+# inline one; `make test` runs their whole {1,2,4,7,8,GOMAXPROCS} matrix
+# without the race detector, and race-sharded-full runs it with.
+RACE_SHARDED = GOMAXPROCS=4 $(GO) test -race -count=1 -timeout 30m \
+	-run 'TestSharded|TestShardPartition|TestActiveSetMatchesBruteForce|TestKernelGolden' \
+	./internal/network/ ./internal/sim/
 race-sharded:
-	GOMAXPROCS=4 $(GO) test -race -count=1 -timeout 30m \
-		-run 'TestSharded|TestShardPartition|TestActiveSetMatchesBruteForce|TestKernelGolden' \
-		./internal/network/ ./internal/sim/
+	$(RACE_SHARDED) -short
+
+race-sharded-full:
+	$(RACE_SHARDED)
 
 # The chaos soaks (random fail/repair timeline, the load-coupled hazard
 # process, and the graceful-degradation controller's recovery arc, all
@@ -109,7 +119,7 @@ bench:
 # subtests.
 snapshot-pin:
 	$(GO) test -race -count=1 \
-		-run 'TestResume|TestServiceResume|TestReplayerPosition|TestResetAfterRestore|TestRestoreIntoDirtyTarget|TestSparseSnapshot|TestReadsDoNotConstruct' \
+		-run 'TestResume|TestServiceResume|TestReplayerPosition|TestRestoreIntoDirtyTarget|TestSparseSnapshot|TestReadsDoNotConstruct' \
 		./internal/network/ ./internal/sim/ ./internal/workload/ ./cmd/crsimd/
 	$(GO) test -race -count=1 -run 'TestKernelGolden/resume' ./internal/network/
 

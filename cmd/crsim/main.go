@@ -81,16 +81,9 @@ func main() {
 func buildConfig(topoName string, k, dims int, protocol, algName string, vcs, bufDepth,
 	injCh, ejCh, timeout int, backoff string, faultRate float64, seed uint64) (network.Config, error) {
 
-	var topo topology.Topology
-	switch topoName {
-	case "torus":
-		topo = topology.NewTorus(k, dims)
-	case "mesh":
-		topo = topology.NewMesh(k, dims)
-	case "hypercube":
-		topo = topology.NewHypercube(dims)
-	default:
-		return network.Config{}, fmt.Errorf("unknown topology %q", topoName)
+	topo, err := topology.ByName(topoName, k, dims)
+	if err != nil {
+		return network.Config{}, err
 	}
 
 	var proto core.Protocol

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"crnet/internal/core"
@@ -76,6 +77,16 @@ func TestBuildConfigErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := buildConfig(c.topo, 4, 2, c.proto, c.alg, 0, 2, 1, 1, 0, c.backoff, 0, 1); err == nil {
 			t.Errorf("accepted %+v", c)
+		}
+	}
+	// A radix or order no topology has is the same one-line error.
+	for _, c := range []struct {
+		topo    string
+		k, dims int
+	}{{"torus", 0, 2}, {"torus", 1, 2}, {"hypercube", 16, 40}} {
+		_, err := buildConfig(c.topo, c.k, c.dims, "cr", "", 0, 2, 1, 1, 0, "exp", 0, 1)
+		if err == nil || !strings.HasPrefix(err.Error(), "topology: ") {
+			t.Errorf("%+v: err = %v, want a topology error", c, err)
 		}
 	}
 }

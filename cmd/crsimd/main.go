@@ -1,7 +1,9 @@
 // Command crsimd runs a simulation as a long-lived service: a network
-// fed by a trace-driven workload, stepping continuously, checkpointing
-// its complete state on an interval and on SIGINT/SIGTERM, and
-// restoring from the latest checkpoint on start. Killing the process
+// fed by a trace-driven workload (generated from the flags on every
+// start, so a restart replays the schedule its checkpoint names),
+// stepping continuously, checkpointing its complete state on an
+// interval and on SIGINT/SIGTERM, and restoring from the latest
+// checkpoint on start. Killing the process
 // and restarting it is therefore lossless — the resumed run is
 // byte-identical to one that never stopped (the sim.Service resume
 // guarantee), which the final stream-hash line makes checkable.
@@ -91,7 +93,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		failBudget = fs.Int64("fail-budget", 0, "fault events per window that breach the SLO (0: failure-density signal off)")
 
 		workloadName = fs.String("workload", "uniform", "trace workload: uniform, bursty, diurnal, hotspot, incast, permstorm")
-		tracePath    = fs.String("trace", "", "replay a binary trace file instead of generating one")
 		load         = fs.Float64("load", 0.4, "offered load (fraction of capacity)")
 		msgLen       = fs.Int("msglen", 16, "message length in flits")
 		span         = fs.Int64("span", 20000, "generated trace span in cycles (loops forever)")
@@ -110,16 +111,9 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		return err
 	}
 
-	var topo topology.Topology
-	switch *topoName {
-	case "torus":
-		topo = topology.NewTorus(*k, *dims)
-	case "mesh":
-		topo = topology.NewMesh(*k, *dims)
-	case "hypercube":
-		topo = topology.NewHypercube(*dims)
-	default:
-		return fmt.Errorf("unknown topology %q", *topoName)
+	topo, err := topology.ByName(*topoName, *k, *dims)
+	if err != nil {
+		return err
 	}
 
 	cfg := network.Config{
@@ -147,26 +141,11 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		}
 	}
 
-	var trace *workload.Trace
-	if *tracePath != "" {
-		data, err := os.ReadFile(*tracePath)
-		if err != nil {
-			return err
-		}
-		if trace, err = workload.DecodeTrace(*tracePath, data); err != nil {
-			return err
-		}
-		if trace.Nodes != topo.Nodes() {
-			return fmt.Errorf("trace %q has %d nodes, topology has %d", *tracePath, trace.Nodes, topo.Nodes())
-		}
-	} else {
-		gen, ok := generators[*workloadName]
-		if !ok {
-			return fmt.Errorf("unknown workload %q", *workloadName)
-		}
-		spec := workload.TraceFor(topo, *load, *msgLen, *span, *seed, traffic.CapacityFlitsPerNode(topo))
-		trace = gen(spec)
+	gen, ok := generators[*workloadName]
+	if !ok {
+		return fmt.Errorf("unknown workload %q", *workloadName)
 	}
+	trace := gen(workload.TraceFor(topo, *load, *msgLen, *span, *seed, traffic.CapacityFlitsPerNode(topo)))
 
 	var degrade *sim.DegradeConfig
 	if *sloP95 > 0 {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"syscall"
@@ -108,27 +107,12 @@ func TestSignalCheckpointsAndExits(t *testing.T) {
 	}
 }
 
-// TestTraceFileReplay feeds a pre-materialized binary trace file.
-func TestTraceFileReplay(t *testing.T) {
-	trace := workload.GenDiurnal(workload.TraceSpec{
-		Nodes: 16, Cycles: 400, Rate: 0.05, MsgLen: 8, Seed: 4,
-	})
-	path := filepath.Join(t.TempDir(), "diurnal.crtrace")
-	if err := os.WriteFile(path, trace.EncodeBinary(), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	out := runArgs(t, "-k", "4", "-trace", path, "-cycles", "800", "-sample-every", "0")
-	if m := hashLine.FindStringSubmatch(out); m == nil {
-		t.Fatalf("no summary line:\n%s", out)
-	}
-}
-
 func TestRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-topo", "klein-bottle"},
 		{"-protocol", "tcp"},
 		{"-workload", "nosuch"},
-		{"-trace", "/nonexistent/file"},
+		{"-k", "0", "-cycles", "1"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out, make(chan os.Signal)); err == nil {

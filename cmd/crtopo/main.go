@@ -41,16 +41,9 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var topo topology.Topology
-	switch *topoName {
-	case "torus":
-		topo = topology.NewTorus(*k, *dims)
-	case "mesh":
-		topo = topology.NewMesh(*k, *dims)
-	case "hypercube":
-		topo = topology.NewHypercube(*dims)
-	default:
-		return fmt.Errorf("unknown topology %q", *topoName)
+	topo, err := topology.ByName(*topoName, *k, *dims)
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(stdout, "topology:      %s\n", topo.Name())

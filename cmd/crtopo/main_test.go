@@ -69,6 +69,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-topo", "nope"}, &buf); err == nil {
 		t.Fatal("unknown topology accepted")
 	}
+	for _, args := range [][]string{{"-k", "0"}, {"-topo", "hypercube", "-dims", "40"}} {
+		if err := run(args, &buf); err == nil || !strings.HasPrefix(err.Error(), "topology: ") {
+			t.Fatalf("%v: err = %v, want a topology error", args, err)
+		}
+	}
 	if err := run([]string{"-k", "4", "-from", "0", "-to", "99"}, &buf); err == nil {
 		t.Fatal("out-of-range node accepted")
 	}

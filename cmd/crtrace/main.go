@@ -54,7 +54,10 @@ func run(args []string, stdout io.Writer) error {
 	} else if *protocol != "cr" {
 		return fmt.Errorf("protocol must be cr or fcr")
 	}
-	topo := topology.NewTorus(*k, 2)
+	topo, err := topology.ByName("torus", *k, 2)
+	if err != nil {
+		return err
+	}
 	net := network.New(network.Config{
 		Topo:          topo,
 		Alg:           routing.MinimalAdaptive{},

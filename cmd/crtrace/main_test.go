@@ -70,6 +70,9 @@ func TestRunRejectsBadProtocol(t *testing.T) {
 	if err := run([]string{"-protocol", "tcp"}, &buf); err == nil {
 		t.Fatal("bad protocol accepted")
 	}
+	if err := run([]string{"-k", "1"}, &buf); err == nil {
+		t.Fatal("radix 1 accepted")
+	}
 }
 
 // TestRunQuietWindow checks the graceful no-kill path: a window far

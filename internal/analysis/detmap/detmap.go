@@ -5,7 +5,7 @@
 // any observable effect makes the simulator's output depend on the
 // runtime's per-process hash seed — silently breaking the repo's
 // byte-identical reproducibility guarantee (results_quick.txt, the
-// parallel-harness determinism pin, Network.Reset reuse). The analyzer
+// parallel-harness determinism pin, checkpoint resume). The analyzer
 // accepts two escapes: loops it can prove order-insensitive (a pure
 // clearing loop, every statement a delete of the ranged map), and loops
 // annotated `//cr:orderinvariant <justification>` for cases whose

@@ -37,10 +37,6 @@ func (t *Throttle) SetRate(num, den int64) {
 	}
 }
 
-// Rate returns the current admitted fraction as (num, den); (0, 0)
-// means the throttle was never configured and admits everything.
-func (t *Throttle) Rate() (num, den int64) { return t.num, t.den }
-
 // Allow consumes one offer and reports whether it is admitted.
 //
 //cr:hotpath per-submission admission decision while degraded

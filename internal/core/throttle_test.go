@@ -105,8 +105,8 @@ func TestThrottleLoadRejectsCorruptState(t *testing.T) {
 				if err == nil {
 					t.Fatalf("corrupt state %d/%d acc=%d accepted", c.num, c.den, c.acc)
 				}
-				if n, d := th.Rate(); n != 0 || d != 0 {
-					t.Fatalf("rejected state still mutated the throttle: rate %d/%d", n, d)
+				if th.num != 0 || th.den != 0 {
+					t.Fatalf("rejected state still mutated the throttle: rate %d/%d", th.num, th.den)
 				}
 			}
 		})

@@ -183,14 +183,6 @@ func (s *Schedule) Pop(now int64) []Event {
 	return s.events[start:s.next]
 }
 
-// Rewind restarts the timeline from its first event, so a reset network
-// replays the same fault history. A nil schedule is a no-op.
-func (s *Schedule) Rewind() {
-	if s != nil {
-		s.next = 0
-	}
-}
-
 // Remaining returns how many events have not fired yet.
 func (s *Schedule) Remaining() int {
 	if s == nil {

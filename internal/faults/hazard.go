@@ -92,28 +92,10 @@ func NewHazard(spec HazardSpec, links []LinkID, nodes []int) *Hazard {
 		downUntil: make([]int64, len(links)+len(nodes)),
 		prevFlits: make([]int64, len(links)),
 	}
-	h.seedStreams()
-	return h
-}
-
-func (h *Hazard) seedStreams() {
 	for i := range h.streams {
 		h.streams[i].Reseed(mix(h.spec.Seed, i))
 	}
-}
-
-// Rewind restores the process to its initial state, so a reset network
-// replays the same hazard history under the same load history.
-func (h *Hazard) Rewind() {
-	h.seedStreams()
-	for i := range h.downUntil {
-		h.downUntil[i] = 0
-	}
-	for i := range h.prevFlits {
-		h.prevFlits[i] = 0
-	}
-	h.lastEval, h.failures, h.repairs = 0, 0, 0
-	h.evBuf = h.evBuf[:0]
+	return h
 }
 
 // Due reports whether cycle now is on the evaluation grid; callers use

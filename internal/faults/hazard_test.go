@@ -116,17 +116,6 @@ func TestHazardOffGridIsFree(t *testing.T) {
 	}
 }
 
-func TestHazardRewindReplays(t *testing.T) {
-	spec := HazardSpec{LinkLambda0: 3e-4, NodeLambda0: 1e-4, Alpha: 2, LinkMTTR: 64, NodeMTTR: 64, EvalEvery: 32, Seed: 9}
-	h := testHazard(spec)
-	first := append([]Event(nil), driveHazard(h, 20000, 1, 0.7)...)
-	h.Rewind()
-	second := driveHazard(h, 20000, 1, 0.7)
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("rewound process diverged from its first run")
-	}
-}
-
 func TestHazardStateRoundTrip(t *testing.T) {
 	spec := HazardSpec{LinkLambda0: 3e-4, NodeLambda0: 1e-4, Alpha: 3, LinkMTTR: 64, NodeMTTR: 64, EvalEvery: 32, Seed: 5}
 	h := testHazard(spec)

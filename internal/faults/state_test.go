@@ -26,9 +26,8 @@ func TestScheduleCursor(t *testing.T) {
 	if err := s.SetCursor(4); err == nil {
 		t.Fatal("out-of-range cursor accepted")
 	}
-	s.Rewind()
-	if s.Cursor() != 0 || s.Remaining() != 3 {
-		t.Fatal("Rewind did not restore the full timeline")
+	if err := s.SetCursor(0); err != nil || s.Remaining() != 3 {
+		t.Fatalf("SetCursor(0) did not restore the full timeline: %v", err)
 	}
 
 	var nilSched *Schedule

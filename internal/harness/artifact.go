@@ -1,42 +1,22 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"os/exec"
-	"reflect"
-	"sort"
 	"strings"
 
 	"crnet/internal/obs"
 	"crnet/internal/stats"
 )
 
-// SchemaVersion identifies the JSON artifact layout. Bump it on any
-// field change so downstream tooling (trajectory plots, regression
-// diffs across BENCH_*.json files) can refuse payloads it does not
-// understand.
-//
-// v2: ExperimentResult gained the Errors section — per-point failures
-// (error / panic / timeout) recorded by crash-proof sweeps instead of
-// aborting the whole run.
-//
-// v3: ExperimentResult gained the TimeSeries section — per-point
-// sampled metric time-series (buffer occupancy, link utilization,
-// in-flight worms...) from the observability sampler. DecodeArtifact
-// still reads v1 and v2 payloads: the new section is additive and
-// simply absent there.
-//
-// v4: Artifact gained the Checkpoint section (provenance of runs that
-// attached to a crsimd checkpoint) — and, more importantly, the
-// decoder became forward-compatible: top-level fields it does not
-// recognize are preserved verbatim and re-emitted on encode, so a v4
-// consumer round-trips payloads from FUTURE schemas losslessly instead
-// of refusing them, and future additive sections (like Checkpoint was
-// to v3) remain readable by today's code.
+// SchemaVersion identifies the JSON artifact layout, for the downstream
+// tools (trajectory plots, regression diffs) the artifact is written
+// for; nothing in this tree reads one back. Bump it on any field change
+// so such a tool can refuse a payload it does not understand. Version 2
+// added ExperimentResult.Errors, 3 added ExperimentResult.TimeSeries;
+// 4 writes the same bytes as 3.
 const SchemaVersion = 4
 
 // Artifact is the machine-readable record of one harness run: the
@@ -59,27 +39,6 @@ type Artifact struct {
 	Parallel int `json:"parallel"`
 	// Experiments holds one entry per experiment, in execution order.
 	Experiments []ExperimentResult `json:"experiments"`
-	// Checkpoint records the simulation checkpoint a run was attached to,
-	// for artifacts produced from a restored long-running service
-	// (schema v4+). Absent for ordinary from-scratch runs.
-	Checkpoint *CheckpointMeta `json:"checkpoint,omitempty"`
-
-	// Unknown preserves top-level JSON fields this version of the code
-	// does not recognize (payloads from future schemas), keyed by field
-	// name. They re-emit verbatim on encode — deleting data a newer tool
-	// wrote would make round-tripping lossy. Populated by DecodeArtifact;
-	// nil on artifacts built in-process.
-	Unknown map[string]json.RawMessage `json:"-"`
-}
-
-// CheckpointMeta is the provenance of a checkpoint-attached run: which
-// checkpoint file the service restored from, at what cycle, and the
-// delivery stream hash at save time (schema v4).
-type CheckpointMeta struct {
-	File       string `json:"file,omitempty"`
-	Cycle      int64  `json:"cycle"`
-	Trace      string `json:"trace,omitempty"`
-	StreamHash string `json:"stream_hash,omitempty"`
 }
 
 // ScaleEcho echoes the simulation scale an artifact was produced at.
@@ -166,83 +125,6 @@ func (a *Artifact) Canonical() Artifact {
 	return c
 }
 
-// artifactFields is Artifact without its methods, so the custom
-// (un)marshalers below can delegate the known fields to encoding/json
-// without recursing.
-type artifactFields Artifact
-
-// knownArtifactKeys returns the set of top-level JSON keys the Artifact
-// struct itself owns, derived from the struct tags so it cannot drift
-// from the field list.
-func knownArtifactKeys() map[string]bool {
-	known := make(map[string]bool)
-	t := reflect.TypeOf(Artifact{})
-	for i := 0; i < t.NumField(); i++ {
-		tag := t.Field(i).Tag.Get("json")
-		if name, _, _ := strings.Cut(tag, ","); name != "" && name != "-" {
-			known[name] = true
-		}
-	}
-	return known
-}
-
-// UnmarshalJSON decodes the known fields as usual and stows every
-// unrecognized top-level field in Unknown, so payloads written by
-// newer schemas survive a decode/encode round trip intact.
-func (a *Artifact) UnmarshalJSON(b []byte) error {
-	var fields artifactFields
-	if err := json.Unmarshal(b, &fields); err != nil {
-		return err
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	*a = Artifact(fields)
-	known := knownArtifactKeys()
-	for k, v := range raw {
-		if !known[k] {
-			if a.Unknown == nil {
-				a.Unknown = make(map[string]json.RawMessage)
-			}
-			a.Unknown[k] = v
-		}
-	}
-	return nil
-}
-
-// MarshalJSON emits the known fields followed by the preserved unknown
-// fields in sorted key order (deterministic bytes for identical
-// artifacts).
-func (a Artifact) MarshalJSON() ([]byte, error) {
-	b, err := json.Marshal(artifactFields(a))
-	if err != nil {
-		return nil, err
-	}
-	if len(a.Unknown) == 0 {
-		return b, nil
-	}
-	keys := make([]string, 0, len(a.Unknown))
-	for k := range a.Unknown {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var buf bytes.Buffer
-	buf.Write(b[:len(b)-1]) // reopen the object: drop the closing brace
-	for _, k := range keys {
-		kb, err := json.Marshal(k)
-		if err != nil {
-			return nil, err
-		}
-		buf.WriteByte(',')
-		buf.Write(kb)
-		buf.WriteByte(':')
-		buf.Write(a.Unknown[k])
-	}
-	buf.WriteByte('}')
-	return buf.Bytes(), nil
-}
-
 // Encode writes the artifact as indented JSON followed by a newline.
 func (a *Artifact) Encode(w io.Writer) error {
 	b, err := json.MarshalIndent(a, "", "  ")
@@ -252,36 +134,6 @@ func (a *Artifact) Encode(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// DecodeArtifact reads a JSON artifact produced by any schema version
-// from v1 up. Older payloads decode with their newer sections (v2
-// errors, v3 time-series, v4 checkpoint) simply absent. Payloads from
-// FUTURE schemas decode too (v4 forward-compat guarantee): schemas are
-// additive, so the known sections are readable, and any unrecognized
-// fields are preserved in Unknown and re-emitted on encode. Callers
-// that cannot tolerate missing future semantics can still compare
-// a.Schema against SchemaVersion themselves.
-func DecodeArtifact(r io.Reader) (*Artifact, error) {
-	var a Artifact
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("harness: decoding artifact: %w", err)
-	}
-	if a.Schema < 1 {
-		return nil, fmt.Errorf("harness: artifact schema %d invalid (want >= 1)", a.Schema)
-	}
-	return &a, nil
-}
-
-// ReadArtifactFile decodes the artifact at path.
-func ReadArtifactFile(path string) (*Artifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return DecodeArtifact(f)
 }
 
 // WriteFile writes the artifact to path, creating or truncating it.

@@ -221,32 +221,6 @@ func TestArtifactCanonicalStripsTimings(t *testing.T) {
 	}
 }
 
-func TestDecodeArtifactBackwardCompat(t *testing.T) {
-	// A v2 payload (pre time-series) must decode cleanly with the new
-	// section absent.
-	v2 := `{"schema":2,"tool":"crbench","scale":{"name":"quick","k":8,"msg_len":8,` +
-		`"warmup_cycles":1,"measure_cycles":2,"loads":[0.1],"seed":1},"parallel":4,` +
-		`"experiments":[{"id":"E5","title":"t","table":{"title":"T","columns":["a"],"rows":[]},` +
-		`"errors":[{"index":0,"label":"x","kind":"panic","message":"boom"}]}]}`
-	a, err := DecodeArtifact(strings.NewReader(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Schema != 2 || len(a.Experiments) != 1 || a.Experiments[0].TimeSeries != nil {
-		t.Fatalf("v2 decode wrong: %+v", a)
-	}
-
-	// A payload from a future schema decodes additively (v4 contract —
-	// see TestDecodeForwardCompat for the full round-trip guarantees).
-	future := fmt.Sprintf(`{"schema":%d,"tool":"crbench"}`, SchemaVersion+1)
-	if _, err := DecodeArtifact(strings.NewReader(future)); err != nil {
-		t.Fatalf("future schema refused: %v", err)
-	}
-	if _, err := DecodeArtifact(strings.NewReader(`{"schema":0}`)); err == nil {
-		t.Fatal("schema 0 accepted")
-	}
-}
-
 func TestArtifactTimeSeriesRoundTrip(t *testing.T) {
 	tbl := stats.NewTable("T", "a")
 	a := Artifact{
@@ -270,8 +244,8 @@ func TestArtifactTimeSeriesRoundTrip(t *testing.T) {
 	if err := a.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeArtifact(&buf)
-	if err != nil {
+	var back Artifact
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	ts := back.Experiments[0].TimeSeries

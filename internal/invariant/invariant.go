@@ -85,10 +85,6 @@ type Config struct {
 	// 8*diameter+64 (generous slack over minimal paths plus bounded
 	// misrouting).
 	HopBudget int
-	// SkipObligations disables the delivery-obligation check, for runs
-	// that deliberately overwhelm the retry budget (e.g. MaxAttempts
-	// ablations).
-	SkipObligations bool
 }
 
 // Watchdog audits a running network. Construct with New and install via
@@ -148,9 +144,7 @@ func (w *Watchdog) Audit(n *network.Network) error {
 	w.checkConservation(n)
 	w.checkDeadlock(n)
 	w.checkLivelock(n)
-	if !w.cfg.SkipObligations {
-		w.checkObligations(n)
-	}
+	w.checkObligations(n)
 	if len(w.violations) > before {
 		return w.violations[before]
 	}

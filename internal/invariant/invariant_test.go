@@ -128,27 +128,6 @@ func TestWatchdogObligationOnUnjustifiedFailure(t *testing.T) {
 	if err := n.Health(); !errors.As(err, &v) || v.Kind != Obligation {
 		t.Fatalf("want obligation violation (connected endpoints, no faults), got %v", err)
 	}
-
-	// The same setup with SkipObligations stays healthy: the failures
-	// are deliberate, not a protocol bug.
-	relaxed := network.New(network.Config{
-		Topo:        topo,
-		Alg:         routing.MinimalAdaptive{},
-		Protocol:    core.CR,
-		Timeout:     8,
-		MaxAttempts: 1,
-		Backoff:     core.Backoff{Kind: core.BackoffStatic, Gap: 4},
-		Check:       true,
-	})
-	relaxed.SetMonitor(New(Config{CheckEvery: 16, SkipObligations: true}))
-	permutationLoad(relaxed, topo)
-	for c := 0; c < 20000; c++ {
-		relaxed.Step()
-		relaxed.DrainDeliveries()
-		if relaxed.Health() != nil {
-			t.Fatalf("SkipObligations run flagged: %v", relaxed.Health())
-		}
-	}
 }
 
 func TestWatchdogObligationAllowsDisconnection(t *testing.T) {

@@ -28,9 +28,6 @@ func (s *nodeSet) add(id int32) {
 	}
 }
 
-// has reports membership.
-func (s *nodeSet) has(id int32) bool { return s.member[id] }
-
 // prepare sorts the pending ids ascending; call once before iterating.
 // Pruning (compaction during iteration) preserves sortedness, so the
 // sort only runs on cycles that added members.
@@ -57,7 +54,7 @@ func (s *nodeSet) drop(id int32) { s.member[id] = false }
 
 // reset empties the set. The dirty flag is cleared too: an empty list
 // is trivially sorted, and leaving the flag set would make the next
-// prepare after a Network.Reset run a pointless sort pass.
+// prepare after a LoadState run a pointless sort pass.
 func (s *nodeSet) reset() {
 	for _, id := range s.ids {
 		s.member[id] = false

@@ -50,6 +50,7 @@ func TestShardedMatchesSerialBufferOrgs(t *testing.T) {
 	for _, pc := range bufOrgPinConfigs() {
 		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
+			t.Parallel()
 			serial := pc.run(0)
 			for _, s := range shardCounts() {
 				got := pc.run(s)

@@ -1,22 +1,14 @@
 package network
 
-import (
-	"fmt"
-
-	"crnet/internal/faults"
-)
+import "fmt"
 
 // Hooks is the single seam through which external machinery attaches to
 // the cycle kernel. Everything that is not the network itself — the
-// fault timeline, the invariant watchdog, the metrics sampler — plugs in
-// here; the kernel consults each at one documented point of Step and
-// nowhere else.
+// invariant watchdog, the metrics sampler — plugs in here; the kernel
+// consults each at one documented point of Step and nowhere else. (The
+// permanent-fault timeline is simulation state, not an attachment: it
+// is Config.Faults, read in the fault-events phase.)
 type Hooks struct {
-	// Faults is the permanent-fault timeline, consulted once per cycle in
-	// the fault-events phase. A nil Faults falls back to Config.Faults
-	// (which may itself be nil: no permanent faults).
-	Faults *faults.Schedule
-
 	// Monitor runs after the eight phases, before the cycle counter
 	// advances (it sees the network state at the end of cycle N with
 	// Cycle() == N). Its first error latches the network unhealthy (see
@@ -30,15 +22,8 @@ type Hooks struct {
 	Observer func(cycle int64)
 }
 
-// SetHooks installs the hook set, replacing any previous one. A nil
-// Faults is substituted with Config.Faults so installing a monitor or
-// observer never silently disables the configured fault timeline.
-func (n *Network) SetHooks(h Hooks) {
-	if h.Faults == nil {
-		h.Faults = n.cfg.Faults
-	}
-	n.hooks = h
-}
+// SetHooks installs the hook set, replacing any previous one.
+func (n *Network) SetHooks(h Hooks) { n.hooks = h }
 
 // Step advances the simulation one cycle. Its body is the authoritative,
 // ordered statement of what one simulated cycle does: determinism

@@ -128,6 +128,16 @@ func pooledSubmit(n *Network, cycle int64) {
 	}
 }
 
+// goldenShards is the range counts every golden digest is replayed at:
+// inline, forked, and a count that divides no node count — the first
+// two under -short (see shardCounts).
+func goldenShards() []int {
+	if testing.Short() {
+		return []int{1, 2}
+	}
+	return []int{1, 2, 7}
+}
+
 func TestKernelGolden(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "kernel_golden.json"))
 	if err != nil {
@@ -142,11 +152,12 @@ func TestKernelGolden(t *testing.T) {
 		for _, pc := range pcs {
 			pc := pc
 			t.Run(pc.name, func(t *testing.T) {
+				t.Parallel()
 				want, ok := recorded[pc.name]
 				if !ok {
 					t.Fatalf("no recorded digest for %s", pc.name)
 				}
-				for _, shards := range []int{1, 2, 7} {
+				for _, shards := range goldenShards() {
 					if got := digestRun(pc.run(shards)); got != want {
 						t.Errorf("shards=%d: digest %s, recorded %s", shards, got, want)
 					}
@@ -218,7 +229,7 @@ func readPinnedSnapshot(t *testing.T, file string, wantCycle int64) []byte {
 	return payload
 }
 
-// resumePinned restores a dense-layout payload at 1, 2 and 7 ranges and
+// resumePinned restores a dense-layout payload at goldenShards ranges and
 // checks each continuation against the recorded unbroken run. LoadState
 // checks the payload's fingerprint first, so loading at all pins
 // ConfigFingerprint to the recorder's. The restored network is fully
@@ -226,7 +237,7 @@ func readPinnedSnapshot(t *testing.T, file string, wantCycle int64) []byte {
 // must carry everything the file did, so it too resumes to the digest.
 func resumePinned(t *testing.T, payload []byte, cfg func() Config, submit func(*Network, int64), until int64, digest string) {
 	t.Helper()
-	for _, shards := range []int{1, 2, 7} {
+	for _, shards := range goldenShards() {
 		c := cfg()
 		c.Shards = shards
 		n := New(c)

@@ -3,7 +3,6 @@ package network
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"crnet/internal/faults"
@@ -77,7 +76,7 @@ func TestResumeWithHazardByteIdentical(t *testing.T) {
 }
 
 // TestHazardNetworkDeterminism: two networks from the same config see
-// the identical composite fault process, and Reset replays it.
+// the identical composite fault process.
 func TestHazardNetworkDeterminism(t *testing.T) {
 	const M = 3000
 	a, b := New(hazardCfg()), New(hazardCfg())
@@ -92,15 +91,6 @@ func TestHazardNetworkDeterminism(t *testing.T) {
 	}
 	if a.FaultEventsApplied() == 0 {
 		t.Fatal("no fault events applied; test is vacuous")
-	}
-
-	a.Reset()
-	var logC []string
-	snapRun(a, M, &logC)
-	var sc snapshot.Encoder
-	a.SaveState(&sc)
-	if !bytes.Equal(sa.Bytes(), sc.Bytes()) {
-		t.Fatal("reset network diverged from its first hazard run")
 	}
 }
 
@@ -142,46 +132,9 @@ func latchedNetwork(t *testing.T) *Network {
 	return n
 }
 
-// TestResetRefusesLatchedHealth: satellite requirement — a network
-// latched unhealthy must not silently report healthy after reuse. Reset
-// panics until the violation is acknowledged via ClearHealth.
-func TestResetRefusesLatchedHealth(t *testing.T) {
-	n := latchedNetwork(t)
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("Reset on a latched-unhealthy network did not panic")
-			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, "ClearHealth") {
-				t.Fatalf("panic message does not point at ClearHealth: %v", r)
-			}
-		}()
-		n.Reset()
-	}()
-
-	if err := n.ClearHealth(); err == nil {
-		t.Fatal("ClearHealth returned nil on a latched network")
-	}
-	if n.Health() != nil {
-		t.Fatal("ClearHealth did not clear the latch")
-	}
-	n.Reset() // must not panic now
-
-	var a, b snapshot.Encoder
-	n.SaveState(&a)
-	// The monitor is a runtime attachment; mirror it on the fresh net.
-	fresh := New(snapCfg())
-	fresh.SetMonitor(stuckMonitor{at: 50})
-	fresh.SaveState(&b)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("acknowledged reset differs from fresh construction")
-	}
-}
-
 // TestRestorePreservesHealthLatch: the latch travels through snapshots —
 // restoring a checkpoint of an unhealthy network yields an unhealthy
-// network, and Reset on it still refuses.
+// network.
 func TestRestorePreservesHealthLatch(t *testing.T) {
 	n := latchedNetwork(t)
 	var ckpt snapshot.Encoder
@@ -194,10 +147,4 @@ func TestRestorePreservesHealthLatch(t *testing.T) {
 	if restored.Health() == nil {
 		t.Fatal("restore dropped the health latch")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reset after restoring a latched snapshot did not panic")
-		}
-	}()
-	restored.Reset()
 }

@@ -25,21 +25,10 @@ type Monitor interface {
 func (n *Network) SetMonitor(m Monitor) { n.hooks.Monitor = m }
 
 // Health returns the first error the monitor reported, or nil while the
-// run is healthy. Once set it never clears on its own: stepping,
-// snapshot restore and Reset all preserve (or refuse to discard) the
-// latch, so a violation cannot be lost by reuse. ClearHealth is the one
-// explicit acknowledgement path.
+// run is healthy. Once set it never clears: stepping and snapshot
+// restore both preserve the latch, so a violation lives as long as the
+// network that produced it.
 func (n *Network) Health() error { return n.health }
-
-// ClearHealth acknowledges and clears the health latch, returning the
-// violation that was latched (nil if the network was healthy). It is
-// the required prelude to Reset on an unhealthy network: the caller
-// provably saw the error before discarding the state that produced it.
-func (n *Network) ClearHealth() error {
-	err := n.health
-	n.health = nil
-	return err
-}
 
 // FlitLedger is a snapshot of the network-wide flit conservation
 // accounting. Every flit that enters at an injection port must leave at

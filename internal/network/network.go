@@ -353,7 +353,6 @@ func New(cfg Config) *Network {
 		ccfg:      cfg.coreConfig(),
 		corrupter: newCorrupter(cfg),
 		recvMark:  make([]bool, nodes),
-		hooks:     Hooks{Faults: cfg.Faults},
 		lastFault: -1,
 	}
 	for id := 0; id < nodes; id++ {
@@ -452,8 +451,7 @@ func (n *Network) receiverAt(id topology.NodeID) *core.Receiver {
 	return rc
 }
 
-// newCorrupter builds the configured transient-corruption process; New
-// and Reset share it so a reset network replays the same fault stream.
+// newCorrupter builds the configured transient-corruption process.
 func newCorrupter(cfg Config) faults.Corrupter {
 	if cfg.Burst != nil {
 		return faults.NewGilbertElliott(*cfg.Burst, cfg.Seed)
@@ -527,46 +525,6 @@ func (n *Network) DrainDeliveries() []core.Delivery {
 	n.deliveries = n.drained[:0]
 	n.drained = d
 	return d
-}
-
-// Reset returns the network to its initial post-New state in place:
-// cycle zero, empty queues and worklists, all links up, every router,
-// injector and receiver dropped (they are rebuilt lazily, so the memory
-// of the previous run is given back), counters cleared, the
-// transient-corruption stream re-seeded and the fault timeline rewound.
-// Installed hooks and the tracer are kept. A reset network is a freshly
-// constructed one: it saves to the same bytes, and identical traffic
-// yields identical results (see TestResetDeterminism).
-//
-// Reset panics if the network is latched unhealthy: a watchdog
-// violation must not be silently discarded by reuse. Callers that mean
-// to reuse the network anyway must acknowledge the violation first via
-// ClearHealth.
-func (n *Network) Reset() {
-	if n.health != nil {
-		panic(fmt.Sprintf("network: Reset on a network latched unhealthy (%v); call ClearHealth to acknowledge", n.health))
-	}
-	n.cycle = 0
-	n.sigNow = n.sigNow[:0]
-	n.corrupter = newCorrupter(n.cfg)
-	n.drained = n.drained[:0]
-	n.health = nil
-	n.lastProgress = 0
-	n.lastFault = -1
-	n.failEvents = 0
-	n.flitsDropped, n.flitsDegraded = 0, 0
-	n.sink.reset()
-	if n.hazard != nil {
-		n.hazard.Rewind()
-	}
-	for i := range n.links {
-		n.links[i].makePristine()
-	}
-	clear(n.routers)
-	clear(n.injectors)
-	clear(n.receivers)
-	n.resetShards()
-	n.hooks.Faults.Rewind()
 }
 
 // resetShards empties every range's sink, queues and worklists.
@@ -724,16 +682,11 @@ func (n *Network) PendingWorms() int {
 // VCs returns the configured virtual-channel count per network port.
 func (n *Network) VCs() int { return n.cfg.VCs }
 
-// OccupancyPerVC returns the buffered flit count per network virtual
+// OccupancyPerVCInto returns the buffered flit count per network virtual
 // channel index, summed across every router's network input ports
-// (injection buffers are excluded; see InjectionOccupancy). The
-// per-cycle sampler polls it to build occupancy time-series.
-func (n *Network) OccupancyPerVC() []int64 {
-	return n.OccupancyPerVCInto(make([]int64, 0, n.cfg.VCs))
-}
-
-// OccupancyPerVCInto is OccupancyPerVC into a caller-provided buffer
-// (grown as needed), so per-cycle pollers can avoid allocating.
+// (injection buffers are excluded; see InjectionOccupancy), in a
+// caller-provided buffer (grown as needed) so the per-cycle sampler that
+// builds occupancy time-series from it does not allocate.
 func (n *Network) OccupancyPerVCInto(occ []int64) []int64 {
 	occ = occ[:0]
 	for vc := 0; vc < n.cfg.VCs; vc++ {

@@ -19,8 +19,13 @@ import (
 
 // shardCounts is the pin matrix from the acceptance criteria, plus a
 // count that does not divide any of the random node counts (7) and the
-// host's parallelism.
+// host's parallelism. Under -short (the race gate in `make verify`) it
+// is one forked count: the inline/forked seam is what the race detector
+// is there for, and the whole matrix runs without it in `make test`.
 func shardCounts() []int {
+	if testing.Short() {
+		return []int{2}
+	}
 	counts := []int{1, 2, 4, 7, 8}
 	if p := runtime.GOMAXPROCS(0); p > 1 {
 		counts = append(counts, p)
@@ -106,6 +111,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 	for _, pc := range shardedPinConfigs() {
 		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
+			t.Parallel()
 			serial := pc.run(0)
 			for _, s := range shardCounts() {
 				got := pc.run(s)
@@ -206,43 +212,6 @@ func TestShardedSnapshotCrossMode(t *testing.T) {
 				_ = firstHalf
 			})
 		}
-	}
-}
-
-// TestShardedReset pins that Reset on a sharded network clears the
-// shard-local worklists and sinks: a reset sharded network replays the
-// same run as a fresh one.
-func TestShardedReset(t *testing.T) {
-	topo := topology.NewTorus(4, 2)
-	newNet := func() *Network {
-		return New(Config{
-			Topo:          topo,
-			Alg:           routing.MinimalAdaptive{},
-			Protocol:      core.CR,
-			Shards:        3, // does not divide 16
-			TransientRate: 1e-3,
-			Backoff:       core.Backoff{Kind: core.BackoffExponential, Gap: 8},
-			Seed:          42,
-			Check:         true,
-			Faults: faults.RandomTimeline(faults.TimelineConfig{
-				Links:    LinksOf(topo),
-				LinkMTBF: 600, LinkMTTR: 40,
-				Start: 20, Horizon: 800,
-				Seed: 9,
-			}),
-		})
-	}
-	run := func(n *Network) kernelSnapshot {
-		gen := traffic.NewGenerator(topo, traffic.Uniform{Nodes: topo.Nodes()}, 0.3, 6, 123)
-		return runKernel(n, gen, 600, 600*50)
-	}
-	n := newNet()
-	first := run(n)
-	n.Reset()
-	second := run(n)
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("sharded run after Reset diverged: first cycle=%d deliveries=%d, second cycle=%d deliveries=%d",
-			first.cycle, len(first.deliveries), second.cycle, len(second.deliveries))
 	}
 }
 

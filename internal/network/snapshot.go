@@ -165,7 +165,7 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 		// fingerprint already pins, so no presence flag is needed.
 		n.hazard.SaveState(e)
 	}
-	e.Int(n.hooks.Faults.Cursor())
+	e.Int(n.cfg.Faults.Cursor())
 	if n.health != nil {
 		e.String(n.health.Error())
 	} else {
@@ -539,7 +539,7 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if err := n.hooks.Faults.SetCursor(cursor); err != nil {
+	if err := n.cfg.Faults.SetCursor(cursor); err != nil {
 		return fmt.Errorf("network: fault timeline: %w", err)
 	}
 	if msg := d.String(); msg != "" {

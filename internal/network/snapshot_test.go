@@ -184,41 +184,6 @@ func TestResumeMidFlight(t *testing.T) {
 	}
 }
 
-// TestResetAfterRestoreEqualsFresh: satellite requirement — Reset on a
-// restored network must yield exactly the state of a freshly
-// constructed one (cycle zero, timeline rewound, corruption stream
-// reseeded), so a service can restart a sweep after attaching to a
-// checkpoint.
-func TestResetAfterRestoreEqualsFresh(t *testing.T) {
-	donor := New(snapCfg())
-	var log []string
-	snapRun(donor, 500, &log)
-	var ckpt snapshot.Encoder
-	donor.SaveState(&ckpt)
-
-	restored := New(snapCfg())
-	if err := restored.LoadState(snapshot.NewDecoder(ckpt.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	restored.Reset()
-
-	fresh := New(snapCfg())
-	var a, b snapshot.Encoder
-	restored.SaveState(&a)
-	fresh.SaveState(&b)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("reset-after-restore state differs from fresh construction")
-	}
-
-	// And the reset network must behave like a fresh one.
-	var logA, logB []string
-	snapRun(restored, 300, &logA)
-	snapRun(fresh, 300, &logB)
-	if fmt.Sprint(logA) != fmt.Sprint(logB) {
-		t.Fatal("reset-after-restore run diverged from fresh run")
-	}
-}
-
 // TestRestoreRejectsForeignConfig: a snapshot from a differently
 // configured network is refused by the fingerprint gate before any
 // state is touched.

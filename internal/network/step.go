@@ -50,7 +50,7 @@ import (
 //
 //cr:hotpath fault-events phase: one Pop plus one Due check per cycle
 func (n *Network) phaseFaultEvents() {
-	for _, ev := range n.hooks.Faults.Pop(n.cycle) {
+	for _, ev := range n.cfg.Faults.Pop(n.cycle) {
 		n.applyFaultEvent(ev)
 	}
 	if n.hazard != nil && n.hazard.Due(n.cycle) {

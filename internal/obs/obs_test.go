@@ -55,8 +55,8 @@ func TestSamplerCadenceAndRing(t *testing.T) {
 	for cycle = 0; cycle < 100; cycle++ {
 		s.Tick(cycle)
 	}
-	if s.Taken() != 10 { // cycles 0,10,...,90
-		t.Fatalf("taken = %d, want 10", s.Taken())
+	if s.taken != 10 { // cycles 0,10,...,90
+		t.Fatalf("taken = %d, want 10", s.taken)
 	}
 	series := s.Series()
 	if series.Len() != 4 {
@@ -117,7 +117,7 @@ func TestSeriesReductionsAndCSV(t *testing.T) {
 	if m, x := series.ColumnStats("nope"); m != 0 || x != 0 {
 		t.Fatal("unknown column not neutral")
 	}
-	csv := series.CSV()
+	csv := series.JSON().CSV()
 	if !strings.HasPrefix(csv, "cycle,kills,occ\n") {
 		t.Fatalf("csv header wrong:\n%s", csv)
 	}

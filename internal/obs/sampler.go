@@ -15,9 +15,9 @@ type Sampler struct {
 	reg   *Registry //cr:nosnap wiring to the live registry, re-established by the owner after restore
 	every int64
 	ring  []Sample
-	next  int  // ring slot for the next sample
-	full  bool // the ring has wrapped at least once
-	taken int64
+	next  int   // ring slot for the next sample
+	full  bool  // the ring has wrapped at least once
+	taken int64 // samples recorded, evicted ones included; carried in checkpoints
 }
 
 // NewSampler returns a sampler reading reg every `every` cycles,
@@ -46,10 +46,6 @@ func (s *Sampler) Tick(cycle int64) {
 	}
 	s.taken++
 }
-
-// Taken returns how many samples were recorded over the run, including
-// those the ring has since evicted.
-func (s *Sampler) Taken() int64 { return s.taken }
 
 // Series copies the retained samples out in chronological order,
 // together with the registry's column names and the cadence.

@@ -79,26 +79,6 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', 6, 64)
 }
 
-// CSV renders the series with a header row: cycle, then each column.
-func (s *Series) CSV() string {
-	var b strings.Builder
-	b.WriteString("cycle")
-	for _, c := range s.Columns {
-		b.WriteByte(',')
-		b.WriteString(c)
-	}
-	b.WriteByte('\n')
-	for _, sm := range s.Samples {
-		fmt.Fprintf(&b, "%d", sm.Cycle)
-		for _, v := range sm.Values {
-			b.WriteByte(',')
-			b.WriteString(formatValue(v))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // SeriesJSON is the JSON shape of a Series, columnar so repeated keys
 // do not bloat the artifact: cycles[i] pairs with values[i][*].
 type SeriesJSON struct {
@@ -108,9 +88,8 @@ type SeriesJSON struct {
 	Values  [][]float64 `json:"values"`
 }
 
-// CSV renders the JSON shape back to the same CSV a live Series
-// produces, so artifact post-processing (crbench -timeseries) does not
-// need the original Series.
+// CSV renders the series with a header row: cycle, then each column
+// (crbench -timeseries writes one file per sampled point).
 func (j SeriesJSON) CSV() string {
 	var b strings.Builder
 	b.WriteString("cycle")

@@ -185,23 +185,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := New(11)
-	vals := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range vals {
-		sum += v
-	}
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	got := 0
-	for _, v := range vals {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed element sum: %d -> %d", sum, got)
-	}
-}
-
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		a, b, hi, lo uint64

@@ -229,9 +229,6 @@ func (d *Degrader) State() DegradeState { return d.state }
 // Shed returns how many offered messages were shed in total.
 func (d *Degrader) Shed() int64 { return d.shed }
 
-// Admitted returns how many offered messages were admitted in total.
-func (d *Degrader) Admitted() int64 { return d.admitted }
-
 // Transitions returns how many state changes the controller has made.
 func (d *Degrader) Transitions() int64 { return d.transitions }
 

@@ -2,13 +2,10 @@ package sim
 
 import (
 	"crnet/internal/faults"
-	"crnet/internal/flit"
 	"crnet/internal/harness"
 	"crnet/internal/invariant"
 	"crnet/internal/network"
 	"crnet/internal/stats"
-	"crnet/internal/topology"
-	"crnet/internal/traffic"
 )
 
 // E22BurstyFaults compares bursty (Gilbert-Elliott) corruption against
@@ -57,6 +54,12 @@ func failRepairSchedule(links []faults.LinkID, n int, failAt, repairAt int64, se
 // then, after a settling window that drains the outage backlog, returns
 // to baseline. The network stays connected throughout, so not a single
 // message may be abandoned.
+//
+// The four phases are four measurement windows over one trajectory:
+// every job runs the same network, fault timeline and traffic seed and
+// differs only in where its window sits, so each sees the history the
+// others saw up to its own window's end (failed_msgs is therefore the
+// count since cycle 0, not per phase).
 func E23FailRepair(s Scale) *stats.Table {
 	t := stats.NewTable("E23: fail-then-repair, FCR with misrouting (load=0.1, 8 links)",
 		"phase", "cycles", "avg_latency", "p95", "delivered", "failed_msgs")
@@ -66,106 +69,32 @@ func E23FailRepair(s Scale) *stats.Table {
 	const load, deadLinks = 0.1, 8
 	w := s.Measure / 4
 	failAt, repairAt := s.Warmup+w, s.Warmup+2*w
+	links := network.LinksOf(s.torus())
 
-	topo := s.torus()
-	cfg := s.fcrNet()
-	cfg.MisrouteAfter = 2
-	cfg.MaxDetours = 4
-	cfg.Faults = failRepairSchedule(network.LinksOf(topo), deadLinks, failAt, repairAt,
-		harness.PointSeed(s.Seed, 2300))
-
-	// Creation-cycle phase boundaries: [warmup,failAt) clean,
-	// [failAt,repairAt) faulted, [repairAt,settleEnd) settling (the
-	// outage backlog drains), [settleEnd,injEnd) recovered.
-	settleEnd := s.Warmup + 3*w
-	injEnd := s.Warmup + 4*w
-	bounds := [4]int64{failAt, repairAt, settleEnd, injEnd}
-	phaseOf := func(created int64) int {
-		if created < s.Warmup {
-			return -1 // warmup traffic: not measured
-		}
-		for p, b := range bounds {
-			if created < b {
-				return p
-			}
-		}
-		return len(bounds) - 1
-	}
-	const phases = 4
-	type phaseRow struct {
-		lat                    float64
-		p95, delivered, failed int64
-	}
-	// The per-phase bucketing needs its own cycle loop, so the whole run
-	// is one job of the sweep engine rather than a Point.
-	rows := sweepJobs(s, "E23", 1, func(int, <-chan struct{}) (out [phases]phaseRow, err error) {
-		net := network.New(cfg)
-		pattern, err := traffic.ByName("uniform", topo)
-		if err != nil {
-			return out, err
-		}
-		gen := traffic.NewGeneratorLengths(topo, pattern, load, traffic.FixedLength(s.MsgLen),
-			harness.PointSeed(s.Seed, 2301))
-		var (
-			window    = make(map[flit.MessageID]int64)
-			pending   int // measured messages not yet delivered
-			lat       [phases]stats.Welford
-			hist      [phases]*stats.Histogram
-			delivered [phases]int64
-			failedAt  [phases + 1]int64 // injector Failed counter at warmup end + each phase boundary
-		)
-		for p := range hist {
-			hist[p] = stats.NewHistogram(16, 4096)
-		}
-		drainEnd := injEnd + 4*s.Measure
-		for cycle := int64(0); cycle < drainEnd; cycle++ {
-			if cycle == s.Warmup {
-				failedAt[0] = net.InjectorStats().Failed
-			}
-			for p, b := range bounds {
-				if cycle == b {
-					failedAt[p+1] = net.InjectorStats().Failed
-				}
-			}
-			if cycle < injEnd {
-				for node := 0; node < topo.Nodes(); node++ {
-					if m, ok := gen.Tick(topology.NodeID(node), cycle); ok {
-						if phaseOf(m.CreateTime) >= 0 {
-							window[m.ID] = m.CreateTime
-							pending++
-						}
-						net.SubmitMessage(m)
-					}
-				}
-			}
-			net.Step()
-			for _, d := range net.DrainDeliveries() {
-				created, ok := window[d.Msg]
-				if !ok {
-					continue
-				}
-				delete(window, d.Msg)
-				pending--
-				p := phaseOf(created)
-				delivered[p]++
-				lat[p].Add(float64(d.Time - created))
-				hist[p].Add(d.Time - created)
-			}
-			if cycle >= injEnd && pending == 0 {
-				break
-			}
-		}
-		// Failures during the drain (if any) attribute to the last phase.
-		failedAt[phases] = net.InjectorStats().Failed
-		for p := range out {
-			out[p] = phaseRow{lat[p].Mean(), hist[p].Percentile(0.95), delivered[p], failedAt[p+1] - failedAt[p]}
-		}
-		return out, nil
-	})[0]
-
-	for p, name := range [phases]string{"baseline", "faulted", "settling", "recovered"} {
-		r := rows[p]
-		t.AddRow(name, w, r.lat, r.p95, r.delivered, r.failed)
+	// Creation-cycle windows: [warmup,failAt) baseline, [failAt,repairAt)
+	// faulted, [repairAt,+w) settling (the outage backlog drains), then
+	// recovered.
+	phases := []string{"baseline", "faulted", "settling", "recovered"}
+	ms := sweepJobs(s, "E23", len(phases), func(p int, cancel <-chan struct{}) (Metrics, error) {
+		cfg := s.fcrNet()
+		cfg.MisrouteAfter = 2
+		cfg.MaxDetours = 4
+		// The schedule's cursor is run state: one per job.
+		cfg.Faults = failRepairSchedule(links, deadLinks, failAt, repairAt, harness.PointSeed(s.Seed, 2300))
+		return Run(Config{
+			Net:           cfg,
+			Pattern:       "uniform",
+			Load:          load,
+			MsgLen:        s.MsgLen,
+			WarmupCycles:  s.Warmup + int64(p)*w,
+			MeasureCycles: w,
+			Seed:          harness.PointSeed(s.Seed, 2301),
+			Cancel:        cancel,
+		})
+	})
+	for p, name := range phases {
+		m := ms[p]
+		t.AddRow(name, w, m.AvgLatency, m.P95Latency, m.Delivered, m.FailedMessages)
 	}
 	return t
 }

@@ -76,7 +76,7 @@ func TestReadsDoNotConstruct(t *testing.T) {
 	_ = n.PendingWorms()
 	_ = n.QueuedMessages()
 	_ = n.InFlightFlits()
-	_ = n.OccupancyPerVC()
+	_ = n.OccupancyPerVCInto(nil)
 	_ = n.InjectionOccupancy()
 	_, _ = n.MaxHops()
 	_ = n.BlockedWorms(1)

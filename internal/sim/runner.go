@@ -10,7 +10,6 @@ package sim
 import (
 	"fmt"
 
-	"crnet/internal/flit"
 	"crnet/internal/invariant"
 	"crnet/internal/network"
 	"crnet/internal/obs"
@@ -35,11 +34,10 @@ type Config struct {
 	Lengths traffic.LengthModel
 	// WarmupCycles are simulated but not measured; 0 means 2000.
 	WarmupCycles int64
-	// MeasureCycles is the measurement window; 0 means 10000.
+	// MeasureCycles is the measurement window; 0 means 10000. A drain of
+	// up to drainFactor x MeasureCycles follows it, so messages born in
+	// the window can finish.
 	MeasureCycles int64
-	// DrainCycles bounds the post-measurement drain that lets messages
-	// born in the window finish; 0 means 4 x MeasureCycles.
-	DrainCycles int64
 	// Seed drives traffic generation (fault seeds live in Net).
 	Seed uint64
 	// Watchdog, when set, installs an invariant watchdog on the network;
@@ -66,6 +64,9 @@ type Config struct {
 	SampleCap int
 }
 
+// drainFactor bounds the post-measurement drain, in measurement windows.
+const drainFactor = 4
+
 func (c *Config) fillDefaults() error {
 	if err := c.Net.Validate(); err != nil {
 		return err
@@ -88,8 +89,8 @@ func (c *Config) fillDefaults() error {
 	if c.MeasureCycles == 0 {
 		c.MeasureCycles = 10000
 	}
-	if c.DrainCycles == 0 {
-		c.DrainCycles = 4 * c.MeasureCycles
+	if c.WarmupCycles < 0 || c.MeasureCycles < 0 {
+		return fmt.Errorf("sim: WarmupCycles = %d, MeasureCycles = %d", c.WarmupCycles, c.MeasureCycles)
 	}
 	return nil
 }
@@ -306,7 +307,6 @@ func RunWithNetwork(cfg Config) (Metrics, *network.Network, error) {
 		deg = NewDegrader(*cfg.Degrade)
 	}
 
-	window := make(map[flit.MessageID]int64) // message -> creation cycle
 	hist := stats.NewHistogram(16, 4096)
 	phases := obs.NewPhaseBreakdown(16, 4096)
 	var lat stats.Welford
@@ -328,9 +328,11 @@ func RunWithNetwork(cfg Config) (Metrics, *network.Network, error) {
 
 	measureStart := cfg.WarmupCycles
 	measureEnd := cfg.WarmupCycles + cfg.MeasureCycles
-	drainEnd := measureEnd + cfg.DrainCycles
+	drainEnd := measureEnd + drainFactor*cfg.MeasureCycles
 
-	var delivered, corrupt, shed int64
+	// A window message is one created in [measureStart, measureEnd);
+	// pending counts those submitted and not yet delivered.
+	var pending, delivered, corrupt, shed int64
 	var maxNetResidence int64
 	var abortErr error
 loop:
@@ -351,7 +353,7 @@ loop:
 						continue
 					}
 					if cycle >= measureStart {
-						window[m.ID] = m.CreateTime
+						pending++
 					}
 					net.SubmitMessage(m)
 				}
@@ -362,11 +364,11 @@ loop:
 			if deg != nil {
 				deg.Observe(d.Time - d.Stamps.Create)
 			}
-			created, ok := window[d.Msg]
-			if !ok {
+			created := d.Stamps.Create
+			if created < measureStart || created >= measureEnd {
 				continue
 			}
-			delete(window, d.Msg)
+			pending--
 			delivered++
 			l := d.Time - created
 			lat.Add(float64(l))
@@ -404,12 +406,9 @@ loop:
 			default:
 			}
 		}
-		if cycle >= measureEnd && len(window) == 0 {
+		if cycle >= measureEnd && pending == 0 {
 			break
 		}
-	}
-	if measureEnd >= drainEnd && abortErr == nil {
-		s1 = takeSnapshot(net)
 	}
 
 	nodes := float64(topo.Nodes())
@@ -421,7 +420,7 @@ loop:
 		OfferedFrac:      cfg.Load,
 		Throughput:       float64(s1.recvDataFlits-s0.recvDataFlits) / nodes / measure,
 		Delivered:        delivered,
-		Censored:         int64(len(window)),
+		Censored:         pending,
 		AvgLatency:       lat.Mean(),
 		P50Latency:       hist.Percentile(0.50),
 		P95Latency:       hist.Percentile(0.95),

@@ -62,34 +62,6 @@ func (w *Welford) Min() float64 { return w.min }
 // Max returns the largest observation, or 0 with none.
 func (w *Welford) Max() float64 { return w.max }
 
-// Merge combines another estimator's observations into w (parallel
-// Chan et al. update). Merging an estimator into itself is rejected:
-// the update reads o while mutating w, so aliasing would silently
-// double-count every moment (n and m2 doubled, variance corrupted).
-func (w *Welford) Merge(o *Welford) {
-	if w == o {
-		panic("stats: Welford.Merge with itself would double-count")
-	}
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
-}
-
 // Histogram is a fixed-width integer-valued histogram with an overflow
 // bucket, sized for cycle-latency measurements.
 type Histogram struct {

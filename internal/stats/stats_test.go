@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"crnet/internal/rng"
 )
@@ -57,45 +56,6 @@ func TestWelfordEmpty(t *testing.T) {
 	w.Add(4)
 	if w.Var() != 0 {
 		t.Fatal("single observation should have zero variance")
-	}
-}
-
-func TestWelfordMergeEquivalence(t *testing.T) {
-	f := func(seedRaw uint16, split uint8) bool {
-		r := rng.New(uint64(seedRaw) + 1)
-		n := 100
-		k := int(split) % n
-		var all, a, b Welford
-		for i := 0; i < n; i++ {
-			x := r.Float64() * 10
-			all.Add(x)
-			if i < k {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-		}
-		a.Merge(&b)
-		return math.Abs(a.Mean()-all.Mean()) < 1e-9 &&
-			math.Abs(a.Var()-all.Var()) < 1e-7 &&
-			a.N() == all.N() && a.Min() == all.Min() && a.Max() == all.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWelfordMergeWithEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(3)
-	a.Merge(&b) // merge empty into non-empty
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatal("merge with empty changed state")
-	}
-	var c Welford
-	c.Merge(&a) // merge into empty
-	if c.N() != 1 || c.Mean() != 3 {
-		t.Fatal("merge into empty failed")
 	}
 }
 
@@ -180,18 +140,6 @@ func TestPercentileNeverExceedsMax(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestWelfordSelfMergePanics(t *testing.T) {
-	var w Welford
-	w.Add(1)
-	w.Add(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("self-merge did not panic (it would double-count n and m2)")
-		}
-	}()
-	w.Merge(&w)
 }
 
 func TestHistogramEmptyAndBadShape(t *testing.T) {

@@ -87,12 +87,58 @@ func NewTorus(k, n int) *Grid { return newGrid(k, n, true) }
 // NewMesh returns a k-ary n-cube without wraparound channels.
 func NewMesh(k, n int) *Grid { return newGrid(k, n, false) }
 
-func newGrid(k, n int, wrap bool) *Grid {
+// maxOrder bounds a topology at 2^30 nodes: a hypercube's order, and the
+// base-2 log of a grid's k^n.
+const maxOrder = 30
+
+// checkGrid reports why (k, n) is not a k-ary n-cube this package builds.
+func checkGrid(k, n int) error {
 	if k < 2 {
-		panic(fmt.Sprintf("topology: radix k=%d must be >= 2", k))
+		return fmt.Errorf("topology: radix k=%d must be >= 2", k)
 	}
 	if n < 1 {
-		panic(fmt.Sprintf("topology: dimension n=%d must be >= 1", n))
+		return fmt.Errorf("topology: dimension n=%d must be >= 1", n)
+	}
+	for nodes, i := 1, 0; i < n; i++ {
+		if k > (1<<maxOrder)/nodes { // nodes*k would pass the bound (or overflow)
+			return fmt.Errorf("topology: %d^%d nodes exceed 2^%d", k, n, maxOrder)
+		}
+		nodes *= k
+	}
+	return nil
+}
+
+// checkHypercube reports why n is not a hypercube order this package builds.
+func checkHypercube(n int) error {
+	if n < 1 || n > maxOrder {
+		return fmt.Errorf("topology: hypercube dimension %d out of range [1,%d]", n, maxOrder)
+	}
+	return nil
+}
+
+// ByName constructs the topology a -topo flag names: "torus" and "mesh"
+// are k-ary dims-cubes, "hypercube" is the binary dims-cube (k unused).
+// Parameters the constructors would panic on are returned as errors.
+func ByName(name string, k, dims int) (Topology, error) {
+	switch name {
+	case "torus", "mesh":
+		if err := checkGrid(k, dims); err != nil {
+			return nil, err
+		}
+		return newGrid(k, dims, name == "torus"), nil
+	case "hypercube":
+		if err := checkHypercube(dims); err != nil {
+			return nil, err
+		}
+		return NewHypercube(dims), nil
+	default:
+		return nil, fmt.Errorf("topology: unknown topology %q (want torus, mesh or hypercube)", name)
+	}
+}
+
+func newGrid(k, n int, wrap bool) *Grid {
+	if err := checkGrid(k, n); err != nil {
+		panic(err.Error())
 	}
 	g := &Grid{k: k, n: n, wrap: wrap}
 	g.nodes = 1
@@ -340,8 +386,8 @@ type Hypercube struct {
 
 // NewHypercube returns an n-dimensional binary hypercube.
 func NewHypercube(n int) *Hypercube {
-	if n < 1 || n > 30 {
-		panic(fmt.Sprintf("topology: hypercube dimension %d out of range [1,30]", n))
+	if err := checkHypercube(n); err != nil {
+		panic(err.Error())
 	}
 	h := &Hypercube{n: n, nodes: 1 << n}
 	// Mean Hamming distance of two uniform n-bit strings is n/2;

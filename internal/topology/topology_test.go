@@ -347,3 +347,40 @@ func TestConstructorPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestByName: every (name, k, dims) a flag can carry is a topology or an
+// error, never a constructor panic.
+func TestByName(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		k, dims int
+		want    string // Name() of the result; "" means an error
+	}{
+		{"torus", 4, 2, "4x4 torus"},
+		{"mesh", 3, 3, "3x3x3 mesh"},
+		{"hypercube", 0, 4, "4-cube"}, // k is unused
+		{"hypercube", 8, 30, "30-cube"},
+		{"torus", 0, 2, ""},
+		{"torus", 1, 2, ""},
+		{"mesh", 1, 2, ""},
+		{"mesh", 4, 0, ""},
+		{"torus", 4, -1, ""},
+		{"torus", 1 << 20, 2, ""}, // 2^40 nodes
+		{"torus", math.MaxInt, 2, ""},
+		{"hypercube", 8, 0, ""},
+		{"hypercube", 8, 31, ""},
+		{"hypercube", 8, 40, ""},
+		{"ring", 4, 2, ""},
+		{"", 4, 2, ""},
+	} {
+		topo, err := ByName(c.name, c.k, c.dims)
+		switch {
+		case c.want == "" && err == nil:
+			t.Errorf("ByName(%q, %d, %d) = %s, want an error", c.name, c.k, c.dims, topo.Name())
+		case c.want != "" && err != nil:
+			t.Errorf("ByName(%q, %d, %d): %v", c.name, c.k, c.dims, err)
+		case c.want != "" && topo.Name() != c.want:
+			t.Errorf("ByName(%q, %d, %d) = %s, want %s", c.name, c.k, c.dims, topo.Name(), c.want)
+		}
+	}
+}

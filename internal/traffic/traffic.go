@@ -238,9 +238,6 @@ func NewGeneratorLengths(topo topology.Topology, pattern Pattern, load float64, 
 	return g
 }
 
-// MessageProb returns the per-node per-cycle message start probability.
-func (g *Generator) MessageProb() float64 { return g.prob }
-
 // Tick returns the message originating at node src this cycle, or ok =
 // false. At most one message per node per cycle is generated; loads
 // requiring more than one message per cycle per node saturate the

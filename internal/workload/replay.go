@@ -41,9 +41,6 @@ func NewReplayer(trace *Trace, loop bool) *Replayer {
 	return &Replayer{trace: trace, loop: loop}
 }
 
-// Trace returns the trace being replayed.
-func (r *Replayer) Trace() *Trace { return r.trace }
-
 // Done reports whether a non-looping replay has submitted every record.
 func (r *Replayer) Done() bool {
 	return !r.loop && r.idx >= len(r.trace.Records)

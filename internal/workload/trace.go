@@ -2,12 +2,10 @@ package workload
 
 import (
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"math"
 
 	"crnet/internal/rng"
-	"crnet/internal/snapshot"
 	"crnet/internal/topology"
 )
 
@@ -17,19 +15,13 @@ import (
 // Materialization is what makes long-running service workloads
 // checkpointable: a Replayer's position in a trace is three integers,
 // so a restored run offers byte-identical load from the first resumed
-// cycle, and the same trace file replayed on two protocols is a
-// controlled comparison.
+// cycle, and the same trace replayed on two protocols is a controlled
+// comparison.
 //
-// Traces serialize to a versioned binary container (magic, version,
-// CRC-protected payload) using the snapshot codec; generators for
-// bursty, diurnal, hotspot, incast and permutation-storm streams are
-// deterministic functions of (topology, seed, parameters).
-
-// TraceMagic identifies a serialized trace file.
-const TraceMagic = "CRTRACE1"
-
-// TraceVersion is the current trace container format version.
-const TraceVersion = 1
+// A trace is generated in-process, never loaded: the generators for
+// uniform, bursty, diurnal, hotspot, incast and permutation-storm
+// streams are deterministic functions of (topology, seed, parameters),
+// so a restarted service regenerates the schedule its checkpoint names.
 
 // TraceRecord schedules one message: at Cycle, Src submits a
 // DataLen-flit message to Dst.
@@ -100,75 +92,6 @@ func (t *Trace) Fingerprint() uint64 {
 		put(uint64(r.DataLen))
 	}
 	return h.Sum64()
-}
-
-// EncodeBinary serializes the trace: magic, version, name, node count,
-// then the records with delta-encoded cycles, closed by a CRC-32 (IEEE)
-// of everything preceding it.
-func (t *Trace) EncodeBinary() []byte {
-	var e snapshot.Encoder
-	e.Raw([]byte(TraceMagic))
-	e.U32(TraceVersion)
-	e.String(t.Name)
-	e.Varint(int64(t.Nodes))
-	e.Uvarint(uint64(len(t.Records)))
-	prev := int64(0)
-	for _, r := range t.Records {
-		e.Uvarint(uint64(r.Cycle - prev))
-		prev = r.Cycle
-		e.Varint(int64(r.Src))
-		e.Varint(int64(r.Dst))
-		e.Uvarint(uint64(r.DataLen))
-	}
-	e.U32(crc32.ChecksumIEEE(e.Bytes()))
-	return e.Bytes()
-}
-
-// DecodeTrace parses a serialized trace. name labels errors (typically
-// the file path). The CRC is verified over the whole prefix before the
-// decoded trace is returned; the result additionally passes Validate.
-func DecodeTrace(name string, data []byte) (*Trace, error) {
-	fail := func(reason string) (*Trace, error) {
-		return nil, &snapshot.FormatError{Path: name, Reason: reason}
-	}
-	if len(data) < len(TraceMagic)+4+4 {
-		return fail(fmt.Sprintf("too short (%d bytes)", len(data)))
-	}
-	if string(data[:len(TraceMagic)]) != TraceMagic {
-		return fail("bad magic (not a trace file)")
-	}
-	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
-	want := uint32(crcBytes[0]) | uint32(crcBytes[1])<<8 | uint32(crcBytes[2])<<16 | uint32(crcBytes[3])<<24
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return fail(fmt.Sprintf("checksum mismatch (%08x != %08x)", got, want))
-	}
-	d := snapshot.NewDecoder(body[len(TraceMagic):])
-	if v := d.U32(); v != TraceVersion {
-		return fail(fmt.Sprintf("unsupported version %d (have %d)", v, TraceVersion))
-	}
-	t := &Trace{Name: d.String(), Nodes: int(d.Varint())}
-	n := d.Count(1 << 28)
-	if err := d.Err(); err != nil {
-		return fail(err.Error())
-	}
-	t.Records = make([]TraceRecord, n)
-	cycle := int64(0)
-	for i := range t.Records {
-		cycle += int64(d.Uvarint())
-		t.Records[i] = TraceRecord{
-			Cycle:   cycle,
-			Src:     topology.NodeID(d.Varint()),
-			Dst:     topology.NodeID(d.Varint()),
-			DataLen: int(d.Uvarint()),
-		}
-	}
-	if err := d.Finish(); err != nil {
-		return fail(err.Error())
-	}
-	if err := t.Validate(); err != nil {
-		return fail(err.Error())
-	}
-	return t, nil
 }
 
 // TraceSpec carries the parameters shared by every generator: the

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"testing"
 
 	"crnet/internal/flit"
@@ -40,47 +39,6 @@ func TestGeneratorsDeterministicAndValid(t *testing.T) {
 			c := g.gen(testSpec(8))
 			if a.Fingerprint() == c.Fingerprint() {
 				t.Fatal("different seeds produced identical traces")
-			}
-		})
-	}
-}
-
-func TestTraceBinaryRoundTrip(t *testing.T) {
-	orig := GenBursty(testSpec(3))
-	data := orig.EncodeBinary()
-	got, err := DecodeTrace("test", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != orig.Name || got.Nodes != orig.Nodes || len(got.Records) != len(orig.Records) {
-		t.Fatalf("round trip changed shape: %q/%d/%d != %q/%d/%d",
-			got.Name, got.Nodes, len(got.Records), orig.Name, orig.Nodes, len(orig.Records))
-	}
-	if got.Fingerprint() != orig.Fingerprint() {
-		t.Fatal("round trip changed contents")
-	}
-}
-
-func TestTraceDecodeRejectsCorruption(t *testing.T) {
-	data := GenUniform(testSpec(1)).EncodeBinary()
-	for _, tc := range []struct {
-		name   string
-		mangle func([]byte) []byte
-	}{
-		{"bit-flip", func(b []byte) []byte { b[len(b)/2] ^= 1; return b }},
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }},
-		{"empty", func(b []byte) []byte { return nil }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			bad := tc.mangle(append([]byte(nil), data...))
-			_, err := DecodeTrace("bad", bad)
-			if err == nil {
-				t.Fatal("corrupt trace accepted")
-			}
-			var ferr *snapshot.FormatError
-			if !errors.As(err, &ferr) {
-				t.Fatalf("error %v is not a *snapshot.FormatError", err)
 			}
 		})
 	}
