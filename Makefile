@@ -26,11 +26,13 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The repo's own analyzers (internal/analysis via cmd/crlint): map-range
-# determinism, wall-clock purity, seed-derivation discipline and
-# hot-path allocation freedom. Must be clean at merge; justify real
-# escapes with //cr: annotations instead of weakening the analyzers.
-# The same binary also works as `go vet -vettool` (see DESIGN.md §6).
+# The repo's own six analyzers (internal/analysis via cmd/crlint; see
+# DESIGN.md §6): map-range determinism (detmap), wall-clock purity
+# (wallclock), seed-derivation discipline (rngsource), hot-path
+# allocation freedom (hotalloc), snapshot codec coverage and
+# saved-but-never-read state (snapfields), and shard isolation
+# (shardsafe). Must be clean at merge; justify real escapes with //cr:
+# annotations instead of weakening the analyzers.
 lint:
 	$(GO) run ./cmd/crlint ./...
 
@@ -90,10 +92,10 @@ chaos:
 
 # Short-budget fuzz pass over the two checkpoint readers. The container
 # reader: arbitrary bytes must yield either a valid canonical container
-# (or an older accepted version's payload, intact) or a *FormatError,
-# never a panic or a partial payload. The network payload reader, in
-# both layouts: an error or a restored network, never a panic. The
-# minimize budget is capped so a 10 s pass is spent finding inputs, not
+# of the one accepted version or a *FormatError, never a panic or a
+# partial payload. The network payload reader, seeded with the three
+# pinned payloads and a save of a mostly unbuilt network: an error or a
+# restored network, never a panic. The minimize budget is capped so a 10 s pass is spent finding inputs, not
 # shrinking the first interesting one. CI runs this budget on every
 # merge; crank FUZZTIME locally for a deeper soak.
 FUZZTIME ?= 10s
@@ -112,11 +114,12 @@ bench:
 # the guarantee cannot silently go stale — including a node first built
 # after the restore, a restore into a network that had built other
 # nodes, and the sparse512 shape restoring exactly what was saved. The
-# second run restores the checkpoint files under internal/network/testdata
-# that earlier commits wrote in the dense payload layout (serial kernel;
-# DAMQ and credit-shared on the linked-slot pool) and re-saves them in the
-# sparse one; it is separate because a '/' in -run filters every test's
-# subtests.
+# second run restores the pinned checkpoint files under
+# internal/network/testdata (recorded by the serial kernel and by DAMQ
+# and credit-shared on the linked-slot pool, carried forward into the
+# current format; DESIGN.md §8) to the recorders' digests and re-saves
+# them to their own bytes; it is separate because a '/' in -run filters
+# every test's subtests.
 snapshot-pin:
 	$(GO) test -race -count=1 \
 		-run 'TestResume|TestServiceResume|TestReplayerPosition|TestRestoreIntoDirtyTarget|TestSparseSnapshot|TestReadsDoNotConstruct' \

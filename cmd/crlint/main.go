@@ -5,32 +5,19 @@
 // (hotalloc), snapshot coverage (snapfields) and shard isolation
 // (shardsafe). See DESIGN.md §6 for why these are load-bearing.
 //
-// Standalone:
-//
 //	go run ./cmd/crlint ./...        # lint the module (make lint does this)
 //	crlint ./internal/network/...    # lint a subtree
 //	crlint -json ./...               # machine-readable findings (CI artifact)
 //
-// As a vet tool (the same binary speaks the `go vet -vettool`
-// unitchecker protocol: the -V=full/-flags handshake plus *.cfg
-// package units):
-//
-//	go build -o crlint ./cmd/crlint
-//	go vet -vettool=$(pwd)/crlint ./...
-//
-// Exit status: 0 clean, 1 findings, 2 operational error (standalone);
-// under -vettool, findings print to stderr and exit 2, matching
-// x/tools' unitchecker.
+// Exit status: 0 clean, 1 findings, 2 operational error.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"crnet/internal/analysis"
 	"crnet/internal/analysis/detmap"
@@ -56,27 +43,9 @@ func main() {
 	os.Exit(run(os.Args[1:], ".", os.Stdout, os.Stderr))
 }
 
-// run dispatches between the vet-tool handshake, vet config units and
-// the standalone package-pattern mode. dir anchors relative patterns so
-// tests can point run at the module root.
+// run lints the packages the patterns name. dir anchors relative
+// patterns so tests can point run at the module root.
 func run(args []string, dir string, stdout, stderr io.Writer) int {
-	// `go vet` handshake: -V=full must print a stable fingerprint line
-	// (the content ID go caches vet results under), -flags the JSON
-	// list of tool flags (none beyond the standard ones).
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			fmt.Fprintf(stdout, "crlint version devel buildID=%s\n", selfID())
-			return 0
-		case a == "-flags" || a == "--flags":
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVetUnit(args[0], stderr)
-	}
-
 	fs := flag.NewFlagSet("crlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of the human format")
@@ -150,24 +119,4 @@ func writeJSON(w io.Writer, findings []analysis.Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// selfID hashes the executable so `go vet` re-runs the tool whenever it
-// is rebuilt with different analyzers instead of serving stale cached
-// diagnostics.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }

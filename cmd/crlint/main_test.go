@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -22,27 +19,7 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestVetHandshake checks the `go vet -vettool` version/flags protocol:
-// -V=full must print a fingerprint line and -flags the tool's extra
-// flags (none), both exiting 0 without analyzing anything.
-func TestVetHandshake(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run([]string{"-V=full"}, ".", &out, &errw); code != 0 {
-		t.Fatalf("-V=full exited %d: %s", code, errw.String())
-	}
-	if !strings.HasPrefix(out.String(), "crlint version ") || !strings.Contains(out.String(), "buildID=") {
-		t.Errorf("-V=full output %q: want crlint version line with buildID", out.String())
-	}
-	out.Reset()
-	if code := run([]string{"-flags"}, ".", &out, &errw); code != 0 {
-		t.Fatalf("-flags exited %d: %s", code, errw.String())
-	}
-	if strings.TrimSpace(out.String()) != "[]" {
-		t.Errorf("-flags output %q: want []", out.String())
-	}
-}
-
-// TestFindingsExitStatus runs the standalone mode against a fixture
+// TestFindingsExitStatus runs crlint against a fixture
 // tree (which deliberately violates the analyzers) and expects exit 1
 // with findings on stdout.
 func TestFindingsExitStatus(t *testing.T) {
@@ -88,8 +65,8 @@ func TestOutputFormats(t *testing.T) {
 		if f.Analyzer != "snapfields" {
 			t.Errorf("finding %d analyzer = %q, want snapfields", i, f.Analyzer)
 		}
-		if f.Escape != "nosnap" {
-			t.Errorf("finding %d escape = %q, want nosnap", i, f.Escape)
+		if f.Escape == "" || !strings.Contains(f.Message, "//cr:"+f.Escape) {
+			t.Errorf("finding %d escape = %q, want the annotation its message names: %s", i, f.Escape, f.Message)
 		}
 	}
 }
@@ -103,129 +80,5 @@ func TestJSONEmptyArray(t *testing.T) {
 	}
 	if strings.TrimSpace(out.String()) != "[]" {
 		t.Errorf("-json clean output %q, want []", out.String())
-	}
-}
-
-// buildSelf compiles the crlint binary once for vettool tests.
-func buildSelf(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "crlint")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/crlint")
-	cmd.Dir = "../.."
-	if outb, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/crlint: %v\n%s", err, outb)
-	}
-	return bin
-}
-
-// TestVettoolClean drives the full `go vet -vettool` protocol against a
-// clean package of this module.
-func TestVettoolClean(t *testing.T) {
-	bin := buildSelf(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/flit/")
-	cmd.Dir = "../.."
-	if outb, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool on clean package: %v\n%s", err, outb)
-	}
-}
-
-// TestVettoolFindsViolations builds a scratch module that shadows the
-// crnet module path (so its internal/core is treated as simulation
-// core) with a math/rand import, and expects `go vet -vettool` to fail
-// with an rngsource diagnostic.
-func TestVettoolFindsViolations(t *testing.T) {
-	bin := buildSelf(t)
-	mod := t.TempDir()
-	writeFile(t, filepath.Join(mod, "go.mod"), "module crnet\n\ngo 1.21\n")
-	writeFile(t, filepath.Join(mod, "internal", "core", "core.go"), `package core
-
-import "math/rand"
-
-func Jitter() int { return rand.Intn(8) }
-`)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/core/")
-	cmd.Dir = mod
-	outb, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool on violating package succeeded; want failure\n%s", outb)
-	}
-	if !strings.Contains(string(outb), "math/rand imported in simulation-core") {
-		t.Errorf("vet output missing rngsource diagnostic:\n%s", outb)
-	}
-}
-
-// TestVettoolFindsSnapfields plants a codec that drops a field in a
-// scratch module's simulation core and expects the vet protocol to
-// surface the snapfields diagnostic.
-func TestVettoolFindsSnapfields(t *testing.T) {
-	bin := buildSelf(t)
-	mod := t.TempDir()
-	writeFile(t, filepath.Join(mod, "go.mod"), "module crnet\n\ngo 1.21\n")
-	writeFile(t, filepath.Join(mod, "internal", "core", "core.go"), `package core
-
-type enc struct{ buf []int }
-
-func (e *enc) put(v int) { e.buf = append(e.buf, v) }
-
-type dec struct{ i int }
-
-func (d *dec) get() int { d.i++; return d.i }
-
-type counter struct {
-	hits int
-	miss int
-}
-
-func (c *counter) SaveState(e *enc) { e.put(c.hits) }
-func (c *counter) LoadState(d *dec) { c.hits = d.get() }
-`)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/core/")
-	cmd.Dir = mod
-	outb, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool on dropped-field codec succeeded; want failure\n%s", outb)
-	}
-	if !strings.Contains(string(outb), "field counter.miss is not referenced") {
-		t.Errorf("vet output missing snapfields diagnostic:\n%s", outb)
-	}
-}
-
-// TestVettoolFindsShardsafe plants a shard* phase body writing shared
-// network state in a scratch module and expects the vet protocol to
-// surface the shardsafe diagnostic.
-func TestVettoolFindsShardsafe(t *testing.T) {
-	bin := buildSelf(t)
-	mod := t.TempDir()
-	writeFile(t, filepath.Join(mod, "go.mod"), "module crnet\n\ngo 1.21\n")
-	writeFile(t, filepath.Join(mod, "internal", "network", "network.go"), `package network
-
-type Network struct {
-	shards []int
-	cycle  int
-}
-
-func (n *Network) shardWorker(si int) {
-	n.shards[si]++
-	n.cycle++
-}
-`)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/network/")
-	cmd.Dir = mod
-	outb, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool on shard-unsafe package succeeded; want failure\n%s", outb)
-	}
-	if !strings.Contains(string(outb), "write to shared Network.cycle") {
-		t.Errorf("vet output missing shardsafe diagnostic:\n%s", outb)
-	}
-}
-
-func writeFile(t *testing.T, path, content string) {
-	t.Helper()
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

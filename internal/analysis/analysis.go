@@ -151,7 +151,6 @@ type Annotation struct {
 
 // annIndex holds every //cr: annotation of a package, keyed by file.
 type annIndex struct {
-	fset  *token.FileSet
 	byPos map[string][]Annotation // filename -> annotations, by line
 }
 
@@ -159,7 +158,7 @@ const annPrefix = "//cr:"
 
 // buildAnnIndex scans the files' comments for //cr: directives.
 func buildAnnIndex(fset *token.FileSet, files []*ast.File) *annIndex {
-	idx := &annIndex{fset: fset, byPos: make(map[string][]Annotation)}
+	idx := &annIndex{byPos: make(map[string][]Annotation)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			endLine := fset.Position(cg.End()).Line

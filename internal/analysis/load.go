@@ -23,8 +23,6 @@ import (
 // analyzed.
 type Package struct {
 	PkgPath string
-	Dir     string
-	GoFiles []string
 
 	Fset      *token.FileSet
 	Files     []*ast.File
@@ -163,15 +161,12 @@ func load(dir string, patterns ...string) ([]*Package, error) {
 			continue
 		}
 		var files []*ast.File
-		var names []string
 		for _, f := range lp.GoFiles {
-			path := filepath.Join(lp.Dir, f)
-			af, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+			af, err := parser.ParseFile(fset, filepath.Join(lp.Dir, f), nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: %v", err)
 			}
 			files = append(files, af)
-			names = append(names, path)
 		}
 		info := &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -200,8 +195,6 @@ func load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, &Package{
 			PkgPath:   lp.ImportPath,
-			Dir:       lp.Dir,
-			GoFiles:   names,
 			Fset:      fset,
 			Files:     files,
 			Types:     tpkg,

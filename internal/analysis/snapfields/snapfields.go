@@ -29,9 +29,22 @@
 // fields, not a proof of codec correctness — the snapshot pins remain
 // the dynamic half of the guarantee. Types with only half a codec pair
 // (e.g. a Save used for export with no Load) are out of scope.
+//
+// The converse is checked too: an unexported field (of any struct in the
+// package, nested ones included) that both halves of some codec
+// reference, and that no other function in the package ever reads —
+// every other mention is the target of an assignment, a ++/--, or a
+// composite-literal key — is state with a writer and no reader. It costs
+// a struct slot, checkpoint bytes and a line in each codec half to carry
+// a value nothing consumes (attemptStart, assembly.channel and
+// flitsDegraded rode along that way until format 5). Delete such a
+// field, or annotate `//cr:unread <reason>` when the reader lives where
+// the analyzer cannot see it. Exported fields are skipped for that
+// reason: their readers may be in another package.
 package snapfields
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
@@ -45,7 +58,8 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "require every field of a struct with paired SaveState/LoadState (or " +
 		"Save/Load) methods in simulation-core packages to be referenced in both, " +
 		"directly or via a directly-called same-package helper; annotate " +
-		"//cr:nosnap to justify a field excluded from snapshots",
+		"//cr:nosnap to justify a field excluded from snapshots; a field both " +
+		"halves reference but nothing else reads is flagged too (//cr:unread)",
 	Run: run,
 }
 
@@ -115,6 +129,11 @@ func run(pass *analysis.Pass) error {
 		methods[named][fo.Name()] = d
 	}
 
+	// saved/loaded collect every field either half of any codec touches,
+	// and codec the function bodies that make up the codecs, for the
+	// never-read check below.
+	saved, loaded := map[*types.Var]bool{}, map[*types.Var]bool{}
+	codec := map[*ast.FuncDecl]bool{}
 	for named, ms := range methods {
 		st, ok := structAST[named]
 		if !ok {
@@ -130,12 +149,75 @@ func run(pass *analysis.Pass) error {
 			if !okS || !okL {
 				continue
 			}
-			saved := referencedFields(pass, named, save, declOf)
-			loaded := referencedFields(pass, named, load, declOf)
-			checkFields(pass, named, st, fields, pair, saved, loaded)
+			savedIdx := referencedFields(pass, named, codecBodies(pass, save, declOf, codec), saved)
+			loadedIdx := referencedFields(pass, named, codecBodies(pass, load, declOf, codec), loaded)
+			checkFields(pass, named, st, fields, pair, savedIdx, loadedIdx)
 		}
 	}
+	checkUnread(pass, declOf, structAST, codec, saved, loaded)
 	return nil
+}
+
+// checkUnread reports the unexported fields that both halves of a codec
+// reference and that no function outside the codecs reads.
+func checkUnread(pass *analysis.Pass, declOf map[*types.Func]*ast.FuncDecl,
+	structAST map[*types.Named]*ast.StructType, codec map[*ast.FuncDecl]bool, saved, loaded map[*types.Var]bool) {
+	read := map[*types.Var]bool{}
+	for _, d := range declOf {
+		if codec[d] || d.Body == nil {
+			continue
+		}
+		// A selector that is the whole target of an assignment or ++/--
+		// is a write; every other field selection reads.
+		written := map[ast.Expr]bool{}
+		ast.Inspect(d.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					written[ast.Unparen(lhs)] = true
+				}
+			case *ast.IncDecStmt:
+				written[ast.Unparen(n.X)] = true
+			case *ast.SelectorExpr:
+				if sel, ok := pass.TypesInfo.Selections[n]; ok && sel.Kind() == types.FieldVal && !written[n] {
+					read[sel.Obj().(*types.Var)] = true
+				}
+			}
+			return true
+		})
+	}
+	for named, st := range structAST {
+		eachField(st, named.Underlying().(*types.Struct), func(fld *ast.Field, _ int, fv *types.Var) {
+			if saved[fv] && loaded[fv] && !read[fv] && !fv.Exported() && !fv.Embedded() {
+				report(pass, fld, "unread", named.Obj().Name()+"."+fv.Name(),
+					"is saved and restored but never read outside its codec; "+
+						"delete it, or annotate //cr:unread with where its reader lives")
+			}
+		})
+	}
+}
+
+// eachField pairs every declared field of a struct with its types.Var
+// and index: one declaration may name several fields, or none when it
+// embeds.
+func eachField(st *ast.StructType, fields *types.Struct, visit func(fld *ast.Field, idx int, fv *types.Var)) {
+	idx := 0
+	for _, fld := range st.Fields.List {
+		for j := 0; j < max(len(fld.Names), 1) && idx < fields.NumFields(); j++ {
+			visit(fld, idx, fields.Field(idx))
+			idx++
+		}
+	}
+}
+
+// report files a finding against a field declaration unless it carries
+// the escape annotation, which in turn must give its reason.
+func report(pass *analysis.Pass, fld *ast.Field, escape, field, finding string) {
+	if ann, ok := pass.Annotated(fld, escape); !ok {
+		pass.ReportfEscape(fld.Pos(), escape, "field %s %s", field, finding)
+	} else if ann.Reason == "" {
+		pass.ReportfEscape(fld.Pos(), escape, "//cr:%s needs a justification on %s", escape, field)
+	}
 }
 
 // checkFields walks the struct's declared fields in source order and
@@ -143,82 +225,73 @@ func run(pass *analysis.Pass) error {
 // //cr:nosnap escape.
 func checkFields(pass *analysis.Pass, named *types.Named, st *ast.StructType,
 	fields *types.Struct, pair [2]string, saved, loaded map[int]bool) {
-	idx := 0
-	for _, fld := range st.Fields.List {
-		n := len(fld.Names)
-		if n == 0 {
-			n = 1 // embedded field
+	eachField(st, fields, func(fld *ast.Field, idx int, fv *types.Var) {
+		var missing []string
+		if !saved[idx] {
+			missing = append(missing, pair[0])
 		}
-		for j := 0; j < n; j++ {
-			if idx >= fields.NumFields() {
-				return // blank or otherwise unmapped declarations; be safe
-			}
-			fv := fields.Field(idx)
-			idx++
-			var missing []string
-			if !saved[idx-1] {
-				missing = append(missing, pair[0])
-			}
-			if !loaded[idx-1] {
-				missing = append(missing, pair[1])
-			}
-			if len(missing) == 0 {
-				continue
-			}
-			if ann, ok := pass.Annotated(fld, "nosnap"); ok {
-				if ann.Reason == "" {
-					pass.ReportfEscape(fld.Pos(), "nosnap",
-						"//cr:nosnap needs a justification (why is %s.%s excluded from snapshots?)",
-						named.Obj().Name(), fv.Name())
-				}
-				continue
-			}
-			pass.ReportfEscape(fld.Pos(), "nosnap",
-				"field %s.%s is not referenced in %s (directly or via a directly-called helper); "+
+		if !loaded[idx] {
+			missing = append(missing, pair[1])
+		}
+		if len(missing) > 0 {
+			report(pass, fld, "nosnap", named.Obj().Name()+"."+fv.Name(), fmt.Sprintf(
+				"is not referenced in %s (directly or via a directly-called helper); "+
 					"a snapshot will silently drop it — serialize it in both %s and %s, or annotate //cr:nosnap with a justification",
-				named.Obj().Name(), fv.Name(), strings.Join(missing, " or "),
-				pair[0], pair[1])
+				strings.Join(missing, " or "), pair[0], pair[1]))
 		}
+	})
+}
+
+// codecBodies returns one codec half: fn and the same-package functions
+// and methods it calls directly (one level of helpers), each also
+// recorded in codec.
+func codecBodies(pass *analysis.Pass, fn *ast.FuncDecl,
+	declOf map[*types.Func]*ast.FuncDecl, codec map[*ast.FuncDecl]bool) []*ast.FuncDecl {
+	if fn.Body == nil {
+		return nil
 	}
+	out := []*ast.FuncDecl{fn}
+	seen := map[*ast.FuncDecl]bool{fn: true}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if d := calleeDecl(pass, call, declOf); d != nil && d.Body != nil && !seen[d] {
+				seen[d] = true
+				out = append(out, d)
+			}
+		}
+		return true
+	})
+	for _, d := range out {
+		codec[d] = true
+	}
+	return out
 }
 
 // referencedFields returns the set of top-level field indices of owner
-// that fn's body selects, directly or inside a same-package function or
-// method fn calls directly (one level of helpers). Promoted selections
-// through an embedded field credit the embedded field itself: the codec
-// demonstrably reaches into that subtree.
+// that the bodies select, and adds every field they select — owner's or
+// not — to all. Promoted selections through an embedded field credit the
+// embedded field itself: the codec demonstrably reaches into that
+// subtree.
 func referencedFields(pass *analysis.Pass, owner *types.Named,
-	fn *ast.FuncDecl, declOf map[*types.Func]*ast.FuncDecl) map[int]bool {
+	bodies []*ast.FuncDecl, all map[*types.Var]bool) map[int]bool {
 	out := map[int]bool{}
-	seen := map[*ast.FuncDecl]bool{}
-	var scan func(d *ast.FuncDecl, depth int)
-	scan = func(d *ast.FuncDecl, depth int) {
-		if d == nil || d.Body == nil || seen[d] {
-			return
-		}
-		seen[d] = true
+	for _, d := range bodies {
 		ast.Inspect(d.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				sel, ok := pass.TypesInfo.Selections[n]
-				if !ok || sel.Kind() != types.FieldVal {
-					return true
-				}
-				if namedOf(sel.Recv()) == owner && len(sel.Index()) > 0 {
-					out[sel.Index()[0]] = true
-				}
-			case *ast.CallExpr:
-				if depth > 0 {
-					return true
-				}
-				if callee := calleeDecl(pass, n, declOf); callee != nil {
-					scan(callee, depth+1)
-				}
+			se, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := pass.TypesInfo.Selections[se]
+			if !ok || sel.Kind() != types.FieldVal {
+				return true
+			}
+			all[sel.Obj().(*types.Var)] = true
+			if namedOf(sel.Recv()) == owner && len(sel.Index()) > 0 {
+				out[sel.Index()[0]] = true
 			}
 			return true
 		})
 	}
-	scan(fn, 0)
 	return out
 }
 

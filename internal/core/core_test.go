@@ -431,7 +431,7 @@ func TestReceiverDeliversAndStripsPads(t *testing.T) {
 	if st.PadFlits != 6 || st.DataFlits != 4 || st.Delivered != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if rc.Pending() != 0 {
+	if len(rc.asm) != 0 {
 		t.Fatal("assembly leaked")
 	}
 	if len(rc.Drain()) != 0 {
@@ -459,7 +459,7 @@ func TestReceiverFKillsCorruptData(t *testing.T) {
 	if len(fk.calls) != 1 || fk.calls[0].ch != 1 || fk.calls[0].worm != fr.WormID() {
 		t.Fatalf("FKill calls %v", fk.calls)
 	}
-	if rc.Pending() != 0 {
+	if len(rc.asm) != 0 {
 		t.Fatal("rejected worm still pending")
 	}
 	if len(rc.Drain()) != 0 {
@@ -509,7 +509,7 @@ func TestReceiverDiscardOnForwardKill(t *testing.T) {
 	rc.Accept(0, fr.FlitAt(0), 0)
 	rc.Accept(0, fr.FlitAt(1), 1)
 	rc.Discard(fr.WormID())
-	if rc.Pending() != 0 {
+	if len(rc.asm) != 0 {
 		t.Fatal("discard left assembly")
 	}
 	if rc.Stats().KilledPartial != 1 {

@@ -35,8 +35,7 @@ type chState struct {
 	stall   int // consecutive cycles injection made no progress
 	retryAt int64
 
-	createTime   int64 // message creation (queue latency base)
-	attemptStart int64 // current attempt's first injection cycle
+	createTime int64 // message creation (queue latency base)
 
 	// Phase-timestamp bookkeeping for the latency decomposition: the
 	// head-injection cycle of attempt 0, the cumulative cycles spent in
@@ -262,7 +261,6 @@ func (in *Injector) tickChannel(now int64, i int) {
 		ch.next = 0
 		ch.stall = 0
 		ch.createTime = m.CreateTime
-		ch.attemptStart = now
 		ch.firstInject = -1
 		ch.backoff = 0
 		in.inject(now, i)
@@ -292,7 +290,6 @@ func (in *Injector) tickChannel(now int64, i int) {
 		ch.phase = chSending
 		ch.next = 0
 		ch.stall = 0
-		ch.attemptStart = now
 		in.inject(now, i)
 	}
 }

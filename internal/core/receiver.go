@@ -52,7 +52,6 @@ type assembly struct {
 	msg     flit.MessageID
 	dataLen int
 	nextSeq int
-	channel int
 	dataOK  bool
 
 	stamps      flit.Stamps // phase timestamps from the head flit
@@ -63,10 +62,9 @@ type assembly struct {
 // ejection channels, strips padding, verifies checksums under FCR and
 // delivers completed messages.
 type Receiver struct {
-	cfg    Config          //cr:nosnap construction parameters
-	node   topology.NodeID //cr:nosnap node identity, fixed at construction
-	fkill  FKiller         //cr:nosnap port adapter, rewired by the owner after restore
-	checks bool            //cr:nosnap derived from cfg at construction (end-to-end payload pattern checking)
+	cfg   Config          //cr:nosnap construction parameters
+	node  topology.NodeID //cr:nosnap node identity, fixed at construction
+	fkill FKiller         //cr:nosnap port adapter, rewired by the owner after restore
 
 	asm map[flit.WormID]*assembly
 	// deliveries accumulates the cycle's completions; drained holds the
@@ -92,7 +90,6 @@ func NewReceiver(cfg Config, node topology.NodeID, fkill FKiller) *Receiver {
 		cfg:      cfg,
 		node:     node,
 		fkill:    fkill,
-		checks:   true,
 		asm:      make(map[flit.WormID]*assembly),
 		lastSeen: make(map[topology.NodeID]flit.MessageID),
 	}
@@ -100,9 +97,6 @@ func NewReceiver(cfg Config, node topology.NodeID, fkill FKiller) *Receiver {
 
 // Stats returns a copy of the receiver's counters.
 func (rc *Receiver) Stats() RecvStats { return rc.stats }
-
-// Pending returns the number of partially received worms.
-func (rc *Receiver) Pending() int { return len(rc.asm) }
 
 // Drain returns and clears the deliveries accumulated since the last
 // call. The simulation harness drains once per cycle. The returned slice
@@ -151,7 +145,7 @@ func (rc *Receiver) Accept(ch int, f flit.Flit, now int64) {
 		}
 		h := flit.DecodeHeader(f.Payload)
 		a = rc.getAsm()
-		*a = assembly{src: h.Src, msg: f.Worm.Message(), dataLen: h.DataLen, nextSeq: 1, channel: ch, dataOK: true,
+		*a = assembly{src: h.Src, msg: f.Worm.Message(), dataLen: h.DataLen, nextSeq: 1, dataOK: true,
 			stamps: f.Stamps, headArrived: now}
 		rc.asm[f.Worm] = a
 		rc.stats.DataFlits++
@@ -178,7 +172,7 @@ func (rc *Receiver) Accept(ch int, f flit.Flit, now int64) {
 			rc.reject(ch, f.Worm)
 			return
 		}
-		if rc.checks && f.Payload != flit.PayloadWord(a.msg, f.Seq) {
+		if f.Payload != flit.PayloadWord(a.msg, f.Seq) {
 			a.dataOK = false
 		}
 	case flit.Pad:

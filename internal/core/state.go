@@ -34,7 +34,6 @@ func (in *Injector) SaveState(e *snapshot.Encoder) {
 		e.Int(ch.stall)
 		e.Varint(ch.retryAt)
 		e.Varint(ch.createTime)
-		e.Varint(ch.attemptStart)
 		e.Varint(ch.firstInject)
 		e.Varint(ch.backoff)
 		e.Varint(ch.waitStart)
@@ -91,7 +90,6 @@ func (in *Injector) LoadState(d *snapshot.Decoder) error {
 		ch.stall = d.Int()
 		ch.retryAt = d.Varint()
 		ch.createTime = d.Varint()
-		ch.attemptStart = d.Varint()
 		ch.firstInject = d.Varint()
 		ch.backoff = d.Varint()
 		ch.waitStart = d.Varint()
@@ -167,7 +165,6 @@ func (rc *Receiver) SaveState(e *snapshot.Encoder) {
 		e.U64(uint64(a.msg))
 		e.Int(a.dataLen)
 		e.Int(a.nextSeq)
-		e.Int(a.channel)
 		e.Bool(a.dataOK)
 		flit.PutStamps(e, a.stamps)
 		e.Varint(a.headArrived)
@@ -212,7 +209,6 @@ func (rc *Receiver) LoadState(d *snapshot.Decoder) error {
 		a.msg = flit.MessageID(d.U64())
 		a.dataLen = d.Int()
 		a.nextSeq = d.Int()
-		a.channel = d.Int()
 		a.dataOK = d.Bool()
 		a.stamps = flit.GetStamps(d)
 		a.headArrived = d.Varint()

@@ -49,7 +49,6 @@ func (n *Network) Step() {
 	moved := n.mergeBarrier()
 	n.forkJoin(spFKills)
 	n.mergeBarrier()
-	n.applyGlobalCredits()
 	n.forkJoin(spCredits)
 	n.mergeBarrier()
 	n.finishStep(arrived || moved)

@@ -29,8 +29,15 @@ import (
 // The pooled_* entries were recorded the same way from commit 878c4f8,
 // the last with the linked-slot pooledStore behind the bufStore
 // interface: the DAMQ and credit-shared runs and checkpoint files below
-// are the check that the ring+ledger store equals the pool it replaced,
-// and that files written before the change still load.
+// are the check that the ring+ledger store equals the pool it replaced.
+//
+// The three checkpoint files are those recordings carried forward, not
+// the original bytes: snapshot format 5 dropped the fields nothing read
+// and the dense layout the originals were written in, so each file was
+// restored once by the last reader that understood it, resumed to its
+// recorded digest, and re-saved by this writer (DESIGN.md §8 has the
+// log). The digests in kernel_golden.json are the recorders' and have
+// never changed; a re-saved file that lost anything would miss them.
 
 // kernelGolden is testdata/kernel_golden.json.
 type kernelGolden struct {
@@ -40,15 +47,13 @@ type kernelGolden struct {
 	Runs map[string]string `json:"runs"`
 	// Resume describes testdata/serial_midrun.crsnap: a serial snapCfg
 	// network saved at Cycle, after that cycle's submission and before its
-	// Step, so the injector worklist was written unsorted with the
-	// needs-sort flag set (the bytes at FlagOffsets of the payload are the
-	// two worklists' flags). Digest covers the unbroken run from Cycle to
-	// Until.
+	// Step. Digest covers the unbroken run from Cycle to Until. (The
+	// file's needs_sort_flag_offsets located a flag of the recorder's
+	// layout that format 5 no longer has.)
 	Resume struct {
-		Cycle       int64  `json:"cycle"`
-		Until       int64  `json:"until"`
-		FlagOffsets [2]int `json:"needs_sort_flag_offsets"`
-		Digest      string `json:"digest"`
+		Cycle  int64  `json:"cycle"`
+		Until  int64  `json:"until"`
+		Digest string `json:"digest"`
 	} `json:"resume"`
 	// PooledRuns maps each TestShardedMatchesSerialBufferOrgs
 	// configuration to the digest of its serial run on the linked-slot
@@ -170,16 +175,6 @@ func TestKernelGolden(t *testing.T) {
 
 	t.Run("resume", func(t *testing.T) {
 		payload := readPinnedSnapshot(t, goldenSnapshotFile, g.Resume.Cycle)
-		flags := 0
-		for _, off := range g.Resume.FlagOffsets {
-			if payload[off] > 1 {
-				t.Fatalf("payload byte %d = %d is not a flag", off, payload[off])
-			}
-			flags += int(payload[off])
-		}
-		if flags == 0 {
-			t.Fatal("recorded snapshot has no needs-sort flag set; it no longer covers that path")
-		}
 		resumePinned(t, payload, snapCfg, snapSubmit, g.Resume.Until, g.Resume.Digest)
 	})
 
@@ -198,13 +193,13 @@ func TestKernelGolden(t *testing.T) {
 	}
 }
 
-// pinnedSnapshots are the checkpoint files earlier commits wrote, in the
-// dense payload layout under container version 3, by content hash: they
-// are what "old files still load" means, so they are never re-recorded.
+// pinnedSnapshots are the checkpoint files by content hash, so a file
+// regenerated from this tree (which would pin the kernel to itself)
+// cannot pass for the carried-forward recording.
 var pinnedSnapshots = map[string]string{
-	goldenSnapshotFile:     "3d1d294293230911ff7f21f3f64360ab58b42831617e6d67f9c27ab96221b5d2",
-	"damq_midrun.crsnap":   "974e9be72c7cd03454d5fcec32658220be637c524514c3a321f8f74a60fbd055",
-	"shared_midrun.crsnap": "d7b5595ff7ddb49d088ac0daef573b9cdccfd6fe3f2a92c8ef40c1035a85795c",
+	goldenSnapshotFile:     "2b5d0ecbc4910a334cd1fb8db2b448afb372251cd29aab1c4a6ef1c57d678769",
+	"damq_midrun.crsnap":   "ed2328e2a92f62bdfc70b49cba6688a5d90e6df5132aad7e5104170345c6fdf1",
+	"shared_midrun.crsnap": "1832907c782bb8f8961ef464be746145b11b6183c173cc6622812d356c4784cb",
 }
 
 // readPinnedSnapshot returns the payload of a pinned checkpoint file
@@ -217,7 +212,7 @@ func readPinnedSnapshot(t *testing.T, file string, wantCycle int64) []byte {
 		t.Fatal(err)
 	}
 	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != pinnedSnapshots[file] {
-		t.Fatalf("%s is not the file the earlier commit wrote (sha256 %x)", file, sum)
+		t.Fatalf("%s is not the recorded file (sha256 %x)", file, sum)
 	}
 	cycle, payload, err := snapshot.Decode(path, raw)
 	if err != nil {
@@ -229,12 +224,11 @@ func readPinnedSnapshot(t *testing.T, file string, wantCycle int64) []byte {
 	return payload
 }
 
-// resumePinned restores a dense-layout payload at goldenShards ranges and
+// resumePinned restores a pinned payload at goldenShards ranges and
 // checks each continuation against the recorded unbroken run. LoadState
 // checks the payload's fingerprint first, so loading at all pins
-// ConfigFingerprint to the recorder's. The restored network is fully
-// built, as the file says, and saves in the sparse layout; that save
-// must carry everything the file did, so it too resumes to the digest.
+// ConfigFingerprint to the recorder's. The recorder's network was fully
+// built, so the restored one is, and it re-saves to the file's bytes.
 func resumePinned(t *testing.T, payload []byte, cfg func() Config, submit func(*Network, int64), until int64, digest string) {
 	t.Helper()
 	for _, shards := range goldenShards() {
@@ -246,19 +240,10 @@ func resumePinned(t *testing.T, payload []byte, cfg func() Config, submit func(*
 		}
 		if shards == 1 {
 			if r, i, rc := built(n); r != n.nodes || i != n.nodes || rc != n.nodes {
-				t.Errorf("dense payload restored %d/%d/%d routers/injectors/receivers of %d nodes", r, i, rc, n.nodes)
+				t.Errorf("pinned payload restored %d/%d/%d routers/injectors/receivers of %d nodes", r, i, rc, n.nodes)
 			}
-			resaved := saveBytes(n)
-			if bytes.Equal(resaved[:8], payload[:8]) {
-				t.Error("re-saving the restored network wrote the dense layout's fingerprint")
-			}
-			again := New(cfg())
-			mustLoad(t, again, resaved)
-			if !bytes.Equal(saveBytes(again), resaved) {
-				t.Error("the sparse re-save does not round-trip to its own bytes")
-			}
-			if got := resumeTail(again, until, submit); got != digest {
-				t.Errorf("re-saved in the sparse layout and reloaded: digest %s, recorded unbroken run %s", got, digest)
+			if !bytes.Equal(saveBytes(n), payload) {
+				t.Error("the restored network does not re-save to the pinned bytes")
 			}
 		}
 		if got := resumeTail(n, until, submit); got != digest {

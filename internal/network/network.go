@@ -289,11 +289,11 @@ type Network struct {
 	wormBuf   []router.WormAt //cr:nosnap per-call scratch for worm sweeps
 
 	// sink holds the coordinator's cross-node side-effect queues:
-	// scheduled signals, the credits its own phases defer, completed
-	// deliveries, and the flit counters fed from hot paths. Embedding
-	// promotes the fields (n.signals, n.flitsInjected, ...). Each node
-	// range owns its own sink and the barriers merge them into this one
-	// in range order (see shard.go).
+	// scheduled signals, completed deliveries, and the flit counters fed
+	// from hot paths (the credits its own phases defer go to row 0 of
+	// the credit matrix). Embedding promotes the fields (n.signals,
+	// n.flitsInjected, ...). Each node range owns its own sink and the
+	// barriers merge them into this one in range order (see shard.go).
 	sink
 
 	// drained holds the slice handed out by the previous
@@ -304,10 +304,9 @@ type Network struct {
 	// shards are the node ranges — always at least one — each owning its
 	// nodes' activity worklists (see step.go for the maintenance
 	// protocol); nodeShard is the node→range index and wg the fork/join
-	// group. recvMark dedups a range's recvPend appends within a cycle.
+	// group.
 	shards    []shard
 	nodeShard []int32 //cr:nosnap derived node-to-range index, rebuilt from Config by initShards
-	recvMark  []bool  //cr:nosnap dedup bitmap, clear between cycles; LoadState re-marks it from recvPend
 	//cr:nosnap synchronization primitive; serializing it is meaningless
 	//cr:sharded the fork/join group is the shard synchronization protocol itself
 	wg sync.WaitGroup
@@ -325,11 +324,10 @@ type Network struct {
 	hooks  Hooks
 	health error
 
-	lastProgress  int64
-	lastFault     int64 // cycle of the most recent fault-timeline event
-	failEvents    int64 // fault *failure* events applied (timeline + hazard)
-	flitsDropped  int64 // in-flight flits lost to link death
-	flitsDegraded int64 // transient corruptions applied on links
+	lastProgress int64
+	lastFault    int64 // cycle of the most recent fault-timeline event
+	failEvents   int64 // fault *failure* events applied (timeline + hazard)
+	flitsDropped int64 // in-flight flits lost to link death
 }
 
 // New builds the network. It panics on invalid configuration.
@@ -352,7 +350,6 @@ func New(cfg Config) *Network {
 		rcfg:      cfg.routerConfig(),
 		ccfg:      cfg.coreConfig(),
 		corrupter: newCorrupter(cfg),
-		recvMark:  make([]bool, nodes),
 		lastFault: -1,
 	}
 	for id := 0; id < nodes; id++ {
@@ -525,16 +522,6 @@ func (n *Network) DrainDeliveries() []core.Delivery {
 	n.deliveries = n.drained[:0]
 	n.drained = d
 	return d
-}
-
-// resetShards empties every range's sink, queues and worklists.
-func (n *Network) resetShards() {
-	for i := range n.shards {
-		for _, id := range n.shards[i].recvPend {
-			n.recvMark[id] = false
-		}
-		n.shards[i].reset()
-	}
 }
 
 // CyclesSinceProgress returns how long no flit has moved or arrived;

@@ -41,13 +41,7 @@ func stepReference(n *Network) {
 	moved := n.mergeBarrier()
 	n.shardFKills(sh)
 	n.mergeBarrier()
-	n.applyGlobalCredits()
-	sh.recvPend = sh.recvPend[:0]
-	for id, rc := range n.receivers {
-		if rc != nil {
-			sh.recvPend = append(sh.recvPend, int32(id))
-		}
-	}
+	scanInto(&sh.recvPend, len(n.receivers), func(id int) bool { return n.receivers[id] != nil })
 	n.shardCredits(sh)
 	n.mergeBarrier()
 	n.finishStep(arrived || moved)

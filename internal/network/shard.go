@@ -26,11 +26,14 @@ import (
 // case: forkJoin calls its body inline, and the merge is a plain move.
 //
 // Credits are the one cross-range flow that may target any node, so
-// each range sink carries a per-destination-range matrix row
-// (outCredits); in the credits phase each body applies column [me] of
-// every row to its own routers. Credit application is commutative (pure
-// counter increments, read only by the next cycle's allocate), so only
-// the multiset matters, and the matrix needs no global ordering.
+// they travel through a matrix with one row per execution context — the
+// coordinator, then each range — and one column per destination range.
+// A range holds its own column (inCredits); every context appends to its
+// own row of the destination's column, and in the credits phase each
+// body applies its column to its own routers. Credit application is
+// commutative (pure counter increments, read only by the next cycle's
+// allocate), so only the multiset matters, and the matrix needs no
+// global ordering.
 
 // sink collects the cross-node side effects of one execution context:
 // the coordinator's (embedded in Network) or one range's. Appends are
@@ -38,14 +41,12 @@ import (
 // coordinator's happens only at barriers, on the coordinator.
 type sink struct {
 	signals    []scheduledSignal
-	credits    []creditEvent
 	deliveries []core.Delivery
 	emitBuf    []router.Emit
 
-	// outCredits is the per-destination-range credit matrix row; nil on
-	// the coordinator's sink (its credits go to the flat queue above,
-	// applied by applyGlobalCredits).
-	outCredits [][]creditEvent
+	// row is this context's row of the credit matrix: 0 for the
+	// coordinator, 1+i for range i.
+	row int
 
 	// events buffers trace events: phase bodies cannot call the tracer
 	// concurrently, so every context records and the coordinator replays
@@ -60,28 +61,27 @@ type sink struct {
 // reset empties the sink's queues and counters, keeping capacity.
 func (s *sink) reset() {
 	s.signals = s.signals[:0]
-	s.credits = s.credits[:0]
 	s.deliveries = s.deliveries[:0]
 	s.emitBuf = s.emitBuf[:0]
-	for i := range s.outCredits {
-		s.outCredits[i] = s.outCredits[i][:0]
-	}
 	s.events = s.events[:0]
 	s.killsDropped, s.flitsInjected, s.flitsEjected = 0, 0, 0
 }
 
-// shard owns the contiguous node range [lo, hi): those nodes'
+// shard owns one contiguous node range: those nodes'
 // routers/injectors/receivers, their output links, and the activity
 // worklists over them (see step.go for the maintenance protocol).
 type shard struct {
 	sink
-	lo, hi int32
 
 	activeR   nodeSet   // this range's routers with buffered flits
 	activeI   nodeSet   // this range's injectors with pending work
 	busyLinks []linkRef // this range's output links carrying a flit
-	recvPend  []int32   // this range's receivers that accepted a flit this cycle
+	recvPend  nodeSet   // this range's receivers that accepted a flit this cycle
 	fkills    []fkillReq
+
+	// inCredits is this range's column of the credit matrix: the refunds
+	// addressed to its routers, one queue per sending context (sink.row).
+	inCredits [][]creditEvent
 
 	// arrivals is this cycle's bucket of busy links whose flit lands in
 	// this range, filled by the coordinator's arrivals prepass in global
@@ -100,8 +100,11 @@ func (sh *shard) reset() {
 	sh.activeR.reset()
 	sh.activeI.reset()
 	sh.busyLinks = sh.busyLinks[:0]
-	sh.recvPend = sh.recvPend[:0]
+	sh.recvPend.reset()
 	sh.fkills = sh.fkills[:0]
+	for r := range sh.inCredits {
+		sh.inCredits[r] = sh.inCredits[r][:0]
+	}
 	sh.arrivals = sh.arrivals[:0]
 	sh.moved = false
 }
@@ -127,10 +130,11 @@ func (n *Network) initShards(s int) {
 			size++
 		}
 		sh := &n.shards[i]
-		sh.lo, sh.hi = int32(lo), int32(lo+size)
+		sh.row = 1 + i
 		sh.activeR = newNodeSet(n.nodes)
 		sh.activeI = newNodeSet(n.nodes)
-		sh.outCredits = make([][]creditEvent, s)
+		sh.recvPend = newNodeSet(n.nodes)
+		sh.inCredits = make([][]creditEvent, 1+s)
 		for id := lo; id < lo+size; id++ {
 			n.nodeShard[id] = int32(i)
 		}
@@ -145,10 +149,8 @@ func (n *Network) shardOf(node topology.NodeID) *shard {
 	return &n.shards[n.nodeShard[node]]
 }
 
-// pushCredit queues one deferred credit refund toward (node, port, vc).
-// On a range sink the refund is filed in the matrix row under the
-// *destination* node's range; on the coordinator's sink it goes to the
-// flat queue applied by applyGlobalCredits.
+// pushCredit queues one deferred credit refund toward (node, port, vc),
+// filed in the sending context's row of the *destination* node's range.
 func (n *Network) pushCredit(sk *sink, node topology.NodeID, port, vc, cnt int) {
 	n.pushCreditEv(sk, creditEvent{node: int32(node), port: int16(port), vc: uint8(vc), n: int32(cnt)})
 }
@@ -158,12 +160,8 @@ func (n *Network) pushCredit(sk *sink, node topology.NodeID, port, vc, cnt int) 
 //
 //cr:hotpath credit queueing on every flit move and window advertisement
 func (n *Network) pushCreditEv(sk *sink, ev creditEvent) {
-	if sk.outCredits != nil {
-		d := n.nodeShard[ev.node]
-		sk.outCredits[d] = append(sk.outCredits[d], ev)
-		return
-	}
-	sk.credits = append(sk.credits, ev)
+	in := n.shardOf(topology.NodeID(ev.node)).inCredits
+	in[sk.row] = append(in[sk.row], ev)
 }
 
 // shardPhase selects the per-range body in forkJoin.
@@ -292,7 +290,6 @@ func (n *Network) prepassArrivals() bool {
 				continue
 			}
 			if n.corrupter.Apply(&l.f) {
-				n.flitsDegraded++
 				n.trace(EvCorrupt, topology.NodeID(l.toNode), int(l.toPort), int(l.vc), l.f.Worm, l.f.Seq)
 			}
 			n.trace(EvArrive, topology.NodeID(l.toNode), int(l.toPort), int(l.vc), l.f.Worm, l.f.Seq)
@@ -403,40 +400,28 @@ func (n *Network) shardFKills(sh *shard) {
 	}
 }
 
-// applyGlobalCredits applies the coordinator-accumulated credit queue
-// (from the coordinator's phases: signal delivery and fault sweeps)
-// before the per-range matrix application; order does not matter —
-// credits are commutative within a cycle — but these may target any
-// node, so they cannot be applied from a range body.
-//
-//cr:hotpath coordinator half of the credits phase
-func (n *Network) applyGlobalCredits() {
-	for _, c := range n.credits {
-		n.routerAt(topology.NodeID(c.node)).ApplyCredit(int(c.port), int(c.vc), int(c.n), int(c.w))
-	}
-	n.credits = n.credits[:0]
-}
-
-// shardCredits applies column [me] of every range's credit matrix to
-// this range's routers (credits earned this cycle become visible next),
-// then collects deliveries. Only receivers that accepted a flit this
-// cycle can hold deliveries, so only those (recvPend, in ascending node
-// order by construction) are drained.
+// shardCredits applies this range's column of the credit matrix to its
+// routers (credits earned this cycle become visible next), then collects
+// deliveries. The coordinator's row — refunds from signal delivery and
+// fault sweeps — may name a router nothing has touched yet, which is
+// then built here, by its owner. Only receivers that accepted a flit
+// this cycle can hold deliveries, so only those (recvPend, in ascending
+// node order by construction) are drained.
 //
 //cr:hotpath credits phase body
 func (n *Network) shardCredits(sh *shard) {
-	sk := &sh.sink
-	me := n.nodeShard[sh.lo]
-	for si := range n.shards {
-		cell := n.shards[si].outCredits[me]
+	for r, cell := range sh.inCredits {
 		for _, c := range cell {
-			n.routers[c.node].ApplyCredit(int(c.port), int(c.vc), int(c.n), int(c.w))
+			rt := n.routers[c.node]
+			if rt == nil {
+				rt = n.routerAt(topology.NodeID(c.node))
+			}
+			rt.ApplyCredit(int(c.port), int(c.vc), int(c.n), int(c.w))
 		}
-		n.shards[si].outCredits[me] = cell[:0]
+		sh.inCredits[r] = cell[:0]
 	}
-	for _, id := range sh.recvPend {
-		n.recvMark[id] = false //cr:sharded recvMark[id] belongs to the shard that owns node id
-		n.drainReceiver(sk, int(id), n.receivers[id])
+	for _, id := range sh.recvPend.ids {
+		n.drainReceiver(&sh.sink, int(id), n.receivers[id])
 	}
-	sh.recvPend = sh.recvPend[:0]
+	sh.recvPend.reset()
 }

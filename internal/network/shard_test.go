@@ -298,22 +298,24 @@ func TestShardPartition(t *testing.T) {
 		if len(n.shards) != want {
 			t.Fatalf("nodes=%d shards=%d: got %d shard descriptors, want %d", tc.nodes, tc.shards, len(n.shards), want)
 		}
-		next := int32(0)
-		for i := range n.shards {
-			sh := &n.shards[i]
-			if sh.lo != next || sh.hi <= sh.lo {
-				t.Fatalf("nodes=%d shards=%d: shard %d range [%d,%d) not contiguous after %d",
-					tc.nodes, tc.shards, i, sh.lo, sh.hi, next)
+		// Contiguous ascending non-empty ranges: the node→range index
+		// starts at 0, never skips or goes back, and ends at the last range.
+		sizes := make([]int, want)
+		prev := int32(0)
+		for id, s := range n.nodeShard {
+			if s != prev && s != prev+1 {
+				t.Fatalf("nodes=%d shards=%d: node %d mapped to range %d after range %d", tc.nodes, tc.shards, id, s, prev)
 			}
-			for id := sh.lo; id < sh.hi; id++ {
-				if n.nodeShard[id] != int32(i) {
-					t.Fatalf("node %d mapped to shard %d, want %d", id, n.nodeShard[id], i)
-				}
-			}
-			next = sh.hi
+			sizes[s]++
+			prev = s
 		}
-		if int(next) != tc.nodes {
-			t.Fatalf("nodes=%d shards=%d: partition covers %d nodes", tc.nodes, tc.shards, next)
+		if int(prev) != want-1 {
+			t.Fatalf("nodes=%d shards=%d: last node is in range %d of %d", tc.nodes, tc.shards, prev, want)
+		}
+		for i, size := range sizes {
+			if size < tc.nodes/want || size > tc.nodes/want+1 {
+				t.Fatalf("nodes=%d shards=%d: range %d holds %d nodes", tc.nodes, tc.shards, i, size)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 
 	"crnet/internal/core"
 	"crnet/internal/flit"
@@ -14,13 +15,17 @@ import (
 )
 
 // Checkpoint codec for the whole machine. SaveState captures every
-// mutable field the cycle kernel reads — link occupancy, in-flight
-// tear-down signals, deferred credits and FKILL requests, undrained
-// deliveries, the activity worklists, the transient-corruption process
-// position, the fault-timeline cursor, the health latch, the global
-// counters, and every router/injector/receiver — so that a network
-// restored from the snapshot steps forward byte-identically to one
-// that never stopped (see TestResumeByteIdentical).
+// mutable field the cycle kernel carries from one Step to the next —
+// link occupancy, in-flight tear-down signals, undrained deliveries, the
+// busy-link and router/injector worklists, the transient-corruption
+// process position, the fault-timeline cursor, the health latch, the
+// global counters, and every router/injector/receiver that exists — so
+// that a network restored from the snapshot steps forward
+// byte-identically to one that never stopped (see
+// TestResumeByteIdentical). What a Step fills and empties within itself
+// — the credit matrix, the FKILL requests, the accepting-receiver set,
+// the arrivals buckets — is empty whenever a caller can run, so it is
+// not in the payload; LoadState clears it.
 //
 // The payload begins with a fingerprint of the construction-time
 // configuration. LoadState verifies it before touching any state: a
@@ -31,38 +36,33 @@ import (
 //
 // The same word names the payload's layout, because LoadState is handed
 // a bare payload (the container's version field never reaches it), so
-// the payload has to describe itself. SaveState writes the configuration
-// digest continued over layoutSuffix, and the sparse layout: links as
-// runs of pristine links between explicit records, and only the routers,
-// injectors and receivers that exist (see saveLinks and saveNodes). A
-// payload opening with the bare ConfigFingerprint is the dense layout
-// every earlier build wrote (one record per link, every node's three
-// components); LoadState still reads it and nothing writes it. What a
-// node's components are is behaviour; whether they have been built yet
-// is only bytes — an unbuilt component is exactly a pristine one — so a
-// dense file loads fully built, re-saves fully built, and steps
-// identically to the lazy network it was taken from.
+// the payload has to describe itself: SaveState writes the configuration
+// digest continued over layoutSuffix, and a payload of any earlier
+// layout — they opened with the bare digest, or one continued over an
+// older suffix — fails the fingerprint gate like a foreign
+// configuration. There is one layout: links as runs of pristine links
+// between explicit records, and only the routers, injectors and
+// receivers that exist (see saveLinks and saveNodes). What a node's
+// components are is behaviour; whether they have been built yet is only
+// bytes — an unbuilt component is exactly a pristine one.
 //
 // Hooks and the tracer are runtime attachments, not simulation state;
 // they are preserved across LoadState.
 
 // layoutSuffix continues the configuration digest into the fingerprint
-// of the sparse payload layout (snapshot.FormatVersion 4).
-const layoutSuffix = " layout=sparse4"
+// of the payload layout (snapshot.FormatVersion 5).
+const layoutSuffix = " layout=5"
 
 // ConfigFingerprint returns a 64-bit digest of the network's effective
 // configuration (defaults filled in), covering every knob that shapes
-// simulation behavior. Two networks with equal fingerprints are
-// structurally interchangeable for checkpoint/restore. Shards is
-// deliberately excluded: results are byte-identical for every range
-// count, so a snapshot restores into a network partitioned differently
-// from the one that wrote it — the per-range worklists are saved as
-// their merged union in range order (see saveMergedNodeSets).
-func (n *Network) ConfigFingerprint() uint64 { return n.fingerprint("") }
-
-// fingerprint digests the configuration followed by suffix. SaveState
-// opens a payload with fingerprint(layoutSuffix).
-func (n *Network) fingerprint(suffix string) uint64 {
+// simulation behavior, continued over layoutSuffix: the word a payload
+// opens with. Two networks with equal fingerprints are structurally
+// interchangeable for checkpoint/restore. Shards is deliberately
+// excluded: results are byte-identical for every range count, so a
+// snapshot restores into a network partitioned differently from the one
+// that wrote it — the per-range worklists are saved as their merged
+// union in range order (see saveMergedNodeSets).
+func (n *Network) ConfigFingerprint() uint64 {
 	h := fnv.New64a()
 	c := &n.cfg
 	fmt.Fprintf(h, "topo=%s nodes=%d alg=%s proto=%d vcs=%d buf=%d inj=%d ej=%d",
@@ -88,16 +88,14 @@ func (n *Network) fingerprint(suffix string) uint64 {
 	for _, ev := range c.Faults.Events() {
 		fmt.Fprintf(h, " %s", ev)
 	}
-	io.WriteString(h, suffix)
+	io.WriteString(h, layoutSuffix)
 	return h.Sum64()
 }
 
 // SaveState appends the network's complete mutable state to a snapshot.
-// Call it between Step calls (any cycle boundary); the encoding also
-// covers the queues that are only non-empty mid-step, so the boundary
-// requirement is about observational convention, not correctness.
+// Call it between Step calls (any cycle boundary).
 func (n *Network) SaveState(e *snapshot.Encoder) {
-	e.U64(n.fingerprint(layoutSuffix))
+	e.U64(n.ConfigFingerprint())
 	e.Varint(n.cycle)
 	n.saveLinks(e)
 
@@ -108,22 +106,6 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 		e.Int(s.sig.Port)
 		e.Int(s.sig.VC)
 		e.U64(uint64(s.sig.Worm))
-	}
-	e.Uvarint(uint64(len(n.credits)))
-	for _, c := range n.credits {
-		e.Varint(int64(c.node))
-		e.Int(int(c.port))
-		e.Int(int(c.vc))
-		e.Int(int(c.n))
-		e.Int(int(c.w))
-	}
-	e.Uvarint(n.sumShards(func(sh *shard) int { return len(sh.fkills) }))
-	for i := range n.shards {
-		for _, f := range n.shards[i].fkills {
-			e.Varint(int64(f.node))
-			e.Int(f.ch)
-			e.U64(uint64(f.worm))
-		}
 	}
 	e.Uvarint(uint64(len(n.deliveries)))
 	for i := range n.deliveries {
@@ -143,7 +125,11 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 	// their merged, globally ordered union — the same bytes whatever the
 	// partition, which is what lets LoadState deal them out to a
 	// different one.
-	e.Uvarint(n.sumShards(func(sh *shard) int { return len(sh.busyLinks) }))
+	busy := 0
+	for i := range n.shards {
+		busy += len(n.shards[i].busyLinks)
+	}
+	e.Uvarint(uint64(busy))
 	for i := range n.shards {
 		for _, ref := range n.shards[i].busyLinks {
 			e.Varint(int64(ref.node))
@@ -152,12 +138,6 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 	}
 	saveMergedNodeSets(e, n.shards, func(sh *shard) *nodeSet { return &sh.activeR })
 	saveMergedNodeSets(e, n.shards, func(sh *shard) *nodeSet { return &sh.activeI })
-	e.Uvarint(n.sumShards(func(sh *shard) int { return len(sh.recvPend) }))
-	for i := range n.shards {
-		for _, id := range n.shards[i].recvPend {
-			e.Varint(int64(id))
-		}
-	}
 
 	n.corrupter.SaveState(e)
 	if n.hazard != nil {
@@ -175,7 +155,6 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 	e.Varint(n.lastFault)
 	e.Varint(n.killsDropped)
 	e.Varint(n.flitsDropped)
-	e.Varint(n.flitsDegraded)
 	e.Varint(n.flitsInjected)
 	e.Varint(n.flitsEjected)
 	e.Varint(n.failEvents)
@@ -326,20 +305,11 @@ func (n *Network) saveNodes(e *snapshot.Encoder) {
 	}
 }
 
-// sumShards sums a per-range queue length over every range.
-func (n *Network) sumShards(length func(*shard) int) uint64 {
-	total := 0
-	for i := range n.shards {
-		total += length(&n.shards[i])
-	}
-	return uint64(total)
-}
-
 // saveMergedNodeSets writes the range-partitioned node sets as one
 // sorted union: each range's set is sorted in place (prepare is
 // idempotent and deterministic — the next phase to walk the set would
 // run it anyway), and range order concatenation of contiguous ascending
-// ranges is globally sorted, so the needs-sort flag is written clear.
+// ranges is globally sorted.
 //
 // The sets are not reconstructed from first principles on load because
 // membership is not a pure function of the rest of the state (e.g. a
@@ -359,7 +329,6 @@ func saveMergedNodeSets(e *snapshot.Encoder, shards []shard, pick func(*shard) *
 			e.Varint(int64(id))
 		}
 	}
-	e.Bool(false)
 }
 
 // loadNode decodes a node id that LoadState is about to index with,
@@ -376,24 +345,20 @@ func (n *Network) loadNode(d *snapshot.Decoder, what string) (topology.NodeID, e
 }
 
 // loadNodeSets decodes one merged node-set section, dealing each id to
-// the range that owns it. The needs-sort flag is read and dropped:
-// snapshots written by the pre-range serial kernel carry it set (their
-// ids are in insertion order), and add marks the receiving set dirty
-// either way, so it is re-sorted before its first walk.
-func (n *Network) loadNodeSets(d *snapshot.Decoder, pick func(*shard) *nodeSet) error {
+// the range that owns it.
+func (n *Network) loadNodeSets(d *snapshot.Decoder, what string, pick func(*shard) *nodeSet) error {
 	count := d.Count(n.nodes)
 	if err := d.Err(); err != nil {
-		return err
+		return fmt.Errorf("network: %s: %w", what, err)
 	}
 	for i := 0; i < count; i++ {
-		id, err := n.loadNode(d, "worklist")
+		id, err := n.loadNode(d, what)
 		if err != nil {
 			return err
 		}
 		pick(n.shardOf(id)).add(int32(id))
 	}
-	d.Bool()
-	return d.Err()
+	return nil
 }
 
 // LoadState restores a state written by SaveState into a network built
@@ -407,23 +372,17 @@ func (n *Network) loadNodeSets(d *snapshot.Decoder, pick func(*shard) *nodeSet) 
 // The network ends up with exactly the components the payload carries:
 // a slot the payload does not name is returned to nil, whatever the
 // target had built, and is constructed on its first touch against the
-// restored link state like any other lazy node. A payload in the dense
-// layout (see the file comment) names every node.
+// restored link state like any other lazy node.
 func (n *Network) LoadState(d *snapshot.Decoder) error {
 	fp := d.U64()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	dense := false
-	switch want := n.fingerprint(layoutSuffix); fp {
-	case want:
-	case n.ConfigFingerprint():
-		dense = true
-	default:
+	if want := n.ConfigFingerprint(); fp != want {
 		return fmt.Errorf("network: snapshot fingerprint %016x does not match configuration %016x", fp, want)
 	}
 	n.cycle = d.Varint()
-	if err := n.loadLinks(d, dense); err != nil {
+	if err := n.loadLinks(d); err != nil {
 		return fmt.Errorf("network: link state: %w", err)
 	}
 
@@ -443,34 +402,10 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 			},
 		})
 	}
-	ncred := d.Count(maxQueueItems)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	n.credits = n.credits[:0]
-	for i := 0; i < ncred; i++ {
-		n.credits = append(n.credits, creditEvent{
-			node: int32(d.Varint()),
-			port: int16(d.Int()),
-			vc:   uint8(d.Int()),
-			n:    int32(d.Int()),
-			w:    int32(d.Int()),
-		})
-	}
-	nfk := d.Count(maxQueueItems)
-	if err := d.Err(); err != nil {
-		return err
-	}
 	// The per-range queues and worklists are dealt out to their owners
 	// as they decode; empty them all first.
-	n.resetShards()
-	for i := 0; i < nfk; i++ {
-		node, err := n.loadNode(d, "fkill")
-		if err != nil {
-			return err
-		}
-		sh := n.shardOf(node)
-		sh.fkills = append(sh.fkills, fkillReq{node: node, ch: d.Int(), worm: flit.WormID(d.U64())})
+	for i := range n.shards {
+		n.shards[i].reset()
 	}
 	ndel := d.Count(maxQueueItems)
 	if err := d.Err(); err != nil {
@@ -507,24 +442,11 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 		sh := n.shardOf(node)
 		sh.busyLinks = append(sh.busyLinks, linkRef{node: int32(node), port: int32(port)})
 	}
-	if err := n.loadNodeSets(d, func(sh *shard) *nodeSet { return &sh.activeR }); err != nil {
-		return fmt.Errorf("network: activeR: %w", err)
-	}
-	if err := n.loadNodeSets(d, func(sh *shard) *nodeSet { return &sh.activeI }); err != nil {
-		return fmt.Errorf("network: activeI: %w", err)
-	}
-	npend := d.Count(n.nodes)
-	if err := d.Err(); err != nil {
+	if err := n.loadNodeSets(d, "activeR", func(sh *shard) *nodeSet { return &sh.activeR }); err != nil {
 		return err
 	}
-	for i := 0; i < npend; i++ {
-		id, err := n.loadNode(d, "recvPend")
-		if err != nil {
-			return err
-		}
-		n.recvMark[id] = true
-		sh := n.shardOf(id)
-		sh.recvPend = append(sh.recvPend, int32(id))
+	if err := n.loadNodeSets(d, "activeI", func(sh *shard) *nodeSet { return &sh.activeI }); err != nil {
+		return err
 	}
 
 	if err := n.corrupter.LoadState(d); err != nil {
@@ -551,7 +473,6 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 	n.lastFault = d.Varint()
 	n.killsDropped = d.Varint()
 	n.flitsDropped = d.Varint()
-	n.flitsDegraded = d.Varint()
 	n.flitsInjected = d.Varint()
 	n.flitsEjected = d.Varint()
 	n.failEvents = d.Varint()
@@ -559,12 +480,14 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 		return err
 	}
 
-	return n.loadNodes(d, dense)
+	return n.loadNodes(d)
 }
 
-// loadLinks decodes the link section (see saveLinks); dense selects the
-// older layout, one up/downRefs/busy/flits record per link.
-func (n *Network) loadLinks(d *snapshot.Decoder, dense bool) error {
+// loadLinks decodes the link section (see saveLinks). A link is up
+// exactly when no failure cause is outstanding; a record that says
+// otherwise, or counts causes outside [1, MaxInt16], would restore a
+// link failLink and repairLink can never tear down or bring back.
+func (n *Network) loadLinks(d *snapshot.Decoder) error {
 	// run counts the pristine links still to skip; atRun says the next
 	// item in the stream is a run length.
 	run, atRun := uint64(0), true
@@ -574,30 +497,24 @@ func (n *Network) loadLinks(d *snapshot.Decoder, dense bool) error {
 			if !l.exists {
 				continue
 			}
-			if dense {
-				l.up = d.Bool()
-				l.downRefs = int16(d.Int())
-				l.busy = d.Bool()
-			} else {
-				if atRun {
-					run, atRun = d.Uvarint(), false
-				}
-				if run > 0 {
-					run--
-					l.makePristine()
-					continue
-				}
-				atRun = true
-				flags := d.U8()
-				if flags&^linkFlagsAll != 0 {
-					return fmt.Errorf("link (%d,%d): unknown flags %#02x", id, p, flags)
-				}
-				l.up = flags&linkFlagUp != 0
-				l.busy = flags&linkFlagBusy != 0
-				l.downRefs = 0
-				if flags&linkFlagDownRefs != 0 {
-					l.downRefs = int16(d.Int())
-				}
+			if atRun {
+				run, atRun = d.Uvarint(), false
+			}
+			if run > 0 {
+				run--
+				l.makePristine()
+				continue
+			}
+			atRun = true
+			flags := d.U8()
+			if flags&^linkFlagsAll != 0 {
+				return fmt.Errorf("link (%d,%d): unknown flags %#02x", id, p, flags)
+			}
+			l.up = flags&linkFlagUp != 0
+			l.busy = flags&linkFlagBusy != 0
+			refs := 0
+			if flags&linkFlagDownRefs != 0 {
+				refs = d.Int()
 			}
 			if l.busy {
 				l.vc = uint8(d.Int())
@@ -607,6 +524,10 @@ func (n *Network) loadLinks(d *snapshot.Decoder, dense bool) error {
 			if err := d.Err(); err != nil {
 				return fmt.Errorf("link (%d,%d): %w", id, p, err)
 			}
+			if refs < 0 || refs > math.MaxInt16 || l.up != (refs == 0) {
+				return fmt.Errorf("link (%d,%d): up=%t with %d failure causes outstanding", id, p, l.up, refs)
+			}
+			l.downRefs = int16(refs)
 		}
 	}
 	if run > 0 {
@@ -616,37 +537,29 @@ func (n *Network) loadLinks(d *snapshot.Decoder, dense bool) error {
 }
 
 // loadNodes decodes the component section (see saveNodes), dropping
-// whatever the target had built and building what the section names;
-// dense selects the older layout, which is one implicit run of every
-// node with everything built.
-func (n *Network) loadNodes(d *snapshot.Decoder, dense bool) error {
-	runs := 1
-	if !dense {
-		runs = d.Count(n.nodes)
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("network: node runs: %w", err)
-		}
+// whatever the target had built and building what the section names.
+func (n *Network) loadNodes(d *snapshot.Decoder) error {
+	runs := d.Count(n.nodes)
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("network: node runs: %w", err)
 	}
 	clear(n.routers)
 	clear(n.injectors)
 	clear(n.receivers)
 	next := uint64(0) // the first node id no run has covered yet
 	for i := 0; i < runs; i++ {
-		first, count, mask := uint64(0), uint64(n.nodes), uint8(presenceAll)
-		if !dense {
-			first, count, mask = d.Uvarint(), d.Uvarint(), d.U8()
-			if err := d.Err(); err != nil {
-				return fmt.Errorf("network: node run %d: %w", i, err)
-			}
-			if first < next {
-				return fmt.Errorf("network: node run %d starts at node id %d, before the end of the previous run (%d)", i, first, next)
-			}
-			if count == 0 || first >= uint64(n.nodes) || count > uint64(n.nodes)-first {
-				return fmt.Errorf("network: node run %d covers %d node ids from %d, outside [0,%d)", i, count, first, n.nodes)
-			}
-			if mask == 0 || mask&^presenceAll != 0 {
-				return fmt.Errorf("network: node run %d has presence bits %#02x, want a non-empty subset of %#02x", i, mask, presenceAll)
-			}
+		first, count, mask := d.Uvarint(), d.Uvarint(), d.U8()
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("network: node run %d: %w", i, err)
+		}
+		if first < next {
+			return fmt.Errorf("network: node run %d starts at node id %d, before the end of the previous run (%d)", i, first, next)
+		}
+		if count == 0 || first >= uint64(n.nodes) || count > uint64(n.nodes)-first {
+			return fmt.Errorf("network: node run %d covers %d node ids from %d, outside [0,%d)", i, count, first, n.nodes)
+		}
+		if mask == 0 || mask&^presenceAll != 0 {
+			return fmt.Errorf("network: node run %d has presence bits %#02x, want a non-empty subset of %#02x", i, mask, presenceAll)
 		}
 		next = first + count
 		for id := topology.NodeID(first); id < topology.NodeID(next); id++ {

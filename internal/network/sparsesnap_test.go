@@ -271,9 +271,11 @@ func TestSparseSnapshotRestoresWhatWasSaved(t *testing.T) {
 }
 
 // TestLoadStateRejectsCorruptSnapshots is the network-level table beside
-// the router's: every field the sparse layout added is range-checked, and
-// a bad value is an error that names it — never a panic, a hang, or
-// construction driven by a count the payload cannot back.
+// the router's: every field of the link and node sections is
+// range-checked, and a bad value is an error that names it — never a
+// panic, a hang, construction driven by a count the payload cannot back,
+// or a link whose up bit and failure-cause count disagree (failLink and
+// repairLink could never tear it down or bring it back).
 func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 	donor := New(lazyCfg(1))
 	lazyRun(donor, lazyQuiet, &kernelSnapshot{})
@@ -308,6 +310,20 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		e.Uvarint(first)
 		e.Uvarint(count)
 		e.U8(mask)
+	}
+	// linkRecord is a whole, well-formed link section — one explicit
+	// record, then every other link pristine — so the only thing wrong
+	// with the payload is what the record says.
+	linkRecord := func(flags uint8, refs int) []byte {
+		return withLinks(func(e *snapshot.Encoder) {
+			e.Uvarint(0)
+			e.U8(flags)
+			if flags&linkFlagDownRefs != 0 {
+				e.Int(refs)
+			}
+			e.Varint(0) // traversal count
+			e.Uvarint(links - 1)
+		})
 	}
 	// routerBytes is one valid router payload, to sit inside a run.
 	var rb snapshot.Encoder
@@ -377,6 +393,11 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			e.Uvarint(0)
 			e.U8(linkFlagUp | 8)
 		})},
+		{"link-up-with-causes", "up=true with 1 failure causes", linkRecord(linkFlagUp|linkFlagDownRefs, 1)},
+		{"link-down-without-causes", "up=false with 0 failure causes", linkRecord(0, 0)},
+		{"link-down-zero-causes", "up=false with 0 failure causes", linkRecord(linkFlagDownRefs, 0)},
+		{"link-causes-negative", "with -1 failure causes", linkRecord(linkFlagDownRefs, -1)},
+		{"link-causes-overflow-int16", "with 65536 failure causes", linkRecord(linkFlagDownRefs, 1<<16)},
 		{"link-record-truncated", "link state", clean[:linkOff+linkSec.Len()/2]},
 		{"link-run-truncated", "link state", clean[:linkOff]},
 	}
@@ -402,10 +423,10 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 
 // FuzzNetworkLoadState offers arbitrary payloads to LoadState and asks
 // only that it return: an error or success, never a panic. The seeds are
-// the three recorded dense payloads and a sparse save, each from its own
-// configuration; every input is offered to all four, so a mutation that
-// leaves the leading fingerprint alone gets past one gate, in that
-// payload's layout.
+// the three pinned payloads (fully built networks) and a save of a
+// mostly unbuilt one, each from its own configuration; every input is
+// offered to all four, so a mutation that leaves the leading fingerprint
+// alone gets past one gate.
 func FuzzNetworkLoadState(f *testing.F) {
 	for _, file := range []string{goldenSnapshotFile, "damq_midrun.crsnap", "shared_midrun.crsnap"} {
 		_, payload, err := snapshot.ReadFile(filepath.Join("testdata", file))

@@ -188,13 +188,11 @@ func (n *Network) repairLink(id, p int) {
 	}
 	// Scrub credit refunds queued for the dead-era output: the repair
 	// resets its credits to full, so applying them would overflow. They
-	// sit in the coordinator's flat queue and in every range's credit
-	// matrix cell targeting this node's range; each filter compacts in
-	// place onto the queue's own backing array.
-	n.credits = scrubCredits(n.credits, id, p)
-	d := n.nodeShard[id]
-	for si := range n.shards {
-		n.shards[si].outCredits[d] = scrubCredits(n.shards[si].outCredits[d], id, p)
+	// sit in the owning range's column of the credit matrix; each filter
+	// compacts in place onto the queue's own backing array.
+	in := n.shardOf(topology.NodeID(id)).inCredits
+	for r := range in {
+		in[r] = scrubCredits(in[r], id, p)
 	}
 	if up := n.routers[id]; up != nil {
 		up.SetLinkUp(p)
@@ -256,10 +254,7 @@ func (n *Network) transmitRouter(sh *shard, id int) bool {
 			if outPort >= deg {
 				n.traceTo(sk, EvEject, node, outPort-deg, 0, f.Worm, f.Seq)
 				sk.flitsEjected++
-				if !n.recvMark[id] {
-					n.recvMark[id] = true //cr:sharded recvMark[id] belongs to the shard that owns node id
-					sh.recvPend = append(sh.recvPend, int32(id))
-				}
+				sh.recvPend.add(int32(id))
 				n.receiverAt(node).Accept(outPort-deg, f, n.cycle)
 				return
 			}

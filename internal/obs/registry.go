@@ -1,119 +1,66 @@
 // Package obs is the observability layer: a metrics registry of named
-// counters and gauges, a per-cycle sampler that snapshots them into a
-// bounded ring buffer, the time-series container those samples export
-// to (CSV for plotting, JSON for the harness artifact), and the
-// per-phase latency decomposition used to explain *where* end-to-end
-// message latency comes from (queueing at the source, retransmission
-// backoff, header flight, tail drain) instead of quoting one number.
+// gauges, a per-cycle sampler that snapshots them into a bounded ring
+// buffer, the time-series container those samples export to (CSV for
+// plotting, JSON for the harness artifact), and the per-phase latency
+// decomposition used to explain *where* end-to-end message latency
+// comes from (queueing at the source, retransmission backoff, header
+// flight, tail drain) instead of quoting one number.
 //
-// The package is deliberately free of simulator dependencies: the
-// network feeds counters through its Tracer hook and gauges are plain
-// closures, so the same registry/sampler machinery can observe any
+// The package is deliberately free of simulator dependencies: every
+// metric is a closure polled at sample time over state its subject
+// already keeps (and checkpoints), so the registry holds no state of
+// its own and the same registry/sampler machinery can observe any
 // subsystem.
 package obs
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
-// Counter is a monotone event counter. Increments are atomic so a
-// counter may be fed from a tracer callback while another goroutine
-// reads samples; within the simulator everything is single-threaded
-// per network, but the registry should not care.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n. Negative deltas are a caller bug; counters are monotone.
-func (c *Counter) Add(n int64) {
-	if n < 0 {
-		panic(fmt.Sprintf("obs: counter decremented by %d", n))
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an instantaneous measurement, polled at sample time.
+// Gauge is a measurement polled at sample time: an instantaneous level
+// or the current value of a cumulative count its subject keeps
+// (consumers diff adjacent samples for rates).
 type Gauge func() float64
-
-// probe is one registered metric: exactly one of counter/gauge is set.
-type probe struct {
-	name    string
-	counter *Counter
-	gauge   Gauge
-}
 
 // Registry is an ordered collection of named metrics. Registration
 // order is sample-column order, so a registry fully determines the
 // schema of the series a sampler produces from it.
 type Registry struct {
-	probes []probe
-	// names is a duplicate-registration guard only: it is looked up and
+	names  []string
+	gauges []Gauge
+	// seen is a duplicate-registration guard only: it is looked up and
 	// written, never ranged (crlint detmap audit), so all iteration order
-	// comes from the probes slice and the schema stays deterministic.
-	names map[string]bool //cr:nosnap duplicate-registration guard, rebuilt as probes re-register after restore
+	// comes from the slices and the schema stays deterministic.
+	seen map[string]bool
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{names: make(map[string]bool)}
-}
-
-func (r *Registry) register(p probe) {
-	if p.name == "" {
-		panic("obs: metric with empty name")
-	}
-	if r.names[p.name] {
-		panic(fmt.Sprintf("obs: duplicate metric %q", p.name))
-	}
-	r.names[p.name] = true
-	r.probes = append(r.probes, p)
-}
-
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.register(probe{name: name, counter: c})
-	return c
+	return &Registry{seen: make(map[string]bool)}
 }
 
 // Gauge registers a gauge.
 func (r *Registry) Gauge(name string, g Gauge) {
+	if name == "" {
+		panic("obs: metric with empty name")
+	}
 	if g == nil {
 		panic(fmt.Sprintf("obs: nil gauge %q", name))
 	}
-	r.register(probe{name: name, gauge: g})
+	if r.seen[name] {
+		panic(fmt.Sprintf("obs: duplicate metric %q", name))
+	}
+	r.seen[name] = true
+	r.names = append(r.names, name)
+	r.gauges = append(r.gauges, g)
 }
 
 // Names returns the metric names in registration (column) order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.probes))
-	for i, p := range r.probes {
-		out[i] = p.name
-	}
-	return out
-}
+func (r *Registry) Names() []string { return append([]string(nil), r.names...) }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.probes) }
-
-// Sample reads every metric in registration order. Counters report
-// their cumulative value (consumers diff adjacent samples for rates);
-// gauges are polled.
+// Sample polls every metric in registration order.
 func (r *Registry) Sample() []float64 {
-	out := make([]float64, len(r.probes))
-	for i, p := range r.probes {
-		if p.counter != nil {
-			out[i] = float64(p.counter.Value())
-		} else {
-			out[i] = p.gauge()
-		}
+	out := make([]float64, len(r.gauges))
+	for i, g := range r.gauges {
+		out[i] = g()
 	}
 	return out
 }

@@ -15,9 +15,8 @@ type Sampler struct {
 	reg   *Registry //cr:nosnap wiring to the live registry, re-established by the owner after restore
 	every int64
 	ring  []Sample
-	next  int   // ring slot for the next sample
-	full  bool  // the ring has wrapped at least once
-	taken int64 // samples recorded, evicted ones included; carried in checkpoints
+	next  int  // ring slot for the next sample
+	full  bool // the ring has wrapped at least once
 }
 
 // NewSampler returns a sampler reading reg every `every` cycles,
@@ -44,7 +43,6 @@ func (s *Sampler) Tick(cycle int64) {
 		s.next = (s.next + 1) % cap(s.ring)
 		s.full = true
 	}
-	s.taken++
 }
 
 // Series copies the retained samples out in chronological order,

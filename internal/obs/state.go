@@ -6,66 +6,16 @@ import (
 	"crnet/internal/snapshot"
 )
 
-// Checkpoint codecs for the observability layer. The sampler's ring
-// buffer and the registry's counter values are part of a service run's
-// observable state: a kill-resume run must export the same time-series
-// an unbroken run would, so both are captured exactly. Gauges are
-// closures over live simulator state and are not serialized — the
-// restored network reproduces their values by construction.
-
-// SaveState appends the registry's counter values, in registration
-// order, to a snapshot. Gauge probes contribute nothing (they are
-// polled, not accumulated); the counter count is recorded so a restore
-// into a differently composed registry fails loudly.
-func (r *Registry) SaveState(e *snapshot.Encoder) {
-	var counters int
-	for i := range r.probes {
-		if r.probes[i].counter != nil {
-			counters++
-		}
-	}
-	e.Uvarint(uint64(counters))
-	for i := range r.probes {
-		if c := r.probes[i].counter; c != nil {
-			e.Varint(c.Value())
-		}
-	}
-}
-
-// LoadState restores counter values written by SaveState. The registry
-// must have the same counter probes, in the same order, as the one the
-// snapshot was taken from (services rebuild their registry from static
-// configuration, so this holds by construction).
-func (r *Registry) LoadState(d *snapshot.Decoder) error {
-	var counters []*Counter
-	for i := range r.probes {
-		if c := r.probes[i].counter; c != nil {
-			counters = append(counters, c)
-		}
-	}
-	n := d.Count(1 << 20)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != len(counters) {
-		return fmt.Errorf("obs: snapshot has %d counters, registry has %d", n, len(counters))
-	}
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = d.Varint()
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for i, c := range counters {
-		c.v.Store(vals[i])
-	}
-	return nil
-}
+// Checkpoint codec for the sampler. Its ring buffer is part of a
+// service run's observable state: a kill-resume run must export the
+// same time-series an unbroken run would, so it is captured exactly.
+// The registry has no codec: its gauges are closures over live
+// simulator state, which the restored network reproduces by
+// construction.
 
 // SaveState appends the sampler's ring buffer to a snapshot: cadence,
-// capacity, raw ring slots, the next-eviction index, the wrap flag and
-// the total sample count. The raw layout (not the chronological view)
+// capacity, raw ring slots, the next-eviction index and the wrap flag.
+// The raw layout (not the chronological view)
 // is stored so the restored sampler's future evictions happen at
 // exactly the same points.
 func (s *Sampler) SaveState(e *snapshot.Encoder) {
@@ -82,7 +32,6 @@ func (s *Sampler) SaveState(e *snapshot.Encoder) {
 	}
 	e.Int(s.next)
 	e.Bool(s.full)
-	e.Varint(s.taken)
 }
 
 // LoadState restores a state written by SaveState. The sampler must
@@ -120,7 +69,6 @@ func (s *Sampler) LoadState(d *snapshot.Decoder) error {
 	}
 	next := d.Int()
 	full := d.Bool()
-	taken := d.Varint()
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -131,6 +79,5 @@ func (s *Sampler) LoadState(d *snapshot.Decoder) error {
 	s.ring = append(s.ring, ring...)
 	s.next = next
 	s.full = full
-	s.taken = taken
 	return nil
 }

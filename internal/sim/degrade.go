@@ -111,7 +111,6 @@ type Degrader struct {
 	winLatency  *stats.Histogram
 	winFails0   int64 // FaultEventsApplied at the window's start
 	winAdmitted int64
-	winShed     int64
 	winDeliv    int64
 
 	breaches int // consecutive breached windows
@@ -119,7 +118,6 @@ type Degrader struct {
 
 	// Cumulative counters for availability accounting.
 	shed            int64
-	admitted        int64
 	transitions     int64
 	breachedWindows int64
 }
@@ -156,10 +154,8 @@ func (d *Degrader) applyState() {
 func (d *Degrader) Admit() bool {
 	if d.gate.Allow() {
 		d.winAdmitted++
-		d.admitted++
 		return true
 	}
-	d.winShed++
 	d.shed++
 	return false
 }
@@ -220,7 +216,7 @@ func (d *Degrader) EndCycle(now int64, failEvents int64, healthy bool) {
 
 	d.winLatency.Reset()
 	d.winFails0 = failEvents
-	d.winAdmitted, d.winShed, d.winDeliv = 0, 0, 0
+	d.winAdmitted, d.winDeliv = 0, 0
 }
 
 // State returns the controller's current position.
@@ -243,12 +239,10 @@ func (d *Degrader) SaveState(e *snap.Encoder) {
 	d.winLatency.SaveState(e)
 	e.Varint(d.winFails0)
 	e.Varint(d.winAdmitted)
-	e.Varint(d.winShed)
 	e.Varint(d.winDeliv)
 	e.Int(d.breaches)
 	e.Int(d.cleans)
 	e.Varint(d.shed)
-	e.Varint(d.admitted)
 	e.Varint(d.transitions)
 	e.Varint(d.breachedWindows)
 }
@@ -268,12 +262,10 @@ func (d *Degrader) LoadState(dec *snap.Decoder) error {
 	}
 	winFails0 := dec.Varint()
 	winAdmitted := dec.Varint()
-	winShed := dec.Varint()
 	winDeliv := dec.Varint()
 	breaches := dec.Int()
 	cleans := dec.Int()
 	shed := dec.Varint()
-	admitted := dec.Varint()
 	transitions := dec.Varint()
 	breachedWindows := dec.Varint()
 	if err := dec.Err(); err != nil {
@@ -281,9 +273,9 @@ func (d *Degrader) LoadState(dec *snap.Decoder) error {
 	}
 	d.state = state
 	d.winFails0 = winFails0
-	d.winAdmitted, d.winShed, d.winDeliv = winAdmitted, winShed, winDeliv
+	d.winAdmitted, d.winDeliv = winAdmitted, winDeliv
 	d.breaches, d.cleans = breaches, cleans
-	d.shed, d.admitted = shed, admitted
+	d.shed = shed
 	d.transitions, d.breachedWindows = transitions, breachedWindows
 	return nil
 }

@@ -156,7 +156,7 @@ func TestDegraderStateRoundTrip(t *testing.T) {
 	if err := dec.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if r.State() != d.State() || r.Shed() != d.Shed() || r.admitted != d.admitted {
+	if r.State() != d.State() || r.Shed() != d.Shed() || r.winAdmitted != d.winAdmitted {
 		t.Fatal("restored controller counters diverged")
 	}
 	// Same admission decisions and window behavior afterwards.

@@ -87,7 +87,6 @@ func TestReadsDoNotConstruct(t *testing.T) {
 	reg, sampler := buildSampler(n, 1, 4)
 	_ = reg.Sample()
 	sampler.Tick(n.Cycle())
-	n.SetTracer(nil)
 	// The abandoned messages make the audit walk the failure log and the
 	// connectivity search; what it concludes is not this test's subject.
 	_ = invariant.New(invariant.Config{}).Audit(n)

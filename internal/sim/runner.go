@@ -13,6 +13,7 @@ import (
 	"crnet/internal/invariant"
 	"crnet/internal/network"
 	"crnet/internal/obs"
+	"crnet/internal/router"
 	"crnet/internal/stats"
 	"crnet/internal/topology"
 	"crnet/internal/traffic"
@@ -212,36 +213,32 @@ func takeSnapshot(net *network.Network) snapshot {
 	}
 }
 
-// buildSampler wires the observability registry to net — tracer-fed
-// event counters plus polled occupancy/utilization gauges — and returns
-// the registry alongside a sampler ticking it every `every` cycles. The
-// registry is returned separately so long-running services can expose
-// it as a live metrics endpoint and checkpoint its counter state.
+// buildSampler wires the observability registry to net — every metric a
+// gauge polled over counters and occupancy the network itself keeps and
+// checkpoints — and returns the registry alongside a sampler ticking it
+// every `every` cycles. The registry is returned separately so
+// long-running services can expose it as a live metrics endpoint.
 func buildSampler(net *network.Network, every int64, sampleCap int) (*obs.Registry, *obs.Sampler) {
 	reg := obs.NewRegistry()
 
-	injected := reg.Counter("injected_flits")
-	ejected := reg.Counter("ejected_flits")
-	corrupted := reg.Counter("corrupt_flits")
-	kills := reg.Counter("kill_signals")
-	fkills := reg.Counter("fkill_signals")
-	net.SetTracer(func(e network.Event) {
-		switch e.Kind {
-		case network.EvInject:
-			injected.Inc()
-		case network.EvEject:
-			ejected.Inc()
-		case network.EvCorrupt:
-			corrupted.Inc()
-		case network.EvKill:
-			kills.Inc()
-		case network.EvFKill:
-			fkills.Inc()
-		}
+	// Gauges are polled in registration order, so the first of a group
+	// takes the network-wide scan and the rest read its cached result:
+	// the flit ledger, the routers' summed counters (kill_signals and
+	// fkill_signals are the tear-downs routers processed, locally
+	// initiated ones included and stale ones not), the per-VC occupancy.
+	var led network.FlitLedger
+	reg.Gauge("injected_flits", func() float64 {
+		led = net.Ledger()
+		return float64(led.Injected)
 	})
-
-	// Gauges are polled in registration order; occupancy_total runs
-	// first and caches the per-VC scan for the occupancy_vc gauges.
+	reg.Gauge("ejected_flits", func() float64 { return float64(led.Ejected) })
+	reg.Gauge("corrupt_flits", func() float64 { return float64(net.TransientFaults()) })
+	var rs router.Stats
+	reg.Gauge("kill_signals", func() float64 {
+		rs = net.RouterStats()
+		return float64(rs.KillsFwd)
+	})
+	reg.Gauge("fkill_signals", func() float64 { return float64(rs.KillsBwd) })
 	var occ []int64
 	reg.Gauge("occupancy_total", func() float64 {
 		occ = net.OccupancyPerVCInto(occ)
@@ -257,7 +254,7 @@ func buildSampler(net *network.Network, every int64, sampleCap int) (*obs.Regist
 	}
 	reg.Gauge("injection_occupancy", func() float64 { return float64(net.InjectionOccupancy()) })
 	reg.Gauge("inflight_worms", func() float64 { return float64(net.PendingWorms()) })
-	reg.Gauge("inflight_flits", func() float64 { return float64(net.InFlightFlits()) })
+	reg.Gauge("inflight_flits", func() float64 { return float64(led.InFlight) })
 	reg.Gauge("queued_messages", func() float64 { return float64(net.QueuedMessages()) })
 	reg.Gauge("source_kills", func() float64 { return float64(net.InjectorStats().Kills) })
 	links := float64(net.LinkCount())

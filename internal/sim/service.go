@@ -14,7 +14,7 @@ import (
 
 // serviceStateVersion versions the Service's snapshot payload layout
 // (the bytes between the checkpoint container header and its CRC).
-const serviceStateVersion = 2
+const serviceStateVersion = 3
 
 // FNV-1a 64-bit parameters, used for the delivery stream hash.
 const (
@@ -216,7 +216,6 @@ func (s *Service) Save() []byte {
 	e.U64(s.streamHash)
 	e.Bool(s.sampler != nil)
 	if s.sampler != nil {
-		s.reg.SaveState(&e)
 		s.sampler.SaveState(&e)
 	}
 	e.Bool(s.deg != nil)
@@ -266,9 +265,6 @@ func (s *Service) Restore(payload []byte) error {
 		return fmt.Errorf("sim: snapshot sampler=%t, service sampler=%t", hasSampler, s.sampler != nil)
 	}
 	if s.sampler != nil {
-		if err := s.reg.LoadState(d); err != nil {
-			return fmt.Errorf("sim: restore registry: %w", err)
-		}
 		if err := s.sampler.LoadState(d); err != nil {
 			return fmt.Errorf("sim: restore sampler: %w", err)
 		}

@@ -45,14 +45,14 @@ const Magic = "CRSNAP01"
 // Version 4 (sparse network payload): the network payload opens with a
 // layout-qualified fingerprint, writes links as runs of pristine links
 // between flag-byte records, and carries only the routers, injectors and
-// receivers that have been built. Nothing else moved, and the network
-// reader tells the two layouts apart by that leading word, so Decode
-// still accepts version 3 containers; builds that predate version 4
-// refuse its files by this number.
-const FormatVersion = 4
-
-// oldestReadable is the lowest payload schema version Decode accepts.
-const oldestReadable = 3
+// receivers that have been built.
+//
+// Version 5 (one layout, no unread bytes): fields nothing read back are
+// gone from the injector, receiver and network payloads, and with them
+// the dense network layout version 3 wrote. It is the only version
+// Decode accepts: a payload has one reader, the one that matches its
+// writer.
+const FormatVersion = 5
 
 const headerSize = len(Magic) + 4 + 8 + 8 // magic + version + cycle + length
 
@@ -85,9 +85,6 @@ func Encode(cycle int64, payload []byte) []byte {
 
 // Decode validates a container and returns its cycle and payload. The
 // payload slice aliases data. name labels errors (a path, or "<mem>").
-// Containers of versions oldestReadable to FormatVersion are accepted;
-// the payload is returned as written and its reader sorts out which
-// layout it holds.
 func Decode(name string, data []byte) (int64, []byte, error) {
 	fail := func(reason string, args ...any) (int64, []byte, error) {
 		return 0, nil, &FormatError{Path: name, Reason: fmt.Sprintf(reason, args...)}
@@ -100,8 +97,8 @@ func Decode(name string, data []byte) (int64, []byte, error) {
 	}
 	d := NewDecoder(data[len(Magic):])
 	version := d.U32()
-	if version < oldestReadable || version > FormatVersion {
-		return fail("format version %d, this build reads %d to %d", version, oldestReadable, FormatVersion)
+	if version != FormatVersion {
+		return fail("format version %d, this build reads %d", version, FormatVersion)
 	}
 	cycle := int64(d.U64())
 	n := d.U64()

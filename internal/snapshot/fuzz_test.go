@@ -20,14 +20,10 @@ func stampVersion(container []byte, v uint32) []byte {
 
 // FuzzDecode hammers the checkpoint-container reader with arbitrary
 // bytes. The contract under test: Decode never panics, rejects every
-// malformed container with a *FormatError and no payload, and anything
-// it accepts is a container it would itself have produced. For a
-// FormatVersion container that is canonical re-encoding: the returned
-// cycle and payload encode back to the input byte for byte. For an
-// accepted older version (oldestReadable up) the cycle and payload come
-// back intact, so they encode to the input re-stamped with the current
-// version — the only bytes that differ are the version word and the CRC
-// covering it.
+// malformed container — an earlier or later FormatVersion included —
+// with a *FormatError and no payload, and anything it accepts is a
+// container it would itself have produced: the returned cycle and
+// payload encode back to the input byte for byte.
 func FuzzDecode(f *testing.F) {
 	// Seeds: a valid container, interesting truncations and header
 	// corruptions of it, and degenerate inputs.
@@ -46,9 +42,9 @@ func FuzzDecode(f *testing.F) {
 	flip2 := append([]byte(nil), valid...)
 	flip2[headerSize+3] ^= 0x01 // payload bit
 	f.Add(flip2)
-	f.Add(stampVersion(valid, oldestReadable))   // older, still read
-	f.Add(stampVersion(valid, oldestReadable-1)) // too old
-	f.Add(stampVersion(valid, FormatVersion+1))  // from the future
+	f.Add(stampVersion(valid, FormatVersion-1)) // the previous version, well-formed
+	f.Add(stampVersion(valid, FormatVersion-2)) // the one before, which the previous build still read
+	f.Add(stampVersion(valid, FormatVersion+1)) // from the future
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cycle, payload, err := Decode("<fuzz>", data)
@@ -62,7 +58,7 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		}
-		if !bytes.Equal(Encode(cycle, payload), stampVersion(data, FormatVersion)) {
+		if !bytes.Equal(Encode(cycle, payload), data) {
 			t.Fatalf("accepted container is not canonical: cycle %d, %d payload bytes", cycle, len(payload))
 		}
 	})

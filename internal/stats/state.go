@@ -42,7 +42,6 @@ func (h *Histogram) SaveState(e *snapshot.Encoder) {
 	for _, b := range h.buckets {
 		e.Varint(b)
 	}
-	e.Varint(h.overflow)
 	e.Varint(h.total)
 	e.Varint(h.sum)
 	e.Varint(h.maxSeen)
@@ -65,12 +64,11 @@ func (h *Histogram) LoadState(d *snapshot.Decoder) error {
 	for i := range buckets {
 		buckets[i] = d.Varint()
 	}
-	overflow, total := d.Varint(), d.Varint()
-	sum, maxSeen, clamped := d.Varint(), d.Varint(), d.Varint()
+	total, sum, maxSeen, clamped := d.Varint(), d.Varint(), d.Varint(), d.Varint()
 	if err := d.Err(); err != nil {
 		return err
 	}
 	copy(h.buckets, buckets)
-	h.overflow, h.total, h.sum, h.maxSeen, h.clamped = overflow, total, sum, maxSeen, clamped
+	h.total, h.sum, h.maxSeen, h.clamped = total, sum, maxSeen, clamped
 	return nil
 }

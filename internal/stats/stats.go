@@ -62,20 +62,20 @@ func (w *Welford) Min() float64 { return w.min }
 // Max returns the largest observation, or 0 with none.
 func (w *Welford) Max() float64 { return w.max }
 
-// Histogram is a fixed-width integer-valued histogram with an overflow
-// bucket, sized for cycle-latency measurements.
+// Histogram is a fixed-width integer-valued histogram, sized for
+// cycle-latency measurements.
 type Histogram struct {
-	width    int64 // bucket width in value units
-	buckets  []int64
-	overflow int64
-	total    int64
-	sum      int64
-	maxSeen  int64
-	clamped  int64 // negative observations clamped to zero
+	width   int64 // bucket width in value units
+	buckets []int64
+	total   int64
+	sum     int64
+	maxSeen int64
+	clamped int64 // negative observations clamped to zero
 }
 
 // NewHistogram returns a histogram with the given bucket width and bucket
-// count; values >= width*buckets land in the overflow bucket.
+// count; values >= width*buckets overflow: they count toward the total,
+// the sum and the maximum but land in no bucket.
 func NewHistogram(width int64, buckets int) *Histogram {
 	if width < 1 || buckets < 1 {
 		panic(fmt.Sprintf("stats: invalid histogram shape width=%d buckets=%d", width, buckets))
@@ -98,12 +98,9 @@ func (h *Histogram) Add(v int64) {
 	}
 	h.total++
 	h.sum += v
-	idx := v / h.width
-	if idx >= int64(len(h.buckets)) {
-		h.overflow++
-		return
+	if idx := v / h.width; idx < int64(len(h.buckets)) {
+		h.buckets[idx]++
 	}
-	h.buckets[idx]++
 }
 
 // Reset clears all observations in place, retaining the shape and the
@@ -113,7 +110,7 @@ func (h *Histogram) Reset() {
 	for i := range h.buckets {
 		h.buckets[i] = 0
 	}
-	h.overflow, h.total, h.sum, h.maxSeen, h.clamped = 0, 0, 0, 0, 0
+	h.total, h.sum, h.maxSeen, h.clamped = 0, 0, 0, 0
 }
 
 // N returns the number of observations.
@@ -141,8 +138,8 @@ func (h *Histogram) ClampedNegative() int64 { return h.clamped }
 
 // Percentile returns an upper bound on the p-quantile (0 < p <= 1),
 // quantized to bucket boundaries and clamped to the maximum seen value
-// — a reported percentile can never exceed Max(). Observations in the
-// overflow bucket report the maximum seen value.
+// — a reported percentile can never exceed Max(). Observations past
+// the last bucket report the maximum seen value.
 func (h *Histogram) Percentile(p float64) int64 {
 	if h.total == 0 {
 		return 0
