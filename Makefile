@@ -127,10 +127,13 @@ snapshot-pin:
 	$(GO) test -race -count=1 -run 'TestKernelGolden/resume' ./internal/network/
 
 # Allocation-regression gate: after warmup, one loaded simulation cycle
-# (traffic + step + drain) must not allocate. Run uncached so it cannot
-# silently go stale.
+# (traffic + step + drain) must not allocate, and the structures the
+# kernel holds one of per link, per flit, per busy link and per credit
+# (link, flit.Flit, linkRef, creditEvent) must stay within their byte
+# budgets, so a field added to one fails here rather than in peak RSS.
+# Run uncached so it cannot silently go stale.
 alloc-gate:
-	$(GO) test ./internal/network/ -run TestSteadyStateZeroAlloc -count=1
+	$(GO) test ./internal/network/ -run 'TestSteadyStateZeroAlloc|TestHotStructSizes' -count=1
 
 # The repository's one performance benchmark (BENCHMARK.json,
 # benchmark/README.md): five workloads, each untraced then traced in a

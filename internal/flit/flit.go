@@ -68,38 +68,23 @@ func (w WormID) Message() MessageID { return MessageID(uint64(w) >> 8) }
 func (w WormID) Attempt() int { return int(uint64(w) & 0xff) }
 
 // Flit is one flow-control unit. Flits are passed by value through the
-// simulator; the struct is kept small and flat deliberately.
+// simulator — every router ring slot and every in-flight link entry
+// holds one — so the struct is kept small and flat deliberately: the
+// 8-byte words come first and the narrow fields share the last one, 80
+// bytes with no interior padding. The checkpoint codec (PutFlit) and
+// the checksum name fields explicitly, so declaration order is free.
 type Flit struct {
 	Worm WormID
 	Seq  int // position within the worm, 0 = head
-	Kind Kind
-	Tail bool // set on the worm's final flit
 
 	// Payload is the data word. For Head flits it is the encoded header
 	// (see EncodeHeader); for Data flits a payload word; for Pad flits a
 	// fixed filler pattern.
 	Payload uint64
 
-	// Check is the CRC-8 of the flit's identity and payload, computed by
-	// Seal and verified by Verify. Fault injection flips payload or
-	// checksum bits; Verify then fails.
-	Check uint8
-
 	// Src and Dst are the endpoints. They are carried on every flit for
 	// simulator bookkeeping; real hardware keeps them only in the head.
 	Src, Dst topology.NodeID
-
-	// Detours counts the non-minimal hops the worm has taken, maintained
-	// by routers on head flits to bound misrouting around permanent
-	// faults. It is control metadata (like the tail mark) and is not
-	// covered by the checksum.
-	Detours uint8
-
-	// Hops counts the network channels this worm's head has claimed,
-	// maintained by routers for the livelock watchdog. Like Detours it
-	// is control metadata outside the checksum, and restarts at zero on
-	// each retransmission attempt.
-	Hops uint16
 
 	// Stamps carries the source-side phase timestamps used by the
 	// observability layer's latency decomposition. The injector sets
@@ -107,6 +92,26 @@ type Flit struct {
 	// bookkeeping outside the checksum (real hardware would not ship
 	// them per flit).
 	Stamps Stamps
+
+	// Hops counts the network channels this worm's head has claimed,
+	// maintained by routers for the livelock watchdog. Like Detours it
+	// is control metadata outside the checksum, and restarts at zero on
+	// each retransmission attempt.
+	Hops uint16
+
+	Kind Kind
+	Tail bool // set on the worm's final flit
+
+	// Check is the CRC-8 of the flit's identity and payload, computed by
+	// Seal and verified by Verify. Fault injection flips payload or
+	// checksum bits; Verify then fails.
+	Check uint8
+
+	// Detours counts the non-minimal hops the worm has taken, maintained
+	// by routers on head flits to bound misrouting around permanent
+	// faults. It is control metadata (like the tail mark) and is not
+	// covered by the checksum.
+	Detours uint8
 }
 
 // Stamps are the source-side phase timestamps of one transmission

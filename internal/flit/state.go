@@ -7,7 +7,8 @@ import (
 )
 
 // Checkpoint codecs for the flit-layer value types. Every field is
-// encoded explicitly in declaration order; in-flight worms keep their
+// encoded explicitly, in a fixed order that is the checkpoint layout
+// and not the struct's declaration order; in-flight worms keep their
 // full identity (worm id, checksum, detour/hop control metadata and
 // the source-side Stamps) so a restored run's deliveries are
 // byte-identical to an unbroken one's.

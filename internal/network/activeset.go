@@ -1,5 +1,7 @@
 package network
 
+import "crnet/internal/flit"
+
 // nodeSet is a deduplicated worklist of node ids with deterministic
 // (ascending) iteration order. Membership is tracked in a dense bitmap so
 // add is O(1); prepare sorts the id list in place before a phase iterates
@@ -67,4 +69,15 @@ func (s *nodeSet) reset() {
 type linkRef struct {
 	node int32
 	port int32
+}
+
+// inFlight is one busy-link worklist entry: the flit crossing link ref
+// this cycle and the downstream VC it is bound for. The flit lives here,
+// not in the link, because a channel holds at most one flit and only
+// the links launched this cycle hold one — the state follows traffic,
+// not network size.
+type inFlight struct {
+	ref linkRef
+	vc  uint8
+	f   flit.Flit
 }

@@ -14,10 +14,16 @@ import (
 // upstream credits + downstream buffered + in-flight == BufDepth.
 func checkLinkConservation(t *testing.T, n *Network, vcs, depth int) {
 	t.Helper()
+	inFlightVC := map[linkRef]int{}
+	for i := range n.shards {
+		for _, f := range n.shards[i].busyLinks {
+			inFlightVC[f.ref] = int(f.vc)
+		}
+	}
 	for id := 0; id < n.nodes; id++ {
 		for p := 0; p < n.deg; p++ {
 			l := n.linkAt(id, p)
-			if !l.exists || !l.up {
+			if !l.up() {
 				continue
 			}
 			// Lazy construction: a link between two never-touched
@@ -29,7 +35,7 @@ func checkLinkConservation(t *testing.T, n *Network, vcs, depth int) {
 			down := n.routerAt(topology.NodeID(l.toNode))
 			for vc := 0; vc < vcs; vc++ {
 				inFlight := 0
-				if l.busy && int(l.vc) == vc {
+				if fvc, ok := inFlightVC[linkRef{node: int32(id), port: int32(p)}]; ok && fvc == vc {
 					inFlight = 1
 				}
 				credit := up.CreditOf(p, vc)

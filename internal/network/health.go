@@ -63,6 +63,7 @@ func (n *Network) Ledger() FlitLedger {
 		Injected: n.flitsInjected,
 		Ejected:  n.flitsEjected,
 		Dropped:  n.flitsDropped,
+		InFlight: n.InFlightFlits(),
 	}
 	for _, r := range n.routers {
 		if r == nil {
@@ -72,11 +73,6 @@ func (n *Network) Ledger() FlitLedger {
 		l.Purged += s.PurgedFlits
 		l.Stragglers += s.Stragglers
 		l.Buffered += int64(r.BufferedFlits())
-	}
-	for i := range n.links {
-		if n.links[i].busy {
-			l.InFlight++
-		}
 	}
 	return l
 }
@@ -125,7 +121,7 @@ func (n *Network) Connected(src, dst topology.NodeID) bool {
 		queue = queue[1:]
 		for p := 0; p < n.deg; p++ {
 			l := n.linkAt(int(cur), p)
-			if !l.exists || !l.up || visited[l.toNode] {
+			if !l.up() || visited[l.toNode] {
 				continue
 			}
 			if l.toNode == int32(dst) {

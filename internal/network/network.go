@@ -56,8 +56,8 @@ type Config struct {
 	// the DOR baselines, CR, or FCR).
 	Protocol core.Protocol
 	// VCs is the virtual channel count per network port; 0 means the
-	// algorithm's minimum. At most 255 (the link slot stores the VC
-	// index in a byte).
+	// algorithm's minimum. At most 255 (an in-flight entry stores the
+	// VC index in a byte).
 	VCs int
 	// BufDepth is the per-VC buffer depth; 0 means 2 (the paper's CR
 	// setting).
@@ -201,12 +201,12 @@ func (c Config) coreConfig() core.Config {
 	}
 }
 
-// link is one unidirectional channel between routers. The struct is
-// deliberately compact — node ids as int32, port/vc indices as small
-// integers — because a million-node torus carries four million of
-// these; see DESIGN.md §10 (memory diet).
+// link is one unidirectional channel between routers: a wire, not a
+// flit slot. The flit crossing it (if busy) rides the owning range's
+// busy-link worklist entry (inFlight), so a link is 24 bytes — node id
+// as int32, port and cause count as int16 — which is what a million-node
+// torus's four million of them cost; see DESIGN.md §10 (memory diet).
 type link struct {
-	f     flit.Flit
 	flits int64 // traversal count, for utilization reporting
 
 	toNode int32
@@ -214,15 +214,16 @@ type link struct {
 
 	// downRefs reference-counts failure causes: a link can be taken
 	// down both by its own LinkEvent and by an incident NodeEvent, and
-	// only comes back up when every cause has been repaired. up is true
-	// iff downRefs == 0.
+	// only comes back up when every cause has been repaired.
 	downRefs int16
 
-	vc     uint8
 	exists bool
-	up     bool
-	busy   bool
+	busy   bool // a flit launched this cycle is crossing (see inFlight)
 }
+
+// up reports whether the link exists and no failure cause is
+// outstanding.
+func (l *link) up() bool { return l.exists && l.downRefs == 0 }
 
 // scheduledSignal is a tear-down signal due at a router next cycle.
 type scheduledSignal struct {
@@ -281,7 +282,8 @@ type Network struct {
 	// links is the flat [node*degree+port] link array (uniform degree),
 	// replacing a per-node slice-of-slices: one allocation, no header
 	// per node, cache-linear iteration.
-	links []link
+	links     []link
+	linkCount int //cr:nosnap derived from the topology by New
 
 	cycle     int64
 	sigNow    []scheduledSignal //cr:nosnap mid-cycle scratch; snapshots are taken at cycle boundaries where it is empty
@@ -361,10 +363,10 @@ func New(cfg Config) *Network {
 			}
 			n.links[id*deg+p] = link{
 				exists: true,
-				up:     true,
 				toNode: int32(next),
 				toPort: int16(topo.ReversePort(node, topology.Port(p))),
 			}
+			n.linkCount++
 		}
 	}
 	if cfg.Hazard != nil {
@@ -413,7 +415,7 @@ func (n *Network) routerAt(id topology.NodeID) *router.Router {
 		// unconstructed routers; they hold no worms to sweep).
 		for p := 0; p < n.deg; p++ {
 			l := n.linkAt(int(id), p)
-			if l.exists && !l.up {
+			if l.exists && !l.up() {
 				r.SetLinkDown(p)
 			}
 		}
@@ -575,7 +577,7 @@ func (n *Network) LinkLoads() []LinkLoad {
 			}
 			out = append(out, LinkLoad{
 				Link:  faults.LinkID{Node: id, Port: p},
-				Up:    l.up,
+				Up:    l.up(),
 				Flits: l.flits,
 			})
 		}
@@ -707,13 +709,13 @@ func (n *Network) InjectionOccupancy() int64 {
 	return occ
 }
 
-// InFlightFlits returns how many flits are currently crossing links.
+// InFlightFlits returns how many flits are currently crossing links. At
+// a cycle boundary the ranges' busy-link entries are exactly the busy
+// links, so this costs O(ranges), not O(links).
 func (n *Network) InFlightFlits() int64 {
 	var c int64
-	for i := range n.links {
-		if n.links[i].busy {
-			c++
-		}
+	for i := range n.shards {
+		c += int64(len(n.shards[i].busyLinks))
 	}
 	return c
 }
@@ -730,12 +732,4 @@ func (n *Network) LinkFlits() int64 {
 }
 
 // LinkCount returns the number of existing unidirectional links.
-func (n *Network) LinkCount() int {
-	c := 0
-	for i := range n.links {
-		if n.links[i].exists {
-			c++
-		}
-	}
-	return c
-}
+func (n *Network) LinkCount() int { return n.linkCount }

@@ -73,20 +73,22 @@ func (s *sink) reset() {
 type shard struct {
 	sink
 
-	activeR   nodeSet   // this range's routers with buffered flits
-	activeI   nodeSet   // this range's injectors with pending work
-	busyLinks []linkRef // this range's output links carrying a flit
-	recvPend  nodeSet   // this range's receivers that accepted a flit this cycle
+	activeR   nodeSet    // this range's routers with buffered flits
+	activeI   nodeSet    // this range's injectors with pending work
+	busyLinks []inFlight // this range's output links carrying a flit, with the flit
+	recvPend  nodeSet    // this range's receivers that accepted a flit this cycle
 	fkills    []fkillReq
 
 	// inCredits is this range's column of the credit matrix: the refunds
 	// addressed to its routers, one queue per sending context (sink.row).
 	inCredits [][]creditEvent
 
-	// arrivals is this cycle's bucket of busy links whose flit lands in
-	// this range, filled by the coordinator's arrivals prepass in global
-	// (node, port) order.
-	arrivals []linkRef
+	// arrivals is this cycle's bucket of in-flight entries whose flit
+	// lands in this range, filled by the coordinator's arrivals prepass in
+	// global (node, port) order. The entries point into the upstream
+	// ranges' busy lists, which nothing appends to before the transmit
+	// phase, so the flit is handed on without a copy.
+	arrivals []*inFlight
 
 	// moved reports switch-transmission progress in this range's transmit
 	// phase; the barrier ORs it into the cycle's progress flag.
@@ -268,33 +270,33 @@ func (n *Network) mergeBarrier() bool {
 // prepassArrivals is the coordinator's half of the arrivals phase: it
 // walks every range's busy-link worklist in range order (= ascending
 // (node, port), the order a full scan visits them), clears link
-// occupancy, applies drops and the corruption process (whose RNG stream
-// must be drawn in global link order), emits the arrival traces, and
-// buckets each surviving flit's link ref under the *downstream* node's
-// range for the per-range apply. It reports whether any flit arrived.
+// occupancy, applies the corruption process to each entry's flit in
+// place (its RNG stream must be drawn in global link order), emits the
+// arrival traces, and buckets each entry under the *downstream* node's
+// range for the per-range apply. The lists are emptied here but their
+// entries stay put until the transmit phase appends over them, after
+// every range has applied its arrivals. It reports whether any flit
+// arrived.
 //
 //cr:hotpath coordinator half of the arrivals phase
 func (n *Network) prepassArrivals() bool {
 	any := false
 	for si := range n.shards {
 		sh := &n.shards[si]
-		for _, ref := range sh.busyLinks {
-			l := n.linkAt(int(ref.node), int(ref.port))
+		for i := range sh.busyLinks {
+			e := &sh.busyLinks[i]
+			l := n.linkAt(int(e.ref.node), int(e.ref.port))
 			if !l.busy {
 				continue // dropped by a fault after launch
 			}
 			any = true
 			l.busy = false
-			if !l.up {
-				n.flitsDropped++
-				continue
+			if n.corrupter.Apply(&e.f) {
+				n.trace(EvCorrupt, topology.NodeID(l.toNode), int(l.toPort), int(e.vc), e.f.Worm, e.f.Seq)
 			}
-			if n.corrupter.Apply(&l.f) {
-				n.trace(EvCorrupt, topology.NodeID(l.toNode), int(l.toPort), int(l.vc), l.f.Worm, l.f.Seq)
-			}
-			n.trace(EvArrive, topology.NodeID(l.toNode), int(l.toPort), int(l.vc), l.f.Worm, l.f.Seq)
+			n.trace(EvArrive, topology.NodeID(l.toNode), int(l.toPort), int(e.vc), e.f.Worm, e.f.Seq)
 			dst := n.shardOf(topology.NodeID(l.toNode))
-			dst.arrivals = append(dst.arrivals, ref)
+			dst.arrivals = append(dst.arrivals, e)
 		}
 		sh.busyLinks = sh.busyLinks[:0]
 	}
@@ -309,10 +311,10 @@ func (n *Network) prepassArrivals() bool {
 //cr:hotpath per-range half of the arrivals phase
 func (n *Network) shardArrivals(sh *shard) {
 	sk := &sh.sink
-	for _, ref := range sh.arrivals {
-		l := n.linkAt(int(ref.node), int(ref.port))
-		if n.routerAt(topology.NodeID(l.toNode)).AcceptFlit(int(l.toPort), int(l.vc), l.f) {
-			n.pushCredit(sk, topology.NodeID(ref.node), int(ref.port), int(l.vc), 1)
+	for _, e := range sh.arrivals {
+		l := n.linkAt(int(e.ref.node), int(e.ref.port))
+		if n.routerAt(topology.NodeID(l.toNode)).AcceptFlit(int(l.toPort), int(e.vc), e.f) {
+			n.pushCredit(sk, topology.NodeID(e.ref.node), int(e.ref.port), int(e.vc), 1)
 		}
 		sh.activeR.add(l.toNode)
 	}

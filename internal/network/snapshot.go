@@ -98,44 +98,14 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 	e.U64(n.ConfigFingerprint())
 	e.Varint(n.cycle)
 	n.saveLinks(e)
-
-	e.Uvarint(uint64(len(n.signals)))
-	for _, s := range n.signals {
-		e.Varint(int64(s.node))
-		e.U8(uint8(s.sig.Kind))
-		e.Int(s.sig.Port)
-		e.Int(s.sig.VC)
-		e.U64(uint64(s.sig.Worm))
-	}
-	e.Uvarint(uint64(len(n.deliveries)))
-	for i := range n.deliveries {
-		d := &n.deliveries[i]
-		e.U64(uint64(d.Msg))
-		e.U64(uint64(d.Worm))
-		e.Varint(int64(d.Src))
-		e.Int(d.DataLen)
-		e.Varint(d.Time)
-		e.Bool(d.DataOK)
-		flit.PutStamps(e, d.Stamps)
-		e.Varint(d.HeadArrived)
-	}
+	n.saveQueues(e)
 
 	// The worklists live per range, holding only owned nodes, so
 	// concatenating them in range order (contiguous ascending ranges) is
 	// their merged, globally ordered union — the same bytes whatever the
 	// partition, which is what lets LoadState deal them out to a
 	// different one.
-	busy := 0
-	for i := range n.shards {
-		busy += len(n.shards[i].busyLinks)
-	}
-	e.Uvarint(uint64(busy))
-	for i := range n.shards {
-		for _, ref := range n.shards[i].busyLinks {
-			e.Varint(int64(ref.node))
-			e.Varint(int64(ref.port))
-		}
-	}
+	n.saveBusyRefs(e)
 	saveMergedNodeSets(e, n.shards, func(sh *shard) *nodeSet { return &sh.activeR })
 	saveMergedNodeSets(e, n.shards, func(sh *shard) *nodeSet { return &sh.activeI })
 
@@ -173,12 +143,32 @@ const (
 // pristine reports whether the link is as New left it, which is all a
 // run of the link section says about the links it covers.
 func (l *link) pristine() bool {
-	return l.up && l.downRefs == 0 && !l.busy && l.flits == 0
+	return l.downRefs == 0 && !l.busy && l.flits == 0
 }
 
 // makePristine returns the link to the state New left it in.
 func (l *link) makePristine() {
-	l.up, l.downRefs, l.busy, l.flits = l.exists, 0, false, 0
+	l.downRefs, l.busy, l.flits = 0, false, 0
+}
+
+// busyCursor walks the ranges' busy lists in range order, which at a
+// cycle boundary is every busy link once, in ascending (node, port)
+// order — the order the link section visits them.
+type busyCursor struct {
+	shards []shard
+	si, i  int
+}
+
+// next returns the next entry, or nil past the last.
+func (c *busyCursor) next() *inFlight {
+	for c.si < len(c.shards) {
+		if bl := c.shards[c.si].busyLinks; c.i < len(bl) {
+			c.i++
+			return &bl[c.i-1]
+		}
+		c.si, c.i = c.si+1, 0
+	}
+	return nil
 }
 
 // saveLinks writes the existing links in (node, port) order as
@@ -190,11 +180,13 @@ func (l *link) makePristine() {
 //	varint   vc, flit       if linkFlagBusy
 //	varint   flits (traversal count)
 //
-// The section ends when every existing link is accounted for, so a
-// trailing run is written only when it is non-empty and an untouched
-// network costs one varint.
+// A busy record's VC and flit come from its busy-list entry. The
+// section ends when every existing link is accounted for, so a trailing
+// run is written only when it is non-empty and an untouched network
+// costs one varint.
 func (n *Network) saveLinks(e *snapshot.Encoder) {
 	run := uint64(0)
+	busy := busyCursor{shards: n.shards}
 	for id := 0; id < n.nodes; id++ {
 		for p := 0; p < n.deg; p++ {
 			l := &n.links[id*n.deg+p]
@@ -208,7 +200,7 @@ func (n *Network) saveLinks(e *snapshot.Encoder) {
 			e.Uvarint(run)
 			run = 0
 			var flags uint8
-			if l.up {
+			if l.up() {
 				flags |= linkFlagUp
 			}
 			if l.busy {
@@ -222,14 +214,56 @@ func (n *Network) saveLinks(e *snapshot.Encoder) {
 				e.Int(int(l.downRefs))
 			}
 			if l.busy {
-				e.Int(int(l.vc))
-				flit.PutFlit(e, &l.f)
+				f := busy.next()
+				if f == nil || f.ref != (linkRef{node: int32(id), port: int32(p)}) {
+					panic(fmt.Sprintf("network: busy link (%d,%d) has no busy-list entry in order", id, p))
+				}
+				e.Int(int(f.vc))
+				flit.PutFlit(e, &f.f)
 			}
 			e.Varint(l.flits)
 		}
 	}
 	if run > 0 {
 		e.Uvarint(run)
+	}
+}
+
+// saveQueues writes the coordinator's pending tear-down signals and
+// undrained deliveries.
+func (n *Network) saveQueues(e *snapshot.Encoder) {
+	e.Uvarint(uint64(len(n.signals)))
+	for _, s := range n.signals {
+		e.Varint(int64(s.node))
+		e.U8(uint8(s.sig.Kind))
+		e.Int(s.sig.Port)
+		e.Int(s.sig.VC)
+		e.U64(uint64(s.sig.Worm))
+	}
+	e.Uvarint(uint64(len(n.deliveries)))
+	for i := range n.deliveries {
+		d := &n.deliveries[i]
+		e.U64(uint64(d.Msg))
+		e.U64(uint64(d.Worm))
+		e.Varint(int64(d.Src))
+		e.Int(d.DataLen)
+		e.Varint(d.Time)
+		e.Bool(d.DataOK)
+		flit.PutStamps(e, d.Stamps)
+		e.Varint(d.HeadArrived)
+	}
+}
+
+// saveBusyRefs writes the busy-link section: the (node, port) of every
+// busy-list entry, in range order. It repeats what the link section's
+// busy flags say, and LoadState holds the two to each other.
+func (n *Network) saveBusyRefs(e *snapshot.Encoder) {
+	e.Uvarint(uint64(n.InFlightFlits()))
+	for i := range n.shards {
+		for _, f := range n.shards[i].busyLinks {
+			e.Varint(int64(f.ref.node))
+			e.Varint(int64(f.ref.port))
+		}
 	}
 }
 
@@ -382,65 +416,20 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 		return fmt.Errorf("network: snapshot fingerprint %016x does not match configuration %016x", fp, want)
 	}
 	n.cycle = d.Varint()
-	if err := n.loadLinks(d); err != nil {
-		return fmt.Errorf("network: link state: %w", err)
-	}
-
-	nsig := d.Count(maxQueueItems)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	n.signals = n.signals[:0]
-	for i := 0; i < nsig; i++ {
-		n.signals = append(n.signals, scheduledSignal{
-			node: topology.NodeID(d.Varint()),
-			sig: router.Signal{
-				Kind: router.SignalKind(d.U8()),
-				Port: d.Int(),
-				VC:   d.Int(),
-				Worm: flit.WormID(d.U64()),
-			},
-		})
-	}
 	// The per-range queues and worklists are dealt out to their owners
-	// as they decode; empty them all first.
+	// as they decode — the busy lists from the link section — so empty
+	// them all first.
 	for i := range n.shards {
 		n.shards[i].reset()
 	}
-	ndel := d.Count(maxQueueItems)
-	if err := d.Err(); err != nil {
+	if err := n.loadLinks(d); err != nil {
+		return fmt.Errorf("network: link state: %w", err)
+	}
+	if err := n.loadQueues(d); err != nil {
 		return err
 	}
-	n.deliveries = n.deliveries[:0]
-	for i := 0; i < ndel; i++ {
-		n.deliveries = append(n.deliveries, core.Delivery{
-			Msg:         flit.MessageID(d.U64()),
-			Worm:        flit.WormID(d.U64()),
-			Src:         topology.NodeID(d.Varint()),
-			DataLen:     d.Int(),
-			Time:        d.Varint(),
-			DataOK:      d.Bool(),
-			Stamps:      flit.GetStamps(d),
-			HeadArrived: d.Varint(),
-		})
-	}
-	n.drained = n.drained[:0]
-
-	nbusy := d.Count(maxQueueItems)
-	if err := d.Err(); err != nil {
+	if err := n.loadBusyRefs(d); err != nil {
 		return err
-	}
-	for i := 0; i < nbusy; i++ {
-		node, err := n.loadNode(d, "busy-link")
-		if err != nil {
-			return err
-		}
-		port := d.Varint()
-		if port < 0 || port >= int64(n.deg) {
-			return fmt.Errorf("network: snapshot busy-link port %d outside [0,%d)", port, n.deg)
-		}
-		sh := n.shardOf(node)
-		sh.busyLinks = append(sh.busyLinks, linkRef{node: int32(node), port: int32(port)})
 	}
 	if err := n.loadNodeSets(d, "activeR", func(sh *shard) *nodeSet { return &sh.activeR }); err != nil {
 		return err
@@ -483,10 +472,94 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 	return n.loadNodes(d)
 }
 
-// loadLinks decodes the link section (see saveLinks). A link is up
+// loadQueues decodes what saveQueues wrote.
+func (n *Network) loadQueues(d *snapshot.Decoder) error {
+	nsig := d.Count(maxQueueItems)
+	if err := d.Err(); err != nil {
+		return err
+	}
+	n.signals = n.signals[:0]
+	for i := 0; i < nsig; i++ {
+		n.signals = append(n.signals, scheduledSignal{
+			node: topology.NodeID(d.Varint()),
+			sig: router.Signal{
+				Kind: router.SignalKind(d.U8()),
+				Port: d.Int(),
+				VC:   d.Int(),
+				Worm: flit.WormID(d.U64()),
+			},
+		})
+	}
+	ndel := d.Count(maxQueueItems)
+	if err := d.Err(); err != nil {
+		return err
+	}
+	n.deliveries = n.deliveries[:0]
+	for i := 0; i < ndel; i++ {
+		n.deliveries = append(n.deliveries, core.Delivery{
+			Msg:         flit.MessageID(d.U64()),
+			Worm:        flit.WormID(d.U64()),
+			Src:         topology.NodeID(d.Varint()),
+			DataLen:     d.Int(),
+			Time:        d.Varint(),
+			DataOK:      d.Bool(),
+			Stamps:      flit.GetStamps(d),
+			HeadArrived: d.Varint(),
+		})
+	}
+	n.drained = n.drained[:0]
+	return d.Err()
+}
+
+// loadBusyRefs decodes the busy-link section and joins it with the
+// busy-list entries loadLinks built from the busy link records: the refs
+// must ascend strictly, each must name a busy link, and every busy link
+// must be named — exactly the cycle-boundary invariant the kernel keeps.
+// A payload that broke it would restore cleanly and then double-book a
+// link (or lose a flit) in the first Step.
+func (n *Network) loadBusyRefs(d *snapshot.Decoder) error {
+	nbusy := d.Count(maxQueueItems)
+	if err := d.Err(); err != nil {
+		return err
+	}
+	busy := busyCursor{shards: n.shards}
+	prev := int64(-1) // the previous ref's link index
+	for i := 0; i < nbusy; i++ {
+		node, err := n.loadNode(d, "busy-link")
+		if err != nil {
+			return err
+		}
+		port := d.Varint()
+		if port < 0 || port >= int64(n.deg) {
+			return fmt.Errorf("network: snapshot busy-link port %d outside [0,%d)", port, n.deg)
+		}
+		idx := int64(node)*int64(n.deg) + port
+		if idx <= prev {
+			return fmt.Errorf("network: snapshot busy-link ref (%d,%d) does not ascend from its predecessor", node, port)
+		}
+		prev = idx
+		if !n.links[idx].busy {
+			return fmt.Errorf("network: snapshot busy-link ref (%d,%d) names a link that is not busy", node, port)
+		}
+		// The refs ascend and name busy links, so the next entry is this
+		// ref's unless the payload skipped one.
+		if f := busy.next(); f.ref != (linkRef{node: int32(node), port: int32(port)}) {
+			return fmt.Errorf("network: snapshot busy link (%d,%d) is named by no busy-link ref", f.ref.node, f.ref.port)
+		}
+	}
+	if f := busy.next(); f != nil {
+		return fmt.Errorf("network: snapshot busy link (%d,%d) is named by no busy-link ref", f.ref.node, f.ref.port)
+	}
+	return nil
+}
+
+// loadLinks decodes the link section (see saveLinks), appending each
+// busy record's VC and flit to its range's busy list. A link is up
 // exactly when no failure cause is outstanding; a record that says
 // otherwise, or counts causes outside [1, MaxInt16], would restore a
-// link failLink and repairLink can never tear down or bring back.
+// link failLink and repairLink can never tear down or bring back. A
+// busy link is up (failLink clears busy, and Transmit skips dead
+// outputs) and carries a VC the network has.
 func (n *Network) loadLinks(d *snapshot.Decoder) error {
 	// run counts the pristine links still to skip; atRun says the next
 	// item in the stream is a run length.
@@ -510,24 +583,40 @@ func (n *Network) loadLinks(d *snapshot.Decoder) error {
 			if flags&^linkFlagsAll != 0 {
 				return fmt.Errorf("link (%d,%d): unknown flags %#02x", id, p, flags)
 			}
-			l.up = flags&linkFlagUp != 0
+			up := flags&linkFlagUp != 0
 			l.busy = flags&linkFlagBusy != 0
 			refs := 0
 			if flags&linkFlagDownRefs != 0 {
 				refs = d.Int()
 			}
+			vc, f := 0, flit.Flit{}
 			if l.busy {
-				l.vc = uint8(d.Int())
-				l.f = flit.GetFlit(d)
+				vc = d.Int()
+				f = flit.GetFlit(d)
 			}
 			l.flits = d.Varint()
 			if err := d.Err(); err != nil {
 				return fmt.Errorf("link (%d,%d): %w", id, p, err)
 			}
-			if refs < 0 || refs > math.MaxInt16 || l.up != (refs == 0) {
-				return fmt.Errorf("link (%d,%d): up=%t with %d failure causes outstanding", id, p, l.up, refs)
+			if refs < 0 || refs > math.MaxInt16 || up != (refs == 0) {
+				return fmt.Errorf("link (%d,%d): up=%t with %d failure causes outstanding", id, p, up, refs)
 			}
 			l.downRefs = int16(refs)
+			if !l.busy {
+				continue
+			}
+			if !up {
+				return fmt.Errorf("link (%d,%d): busy while down", id, p)
+			}
+			if vc < 0 || vc >= n.cfg.VCs {
+				return fmt.Errorf("link (%d,%d): in-flight VC %d outside [0,%d)", id, p, vc, n.cfg.VCs)
+			}
+			sh := n.shardOf(topology.NodeID(id))
+			sh.busyLinks = append(sh.busyLinks, inFlight{
+				ref: linkRef{node: int32(id), port: int32(p)},
+				vc:  uint8(vc),
+				f:   f,
+			})
 		}
 	}
 	if run > 0 {

@@ -141,7 +141,7 @@ func TestResumeUntouchedThenRestored(t *testing.T) {
 	first := New(lazyCfg(1))
 	var head kernelSnapshot
 	lazyRun(first, K, &head)
-	if first.routers[lazyNode] != nil || first.linkAt(lazyNode, 0).up {
+	if first.routers[lazyNode] != nil || first.linkAt(lazyNode, 0).up() {
 		t.Fatal("at the checkpoint the lazy node is built or its link is still up; test is vacuous")
 	}
 	ckpt := saveBytes(first)
@@ -274,24 +274,40 @@ func TestSparseSnapshotRestoresWhatWasSaved(t *testing.T) {
 // the router's: every field of the link and node sections is
 // range-checked, and a bad value is an error that names it — never a
 // panic, a hang, construction driven by a count the payload cannot back,
-// or a link whose up bit and failure-cause count disagree (failLink and
-// repairLink could never tear it down or bring it back).
+// a link whose up bit and failure-cause count disagree (failLink and
+// repairLink could never tear it down or bring it back), or a busy-link
+// section that disagrees with the link records' busy flags (the restore
+// would succeed and the first Step double-book a link).
 func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 	donor := New(lazyCfg(1))
 	lazyRun(donor, lazyQuiet, &kernelSnapshot{})
 	clean := saveBytes(donor)
-	var linkSec, nodeSec snapshot.Encoder
+	var linkSec, queueSec, busySec, nodeSec snapshot.Encoder
 	donor.saveLinks(&linkSec)
+	donor.saveQueues(&queueSec)
+	donor.saveBusyRefs(&busySec)
 	donor.saveNodes(&nodeSec)
-	// The payload is fingerprint, cycle, links, queues..., nodes.
+	// The payload is fingerprint, cycle, links, queues, busy refs, ...,
+	// nodes.
 	var cyc snapshot.Encoder
 	cyc.Varint(donor.cycle)
 	linkOff := 8 + cyc.Len()
+	busyOff := linkOff + linkSec.Len() + queueSec.Len()
 	nodeOff := len(clean) - nodeSec.Len()
-	if !bytes.Equal(clean[linkOff:linkOff+linkSec.Len()], linkSec.Bytes()) || !bytes.Equal(clean[nodeOff:], nodeSec.Bytes()) {
+	if !bytes.Equal(clean[linkOff:linkOff+linkSec.Len()], linkSec.Bytes()) ||
+		!bytes.Equal(clean[busyOff:busyOff+busySec.Len()], busySec.Bytes()) ||
+		!bytes.Equal(clean[nodeOff:], nodeSec.Bytes()) {
 		t.Fatal("section offsets are wrong; the table below would mangle the wrong bytes")
 	}
 	nodes, links := uint64(donor.nodes), uint64(donor.LinkCount())
+	var busy []linkRef
+	for _, f := range donor.shards[0].busyLinks {
+		busy = append(busy, f.ref)
+	}
+	idle := linkRef{node: int32(nodes - 1), port: int32(donor.deg - 1)}
+	if len(busy) < 2 || donor.linkAt(int(idle.node), int(idle.port)).busy {
+		t.Fatalf("donor has %d busy links and its last link busy; the busy-link cases need two and an idle last link", len(busy))
+	}
 
 	withLinks := func(build func(e *snapshot.Encoder)) []byte {
 		var e snapshot.Encoder
@@ -306,6 +322,19 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		build(&e)
 		return e.Bytes()
 	}
+	// withBusy replaces the busy-link section with refs; the link
+	// records, and so the busy flags, are the donor's.
+	withBusy := func(refs ...linkRef) []byte {
+		var e snapshot.Encoder
+		e.Raw(clean[:busyOff])
+		e.Uvarint(uint64(len(refs)))
+		for _, r := range refs {
+			e.Varint(int64(r.node))
+			e.Varint(int64(r.port))
+		}
+		e.Raw(clean[busyOff+busySec.Len():])
+		return e.Bytes()
+	}
 	nodeRun := func(e *snapshot.Encoder, first, count uint64, mask uint8) {
 		e.Uvarint(first)
 		e.Uvarint(count)
@@ -313,13 +342,18 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 	}
 	// linkRecord is a whole, well-formed link section — one explicit
 	// record, then every other link pristine — so the only thing wrong
-	// with the payload is what the record says.
-	linkRecord := func(flags uint8, refs int) []byte {
+	// with the payload is what the record says. A busy record carries an
+	// in-flight flit on VC vc.
+	linkRecord := func(flags uint8, refs, vc int) []byte {
 		return withLinks(func(e *snapshot.Encoder) {
 			e.Uvarint(0)
 			e.U8(flags)
 			if flags&linkFlagDownRefs != 0 {
 				e.Int(refs)
+			}
+			if flags&linkFlagBusy != 0 {
+				e.Int(vc)
+				flit.PutFlit(e, &flit.Flit{})
 			}
 			e.Varint(0) // traversal count
 			e.Uvarint(links - 1)
@@ -393,13 +427,20 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			e.Uvarint(0)
 			e.U8(linkFlagUp | 8)
 		})},
-		{"link-up-with-causes", "up=true with 1 failure causes", linkRecord(linkFlagUp|linkFlagDownRefs, 1)},
-		{"link-down-without-causes", "up=false with 0 failure causes", linkRecord(0, 0)},
-		{"link-down-zero-causes", "up=false with 0 failure causes", linkRecord(linkFlagDownRefs, 0)},
-		{"link-causes-negative", "with -1 failure causes", linkRecord(linkFlagDownRefs, -1)},
-		{"link-causes-overflow-int16", "with 65536 failure causes", linkRecord(linkFlagDownRefs, 1<<16)},
+		{"link-up-with-causes", "up=true with 1 failure causes", linkRecord(linkFlagUp|linkFlagDownRefs, 1, 0)},
+		{"link-down-without-causes", "up=false with 0 failure causes", linkRecord(0, 0, 0)},
+		{"link-down-zero-causes", "up=false with 0 failure causes", linkRecord(linkFlagDownRefs, 0, 0)},
+		{"link-causes-negative", "with -1 failure causes", linkRecord(linkFlagDownRefs, -1, 0)},
+		{"link-causes-overflow-int16", "with 65536 failure causes", linkRecord(linkFlagDownRefs, 1<<16, 0)},
+		{"link-busy-while-down", "busy while down", linkRecord(linkFlagBusy|linkFlagDownRefs, 1, 0)},
+		{"link-busy-vc-out-of-range", "in-flight VC 255 outside", linkRecord(linkFlagUp|linkFlagBusy, 0, 255)},
 		{"link-record-truncated", "link state", clean[:linkOff+linkSec.Len()/2]},
 		{"link-run-truncated", "link state", clean[:linkOff]},
+		{"busy-record-unnamed", "named by no busy-link ref", withBusy(busy[1:]...)},
+		{"busy-record-unnamed-last", "named by no busy-link ref", withBusy(busy[:len(busy)-1]...)},
+		{"busy-ref-not-busy", "names a link that is not busy", withBusy(append(busy[:len(busy):len(busy)], idle)...)},
+		{"busy-ref-duplicate", "does not ascend", withBusy(append([]linkRef{busy[0]}, busy...)...)},
+		{"busy-ref-descending", "does not ascend", withBusy(append([]linkRef{busy[0], busy[1], busy[0]}, busy[2:]...)...)},
 	}
 	if err := New(lazyCfg(1)).LoadState(snapshot.NewDecoder(clean)); err != nil {
 		t.Fatalf("clean snapshot rejected: %v", err)

@@ -20,10 +20,14 @@ import (
 // maintained worklist owned by the node's range, so an idle cycle costs
 // O(active components), not O(network).
 //
-//   - busyLinks: a range's output links carrying a flit, appended during
-//     transmit in ascending (node, port) order — which is exactly the
-//     order a full scan would visit them, so arrival order (and therefore
-//     every downstream result) is unchanged.
+//   - busyLinks: a range's output links carrying a flit, each entry
+//     holding the flit itself and its downstream VC (inFlight; the link
+//     only says busy), appended during transmit in ascending (node,
+//     port) order — which is exactly the order a full scan would visit
+//     them, so arrival order (and therefore every downstream result) is
+//     unchanged. At every cycle boundary the entries are exactly the
+//     busy links in that order; the checkpoint codec and InFlightFlits
+//     rely on it.
 //   - activeR: routers with at least one buffered flit. A router enters
 //     when a flit lands (arrival or injection) and leaves when transmit
 //     finds it drained. Routers without buffered flits provably no-op in
@@ -135,9 +139,10 @@ func (n *Network) failLink(id, p int) {
 	if l.downRefs > 1 {
 		return // already down for another reason
 	}
-	l.up = false
 	n.trace(EvLinkDown, topology.NodeID(id), p, 0, 0, -1)
 	if l.busy {
+		// The flit's busy-list entry stays; the arrivals prepass skips
+		// entries whose link is no longer busy.
 		l.busy = false
 		n.flitsDropped++
 	}
@@ -197,8 +202,6 @@ func (n *Network) repairLink(id, p int) {
 	if up := n.routers[id]; up != nil {
 		up.SetLinkUp(p)
 	}
-	l.up = true
-	l.busy = false
 	n.trace(EvLinkUp, topology.NodeID(id), p, 0, 0, -1)
 }
 
@@ -266,10 +269,12 @@ func (n *Network) transmitRouter(sh *shard, id int) bool {
 				panic(fmt.Sprintf("network: link (%d,%d) double-booked", id, outPort))
 			}
 			l.busy = true
-			l.vc = uint8(outVC)
-			l.f = f
 			l.flits++
-			sh.busyLinks = append(sh.busyLinks, linkRef{node: int32(id), port: int32(outPort)})
+			sh.busyLinks = append(sh.busyLinks, inFlight{
+				ref: linkRef{node: int32(id), port: int32(outPort)},
+				vc:  uint8(outVC),
+				f:   f,
+			})
 		},
 		//cr:alloc non-escaping closure, stack-allocated; verified by TestSteadyStateZeroAlloc
 		func(inPort, inVC int) {
@@ -324,7 +329,7 @@ func (n *Network) routeEmits(sk *sink, node topology.NodeID, emits []router.Emit
 				continue
 			}
 			l := n.linkAt(int(node), e.Port)
-			if !l.exists || !l.up {
+			if !l.up() {
 				// The downstream fragment is (or will be) reclaimed by
 				// the dead-link sweep.
 				sk.killsDropped++
@@ -342,7 +347,7 @@ func (n *Network) routeEmits(sk *sink, node topology.NodeID, emits []router.Emit
 				continue
 			}
 			upNode, upPort := n.upstreamOf(node, e.Port)
-			if !n.linkAt(int(upNode), upPort).up {
+			if !n.linkAt(int(upNode), upPort).up() {
 				sk.killsDropped++
 				continue
 			}
