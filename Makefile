@@ -130,10 +130,12 @@ snapshot-pin:
 # (traffic + step + drain) must not allocate, and the structures the
 # kernel holds one of per link, per flit, per busy link and per credit
 # (link, flit.Flit, linkRef, creditEvent) must stay within their byte
-# budgets, so a field added to one fails here rather than in peak RSS.
-# Run uncached so it cannot silently go stale.
+# budgets, so a field added to one fails here rather than in peak RSS;
+# and a receiver checkpoint save must not allocate, so its state stays
+# in the order the codec writes it rather than behind keys to collect
+# and sort. Run uncached so it cannot silently go stale.
 alloc-gate:
-	$(GO) test ./internal/network/ -run 'TestSteadyStateZeroAlloc|TestHotStructSizes' -count=1
+	$(GO) test ./internal/network/ ./internal/core/ -run 'TestSteadyStateZeroAlloc|TestHotStructSizes|TestReceiverSaveStateAllocs' -count=1
 
 # The repository's one performance benchmark (BENCHMARK.json,
 # benchmark/README.md): five workloads, each untraced then traced in a

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"crnet/internal/flit"
 	"crnet/internal/topology"
@@ -48,6 +50,7 @@ type RecvStats struct {
 
 // assembly is the in-progress reception state of one worm.
 type assembly struct {
+	worm    flit.WormID
 	src     topology.NodeID
 	msg     flit.MessageID
 	dataLen int
@@ -58,22 +61,34 @@ type assembly struct {
 	headArrived int64       // cycle the head reached this receiver
 }
 
+// watermark is the per-source FIFO watermark: the message id last
+// delivered from src.
+type watermark struct {
+	src topology.NodeID
+	msg flit.MessageID
+}
+
 // Receiver is one node's reception engine: it assembles worms from the
 // ejection channels, strips padding, verifies checksums under FCR and
 // delivers completed messages.
+//
+// Both collections are kept sorted — asm ascending by worm, lastSeen
+// ascending by source — which is the order SaveState writes them in, so
+// a checkpoint walks them as they lie. asm holds at most one worm per
+// ejection channel in practice; lastSeen one entry per source ever
+// delivered from.
 type Receiver struct {
 	cfg   Config          //cr:nosnap construction parameters
 	node  topology.NodeID //cr:nosnap node identity, fixed at construction
 	fkill FKiller         //cr:nosnap port adapter, rewired by the owner after restore
 
-	asm map[flit.WormID]*assembly
+	asm []assembly
 	// deliveries accumulates the cycle's completions; drained holds the
 	// slice handed out by the previous Drain, reused as the next
 	// accumulation buffer (double buffering — no allocation per cycle).
-	deliveries []Delivery                         //cr:nosnap cycle-transient completions, cleared by LoadState; checkpoints sit at drain boundaries
-	drained    []Delivery                         //cr:nosnap spare drain buffer, re-grown on demand
-	pool       []*assembly                        //cr:nosnap recycled assembly records, empty-rebuilt on demand
-	lastSeen   map[topology.NodeID]flit.MessageID // per-source FIFO watermark
+	deliveries []Delivery //cr:nosnap cycle-transient completions, cleared by LoadState; checkpoints sit at drain boundaries
+	drained    []Delivery //cr:nosnap spare drain buffer, re-grown on demand
+	lastSeen   []watermark
 	stats      RecvStats
 }
 
@@ -86,13 +101,7 @@ func NewReceiver(cfg Config, node topology.NodeID, fkill FKiller) *Receiver {
 	if cfg.Protocol == FCR && fkill == nil {
 		panic("core: FCR receiver needs an FKiller")
 	}
-	return &Receiver{
-		cfg:      cfg,
-		node:     node,
-		fkill:    fkill,
-		asm:      make(map[flit.WormID]*assembly),
-		lastSeen: make(map[topology.NodeID]flit.MessageID),
-	}
+	return &Receiver{cfg: cfg, node: node, fkill: fkill}
 }
 
 // Stats returns a copy of the receiver's counters.
@@ -111,30 +120,17 @@ func (rc *Receiver) Drain() []Delivery {
 	return d
 }
 
-// getAsm takes an assembly record from the pool (or allocates one) and
-// initializes it.
-//
-//cr:hotpath assembly acquisition on every head flit
-func (rc *Receiver) getAsm() *assembly {
-	if n := len(rc.pool); n > 0 {
-		a := rc.pool[n-1]
-		rc.pool = rc.pool[:n-1]
-		*a = assembly{}
-		return a
-	}
-	return &assembly{} //cr:alloc pool miss, only before the pool warms up; steady state always hits
-}
-
-//cr:hotpath assembly release on every delivery or tear-down
-func (rc *Receiver) putAsm(a *assembly) { rc.pool = append(rc.pool, a) }
+// byWorm and bySource order asm and lastSeen for slices.BinarySearchFunc.
+func byWorm(a assembly, worm flit.WormID) int       { return cmp.Compare(a.worm, worm) }
+func bySource(m watermark, src topology.NodeID) int { return cmp.Compare(m.src, src) }
 
 // Accept consumes one flit arriving on ejection channel ch at cycle now.
 //
 //cr:hotpath per-flit reception entry point
 func (rc *Receiver) Accept(ch int, f flit.Flit, now int64) {
-	a := rc.asm[f.Worm]
+	i, found := slices.BinarySearchFunc(rc.asm, f.Worm, byWorm)
 	if f.Kind == flit.Head {
-		if a != nil {
+		if found {
 			panic(fmt.Sprintf("core: duplicate head for worm %d at node %d", f.Worm, rc.node))
 		}
 		if rc.cfg.Protocol == FCR && !f.Verify() {
@@ -144,22 +140,23 @@ func (rc *Receiver) Accept(ch int, f flit.Flit, now int64) {
 			return
 		}
 		h := flit.DecodeHeader(f.Payload)
-		a = rc.getAsm()
-		*a = assembly{src: h.Src, msg: f.Worm.Message(), dataLen: h.DataLen, nextSeq: 1, dataOK: true,
+		a := assembly{worm: f.Worm, src: h.Src, msg: f.Worm.Message(), dataLen: h.DataLen, nextSeq: 1, dataOK: true,
 			stamps: f.Stamps, headArrived: now}
-		rc.asm[f.Worm] = a
 		rc.stats.DataFlits++
 		if f.Tail {
-			rc.deliver(f.Worm, a, now)
+			rc.deliver(&a, now)
+			return
 		}
+		rc.asm = slices.Insert(rc.asm, i, a)
 		return
 	}
-	if a == nil {
+	if !found {
 		// Flits of a worm we already rejected; the router purge races
 		// one flit — it is absorbed there, so reaching here means a
 		// protocol bug.
 		panic(fmt.Sprintf("core: body flit %v without assembly at node %d", f, rc.node))
 	}
+	a := &rc.asm[i]
 	if f.Seq != a.nextSeq {
 		panic(fmt.Sprintf("core: worm %d flit out of order at node %d: seq %d, want %d",
 			f.Worm, rc.node, f.Seq, a.nextSeq))
@@ -169,6 +166,7 @@ func (rc *Receiver) Accept(ch int, f flit.Flit, now int64) {
 	case flit.Data:
 		rc.stats.DataFlits++
 		if rc.cfg.Protocol == FCR && !f.Verify() {
+			rc.drop(i)
 			rc.reject(ch, f.Worm)
 			return
 		}
@@ -181,35 +179,40 @@ func (rc *Receiver) Accept(ch int, f flit.Flit, now int64) {
 		// (the data was already verified by the time pads arrive).
 	}
 	if f.Tail {
-		rc.deliver(f.Worm, a, now)
+		rc.deliver(a, now)
+		rc.drop(i)
 	}
 }
 
-// reject tears the worm down backward and forgets it.
+// drop forgets asm[i].
+//
+//cr:hotpath assembly release on every delivery or tear-down
+func (rc *Receiver) drop(i int) { rc.asm = slices.Delete(rc.asm, i, i+1) }
+
+// reject tears the worm down backward; the caller drops its assembly,
+// if it has one.
 func (rc *Receiver) reject(ch int, worm flit.WormID) {
 	rc.stats.FKillsSent++
-	if a, ok := rc.asm[worm]; ok {
-		rc.putAsm(a)
-		delete(rc.asm, worm)
-	}
 	rc.fkill.FKill(ch, worm)
 }
 
 //cr:hotpath message completion on every tail flit
-func (rc *Receiver) deliver(worm flit.WormID, a *assembly, now int64) {
-	delete(rc.asm, worm)
-	defer rc.putAsm(a)
+func (rc *Receiver) deliver(a *assembly, now int64) {
 	rc.stats.Delivered++
 	if !a.dataOK {
 		rc.stats.CorruptData++
 	}
-	if last, ok := rc.lastSeen[a.src]; ok && a.msg < last {
-		rc.stats.OrderErrors++
+	if j, seen := slices.BinarySearchFunc(rc.lastSeen, a.src, bySource); !seen {
+		rc.lastSeen = slices.Insert(rc.lastSeen, j, watermark{src: a.src, msg: a.msg})
+	} else {
+		if a.msg < rc.lastSeen[j].msg {
+			rc.stats.OrderErrors++
+		}
+		rc.lastSeen[j].msg = a.msg
 	}
-	rc.lastSeen[a.src] = a.msg
 	rc.deliveries = append(rc.deliveries, Delivery{
 		Msg:         a.msg,
-		Worm:        worm,
+		Worm:        a.worm,
 		Src:         a.src,
 		DataLen:     a.dataLen,
 		Time:        now,
@@ -222,9 +225,8 @@ func (rc *Receiver) deliver(worm flit.WormID, a *assembly, now int64) {
 // Discard drops the partial assembly of a worm whose forward KILL
 // reached the destination.
 func (rc *Receiver) Discard(worm flit.WormID) {
-	if a, ok := rc.asm[worm]; ok {
-		rc.putAsm(a)
-		delete(rc.asm, worm)
+	if i, ok := slices.BinarySearchFunc(rc.asm, worm, byWorm); ok {
+		rc.drop(i)
 		rc.stats.KilledPartial++
 	}
 }

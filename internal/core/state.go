@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"crnet/internal/flit"
 	"crnet/internal/snapshot"
@@ -98,7 +98,7 @@ func (in *Injector) LoadState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	queue := in.queue[:0]
+	queue := slices.Grow(in.queue[:0], nq)
 	for i := 0; i < nq; i++ {
 		queue = append(queue, flit.GetMessage(d))
 	}
@@ -121,7 +121,7 @@ func (in *Injector) LoadState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	failures := in.failures[:0]
+	failures := slices.Grow(in.failures[:0], nf)
 	for i := 0; i < nf; i++ {
 		failures = append(failures, Failure{
 			Msg:      flit.MessageID(d.U64()),
@@ -149,18 +149,10 @@ func (in *Injector) LoadState(d *snapshot.Decoder) error {
 // network drains them inside every Step, so they are empty at any
 // cycle boundary a checkpoint can observe.
 func (rc *Receiver) SaveState(e *snapshot.Encoder) {
-	worms := make([]flit.WormID, 0, len(rc.asm))
-	// Sorted before encoding, so map iteration order cannot leak into
-	// checkpoint bytes.
-	//cr:orderinvariant keys are collected and sorted before use
-	for w := range rc.asm {
-		worms = append(worms, w)
-	}
-	sort.Slice(worms, func(i, j int) bool { return worms[i] < worms[j] })
-	e.Uvarint(uint64(len(worms)))
-	for _, w := range worms {
-		a := rc.asm[w]
-		e.U64(uint64(w))
+	e.Uvarint(uint64(len(rc.asm)))
+	for i := range rc.asm {
+		a := &rc.asm[i]
+		e.U64(uint64(a.worm))
 		e.Varint(int64(a.src))
 		e.U64(uint64(a.msg))
 		e.Int(a.dataLen)
@@ -169,16 +161,10 @@ func (rc *Receiver) SaveState(e *snapshot.Encoder) {
 		flit.PutStamps(e, a.stamps)
 		e.Varint(a.headArrived)
 	}
-	srcs := make([]topology.NodeID, 0, len(rc.lastSeen))
-	//cr:orderinvariant keys are collected and sorted before use
-	for src := range rc.lastSeen {
-		srcs = append(srcs, src)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	e.Uvarint(uint64(len(srcs)))
-	for _, src := range srcs {
-		e.Varint(int64(src))
-		e.U64(uint64(rc.lastSeen[src]))
+	e.Uvarint(uint64(len(rc.lastSeen)))
+	for _, m := range rc.lastSeen {
+		e.Varint(int64(m.src))
+		e.U64(uint64(m.msg))
 	}
 	s := &rc.stats
 	e.Varint(s.Delivered)
@@ -191,40 +177,50 @@ func (rc *Receiver) SaveState(e *snapshot.Encoder) {
 }
 
 // LoadState restores a state written by SaveState. Existing assemblies
-// and watermarks are replaced.
+// and watermarks are replaced. Worms and sources must ascend strictly,
+// as SaveState writes them: a duplicate would otherwise restore two
+// records for one key, and the lookups assume sorted order. On error
+// the receiver is unusable; the network discards it with the rest of a
+// failed restore.
 func (rc *Receiver) LoadState(d *snapshot.Decoder) error {
 	na := d.Count(maxSnapshotItems)
 	if err := d.Err(); err != nil {
 		return err
 	}
-	type loaded struct {
-		worm flit.WormID
-		asm  assembly
-	}
-	asms := make([]loaded, na)
-	for i := range asms {
-		asms[i].worm = flit.WormID(d.U64())
-		a := &asms[i].asm
-		a.src = topology.NodeID(d.Varint())
-		a.msg = flit.MessageID(d.U64())
-		a.dataLen = d.Int()
-		a.nextSeq = d.Int()
-		a.dataOK = d.Bool()
-		a.stamps = flit.GetStamps(d)
-		a.headArrived = d.Varint()
+	rc.asm = slices.Grow(rc.asm[:0], na)
+	for i := 0; i < na; i++ {
+		a := assembly{
+			worm:        flit.WormID(d.U64()),
+			src:         topology.NodeID(d.Varint()),
+			msg:         flit.MessageID(d.U64()),
+			dataLen:     d.Int(),
+			nextSeq:     d.Int(),
+			dataOK:      d.Bool(),
+			stamps:      flit.GetStamps(d),
+			headArrived: d.Varint(),
+		}
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if i > 0 && a.worm <= rc.asm[i-1].worm {
+			return fmt.Errorf("core: snapshot assembly of worm %d does not ascend from worm %d", a.worm, rc.asm[i-1].worm)
+		}
+		rc.asm = append(rc.asm, a)
 	}
 	ns := d.Count(maxSnapshotItems)
 	if err := d.Err(); err != nil {
 		return err
 	}
-	type watermark struct {
-		src topology.NodeID
-		msg flit.MessageID
-	}
-	marks := make([]watermark, ns)
-	for i := range marks {
-		marks[i].src = topology.NodeID(d.Varint())
-		marks[i].msg = flit.MessageID(d.U64())
+	rc.lastSeen = slices.Grow(rc.lastSeen[:0], ns)
+	for i := 0; i < ns; i++ {
+		m := watermark{src: topology.NodeID(d.Varint()), msg: flit.MessageID(d.U64())}
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if i > 0 && m.src <= rc.lastSeen[i-1].src {
+			return fmt.Errorf("core: snapshot watermark of source %d does not ascend from source %d", m.src, rc.lastSeen[i-1].src)
+		}
+		rc.lastSeen = append(rc.lastSeen, m)
 	}
 	s := RecvStats{
 		Delivered:     d.Varint(),
@@ -237,21 +233,6 @@ func (rc *Receiver) LoadState(d *snapshot.Decoder) error {
 	}
 	if err := d.Err(); err != nil {
 		return err
-	}
-	// Pool pointer identity is unobservable; see Reset.
-	//cr:orderinvariant only pool pointer order varies; records are zeroed on reuse
-	for w, a := range rc.asm {
-		rc.putAsm(a)
-		delete(rc.asm, w)
-	}
-	for i := range asms {
-		a := rc.getAsm()
-		*a = asms[i].asm
-		rc.asm[asms[i].worm] = a
-	}
-	clear(rc.lastSeen)
-	for _, m := range marks {
-		rc.lastSeen[m.src] = m.msg
 	}
 	rc.deliveries = rc.deliveries[:0]
 	rc.drained = rc.drained[:0]

@@ -1,0 +1,279 @@
+package core
+
+import (
+	"bytes"
+	"slices"
+	"strings"
+	"testing"
+
+	"crnet/internal/flit"
+	"crnet/internal/rng"
+	"crnet/internal/snapshot"
+	"crnet/internal/topology"
+)
+
+// mapReceiver is a reference receiver that keeps its assemblies and
+// watermarks in maps and sorts the keys only when it saves — the
+// straightforward shape the sorted-slice Receiver must be
+// indistinguishable from, in deliveries, counters and checkpoint bytes.
+type mapReceiver struct {
+	fcr      bool
+	asm      map[flit.WormID]assembly
+	lastSeen map[topology.NodeID]flit.MessageID
+	stats    RecvStats
+	out      []Delivery
+}
+
+func (m *mapReceiver) accept(f flit.Flit, now int64) {
+	a := m.asm[f.Worm]
+	switch {
+	case m.fcr && f.Kind != flit.Pad && !f.Verify():
+		if f.Kind == flit.Data {
+			m.stats.DataFlits++
+		}
+		m.stats.FKillsSent++
+		delete(m.asm, f.Worm)
+		return
+	case f.Kind == flit.Head:
+		h := flit.DecodeHeader(f.Payload)
+		a = assembly{worm: f.Worm, src: h.Src, msg: f.Worm.Message(), dataLen: h.DataLen, dataOK: true,
+			stamps: f.Stamps, headArrived: now}
+		m.stats.DataFlits++
+	case f.Kind == flit.Data:
+		m.stats.DataFlits++
+		a.dataOK = a.dataOK && f.Payload == flit.PayloadWord(a.msg, f.Seq)
+	default:
+		m.stats.PadFlits++
+	}
+	a.nextSeq = f.Seq + 1
+	if !f.Tail {
+		m.asm[f.Worm] = a
+		return
+	}
+	delete(m.asm, f.Worm)
+	m.stats.Delivered++
+	if !a.dataOK {
+		m.stats.CorruptData++
+	}
+	if last, ok := m.lastSeen[a.src]; ok && a.msg < last {
+		m.stats.OrderErrors++
+	}
+	m.lastSeen[a.src] = a.msg
+	m.out = append(m.out, Delivery{Msg: a.msg, Worm: a.worm, Src: a.src, DataLen: a.dataLen, Time: now,
+		DataOK: a.dataOK, Stamps: a.stamps, HeadArrived: a.headArrived})
+}
+
+func (m *mapReceiver) discard(worm flit.WormID) {
+	if _, ok := m.asm[worm]; ok {
+		delete(m.asm, worm)
+		m.stats.KilledPartial++
+	}
+}
+
+// save writes the receiver payload format from the maps, keys sorted.
+func (m *mapReceiver) save() []byte {
+	var e snapshot.Encoder
+	var worms []flit.WormID
+	for w := range m.asm {
+		worms = append(worms, w)
+	}
+	slices.Sort(worms)
+	e.Uvarint(uint64(len(worms)))
+	for _, w := range worms {
+		a := m.asm[w]
+		e.U64(uint64(w))
+		e.Varint(int64(a.src))
+		e.U64(uint64(a.msg))
+		e.Int(a.dataLen)
+		e.Int(a.nextSeq)
+		e.Bool(a.dataOK)
+		flit.PutStamps(&e, a.stamps)
+		e.Varint(a.headArrived)
+	}
+	var srcs []topology.NodeID
+	for src := range m.lastSeen {
+		srcs = append(srcs, src)
+	}
+	slices.Sort(srcs)
+	e.Uvarint(uint64(len(srcs)))
+	for _, src := range srcs {
+		e.Varint(int64(src))
+		e.U64(uint64(m.lastSeen[src]))
+	}
+	s := m.stats
+	for _, v := range []int64{s.Delivered, s.CorruptData, s.FKillsSent, s.KilledPartial, s.DataFlits, s.PadFlits, s.OrderErrors} {
+		e.Varint(v)
+	}
+	return e.Bytes()
+}
+
+// TestReceiverMatchesMapModel drives a random script through a Receiver
+// and the map-keyed reference: worms from several sources interleaved
+// across several ejection channels, forward-kill discards, corrupt
+// flits (FCR rejects them, CR flags the data) and message ids that
+// sometimes run backwards per source. After every flit the deliveries
+// and the SaveState bytes must agree, and every so often the receiver
+// is replaced by a fresh one restored from its own checkpoint.
+func TestReceiverMatchesMapModel(t *testing.T) {
+	for _, proto := range []Protocol{CR, FCR} {
+		t.Run(proto.String(), func(t *testing.T) {
+			cfg := crConfig()
+			cfg.Protocol = proto
+			fk := &fakeFKiller{}
+			rc := NewReceiver(cfg, 5, fk)
+			m := &mapReceiver{fcr: proto == FCR, asm: map[flit.WormID]assembly{}, lastSeen: map[topology.NodeID]flit.MessageID{}}
+			r := rng.New(0x7ecf)
+			const channels, sources = 3, 40
+			type stream struct {
+				fr   flit.Frame
+				next int // next flit to send; 0 means the channel is idle
+			}
+			var chs [channels]stream
+			var nextMsg flit.MessageID = 1000
+			for step := int64(0); step < 30000; step++ {
+				ch := r.Intn(channels)
+				c := &chs[ch]
+				if c.next == 0 {
+					// Start a worm, unless its id is live on another channel.
+					msg := nextMsg
+					if r.Intn(6) == 0 {
+						msg -= flit.MessageID(1 + r.Intn(200)) // an older message overtaken in flight
+					} else {
+						nextMsg++
+					}
+					fr := flit.Frame{
+						Msg:     flit.Message{ID: msg, Src: topology.NodeID(r.Intn(sources)), Dst: 5, DataLen: 1 + r.Intn(4)},
+						Attempt: r.Intn(3),
+						PadLen:  r.Intn(3),
+					}
+					if _, live := m.asm[fr.WormID()]; live {
+						continue
+					}
+					c.fr = fr
+				} else if r.Intn(25) == 0 {
+					rc.Discard(c.fr.WormID())
+					m.discard(c.fr.WormID())
+					c.next = 0
+					continue
+				}
+				f := c.fr.FlitAt(c.next)
+				if c.next == 0 {
+					f.Stamps = flit.Stamps{Create: step - int64(r.Intn(100)), FirstInject: step - 3, AttemptInject: step - 2}
+				}
+				if r.Intn(20) == 0 {
+					f.Payload ^= 1 << r.Intn(64)
+				}
+				kills := len(fk.calls)
+				rc.Accept(ch, f, step)
+				m.accept(f, step)
+				c.next++
+				if f.Tail || len(fk.calls) > kills {
+					c.next = 0
+				}
+				if got := rc.Drain(); !slices.Equal(got, m.out) {
+					t.Fatalf("step %d: deliveries %+v, reference %+v", step, got, m.out)
+				}
+				m.out = m.out[:0]
+				var e snapshot.Encoder
+				rc.SaveState(&e)
+				raw := e.Bytes()
+				if want := m.save(); !bytes.Equal(raw, want) {
+					t.Fatalf("step %d: SaveState bytes differ from the reference's\n got %x\nwant %x", step, raw, want)
+				}
+				if step%97 == 0 {
+					rc = NewReceiver(cfg, 5, fk)
+					if err := rc.LoadState(snapshot.NewDecoder(raw)); err != nil {
+						t.Fatalf("step %d: restoring the receiver's own checkpoint: %v", step, err)
+					}
+				}
+			}
+			s := rc.Stats()
+			if s != m.stats {
+				t.Fatalf("stats %+v, reference %+v", s, m.stats)
+			}
+			// The script must have reached every path it claims to cover.
+			if s.OrderErrors == 0 || s.KilledPartial == 0 || s.Delivered == 0 ||
+				(proto == FCR && s.FKillsSent == 0) || (proto == CR && s.CorruptData == 0) {
+				t.Fatalf("script left a path untested: %+v", s)
+			}
+		})
+	}
+}
+
+// TestReceiverLoadRejectsCorruptState: assemblies and watermarks must
+// ascend strictly, as SaveState writes them. A duplicate or descending
+// key would otherwise restore silently — with the last record winning,
+// or out of the order every lookup relies on.
+func TestReceiverLoadRejectsCorruptState(t *testing.T) {
+	payload := func(worms []flit.WormID, srcs []topology.NodeID) []byte {
+		var e snapshot.Encoder
+		e.Uvarint(uint64(len(worms)))
+		for _, w := range worms {
+			e.U64(uint64(w))
+			e.Varint(1) // src
+			e.U64(uint64(w.Message()))
+			e.Int(2)     // dataLen
+			e.Int(1)     // nextSeq
+			e.Bool(true) // dataOK
+			flit.PutStamps(&e, flit.Stamps{})
+			e.Varint(0) // headArrived
+		}
+		e.Uvarint(uint64(len(srcs)))
+		for i, src := range srcs {
+			e.Varint(int64(src))
+			e.U64(uint64(10 + i))
+		}
+		for i := 0; i < 7; i++ {
+			e.Varint(0) // counters
+		}
+		return e.Bytes()
+	}
+	w1, w2 := flit.MakeWormID(7, 0), flit.MakeWormID(9, 1)
+	if err := NewReceiver(crConfig(), 5, nil).LoadState(snapshot.NewDecoder(payload([]flit.WormID{w1, w2}, []topology.NodeID{1, 3}))); err != nil {
+		t.Fatalf("well-formed payload rejected: %v", err)
+	}
+	cases := []struct {
+		name  string
+		worms []flit.WormID
+		srcs  []topology.NodeID
+		want  string
+	}{
+		{"duplicate-worm", []flit.WormID{w1, w1}, nil, "assembly of worm"},
+		{"descending-worms", []flit.WormID{w2, w1}, nil, "assembly of worm"},
+		{"duplicate-source", nil, []topology.NodeID{4, 4}, "watermark of source"},
+		{"descending-sources", nil, []topology.NodeID{1, 6, 2}, "watermark of source"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := NewReceiver(crConfig(), 5, nil).LoadState(snapshot.NewDecoder(payload(tc.worms, tc.srcs)))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadState = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestReceiverSaveStateAllocs: a checkpoint walks the receiver's
+// collections where they lie, so a save into an encoder with room to
+// spare allocates nothing. The encoder is pre-grown by a thousand saves;
+// the hundred measured ones then need at most one more growth step of
+// their own, which the per-run average rounds away, while anything
+// SaveState allocated per call would not.
+func TestReceiverSaveStateAllocs(t *testing.T) {
+	rc := NewReceiver(crConfig(), 5, nil)
+	for src := topology.NodeID(0); src < 50; src++ {
+		feedWorm(rc, flit.Frame{Msg: flit.Message{ID: flit.MessageID(100 + src), Src: src, Dst: 5, DataLen: 2}}, 0, 0)
+	}
+	rc.Accept(0, flit.Frame{Msg: flit.Message{ID: 300, Src: 1, Dst: 5, DataLen: 4}}.FlitAt(0), 1)
+	rc.Accept(1, flit.Frame{Msg: flit.Message{ID: 301, Src: 2, Dst: 5, DataLen: 4}}.FlitAt(0), 1)
+	if len(rc.asm) != 2 || len(rc.lastSeen) != 50 {
+		t.Fatalf("fixture holds %d assemblies and %d watermarks, want 2 and 50", len(rc.asm), len(rc.lastSeen))
+	}
+	var e snapshot.Encoder
+	for i := 0; i < 1000; i++ {
+		rc.SaveState(&e)
+	}
+	if avg := testing.AllocsPerRun(100, func() { rc.SaveState(&e) }); avg != 0 {
+		t.Fatalf("Receiver.SaveState allocates %.2f times per save, want 0", avg)
+	}
+}

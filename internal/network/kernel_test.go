@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"crnet/internal/core"
@@ -27,8 +28,8 @@ func TestNodeSetSortedIteration(t *testing.T) {
 	if !reflect.DeepEqual(s.ids, want) {
 		t.Fatalf("ids after prepare = %v, want %v", s.ids, want)
 	}
-	// Pruning from the middle keeps the rest sorted without re-marking
-	// dirty; a subsequent add must still end up in order.
+	// Pruning from the middle keeps the rest sorted; a subsequent add
+	// must still end up in order.
 	s.drop(7)
 	kept := s.ids[:0]
 	for _, id := range s.ids {
@@ -47,17 +48,58 @@ func TestNodeSetSortedIteration(t *testing.T) {
 	if len(s.ids) != 0 || s.member[3] {
 		t.Fatalf("reset left state behind: ids=%v", s.ids)
 	}
-	// The reset set must also come back clean: an empty list is
-	// trivially sorted, so a reset that leaves dirty latched would make
-	// the next prepare after a LoadState run a pointless sort pass.
-	if s.dirty {
-		t.Fatal("reset left the set marked dirty")
-	}
 	s.add(4)
 	s.add(1)
 	s.prepare()
 	if !reflect.DeepEqual(s.ids, []int32{1, 4}) {
 		t.Fatalf("ids after reset+add = %v, want [1 4]", s.ids)
+	}
+
+	// A random add/drop/prepare sequence, pruned the way the phase
+	// bodies prune (drop while walking a prepared list, keep the rest in
+	// order), must iterate what a plain append-then-slices.Sort list of
+	// the same members would.
+	const n = 300
+	r := rng.New(0x5e75)
+	s = newNodeSet(n)
+	var model []int32
+	inModel := make([]bool, n)
+	for round := 0; round < 2000; round++ {
+		// Mostly small batches, sometimes a flood, so the merge runs
+		// with an empty prefix, an empty tail and everything between.
+		adds := r.Intn(8)
+		if r.Intn(10) == 0 {
+			adds = r.Intn(2 * n)
+		}
+		for k := 0; k < adds; k++ {
+			id := int32(r.Intn(n))
+			s.add(id)
+			if !inModel[id] {
+				inModel[id] = true
+				model = append(model, id)
+			}
+		}
+		if r.Intn(8) == 0 {
+			s.reset()
+			clear(inModel)
+			model = model[:0]
+		}
+		s.prepare()
+		slices.Sort(model)
+		if !slices.Equal(s.ids, model) {
+			t.Fatalf("round %d: ids after prepare = %v, want %v", round, s.ids, model)
+		}
+		kept := s.ids[:0]
+		for _, id := range s.ids {
+			if r.Intn(3) == 0 {
+				s.drop(id)
+				inModel[id] = false
+			} else {
+				kept = append(kept, id)
+			}
+		}
+		s.ids = kept
+		model = append(model[:0], kept...)
 	}
 }
 

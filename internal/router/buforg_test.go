@@ -322,23 +322,41 @@ func sharedTestRouter(t *testing.T) *Router {
 	return orgTestRouter(OrgCreditShared)
 }
 
+// routedTestRouter is sharedTestRouter with one injected header holding
+// an output VC: the held output's owner is injection input (2,0).
+func routedTestRouter(t *testing.T) (*Router, *inVC, *outVC) {
+	t.Helper()
+	r := sharedTestRouter(t)
+	r.Inject(0, frame(13, 1, 2, 4, 0, 0).FlitAt(0))
+	r.RouteAndAllocate(nil)
+	p, vc := heldOutput(t, r)
+	return r, r.in(r.InjPort(0), 0), &r.outs[p].vcs[vc]
+}
+
 // TestLoadStateRejectsCorruptSnapshots is the regression table for the
 // snapshot range-validation fix: a corrupt or hostile payload must be
 // rejected with a descriptive error in every place it could break the
 // kernel — oversized per-VC counts, per-VC counts that are individually
 // plausible but overflow the shared pool, a granted-window ledger
 // outside its bounds or below the occupancy it must cover, a grant
-// rotation cursor out of range, and credit/window pairs outside
-// 0 <= credit <= window <= maxWindow.
+// rotation cursor out of range, credit/window pairs outside
+// 0 <= credit <= window <= maxWindow, an index Transmit or allocation
+// would dereference outside the router, and an allocation whose two
+// ends do not name each other.
 func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 	save := func(r *Router) []byte {
 		var e snapshot.Encoder
 		r.SaveState(&e)
 		return e.Bytes()
 	}
-	// Sanity: an unmodified snapshot restores cleanly.
+	// Sanity: unmodified snapshots restore cleanly, idle or holding an
+	// allocation.
 	if err := sharedTestRouter(t).LoadState(snapshot.NewDecoder(save(sharedTestRouter(t)))); err != nil {
 		t.Fatalf("clean snapshot rejected: %v", err)
+	}
+	routed, _, _ := routedTestRouter(t)
+	if err := sharedTestRouter(t).LoadState(snapshot.NewDecoder(save(routed))); err != nil {
+		t.Fatalf("clean routed snapshot rejected: %v", err)
 	}
 	cases := []struct {
 		name, wantSub string
@@ -412,6 +430,42 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			ov := &r.outs[0].vcs[1]
 			ov.window = 9
 			ov.credit = 9
+			return save(r)
+		}},
+		{"held-owner-port-out-of-range", "does not exist", func(t *testing.T) []byte {
+			r, _, ov := routedTestRouter(t)
+			ov.ownerP = 50
+			return save(r)
+		}},
+		{"held-owner-vc-out-of-range", "does not exist", func(t *testing.T) []byte {
+			r, _, ov := routedTestRouter(t)
+			ov.ownerP, ov.ownerV = 0, 5
+			return save(r)
+		}},
+		{"routed-output-port-out-of-range", "does not exist", func(t *testing.T) []byte {
+			r, in, _ := routedTestRouter(t)
+			in.outP = 50
+			return save(r)
+		}},
+		{"routed-output-vc-out-of-range", "does not exist", func(t *testing.T) []byte {
+			r, in, _ := routedTestRouter(t)
+			in.outV = -1
+			return save(r)
+		}},
+		{"output-rr-out-of-range", "round-robin pointer", func(t *testing.T) []byte {
+			r := sharedTestRouter(t)
+			r.outs[1].rr = len(r.ins)
+			return save(r)
+		}},
+		{"alloc-rotation-negative", "allocation rotation", func(t *testing.T) []byte {
+			r := sharedTestRouter(t)
+			r.allocRR = -5
+			return save(r)
+		}},
+		{"held-owner-not-the-routed-input", "inconsistent", func(t *testing.T) []byte {
+			// In range, but the holder names an idle network input.
+			r, _, ov := routedTestRouter(t)
+			ov.ownerP, ov.ownerV = 0, 1
 			return save(r)
 		}},
 	}

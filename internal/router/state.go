@@ -30,8 +30,12 @@ import (
 // capacity (loadVC fails when a pool's budget is oversubscribed even
 // though each VC's count was individually plausible), the granted-window
 // ledger against [reserve, maxWindow], its VC's occupancy and the pool
-// budget (loadLedger), and output credit/window pairs against
-// 0 <= credit <= window <= maxWindow.
+// budget (loadLedger), output credit/window pairs against
+// 0 <= credit <= window <= maxWindow, and every index Transmit,
+// ApplySignal and allocation later dereference (a routed input's output
+// VC, a held output's owner, the round-robin pointers) against the
+// router's geometry. It ends with CheckInvariants, so a restored router
+// is one a Config.Check cycle would accept.
 
 // SaveState appends the router's mutable state to a snapshot.
 func (r *Router) SaveState(e *snapshot.Encoder) {
@@ -107,6 +111,10 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 		v.purgeWorm = flit.WormID(d.U64())
 		v.purgeValid = d.Bool()
 		v.blocked = d.Int()
+		if v.routed && (v.outP < 0 || v.outP >= len(r.outs) || v.outV < 0 || v.outV >= len(r.outs[v.outP].vcs)) {
+			return fmt.Errorf("router %d: input (%d,%d) routed to output (%d,%d), which does not exist",
+				r.id, v.p, v.vc, v.outP, v.outV)
+		}
 	}
 	if err := r.store.loadLedger(d, r.ins); err != nil {
 		return fmt.Errorf("router %d: buffer store: %w", r.id, err)
@@ -116,6 +124,9 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 		o := &r.outs[p]
 		o.rr = d.Int()
 		o.linkUp = d.Bool()
+		if o.rr < 0 || o.rr >= len(r.ins) {
+			return fmt.Errorf("router %d: output %d round-robin pointer %d outside [0,%d)", r.id, p, o.rr, len(r.ins))
+		}
 		for vc := range o.vcs {
 			ov := &o.vcs[vc]
 			ov.held = d.Bool()
@@ -130,6 +141,10 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 			if !o.ejection && (ov.credit < 0 || ov.credit > ov.window || ov.window < wLo || ov.window > wHi) {
 				return fmt.Errorf("router %d: output (%d,%d) credit %d / window %d outside bounds [%d,%d]",
 					r.id, p, vc, ov.credit, ov.window, wLo, wHi)
+			}
+			if ov.held && !r.hasInput(ov.ownerP, ov.ownerV) {
+				return fmt.Errorf("router %d: output (%d,%d) held by input (%d,%d), which does not exist",
+					r.id, p, vc, ov.ownerP, ov.ownerV)
 			}
 		}
 	}
@@ -153,5 +168,16 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("router %d: %w", r.id, err)
 	}
-	return nil
+	if r.allocRR < 0 {
+		return fmt.Errorf("router %d: allocation rotation %d is negative", r.id, r.allocRR)
+	}
+	// The indices are in range; what is left is the consistency every
+	// Config.Check cycle asserts — allocations and holders pointing at
+	// each other, no flits on an idle input, the buffered total.
+	return r.CheckInvariants()
+}
+
+// hasInput reports whether input VC (p, vc) exists.
+func (r *Router) hasInput(p, vc int) bool {
+	return p >= 0 && p < r.deg+r.cfg.InjectionChannels && vc >= 0 && vc < r.numVCs(p)
 }
