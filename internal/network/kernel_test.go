@@ -205,32 +205,56 @@ func (p nextNode) Dest(src topology.NodeID, _ *rng.Source) topology.NodeID {
 
 // TestSteadyStateZeroAlloc is the allocation gate for the cycle kernel:
 // after warmup, stepping a loaded network — traffic generation,
-// submission, stepping, draining — must not allocate. Pool growth and
-// slice reuse must have reached steady state. The gate holds for every
-// buffer organization: the shared organizations' window grants, release
-// top-ups and advertisement events must all ride preallocated storage.
+// submission, stepping, draining — must not allocate. The gate holds
+// for every buffer organization: the shared organizations' window
+// grants, release top-ups and advertisement events must all ride
+// preallocated storage.
 //
-// The 64x64 case holds the same bodies to zero on a working set 64 times
-// the 8x8 one. It offers next-node rather than uniform traffic because a
-// steady state has to exist to be gated: uniform 0.3 on a 1-VC 64x64
-// torus is several times past saturation, where injector backlogs grow
-// without bound (core/injector.go Submit's append) and so few worms
-// survive the kill storm that receivers are still being constructed on
-// first touch after 5 000 cycles — both allocate, neither is the kernel
-// (DESIGN.md §5 has the -memprofile lines).
+// The chaos case is FCR under transient corruption, with a hazard
+// process failing and repairing links and routers inside the gated
+// window and outputs selected by downstream credit. The tear-down paths
+// are held to zero too: receiver FKILLs, source kills and
+// retransmission, dead-link sweeps, hazard evaluation and repair. Each
+// case names the counters its window must advance, so a gate that
+// stopped reaching a path fails rather than passing vacuously.
+//
+// The count is exact over one 500-cycle window. AllocsPerRun rounds its
+// per-run average down, so gated per cycle an allocation per FKILL (one
+// every 20 cycles here) would read 0, and so would the queue growth of
+// an 8x8 torus offered uniform 0.3, which is past saturation. A steady
+// state has to exist to be gated, so every case runs below saturation.
+// Its warmup first offers twice the gated load, which grows every
+// queue, pool and receiver watermark list past what the gated load
+// needs, then settles at the gated load until the backlog has drained
+// (DESIGN.md §5). The 64x64 case holds the same bodies to zero on a
+// working set 64 times the 8x8 one, on next-node traffic.
 func TestSteadyStateZeroAlloc(t *testing.T) {
+	const (
+		kills = iota
+		fkills
+		hazardFailures
+		hazardRepairs
+		nCounters
+	)
+	counterNames := [nCounters]string{"kills", "fkills", "hazard failures", "hazard repairs"}
 	type gateCase struct {
 		name    string
 		k       int
 		org     router.BufferOrg
+		load    float64 // the gated load; warmup first offers twice it
+		settle  int     // cycles at the gated load before the window
 		pattern func(nodes int) traffic.Pattern
+		chaos   bool
+		moved   []int // counters the gated window must advance
 	}
 	uniform := func(nodes int) traffic.Pattern { return traffic.Uniform{Nodes: nodes} }
-	var cases []gateCase
-	for _, org := range router.BufferOrgs {
-		cases = append(cases, gateCase{org.String(), 8, org, uniform})
+	cases := []gateCase{
+		{"fifo", 8, router.OrgStaticFIFO, 0.1, 8500, uniform, false, []int{kills}},
+		{"damq", 8, router.OrgDAMQ, 0.1, 8500, uniform, false, []int{kills}},
+		{"shared", 8, router.OrgCreditShared, 0.07, 8500, uniform, false, []int{kills}},
+		{"k64", 64, router.OrgStaticFIFO, 0.3, 1000, func(nodes int) traffic.Pattern { return nextNode{nodes} }, false, nil},
+		{"fcr-chaos", 8, router.OrgStaticFIFO, 0.05, 8500, uniform, true, []int{kills, fkills, hazardFailures, hazardRepairs}},
 	}
-	cases = append(cases, gateCase{"k64", 64, router.OrgStaticFIFO, func(nodes int) traffic.Pattern { return nextNode{nodes} }})
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -238,7 +262,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				t.Skip("64x64 case is not part of the short suite")
 			}
 			topo := topology.NewTorus(tc.k, 2)
-			n := New(Config{
+			cfg := Config{
 				Topo:     topo,
 				Alg:      routing.MinimalAdaptive{},
 				Protocol: core.CR,
@@ -246,8 +270,16 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				Backoff:  core.Backoff{Kind: core.BackoffExponential, Gap: 8},
 				Shards:   1,
 				Seed:     1,
-			})
-			gen := traffic.NewGenerator(topo, tc.pattern(topo.Nodes()), 0.3, 8, 1)
+			}
+			if tc.chaos {
+				cfg.Protocol = core.FCR
+				cfg.Select = router.SelectLeastLoaded
+				cfg.TransientRate = 2e-3
+				cfg.Hazard = &faults.HazardSpec{LinkLambda0: 2e-5, NodeLambda0: 2e-5, Alpha: 4,
+					LinkMTTR: 100, NodeMTTR: 100, EvalEvery: 32, Seed: 21}
+			}
+			n := New(cfg)
+			gen := traffic.NewGenerator(topo, tc.pattern(topo.Nodes()), 2*tc.load, 8, 1)
 			cycle := int64(0)
 			step := func() {
 				for node := 0; node < topo.Nodes(); node++ {
@@ -259,11 +291,35 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				n.DrainDeliveries()
 				cycle++
 			}
-			for i := 0; i < 3000; i++ { // warmup: grow pools, queues, worklists
+			counters := func() [nCounters]int64 {
+				is := n.InjectorStats()
+				fails, repairs := n.HazardCounts()
+				return [nCounters]int64{is.Kills, is.FKills, fails, repairs}
+			}
+			for i := 0; i < 3000; i++ {
 				step()
 			}
-			if avg := testing.AllocsPerRun(500, step); avg > 0 {
-				t.Fatalf("%s: steady-state step loop allocates: %.2f allocs/run, want 0", tc.name, avg)
+			gen = traffic.NewGenerator(topo, tc.pattern(topo.Nodes()), tc.load, 8, 2)
+			for i := 0; i < tc.settle; i++ {
+				step()
+			}
+			// AllocsPerRun's unmeasured first call is the last of the settling.
+			var before, after [nCounters]int64
+			window := func() {
+				before = counters()
+				for i := 0; i < 500; i++ {
+					step()
+				}
+				after = counters()
+			}
+			if allocs := testing.AllocsPerRun(1, window); allocs > 0 {
+				t.Fatalf("%s: %.0f allocations in 500 loaded cycles, want 0", tc.name, allocs)
+			}
+			for _, c := range tc.moved {
+				if after[c] == before[c] {
+					t.Errorf("%s: %s did not move in the gated window (%d); the gate does not reach that path",
+						tc.name, counterNames[c], after[c])
+				}
 			}
 		})
 	}

@@ -392,7 +392,6 @@ func (n *Network) linkAt(id, p int) *link { return &n.links[id*n.deg+p] }
 func (n *Network) routerAt(id topology.NodeID) *router.Router {
 	r := n.routers[id]
 	if r == nil {
-		//cr:alloc lazy one-time construction on a node's first flit
 		r = router.New(id, n.topo, n.cfg.Alg, n.rcfg)
 		if n.rcfg.Org != router.OrgStaticFIFO {
 			// Shared organizations advertise window deltas back to the
@@ -428,7 +427,6 @@ func (n *Network) routerAt(id topology.NodeID) *router.Router {
 func (n *Network) injectorAt(id topology.NodeID) *core.Injector {
 	in := n.injectors[id]
 	if in == nil {
-		//cr:alloc lazy one-time construction on a node's first submission
 		ports := make([]core.Port, n.cfg.InjectionChannels)
 		for ch := range ports {
 			ports[ch] = injPort{net: n, node: id, ch: ch}
@@ -443,7 +441,6 @@ func (n *Network) injectorAt(id topology.NodeID) *core.Injector {
 func (n *Network) receiverAt(id topology.NodeID) *core.Receiver {
 	rc := n.receivers[id]
 	if rc == nil {
-		//cr:alloc lazy one-time construction on a node's first ejection
 		rc = core.NewReceiver(n.ccfg, id, fkillPort{net: n, node: id})
 		n.receivers[id] = rc //cr:sharded one-time deterministic store; a node is first-touched only by its owning shard
 	}

@@ -159,8 +159,6 @@ func (n *Network) pushCredit(sk *sink, node topology.NodeID, port, vc, cnt int) 
 
 // pushCreditEv queues a fully formed credit event (plain refunds and/or
 // a window-advertisement delta) through the same routing as pushCredit.
-//
-//cr:hotpath credit queueing on every flit move and window advertisement
 func (n *Network) pushCreditEv(sk *sink, ev creditEvent) {
 	in := n.shardOf(topology.NodeID(ev.node)).inCredits
 	in[sk.row] = append(in[sk.row], ev)
@@ -277,8 +275,6 @@ func (n *Network) mergeBarrier() bool {
 // entries stay put until the transmit phase appends over them, after
 // every range has applied its arrivals. It reports whether any flit
 // arrived.
-//
-//cr:hotpath coordinator half of the arrivals phase
 func (n *Network) prepassArrivals() bool {
 	any := false
 	for si := range n.shards {
@@ -307,8 +303,6 @@ func (n *Network) prepassArrivals() bool {
 // to its (owned) downstream router, refund the upstream credit of an
 // absorbed tear-down straggler through the matrix, and activate the
 // router.
-//
-//cr:hotpath per-range half of the arrivals phase
 func (n *Network) shardArrivals(sh *shard) {
 	sk := &sh.sink
 	for _, e := range sh.arrivals {
@@ -325,8 +319,6 @@ func (n *Network) shardArrivals(sh *shard) {
 // range with pending work. An injector whose channels are all idle and
 // whose queue is empty provably does nothing in Tick, so it is pruned
 // until the next SubmitMessage re-activates it.
-//
-//cr:hotpath injectors phase body
 func (n *Network) shardInjectors(sh *shard) {
 	sh.activeI.prepare()
 	kept := sh.activeI.ids[:0]
@@ -343,8 +335,6 @@ func (n *Network) shardInjectors(sh *shard) {
 }
 
 // shardAllocate routes waiting headers and claims output channels.
-//
-//cr:hotpath allocate phase body
 func (n *Network) shardAllocate(sh *shard) {
 	sk := &sh.sink
 	sh.activeR.prepare()
@@ -362,8 +352,6 @@ func (n *Network) shardAllocate(sh *shard) {
 // deferred upstream credits. Routers left with no buffered flits are
 // pruned from the active set; a future arrival or injection re-adds
 // them.
-//
-//cr:hotpath transmit phase body
 func (n *Network) shardTransmit(sh *shard) {
 	kept := sh.activeR.ids[:0]
 	for _, id := range sh.activeR.ids {
@@ -385,8 +373,6 @@ func (n *Network) shardTransmit(sh *shard) {
 // during the ascending transmit walk — is in node order. Deliveries are
 // collected after tear-downs (credits phase) so a rejected worm can
 // never appear in the same cycle's output.
-//
-//cr:hotpath fkills phase body
 func (n *Network) shardFKills(sh *shard) {
 	if len(sh.fkills) == 0 {
 		return
@@ -409,8 +395,6 @@ func (n *Network) shardFKills(sh *shard) {
 // then built here, by its owner. Only receivers that accepted a flit
 // this cycle can hold deliveries, so only those (recvPend, in ascending
 // node order by construction) are drained.
-//
-//cr:hotpath credits phase body
 func (n *Network) shardCredits(sh *shard) {
 	for r, cell := range sh.inCredits {
 		for _, c := range cell {

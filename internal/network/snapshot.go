@@ -379,18 +379,44 @@ func (n *Network) loadNode(d *snapshot.Decoder, what string) (topology.NodeID, e
 }
 
 // loadNodeSets decodes one merged node-set section, dealing each id to
-// the range that owns it.
+// the range that owns it. The ids must ascend strictly, as
+// saveMergedNodeSets writes them.
 func (n *Network) loadNodeSets(d *snapshot.Decoder, what string, pick func(*shard) *nodeSet) error {
 	count := d.Count(n.nodes)
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("network: %s: %w", what, err)
 	}
+	prev := topology.NodeID(-1)
 	for i := 0; i < count; i++ {
 		id, err := n.loadNode(d, what)
 		if err != nil {
 			return err
 		}
+		if id <= prev {
+			return fmt.Errorf("network: snapshot %s id %d does not ascend from its predecessor %d", what, id, prev)
+		}
+		prev = id
 		pick(n.shardOf(id)).add(int32(id))
+	}
+	return nil
+}
+
+// checkWorklists rejects an activeR id with no router or an activeI id
+// with no injector: the first Step would walk it into a nil component.
+// It runs once the node section has built what the payload carries.
+func (n *Network) checkWorklists() error {
+	for i := range n.shards {
+		sh := &n.shards[i]
+		for _, id := range sh.activeR.ids {
+			if n.routers[id] == nil {
+				return fmt.Errorf("network: snapshot activeR id %d names a node with no router", id)
+			}
+		}
+		for _, id := range sh.activeI.ids {
+			if n.injectors[id] == nil {
+				return fmt.Errorf("network: snapshot activeI id %d names a node with no injector", id)
+			}
+		}
 	}
 	return nil
 }
@@ -469,7 +495,18 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 		return err
 	}
 
-	return n.loadNodes(d)
+	if err := n.loadNodes(d); err != nil {
+		return err
+	}
+	if err := n.checkWorklists(); err != nil {
+		// Drop what the node section built, as an earlier rejection
+		// would have left it unbuilt.
+		clear(n.routers)
+		clear(n.injectors)
+		clear(n.receivers)
+		return err
+	}
+	return nil
 }
 
 // loadQueues decodes what saveQueues wrote.

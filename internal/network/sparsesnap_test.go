@@ -282,20 +282,24 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 	donor := New(lazyCfg(1))
 	lazyRun(donor, lazyQuiet, &kernelSnapshot{})
 	clean := saveBytes(donor)
-	var linkSec, queueSec, busySec, nodeSec snapshot.Encoder
+	var linkSec, queueSec, busySec, setSec, nodeSec snapshot.Encoder
 	donor.saveLinks(&linkSec)
 	donor.saveQueues(&queueSec)
 	donor.saveBusyRefs(&busySec)
+	saveMergedNodeSets(&setSec, donor.shards, func(sh *shard) *nodeSet { return &sh.activeR })
+	saveMergedNodeSets(&setSec, donor.shards, func(sh *shard) *nodeSet { return &sh.activeI })
 	donor.saveNodes(&nodeSec)
-	// The payload is fingerprint, cycle, links, queues, busy refs, ...,
-	// nodes.
+	// The payload is fingerprint, cycle, links, queues, busy refs, the
+	// activeR and activeI sets, ..., nodes.
 	var cyc snapshot.Encoder
 	cyc.Varint(donor.cycle)
 	linkOff := 8 + cyc.Len()
 	busyOff := linkOff + linkSec.Len() + queueSec.Len()
+	setOff := busyOff + busySec.Len()
 	nodeOff := len(clean) - nodeSec.Len()
 	if !bytes.Equal(clean[linkOff:linkOff+linkSec.Len()], linkSec.Bytes()) ||
 		!bytes.Equal(clean[busyOff:busyOff+busySec.Len()], busySec.Bytes()) ||
+		!bytes.Equal(clean[setOff:setOff+setSec.Len()], setSec.Bytes()) ||
 		!bytes.Equal(clean[nodeOff:], nodeSec.Bytes()) {
 		t.Fatal("section offsets are wrong; the table below would mangle the wrong bytes")
 	}
@@ -334,6 +338,26 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		}
 		e.Raw(clean[busyOff+busySec.Len():])
 		return e.Bytes()
+	}
+	// withSets replaces the activeR and activeI sections with the given
+	// ids, written as they stand.
+	withSets := func(activeR, activeI []int32) []byte {
+		var e snapshot.Encoder
+		e.Raw(clean[:setOff])
+		for _, ids := range [][]int32{activeR, activeI} {
+			e.Uvarint(uint64(len(ids)))
+			for _, id := range ids {
+				e.Varint(int64(id))
+			}
+		}
+		e.Raw(clean[setOff+setSec.Len():])
+		return e.Bytes()
+	}
+	// The lazy node is unbuilt at the checkpoint; routers and injectors
+	// 0 and 1 are built.
+	if donor.routers[lazyNode] != nil || donor.injectors[lazyNode] != nil ||
+		donor.routers[1] == nil || donor.injectors[1] == nil {
+		t.Fatal("donor built the lazy node or left node 0 or 1 unbuilt; the worklist cases need both")
 	}
 	nodeRun := func(e *snapshot.Encoder, first, count uint64, mask uint8) {
 		e.Uvarint(first)
@@ -441,6 +465,10 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		{"busy-ref-not-busy", "names a link that is not busy", withBusy(append(busy[:len(busy):len(busy)], idle)...)},
 		{"busy-ref-duplicate", "does not ascend", withBusy(append([]linkRef{busy[0]}, busy...)...)},
 		{"busy-ref-descending", "does not ascend", withBusy(append([]linkRef{busy[0], busy[1], busy[0]}, busy[2:]...)...)},
+		{"activeR-unbuilt", "activeR id 35 names a node with no router", withSets([]int32{0, lazyNode}, nil)},
+		{"activeI-unbuilt", "activeI id 35 names a node with no injector", withSets(nil, []int32{1, lazyNode})},
+		{"active-id-duplicate", "activeR id 1 does not ascend", withSets([]int32{1, 1}, nil)},
+		{"active-id-descending", "activeI id 0 does not ascend", withSets(nil, []int32{1, 0})},
 	}
 	if err := New(lazyCfg(1)).LoadState(snapshot.NewDecoder(clean)); err != nil {
 		t.Fatalf("clean snapshot rejected: %v", err)

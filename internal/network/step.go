@@ -51,8 +51,6 @@ import (
 // samples utilization signals collected this cycle, so the composite
 // event order is deterministic. Runs on the coordinator: event order is
 // timeline order, not node order.
-//
-//cr:hotpath fault-events phase: one Pop plus one Due check per cycle
 func (n *Network) phaseFaultEvents() {
 	for _, ev := range n.cfg.Faults.Pop(n.cycle) {
 		n.applyFaultEvent(ev)
@@ -91,8 +89,6 @@ func (n *Network) applyFaultEvent(ev faults.Event) {
 // into a window utilization) and the buffer-occupancy fraction per
 // router. A router never constructed has never buffered a flit, so it
 // contributes zero load. Runs only on hazard evaluation cycles.
-//
-//cr:hotpath hazard signal collection on the evaluation grid
 func (n *Network) collectHazardSignals() {
 	for i, id := range n.hazardLinks {
 		n.hazardFlits[i] = n.linkAt(id.Node, id.Port).flits
@@ -221,8 +217,6 @@ func scrubCredits(q []creditEvent, id, p int) []creditEvent {
 // no signals in flight. Runs on the coordinator: the queue's order is
 // append order from last cycle's phases, not node order, so no spatial
 // partition preserves it.
-//
-//cr:hotpath signals phase of the cycle kernel
 func (n *Network) phaseSignals() {
 	n.sigNow, n.signals = n.signals, n.sigNow[:0]
 	for _, s := range n.sigNow {
@@ -239,8 +233,6 @@ func (n *Network) phaseSignals() {
 // transmitRouter runs one router's switch-transmission, wiring its flit
 // movements into links, receivers, the busy-link worklist and the
 // deferred credit queue — all through sh, the range that owns the node.
-//
-//cr:hotpath per-router transmit; runs once per active router per cycle
 func (n *Network) transmitRouter(sh *shard, id int) bool {
 	moved := false
 	sk := &sh.sink
@@ -251,7 +243,6 @@ func (n *Network) transmitRouter(sh *shard, id int) bool {
 		// Both callbacks are non-escaping: Transmit only calls them, so
 		// the compiler stack-allocates the closures (the runtime
 		// alloc-gate test holds Step at zero allocs/cycle with them).
-		//cr:alloc non-escaping closure, stack-allocated; verified by TestSteadyStateZeroAlloc
 		func(outPort, outVC int, f flit.Flit) {
 			moved = true
 			if outPort >= deg {
@@ -276,7 +267,6 @@ func (n *Network) transmitRouter(sh *shard, id int) bool {
 				f:   f,
 			})
 		},
-		//cr:alloc non-escaping closure, stack-allocated; verified by TestSteadyStateZeroAlloc
 		func(inPort, inVC int) {
 			upNode, upPort := n.upstreamOf(node, inPort)
 			n.pushCredit(sk, upNode, upPort, inVC, 1)
@@ -285,7 +275,6 @@ func (n *Network) transmitRouter(sh *shard, id int) bool {
 	return moved
 }
 
-//cr:hotpath per-receiver delivery drain, once per accepting receiver per cycle
 func (n *Network) drainReceiver(sk *sink, id int, rc *core.Receiver) {
 	ds := rc.Drain()
 	if len(ds) == 0 {
@@ -315,8 +304,6 @@ func (n *Network) upstreamOf(id topology.NodeID, p int) (topology.NodeID, int) {
 // notifications (immediate). All queue appends go through sk — in a
 // forked phase that is the emitting node's own range sink, merged into
 // the coordinator's queues at the barrier.
-//
-//cr:hotpath tear-down emit fan-out, called from allocate/signal/fkill phases
 func (n *Network) routeEmits(sk *sink, node topology.NodeID, emits []router.Emit) {
 	r := n.routers[node]
 	deg := r.Degree()

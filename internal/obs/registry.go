@@ -13,7 +13,10 @@
 // subsystem.
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Gauge is a measurement polled at sample time: an instantaneous level
 // or the current value of a cumulative count its subject keeps
@@ -56,11 +59,15 @@ func (r *Registry) Gauge(name string, g Gauge) {
 // Names returns the metric names in registration (column) order.
 func (r *Registry) Names() []string { return append([]string(nil), r.names...) }
 
-// Sample polls every metric in registration order.
-func (r *Registry) Sample() []float64 {
-	out := make([]float64, len(r.gauges))
-	for i, g := range r.gauges {
-		out[i] = g()
+// Sample polls every metric in registration order into a fresh slice.
+func (r *Registry) Sample() []float64 { return r.sampleInto(nil) }
+
+// sampleInto polls every metric in registration order into buf's
+// backing array, growing it only when it is too short.
+func (r *Registry) sampleInto(buf []float64) []float64 {
+	buf = slices.Grow(buf[:0], len(r.gauges))
+	for _, g := range r.gauges {
+		buf = append(buf, g())
 	}
-	return out
+	return buf
 }

@@ -30,19 +30,20 @@ func NewSampler(reg *Registry, every int64, cap int) *Sampler {
 }
 
 // Tick observes the clock; on cadence boundaries (cycle % every == 0)
-// it takes a snapshot.
+// it takes a snapshot. Once the ring is full the evicted slot's values
+// are overwritten in place, so steady-state sampling does not allocate.
 func (s *Sampler) Tick(cycle int64) {
 	if cycle%s.every != 0 {
 		return
 	}
-	sm := Sample{Cycle: cycle, Values: s.reg.Sample()}
 	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, sm)
-	} else {
-		s.ring[s.next] = sm
-		s.next = (s.next + 1) % cap(s.ring)
-		s.full = true
+		s.ring = append(s.ring, Sample{Cycle: cycle, Values: s.reg.Sample()})
+		return
 	}
+	sm := &s.ring[s.next]
+	sm.Cycle, sm.Values = cycle, s.reg.sampleInto(sm.Values)
+	s.next = (s.next + 1) % cap(s.ring)
+	s.full = true
 }
 
 // Series copies the retained samples out in chronological order,

@@ -12,8 +12,6 @@ import (
 // waiting at the buffer front and tries to claim an output virtual
 // channel for it. Corrupt headers (under VerifyHeaders) trigger a
 // backward tear-down whose emissions are appended to emits.
-//
-//cr:hotpath allocation entry point, once per active router per cycle
 func (r *Router) RouteAndAllocate(emits []Emit) []Emit {
 	for i := range r.ins {
 		v := &r.ins[i]
@@ -79,8 +77,6 @@ func (r *Router) tearCorruptHeader(v *inVC, emits []Emit) []Emit {
 
 // allocateEjection claims a free ejection channel for a worm that has
 // reached its destination.
-//
-//cr:hotpath ejection claim for every worm reaching its destination
 func (r *Router) allocateEjection(v *inVC) bool {
 	for e := r.deg; e < len(r.outs); e++ {
 		o := &r.outs[e].vcs[0]
@@ -102,8 +98,6 @@ func (r *Router) allocateEjection(v *inVC) bool {
 // the first free one, rotating among equally preferred (non-escape)
 // candidates for load spreading. Escape-channel allocations are counted
 // as potential deadlock situations (PDS).
-//
-//cr:hotpath routing + VC claim for every waiting header, every cycle
 func (r *Router) allocateNetwork(v *inVC, head *flit.Flit) bool {
 	inPort := topology.InvalidPort
 	inVCIdx := -1
@@ -154,8 +148,6 @@ func (r *Router) allocateNetwork(v *inVC, head *flit.Flit) bool {
 
 // selectCandidate applies the configured selection policy to a non-empty
 // list of free, equally preferred candidates.
-//
-//cr:hotpath candidate selection on every successful allocation
 func (r *Router) selectCandidate(free []routing.Candidate) routing.Candidate {
 	switch r.cfg.Select {
 	case SelectFirst:
@@ -177,8 +169,6 @@ func (r *Router) selectCandidate(free []routing.Candidate) routing.Candidate {
 
 // portCredit returns the total downstream credit across a network
 // output port's virtual channels — its "drained-ness".
-//
-//cr:hotpath least-loaded selection metric
 func (r *Router) portCredit(p topology.Port) int {
 	total := 0
 	for vc := range r.outs[p].vcs {
@@ -195,15 +185,12 @@ func (r *Router) portCredit(p topology.Port) int {
 // buffered downstream. Under static FIFO the window is constant
 // BufDepth, making this the original fixed-depth test; the shared
 // organizations compare against the dynamically advertised window.
-//
-//cr:hotpath per-candidate freeness test during allocation
 func (r *Router) candFree(c routing.Candidate) bool {
 	out := &r.outs[c.Port]
 	ov := &out.vcs[c.VC]
 	return out.linkUp && !ov.held && ov.credit == ov.window
 }
 
-//cr:hotpath output-VC claim on every successful allocation
 func (r *Router) claim(v *inVC, head *flit.Flit, c routing.Candidate) bool {
 	o := &r.outs[c.Port].vcs[c.VC]
 	o.held = true

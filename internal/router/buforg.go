@@ -210,8 +210,6 @@ func (s *store) reset() {
 
 // push appends f to VC i's FIFO; n is the occupancy before the push
 // (the admission bound capOf was already checked by the caller).
-//
-//cr:hotpath buffer push on every accepted flit
 func (s *store) push(i, n int, f flit.Flit) {
 	if i < s.nPooled {
 		p := i / s.vcsPer
@@ -224,8 +222,6 @@ func (s *store) push(i, n int, f flit.Flit) {
 }
 
 // pop removes and returns VC i's front flit.
-//
-//cr:hotpath buffer pop on every transmitted flit
 func (s *store) pop(i int) flit.Flit {
 	if i < s.nPooled {
 		s.used[i/s.vcsPer]--
@@ -236,8 +232,6 @@ func (s *store) pop(i int) flit.Flit {
 }
 
 // front returns a pointer to VC i's front flit.
-//
-//cr:hotpath front access during allocation and arbitration
 func (s *store) front(i int) *flit.Flit { return &s.arena[i*s.stride+int(s.head[i])] }
 
 // purge drops all n buffered flits of VC i. It never moves the ledger
@@ -259,8 +253,6 @@ func (s *store) capOf(i int) int {
 
 // grantOnHead records a head flit accepted on VC i and returns the
 // window growth to advertise upstream (0 for an unpooled VC).
-//
-//cr:hotpath window grant decision on every accepted head flit
 func (s *store) grantOnHead(i int) int {
 	if i >= s.nPooled {
 		return 0
@@ -284,8 +276,6 @@ func (s *store) grantOnHead(i int) int {
 // host a worm. Every window delta is published through advert (nil
 // drops them). Kill teardowns must NOT call release (see Router.purge):
 // the tenure freezes until the channel's next worm completes.
-//
-//cr:hotpath window release + sibling top-up on every worm completion
 func (s *store) release(i int, ins []inVC, advert CreditAdvert) {
 	if i >= s.nPooled {
 		return

@@ -169,10 +169,8 @@ type inVC struct {
 	blocked int
 }
 
-//cr:hotpath front access during allocation and arbitration
 func (r *Router) front(v *inVC) *flit.Flit { return r.store.front(int(v.idx)) }
 
-//cr:hotpath buffer push on every accepted or injected flit
 func (r *Router) push(v *inVC, f flit.Flit) {
 	if v.count == r.store.capOf(int(v.idx)) {
 		panic("router: input VC overflow (credit protocol violated)")
@@ -181,7 +179,6 @@ func (r *Router) push(v *inVC, f flit.Flit) {
 	v.count++
 }
 
-//cr:hotpath buffer pop on every transmitted flit
 func (r *Router) pop(v *inVC) flit.Flit {
 	if v.count == 0 {
 		panic("router: pop from empty VC")

@@ -7,8 +7,6 @@ import (
 )
 
 // inIndex returns input VC (p, vc)'s index in the flat ins slice.
-//
-//cr:hotpath arbitration key, called per held output VC per cycle
 func (r *Router) inIndex(p, vc int) int {
 	if p < r.deg {
 		return p*r.cfg.VCs + vc
@@ -30,8 +28,6 @@ func (r *Router) inIndex(p, vc int) int {
 // invariant), so the held VCs enumerate exactly the competitors, and
 // the winner is the one whose input index comes first in round-robin
 // order from rr — the same input a linear scan from rr would find.
-//
-//cr:hotpath switch transmission, once per active router per cycle
 func (r *Router) Transmit(moveFlit func(outPort, outVC int, f flit.Flit), creditFlit func(inPort, inVC int)) {
 	n := len(r.ins)
 	for op := range r.outs {

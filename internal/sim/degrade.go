@@ -149,8 +149,6 @@ func (d *Degrader) applyState() {
 
 // Admit consumes one offered message and reports whether to submit it;
 // a false return is a shed message, counted for availability.
-//
-//cr:hotpath per-offered-message admission gate
 func (d *Degrader) Admit() bool {
 	if d.gate.Allow() {
 		d.winAdmitted++
@@ -161,8 +159,6 @@ func (d *Degrader) Admit() bool {
 }
 
 // Observe records one delivered message's latency in cycles.
-//
-//cr:hotpath per-delivery latency observation
 func (d *Degrader) Observe(latency int64) {
 	d.winDeliv++
 	d.winLatency.Add(latency)
@@ -172,8 +168,6 @@ func (d *Degrader) Observe(latency int64) {
 // window against the health signals, walks the hysteresis ladder, and
 // opens the next window. failEvents is the network's cumulative
 // FaultEventsApplied; healthy is whether the watchdog latch is clear.
-//
-//cr:hotpath per-cycle window-boundary check
 func (d *Degrader) EndCycle(now int64, failEvents int64, healthy bool) {
 	w := d.cfg.window()
 	if now == 0 || now%w != 0 {

@@ -125,7 +125,6 @@ type gatedSubmitter struct {
 	deg *Degrader
 }
 
-//cr:hotpath per-trace-record admission gate on the service step path
 func (g *gatedSubmitter) SubmitMessage(m flit.Message) {
 	if g.deg.Admit() {
 		g.net.SubmitMessage(m)
@@ -154,8 +153,6 @@ func (s *Service) Step(n int64) error {
 
 // observe folds one delivery into the cumulative statistics and the
 // stream hash.
-//
-//cr:hotpath per-delivery accounting on the service step path
 func (s *Service) observe(d core.Delivery) {
 	s.delivered++
 	if !d.DataOK {
@@ -189,8 +186,6 @@ func (s *Service) observe(d core.Delivery) {
 
 // fnvMix folds the eight bytes of v (little-endian) into an FNV-1a
 // running hash.
-//
-//cr:hotpath stream-hash word fold
 func fnvMix(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h ^= v & 0xff

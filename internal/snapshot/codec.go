@@ -42,33 +42,23 @@ func (e *Encoder) Len() int { return len(e.buf) }
 
 // Raw appends bytes verbatim (no length prefix) — for fixed-size
 // framing like magic strings, where the reader knows the length.
-//
-//cr:hotpath snapshot framing primitive — amortized self-append only
 func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 
 // U8 appends one byte.
-//
-//cr:hotpath snapshot encode primitive — amortized self-append only
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
 // U16 appends a fixed-width little-endian 16-bit word.
-//
-//cr:hotpath snapshot encode primitive — amortized self-append only
 func (e *Encoder) U16(v uint16) {
 	e.buf = append(e.buf, byte(v), byte(v>>8))
 }
 
 // U32 appends a fixed-width little-endian 32-bit word.
-//
-//cr:hotpath snapshot encode primitive — amortized self-append only
 func (e *Encoder) U32(v uint32) {
 	e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
 // U64 appends a fixed-width little-endian 64-bit word. RNG state words
 // use this (varints would waste bytes on well-mixed values).
-//
-//cr:hotpath snapshot encode primitive — amortized self-append only
 func (e *Encoder) U64(v uint64) {
 	e.buf = append(e.buf,
 		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
@@ -76,8 +66,6 @@ func (e *Encoder) U64(v uint64) {
 }
 
 // Uvarint appends an unsigned varint (LEB128, as encoding/binary).
-//
-//cr:hotpath snapshot encode primitive — amortized self-append only
 func (e *Encoder) Uvarint(v uint64) {
 	for v >= 0x80 {
 		e.buf = append(e.buf, byte(v)|0x80)
@@ -87,20 +75,14 @@ func (e *Encoder) Uvarint(v uint64) {
 }
 
 // Varint appends a zigzag-encoded signed varint.
-//
-//cr:hotpath snapshot encode primitive — amortized self-append only
 func (e *Encoder) Varint(v int64) {
 	e.Uvarint(uint64(v)<<1 ^ uint64(v>>63))
 }
 
 // Int appends an int as a signed varint.
-//
-//cr:hotpath snapshot encode primitive — amortized self-append only
 func (e *Encoder) Int(v int) { e.Varint(int64(v)) }
 
 // Bool appends a boolean as one byte (0 or 1).
-//
-//cr:hotpath snapshot encode primitive — amortized self-append only
 func (e *Encoder) Bool(v bool) {
 	if v {
 		e.buf = append(e.buf, 1)
@@ -111,13 +93,9 @@ func (e *Encoder) Bool(v bool) {
 
 // F64 appends a float64 as its IEEE-754 bit pattern (so restored values
 // are bit-exact, including signed zeros and NaN payloads).
-//
-//cr:hotpath snapshot encode primitive — amortized self-append only
 func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 
 // String appends a length-prefixed string.
-//
-//cr:hotpath snapshot encode primitive — amortized self-append only
 func (e *Encoder) String(s string) {
 	e.Uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)

@@ -69,6 +69,34 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncoderZeroAlloc is the codec half of the allocation gate: on a
+// buffer already grown to the payload's size, every Encoder primitive
+// appends in place, so re-encoding a warmed checkpoint costs its bytes
+// and no allocation.
+func TestEncoderZeroAlloc(t *testing.T) {
+	raw := []byte("crsnap")
+	var e Encoder
+	encode := func() {
+		e.buf = e.buf[:0]
+		e.Raw(raw)
+		e.U8(0xab)
+		e.U16(0xbeef)
+		e.U32(0xdeadbeef)
+		e.U64(0x0123456789abcdef)
+		e.Uvarint(1 << 60)
+		e.Varint(math.MinInt64)
+		e.Int(-42)
+		e.Bool(true)
+		e.Bool(false)
+		e.F64(math.Pi)
+		e.String("worm")
+	}
+	encode() // warmup: grow the buffer once
+	if avg := testing.AllocsPerRun(100, encode); avg != 0 {
+		t.Fatalf("encoding on a warmed buffer allocates: %.2f allocs/run, want 0", avg)
+	}
+}
+
 func TestDecoderStickyError(t *testing.T) {
 	var e Encoder
 	e.U64(7)

@@ -53,8 +53,6 @@ func (r *Replayer) Submitted() int64 { return int64(r.nextMsg) }
 // it submitted. Cycles must be visited in nondecreasing order; records
 // whose time was skipped are submitted on the next call (late, but
 // never lost and always in order).
-//
-//cr:hotpath trace replay tick, once per service cycle
 func (r *Replayer) Tick(net Submitter, cycle int64) int {
 	n := 0
 	for {
