@@ -115,11 +115,10 @@ bench:
 # after the restore, a restore into a network that had built other
 # nodes, and the sparse512 shape restoring exactly what was saved. The
 # second run restores the pinned checkpoint files under
-# internal/network/testdata (recorded by the serial kernel and by DAMQ
-# and credit-shared on the linked-slot pool, carried forward into the
-# current format; DESIGN.md §8) to the recorders' digests and re-saves
-# them to their own bytes; it is separate because a '/' in -run filters
-# every test's subtests.
+# internal/network/testdata (a serial, a DAMQ and a credit-shared
+# mid-run network, re-recorded at format 6; DESIGN.md §8) to the
+# recorded digests and re-saves them to their own bytes; it is separate
+# because a '/' in -run filters every test's subtests.
 snapshot-pin:
 	$(GO) test -race -count=1 \
 		-run 'TestResume|TestServiceResume|TestReplayerPosition|TestRestoreIntoDirtyTarget|TestSparseSnapshot|TestReadsDoNotConstruct' \

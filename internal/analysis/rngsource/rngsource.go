@@ -1,18 +1,19 @@
 // Package rngsource implements the crlint analyzer that keeps all
-// simulation-core randomness flowing through internal/rng streams with
-// derived seeds.
+// simulation-core randomness flowing through internal/rng with derived
+// seeds.
 //
 // Two rules. First, math/rand and math/rand/v2 are banned outright in
 // core packages: their streams are unspecified across Go releases and
 // the top-level functions share seeded-once global state, either of
 // which breaks cross-version and cross-worker reproducibility. The
-// repo's xoshiro256** implementation (internal/rng) is the only
-// sanctioned generator. Second, rng.New / (*rng.Source).Reseed must not
-// be fed ad-hoc constant seeds in the core: a literal seed hides a
-// stochastic stream from the harness's splitmix64 derivation
-// (harness.PointSeed), so two sweep points could silently share a
-// stream. Seeds must arrive through configuration. The escape
-// annotation is `//cr:randsource <justification>`.
+// repo's generators (internal/rng: keyed draws and xoshiro256**
+// streams) are the only sanctioned ones. Second, rng.New and rng.At
+// must not be fed ad-hoc constant seeds in the core: a literal seed
+// hides a stochastic process from the harness's splitmix64 derivation
+// (harness.PointSeed), so two sweep points could silently share draws.
+// Seeds must arrive through configuration; rng.At's stream, entity and
+// counter are constants or state by design and are not checked. The
+// escape annotation is `//cr:randsource <justification>`.
 package rngsource
 
 import (
@@ -71,10 +72,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != rngPath {
 				return true
 			}
-			if fn.Name() != "New" && fn.Name() != "Reseed" {
-				return true
-			}
-			if len(call.Args) != 1 {
+			if (fn.Name() != "New" && fn.Name() != "At") || len(call.Args) == 0 {
 				return true
 			}
 			seed := call.Args[0]

@@ -29,10 +29,17 @@ func Derived(seed uint64) uint64 {
 	return rng.New(seed).Uint64()
 }
 
-// Reset reseeds from a constant expression; constants anywhere in the
+// Keyed draws under a literal seed share every key with any other
+// component that picked the same literal; constants anywhere in the
 // seed argument are flagged.
-func Reset(r *rng.Source) {
-	r.Reseed(7 * 11) // want `rng\.Reseed with constant seed`
+func Keyed(node uint64, now int64) uint64 {
+	return rng.At(7*11, rng.Jitter, node, uint64(now)) // want `rng\.At with constant seed 7 \* 11`
+}
+
+// KeyedDerived takes its seed from configuration; the constant stream,
+// entity and counter are the key, not a seed.
+func KeyedDerived(seed uint64) uint64 {
+	return rng.At(seed, rng.CorruptHit, 0, 1)
 }
 
 // Golden uses a justified fixed stream.

@@ -103,19 +103,19 @@ type Injector struct {
 	// queue[qhead:] holds the pending messages; the consumed prefix is
 	// compacted away periodically so steady-state popping neither shifts
 	// elements nor reallocates.
-	queue  []flit.Message
-	qhead  int
-	jitter *rng.Source
-	stats  InjStats
+	queue []flit.Message
+	qhead int
+	seed  uint64 //cr:nosnap configuration: keys the jitter draws
+	stats InjStats
 
 	failures []Failure
 }
 
 // NewInjector returns an injector for node using the given injection
-// channels. seed feeds the retransmission-jitter stream: like Ethernet's
-// binary exponential backoff, CR must randomize retransmission gaps or
-// colliding worms retry in lockstep and livelock; each node gets an
-// independent deterministic stream. It panics on invalid configuration.
+// channels. seed keys the retransmission jitter: like Ethernet's binary
+// exponential backoff, CR must randomize retransmission gaps or
+// colliding worms retry in lockstep and livelock. It panics on invalid
+// configuration.
 func NewInjector(cfg Config, topo topology.Topology, node topology.NodeID, ports []Port, seed uint64) *Injector {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -124,21 +124,24 @@ func NewInjector(cfg Config, topo topology.Topology, node topology.NodeID, ports
 		panic("core: injector needs at least one port")
 	}
 	return &Injector{
-		cfg:    cfg,
-		topo:   topo,
-		node:   node,
-		ports:  ports,
-		chs:    make([]chState, len(ports)),
-		jitter: rng.New(seed ^ (uint64(node)+1)*0x9e3779b97f4a7c15),
+		cfg:   cfg,
+		topo:  topo,
+		node:  node,
+		ports: ports,
+		chs:   make([]chState, len(ports)),
+		seed:  seed,
 	}
 }
 
-// backoffGap returns the jittered retransmission gap after a failed
-// attempt: the policy gap plus a uniform random extension of up to the
-// same length, breaking retry synchronization between colliding sources.
-func (in *Injector) backoffGap(attempt int) int64 {
+// backoffGap returns the jittered retransmission gap channel i draws at
+// cycle now after a failed attempt: the policy gap plus a uniform random
+// extension of up to the same length, breaking retry synchronization
+// between colliding sources. The extension is a keyed draw on (node,
+// channel, cycle), so it carries no generator state.
+func (in *Injector) backoffGap(now int64, i, attempt int) int64 {
 	g := in.cfg.Backoff.GapFor(attempt)
-	return int64(g + in.jitter.Intn(g+1))
+	entity := uint64(in.node)*uint64(len(in.chs)) + uint64(i)
+	return int64(g + rng.Intn(rng.At(in.seed, rng.Jitter, entity, uint64(now)), g+1))
 }
 
 // Stats returns a copy of the injector's counters.
@@ -355,7 +358,7 @@ func (in *Injector) stalled(now int64, i int) {
 	in.ports[i].Kill(ch.frame.WormID())
 	ch.phase = chWaiting
 	ch.waitStart = now
-	ch.retryAt = now + in.backoffGap(ch.frame.Attempt)
+	ch.retryAt = now + in.backoffGap(now, i, ch.frame.Attempt)
 }
 
 // FKilled notifies the injector that a backward FKILL for worm reached
@@ -370,7 +373,7 @@ func (in *Injector) FKilled(worm flit.WormID, now int64) {
 			ch.waitStart = now
 			// FKILL means the attempt was rejected by the receiver (or a
 			// dead link), not congestion; retry after the base gap.
-			ch.retryAt = now + in.backoffGap(0)
+			ch.retryAt = now + in.backoffGap(now, i, 0)
 			return
 		}
 		if ch.frame.WormID() == worm && ch.phase != chSending {

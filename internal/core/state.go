@@ -10,10 +10,9 @@ import (
 )
 
 // Checkpoint codecs for the node-interface engines. The injector's
-// protocol state machines (including the jitter RNG position — the
-// retransmission stream must continue, not restart) and the receiver's
-// partial worm assemblies are the per-node state a resumed run needs to
-// continue byte-identically.
+// protocol state machines and the receiver's partial worm assemblies are
+// the per-node state a resumed run needs to continue byte-identically.
+// (The retransmission jitter is a keyed draw, so it carries no state.)
 
 // maxSnapshotItems bounds decoded collection sizes so a corrupt length
 // field cannot drive a huge allocation before validation fails.
@@ -21,8 +20,8 @@ const maxSnapshotItems = 1 << 24
 
 // SaveState appends the injector's mutable state to a snapshot: every
 // channel's protocol engine, the pending message queue (the consumed
-// prefix is dropped — only queue[qhead:] is live), the jitter RNG
-// position, the counters and the failure log.
+// prefix is dropped — only queue[qhead:] is live), the counters and the
+// failure log.
 func (in *Injector) SaveState(e *snapshot.Encoder) {
 	e.Uvarint(uint64(len(in.chs)))
 	for i := range in.chs {
@@ -43,11 +42,6 @@ func (in *Injector) SaveState(e *snapshot.Encoder) {
 	for _, m := range pending {
 		flit.PutMessage(e, m)
 	}
-	st := in.jitter.State()
-	e.U64(st[0])
-	e.U64(st[1])
-	e.U64(st[2])
-	e.U64(st[3])
 	s := &in.stats
 	e.Varint(s.Submitted)
 	e.Varint(s.Completed)
@@ -72,7 +66,11 @@ func (in *Injector) SaveState(e *snapshot.Encoder) {
 }
 
 // LoadState restores a state written by SaveState into an injector with
-// the same channel count.
+// the same channel count. Every channel and queued message is
+// range-checked (checkChannel, checkMessage), so a corrupt payload is an
+// error here rather than a panic or a stuck channel in the next Tick. On
+// error the injector is unusable; the network discards it with the rest
+// of a failed restore.
 func (in *Injector) LoadState(d *snapshot.Decoder) error {
 	nch := d.Count(maxSnapshotItems)
 	if err := d.Err(); err != nil {
@@ -93,6 +91,12 @@ func (in *Injector) LoadState(d *snapshot.Decoder) error {
 		ch.firstInject = d.Varint()
 		ch.backoff = d.Varint()
 		ch.waitStart = d.Varint()
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if err := in.checkChannel(ch); err != nil {
+			return fmt.Errorf("core: injection channel %d: %w", i, err)
+		}
 	}
 	nq := d.Count(maxSnapshotItems)
 	if err := d.Err(); err != nil {
@@ -100,10 +104,15 @@ func (in *Injector) LoadState(d *snapshot.Decoder) error {
 	}
 	queue := slices.Grow(in.queue[:0], nq)
 	for i := 0; i < nq; i++ {
-		queue = append(queue, flit.GetMessage(d))
+		m := flit.GetMessage(d)
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if err := in.checkMessage(m); err != nil {
+			return fmt.Errorf("core: queued message %d: %w", i, err)
+		}
+		queue = append(queue, m)
 	}
-	var st [4]uint64
-	st[0], st[1], st[2], st[3] = d.U64(), d.U64(), d.U64(), d.U64()
 	s := InjStats{
 		Submitted:   d.Varint(),
 		Completed:   d.Varint(),
@@ -137,10 +146,43 @@ func (in *Injector) LoadState(d *snapshot.Decoder) error {
 	}
 	in.queue = queue
 	in.qhead = 0
-	in.jitter.SetState(st)
 	in.stats = s
 	in.failures = failures
 	return nil
+}
+
+// checkChannel rejects channel state no run produces: a phase outside the
+// three, a negative pad, an attempt a worm id cannot carry, a next flit
+// outside the worm (at its end only once fully injected, which leaves
+// the channel idle), or — on a channel that is sending or backing off —
+// a frame whose message the injector could not have framed. Each would
+// otherwise panic in FlitAt, hold the channel busy forever, or run on
+// with an attempt count no worm id can name.
+func (in *Injector) checkChannel(ch *chState) error {
+	fr := &ch.frame
+	switch {
+	case ch.phase < chIdle || ch.phase > chWaiting:
+		return fmt.Errorf("phase %d", ch.phase)
+	case fr.PadLen < 0:
+		return fmt.Errorf("pad length %d", fr.PadLen)
+	case fr.Attempt < 0 || fr.Attempt >= flit.MaxAttempts:
+		return fmt.Errorf("attempt %d outside [0,%d)", fr.Attempt, flit.MaxAttempts)
+	case ch.next < 0 || ch.next > fr.TotalLen() || ch.phase == chSending && ch.next == fr.TotalLen():
+		return fmt.Errorf("next flit %d outside a worm of %d flits in phase %d", ch.next, fr.TotalLen(), ch.phase)
+	case ch.phase != chIdle:
+		return in.checkMessage(fr.Msg)
+	}
+	return nil
+}
+
+// checkMessage rejects a message the injector could not frame: one
+// Submit would refuse, or one whose head flit cannot encode it.
+func (in *Injector) checkMessage(m flit.Message) error {
+	if err := m.Validate(in.topo.Nodes()); err != nil {
+		return err
+	}
+	_, err := flit.EncodeHeader(flit.Header{Src: m.Src, Dst: m.Dst, DataLen: m.DataLen})
+	return err
 }
 
 // SaveState appends the receiver's mutable state to a snapshot: the

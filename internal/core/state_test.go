@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -250,6 +251,88 @@ func TestReceiverLoadRejectsCorruptState(t *testing.T) {
 				t.Fatalf("LoadState = %v, want an error mentioning %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestInjectorLoadRejectsCorruptState: a channel's phase, next flit, pad
+// and attempt must be ones a run can produce. Each row was accepted
+// before the range checks: the first three panicked in flit.FlitAt on the
+// next Tick, an unknown phase left the channel busy forever (so it was
+// never pruned from the active set), and an attempt past what a worm id
+// holds ran on silently.
+func TestInjectorLoadRejectsCorruptState(t *testing.T) {
+	sending := func(t *testing.T) *Injector {
+		inj, _ := newInj(t, crConfig())
+		inj.Submit(msgTo(3, 4))
+		inj.Tick(0)
+		if inj.chs[0].phase != chSending || inj.chs[0].next != 1 {
+			t.Fatalf("fixture channel is in phase %d at flit %d, want sending at flit 1", inj.chs[0].phase, inj.chs[0].next)
+		}
+		return inj
+	}
+	load := func(t *testing.T, in *Injector) error {
+		var e snapshot.Encoder
+		in.SaveState(&e)
+		fresh, _ := newInj(t, crConfig())
+		return fresh.LoadState(snapshot.NewDecoder(e.Bytes()))
+	}
+	if err := load(t, sending(t)); err != nil {
+		t.Fatalf("well-formed payload rejected: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(ch *chState)
+		want   string
+	}{
+		{"next-past-worm", func(ch *chState) { ch.next = 1000 }, "next flit"},
+		{"next-negative", func(ch *chState) { ch.next = -3 }, "next flit"},
+		{"pad-negative", func(ch *chState) { ch.frame.PadLen = -50 }, "pad length"},
+		{"phase-unknown", func(ch *chState) { ch.phase = 9 }, "phase 9"},
+		{"attempt-past-worm-id", func(ch *chState) { ch.frame.Attempt = 100000 }, "attempt"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := sending(t)
+			tc.mutate(&in.chs[0])
+			if err := load(t, in); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadState = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestJitterUniform: a retransmission gap is the policy gap g plus a
+// keyed extension uniform on [0, g], so gaps are uniform on [g, 2g]
+// (chi-square over the g+1 = 9 values, 8 degrees of freedom, below the
+// 0.001 critical value of 26.1), and one channel's draws do not move
+// with another's.
+func TestJitterUniform(t *testing.T) {
+	cfg := crConfig() // static gap 8
+	inj, _ := newInj(t, cfg, &fakePort{}, &fakePort{})
+	const g, trials = 8, 90000
+	var counts [g + 1]int
+	same := 0
+	for now := int64(0); now < trials; now++ {
+		gap := inj.backoffGap(now, 0, 0)
+		if gap < g || gap > 2*g {
+			t.Fatalf("gap %d at cycle %d outside [%d,%d]", gap, now, g, 2*g)
+		}
+		counts[gap-g]++
+		if inj.backoffGap(now, 1, 0) == gap {
+			same++
+		}
+	}
+	want := float64(trials) / (g + 1)
+	chi := 0.0
+	for _, c := range counts {
+		chi += (float64(c) - want) * (float64(c) - want) / want
+	}
+	if chi > 26.1 {
+		t.Fatalf("gaps not uniform on [%d,%d]: chi-square %.1f, counts %v", g, 2*g, chi, counts)
+	}
+	// Independent channels agree one time in g+1.
+	if share := float64(same) / trials; math.Abs(share-1.0/(g+1)) > 0.01 {
+		t.Fatalf("channels 0 and 1 drew the same gap %.3f of the time, want %.3f", share, 1.0/(g+1))
 	}
 }
 

@@ -5,12 +5,15 @@
 //
 // Transient faults flip payload (or checksum) bits of flits crossing a
 // link, exactly the data-path errors the paper's per-flit checksums
-// detect. Two corruption processes are provided: the i.i.d. Bernoulli
-// process (Transient) and a Gilbert-Elliott two-state bursty process
-// (GilbertElliott, see gilbert.go); both satisfy Corrupter. Control
-// metadata (kind, tail mark, tear-down signals) is modeled as reliable —
-// the paper protects control lines with separate coding, so corrupting
-// them would only change constants, not behavior.
+// detect. Corrupt applies them at a per-traversal rate: a fixed one for
+// the i.i.d. Bernoulli process, or the current state's rate of the
+// link's own Gilbert-Elliott two-state bursty chain (BurstSpec, see
+// gilbert.go). Every draw is keyed by (seed, link, cycle), so the
+// process keeps no generator state; the only state is each link's
+// good/bad bit, which the network holds. Control metadata (kind, tail
+// mark, tear-down signals) is modeled as reliable — the paper protects
+// control lines with separate coding, so corrupting them would only
+// change constants, not behavior.
 //
 // Permanent faults are scheduled Events: a link (or a whole node, taking
 // down every incident link) goes down at a cycle and may come back up at
@@ -28,76 +31,28 @@ import (
 
 	"crnet/internal/flit"
 	"crnet/internal/rng"
-	"crnet/internal/snapshot"
 )
 
-// Corrupter is a transient data-corruption process applied to every flit
-// crossing a link. Implementations are deterministic given their seed
-// and checkpointable: SaveState/LoadState capture the process position
-// (RNG stream, channel state, injected count) so a restored network
-// replays the exact corruption stream an unbroken run would see.
-type Corrupter interface {
-	// Apply possibly corrupts f in place and reports whether it did.
-	Apply(f *flit.Flit) bool
-	// Injected returns how many corruptions have been applied.
-	Injected() int64
-	// SaveState appends the process state to a snapshot.
-	SaveState(e *snapshot.Encoder)
-	// LoadState restores a state written by SaveState of the same
-	// process kind.
-	LoadState(d *snapshot.Decoder) error
-}
-
-// corruptFlit flips one uniformly chosen bit of the payload or, one time
-// in nine, of the checksum byte — so both data and check-bit errors are
-// exercised. Shared by every corruption process.
-func corruptFlit(r *rng.Source, f *flit.Flit) {
-	bit := r.Intn(72)
+// Corrupt is the transient corruption process, applied to the flit
+// crossing link as it arrives at cycle now: with probability rate it
+// flips one uniformly chosen bit of the payload or, one time in nine, of
+// the checksum byte — so both data and check-bit errors are exercised —
+// and reports whether it did. The verdict and the bit are keyed draws
+// (rng.CorruptHit, rng.CorruptBit) on (seed, link, now), so they depend
+// on the key alone: not on how many flits crossed other links first,
+// nor on the order links are visited in. A link carries at most one flit
+// a cycle, so the key names one traversal.
+func Corrupt(f *flit.Flit, rate float64, seed, link uint64, now int64) bool {
+	if rate <= 0 || !rng.Bernoulli(rng.At(seed, rng.CorruptHit, link, uint64(now)), rate) {
+		return false
+	}
+	bit := rng.Intn(rng.At(seed, rng.CorruptBit, link, uint64(now)), 72)
 	if bit < 64 {
 		f.Payload ^= 1 << uint(bit)
 	} else {
 		f.Check ^= 1 << uint(bit-64)
 	}
-}
-
-// Transient is a Bernoulli per-flit-traversal corruption process. The
-// zero value injects nothing.
-type Transient struct {
-	// Rate is the probability that a flit is corrupted on one link
-	// traversal.
-	Rate float64 //cr:nosnap configuration, set by the owner at construction
-	rng  *rng.Source
-
-	injected int64
-}
-
-// NewTransient returns a transient fault process with its own RNG stream.
-func NewTransient(rate float64, seed uint64) *Transient {
-	if rate < 0 || rate > 1 {
-		panic(fmt.Sprintf("faults: transient rate %v outside [0,1]", rate))
-	}
-	return &Transient{Rate: rate, rng: rng.New(seed)}
-}
-
-// Apply possibly corrupts f in place and reports whether it did.
-func (t *Transient) Apply(f *flit.Flit) bool {
-	if t == nil || t.Rate <= 0 {
-		return false
-	}
-	if !t.rng.Bernoulli(t.Rate) {
-		return false
-	}
-	t.injected++
-	corruptFlit(t.rng, f)
 	return true
-}
-
-// Injected returns how many corruptions have been applied.
-func (t *Transient) Injected() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.injected
 }
 
 // LinkID names a unidirectional link by its source endpoint: node and
@@ -197,6 +152,33 @@ func (s *Schedule) Events() []Event {
 		return nil
 	}
 	return append([]Event(nil), s.events...)
+}
+
+// Cursor returns the schedule's position, for checkpointing: how many
+// events have fired. A nil schedule reports 0.
+func (s *Schedule) Cursor() int {
+	if s == nil {
+		return 0
+	}
+	return s.next
+}
+
+// SetCursor restores a position previously returned by Cursor. It
+// returns an error (and leaves the schedule unchanged) if the position
+// is out of range or the schedule is nil while the position is not 0 —
+// either means the checkpoint was taken against a different timeline.
+func (s *Schedule) SetCursor(next int) error {
+	if s == nil {
+		if next != 0 {
+			return fmt.Errorf("faults: restoring cursor %d into a nil schedule", next)
+		}
+		return nil
+	}
+	if next < 0 || next > len(s.events) {
+		return fmt.Errorf("faults: cursor %d outside schedule of %d events", next, len(s.events))
+	}
+	s.next = next
+	return nil
 }
 
 // RandomLinks builds a failure schedule killing n distinct links chosen

@@ -3,22 +3,21 @@ package faults
 import (
 	"fmt"
 
-	"crnet/internal/flit"
 	"crnet/internal/rng"
 )
 
 // BurstSpec parameterizes a Gilbert-Elliott two-state bursty corruption
-// process: the channel alternates between a good and a bad state with
-// geometrically distributed sojourn times, and corrupts each traversing
-// flit with the current state's rate. Real transient failure processes
-// (crosstalk episodes, marginal drivers, particle strikes near a link)
-// cluster in time; this model reproduces that clustering while keeping
-// a closed-form average rate for equal-rate comparisons against the
-// i.i.d. Bernoulli process (experiment E22).
+// process: each link runs its own chain, alternating between a good and
+// a bad state with geometrically distributed sojourn times (counted in
+// traversals of that link), and corrupts each traversing flit with the
+// current state's rate. Real transient failure processes (crosstalk
+// episodes, marginal drivers, particle strikes near a link) cluster in
+// time; this model reproduces that clustering while keeping a
+// closed-form average rate for equal-rate comparisons against the i.i.d.
+// Bernoulli process (experiment E22).
 //
 // BurstSpec is immutable configuration and safe to share across
-// simulation points; each network builds its own GilbertElliott process
-// from it.
+// simulation points; the network keeps each link's state bit.
 type BurstSpec struct {
 	// RateGood and RateBad are the per-traversal corruption
 	// probabilities in each state.
@@ -64,55 +63,16 @@ func EqualRateBurst(rate, meanGood, meanBad float64) BurstSpec {
 	return s
 }
 
-// GilbertElliott is the bursty corruption process described by a
-// BurstSpec. Construct with NewGilbertElliott; it implements Corrupter.
-type GilbertElliott struct {
-	spec BurstSpec //cr:nosnap configuration, fixed at construction
-	bad  bool
-	rng  *rng.Source
-
-	injected int64
-}
-
-// NewGilbertElliott returns a bursty fault process with its own RNG
-// stream, starting in the good state. It panics on invalid spec.
-func NewGilbertElliott(spec BurstSpec, seed uint64) *GilbertElliott {
-	if err := spec.Validate(); err != nil {
-		panic(err)
+// Traverse advances a link's chain by one traversal at cycle now, from
+// state bad: it returns the corruption rate of this traversal (the
+// pre-transition state's, for Corrupt) and the state after it. The
+// chain leaves its state with probability 1/MeanState, a keyed draw
+// (rng.BurstLeave) on (seed, link, now), so sojourns are geometric in
+// traversals of that link and the link's bit is the chain's only state.
+func (s BurstSpec) Traverse(bad bool, seed, link uint64, now int64) (rate float64, after bool) {
+	rate, leave := s.RateGood, 1/s.MeanGood
+	if bad {
+		rate, leave = s.RateBad, 1/s.MeanBad
 	}
-	return &GilbertElliott{spec: spec, rng: rng.New(seed)}
-}
-
-// Apply possibly corrupts f in place and reports whether it did. Each
-// call is one channel traversal: the state advances with probability
-// 1/MeanState and the flit is corrupted with the (pre-transition)
-// state's rate.
-func (g *GilbertElliott) Apply(f *flit.Flit) bool {
-	if g == nil {
-		return false
-	}
-	rate := g.spec.RateGood
-	leave := 1 / g.spec.MeanGood
-	if g.bad {
-		rate = g.spec.RateBad
-		leave = 1 / g.spec.MeanBad
-	}
-	hit := rate > 0 && g.rng.Bernoulli(rate)
-	if g.rng.Bernoulli(leave) {
-		g.bad = !g.bad
-	}
-	if !hit {
-		return false
-	}
-	g.injected++
-	corruptFlit(g.rng, f)
-	return true
-}
-
-// Injected returns how many corruptions have been applied.
-func (g *GilbertElliott) Injected() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.injected
+	return rate, bad != rng.Bernoulli(rng.At(seed, rng.BurstLeave, link, uint64(now)), leave)
 }

@@ -17,16 +17,17 @@ import (
 // where load is the entity's utilization in [0,1] over the last
 // evaluation window (link: traversals per cycle; router: buffer
 // occupancy fraction). Every EvalEvery cycles each *up* entity makes
-// exactly one Bernoulli draw against p = 1 - exp(-lambda*dt) from its
-// own splitmix64-derived stream (deterministic thinning), so the
+// exactly one Bernoulli draw against p = 1 - exp(-lambda*dt), keyed by
+// (seed, entity, evaluation cycle) (deterministic thinning), so the
 // failure pattern is a pure function of (seed, load history): sweeps
-// stay byte-reproducible across worker counts and the whole process
-// state serializes through internal/snapshot for checkpoint/resume.
+// stay byte-reproducible across worker counts, and the process state a
+// checkpoint carries is timers and counters, no generator words.
 //
 // A failed entity draws a repair sojourn (shifted geometric around the
-// configured MTTR) from the same stream and stays silent until the
-// repair fires, so every hazard failure is eventually repaired and the
-// long-run process is a load-modulated alternating renewal process.
+// configured MTTR) keyed by the cycle it failed at and stays silent
+// until the repair fires, so every hazard failure is eventually repaired
+// and the long-run process is a load-modulated alternating renewal
+// process.
 
 // HazardSpec configures the load-coupled failure-intensity process. The
 // spec is immutable configuration (state lives in Hazard), so one spec
@@ -46,8 +47,8 @@ type HazardSpec struct {
 	NodeMTTR float64
 	// EvalEvery is the evaluation period in cycles; 0 means 64.
 	EvalEvery int64
-	// Seed decorrelates the per-entity thinning streams (splitmix64
-	// mixing, like the timeline generator).
+	// Seed keys the thinning and repair draws (rng.HazardFail,
+	// rng.HazardRepair).
 	Seed uint64
 }
 
@@ -66,9 +67,8 @@ type Hazard struct {
 	links []LinkID   //cr:nosnap entity order, supplied by the constructor and revalidated on restore
 	nodes []int      //cr:nosnap entity order, supplied by the constructor and revalidated on restore
 
-	// streams holds one independent thinning stream per entity, links
-	// first. downUntil[i] != 0 schedules entity i's repair cycle.
-	streams   []rng.Source
+	// downUntil[i] != 0 schedules entity i's repair cycle; entities are
+	// the links, then the nodes.
 	downUntil []int64
 	// prevFlits remembers each link's cumulative traversal counter at
 	// the previous evaluation, so link load is the window delta.
@@ -84,18 +84,13 @@ type Hazard struct {
 // node orders define the entity indexing and must match the load
 // vectors later passed to Evaluate.
 func NewHazard(spec HazardSpec, links []LinkID, nodes []int) *Hazard {
-	h := &Hazard{
+	return &Hazard{
 		spec:      spec,
 		links:     append([]LinkID(nil), links...),
 		nodes:     append([]int(nil), nodes...),
-		streams:   make([]rng.Source, len(links)+len(nodes)),
 		downUntil: make([]int64, len(links)+len(nodes)),
 		prevFlits: make([]int64, len(links)),
 	}
-	for i := range h.streams {
-		h.streams[i].Reseed(mix(h.spec.Seed, i))
-	}
-	return h
 }
 
 // Due reports whether cycle now is on the evaluation grid; callers use
@@ -146,7 +141,7 @@ func (h *Hazard) Evaluate(now int64, linkFlits []int64, nodeLoad []float64) []Ev
 		}
 		load := float64(linkFlits[i]-h.prevFlits[i]) / dt
 		h.prevFlits[i] = linkFlits[i]
-		if h.draw(i, h.spec.LinkLambda0, load, dt) {
+		if h.draw(i, now, h.spec.LinkLambda0, load, dt) {
 			h.fail(i, now, h.spec.LinkMTTR)
 			h.evBuf = append(h.evBuf, Event{Cycle: now, Kind: LinkEvent, Link: h.links[i]})
 		}
@@ -161,7 +156,7 @@ func (h *Hazard) Evaluate(now int64, linkFlits []int64, nodeLoad []float64) []Ev
 		if h.downUntil[i] != 0 {
 			continue
 		}
-		if h.draw(i, h.spec.NodeLambda0, nodeLoad[j], dt) {
+		if h.draw(i, now, h.spec.NodeLambda0, nodeLoad[j], dt) {
 			h.fail(i, now, h.spec.NodeMTTR)
 			h.evBuf = append(h.evBuf, Event{Cycle: now, Kind: NodeEvent, Node: h.nodes[j]})
 		}
@@ -179,11 +174,11 @@ func (h *Hazard) repairDue(i int, now int64) bool {
 	return true
 }
 
-// draw makes entity i's one thinning draw for this window: fail with
-// probability 1-exp(-lambda*dt), lambda = lambda0*exp(alpha*load). A
-// disabled entity class (lambda0 <= 0) consumes no randomness, which is
-// itself deterministic because it is pure configuration.
-func (h *Hazard) draw(i int, lambda0, load, dt float64) bool {
+// draw makes entity i's one thinning draw for the window ending at now:
+// fail with probability 1-exp(-lambda*dt), lambda =
+// lambda0*exp(alpha*load). A disabled entity class (lambda0 <= 0) draws
+// nothing.
+func (h *Hazard) draw(i int, now int64, lambda0, load, dt float64) bool {
 	if lambda0 <= 0 {
 		return false
 	}
@@ -194,31 +189,27 @@ func (h *Hazard) draw(i int, lambda0, load, dt float64) bool {
 	}
 	lambda := lambda0 * math.Exp(h.spec.Alpha*load)
 	p := -math.Expm1(-lambda * dt)
-	return h.streams[i].Float64() < p
+	return rng.Float64(rng.At(h.spec.Seed, rng.HazardFail, uint64(i), uint64(now))) < p
 }
 
-// fail marks entity i down and schedules its repair from the entity's
-// own stream (shifted geometric around the class MTTR).
+// fail marks entity i down at now and schedules its repair (shifted
+// geometric around the class MTTR).
 func (h *Hazard) fail(i int, now int64, mttr float64) {
 	h.failures++
-	h.downUntil[i] = now + duration(&h.streams[i], mttr)
+	h.downUntil[i] = now + duration(rng.At(h.spec.Seed, rng.HazardRepair, uint64(i), uint64(now)), mttr)
 }
 
-// SaveState serializes the process position: every entity's stream and
-// down-timer, the per-link window counters, and the cumulative event
-// counts. The spec and entity sets are configuration and are covered by
-// the network's config fingerprint instead.
+// SaveState serializes the process position: every entity's down-timer,
+// the per-link window counters, and the cumulative event counts. The
+// spec and entity sets are configuration and are covered by the
+// network's config fingerprint instead.
 func (h *Hazard) SaveState(e *snapshot.Encoder) {
 	e.Varint(h.lastEval)
 	e.Varint(h.failures)
 	e.Varint(h.repairs)
-	e.Uvarint(uint64(len(h.streams)))
-	for i := range h.streams {
-		st := h.streams[i].State()
-		for _, w := range st {
-			e.U64(w)
-		}
-		e.Varint(h.downUntil[i])
+	e.Uvarint(uint64(len(h.downUntil)))
+	for _, du := range h.downUntil {
+		e.Varint(du)
 	}
 	for _, v := range h.prevFlits {
 		e.Varint(v)
@@ -233,27 +224,15 @@ func (h *Hazard) LoadState(d *snapshot.Decoder) error {
 	lastEval := d.Varint()
 	failures := d.Varint()
 	repairs := d.Varint()
-	n := d.Count(len(h.streams))
+	n := d.Count(len(h.downUntil))
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if n != len(h.streams) {
-		return fmt.Errorf("faults: hazard snapshot has %d entities, process has %d", n, len(h.streams))
+	if n != len(h.downUntil) {
+		return fmt.Errorf("faults: hazard snapshot has %d entities, process has %d", n, len(h.downUntil))
 	}
-	for i := 0; i < n; i++ {
-		var st [4]uint64
-		for k := range st {
-			st[k] = d.U64()
-		}
-		du := d.Varint()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if st[0]|st[1]|st[2]|st[3] == 0 {
-			return fmt.Errorf("faults: hazard entity %d has all-zero stream state", i)
-		}
-		h.streams[i].SetState(st)
-		h.downUntil[i] = du
+	for i := range h.downUntil {
+		h.downUntil[i] = d.Varint()
 	}
 	for i := range h.prevFlits {
 		h.prevFlits[i] = d.Varint()

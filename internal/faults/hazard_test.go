@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -39,6 +40,41 @@ func TestHazardDeterministic(t *testing.T) {
 	}
 }
 
+// TestHazardFailureRate: an up entity fails in an evaluation window with
+// probability -expm1(-lambda*dt), lambda = lambda0*exp(alpha*load). Over
+// ~400 000 entity-windows the failure share is within 4 sigma of it.
+func TestHazardFailureRate(t *testing.T) {
+	const entities, windows, every = 200, 2000, 32
+	spec := HazardSpec{LinkLambda0: 1e-3, Alpha: 2, LinkMTTR: 1, EvalEvery: every, Seed: 9}
+	links := make([]LinkID, entities)
+	for i := range links {
+		links[i] = LinkID{Node: i, Port: 0}
+	}
+	h := NewHazard(spec, links, nil)
+	flits := make([]int64, entities)
+	draws, fails := 0, 0
+	for w := int64(1); w <= windows; w++ {
+		for i := range flits {
+			flits[i] += every / 2 // load 0.5
+		}
+		for _, du := range h.downUntil {
+			if du == 0 {
+				draws++
+			}
+		}
+		for _, ev := range h.Evaluate(w*every, flits, nil) {
+			if !ev.Up {
+				fails++
+			}
+		}
+	}
+	p := -math.Expm1(-spec.LinkLambda0 * math.Exp(spec.Alpha*0.5) * every)
+	sigma := math.Sqrt(p * (1 - p) / float64(draws))
+	if got := float64(fails) / float64(draws); math.Abs(got-p) > 4*sigma {
+		t.Fatalf("failure share %.5f over %d entity-windows, want %.5f ± %.5f", got, draws, p, 4*sigma)
+	}
+}
+
 func TestHazardLoadCoupling(t *testing.T) {
 	spec := HazardSpec{LinkLambda0: 1e-4, Alpha: 6, LinkMTTR: 50, EvalEvery: 32, Seed: 7}
 	cold := testHazard(spec)
@@ -68,7 +104,7 @@ func TestHazardRepairsFollowFailures(t *testing.T) {
 	}
 	// Short MTTR versus a long run: almost every failure must have been
 	// repaired; at most the currently-down entities are outstanding.
-	if downs-ups > len(h.streams) {
+	if downs-ups > len(h.downUntil) {
 		t.Fatalf("%d failures but only %d repairs", downs, ups)
 	}
 	if got := int64(downs); got != h.Failures() {
@@ -169,13 +205,12 @@ func TestHazardLoadStateRejectsMismatch(t *testing.T) {
 
 // TestHazardLoadStateRejectsCorruptSnapshots is the regression table
 // for the hazard codec's validation: a snapshot taken over a different
-// entity set, an entity count past the decoder's bound, a dead rng
-// stream, and damaged payloads must all be refused before any stream is
-// reseeded.
+// entity set, an entity count past the decoder's bound, and damaged
+// payloads must all be refused.
 func TestHazardLoadStateRejectsCorruptSnapshots(t *testing.T) {
 	spec := HazardSpec{LinkLambda0: 2e-4, NodeLambda0: 1e-4, Alpha: 4, LinkMTTR: 100, NodeMTTR: 100, EvalEvery: 32, Seed: 7}
 	build := func() *Hazard {
-		h := testHazard(spec) // 4 links + 2 nodes = 6 streams
+		h := testHazard(spec) // 4 links + 2 nodes = 6 entities
 		driveHazard(h, 1000, 3, 0.5)
 		return h
 	}
@@ -193,7 +228,7 @@ func TestHazardLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		build         func(t *testing.T) []byte
 	}{
 		{"entity-count-mismatch", "entities", func(t *testing.T) []byte {
-			// Two links and one node: 3 streams against the target's 6.
+			// Two links and one node: 3 entities against the target's 6.
 			small := NewHazard(spec, []LinkID{{Node: 0, Port: 0}, {Node: 0, Port: 1}}, []int{0})
 			return save(small)
 		}},
@@ -203,18 +238,6 @@ func TestHazardLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			e.Varint(0)
 			e.Varint(0)
 			e.Uvarint(1 << 21) // entity count far past the process's 6
-			return e.Bytes()
-		}},
-		{"all-zero-stream", "all-zero stream state", func(t *testing.T) []byte {
-			var e snapshot.Encoder
-			e.Varint(0)
-			e.Varint(0)
-			e.Varint(0)
-			e.Uvarint(6)
-			for i := 0; i < 4; i++ {
-				e.U64(0) // a dead xoshiro state would emit zeros forever
-			}
-			e.Varint(0)
 			return e.Bytes()
 		}},
 		{"truncated", "truncated", func(t *testing.T) []byte {

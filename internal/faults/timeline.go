@@ -42,14 +42,14 @@ func mix(base uint64, entity int) uint64 {
 	return x ^ (x >> 31)
 }
 
-// duration samples one up or down sojourn of the given mean as a
-// shifted geometric, so sojourns are >= 1 cycle and memoryless in
+// duration maps the draw x to one up or down sojourn of the given mean,
+// a shifted geometric, so sojourns are >= 1 cycle and memoryless in
 // expectation.
-func duration(r *rng.Source, mean float64) int64 {
+func duration(x uint64, mean float64) int64 {
 	if mean <= 1 {
 		return 1
 	}
-	return 1 + int64(r.Geometric(1/mean))
+	return 1 + int64(rng.Geometric(x, 1/mean))
 }
 
 // RandomTimeline builds a random fail/repair schedule: every entity
@@ -69,13 +69,13 @@ func RandomTimeline(cfg TimelineConfig) *Schedule {
 		}
 		now := cfg.Start
 		for {
-			now += duration(r, mtbf)
+			now += duration(r.Uint64(), mtbf)
 			if now >= cfg.Horizon {
 				return
 			}
 			fail.Cycle = now
 			events = append(events, fail)
-			now += duration(r, mttr)
+			now += duration(r.Uint64(), mttr)
 			repair.Cycle = now
 			events = append(events, repair)
 		}

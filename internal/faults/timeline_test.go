@@ -7,42 +7,61 @@ import (
 
 // --- Gilbert-Elliott -------------------------------------------------
 
+// TestGilbertElliottStationaryRate runs four links' chains for 10^6
+// traversals each: the bad-state share matches MeanBad/(MeanGood+MeanBad),
+// the mean bad run matches MeanBad, and the hit share matches
+// StationaryRate, each within 10% (several sigma at this length).
 func TestGilbertElliottStationaryRate(t *testing.T) {
 	spec := EqualRateBurst(1e-2, 900, 100)
 	if got := spec.StationaryRate(); math.Abs(got-1e-2) > 1e-12 {
 		t.Fatalf("StationaryRate = %v, want 1e-2", got)
 	}
-	ge := NewGilbertElliott(spec, 11)
-	const trials = 400000
-	hits := 0
-	for i := 0; i < trials; i++ {
-		f := freshFlit()
-		if ge.Apply(&f) {
-			hits++
-			if f.Verify() {
-				t.Fatal("corrupted flit still verifies")
+	const links, trials = 4, 1000000
+	var badTraversals, badRuns, hits int
+	for link := uint64(0); link < links; link++ {
+		bad := false
+		for now := int64(0); now < trials; now++ {
+			if bad {
+				badTraversals++
+			}
+			rate, after := spec.Traverse(bad, 11, link, now)
+			if after && !bad {
+				badRuns++
+			}
+			bad = after
+			f := freshFlit()
+			if Corrupt(&f, rate, 11, link, now) {
+				hits++
+				if f.Verify() {
+					t.Fatal("corrupted flit still verifies")
+				}
 			}
 		}
 	}
-	got := float64(hits) / trials
-	if math.Abs(got-1e-2)/1e-2 > 0.10 {
-		t.Fatalf("empirical rate %v, want ~1e-2 (±10%%)", got)
+	within := func(what string, got, want float64) {
+		if math.Abs(got-want)/want > 0.10 {
+			t.Errorf("%s = %v, want %v (±10%%)", what, got, want)
+		}
 	}
-	if ge.Injected() != int64(hits) {
-		t.Fatalf("Injected() = %d, want %d", ge.Injected(), hits)
-	}
+	const n = links * trials
+	within("bad-state share", float64(badTraversals)/n, spec.MeanBad/(spec.MeanGood+spec.MeanBad))
+	within("mean bad run", float64(badTraversals)/float64(badRuns), spec.MeanBad)
+	within("hit share", float64(hits)/n, spec.StationaryRate())
 }
 
 func TestGilbertElliottBursty(t *testing.T) {
 	// With a clean good state, every corruption lands inside a bad
 	// episode: consecutive hits should cluster far more tightly than an
 	// i.i.d. process at the same average rate would allow.
-	ge := NewGilbertElliott(EqualRateBurst(1e-3, 990, 10), 5)
+	spec := EqualRateBurst(1e-3, 990, 10)
 	const trials = 300000
 	var hitAt []int
+	bad := false
 	for i := 0; i < trials; i++ {
+		var rate float64
+		rate, bad = spec.Traverse(bad, 5, 3, int64(i))
 		f := freshFlit()
-		if ge.Apply(&f) {
+		if Corrupt(&f, rate, 5, 3, int64(i)) {
 			hitAt = append(hitAt, i)
 		}
 	}
@@ -63,12 +82,7 @@ func TestGilbertElliottBursty(t *testing.T) {
 	}
 }
 
-func TestGilbertElliottNilAndValidate(t *testing.T) {
-	var ge *GilbertElliott
-	f := freshFlit()
-	if ge.Apply(&f) || ge.Injected() != 0 {
-		t.Fatal("nil GilbertElliott corrupted a flit")
-	}
+func TestBurstSpecValidate(t *testing.T) {
 	if err := (BurstSpec{RateGood: -0.1, RateBad: 0, MeanGood: 10, MeanBad: 10}).Validate(); err == nil {
 		t.Fatal("negative rate validated")
 	}

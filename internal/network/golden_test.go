@@ -18,26 +18,20 @@ import (
 
 // The cross-commit identity pin. Every other equivalence test in this
 // package compares the kernel with itself (one range against several, a
-// resumed run against an unbroken one). The files under testdata/ were
-// recorded from the serial kernel of commit d1bab0f — the last commit
-// that had one, with its own phase functions and network-level
-// worklists — so TestKernelGolden is the check that the kernel which
-// survived equals the one that was deleted. The recorder cannot be
-// rebuilt from this tree (that kernel is gone); the digest functions
-// below are what it ran.
+// resumed run against an unbroken one); TestKernelGolden compares it
+// with a recording, so a change that moves any result fails here even
+// if it moves every run the same way.
 //
-// The pooled_* entries were recorded the same way from commit 878c4f8,
-// the last with the linked-slot pooledStore behind the bufStore
-// interface: the DAMQ and credit-shared runs and checkpoint files below
-// are the check that the ring+ledger store equals the pool it replaced.
-//
-// The three checkpoint files are those recordings carried forward, not
-// the original bytes: snapshot format 5 dropped the fields nothing read
-// and the dense layout the originals were written in, so each file was
-// restored once by the last reader that understood it, resumed to its
-// recorded digest, and re-saved by this writer (DESIGN.md §8 has the
-// log). The digests in kernel_golden.json are the recorders' and have
-// never changed; a re-saved file that lost anything would miss them.
+// Until snapshot format 6 the digests were those of the serial kernel of
+// commit d1bab0f (runs, resume) and of the linked-slot pooledStore of
+// 878c4f8 (pooled_*): the kernel that survived matched the ones that
+// were deleted. Format 6 made the kernel's random draws keyed (jitter,
+// corruption, hazard; rng.At), which changes every run that backs off,
+// corrupts or draws a hazard, and so every pinned one. The digests and
+// the three checkpoint files were therefore re-recorded once, by the
+// kernel of that change (DESIGN.md §8 has the log); the digest functions
+// below are what the recorder ran. From then on a kernel change that
+// moves a digest is a second re-seed and must say so.
 
 // kernelGolden is testdata/kernel_golden.json.
 type kernelGolden struct {
@@ -47,24 +41,21 @@ type kernelGolden struct {
 	Runs map[string]string `json:"runs"`
 	// Resume describes testdata/serial_midrun.crsnap: a serial snapCfg
 	// network saved at Cycle, after that cycle's submission and before its
-	// Step. Digest covers the unbroken run from Cycle to Until. (The
-	// file's needs_sort_flag_offsets located a flag of the recorder's
-	// layout that format 5 no longer has.)
+	// Step. Digest covers the unbroken run from Cycle to Until.
 	Resume struct {
 		Cycle  int64  `json:"cycle"`
 		Until  int64  `json:"until"`
 		Digest string `json:"digest"`
 	} `json:"resume"`
 	// PooledRuns maps each TestShardedMatchesSerialBufferOrgs
-	// configuration to the digest of its serial run on the linked-slot
-	// pool.
+	// configuration to the digest of its serial run.
 	PooledRuns map[string]string `json:"pooled_runs"`
 	// PooledResume describes one checkpoint per shared organization,
-	// written by the linked-slot pool from a pooledSnapCfg network under
-	// pooledSubmit at Cycle (submitted, not yet stepped). The recorder
-	// chose a cycle where GrantsAbove granted windows stood above the
-	// reserve and RotationsSet pools had a non-zero grant rotation, so
-	// the file's ledger section is not the as-constructed one.
+	// written from a pooledSnapCfg network under pooledSubmit at Cycle
+	// (submitted, not yet stepped). At that cycle GrantsAbove granted
+	// windows stood above the reserve and RotationsSet pools had a
+	// non-zero grant rotation, so the file's ledger section is not the
+	// as-constructed one.
 	PooledResume map[string]struct {
 		File         string `json:"file"`
 		Cycle        int64  `json:"cycle"`
@@ -194,12 +185,12 @@ func TestKernelGolden(t *testing.T) {
 }
 
 // pinnedSnapshots are the checkpoint files by content hash, so a file
-// regenerated from this tree (which would pin the kernel to itself)
-// cannot pass for the carried-forward recording.
+// regenerated from a later tree (which would pin the kernel to itself)
+// cannot pass for the recording.
 var pinnedSnapshots = map[string]string{
-	goldenSnapshotFile:     "2b5d0ecbc4910a334cd1fb8db2b448afb372251cd29aab1c4a6ef1c57d678769",
-	"damq_midrun.crsnap":   "ed2328e2a92f62bdfc70b49cba6688a5d90e6df5132aad7e5104170345c6fdf1",
-	"shared_midrun.crsnap": "1832907c782bb8f8961ef464be746145b11b6183c173cc6622812d356c4784cb",
+	goldenSnapshotFile:     "bb1d22af72deb585c785f52d0349d85fadab4341defc1db4b20a70ab3f2a12ac",
+	"damq_midrun.crsnap":   "4716715f13ece34518c5baa916e96b78697cda8a1fe97def8fceb65b3b64c701",
+	"shared_midrun.crsnap": "a87d771642a65f551654d035691a710a0373a93c72058b3ce8b3119929e4e6c9",
 }
 
 // readPinnedSnapshot returns the payload of a pinned checkpoint file
@@ -227,8 +218,8 @@ func readPinnedSnapshot(t *testing.T, file string, wantCycle int64) []byte {
 // resumePinned restores a pinned payload at goldenShards ranges and
 // checks each continuation against the recorded unbroken run. LoadState
 // checks the payload's fingerprint first, so loading at all pins
-// ConfigFingerprint to the recorder's. The recorder's network was fully
-// built, so the restored one is, and it re-saves to the file's bytes.
+// ConfigFingerprint to the recorder's, and the restored network re-saves
+// to the file's bytes — components built and unbuilt included.
 func resumePinned(t *testing.T, payload []byte, cfg func() Config, submit func(*Network, int64), until int64, digest string) {
 	t.Helper()
 	for _, shards := range goldenShards() {
@@ -238,13 +229,8 @@ func resumePinned(t *testing.T, payload []byte, cfg func() Config, submit func(*
 		if err := n.LoadState(snapshot.NewDecoder(payload)); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if shards == 1 {
-			if r, i, rc := built(n); r != n.nodes || i != n.nodes || rc != n.nodes {
-				t.Errorf("pinned payload restored %d/%d/%d routers/injectors/receivers of %d nodes", r, i, rc, n.nodes)
-			}
-			if !bytes.Equal(saveBytes(n), payload) {
-				t.Error("the restored network does not re-save to the pinned bytes")
-			}
+		if shards == 1 && !bytes.Equal(saveBytes(n), payload) {
+			t.Error("the restored network does not re-save to the pinned bytes")
 		}
 		if got := resumeTail(n, until, submit); got != digest {
 			t.Errorf("shards=%d: resumed digest %s, recorded unbroken run %s", shards, got, digest)

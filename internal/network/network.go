@@ -92,14 +92,15 @@ type Config struct {
 	PadAdjust int
 
 	// TransientRate is the per-flit, per-link corruption probability
-	// (i.i.d. Bernoulli). Ignored when Burst is set.
+	// (i.i.d. Bernoulli), in [0,1]. Ignored when Burst is set.
 	TransientRate float64
 	// Burst, when non-nil, selects Gilbert-Elliott bursty corruption
-	// instead of the Bernoulli process. The spec is immutable and safe
-	// to share across networks; each network builds its own stateful
-	// process from it.
+	// instead of the Bernoulli process: each link runs its own chain,
+	// whose state bit the link holds. The spec is immutable and safe to
+	// share across networks.
 	Burst *faults.BurstSpec
-	// Seed seeds the transient fault process.
+	// Seed keys the network's random draws: transient corruption and
+	// the injectors' retransmission jitter.
 	Seed uint64
 	// Faults schedules the permanent-fault timeline: link and node
 	// failures and repairs.
@@ -146,6 +147,14 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.RouterTimeout > 0 && c.Protocol == core.Plain {
 		return fmt.Errorf("network: RouterTimeout needs CR or FCR (sources must retransmit)")
+	}
+	if !(c.TransientRate >= 0 && c.TransientRate <= 1) {
+		return fmt.Errorf("network: transient rate %v outside [0,1]", c.TransientRate)
+	}
+	if c.Burst != nil {
+		if err := c.Burst.Validate(); err != nil {
+			return err
+		}
 	}
 	// Routers, injectors and receivers are built lazily on a node's
 	// first touch; check what they would reject now, so an invalid
@@ -204,8 +213,9 @@ func (c Config) coreConfig() core.Config {
 // link is one unidirectional channel between routers: a wire, not a
 // flit slot. The flit crossing it (if busy) rides the owning range's
 // busy-link worklist entry (inFlight), so a link is 24 bytes — node id
-// as int32, port and cause count as int16 — which is what a million-node
-// torus's four million of them cost; see DESIGN.md §10 (memory diet).
+// as int32, port and cause count as int16, three flags in the padding —
+// which is what a million-node torus's four million of them cost; see
+// DESIGN.md §10 (memory diet).
 type link struct {
 	flits int64 // traversal count, for utilization reporting
 
@@ -219,6 +229,7 @@ type link struct {
 
 	exists bool
 	busy   bool // a flit launched this cycle is crossing (see inFlight)
+	bad    bool // the link's Gilbert-Elliott chain is in its bad state (Config.Burst)
 }
 
 // up reports whether the link exists and no failure cause is
@@ -285,10 +296,9 @@ type Network struct {
 	links     []link
 	linkCount int //cr:nosnap derived from the topology by New
 
-	cycle     int64
-	sigNow    []scheduledSignal //cr:nosnap mid-cycle scratch; snapshots are taken at cycle boundaries where it is empty
-	corrupter faults.Corrupter
-	wormBuf   []router.WormAt //cr:nosnap per-call scratch for worm sweeps
+	cycle   int64
+	sigNow  []scheduledSignal //cr:nosnap mid-cycle scratch; snapshots are taken at cycle boundaries where it is empty
+	wormBuf []router.WormAt   //cr:nosnap per-call scratch for worm sweeps
 
 	// sink holds the coordinator's cross-node side-effect queues:
 	// scheduled signals, completed deliveries, and the flit counters fed
@@ -330,6 +340,7 @@ type Network struct {
 	lastFault    int64 // cycle of the most recent fault-timeline event
 	failEvents   int64 // fault *failure* events applied (timeline + hazard)
 	flitsDropped int64 // in-flight flits lost to link death
+	transients   int64 // flits corrupted crossing a link
 }
 
 // New builds the network. It panics on invalid configuration.
@@ -351,7 +362,6 @@ func New(cfg Config) *Network {
 		links:     make([]link, nodes*deg),
 		rcfg:      cfg.routerConfig(),
 		ccfg:      cfg.coreConfig(),
-		corrupter: newCorrupter(cfg),
 		lastFault: -1,
 	}
 	for id := 0; id < nodes; id++ {
@@ -445,14 +455,6 @@ func (n *Network) receiverAt(id topology.NodeID) *core.Receiver {
 		n.receivers[id] = rc //cr:sharded one-time deterministic store; a node is first-touched only by its owning shard
 	}
 	return rc
-}
-
-// newCorrupter builds the configured transient-corruption process.
-func newCorrupter(cfg Config) faults.Corrupter {
-	if cfg.Burst != nil {
-		return faults.NewGilbertElliott(*cfg.Burst, cfg.Seed)
-	}
-	return faults.NewTransient(cfg.TransientRate, cfg.Seed)
 }
 
 // injPort adapts a router injection channel to core.Port. Its methods
@@ -636,8 +638,8 @@ func (n *Network) ReceiverStats() core.RecvStats {
 	return s
 }
 
-// TransientFaults returns how many corruptions the fault process applied.
-func (n *Network) TransientFaults() int64 { return n.corrupter.Injected() }
+// TransientFaults returns how many flits were corrupted crossing a link.
+func (n *Network) TransientFaults() int64 { return n.transients }
 
 // DroppedKillSignals returns tear-down signals dropped at dead links
 // (their work is completed by the dead-link sweep instead).

@@ -488,6 +488,9 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{"misroute-without-detours", "MaxDetours", Config{Topo: torus, Alg: routing.MinimalAdaptive{}, Protocol: core.CR, MisrouteAfter: 2}},
 		{"unknown-buforg", "buffer org", Config{Topo: torus, Alg: routing.MinimalAdaptive{}, Protocol: core.CR, BufOrg: 9}},
 		{"dor-on-torus-one-vc", "needs 2 VCs", Config{Topo: torus, Alg: routing.DOR{}, Protocol: core.Plain, VCs: 1}},
+		{"transient-rate-above-one", "transient rate", Config{Topo: torus, Alg: routing.MinimalAdaptive{}, Protocol: core.FCR, TransientRate: 1.5}},
+		{"burst-sojourn-below-one", "burst sojourns", Config{Topo: torus, Alg: routing.MinimalAdaptive{}, Protocol: core.FCR,
+			Burst: &faults.BurstSpec{RateBad: 0.5, MeanGood: 0.5, MeanBad: 10}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

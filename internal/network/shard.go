@@ -2,6 +2,8 @@ package network
 
 import (
 	"crnet/internal/core"
+	"crnet/internal/faults"
+	"crnet/internal/flit"
 	"crnet/internal/router"
 	"crnet/internal/topology"
 )
@@ -268,26 +270,28 @@ func (n *Network) mergeBarrier() bool {
 // prepassArrivals is the coordinator's half of the arrivals phase: it
 // walks every range's busy-link worklist in range order (= ascending
 // (node, port), the order a full scan visits them), clears link
-// occupancy, applies the corruption process to each entry's flit in
-// place (its RNG stream must be drawn in global link order), emits the
-// arrival traces, and buckets each entry under the *downstream* node's
-// range for the per-range apply. The lists are emptied here but their
-// entries stay put until the transmit phase appends over them, after
-// every range has applied its arrivals. It reports whether any flit
-// arrived.
+// occupancy, applies transient corruption to each entry's flit in place,
+// emits the arrival traces in that order, and buckets each entry under
+// the *downstream* node's range for the per-range apply. Corruption is
+// keyed by (link, cycle) and a link's burst state is its own, so no draw
+// depends on the walk order; the trace order and the buckets still do.
+// The lists are emptied here but their entries stay put until the
+// transmit phase appends over them, after every range has applied its
+// arrivals. It reports whether any flit arrived.
 func (n *Network) prepassArrivals() bool {
 	any := false
 	for si := range n.shards {
 		sh := &n.shards[si]
 		for i := range sh.busyLinks {
 			e := &sh.busyLinks[i]
-			l := n.linkAt(int(e.ref.node), int(e.ref.port))
+			idx := int(e.ref.node)*n.deg + int(e.ref.port)
+			l := &n.links[idx]
 			if !l.busy {
 				continue // dropped by a fault after launch
 			}
 			any = true
 			l.busy = false
-			if n.corrupter.Apply(&e.f) {
+			if n.corrupt(l, uint64(idx), &e.f) {
 				n.trace(EvCorrupt, topology.NodeID(l.toNode), int(l.toPort), int(e.vc), e.f.Worm, e.f.Seq)
 			}
 			n.trace(EvArrive, topology.NodeID(l.toNode), int(l.toPort), int(e.vc), e.f.Worm, e.f.Seq)
@@ -297,6 +301,21 @@ func (n *Network) prepassArrivals() bool {
 		sh.busyLinks = sh.busyLinks[:0]
 	}
 	return any
+}
+
+// corrupt applies the configured corruption process to f as it crosses
+// link l (flat index idx) this cycle: the i.i.d. rate, or the rate of
+// the link's Gilbert-Elliott state, whose chain it advances.
+func (n *Network) corrupt(l *link, idx uint64, f *flit.Flit) bool {
+	rate := n.cfg.TransientRate
+	if b := n.cfg.Burst; b != nil {
+		rate, l.bad = b.Traverse(l.bad, n.cfg.Seed, idx, n.cycle)
+	}
+	if !faults.Corrupt(f, rate, n.cfg.Seed, idx, n.cycle) {
+		return false
+	}
+	n.transients++
+	return true
 }
 
 // shardArrivals applies this range's bucketed arrivals: hand each flit

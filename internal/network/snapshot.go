@@ -16,16 +16,18 @@ import (
 
 // Checkpoint codec for the whole machine. SaveState captures every
 // mutable field the cycle kernel carries from one Step to the next —
-// link occupancy, in-flight tear-down signals, undrained deliveries, the
-// busy-link and router/injector worklists, the transient-corruption
-// process position, the fault-timeline cursor, the health latch, the
-// global counters, and every router/injector/receiver that exists — so
+// link occupancy and burst state, in-flight tear-down signals, undrained
+// deliveries, the busy-link and router/injector worklists, the hazard
+// process, the fault-timeline cursor, the health latch, the global
+// counters, and every router/injector/receiver that exists — so
 // that a network restored from the snapshot steps forward
 // byte-identically to one that never stopped (see
 // TestResumeByteIdentical). What a Step fills and empties within itself
 // — the credit matrix, the FKILL requests, the accepting-receiver set,
 // the arrivals buckets — is empty whenever a caller can run, so it is
-// not in the payload; LoadState clears it.
+// not in the payload; LoadState clears it. So is every random draw: the
+// kernel's draws are keyed by (seed, entity, cycle) (rng.At), so there is
+// no generator position to carry.
 //
 // The payload begins with a fingerprint of the construction-time
 // configuration. LoadState verifies it before touching any state: a
@@ -50,8 +52,8 @@ import (
 // they are preserved across LoadState.
 
 // layoutSuffix continues the configuration digest into the fingerprint
-// of the payload layout (snapshot.FormatVersion 5).
-const layoutSuffix = " layout=5"
+// of the payload layout (snapshot.FormatVersion 6).
+const layoutSuffix = " layout=6"
 
 // ConfigFingerprint returns a 64-bit digest of the network's effective
 // configuration (defaults filled in), covering every knob that shapes
@@ -109,7 +111,6 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 	saveMergedNodeSets(e, n.shards, func(sh *shard) *nodeSet { return &sh.activeR })
 	saveMergedNodeSets(e, n.shards, func(sh *shard) *nodeSet { return &sh.activeI })
 
-	n.corrupter.SaveState(e)
 	if n.hazard != nil {
 		// Presence is config-determined (cfg.Hazard), which the
 		// fingerprint already pins, so no presence flag is needed.
@@ -128,6 +129,7 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 	e.Varint(n.flitsInjected)
 	e.Varint(n.flitsEjected)
 	e.Varint(n.failEvents)
+	e.Varint(n.transients)
 
 	n.saveNodes(e)
 }
@@ -137,18 +139,19 @@ const (
 	linkFlagUp       = 1 << iota // the link is up
 	linkFlagBusy                 // a flit is crossing: its VC and the flit follow
 	linkFlagDownRefs             // failure causes are outstanding: their count follows
-	linkFlagsAll     = linkFlagUp | linkFlagBusy | linkFlagDownRefs
+	linkFlagBad                  // the link's Gilbert-Elliott chain is in its bad state
+	linkFlagsAll     = linkFlagUp | linkFlagBusy | linkFlagDownRefs | linkFlagBad
 )
 
 // pristine reports whether the link is as New left it, which is all a
 // run of the link section says about the links it covers.
 func (l *link) pristine() bool {
-	return l.downRefs == 0 && !l.busy && l.flits == 0
+	return l.downRefs == 0 && !l.busy && !l.bad && l.flits == 0
 }
 
 // makePristine returns the link to the state New left it in.
 func (l *link) makePristine() {
-	l.downRefs, l.busy, l.flits = 0, false, 0
+	l.downRefs, l.busy, l.bad, l.flits = 0, false, false, 0
 }
 
 // busyCursor walks the ranges' busy lists in range order, which at a
@@ -208,6 +211,9 @@ func (n *Network) saveLinks(e *snapshot.Encoder) {
 			}
 			if l.downRefs != 0 {
 				flags |= linkFlagDownRefs
+			}
+			if l.bad {
+				flags |= linkFlagBad
 			}
 			e.U8(flags)
 			if l.downRefs != 0 {
@@ -464,9 +470,6 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 		return err
 	}
 
-	if err := n.corrupter.LoadState(d); err != nil {
-		return fmt.Errorf("network: corrupter: %w", err)
-	}
 	if n.hazard != nil {
 		if err := n.hazard.LoadState(d); err != nil {
 			return fmt.Errorf("network: hazard: %w", err)
@@ -491,6 +494,7 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 	n.flitsInjected = d.Varint()
 	n.flitsEjected = d.Varint()
 	n.failEvents = d.Varint()
+	n.transients = d.Varint()
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -596,7 +600,8 @@ func (n *Network) loadBusyRefs(d *snapshot.Decoder) error {
 // otherwise, or counts causes outside [1, MaxInt16], would restore a
 // link failLink and repairLink can never tear down or bring back. A
 // busy link is up (failLink clears busy, and Transmit skips dead
-// outputs) and carries a VC the network has.
+// outputs) and carries a VC the network has. Only a network with
+// bursty corruption has links in the bad state.
 func (n *Network) loadLinks(d *snapshot.Decoder) error {
 	// run counts the pristine links still to skip; atRun says the next
 	// item in the stream is a run length.
@@ -622,6 +627,7 @@ func (n *Network) loadLinks(d *snapshot.Decoder) error {
 			}
 			up := flags&linkFlagUp != 0
 			l.busy = flags&linkFlagBusy != 0
+			l.bad = flags&linkFlagBad != 0
 			refs := 0
 			if flags&linkFlagDownRefs != 0 {
 				refs = d.Int()
@@ -639,6 +645,9 @@ func (n *Network) loadLinks(d *snapshot.Decoder) error {
 				return fmt.Errorf("link (%d,%d): up=%t with %d failure causes outstanding", id, p, up, refs)
 			}
 			l.downRefs = int16(refs)
+			if l.bad && n.cfg.Burst == nil {
+				return fmt.Errorf("link (%d,%d): burst state on a network without bursty corruption", id, p)
+			}
 			if !l.busy {
 				continue
 			}

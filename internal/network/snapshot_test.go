@@ -16,8 +16,8 @@ import (
 
 // snapCfg builds the checkpoint-test configuration: FCR on a 4x2 torus
 // with transient corruption and a fault timeline straddling the
-// checkpoint cycle, so a restore must resume the corruption RNG stream
-// mid-sequence and the fault cursor mid-timeline. Each call constructs
+// checkpoint cycle, so a restore must resume the corruption count and
+// the fault cursor mid-timeline. Each call constructs
 // a fresh Schedule: the cursor is mutable run state, so two networks
 // must never share one.
 func snapCfg() Config {
@@ -195,7 +195,7 @@ func TestRestoreRejectsForeignConfig(t *testing.T) {
 	donor.SaveState(&ckpt)
 
 	other := snapCfg()
-	other.Seed = 14 // different corruption stream: structurally incompatible
+	other.Seed = 14 // different draws: structurally incompatible
 	target := New(other)
 	var before snapshot.Encoder
 	target.SaveState(&before)

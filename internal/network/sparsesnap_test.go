@@ -447,10 +447,11 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		{"link-run-huge", "pristine-link run", withLinks(func(e *snapshot.Encoder) {
 			e.Uvarint(1 << 62)
 		})},
-		{"link-flags-unknown", "unknown flags 0x09", withLinks(func(e *snapshot.Encoder) {
+		{"link-flags-unknown", "unknown flags 0x11", withLinks(func(e *snapshot.Encoder) {
 			e.Uvarint(0)
-			e.U8(linkFlagUp | 8)
+			e.U8(linkFlagUp | 16)
 		})},
+		{"link-bad-without-burst", "burst state on a network without bursty corruption", linkRecord(linkFlagUp|linkFlagBad, 0, 0)},
 		{"link-up-with-causes", "up=true with 1 failure causes", linkRecord(linkFlagUp|linkFlagDownRefs, 1, 0)},
 		{"link-down-without-causes", "up=false with 0 failure causes", linkRecord(0, 0, 0)},
 		{"link-down-zero-causes", "up=false with 0 failure causes", linkRecord(linkFlagDownRefs, 0, 0)},
@@ -492,8 +493,8 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 
 // FuzzNetworkLoadState offers arbitrary payloads to LoadState and asks
 // only that it return: an error or success, never a panic. The seeds are
-// the three pinned payloads (fully built networks) and a save of a
-// mostly unbuilt one, each from its own configuration; every input is
+// the three pinned payloads (mid-run networks) and a save of a mostly
+// unbuilt one, each from its own configuration; every input is
 // offered to all four, so a mutation that leaves the leading fingerprint
 // alone gets past one gate.
 func FuzzNetworkLoadState(f *testing.F) {

@@ -16,20 +16,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestReseedRestartsStream(t *testing.T) {
-	a := New(7)
-	first := make([]uint64, 16)
-	for i := range first {
-		first[i] = a.Uint64()
-	}
-	a.Reseed(7)
-	for i := range first {
-		if got := a.Uint64(); got != first[i] {
-			t.Fatalf("after reseed, step %d = %d, want %d", i, got, first[i])
-		}
-	}
-}
-
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0
@@ -143,11 +129,10 @@ func TestBernoulliRate(t *testing.T) {
 }
 
 func TestGeometricMean(t *testing.T) {
-	r := New(8)
 	const p, trials = 0.25, 50000
 	sum := 0.0
-	for i := 0; i < trials; i++ {
-		sum += float64(r.Geometric(p))
+	for i := uint64(0); i < trials; i++ {
+		sum += float64(Geometric(At(8, Jitter, 0, i), p))
 	}
 	want := (1 - p) / p // mean failures before success
 	if got := sum / trials; math.Abs(got-want) > 0.1 {
@@ -156,12 +141,15 @@ func TestGeometricMean(t *testing.T) {
 }
 
 func TestGeometricEdges(t *testing.T) {
-	r := New(9)
-	if got := r.Geometric(1); got != 0 {
+	x := At(9, Jitter, 0, 0)
+	if got := Geometric(x, 1); got != 0 {
 		t.Fatalf("Geometric(1) = %d, want 0", got)
 	}
-	if got := r.Geometric(0); got != math.MaxInt32 {
+	if got := Geometric(x, 0); got != math.MaxInt32 {
 		t.Fatalf("Geometric(0) = %d, want MaxInt32", got)
+	}
+	if got := Geometric(^uint64(0), 0.5); got < 0 || got > 64 {
+		t.Fatalf("Geometric at the top of [0,1) = %d, want a finite count", got)
 	}
 }
 
@@ -200,6 +188,64 @@ func TestMul64(t *testing.T) {
 		if hi != c.hi || lo != c.lo {
 			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
 		}
+	}
+}
+
+// TestAtKeyWords: every word of the key moves the draw, and the same key
+// always gives the same one.
+func TestAtKeyWords(t *testing.T) {
+	base := At(1, Jitter, 2, 3)
+	if At(1, Jitter, 2, 3) != base {
+		t.Fatal("one key gave two draws")
+	}
+	for i, other := range []uint64{At(0, Jitter, 2, 3), At(1, CorruptHit, 2, 3), At(1, Jitter, 3, 3), At(1, Jitter, 2, 4), At(1, Jitter, 3, 2)} {
+		if other == base {
+			t.Fatalf("variant %d of the key gave the same draw", i)
+		}
+	}
+}
+
+// TestAtUniformity: the draws over consecutive cycles, and over
+// consecutive entities at one cycle, fill 64 buckets evenly (chi-square
+// with 63 degrees of freedom, below its 0.001 critical value of 103.4).
+func TestAtUniformity(t *testing.T) {
+	const buckets, trials = 64, 200000
+	for _, tc := range []struct {
+		name string
+		key  func(i uint64) uint64
+	}{
+		{"over-n", func(i uint64) uint64 { return At(5, CorruptHit, 17, i) }},
+		{"over-entity", func(i uint64) uint64 { return At(5, CorruptHit, i, 17) }},
+	} {
+		var counts [buckets]int
+		for i := uint64(0); i < trials; i++ {
+			counts[Intn(tc.key(i), buckets)]++
+		}
+		want := float64(trials) / buckets
+		chi := 0.0
+		for _, c := range counts {
+			chi += (float64(c) - want) * (float64(c) - want) / want
+		}
+		if chi > 103.4 {
+			t.Errorf("%s: chi-square %.1f over %d buckets", tc.name, chi, buckets)
+		}
+	}
+}
+
+func TestKeyedBernoulli(t *testing.T) {
+	const p, trials = 0.3, 100000
+	hits := 0
+	for i := uint64(0); i < trials; i++ {
+		x := At(6, HazardFail, i%7, i/7)
+		if Bernoulli(x, 0) || !Bernoulli(x, 1) || Bernoulli(x, -1) || !Bernoulli(x, 2) {
+			t.Fatal("Bernoulli ignored a probability outside (0,1)")
+		}
+		if Bernoulli(x, p) {
+			hits++
+		}
+	}
+	if got := float64(hits) / trials; math.Abs(got-p) > 0.01 {
+		t.Fatalf("Bernoulli(%v) rate = %v", p, got)
 	}
 }
 

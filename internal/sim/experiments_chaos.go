@@ -22,8 +22,9 @@ func E22BurstyFaults(s Scale) *stats.Table {
 	for _, rate := range rates {
 		iid := s.fcrNet()
 		iid.TransientRate = rate
-		// Mean sojourns 900/100: the bad state carries the whole rate
-		// budget in 10% of the cycles, 10x the i.i.d. intensity.
+		// Mean sojourns 900/100 traversals of each link: the bad state
+		// carries the whole rate budget in 10% of each link's
+		// traversals, 10x the i.i.d. intensity.
 		spec := faults.EqualRateBurst(rate, 900, 100)
 		burst := s.fcrNet()
 		burst.Burst = &spec

@@ -49,10 +49,16 @@ const Magic = "CRSNAP01"
 //
 // Version 5 (one layout, no unread bytes): fields nothing read back are
 // gone from the injector, receiver and network payloads, and with them
-// the dense network layout version 3 wrote. It is the only version
+// the dense network layout version 3 wrote.
+//
+// Version 6 (randomness by key): the kernel's random draws are pure
+// functions of (seed, entity, cycle), so the generator words the
+// injector, corruption and hazard payloads carried are gone. A link
+// record gains a flag for its Gilbert-Elliott bad state, and the count of
+// corrupted flits becomes a network counter. It is the only version
 // Decode accepts: a payload has one reader, the one that matches its
 // writer.
-const FormatVersion = 5
+const FormatVersion = 6
 
 const headerSize = len(Magic) + 4 + 8 + 8 // magic + version + cycle + length
 

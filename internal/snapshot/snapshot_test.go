@@ -197,10 +197,12 @@ func TestFileCorruptionDetected(t *testing.T) {
 		t.Fatal("future version not refused")
 	}
 	// Every earlier version is refused too, with the checksum otherwise
-	// intact: a payload has one reader, the one that matches its writer.
+	// intact and a structured error: a payload has one reader, the one
+	// that matches its writer.
 	for v := uint32(0); v < FormatVersion; v++ {
-		if _, _, err := Decode(path, stampVersion(data, v)); err == nil {
-			t.Fatalf("version %d not refused", v)
+		var fe *FormatError
+		if _, _, err := Decode(path, stampVersion(data, v)); !errors.As(err, &fe) {
+			t.Fatalf("version %d: Decode error %v, want a *FormatError", v, err)
 		}
 	}
 }
