@@ -131,17 +131,20 @@ snapshot-pin:
 # corruption with a hazard failing and repairing links; 16 256-cycle
 # batches of a Service on the daemon16 configuration at 8x8 (sampler,
 # degrader, hazard, watchdog) must not allocate; the snapshot Encoder's
-# primitives must not allocate on a warmed buffer; and a receiver
-# checkpoint save must not allocate, so its state stays in the order the
-# codec writes it. Each gated window checks that its kill, FKILL, hazard
-# and shed counters moved, so a path the gate stopped reaching fails it. The structures the kernel holds one
+# primitives must not allocate on a warmed buffer; and neither a
+# receiver checkpoint save (its state stays in the order the codec
+# writes it) nor a replayer's (the trace is digested once, at
+# construction) may allocate. Each gated window checks that its kill,
+# FKILL, hazard and shed counters moved, so a path the gate stopped
+# reaching fails it. The structures the kernel holds one
 # of per link, per flit, per busy link and per credit (link, flit.Flit,
-# linkRef, creditEvent) must stay within their byte budgets, so a field
-# added to one fails here rather than in peak RSS. Run uncached so it
+# linkRef, inFlight, creditEvent) and the router's per-VC state (inVC,
+# outVC) must stay within their byte budgets, so a field added to one
+# fails here rather than in peak RSS or cache misses. Run uncached so it
 # cannot silently go stale.
-ALLOC_GATES = TestSteadyStateZeroAlloc|TestServiceZeroAlloc|TestEncoderZeroAlloc|TestReceiverSaveStateAllocs|TestHotStructSizes
+ALLOC_GATES = TestSteadyStateZeroAlloc|TestServiceZeroAlloc|TestEncoderZeroAlloc|TestReceiverSaveStateAllocs|TestReplayerSaveStateAllocs|TestHotStructSizes|TestVCStateSizes
 alloc-gate:
-	$(GO) test ./internal/network/ ./internal/core/ ./internal/sim/ ./internal/snapshot/ -run '$(ALLOC_GATES)' -count=1
+	$(GO) test ./internal/network/ ./internal/core/ ./internal/sim/ ./internal/snapshot/ ./internal/router/ ./internal/workload/ -run '$(ALLOC_GATES)' -count=1
 
 # The repository's one performance benchmark (BENCHMARK.json,
 # benchmark/README.md): five workloads, each untraced then traced in a

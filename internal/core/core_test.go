@@ -411,7 +411,7 @@ func (f *fakeFKiller) FKill(ch int, worm flit.WormID) {
 
 func feedWorm(rc *Receiver, fr flit.Frame, ch int, start int64) {
 	for s := 0; s < fr.TotalLen(); s++ {
-		rc.Accept(ch, fr.FlitAt(s), start+int64(s))
+		accept(rc, ch, fr.FlitAt(s), start+int64(s))
 	}
 }
 
@@ -452,10 +452,10 @@ func TestReceiverFKillsCorruptData(t *testing.T) {
 	fk := &fakeFKiller{}
 	rc := NewReceiver(fcrConfig(), 5, fk)
 	fr := flit.Frame{Msg: flit.Message{ID: 7, Src: 1, Dst: 5, DataLen: 4}, PadLen: 6}
-	rc.Accept(1, fr.FlitAt(0), 0)
+	accept(rc, 1, fr.FlitAt(0), 0)
 	bad := fr.FlitAt(1)
 	bad.Payload ^= 1 << 3
-	rc.Accept(1, bad, 1)
+	accept(rc, 1, bad, 1)
 	if len(fk.calls) != 1 || fk.calls[0].ch != 1 || fk.calls[0].worm != fr.WormID() {
 		t.Fatalf("FKill calls %v", fk.calls)
 	}
@@ -476,7 +476,7 @@ func TestReceiverFKillsCorruptHeadAtDestination(t *testing.T) {
 	fr := flit.Frame{Msg: flit.Message{ID: 7, Src: 1, Dst: 5, DataLen: 4}, PadLen: 6}
 	bad := fr.FlitAt(0)
 	bad.Payload ^= 1 << 60
-	rc.Accept(0, bad, 0)
+	accept(rc, 0, bad, 0)
 	if len(fk.calls) != 1 {
 		t.Fatal("corrupt head at destination not FKILLed")
 	}
@@ -487,12 +487,12 @@ func TestReceiverCRPassesCorruptionThroughFlagged(t *testing.T) {
 	// flagged DataOK=false by the end-to-end checker.
 	rc := NewReceiver(crConfig(), 5, nil)
 	fr := flit.Frame{Msg: flit.Message{ID: 7, Src: 1, Dst: 5, DataLen: 3}, PadLen: 8}
-	rc.Accept(0, fr.FlitAt(0), 0)
+	accept(rc, 0, fr.FlitAt(0), 0)
 	bad := fr.FlitAt(1)
 	bad.Payload ^= 1
-	rc.Accept(0, bad, 1)
+	accept(rc, 0, bad, 1)
 	for s := 2; s < fr.TotalLen(); s++ {
-		rc.Accept(0, fr.FlitAt(s), int64(s))
+		accept(rc, 0, fr.FlitAt(s), int64(s))
 	}
 	ds := rc.Drain()
 	if len(ds) != 1 || ds[0].DataOK {
@@ -506,8 +506,8 @@ func TestReceiverCRPassesCorruptionThroughFlagged(t *testing.T) {
 func TestReceiverDiscardOnForwardKill(t *testing.T) {
 	rc := NewReceiver(crConfig(), 5, nil)
 	fr := flit.Frame{Msg: flit.Message{ID: 7, Src: 1, Dst: 5, DataLen: 4}, PadLen: 6}
-	rc.Accept(0, fr.FlitAt(0), 0)
-	rc.Accept(0, fr.FlitAt(1), 1)
+	accept(rc, 0, fr.FlitAt(0), 0)
+	accept(rc, 0, fr.FlitAt(1), 1)
 	rc.Discard(fr.WormID())
 	if len(rc.asm) != 0 {
 		t.Fatal("discard left assembly")
@@ -537,13 +537,13 @@ func TestReceiverOrderWatermark(t *testing.T) {
 func TestReceiverOutOfSeqPanics(t *testing.T) {
 	rc := NewReceiver(crConfig(), 5, nil)
 	fr := flit.Frame{Msg: flit.Message{ID: 7, Src: 1, Dst: 5, DataLen: 4}, PadLen: 6}
-	rc.Accept(0, fr.FlitAt(0), 0)
+	accept(rc, 0, fr.FlitAt(0), 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("seq gap not detected")
 		}
 	}()
-	rc.Accept(0, fr.FlitAt(2), 1)
+	accept(rc, 0, fr.FlitAt(2), 1)
 }
 
 func TestProtocolString(t *testing.T) {
@@ -631,3 +631,6 @@ func TestInjectorRespectsNotReadyChannel(t *testing.T) {
 		t.Fatal("message did not complete after channel became ready")
 	}
 }
+
+// accept hands rc a flit held by value.
+func accept(rc *Receiver, ch int, f flit.Flit, now int64) { rc.Accept(ch, &f, now) }

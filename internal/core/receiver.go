@@ -123,7 +123,9 @@ func byWorm(a assembly, worm flit.WormID) int       { return cmp.Compare(a.worm,
 func bySource(m watermark, src topology.NodeID) int { return cmp.Compare(m.src, src) }
 
 // Accept consumes one flit arriving on ejection channel ch at cycle now.
-func (rc *Receiver) Accept(ch int, f flit.Flit, now int64) {
+// It reads *f and keeps no reference to it (the network hands it the
+// router ring slot the flit just left).
+func (rc *Receiver) Accept(ch int, f *flit.Flit, now int64) {
 	i, found := slices.BinarySearchFunc(rc.asm, f.Worm, byWorm)
 	if f.Kind == flit.Head {
 		if found {
@@ -150,7 +152,7 @@ func (rc *Receiver) Accept(ch int, f flit.Flit, now int64) {
 		// Flits of a worm we already rejected; the router purge races
 		// one flit — it is absorbed there, so reaching here means a
 		// protocol bug.
-		panic(fmt.Sprintf("core: body flit %v without assembly at node %d", f, rc.node))
+		panic(fmt.Sprintf("core: body flit %v without assembly at node %d", *f, rc.node))
 	}
 	a := &rc.asm[i]
 	if f.Seq != a.nextSeq {

@@ -165,7 +165,7 @@ func TestReceiverMatchesMapModel(t *testing.T) {
 					f.Payload ^= 1 << r.Intn(64)
 				}
 				kills := len(fk.calls)
-				rc.Accept(ch, f, step)
+				accept(rc, ch, f, step)
 				m.accept(f, step)
 				c.next++
 				if f.Tail || len(fk.calls) > kills {
@@ -347,8 +347,8 @@ func TestReceiverSaveStateAllocs(t *testing.T) {
 	for src := topology.NodeID(0); src < 50; src++ {
 		feedWorm(rc, flit.Frame{Msg: flit.Message{ID: flit.MessageID(100 + src), Src: src, Dst: 5, DataLen: 2}}, 0, 0)
 	}
-	rc.Accept(0, flit.Frame{Msg: flit.Message{ID: 300, Src: 1, Dst: 5, DataLen: 4}}.FlitAt(0), 1)
-	rc.Accept(1, flit.Frame{Msg: flit.Message{ID: 301, Src: 2, Dst: 5, DataLen: 4}}.FlitAt(0), 1)
+	accept(rc, 0, flit.Frame{Msg: flit.Message{ID: 300, Src: 1, Dst: 5, DataLen: 4}}.FlitAt(0), 1)
+	accept(rc, 1, flit.Frame{Msg: flit.Message{ID: 301, Src: 2, Dst: 5, DataLen: 4}}.FlitAt(0), 1)
 	if len(rc.asm) != 2 || len(rc.lastSeen) != 50 {
 		t.Fatalf("fixture holds %d assemblies and %d watermarks, want 2 and 50", len(rc.asm), len(rc.lastSeen))
 	}

@@ -67,12 +67,20 @@ func (w WormID) Message() MessageID { return MessageID(uint64(w) >> 8) }
 // Attempt returns the transmission attempt number (0 = first try).
 func (w WormID) Attempt() int { return int(uint64(w) & 0xff) }
 
-// Flit is one flow-control unit. Flits are passed by value through the
-// simulator — every router ring slot and every in-flight link entry
-// holds one — so the struct is kept small and flat deliberately: the
-// 8-byte words come first and the narrow fields share the last one, 80
-// bytes with no interior padding. The checkpoint codec (PutFlit) and
-// the checksum name fields explicitly, so declaration order is free.
+// Flit is one flow-control unit. Every router ring slot and every
+// in-flight link entry holds one by value, so the struct is kept small
+// and flat deliberately: the 8-byte words come first and the narrow
+// fields share the last one, 80 bytes with no interior padding. The
+// checkpoint codec (PutFlit) and the checksum name fields explicitly,
+// so declaration order is free.
+//
+// Between those homes a flit moves by reference, so one hop costs
+// exactly two copies: ring slot into the link's in-flight entry
+// (transmit), and in-flight entry into the next router's ring
+// (arrival). A pointer to a ring slot, as the router's transmit hands
+// its move callback, is valid only until that VC's next push; a pointer
+// to an in-flight entry only until the next transmit phase. Neither may
+// be kept.
 type Flit struct {
 	Worm WormID
 	Seq  int // position within the worm, 0 = head

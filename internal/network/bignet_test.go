@@ -14,10 +14,10 @@ import (
 
 // TestHotStructSizes pins the per-element cost of what the kernel holds
 // one of per link (link: the flat array is the only O(links) state), per
-// buffered or in-flight flit (flit.Flit), per busy link (linkRef) and
-// per credit moved (creditEvent). A field added to any of them fails
-// here, in the allocation gate (make alloc-gate), instead of drifting
-// into peak RSS unnoticed.
+// buffered or in-flight flit (flit.Flit), per busy link (linkRef and the
+// worklist entry inFlight) and per credit moved (creditEvent). A field
+// added to any of them fails here, in the allocation gate (make
+// alloc-gate), instead of drifting into peak RSS unnoticed.
 func TestHotStructSizes(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -27,6 +27,7 @@ func TestHotStructSizes(t *testing.T) {
 		{"link", unsafe.Sizeof(link{}), 24, false},
 		{"flit.Flit", unsafe.Sizeof(flit.Flit{}), 80, false},
 		{"linkRef", unsafe.Sizeof(linkRef{}), 8, true},
+		{"inFlight", unsafe.Sizeof(inFlight{}), 96, false},
 		{"creditEvent", unsafe.Sizeof(creditEvent{}), 16, true},
 	} {
 		if c.size > c.want || c.exact && c.size != c.want {

@@ -326,7 +326,7 @@ func (n *Network) shardArrivals(sh *shard) {
 	sk := &sh.sink
 	for _, e := range sh.arrivals {
 		l := n.linkAt(int(e.ref.node), int(e.ref.port))
-		if n.routerAt(topology.NodeID(l.toNode)).AcceptFlit(int(l.toPort), int(e.vc), e.f) {
+		if n.routerAt(topology.NodeID(l.toNode)).AcceptRef(int(l.toPort), int(e.vc), &e.f) {
 			n.pushCredit(sk, topology.NodeID(e.ref.node), int(e.ref.port), int(e.vc), 1)
 		}
 		sh.activeR.add(l.toNode)

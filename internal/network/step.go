@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"crnet/internal/core"
 	"crnet/internal/faults"
@@ -115,7 +116,7 @@ func (n *Network) forEachIncident(node int, fn func(id, p int)) {
 			continue
 		}
 		fn(node, p)
-		fn(int(l.toNode), int(n.topo.ReversePort(topology.NodeID(node), topology.Port(p))))
+		fn(int(l.toNode), int(l.toPort))
 	}
 }
 
@@ -239,11 +240,13 @@ func (n *Network) transmitRouter(sh *shard, id int) bool {
 	r := n.routers[id]
 	node := topology.NodeID(id)
 	deg := r.Degree()
-	r.Transmit(
-		// Both callbacks are non-escaping: Transmit only calls them, so
+	r.TransmitRef(
+		// Both callbacks are non-escaping: TransmitRef only calls them, so
 		// the compiler stack-allocates the closures (the runtime
 		// alloc-gate test holds Step at zero allocs/cycle with them).
-		func(outPort, outVC int, f flit.Flit) {
+		// f is the router ring slot the flit just left; it is copied once,
+		// into the busy-link entry, or read in place by the receiver.
+		func(outPort, outVC int, f *flit.Flit) {
 			moved = true
 			if outPort >= deg {
 				n.traceTo(sk, EvEject, node, outPort-deg, 0, f.Worm, f.Seq)
@@ -261,11 +264,12 @@ func (n *Network) transmitRouter(sh *shard, id int) bool {
 			}
 			l.busy = true
 			l.flits++
-			sh.busyLinks = append(sh.busyLinks, inFlight{
-				ref: linkRef{node: int32(id), port: int32(outPort)},
-				vc:  uint8(outVC),
-				f:   f,
-			})
+			k := len(sh.busyLinks)
+			sh.busyLinks = slices.Grow(sh.busyLinks, 1)[:k+1]
+			e := &sh.busyLinks[k]
+			e.ref = linkRef{node: int32(id), port: int32(outPort)}
+			e.vc = uint8(outVC)
+			e.f = *f
 		},
 		func(inPort, inVC int) {
 			upNode, upPort := n.upstreamOf(node, inPort)
@@ -289,13 +293,15 @@ func (n *Network) drainReceiver(sk *sink, id int, rc *core.Receiver) {
 }
 
 // upstreamOf returns the node and output port feeding input port p of
-// node id: the neighbor in direction p, through its reverse port.
+// node id: the neighbor in direction p, through its reverse port —
+// which is what New stored as node id's own link on port p (toNode,
+// toPort), so the answer is one array read, not topology arithmetic.
 func (n *Network) upstreamOf(id topology.NodeID, p int) (topology.NodeID, int) {
-	up, ok := n.topo.Neighbor(id, topology.Port(p))
-	if !ok {
+	l := n.linkAt(int(id), p)
+	if !l.exists {
 		panic(fmt.Sprintf("network: no upstream for (%d,%d)", id, p))
 	}
-	return up, int(n.topo.ReversePort(id, topology.Port(p)))
+	return topology.NodeID(l.toNode), int(l.toPort)
 }
 
 // routeEmits delivers a router's tear-down side effects: further signal

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 
 	"crnet/internal/flit"
 	"crnet/internal/routing"
@@ -37,8 +38,10 @@ func (r *Router) RouteAndAllocate(emits []Emit) []Emit {
 			continue
 		}
 		r.stats.BlockedHeaders++
-		v.blocked++
-		if r.cfg.RouterTimeout > 0 && v.blocked >= r.cfg.RouterTimeout {
+		if v.blocked < math.MaxInt32 {
+			v.blocked++
+		}
+		if r.cfg.RouterTimeout > 0 && int(v.blocked) >= r.cfg.RouterTimeout {
 			emits = r.tearBlockedWorm(v, emits)
 		}
 	}
@@ -54,10 +57,11 @@ func (r *Router) RouteAndAllocate(emits []Emit) []Emit {
 func (r *Router) tearBlockedWorm(v *inVC, emits []Emit) []Emit {
 	r.stats.RouterKills++
 	worm := v.worm
-	if purged := r.purge(v); purged > 0 && v.p < r.deg {
-		emits = append(emits, Emit{Kind: EmitCredits, Port: v.p, VC: v.vc, Worm: worm, N: purged})
+	p, vc := int(v.p), int(v.vc)
+	if purged := r.purge(v); purged > 0 && p < r.deg {
+		emits = append(emits, Emit{Kind: EmitCredits, Port: p, VC: vc, Worm: worm, N: purged})
 	}
-	emits = append(emits, Emit{Kind: EmitKillBwd, Port: v.p, VC: v.vc, Worm: worm})
+	emits = append(emits, Emit{Kind: EmitKillBwd, Port: p, VC: vc, Worm: worm})
 	releaseIn(v, worm)
 	return emits
 }
@@ -67,10 +71,11 @@ func (r *Router) tearBlockedWorm(v *inVC, emits []Emit) []Emit {
 func (r *Router) tearCorruptHeader(v *inVC, emits []Emit) []Emit {
 	r.stats.HeaderFaults++
 	worm := v.worm
-	if purged := r.purge(v); purged > 0 && v.p < r.deg {
-		emits = append(emits, Emit{Kind: EmitCredits, Port: v.p, VC: v.vc, Worm: worm, N: purged})
+	p, vc := int(v.p), int(v.vc)
+	if purged := r.purge(v); purged > 0 && p < r.deg {
+		emits = append(emits, Emit{Kind: EmitCredits, Port: p, VC: vc, Worm: worm, N: purged})
 	}
-	emits = append(emits, Emit{Kind: EmitKillBwd, Port: v.p, VC: v.vc, Worm: worm})
+	emits = append(emits, Emit{Kind: EmitKillBwd, Port: p, VC: vc, Worm: worm})
 	releaseIn(v, worm)
 	return emits
 }
@@ -87,7 +92,7 @@ func (r *Router) allocateEjection(v *inVC) bool {
 		o.worm = v.worm
 		o.ownerP, o.ownerV = v.p, v.vc
 		v.routed = true
-		v.outP, v.outV = e, 0
+		v.outP, v.outV = int16(e), 0
 		r.stats.HeadersRouted++
 		return true
 	}
@@ -101,9 +106,9 @@ func (r *Router) allocateEjection(v *inVC) bool {
 func (r *Router) allocateNetwork(v *inVC, head *flit.Flit) bool {
 	inPort := topology.InvalidPort
 	inVCIdx := -1
-	if v.p < r.deg {
+	if int(v.p) < r.deg {
 		inPort = topology.Port(v.p)
-		inVCIdx = v.vc
+		inVCIdx = int(v.vc)
 	}
 	allowMisroute := r.cfg.MisrouteAfter > 0 &&
 		head.Worm.Attempt() >= r.cfg.MisrouteAfter &&
@@ -119,26 +124,23 @@ func (r *Router) allocateNetwork(v *inVC, head *flit.Flit) bool {
 		LinkUp:        r.linkUp,
 		PortBuf:       r.portBuf[:0],
 	}
-	r.candBuf = r.alg.Route(req, r.candBuf[:0])
-	if len(r.candBuf) == 0 {
-		return false
-	}
-
-	// Pass 1: non-escape candidates, rotated for fairness.
-	free := 0
-	for i := range r.candBuf {
-		c := r.candBuf[i]
-		if !c.Escape && r.candFree(c) {
-			r.candBuf[free] = c
-			free++
+	// One Route call serves both passes (routing is a pure function of
+	// the request). Pass 1 appends the free non-escape candidates after
+	// the routed list, which candBuf's capacity already holds.
+	cands := r.alg.Route(req, r.candBuf[:0])
+	n := len(cands)
+	for i := 0; i < n; i++ {
+		if c := cands[i]; !c.Escape && r.candFree(c) {
+			cands = append(cands, c)
 		}
 	}
-	if free > 0 {
-		return r.claim(v, head, r.selectCandidate(r.candBuf[:free]))
+	r.candBuf = cands[:0]
+	// Pass 1: non-escape candidates, rotated for fairness.
+	if len(cands) > n {
+		return r.claim(v, head, r.selectCandidate(cands[n:]))
 	}
 	// Pass 2: escape candidates in preference order.
-	r.candBuf = r.alg.Route(req, r.candBuf[:0])
-	for _, c := range r.candBuf {
+	for _, c := range cands[:n] {
 		if c.Escape && r.candFree(c) {
 			return r.claim(v, head, c)
 		}
@@ -172,7 +174,7 @@ func (r *Router) selectCandidate(free []routing.Candidate) routing.Candidate {
 func (r *Router) portCredit(p topology.Port) int {
 	total := 0
 	for vc := range r.outs[p].vcs {
-		total += r.outs[p].vcs[vc].credit
+		total += int(r.outs[p].vcs[vc].credit)
 	}
 	return total
 }
@@ -197,7 +199,7 @@ func (r *Router) claim(v *inVC, head *flit.Flit, c routing.Candidate) bool {
 	o.worm = v.worm
 	o.ownerP, o.ownerV = v.p, v.vc
 	v.routed = true
-	v.outP, v.outV = int(c.Port), c.VC
+	v.outP, v.outV = int16(c.Port), int16(c.VC)
 	r.stats.HeadersRouted++
 	if c.Escape {
 		r.stats.PDS++

@@ -208,9 +208,10 @@ func (s *store) reset() {
 	}
 }
 
-// push appends f to VC i's FIFO; n is the occupancy before the push
-// (the admission bound capOf was already checked by the caller).
-func (s *store) push(i, n int, f flit.Flit) {
+// push copies *f onto the back of VC i's FIFO; n is the occupancy
+// before the push (the admission bound capOf was already checked by the
+// caller).
+func (s *store) push(i, n int, f *flit.Flit) {
 	if i < s.nPooled {
 		p := i / s.vcsPer
 		if s.used[p] == s.poolCap {
@@ -218,15 +219,20 @@ func (s *store) push(i, n int, f flit.Flit) {
 		}
 		s.used[p]++
 	}
-	s.arena[i*s.stride+(int(s.head[i])+n)%s.stride] = f
+	s.arena[i*s.stride+(int(s.head[i])+n)%s.stride] = *f
 }
 
-// pop removes and returns VC i's front flit.
-func (s *store) pop(i int) flit.Flit {
+// pop removes VC i's front flit and returns a pointer to the slot it
+// vacated. The slot is not overwritten until VC i's next push, so the
+// pointer stays valid until then; Transmit hands it to its move callback
+// before anything can push here. This is what keeps a hop at two flit
+// copies: ring slot into the link's in-flight entry, and in-flight entry
+// into the next router's ring (see flit.Flit).
+func (s *store) pop(i int) *flit.Flit {
 	if i < s.nPooled {
 		s.used[i/s.vcsPer]--
 	}
-	f := s.arena[i*s.stride+int(s.head[i])]
+	f := &s.arena[i*s.stride+int(s.head[i])]
 	s.head[i] = int32((int(s.head[i]) + 1) % s.stride)
 	return f
 }
@@ -288,7 +294,7 @@ func (s *store) release(i int, ins []inVC, advert CreditAdvert) {
 	s.granted[i] = vcReserve
 	s.grantSum[pool] -= shrink
 	if advert != nil {
-		advert(ins[i].p, ins[i].vc, int(-shrink))
+		advert(int(ins[i].p), int(ins[i].vc), int(-shrink))
 	}
 	// Re-grant the freed budget round-robin to active siblings below
 	// their cap, so a waiting worm picks up the shared budget the moment
@@ -313,7 +319,7 @@ func (s *store) release(i int, ins []inVC, advert CreditAdvert) {
 		s.grantSum[pool] += g
 		avail -= g
 		if advert != nil {
-			advert(ins[j].p, ins[j].vc, int(g))
+			advert(int(ins[j].p), int(ins[j].vc), int(g))
 		}
 		s.grantRR[pool] = (start + k + 1) % nv
 	}
@@ -381,7 +387,7 @@ func (s *store) loadLedger(d *snapshot.Decoder, ins []inVC) error {
 		if g < vcReserve || int(g) > s.stride {
 			return fmt.Errorf("VC %d granted window %d outside [%d,%d]", i, g, vcReserve, s.stride)
 		}
-		if occ := ins[i].count; int32(occ) > g {
+		if occ := ins[i].count; occ > g {
 			return fmt.Errorf("VC %d occupancy %d exceeds granted window %d", i, occ, g)
 		}
 		s.granted[i] = g
@@ -409,7 +415,7 @@ func (s *store) check(ins []inVC) error {
 	for p := range s.grantSum {
 		occ, gsum := int32(0), int32(0)
 		for i := p * s.vcsPer; i < (p+1)*s.vcsPer; i++ {
-			n, g := int32(ins[i].count), s.granted[i]
+			n, g := ins[i].count, s.granted[i]
 			if g < vcReserve || int(g) > s.stride {
 				return fmt.Errorf("pool %d VC %d granted %d outside [%d,%d]", p, i, g, vcReserve, s.stride)
 			}

@@ -90,25 +90,28 @@ func newStoreFixture(org BufferOrg) *storeFixture {
 	s := newStore(cfg, deg, nIn)
 	fx := &storeFixture{store: &s, ins: make([]inVC, nIn), nIn: nIn}
 	for i := range fx.ins {
-		fx.ins[i].p, fx.ins[i].vc = i/cfg.VCs, i%cfg.VCs
+		fx.ins[i].p, fx.ins[i].vc = int16(i/cfg.VCs), int16(i%cfg.VCs)
 	}
 	return fx
 }
 
 func (fx *storeFixture) push(i int, f flit.Flit) {
-	fx.store.push(i, fx.ins[i].count, f)
+	fx.store.push(i, int(fx.ins[i].count), &f)
 	fx.ins[i].count++
 }
 
 func (fx *storeFixture) pop(i int) flit.Flit {
 	fx.ins[i].count--
-	return fx.store.pop(i)
+	return *fx.store.pop(i)
 }
 
 func (fx *storeFixture) purge(i int) {
-	fx.store.purge(i, fx.ins[i].count)
+	fx.store.purge(i, int(fx.ins[i].count))
 	fx.ins[i].count = 0
 }
+
+// pushFlit pushes a flit held by value onto a router input VC.
+func pushFlit(r *Router, v *inVC, f flit.Flit) { r.push(v, &f) }
 
 func (fx *storeFixture) audit(t *testing.T) {
 	t.Helper()
@@ -249,10 +252,10 @@ func TestPoolExhaustedPanics(t *testing.T) {
 	r := orgTestRouter(OrgDAMQ)
 	fr := frame(5, 0, 2, 5, 0, 0)
 	for k := 0; k < 4; k++ {
-		r.push(r.in(0, k%2), fr.FlitAt(k))
+		pushFlit(r, r.in(0, k%2), fr.FlitAt(k))
 	}
 	v := r.in(0, 0)
-	if v.count >= r.store.capOf(int(v.idx)) {
+	if int(v.count) >= r.store.capOf(int(v.idx)) {
 		t.Fatalf("VC at its own cap (%d flits); the test would not isolate the pool bound", v.count)
 	}
 	defer func() {
@@ -261,7 +264,7 @@ func TestPoolExhaustedPanics(t *testing.T) {
 			t.Fatalf("push past poolCap: recovered %q, want the pool-exhausted panic", msg)
 		}
 	}()
-	r.push(v, fr.FlitAt(4))
+	pushFlit(r, v, fr.FlitAt(4))
 }
 
 // TestPooledSnapshotCanonical pins that the snapshot encoding depends
@@ -286,7 +289,7 @@ func TestPooledSnapshotCanonical(t *testing.T) {
 		var e snapshot.Encoder
 		for i := range fx.ins {
 			e.Uvarint(uint64(fx.ins[i].count))
-			fx.saveVC(&e, i, fx.ins[i].count)
+			fx.saveVC(&e, i, int(fx.ins[i].count))
 		}
 		fx.saveLedger(&e)
 		return e.Bytes()
@@ -295,8 +298,9 @@ func TestPooledSnapshotCanonical(t *testing.T) {
 	dst := newStoreFixture(OrgCreditShared)
 	d := snapshot.NewDecoder(raw)
 	for i := range dst.ins {
-		dst.ins[i].count = d.Count(dst.capOf(i))
-		if err := dst.loadVC(d, i, dst.ins[i].count); err != nil {
+		n := d.Count(dst.capOf(i))
+		dst.ins[i].count = int32(n)
+		if err := dst.loadVC(d, i, n); err != nil {
 			t.Fatalf("loadVC(%d): %v", i, err)
 		}
 	}
@@ -333,6 +337,23 @@ func routedTestRouter(t *testing.T) (*Router, *inVC, *outVC) {
 	return r, r.in(r.InjPort(0), 0), &r.outs[p].vcs[vc]
 }
 
+// sentinel is a field value whose encoding appears once in a test
+// router's snapshot, marking where spliceInt plants a corrupt value.
+const sentinel = 12345
+
+// spliceInt replaces the one encoded Int equal to sentinel in raw with
+// bad: how a row writes a value the narrowed field cannot hold.
+func spliceInt(t *testing.T, raw []byte, bad int) []byte {
+	t.Helper()
+	var s, b snapshot.Encoder
+	s.Int(sentinel)
+	b.Int(bad)
+	if n := bytes.Count(raw, s.Bytes()); n != 1 {
+		t.Fatalf("sentinel encoding occurs %d times in the snapshot, want 1", n)
+	}
+	return bytes.Replace(raw, s.Bytes(), b.Bytes(), 1)
+}
+
 // TestLoadStateRejectsCorruptSnapshots is the regression table for the
 // snapshot range-validation fix: a corrupt or hostile payload must be
 // rejected with a descriptive error in every place it could break the
@@ -341,8 +362,9 @@ func routedTestRouter(t *testing.T) (*Router, *inVC, *outVC) {
 // outside its bounds or below the occupancy it must cover, a grant
 // rotation cursor out of range, credit/window pairs outside
 // 0 <= credit <= window <= maxWindow, an index Transmit or allocation
-// would dereference outside the router, and an allocation whose two
-// ends do not name each other.
+// would dereference outside the router, an allocation whose two ends do
+// not name each other, and a value outside the range of the narrow field
+// it restores into.
 func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 	save := func(r *Router) []byte {
 		var e snapshot.Encoder
@@ -381,7 +403,7 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			for vc := 0; vc < 3; vc++ {
 				for k := 0; k < 3; k++ {
 					v := donor.in(vc/cfg.VCs, vc%cfg.VCs)
-					donor.push(v, fr.FlitAt(vc*3+k))
+					pushFlit(donor, v, fr.FlitAt(vc*3+k))
 				}
 			}
 			return save(donor)
@@ -396,8 +418,8 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			r := sharedTestRouter(t)
 			fr := frame(12, 1, 3, 4, 0, 0)
 			v := r.in(0, 0)
-			r.push(v, fr.FlitAt(0))
-			r.push(v, fr.FlitAt(1))
+			pushFlit(r, v, fr.FlitAt(0))
+			pushFlit(r, v, fr.FlitAt(1))
 			return save(r)
 		}},
 		{"grant-sum-over-pool", "exceeds capacity", func(t *testing.T) []byte {
@@ -467,6 +489,40 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			r, _, ov := routedTestRouter(t)
 			ov.ownerP, ov.ownerV = 0, 1
 			return save(r)
+		}},
+		// The next six rows restored with a nil error before LoadState
+		// range-checked each value as an int ahead of narrowing it into
+		// the int16/int32 fields of inVC and outVC. Values those fields
+		// cannot hold are planted through a sentinel (spliceInt).
+		{"blocked-negative", "blocked count", func(t *testing.T) []byte {
+			r := sharedTestRouter(t)
+			r.ins[0].blocked = -7
+			return save(r)
+		}},
+		{"blocked-over-int32", "blocked count", func(t *testing.T) []byte {
+			r := sharedTestRouter(t)
+			r.ins[0].blocked = sentinel
+			return spliceInt(t, save(r), 1<<40)
+		}},
+		{"max-hops-negative", "max hops", func(t *testing.T) []byte {
+			r := sharedTestRouter(t)
+			r.maxHops = -3
+			return save(r)
+		}},
+		{"unrouted-input-names-output", "unrouted input", func(t *testing.T) []byte {
+			r := sharedTestRouter(t)
+			r.ins[0].outP, r.ins[0].outV = sentinel, 5
+			return spliceInt(t, save(r), 70000)
+		}},
+		{"unheld-owner-out-of-range", "does not exist", func(t *testing.T) []byte {
+			r := sharedTestRouter(t)
+			r.outs[0].vcs[0].ownerP = sentinel
+			return spliceInt(t, save(r), 1<<20)
+		}},
+		{"ejection-credit-over-int32", "ejection output", func(t *testing.T) []byte {
+			r := sharedTestRouter(t)
+			r.outs[r.EjPort(0)].vcs[0].credit = sentinel
+			return spliceInt(t, save(r), 1<<40)
 		}},
 	}
 	for _, tc := range cases {

@@ -27,8 +27,8 @@ func (r *Router) CheckInvariants() error {
 	total := 0
 	for i := range r.ins {
 		v := &r.ins[i]
-		total += v.count
-		if v.count < 0 || v.count > r.store.capOf(i) {
+		total += int(v.count)
+		if v.count < 0 || int(v.count) > r.store.capOf(i) {
 			return fmt.Errorf("router %d: input (%d,%d) occupancy %d", r.id, v.p, v.vc, v.count)
 		}
 		if !v.active {
@@ -51,7 +51,7 @@ func (r *Router) CheckInvariants() error {
 	if total != r.buffered {
 		return fmt.Errorf("router %d: buffered counter %d, actual %d", r.id, r.buffered, total)
 	}
-	wLo, wHi := r.cfg.initWindow(), r.cfg.maxWindow(r.deg)
+	wLo, wHi := int32(r.cfg.initWindow()), int32(r.cfg.maxWindow(r.deg))
 	for p := range r.outs {
 		out := &r.outs[p]
 		for vc := range out.vcs {
@@ -65,8 +65,8 @@ func (r *Router) CheckInvariants() error {
 					r.id, p, vc, o.credit, o.window)
 			}
 			if o.held {
-				v := r.in(o.ownerP, o.ownerV)
-				if !v.active || v.worm != o.worm || !v.routed || v.outP != p || v.outV != vc {
+				v := r.in(int(o.ownerP), int(o.ownerV))
+				if !v.active || v.worm != o.worm || !v.routed || int(v.outP) != p || int(v.outV) != vc {
 					return fmt.Errorf("router %d: output (%d,%d) owner (%d,%d) inconsistent",
 						r.id, p, vc, o.ownerP, o.ownerV)
 				}
@@ -81,11 +81,11 @@ func (r *Router) CheckInvariants() error {
 
 // CreditOf returns the credit count of output (p, vc); used by
 // network-level conservation checks.
-func (r *Router) CreditOf(p, vc int) int { return r.outs[p].vcs[vc].credit }
+func (r *Router) CreditOf(p, vc int) int { return int(r.outs[p].vcs[vc].credit) }
 
 // BufferedAt returns the buffered flit count of input (p, vc); used by
 // network-level conservation checks.
-func (r *Router) BufferedAt(p, vc int) int { return r.in(p, vc).count }
+func (r *Router) BufferedAt(p, vc int) int { return int(r.in(p, vc).count) }
 
 // InputActive reports whether input (p, vc) hosts a worm.
 func (r *Router) InputActive(p, vc int) bool { return r.in(p, vc).active }

@@ -118,6 +118,14 @@ type Config struct {
 	Check bool
 }
 
+// maxChannels and maxBufDepth bound the configuration so every port,
+// VC index and window fits the narrow fields of inVC and outVC (a
+// topology's degree is far below maxChannels).
+const (
+	maxChannels = 1 << 12
+	maxBufDepth = 1 << 20
+)
+
 // Validate reports the first structural parameter a router cannot be
 // built from. New panics on the same conditions; the network validates
 // up front because it constructs routers lazily.
@@ -138,6 +146,14 @@ func (c Config) Validate() error {
 	if c.Org != OrgStaticFIFO && c.Org != OrgDAMQ && c.Org != OrgCreditShared {
 		return fmt.Errorf("router: unknown buffer org %d", c.Org)
 	}
+	// Ports and VC indices are int16 and windows int32 in the VC state.
+	if c.VCs > maxChannels || c.InjectionChannels > maxChannels || c.EjectionChannels > maxChannels {
+		return fmt.Errorf("router: %d VCs, %d injection and %d ejection channels exceed %d",
+			c.VCs, c.InjectionChannels, c.EjectionChannels, maxChannels)
+	}
+	if c.BufDepth > maxBufDepth {
+		return fmt.Errorf("router: BufDepth = %d exceeds %d", c.BufDepth, maxBufDepth)
+	}
 	return nil
 }
 
@@ -145,41 +161,50 @@ func (c Config) Validate() error {
 // FIFO (storage lives in the router's store, addressed by the flat
 // index idx) plus the worm claim and output allocation. p/vc record the
 // VC's own address so flat iteration needs no index arithmetic.
+//
+// The fields are as narrow as their ranges allow, so an input VC is 40
+// bytes rather than 96: on a network far larger than L2 the allocate and
+// transmit walks miss on these lines more than on the flits. The codec
+// still writes every field as an int (state.go), so narrowing them moved
+// no checkpoint byte.
 type inVC struct {
-	idx   int32 // flat index into the router's store
-	count int   // FIFO occupancy
-
-	p  int // input port this VC belongs to
-	vc int // VC index within the port
-
-	active bool // a worm has claimed this VC (head arrived, tail not yet passed)
-	worm   flit.WormID
-	routed bool // output allocation held
-	outP   int  // allocated output port
-	outV   int  // allocated output VC
-
+	worm flit.WormID
 	// purgeWorm absorbs the single straggler flit that can be in flight
-	// when a tear-down purges this VC.
-	purgeWorm  flit.WormID
-	purgeValid bool
+	// when a tear-down purges this VC (valid while purgeValid).
+	purgeWorm flit.WormID
 
-	// blocked counts consecutive cycles a header waited for an output;
-	// used by the path-wide timeout ablation (Config.RouterTimeout) and
-	// by the deadlock watchdog (BlockedWorms).
-	blocked int
+	idx   int32 // flat index into the router's store
+	count int32 // FIFO occupancy
+
+	// blocked counts consecutive cycles a header waited for an output
+	// (saturating); used by the path-wide timeout ablation
+	// (Config.RouterTimeout) and by the deadlock watchdog (BlockedWorms).
+	blocked int32
+
+	p  int16 // input port this VC belongs to
+	vc int16 // VC index within the port
+
+	outP int16 // allocated output port, -1 while unrouted
+	outV int16 // allocated output VC, -1 while unrouted
+
+	active     bool // a worm has claimed this VC (head arrived, tail not yet passed)
+	routed     bool // output allocation held
+	purgeValid bool
 }
 
 func (r *Router) front(v *inVC) *flit.Flit { return r.store.front(int(v.idx)) }
 
-func (r *Router) push(v *inVC, f flit.Flit) {
-	if v.count == r.store.capOf(int(v.idx)) {
+func (r *Router) push(v *inVC, f *flit.Flit) {
+	if int(v.count) == r.store.capOf(int(v.idx)) {
 		panic("router: input VC overflow (credit protocol violated)")
 	}
-	r.store.push(int(v.idx), v.count, f)
+	r.store.push(int(v.idx), int(v.count), f)
 	v.count++
 }
 
-func (r *Router) pop(v *inVC) flit.Flit {
+// pop removes v's front flit and returns the slot it vacated, valid
+// until v's next push (see store.pop).
+func (r *Router) pop(v *inVC) *flit.Flit {
 	if v.count == 0 {
 		panic("router: pop from empty VC")
 	}
@@ -192,15 +217,21 @@ func (r *Router) pop(v *inVC) flit.Flit {
 // any), the credit count for the downstream buffer, and the current
 // window — the downstream occupancy the worm may reach. For static FIFO
 // the window is constant BufDepth; the shared organizations start at the
-// reserve and move it with advertised deltas (see buforg.go).
+// reserve and move it with advertised deltas (see buforg.go). Narrowed
+// like inVC: 24 bytes. The owner survives a release, so even an unheld
+// output names an existing input.
 type outVC struct {
-	held   bool
 	worm   flit.WormID
-	ownerP int // input port of the owning worm
-	ownerV int
-	credit int
-	window int // current downstream window (credit's ceiling)
+	credit int32
+	window int32 // current downstream window (credit's ceiling)
+	ownerP int16 // input port of the owning worm
+	ownerV int16
+	held   bool
 }
+
+// ejectCredit is an ejection channel's constant credit and window: it
+// has no downstream buffer, so neither ever moves.
+const ejectCredit = 1 << 30
 
 // output is one output physical channel with its VCs and arbitration
 // pointer. vcs is a window into the router's shared outVC arena.
@@ -308,9 +339,9 @@ func New(id topology.NodeID, topo topology.Topology, alg routing.Algorithm, cfg 
 		v := &r.ins[i]
 		v.idx = int32(i)
 		if i < deg*cfg.VCs {
-			v.p, v.vc = i/cfg.VCs, i%cfg.VCs
+			v.p, v.vc = int16(i/cfg.VCs), int16(i%cfg.VCs)
 		} else {
-			v.p, v.vc = deg+(i-deg*cfg.VCs), 0
+			v.p, v.vc = int16(deg+(i-deg*cfg.VCs)), 0
 		}
 		v.outP, v.outV = -1, -1
 	}
@@ -322,10 +353,10 @@ func New(id topology.NodeID, topo topology.Topology, alg routing.Algorithm, cfg 
 		if p >= deg {
 			o.ejection = true
 			o.vcs = r.outArena[deg*cfg.VCs+(p-deg) : deg*cfg.VCs+(p-deg)+1]
-			o.vcs[0] = outVC{credit: 1 << 30, window: 1 << 30}
+			o.vcs[0] = outVC{credit: ejectCredit, window: ejectCredit}
 		} else {
 			o.vcs = r.outArena[p*cfg.VCs : (p+1)*cfg.VCs]
-			w := cfg.initWindow()
+			w := int32(cfg.initWindow())
 			for v := range o.vcs {
 				o.vcs[v].credit = w
 				o.vcs[v].window = w
@@ -336,6 +367,10 @@ func New(id topology.NodeID, topo topology.Topology, alg routing.Algorithm, cfg 
 		}
 	}
 	r.portBuf = make([]topology.Port, 0, deg)
+	// allocateNetwork appends the free candidates after the routed list,
+	// so two lists of at most one candidate per output VC fit without
+	// regrowing.
+	r.candBuf = make([]routing.Candidate, 0, 2*deg*cfg.VCs)
 	r.linkUp = func(port topology.Port) bool { return r.outs[port].linkUp }
 	return r
 }
@@ -397,7 +432,7 @@ func (r *Router) SetLinkDown(p int) { r.outs[p].linkUp = false }
 func (r *Router) SetLinkUp(p int) {
 	out := &r.outs[p]
 	out.linkUp = true
-	w := r.cfg.initWindow()
+	w := int32(r.cfg.initWindow())
 	for vc := range out.vcs {
 		o := &out.vcs[vc]
 		o.held = false
@@ -436,7 +471,7 @@ func (r *Router) MaxHops() (int, flit.WormID) { return r.maxHops, r.maxHopsWorm 
 // InjectionFree returns the free buffer slots of injection channel ch.
 func (r *Router) InjectionFree(ch int) int {
 	v := r.in(r.InjPort(ch), 0)
-	return r.cfg.BufDepth - v.count
+	return r.cfg.BufDepth - int(v.count)
 }
 
 // InjectionReady reports whether injection channel ch is idle and empty,
@@ -462,15 +497,21 @@ func (r *Router) Inject(ch int, f flit.Flit) {
 	} else if !v.active || v.worm != f.Worm {
 		panic(fmt.Sprintf("router %d: injected body flit of worm %d into channel owned by %d", r.id, f.Worm, v.worm))
 	}
-	r.push(v, f)
+	r.push(v, &f)
 	r.buffered++
 }
 
 // AcceptFlit delivers a flit arriving over the incoming link of network
-// input port p on virtual channel vc. It returns true if the flit was
-// absorbed as a tear-down straggler (the network then refunds the
-// upstream credit as if the flit had been consumed).
-func (r *Router) AcceptFlit(p, vc int, f flit.Flit) bool {
+// input port p on virtual channel vc; it is AcceptRef for a caller
+// holding the flit by value.
+func (r *Router) AcceptFlit(p, vc int, f flit.Flit) bool { return r.AcceptRef(p, vc, &f) }
+
+// AcceptRef delivers the flit *f arriving over the incoming link of
+// network input port p on virtual channel vc, copying it into the VC's
+// ring. It returns true if the flit was absorbed as a tear-down
+// straggler (the network then refunds the upstream credit as if the
+// flit had been consumed).
+func (r *Router) AcceptRef(p, vc int, f *flit.Flit) bool {
 	v := r.in(p, vc)
 	if v.purgeValid && v.purgeWorm == f.Worm {
 		r.stats.Stragglers++
@@ -492,7 +533,7 @@ func (r *Router) AcceptFlit(p, vc int, f flit.Flit) bool {
 			r.advert(p, vc, g)
 		}
 	} else if r.cfg.Check && (!v.active || v.worm != f.Worm) {
-		panic(fmt.Sprintf("router %d: body flit %v arrived on VC (%d,%d) not owned by its worm", r.id, f, p, vc))
+		panic(fmt.Sprintf("router %d: body flit %v arrived on VC (%d,%d) not owned by its worm", r.id, *f, p, vc))
 	}
 	r.push(v, f)
 	r.buffered++

@@ -2,6 +2,7 @@ package router
 
 import (
 	"testing"
+	"unsafe"
 
 	"crnet/internal/flit"
 	"crnet/internal/routing"
@@ -10,6 +11,24 @@ import (
 
 func testConfig() Config {
 	return Config{VCs: 2, BufDepth: 2, InjectionChannels: 1, EjectionChannels: 1, Check: true}
+}
+
+// TestVCStateSizes pins the per-VC state the allocate and transmit walks
+// touch on every busy router: an input VC within 40 bytes and an output
+// VC within 24, so a field added to either fails here (make alloc-gate)
+// rather than as cache misses on a network larger than L2.
+func TestVCStateSizes(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		size, want uintptr
+	}{
+		{"inVC", unsafe.Sizeof(inVC{}), 40},
+		{"outVC", unsafe.Sizeof(outVC{}), 24},
+	} {
+		if c.size > c.want {
+			t.Errorf("%s is %d bytes, want at most %d", c.name, c.size, c.want)
+		}
+	}
 }
 
 func newTestRouter(t *testing.T, id topology.NodeID) *Router {
@@ -143,7 +162,7 @@ func vcOf(t *testing.T, r *Router) int {
 	t.Helper()
 	for i := range r.ins {
 		if v := &r.ins[i]; v.active && v.routed {
-			return v.outV
+			return int(v.outV)
 		}
 	}
 	t.Fatal("no routed worm")

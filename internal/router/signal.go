@@ -81,7 +81,7 @@ type Emit struct {
 // channel until it hosts its next worm; the benefit is that
 // credit ∈ [0, window] holds unconditionally.
 func (r *Router) purge(v *inVC) int {
-	n := v.count
+	n := int(v.count)
 	r.store.purge(int(v.idx), n)
 	v.count = 0
 	r.buffered -= n
@@ -133,7 +133,7 @@ func (r *Router) applyKillFwd(s Signal, emits []Emit) []Emit {
 			panic(fmt.Sprintf("router %d: forward kill found inconsistent allocation", r.id))
 		}
 		o.held = false
-		emits = append(emits, Emit{Kind: EmitKillFwd, Port: v.outP, VC: v.outV, Worm: s.Worm})
+		emits = append(emits, Emit{Kind: EmitKillFwd, Port: int(v.outP), VC: int(v.outV), Worm: s.Worm})
 	}
 	releaseIn(v, s.Worm)
 	return emits
@@ -149,15 +149,16 @@ func (r *Router) applyKillBwd(s Signal, emits []Emit) []Emit {
 		return emits
 	}
 	r.stats.KillsBwd++
-	v := r.in(o.ownerP, o.ownerV)
+	p, vc := int(o.ownerP), int(o.ownerV)
+	v := r.in(p, vc)
 	if r.cfg.Check && (!v.active || v.worm != s.Worm) {
 		panic(fmt.Sprintf("router %d: backward kill found inconsistent ownership", r.id))
 	}
-	if purged := r.purge(v); purged > 0 && o.ownerP < r.deg {
-		emits = append(emits, Emit{Kind: EmitCredits, Port: o.ownerP, VC: o.ownerV, Worm: s.Worm, N: purged})
+	if purged := r.purge(v); purged > 0 && p < r.deg {
+		emits = append(emits, Emit{Kind: EmitCredits, Port: p, VC: vc, Worm: s.Worm, N: purged})
 	}
 	o.held = false
-	emits = append(emits, Emit{Kind: EmitKillBwd, Port: o.ownerP, VC: o.ownerV, Worm: s.Worm})
+	emits = append(emits, Emit{Kind: EmitKillBwd, Port: p, VC: vc, Worm: s.Worm})
 	releaseIn(v, s.Worm)
 	return emits
 }
@@ -213,8 +214,8 @@ type BlockedWorm struct {
 func (r *Router) BlockedWorms(min int, buf []BlockedWorm) []BlockedWorm {
 	for i := range r.ins {
 		v := &r.ins[i]
-		if v.active && !v.routed && v.blocked >= min {
-			buf = append(buf, BlockedWorm{Port: v.p, VC: v.vc, Worm: v.worm, Blocked: v.blocked})
+		if v.active && !v.routed && int(v.blocked) >= min {
+			buf = append(buf, BlockedWorm{Port: int(v.p), VC: int(v.vc), Worm: v.worm, Blocked: int(v.blocked)})
 		}
 	}
 	return buf
@@ -244,9 +245,9 @@ func (r *Router) SetAdvertiser(a CreditAdvert) { r.advert = a }
 // instead.
 func (r *Router) ApplyCredit(p, vc, n, w int) {
 	o := &r.outs[p].vcs[vc]
-	o.credit += n + w
-	o.window += w
-	if r.cfg.Check && r.cfg.Org == OrgStaticFIFO && !r.outs[p].ejection && o.credit > r.cfg.BufDepth {
+	o.credit += int32(n + w)
+	o.window += int32(w)
+	if r.cfg.Check && r.cfg.Org == OrgStaticFIFO && !r.outs[p].ejection && int(o.credit) > r.cfg.BufDepth {
 		panic(fmt.Sprintf("router %d: credit overflow on output (%d,%d)", r.id, p, vc))
 	}
 }

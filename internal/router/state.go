@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 
 	"crnet/internal/flit"
 	"crnet/internal/snapshot"
@@ -33,8 +34,10 @@ import (
 // budget (loadLedger), output credit/window pairs against
 // 0 <= credit <= window <= maxWindow, and every index Transmit,
 // ApplySignal and allocation later dereference (a routed input's output
-// VC, a held output's owner, the round-robin pointers) against the
-// router's geometry. It ends with CheckInvariants, so a restored router
+// VC, an output's owner, the round-robin pointers) against the router's
+// geometry, and pins the values only one state can hold: an unrouted
+// input's output is (-1,-1), an ejection output's credit and window are
+// constant. It ends with CheckInvariants, so a restored router
 // is one a Config.Check cycle would accept.
 
 // SaveState appends the router's mutable state to a snapshot.
@@ -42,15 +45,15 @@ func (r *Router) SaveState(e *snapshot.Encoder) {
 	for i := range r.ins {
 		v := &r.ins[i]
 		e.Uvarint(uint64(v.count))
-		r.store.saveVC(e, i, v.count)
+		r.store.saveVC(e, i, int(v.count))
 		e.Bool(v.active)
 		e.U64(uint64(v.worm))
 		e.Bool(v.routed)
-		e.Int(v.outP)
-		e.Int(v.outV)
+		e.Int(int(v.outP))
+		e.Int(int(v.outV))
 		e.U64(uint64(v.purgeWorm))
 		e.Bool(v.purgeValid)
-		e.Int(v.blocked)
+		e.Int(int(v.blocked))
 	}
 	r.store.saveLedger(e)
 	for p := range r.outs {
@@ -61,10 +64,10 @@ func (r *Router) SaveState(e *snapshot.Encoder) {
 			ov := &o.vcs[vc]
 			e.Bool(ov.held)
 			e.U64(uint64(ov.worm))
-			e.Int(ov.ownerP)
-			e.Int(ov.ownerV)
-			e.Int(ov.credit)
-			e.Int(ov.window)
+			e.Int(int(ov.ownerP))
+			e.Int(int(ov.ownerV))
+			e.Int(int(ov.credit))
+			e.Int(int(ov.window))
 		}
 	}
 	e.Int(r.allocRR)
@@ -88,7 +91,9 @@ func (r *Router) SaveState(e *snapshot.Encoder) {
 // LoadState restores a state written by SaveState into a router of the
 // same geometry (same topology, VC count, buffer depth and channel
 // counts — guaranteed by the network's config fingerprint check). The
-// total buffered count is recomputed from the restored FIFOs.
+// total buffered count is recomputed from the restored FIFOs. Every
+// value is range-checked as an int before it is narrowed into inVC or
+// outVC, so an out-of-range one is an error, never a silent truncation.
 func (r *Router) LoadState(d *snapshot.Decoder) error {
 	buffered := 0
 	r.store.reset()
@@ -101,20 +106,32 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 		if err := r.store.loadVC(d, i, count); err != nil {
 			return fmt.Errorf("router %d: input VC %d: %w", r.id, i, err)
 		}
-		v.count = count
+		v.count = int32(count)
 		buffered += count
 		v.active = d.Bool()
 		v.worm = flit.WormID(d.U64())
 		v.routed = d.Bool()
-		v.outP = d.Int()
-		v.outV = d.Int()
+		outP, outV := d.Int(), d.Int()
 		v.purgeWorm = flit.WormID(d.U64())
 		v.purgeValid = d.Bool()
-		v.blocked = d.Int()
-		if v.routed && (v.outP < 0 || v.outP >= len(r.outs) || v.outV < 0 || v.outV >= len(r.outs[v.outP].vcs)) {
-			return fmt.Errorf("router %d: input (%d,%d) routed to output (%d,%d), which does not exist",
-				r.id, v.p, v.vc, v.outP, v.outV)
+		blocked := d.Int()
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("router %d: input VC %d: %w", r.id, i, err)
 		}
+		if v.routed && (outP < 0 || outP >= len(r.outs) || outV < 0 || outV >= len(r.outs[outP].vcs)) {
+			return fmt.Errorf("router %d: input (%d,%d) routed to output (%d,%d), which does not exist",
+				r.id, v.p, v.vc, outP, outV)
+		}
+		if !v.routed && (outP != -1 || outV != -1) {
+			return fmt.Errorf("router %d: unrouted input (%d,%d) names output (%d,%d), want (-1,-1)",
+				r.id, v.p, v.vc, outP, outV)
+		}
+		if blocked < 0 || blocked > math.MaxInt32 {
+			return fmt.Errorf("router %d: input (%d,%d) blocked count %d outside [0,%d]",
+				r.id, v.p, v.vc, blocked, math.MaxInt32)
+		}
+		v.outP, v.outV = int16(outP), int16(outV)
+		v.blocked = int32(blocked)
 	}
 	if err := r.store.loadLedger(d, r.ins); err != nil {
 		return fmt.Errorf("router %d: buffer store: %w", r.id, err)
@@ -131,21 +148,27 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 			ov := &o.vcs[vc]
 			ov.held = d.Bool()
 			ov.worm = flit.WormID(d.U64())
-			ov.ownerP = d.Int()
-			ov.ownerV = d.Int()
-			ov.credit = d.Int()
-			ov.window = d.Int()
+			ownerP, ownerV := d.Int(), d.Int()
+			credit, window := d.Int(), d.Int()
 			if d.Err() != nil {
 				break
 			}
-			if !o.ejection && (ov.credit < 0 || ov.credit > ov.window || ov.window < wLo || ov.window > wHi) {
+			if o.ejection && (credit != ejectCredit || window != ejectCredit) {
+				return fmt.Errorf("router %d: ejection output (%d,%d) credit %d / window %d, want %d",
+					r.id, p, vc, credit, window, ejectCredit)
+			}
+			if !o.ejection && (credit < 0 || credit > window || window < wLo || window > wHi) {
 				return fmt.Errorf("router %d: output (%d,%d) credit %d / window %d outside bounds [%d,%d]",
-					r.id, p, vc, ov.credit, ov.window, wLo, wHi)
+					r.id, p, vc, credit, window, wLo, wHi)
 			}
-			if ov.held && !r.hasInput(ov.ownerP, ov.ownerV) {
-				return fmt.Errorf("router %d: output (%d,%d) held by input (%d,%d), which does not exist",
-					r.id, p, vc, ov.ownerP, ov.ownerV)
+			// A released output keeps its last owner, so held or not it
+			// must name an existing input.
+			if !r.hasInput(ownerP, ownerV) {
+				return fmt.Errorf("router %d: output (%d,%d) owned by input (%d,%d), which does not exist",
+					r.id, p, vc, ownerP, ownerV)
 			}
+			ov.ownerP, ov.ownerV = int16(ownerP), int16(ownerV)
+			ov.credit, ov.window = int32(credit), int32(window)
 		}
 	}
 	r.buffered = buffered
@@ -170,6 +193,10 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 	}
 	if r.allocRR < 0 {
 		return fmt.Errorf("router %d: allocation rotation %d is negative", r.id, r.allocRR)
+	}
+	// A hop count is a flit's uint16 Hops field.
+	if r.maxHops < 0 || r.maxHops > math.MaxUint16 {
+		return fmt.Errorf("router %d: max hops %d outside [0,%d]", r.id, r.maxHops, math.MaxUint16)
 	}
 	// The indices are in range; what is left is the consistency every
 	// Config.Check cycle asserts — allocations and holders pointing at

@@ -6,20 +6,20 @@ import (
 	"crnet/internal/flit"
 )
 
-// inIndex returns input VC (p, vc)'s index in the flat ins slice.
-func (r *Router) inIndex(p, vc int) int {
-	if p < r.deg {
-		return p*r.cfg.VCs + vc
-	}
-	return r.deg*r.cfg.VCs + (p - r.deg)
+// Transmit is TransmitRef for a move callback that takes the flit by
+// value.
+func (r *Router) Transmit(moveFlit func(outPort, outVC int, f flit.Flit), creditFlit func(inPort, inVC int)) {
+	r.TransmitRef(func(outPort, outVC int, f *flit.Flit) { moveFlit(outPort, outVC, *f) }, creditFlit)
 }
 
-// Transmit forwards at most one flit per output channel. For each flit
+// TransmitRef forwards at most one flit per output channel. For each flit
 // moved, moveFlit is called with the output port/VC (the network places
 // it on the link, or hands it to the local receiver for ejection ports)
 // and creditFlit is called with the input port/VC it left (the network
 // refunds the upstream credit; injection ports are skipped since the
-// injector reads buffer occupancy directly).
+// injector reads buffer occupancy directly). moveFlit receives the ring
+// slot the flit vacated, valid only for the call: it must copy the flit
+// out, not keep the pointer.
 //
 // Switch arbitration round-robins each output's pointer over the flat
 // input-VC index space. Candidates are found through the output VCs'
@@ -28,7 +28,7 @@ func (r *Router) inIndex(p, vc int) int {
 // invariant), so the held VCs enumerate exactly the competitors, and
 // the winner is the one whose input index comes first in round-robin
 // order from rr — the same input a linear scan from rr would find.
-func (r *Router) Transmit(moveFlit func(outPort, outVC int, f flit.Flit), creditFlit func(inPort, inVC int)) {
+func (r *Router) TransmitRef(moveFlit func(outPort, outVC int, f *flit.Flit), creditFlit func(inPort, inVC int)) {
 	n := len(r.ins)
 	for op := range r.outs {
 		out := &r.outs[op]
@@ -45,11 +45,11 @@ func (r *Router) Transmit(moveFlit func(outPort, outVC int, f flit.Flit), credit
 			if !out.ejection && ov.credit == 0 {
 				continue
 			}
-			v := r.in(ov.ownerP, ov.ownerV)
+			v := r.in(int(ov.ownerP), int(ov.ownerV))
 			if v.count == 0 {
 				continue
 			}
-			key := r.inIndex(ov.ownerP, ov.ownerV) - out.rr
+			key := int(v.idx) - out.rr
 			if key < 0 {
 				key += n
 			}
@@ -83,8 +83,8 @@ func (r *Router) Transmit(moveFlit func(outPort, outVC int, f flit.Flit), credit
 			// active siblings (no-op for static FIFO).
 			r.store.release(int(v.idx), r.ins, r.advert)
 		}
-		if v.p < r.deg {
-			creditFlit(v.p, v.vc)
+		if int(v.p) < r.deg {
+			creditFlit(int(v.p), int(v.vc))
 		}
 		moveFlit(op, win, f)
 	}

@@ -19,8 +19,12 @@ type Submitter interface {
 // checkpointable: SaveState/LoadState capture the position exactly, and
 // a restored replayer submits the same messages with the same ids at
 // the same cycles as one that never stopped.
+//
+// A trace is immutable once a replayer holds it: the replayer digests it
+// once, at construction, and every checkpoint carries that digest.
 type Replayer struct {
-	trace *Trace
+	trace *Trace //cr:nosnap immutable input supplied by the constructor; checkpoints name it by fp
+	fp    uint64 //cr:unread the trace's Fingerprint, set by NewReplayer; LoadState reads it to refuse a foreign trace and never restores it
 	loop  bool
 
 	idx     int   // next record to submit
@@ -30,7 +34,8 @@ type Replayer struct {
 
 // NewReplayer returns a replayer over trace. With loop true the trace
 // repeats forever, each epoch shifted by the trace duration; otherwise
-// the replayer runs dry after the last record. The trace must validate.
+// the replayer runs dry after the last record. The trace must validate,
+// and must not change while the replayer holds it.
 func NewReplayer(trace *Trace, loop bool) *Replayer {
 	if err := trace.Validate(); err != nil {
 		panic(err)
@@ -38,7 +43,7 @@ func NewReplayer(trace *Trace, loop bool) *Replayer {
 	if loop && trace.Duration() == 0 {
 		panic("workload: cannot loop an empty trace")
 	}
-	return &Replayer{trace: trace, loop: loop}
+	return &Replayer{trace: trace, fp: trace.Fingerprint(), loop: loop}
 }
 
 // Done reports whether a non-looping replay has submitted every record.
@@ -83,9 +88,9 @@ func (r *Replayer) Tick(net Submitter, cycle int64) int {
 
 // SaveState appends the replayer's position to a snapshot, prefixed
 // with the trace fingerprint so a restore under a different trace fails
-// loudly.
+// loudly. It allocates nothing on an encoder with room to spare.
 func (r *Replayer) SaveState(e *snapshot.Encoder) {
-	e.U64(r.trace.Fingerprint())
+	e.U64(r.fp)
 	e.Bool(r.loop)
 	e.Int(r.idx)
 	e.Varint(r.epoch)
@@ -103,7 +108,7 @@ func (r *Replayer) LoadState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if want := r.trace.Fingerprint(); fp != want {
+	if want := r.fp; fp != want {
 		return fmt.Errorf("workload: snapshot trace fingerprint %016x does not match %q (%016x)",
 			fp, r.trace.Name, want)
 	}

@@ -102,6 +102,23 @@ func TestReplayerRejectsForeignTrace(t *testing.T) {
 	}
 }
 
+// TestReplayerSaveStateAllocs: the trace is digested once, by
+// NewReplayer, so a checkpoint save neither re-hashes it nor allocates
+// on an encoder with room to spare (pre-grown by a thousand saves, as
+// in core's TestReceiverSaveStateAllocs).
+func TestReplayerSaveStateAllocs(t *testing.T) {
+	r := NewReplayer(GenUniform(testSpec(1)), true)
+	var sink recordingSink
+	r.Tick(&sink, 100)
+	var e snapshot.Encoder
+	for i := 0; i < 1000; i++ {
+		r.SaveState(&e)
+	}
+	if avg := testing.AllocsPerRun(100, func() { r.SaveState(&e) }); avg != 0 {
+		t.Fatalf("Replayer.SaveState allocates %.2f times per save, want 0", avg)
+	}
+}
+
 func TestReplayerDoneAndLoop(t *testing.T) {
 	trace := &Trace{Name: "tiny", Nodes: 4, Records: []TraceRecord{
 		{Cycle: 0, Src: 0, Dst: 1, DataLen: 2},
