@@ -95,8 +95,10 @@ chaos:
 # of the one accepted version or a *FormatError, never a panic or a
 # partial payload. The network payload reader, seeded with the three
 # pinned payloads and a save of a mostly unbuilt network: an error or a
-# restored network, never a panic. The minimize budget is capped so a 10 s pass is spent finding inputs, not
-# shrinking the first interesting one. CI runs this budget on every
+# restored network, never a panic, and an accepted payload's re-save is
+# a fixed point (it loads and re-saves to itself). The minimize budget
+# is capped so a 10 s pass is spent finding inputs, not shrinking the
+# first interesting one. CI runs this budget on every
 # merge; crank FUZZTIME locally for a deeper soak.
 FUZZTIME ?= 10s
 fuzz:
@@ -116,7 +118,8 @@ bench:
 # nodes, and the sparse512 shape restoring exactly what was saved. The
 # second run restores the pinned checkpoint files under
 # internal/network/testdata (a serial, a DAMQ and a credit-shared
-# mid-run network, re-recorded at format 6; DESIGN.md §8) to the
+# mid-run network, recorded at format 6 and carried forward to format 7;
+# DESIGN.md §8) to the
 # recorded digests and re-saves them to their own bytes; it is separate
 # because a '/' in -run filters every test's subtests.
 snapshot-pin:

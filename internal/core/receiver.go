@@ -48,11 +48,11 @@ type RecvStats struct {
 	OrderErrors   int64 // per source FIFO violations observed
 }
 
-// assembly is the in-progress reception state of one worm.
+// assembly is the in-progress reception state of one worm. Its message
+// is the worm's (WormID.Message).
 type assembly struct {
 	worm    flit.WormID
 	src     topology.NodeID
-	msg     flit.MessageID
 	dataLen int
 	nextSeq int
 	dataOK  bool
@@ -138,7 +138,7 @@ func (rc *Receiver) Accept(ch int, f *flit.Flit, now int64) {
 			return
 		}
 		h := flit.DecodeHeader(f.Payload)
-		a := assembly{worm: f.Worm, src: h.Src, msg: f.Worm.Message(), dataLen: h.DataLen, nextSeq: 1, dataOK: true,
+		a := assembly{worm: f.Worm, src: h.Src, dataLen: h.DataLen, nextSeq: 1, dataOK: true,
 			stamps: f.Stamps, headArrived: now}
 		rc.stats.DataFlits++
 		if f.Tail {
@@ -168,7 +168,7 @@ func (rc *Receiver) Accept(ch int, f *flit.Flit, now int64) {
 			rc.reject(ch, f.Worm)
 			return
 		}
-		if f.Payload != flit.PayloadWord(a.msg, f.Seq) {
+		if f.Payload != flit.PayloadWord(a.worm.Message(), f.Seq) {
 			a.dataOK = false
 		}
 	case flit.Pad:
@@ -193,20 +193,21 @@ func (rc *Receiver) reject(ch int, worm flit.WormID) {
 }
 
 func (rc *Receiver) deliver(a *assembly, now int64) {
+	msg := a.worm.Message()
 	rc.stats.Delivered++
 	if !a.dataOK {
 		rc.stats.CorruptData++
 	}
 	if j, seen := slices.BinarySearchFunc(rc.lastSeen, a.src, bySource); !seen {
-		rc.lastSeen = slices.Insert(rc.lastSeen, j, watermark{src: a.src, msg: a.msg})
+		rc.lastSeen = slices.Insert(rc.lastSeen, j, watermark{src: a.src, msg: msg})
 	} else {
-		if a.msg < rc.lastSeen[j].msg {
+		if msg < rc.lastSeen[j].msg {
 			rc.stats.OrderErrors++
 		}
-		rc.lastSeen[j].msg = a.msg
+		rc.lastSeen[j].msg = msg
 	}
 	rc.deliveries = append(rc.deliveries, Delivery{
-		Msg:         a.msg,
+		Msg:         msg,
 		Worm:        a.worm,
 		Src:         a.src,
 		DataLen:     a.dataLen,

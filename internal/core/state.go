@@ -21,14 +21,18 @@ const maxSnapshotItems = 1 << 24
 // SaveState appends the injector's mutable state to a snapshot: every
 // channel's protocol engine, the pending message queue (the consumed
 // prefix is dropped — only queue[qhead:] is live), the counters and the
-// failure log.
+// failure log. A channel's frame is written as its message and attempt:
+// the pad length and the commit threshold are buildFrame's function of
+// the two and the configuration, and LoadState rebuilds them. Idle
+// channels keep both, because FKilled reads an idle channel's worm id
+// to count a stale FKILL.
 func (in *Injector) SaveState(e *snapshot.Encoder) {
 	e.Uvarint(uint64(len(in.chs)))
 	for i := range in.chs {
 		ch := &in.chs[i]
 		e.Int(int(ch.phase))
-		flit.PutFrame(e, ch.frame)
-		e.Int(ch.imin)
+		flit.PutMessage(e, ch.frame.Msg)
+		e.Int(ch.frame.Attempt)
 		e.Int(ch.next)
 		e.Int(ch.stall)
 		e.Varint(ch.retryAt)
@@ -67,7 +71,7 @@ func (in *Injector) SaveState(e *snapshot.Encoder) {
 
 // LoadState restores a state written by SaveState into an injector with
 // the same channel count. Every channel and queued message is
-// range-checked (checkChannel, checkMessage), so a corrupt payload is an
+// range-checked (loadFrame, checkMessage), so a corrupt payload is an
 // error here rather than a panic or a stuck channel in the next Tick. On
 // error the injector is unusable; the network discards it with the rest
 // of a failed restore.
@@ -82,8 +86,7 @@ func (in *Injector) LoadState(d *snapshot.Decoder) error {
 	for i := range in.chs {
 		ch := &in.chs[i]
 		ch.phase = chPhase(d.Int())
-		ch.frame = flit.GetFrame(d)
-		ch.imin = d.Int()
+		msg, attempt := flit.GetMessage(d), d.Int()
 		ch.next = d.Int()
 		ch.stall = d.Int()
 		ch.retryAt = d.Varint()
@@ -94,7 +97,7 @@ func (in *Injector) LoadState(d *snapshot.Decoder) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if err := in.checkChannel(ch); err != nil {
+		if err := in.loadFrame(ch, msg, attempt); err != nil {
 			return fmt.Errorf("core: injection channel %d: %w", i, err)
 		}
 	}
@@ -151,26 +154,32 @@ func (in *Injector) LoadState(d *snapshot.Decoder) error {
 	return nil
 }
 
-// checkChannel rejects channel state no run produces: a phase outside the
-// three, a negative pad, an attempt a worm id cannot carry, a next flit
-// outside the worm (at its end only once fully injected, which leaves
-// the channel idle), or — on a channel that is sending or backing off —
-// a frame whose message the injector could not have framed. Each would
-// otherwise panic in FlitAt, hold the channel busy forever, or run on
-// with an attempt count no worm id can name.
-func (in *Injector) checkChannel(ch *chState) error {
-	fr := &ch.frame
+// loadFrame rebuilds channel ch's frame and commit threshold from its
+// message and attempt, rejecting channel state no run produces: a phase
+// outside the three, an attempt a worm id cannot carry, a message the
+// injector could not have framed (unless the channel is idle and never
+// framed one, when it holds the zero frame), or a next flit outside the
+// worm (at its end only once fully injected, which leaves the channel
+// idle). Each would otherwise panic in FlitAt or buildFrame, hold the
+// channel busy forever, or run on with an attempt count no worm id can
+// name.
+func (in *Injector) loadFrame(ch *chState, msg flit.Message, attempt int) error {
 	switch {
 	case ch.phase < chIdle || ch.phase > chWaiting:
 		return fmt.Errorf("phase %d", ch.phase)
-	case fr.PadLen < 0:
-		return fmt.Errorf("pad length %d", fr.PadLen)
-	case fr.Attempt < 0 || fr.Attempt >= flit.MaxAttempts:
-		return fmt.Errorf("attempt %d outside [0,%d)", fr.Attempt, flit.MaxAttempts)
-	case ch.next < 0 || ch.next > fr.TotalLen() || ch.phase == chSending && ch.next == fr.TotalLen():
-		return fmt.Errorf("next flit %d outside a worm of %d flits in phase %d", ch.next, fr.TotalLen(), ch.phase)
-	case ch.phase != chIdle:
-		return in.checkMessage(fr.Msg)
+	case attempt < 0 || attempt >= flit.MaxAttempts:
+		return fmt.Errorf("attempt %d outside [0,%d)", attempt, flit.MaxAttempts)
+	}
+	if ch.phase == chIdle && msg == (flit.Message{}) {
+		ch.frame, ch.imin = flit.Frame{Attempt: attempt}, 0
+	} else {
+		if err := in.checkMessage(msg); err != nil {
+			return err
+		}
+		ch.frame, ch.imin = in.buildFrame(msg, attempt)
+	}
+	if total := ch.frame.TotalLen(); ch.next < 0 || ch.next > total || ch.phase == chSending && ch.next == total {
+		return fmt.Errorf("next flit %d outside a worm of %d flits in phase %d", ch.next, total, ch.phase)
 	}
 	return nil
 }
@@ -196,7 +205,6 @@ func (rc *Receiver) SaveState(e *snapshot.Encoder) {
 		a := &rc.asm[i]
 		e.U64(uint64(a.worm))
 		e.Varint(int64(a.src))
-		e.U64(uint64(a.msg))
 		e.Int(a.dataLen)
 		e.Int(a.nextSeq)
 		e.Bool(a.dataOK)
@@ -234,7 +242,6 @@ func (rc *Receiver) LoadState(d *snapshot.Decoder) error {
 		a := assembly{
 			worm:        flit.WormID(d.U64()),
 			src:         topology.NodeID(d.Varint()),
-			msg:         flit.MessageID(d.U64()),
 			dataLen:     d.Int(),
 			nextSeq:     d.Int(),
 			dataOK:      d.Bool(),

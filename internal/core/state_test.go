@@ -37,12 +37,12 @@ func (m *mapReceiver) accept(f flit.Flit, now int64) {
 		return
 	case f.Kind == flit.Head:
 		h := flit.DecodeHeader(f.Payload)
-		a = assembly{worm: f.Worm, src: h.Src, msg: f.Worm.Message(), dataLen: h.DataLen, dataOK: true,
+		a = assembly{worm: f.Worm, src: h.Src, dataLen: h.DataLen, dataOK: true,
 			stamps: f.Stamps, headArrived: now}
 		m.stats.DataFlits++
 	case f.Kind == flit.Data:
 		m.stats.DataFlits++
-		a.dataOK = a.dataOK && f.Payload == flit.PayloadWord(a.msg, f.Seq)
+		a.dataOK = a.dataOK && f.Payload == flit.PayloadWord(a.worm.Message(), f.Seq)
 	default:
 		m.stats.PadFlits++
 	}
@@ -56,11 +56,12 @@ func (m *mapReceiver) accept(f flit.Flit, now int64) {
 	if !a.dataOK {
 		m.stats.CorruptData++
 	}
-	if last, ok := m.lastSeen[a.src]; ok && a.msg < last {
+	msg := a.worm.Message()
+	if last, ok := m.lastSeen[a.src]; ok && msg < last {
 		m.stats.OrderErrors++
 	}
-	m.lastSeen[a.src] = a.msg
-	m.out = append(m.out, Delivery{Msg: a.msg, Worm: a.worm, Src: a.src, DataLen: a.dataLen, Time: now,
+	m.lastSeen[a.src] = msg
+	m.out = append(m.out, Delivery{Msg: msg, Worm: a.worm, Src: a.src, DataLen: a.dataLen, Time: now,
 		DataOK: a.dataOK, Stamps: a.stamps, HeadArrived: a.headArrived})
 }
 
@@ -84,7 +85,6 @@ func (m *mapReceiver) save() []byte {
 		a := m.asm[w]
 		e.U64(uint64(w))
 		e.Varint(int64(a.src))
-		e.U64(uint64(a.msg))
 		e.Int(a.dataLen)
 		e.Int(a.nextSeq)
 		e.Bool(a.dataOK)
@@ -211,8 +211,7 @@ func TestReceiverLoadRejectsCorruptState(t *testing.T) {
 		e.Uvarint(uint64(len(worms)))
 		for _, w := range worms {
 			e.U64(uint64(w))
-			e.Varint(1) // src
-			e.U64(uint64(w.Message()))
+			e.Varint(1)  // src
 			e.Int(2)     // dataLen
 			e.Int(1)     // nextSeq
 			e.Bool(true) // dataOK
@@ -254,12 +253,12 @@ func TestReceiverLoadRejectsCorruptState(t *testing.T) {
 	}
 }
 
-// TestInjectorLoadRejectsCorruptState: a channel's phase, next flit, pad
-// and attempt must be ones a run can produce. Each row was accepted
-// before the range checks: the first three panicked in flit.FlitAt on the
-// next Tick, an unknown phase left the channel busy forever (so it was
-// never pruned from the active set), and an attempt past what a worm id
-// holds ran on silently.
+// TestInjectorLoadRejectsCorruptState: a channel's phase, next flit and
+// attempt must be ones a run can produce. Each row was accepted before
+// the range checks: the first two panicked in flit.FlitAt on the next
+// Tick, an unknown phase left the channel busy forever (so it was never
+// pruned from the active set), and an attempt past what a worm id holds
+// ran on silently.
 func TestInjectorLoadRejectsCorruptState(t *testing.T) {
 	sending := func(t *testing.T) *Injector {
 		inj, _ := newInj(t, crConfig())
@@ -286,7 +285,6 @@ func TestInjectorLoadRejectsCorruptState(t *testing.T) {
 	}{
 		{"next-past-worm", func(ch *chState) { ch.next = 1000 }, "next flit"},
 		{"next-negative", func(ch *chState) { ch.next = -3 }, "next flit"},
-		{"pad-negative", func(ch *chState) { ch.frame.PadLen = -50 }, "pad length"},
 		{"phase-unknown", func(ch *chState) { ch.phase = 9 }, "phase 9"},
 		{"attempt-past-worm-id", func(ch *chState) { ch.frame.Attempt = 100000 }, "attempt"},
 	}

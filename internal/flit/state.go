@@ -82,19 +82,3 @@ func GetMessage(d *snapshot.Decoder) Message {
 		CreateTime: d.Varint(),
 	}
 }
-
-// PutFrame appends fr to a snapshot.
-func PutFrame(e *snapshot.Encoder, fr Frame) {
-	PutMessage(e, fr.Msg)
-	e.Int(fr.Attempt)
-	e.Int(fr.PadLen)
-}
-
-// GetFrame reads a Frame written by PutFrame.
-func GetFrame(d *snapshot.Decoder) Frame {
-	return Frame{
-		Msg:     GetMessage(d),
-		Attempt: d.Int(),
-		PadLen:  d.Int(),
-	}
-}

@@ -9,7 +9,7 @@ import "fmt"
 // permanent-fault timeline is simulation state, not an attachment: it
 // is Config.Faults, read in the fault-events phase.)
 type Hooks struct {
-	// Monitor runs after the eight phases, before the cycle counter
+	// Monitor runs after the seven phases, before the cycle counter
 	// advances (it sees the network state at the end of cycle N with
 	// Cycle() == N). Its first error latches the network unhealthy (see
 	// Health); subsequent cycles skip it.
@@ -45,8 +45,6 @@ func (n *Network) Step() {
 	n.mergeBarrier()
 	n.forkJoin(spTransmit)
 	moved := n.mergeBarrier()
-	n.forkJoin(spFKills)
-	n.mergeBarrier()
 	n.forkJoin(spCredits)
 	n.mergeBarrier()
 	n.finishStep(arrived || moved)

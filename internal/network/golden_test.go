@@ -31,7 +31,10 @@ import (
 // the three checkpoint files were therefore re-recorded once, by the
 // kernel of that change (DESIGN.md §8 has the log); the digest functions
 // below are what the recorder ran. From then on a kernel change that
-// moves a digest is a second re-seed and must say so.
+// moves a digest is a second re-seed and must say so. Format 7 changed
+// the files' layout, not the state they hold: the same recorder, which
+// still reproduced the format-6 files byte for byte, wrote them anew,
+// and only their hashes below changed.
 
 // kernelGolden is testdata/kernel_golden.json.
 type kernelGolden struct {
@@ -188,9 +191,9 @@ func TestKernelGolden(t *testing.T) {
 // regenerated from a later tree (which would pin the kernel to itself)
 // cannot pass for the recording.
 var pinnedSnapshots = map[string]string{
-	goldenSnapshotFile:     "bb1d22af72deb585c785f52d0349d85fadab4341defc1db4b20a70ab3f2a12ac",
-	"damq_midrun.crsnap":   "4716715f13ece34518c5baa916e96b78697cda8a1fe97def8fceb65b3b64c701",
-	"shared_midrun.crsnap": "a87d771642a65f551654d035691a710a0373a93c72058b3ce8b3119929e4e6c9",
+	goldenSnapshotFile:     "8043ae90a42dce0184285e3929d7c622b54ab9eda14d496183bf94cc3696e11d",
+	"damq_midrun.crsnap":   "8206aa540a1e538602332a3d9f28ae77623ee18c49295cb692d5a204ec0142ca",
+	"shared_midrun.crsnap": "f434bed4fc7530c793cb8722ef35093afe2a83625b10db72d413438e4014cb10",
 }
 
 // readPinnedSnapshot returns the payload of a pinned checkpoint file

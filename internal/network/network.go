@@ -15,17 +15,17 @@
 //     timeouts, issue kills).
 //  5. Routing and output virtual-channel allocation.
 //  6. Switch transmission: one flit per output channel; ejected flits
-//     reach receivers, receiver FKILL requests are queued.
-//  7. Receiver FKILL tear-downs (local; propagation next cycle).
-//  8. Credit application (credits earned this cycle become visible next).
-//  9. Invariant checks (Config.Check), the Monitor hook (which can latch
+//     reach receivers, and the FKILL tear-downs they request are applied
+//     at the end of their range's walk (local; propagation next cycle).
+//  7. Credit application (credits earned this cycle become visible next).
+//  8. Invariant checks (Config.Check), the Monitor hook (which can latch
 //     the network unhealthy), the cycle increment, and the Observer hook.
 //
 // That order is stated once, as the body of Step in engine.go; external
 // machinery (the fault timeline, the invariant watchdog, the metrics
 // sampler) attaches through the Hooks seam there. There is one kernel:
 // the nodes are partitioned into contiguous ranges (one range unless
-// Config.Shards > 1), phases 2 and 4–8 run one body per range (shard.go)
+// Config.Shards > 1), phases 2 and 4–7 run one body per range (shard.go)
 // — inline on the caller's goroutine for one range, forked for several —
 // and phases 1 and 3 run on the caller. The phases are activity-driven:
 // each walks an incrementally maintained worklist of busy links and

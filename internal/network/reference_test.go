@@ -52,8 +52,6 @@ func stepReference(n *Network) {
 	scanInto(&sh.activeR, len(n.routers), constructedRouter)
 	n.shardTransmit(sh)
 	moved := n.mergeBarrier()
-	n.shardFKills(sh)
-	n.mergeBarrier()
 	scanInto(&sh.recvPend, len(n.receivers), func(id int) bool { return n.receivers[id] != nil })
 	n.shardCredits(sh)
 	n.mergeBarrier()

@@ -174,7 +174,6 @@ const (
 	spInjectors
 	spAllocate
 	spTransmit
-	spFKills
 	spCredits
 )
 
@@ -230,8 +229,6 @@ func (n *Network) shardRun(sh *shard, ph shardPhase) {
 		n.shardAllocate(sh)
 	case spTransmit:
 		n.shardTransmit(sh)
-	case spFKills:
-		n.shardFKills(sh)
 	case spCredits:
 		n.shardCredits(sh)
 	}
@@ -335,16 +332,15 @@ func (n *Network) shardArrivals(sh *shard) {
 }
 
 // shardInjectors advances the protocol engine of every injector in this
-// range with pending work. An injector whose channels are all idle and
-// whose queue is empty provably does nothing in Tick, so it is pruned
-// until the next SubmitMessage re-activates it.
+// range with pending work. An injector without it is pruned until the
+// next SubmitMessage re-activates it.
 func (n *Network) shardInjectors(sh *shard) {
 	sh.activeI.prepare()
 	kept := sh.activeI.ids[:0]
 	for _, id := range sh.activeI.ids {
 		in := n.injectors[id]
 		in.Tick(n.cycle)
-		if in.Busy() || in.QueueLen() > 0 {
+		if hasWork(in) {
 			kept = append(kept, id)
 		} else {
 			sh.activeI.drop(id)
@@ -352,6 +348,12 @@ func (n *Network) shardInjectors(sh *shard) {
 	}
 	sh.activeI.ids = kept
 }
+
+// hasWork reports whether injector in has work for its next Tick: a
+// channel sending or backing off, or a queued message. An injector whose
+// channels are all idle and whose queue is empty provably does nothing
+// in Tick.
+func hasWork(in *core.Injector) bool { return in.Busy() || in.QueueLen() > 0 }
 
 // shardAllocate routes waiting headers and claims output channels.
 func (n *Network) shardAllocate(sh *shard) {
@@ -371,6 +373,18 @@ func (n *Network) shardAllocate(sh *shard) {
 // deferred upstream credits. Routers left with no buffered flits are
 // pruned from the active set; a future arrival or injection re-adds
 // them.
+//
+// It then applies the backward tear-downs its receivers requested during
+// the walk (local; propagation next cycle). A request is filed at the
+// receiver's own node, so the queue holds only this range's nodes, in
+// node order. Nothing here reaches another range: a concurrent transmit
+// elsewhere touches none of this range's routers, injectors or
+// credit-matrix rows. Transmit appends no signals and the tear-downs
+// append no trace events, so the merged queues hold every range's
+// transmit traces and then every range's tear-down signals, each in
+// node order, as if the tear-downs ran after all of transmit.
+// Deliveries are collected after the tear-downs (credits phase), so a
+// rejected worm never appears in the same cycle's output.
 func (n *Network) shardTransmit(sh *shard) {
 	kept := sh.activeR.ids[:0]
 	for _, id := range sh.activeR.ids {
@@ -384,27 +398,15 @@ func (n *Network) shardTransmit(sh *shard) {
 		}
 	}
 	sh.activeR.ids = kept
-}
 
-// shardFKills applies receiver-initiated backward tear-downs (local;
-// propagation next cycle). FKill requests are filed at the receiver's
-// own node, so the queue contains only owned nodes and — being appended
-// during the ascending transmit walk — is in node order. Deliveries are
-// collected after tear-downs (credits phase) so a rejected worm can
-// never appear in the same cycle's output.
-func (n *Network) shardFKills(sh *shard) {
-	if len(sh.fkills) == 0 {
-		return
-	}
 	sk := &sh.sink
-	reqs := sh.fkills
-	sh.fkills = sh.fkills[:0]
-	for _, req := range reqs {
+	for _, req := range sh.fkills {
 		r := n.routers[req.node]
 		sig := router.Signal{Kind: router.KillBwd, Port: r.EjPort(req.ch), VC: 0, Worm: req.worm}
 		sk.emitBuf = r.ApplySignal(sig, sk.emitBuf[:0])
 		n.routeEmits(sk, req.node, sk.emitBuf)
 	}
+	sh.fkills = sh.fkills[:0]
 }
 
 // shardCredits applies this range's column of the credit matrix to its

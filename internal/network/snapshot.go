@@ -17,10 +17,9 @@ import (
 // Checkpoint codec for the whole machine. SaveState captures every
 // mutable field the cycle kernel carries from one Step to the next —
 // link occupancy and burst state, in-flight tear-down signals, undrained
-// deliveries, the busy-link and router/injector worklists, the hazard
-// process, the fault-timeline cursor, the health latch, the global
-// counters, and every router/injector/receiver that exists — so
-// that a network restored from the snapshot steps forward
+// deliveries, the hazard process, the fault-timeline cursor, the health
+// latch, the global counters, and every router/injector/receiver that
+// exists — so that a network restored from the snapshot steps forward
 // byte-identically to one that never stopped (see
 // TestResumeByteIdentical). What a Step fills and empties within itself
 // — the credit matrix, the FKILL requests, the accepting-receiver set,
@@ -28,6 +27,20 @@ import (
 // not in the payload; LoadState clears it. So is every random draw: the
 // kernel's draws are keyed by (seed, entity, cycle) (rng.At), so there is
 // no generator position to carry.
+//
+// Each fact is stated once: nothing the payload carries is determined by
+// another saved value, the configuration, or the components LoadState
+// restores. The busy lists are rebuilt from the busy link records
+// (loadLinks). The router and injector worklists are derived from the
+// restored components (loadNodes): a router is on its range's list iff
+// it buffers a flit, an injector iff it has work (hasWork). A live list
+// can hold more — a router an FKILL purged after transmit, an idle
+// injector that a stale FKILL scheduled — but
+// such a member does nothing before the walk that prunes it (allocate
+// and transmit act only on occupied inputs; an idle injector with an
+// empty queue returns before it touches its port), so the derived lists
+// step identically (TestResumeAcrossDerivedWorklists). A delivery's
+// message id is its worm's.
 //
 // The payload begins with a fingerprint of the construction-time
 // configuration. LoadState verifies it before touching any state: a
@@ -52,8 +65,8 @@ import (
 // they are preserved across LoadState.
 
 // layoutSuffix continues the configuration digest into the fingerprint
-// of the payload layout (snapshot.FormatVersion 6).
-const layoutSuffix = " layout=6"
+// of the payload layout (snapshot.FormatVersion 7).
+const layoutSuffix = " layout=7"
 
 // ConfigFingerprint returns a 64-bit digest of the network's effective
 // configuration (defaults filled in), covering every knob that shapes
@@ -62,9 +75,11 @@ const layoutSuffix = " layout=6"
 // interchangeable for checkpoint/restore. Shards is deliberately
 // excluded: results are byte-identical for every range count, so a
 // snapshot restores into a network partitioned differently from the one
-// that wrote it — the per-range worklists are saved as their merged
-// union in range order (see saveMergedNodeSets).
-func (n *Network) ConfigFingerprint() uint64 {
+// that wrote it — nothing in the payload is per range.
+func (n *Network) ConfigFingerprint() uint64 { return n.fingerprint(layoutSuffix) }
+
+// fingerprint is the configuration digest continued over layout.
+func (n *Network) fingerprint(layout string) uint64 {
 	h := fnv.New64a()
 	c := &n.cfg
 	fmt.Fprintf(h, "topo=%s nodes=%d alg=%s proto=%d vcs=%d buf=%d inj=%d ej=%d",
@@ -90,7 +105,7 @@ func (n *Network) ConfigFingerprint() uint64 {
 	for _, ev := range c.Faults.Events() {
 		fmt.Fprintf(h, " %s", ev)
 	}
-	io.WriteString(h, layoutSuffix)
+	io.WriteString(h, layout)
 	return h.Sum64()
 }
 
@@ -101,16 +116,6 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 	e.Varint(n.cycle)
 	n.saveLinks(e)
 	n.saveQueues(e)
-
-	// The worklists live per range, holding only owned nodes, so
-	// concatenating them in range order (contiguous ascending ranges) is
-	// their merged, globally ordered union — the same bytes whatever the
-	// partition, which is what lets LoadState deal them out to a
-	// different one.
-	n.saveBusyRefs(e)
-	saveMergedNodeSets(e, n.shards, func(sh *shard) *nodeSet { return &sh.activeR })
-	saveMergedNodeSets(e, n.shards, func(sh *shard) *nodeSet { return &sh.activeI })
-
 	if n.hazard != nil {
 		// Presence is config-determined (cfg.Hazard), which the
 		// fingerprint already pins, so no presence flag is needed.
@@ -236,7 +241,8 @@ func (n *Network) saveLinks(e *snapshot.Encoder) {
 }
 
 // saveQueues writes the coordinator's pending tear-down signals and
-// undrained deliveries.
+// undrained deliveries. A delivery's message id is its worm's, so it is
+// not written.
 func (n *Network) saveQueues(e *snapshot.Encoder) {
 	e.Uvarint(uint64(len(n.signals)))
 	for _, s := range n.signals {
@@ -249,7 +255,6 @@ func (n *Network) saveQueues(e *snapshot.Encoder) {
 	e.Uvarint(uint64(len(n.deliveries)))
 	for i := range n.deliveries {
 		d := &n.deliveries[i]
-		e.U64(uint64(d.Msg))
 		e.U64(uint64(d.Worm))
 		e.Varint(int64(d.Src))
 		e.Int(d.DataLen)
@@ -257,19 +262,6 @@ func (n *Network) saveQueues(e *snapshot.Encoder) {
 		e.Bool(d.DataOK)
 		flit.PutStamps(e, d.Stamps)
 		e.Varint(d.HeadArrived)
-	}
-}
-
-// saveBusyRefs writes the busy-link section: the (node, port) of every
-// busy-list entry, in range order. It repeats what the link section's
-// busy flags say, and LoadState holds the two to each other.
-func (n *Network) saveBusyRefs(e *snapshot.Encoder) {
-	e.Uvarint(uint64(n.InFlightFlits()))
-	for i := range n.shards {
-		for _, f := range n.shards[i].busyLinks {
-			e.Varint(int64(f.ref.node))
-			e.Varint(int64(f.ref.port))
-		}
 	}
 }
 
@@ -345,88 +337,6 @@ func (n *Network) saveNodes(e *snapshot.Encoder) {
 	}
 }
 
-// saveMergedNodeSets writes the range-partitioned node sets as one
-// sorted union: each range's set is sorted in place (prepare is
-// idempotent and deterministic — the next phase to walk the set would
-// run it anyway), and range order concatenation of contiguous ascending
-// ranges is globally sorted.
-//
-// The sets are not reconstructed from first principles on load because
-// membership is not a pure function of the rest of the state (e.g. a
-// stale FKILL leaves an idle injector in the set until its next tick
-// prunes it), and any divergence would change worklist iteration
-// against an unbroken run.
-func saveMergedNodeSets(e *snapshot.Encoder, shards []shard, pick func(*shard) *nodeSet) {
-	total := 0
-	for i := range shards {
-		s := pick(&shards[i])
-		s.prepare()
-		total += len(s.ids)
-	}
-	e.Uvarint(uint64(total))
-	for i := range shards {
-		for _, id := range pick(&shards[i]).ids {
-			e.Varint(int64(id))
-		}
-	}
-}
-
-// loadNode decodes a node id that LoadState is about to index with,
-// rejecting one outside the network.
-func (n *Network) loadNode(d *snapshot.Decoder, what string) (topology.NodeID, error) {
-	id := d.Varint()
-	if err := d.Err(); err != nil {
-		return 0, err
-	}
-	if id < 0 || id >= int64(n.nodes) {
-		return 0, fmt.Errorf("network: snapshot %s id %d outside [0,%d)", what, id, n.nodes)
-	}
-	return topology.NodeID(id), nil
-}
-
-// loadNodeSets decodes one merged node-set section, dealing each id to
-// the range that owns it. The ids must ascend strictly, as
-// saveMergedNodeSets writes them.
-func (n *Network) loadNodeSets(d *snapshot.Decoder, what string, pick func(*shard) *nodeSet) error {
-	count := d.Count(n.nodes)
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("network: %s: %w", what, err)
-	}
-	prev := topology.NodeID(-1)
-	for i := 0; i < count; i++ {
-		id, err := n.loadNode(d, what)
-		if err != nil {
-			return err
-		}
-		if id <= prev {
-			return fmt.Errorf("network: snapshot %s id %d does not ascend from its predecessor %d", what, id, prev)
-		}
-		prev = id
-		pick(n.shardOf(id)).add(int32(id))
-	}
-	return nil
-}
-
-// checkWorklists rejects an activeR id with no router or an activeI id
-// with no injector: the first Step would walk it into a nil component.
-// It runs once the node section has built what the payload carries.
-func (n *Network) checkWorklists() error {
-	for i := range n.shards {
-		sh := &n.shards[i]
-		for _, id := range sh.activeR.ids {
-			if n.routers[id] == nil {
-				return fmt.Errorf("network: snapshot activeR id %d names a node with no router", id)
-			}
-		}
-		for _, id := range sh.activeI.ids {
-			if n.injectors[id] == nil {
-				return fmt.Errorf("network: snapshot activeI id %d names a node with no injector", id)
-			}
-		}
-	}
-	return nil
-}
-
 // LoadState restores a state written by SaveState into a network built
 // from the same configuration. The fingerprint is checked before any
 // mutation; a mismatch (or any container-level corruption, which the
@@ -448,9 +358,9 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 		return fmt.Errorf("network: snapshot fingerprint %016x does not match configuration %016x", fp, want)
 	}
 	n.cycle = d.Varint()
-	// The per-range queues and worklists are dealt out to their owners
-	// as they decode — the busy lists from the link section — so empty
-	// them all first.
+	// The per-range busy lists and worklists are dealt out to their
+	// owners as they decode — the busy lists from the link section, the
+	// worklists from the node section — so empty them all first.
 	for i := range n.shards {
 		n.shards[i].reset()
 	}
@@ -460,16 +370,6 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 	if err := n.loadQueues(d); err != nil {
 		return err
 	}
-	if err := n.loadBusyRefs(d); err != nil {
-		return err
-	}
-	if err := n.loadNodeSets(d, "activeR", func(sh *shard) *nodeSet { return &sh.activeR }); err != nil {
-		return err
-	}
-	if err := n.loadNodeSets(d, "activeI", func(sh *shard) *nodeSet { return &sh.activeI }); err != nil {
-		return err
-	}
-
 	if n.hazard != nil {
 		if err := n.hazard.LoadState(d); err != nil {
 			return fmt.Errorf("network: hazard: %w", err)
@@ -498,19 +398,7 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-
-	if err := n.loadNodes(d); err != nil {
-		return err
-	}
-	if err := n.checkWorklists(); err != nil {
-		// Drop what the node section built, as an earlier rejection
-		// would have left it unbuilt.
-		clear(n.routers)
-		clear(n.injectors)
-		clear(n.receivers)
-		return err
-	}
-	return nil
+	return n.loadNodes(d)
 }
 
 // loadQueues decodes what saveQueues wrote.
@@ -537,9 +425,10 @@ func (n *Network) loadQueues(d *snapshot.Decoder) error {
 	}
 	n.deliveries = n.deliveries[:0]
 	for i := 0; i < ndel; i++ {
+		worm := flit.WormID(d.U64())
 		n.deliveries = append(n.deliveries, core.Delivery{
-			Msg:         flit.MessageID(d.U64()),
-			Worm:        flit.WormID(d.U64()),
+			Msg:         worm.Message(),
+			Worm:        worm,
 			Src:         topology.NodeID(d.Varint()),
 			DataLen:     d.Int(),
 			Time:        d.Varint(),
@@ -550,48 +439,6 @@ func (n *Network) loadQueues(d *snapshot.Decoder) error {
 	}
 	n.drained = n.drained[:0]
 	return d.Err()
-}
-
-// loadBusyRefs decodes the busy-link section and joins it with the
-// busy-list entries loadLinks built from the busy link records: the refs
-// must ascend strictly, each must name a busy link, and every busy link
-// must be named — exactly the cycle-boundary invariant the kernel keeps.
-// A payload that broke it would restore cleanly and then double-book a
-// link (or lose a flit) in the first Step.
-func (n *Network) loadBusyRefs(d *snapshot.Decoder) error {
-	nbusy := d.Count(maxQueueItems)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	busy := busyCursor{shards: n.shards}
-	prev := int64(-1) // the previous ref's link index
-	for i := 0; i < nbusy; i++ {
-		node, err := n.loadNode(d, "busy-link")
-		if err != nil {
-			return err
-		}
-		port := d.Varint()
-		if port < 0 || port >= int64(n.deg) {
-			return fmt.Errorf("network: snapshot busy-link port %d outside [0,%d)", port, n.deg)
-		}
-		idx := int64(node)*int64(n.deg) + port
-		if idx <= prev {
-			return fmt.Errorf("network: snapshot busy-link ref (%d,%d) does not ascend from its predecessor", node, port)
-		}
-		prev = idx
-		if !n.links[idx].busy {
-			return fmt.Errorf("network: snapshot busy-link ref (%d,%d) names a link that is not busy", node, port)
-		}
-		// The refs ascend and name busy links, so the next entry is this
-		// ref's unless the payload skipped one.
-		if f := busy.next(); f.ref != (linkRef{node: int32(node), port: int32(port)}) {
-			return fmt.Errorf("network: snapshot busy link (%d,%d) is named by no busy-link ref", f.ref.node, f.ref.port)
-		}
-	}
-	if f := busy.next(); f != nil {
-		return fmt.Errorf("network: snapshot busy link (%d,%d) is named by no busy-link ref", f.ref.node, f.ref.port)
-	}
-	return nil
 }
 
 // loadLinks decodes the link section (see saveLinks), appending each
@@ -673,6 +520,12 @@ func (n *Network) loadLinks(d *snapshot.Decoder) error {
 
 // loadNodes decodes the component section (see saveNodes), dropping
 // whatever the target had built and building what the section names.
+// Each router is built after loadLinks, so construction applies the
+// restored link liveness to it (routerAt). The worklists are derived
+// here, right after each component's LoadState: a router joins its
+// range's activeR iff it buffers a flit, an injector activeI iff it has
+// work — the members a live list must hold, and all the members that
+// act (see the file comment).
 func (n *Network) loadNodes(d *snapshot.Decoder) error {
 	runs := d.Count(n.nodes)
 	if err := d.Err(); err != nil {
@@ -698,14 +551,23 @@ func (n *Network) loadNodes(d *snapshot.Decoder) error {
 		}
 		next = first + count
 		for id := topology.NodeID(first); id < topology.NodeID(next); id++ {
+			sh := n.shardOf(id)
 			if mask&hasRouter != 0 {
-				if err := n.routerAt(id).LoadState(d); err != nil {
+				r := n.routerAt(id)
+				if err := r.LoadState(d); err != nil {
 					return err
+				}
+				if r.Busy() {
+					sh.activeR.add(int32(id))
 				}
 			}
 			if mask&hasInjector != 0 {
-				if err := n.injectorAt(id).LoadState(d); err != nil {
+				in := n.injectorAt(id)
+				if err := in.LoadState(d); err != nil {
 					return fmt.Errorf("network: injector %d: %w", id, err)
+				}
+				if hasWork(in) {
+					sh.activeI.add(int32(id))
 				}
 			}
 			if mask&hasReceiver != 0 {

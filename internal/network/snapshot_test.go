@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"crnet/internal/core"
@@ -240,5 +241,31 @@ func TestRestoreRejectsCorruptPayload(t *testing.T) {
 				t.Fatalf("error %v is not a *snapshot.FormatError", err)
 			}
 		})
+	}
+}
+
+// TestEarlierLayoutRefused: a bare payload of an earlier layout opens
+// with the configuration digest continued over that layout's suffix (or,
+// before layouts were named, the bare digest), so LoadState refuses it
+// at the fingerprint gate, before anything is touched — also when the
+// rest of the payload would decode as the current layout.
+func TestEarlierLayoutRefused(t *testing.T) {
+	donor := New(snapCfg())
+	var log []string
+	snapRun(donor, 200, &log)
+	payload := saveBytes(donor)
+	for _, layout := range []string{"", " layout=sparse4", " layout=5", " layout=6"} {
+		var e snapshot.Encoder
+		e.U64(donor.fingerprint(layout))
+		e.Raw(payload[8:])
+		target := New(snapCfg())
+		before := saveBytes(target)
+		err := target.LoadState(snapshot.NewDecoder(e.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), "fingerprint") {
+			t.Fatalf("layout %q: LoadState = %v, want a fingerprint mismatch", layout, err)
+		}
+		if !bytes.Equal(saveBytes(target), before) {
+			t.Fatalf("layout %q: the refused restore mutated the network", layout)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 func (r *Router) RouteAndAllocate(emits []Emit) []Emit {
 	for i := range r.ins {
 		v := &r.ins[i]
-		if !v.active || v.routed || v.count == 0 {
+		if !v.active || v.routed() || v.count == 0 {
 			continue
 		}
 		head := r.front(v)
@@ -91,7 +91,6 @@ func (r *Router) allocateEjection(v *inVC) bool {
 		o.held = true
 		o.worm = v.worm
 		o.ownerP, o.ownerV = v.p, v.vc
-		v.routed = true
 		v.outP, v.outV = int16(e), 0
 		r.stats.HeadersRouted++
 		return true
@@ -198,7 +197,6 @@ func (r *Router) claim(v *inVC, head *flit.Flit, c routing.Candidate) bool {
 	o.held = true
 	o.worm = v.worm
 	o.ownerP, o.ownerV = v.p, v.vc
-	v.routed = true
 	v.outP, v.outV = int16(c.Port), int16(c.VC)
 	r.stats.HeadersRouted++
 	if c.Escape {

@@ -362,9 +362,9 @@ func spliceInt(t *testing.T, raw []byte, bad int) []byte {
 // outside its bounds or below the occupancy it must cover, a grant
 // rotation cursor out of range, credit/window pairs outside
 // 0 <= credit <= window <= maxWindow, an index Transmit or allocation
-// would dereference outside the router, an allocation whose two ends do
-// not name each other, and a value outside the range of the narrow field
-// it restores into.
+// would dereference outside the router, two inputs allocated one output
+// VC, and a value outside the range of the narrow field it restores
+// into.
 func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 	save := func(r *Router) []byte {
 		var e snapshot.Encoder
@@ -454,16 +454,6 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			ov.credit = 9
 			return save(r)
 		}},
-		{"held-owner-port-out-of-range", "does not exist", func(t *testing.T) []byte {
-			r, _, ov := routedTestRouter(t)
-			ov.ownerP = 50
-			return save(r)
-		}},
-		{"held-owner-vc-out-of-range", "does not exist", func(t *testing.T) []byte {
-			r, _, ov := routedTestRouter(t)
-			ov.ownerP, ov.ownerV = 0, 5
-			return save(r)
-		}},
 		{"routed-output-port-out-of-range", "does not exist", func(t *testing.T) []byte {
 			r, in, _ := routedTestRouter(t)
 			in.outP = 50
@@ -484,13 +474,16 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			r.allocRR = -5
 			return save(r)
 		}},
-		{"held-owner-not-the-routed-input", "inconsistent", func(t *testing.T) []byte {
-			// In range, but the holder names an idle network input.
-			r, _, ov := routedTestRouter(t)
-			ov.ownerP, ov.ownerV = 0, 1
+		{"two-inputs-routed-to-one-output", "both routed to output", func(t *testing.T) []byte {
+			// A second active input names the output the injected
+			// header holds: two holders for one output VC.
+			r, in, _ := routedTestRouter(t)
+			v := &r.ins[0]
+			v.active, v.worm = true, 77
+			v.outP, v.outV = in.outP, in.outV
 			return save(r)
 		}},
-		// The next six rows restored with a nil error before LoadState
+		// The next five rows restored with a nil error before LoadState
 		// range-checked each value as an int ahead of narrowing it into
 		// the int16/int32 fields of inVC and outVC. Values those fields
 		// cannot hold are planted through a sentinel (spliceInt).
@@ -509,15 +502,11 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			r.maxHops = -3
 			return save(r)
 		}},
-		{"unrouted-input-names-output", "unrouted input", func(t *testing.T) []byte {
+		{"unrouted-input-names-output", "routed to output (-1,5), which does not exist", func(t *testing.T) []byte {
+			// Half routed: no output port, but an output VC.
 			r := sharedTestRouter(t)
-			r.ins[0].outP, r.ins[0].outV = sentinel, 5
-			return spliceInt(t, save(r), 70000)
-		}},
-		{"unheld-owner-out-of-range", "does not exist", func(t *testing.T) []byte {
-			r := sharedTestRouter(t)
-			r.outs[0].vcs[0].ownerP = sentinel
-			return spliceInt(t, save(r), 1<<20)
+			r.ins[0].outP, r.ins[0].outV = -1, 5
+			return save(r)
 		}},
 		{"ejection-credit-over-int32", "ejection output", func(t *testing.T) []byte {
 			r := sharedTestRouter(t)

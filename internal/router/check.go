@@ -35,12 +35,12 @@ func (r *Router) CheckInvariants() error {
 			if v.count != 0 {
 				return fmt.Errorf("router %d: inactive input (%d,%d) holds %d flits", r.id, v.p, v.vc, v.count)
 			}
-			if v.routed {
+			if v.routed() {
 				return fmt.Errorf("router %d: inactive input (%d,%d) holds an allocation", r.id, v.p, v.vc)
 			}
 			continue
 		}
-		if v.routed {
+		if v.routed() {
 			o := &r.outs[v.outP].vcs[v.outV]
 			if !o.held || o.worm != v.worm || o.ownerP != v.p || o.ownerV != v.vc {
 				return fmt.Errorf("router %d: input (%d,%d) allocation to (%d,%d) inconsistent",
@@ -66,7 +66,7 @@ func (r *Router) CheckInvariants() error {
 			}
 			if o.held {
 				v := r.in(int(o.ownerP), int(o.ownerV))
-				if !v.active || v.worm != o.worm || !v.routed || int(v.outP) != p || int(v.outV) != vc {
+				if !v.active || v.worm != o.worm || int(v.outP) != p || int(v.outV) != vc {
 					return fmt.Errorf("router %d: output (%d,%d) owner (%d,%d) inconsistent",
 						r.id, p, vc, o.ownerP, o.ownerV)
 				}

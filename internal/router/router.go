@@ -184,13 +184,17 @@ type inVC struct {
 	p  int16 // input port this VC belongs to
 	vc int16 // VC index within the port
 
-	outP int16 // allocated output port, -1 while unrouted
-	outV int16 // allocated output VC, -1 while unrouted
+	// outP/outV is the allocated output VC, (-1,-1) while unrouted: an
+	// input is routed exactly when outP >= 0 (see routed).
+	outP int16
+	outV int16
 
 	active     bool // a worm has claimed this VC (head arrived, tail not yet passed)
-	routed     bool // output allocation held
 	purgeValid bool
 }
+
+// routed reports whether v holds an output allocation.
+func (v *inVC) routed() bool { return v.outP >= 0 }
 
 func (r *Router) front(v *inVC) *flit.Flit { return r.store.front(int(v.idx)) }
 
@@ -218,8 +222,9 @@ func (r *Router) pop(v *inVC) *flit.Flit {
 // window — the downstream occupancy the worm may reach. For static FIFO
 // the window is constant BufDepth; the shared organizations start at the
 // reserve and move it with advertised deltas (see buforg.go). Narrowed
-// like inVC: 24 bytes. The owner survives a release, so even an unheld
-// output names an existing input.
+// like inVC: 24 bytes. worm and the owner are read only while held: a
+// release leaves them stale, and a restore (which derives them from the
+// routed inputs) leaves an unheld output's zero.
 type outVC struct {
 	worm   flit.WormID
 	credit int32
@@ -524,7 +529,6 @@ func (r *Router) AcceptRef(p, vc int, f *flit.Flit) bool {
 		}
 		v.active = true
 		v.worm = f.Worm
-		v.routed = false
 		v.purgeValid = false
 		v.blocked = 0
 		// Shared organizations grow the VC's window on head acceptance

@@ -161,7 +161,7 @@ func TestCreditsBlockTransmission(t *testing.T) {
 func vcOf(t *testing.T, r *Router) int {
 	t.Helper()
 	for i := range r.ins {
-		if v := &r.ins[i]; v.active && v.routed {
+		if v := &r.ins[i]; v.active && v.routed() {
 			return int(v.outV)
 		}
 	}

@@ -93,7 +93,6 @@ func (r *Router) purge(v *inVC) int {
 // absorber for the dead worm.
 func releaseIn(v *inVC, worm flit.WormID) {
 	v.active = false
-	v.routed = false
 	v.outP, v.outV = -1, -1
 	v.purgeWorm = worm
 	v.purgeValid = true
@@ -127,7 +126,7 @@ func (r *Router) applyKillFwd(s Signal, emits []Emit) []Emit {
 	if purged := r.purge(v); purged > 0 && s.Port < r.deg {
 		emits = append(emits, Emit{Kind: EmitCredits, Port: s.Port, VC: s.VC, Worm: s.Worm, N: purged})
 	}
-	if v.routed {
+	if v.routed() {
 		o := &r.outs[v.outP].vcs[v.outV]
 		if r.cfg.Check && (!o.held || o.worm != s.Worm) {
 			panic(fmt.Sprintf("router %d: forward kill found inconsistent allocation", r.id))
@@ -214,7 +213,7 @@ type BlockedWorm struct {
 func (r *Router) BlockedWorms(min int, buf []BlockedWorm) []BlockedWorm {
 	for i := range r.ins {
 		v := &r.ins[i]
-		if v.active && !v.routed && int(v.blocked) >= min {
+		if v.active && !v.routed() && int(v.blocked) >= min {
 			buf = append(buf, BlockedWorm{Port: int(v.p), VC: int(v.vc), Worm: v.worm, Blocked: int(v.blocked)})
 		}
 	}

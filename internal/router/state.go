@@ -12,11 +12,21 @@ import (
 // fixed order: per-input-VC FIFO contents (logical order) plus worm
 // claim, allocation and purge state; the buffer organization's extra
 // ledger (granted windows and grant rotation — empty for static FIFO);
-// per-output round-robin pointers, link liveness and output VC
-// window/credit/holder state; the allocation rotation; the event
-// counters; and the livelock-watchdog watermark. Structural state
-// (store geometry, port layout, the linkUp closure) is reconstructed by
-// New from configuration and is not serialized.
+// per-output round-robin pointers and output VC window/credit state; the
+// allocation rotation; the event counters; and the livelock-watchdog
+// watermark. Structural state (store geometry, port layout, the linkUp
+// closure) is reconstructed by New from configuration and is not
+// serialized.
+//
+// Each fact is stated once. Which output VCs are held, by which worm and
+// input, is the routed inputs' allocations read backwards (held outputs
+// and routed inputs are a bijection, which CheckInvariants asserts), so
+// LoadState marks each routed input's output held by it; an unheld
+// output's last worm and owner are never read (every read sits behind
+// held) and restore as zero. An output's link liveness is the link
+// record's, which the owner applies at construction (SetLinkDown for
+// every dead link) before LoadState runs, so LoadState leaves it as
+// construction and the owner set it.
 //
 // FIFOs are written front-to-back and restored into a freshly reset
 // store: only the logical order is observable (push and pop address
@@ -33,12 +43,12 @@ import (
 // ledger against [reserve, maxWindow], its VC's occupancy and the pool
 // budget (loadLedger), output credit/window pairs against
 // 0 <= credit <= window <= maxWindow, and every index Transmit,
-// ApplySignal and allocation later dereference (a routed input's output
-// VC, an output's owner, the round-robin pointers) against the router's
-// geometry, and pins the values only one state can hold: an unrouted
-// input's output is (-1,-1), an ejection output's credit and window are
-// constant. It ends with CheckInvariants, so a restored router
-// is one a Config.Check cycle would accept.
+// ApplySignal and allocation later dereference (an input's output VC,
+// the round-robin pointers) against the router's geometry. An input's
+// output is (-1,-1) or an existing output VC, no two inputs name the
+// same one, and an ejection output's credit and window are constant. It
+// ends with CheckInvariants, so a restored router is one a Config.Check
+// cycle would accept.
 
 // SaveState appends the router's mutable state to a snapshot.
 func (r *Router) SaveState(e *snapshot.Encoder) {
@@ -48,7 +58,6 @@ func (r *Router) SaveState(e *snapshot.Encoder) {
 		r.store.saveVC(e, i, int(v.count))
 		e.Bool(v.active)
 		e.U64(uint64(v.worm))
-		e.Bool(v.routed)
 		e.Int(int(v.outP))
 		e.Int(int(v.outV))
 		e.U64(uint64(v.purgeWorm))
@@ -59,13 +68,8 @@ func (r *Router) SaveState(e *snapshot.Encoder) {
 	for p := range r.outs {
 		o := &r.outs[p]
 		e.Int(o.rr)
-		e.Bool(o.linkUp)
 		for vc := range o.vcs {
 			ov := &o.vcs[vc]
-			e.Bool(ov.held)
-			e.U64(uint64(ov.worm))
-			e.Int(int(ov.ownerP))
-			e.Int(int(ov.ownerV))
 			e.Int(int(ov.credit))
 			e.Int(int(ov.window))
 		}
@@ -110,7 +114,6 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 		buffered += count
 		v.active = d.Bool()
 		v.worm = flit.WormID(d.U64())
-		v.routed = d.Bool()
 		outP, outV := d.Int(), d.Int()
 		v.purgeWorm = flit.WormID(d.U64())
 		v.purgeValid = d.Bool()
@@ -118,12 +121,8 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("router %d: input VC %d: %w", r.id, i, err)
 		}
-		if v.routed && (outP < 0 || outP >= len(r.outs) || outV < 0 || outV >= len(r.outs[outP].vcs)) {
+		if (outP != -1 || outV != -1) && (outP < 0 || outP >= len(r.outs) || outV < 0 || outV >= len(r.outs[outP].vcs)) {
 			return fmt.Errorf("router %d: input (%d,%d) routed to output (%d,%d), which does not exist",
-				r.id, v.p, v.vc, outP, outV)
-		}
-		if !v.routed && (outP != -1 || outV != -1) {
-			return fmt.Errorf("router %d: unrouted input (%d,%d) names output (%d,%d), want (-1,-1)",
 				r.id, v.p, v.vc, outP, outV)
 		}
 		if blocked < 0 || blocked > math.MaxInt32 {
@@ -140,15 +139,10 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 	for p := range r.outs {
 		o := &r.outs[p]
 		o.rr = d.Int()
-		o.linkUp = d.Bool()
 		if o.rr < 0 || o.rr >= len(r.ins) {
 			return fmt.Errorf("router %d: output %d round-robin pointer %d outside [0,%d)", r.id, p, o.rr, len(r.ins))
 		}
 		for vc := range o.vcs {
-			ov := &o.vcs[vc]
-			ov.held = d.Bool()
-			ov.worm = flit.WormID(d.U64())
-			ownerP, ownerV := d.Int(), d.Int()
 			credit, window := d.Int(), d.Int()
 			if d.Err() != nil {
 				break
@@ -161,15 +155,21 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 				return fmt.Errorf("router %d: output (%d,%d) credit %d / window %d outside bounds [%d,%d]",
 					r.id, p, vc, credit, window, wLo, wHi)
 			}
-			// A released output keeps its last owner, so held or not it
-			// must name an existing input.
-			if !r.hasInput(ownerP, ownerV) {
-				return fmt.Errorf("router %d: output (%d,%d) owned by input (%d,%d), which does not exist",
-					r.id, p, vc, ownerP, ownerV)
-			}
-			ov.ownerP, ov.ownerV = int16(ownerP), int16(ownerV)
-			ov.credit, ov.window = int32(credit), int32(window)
+			o.vcs[vc] = outVC{credit: int32(credit), window: int32(window)}
 		}
+	}
+	// The holders are the routed inputs' allocations read backwards.
+	for i := range r.ins {
+		v := &r.ins[i]
+		if !v.routed() {
+			continue
+		}
+		ov := &r.outs[v.outP].vcs[v.outV]
+		if ov.held {
+			return fmt.Errorf("router %d: inputs (%d,%d) and (%d,%d) both routed to output (%d,%d)",
+				r.id, ov.ownerP, ov.ownerV, v.p, v.vc, v.outP, v.outV)
+		}
+		ov.held, ov.worm, ov.ownerP, ov.ownerV = true, v.worm, v.p, v.vc
 	}
 	r.buffered = buffered
 	r.allocRR = d.Int()
@@ -202,9 +202,4 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 	// Config.Check cycle asserts — allocations and holders pointing at
 	// each other, no flits on an idle input, the buffered total.
 	return r.CheckInvariants()
-}
-
-// hasInput reports whether input VC (p, vc) exists.
-func (r *Router) hasInput(p, vc int) bool {
-	return p >= 0 && p < r.deg+r.cfg.InjectionChannels && vc >= 0 && vc < r.numVCs(p)
 }

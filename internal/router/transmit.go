@@ -76,7 +76,6 @@ func (r *Router) TransmitRef(moveFlit func(outPort, outVC int, f *flit.Flit), cr
 			}
 			ov.held = false
 			v.active = false
-			v.routed = false
 			v.outP, v.outV = -1, -1
 			// The worm has fully left this input VC: shrink its shared
 			// window back to the reserve and re-grant the freed budget to

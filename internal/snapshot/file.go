@@ -5,7 +5,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -26,8 +25,9 @@ import (
 // The reader validates magic, version, length and CRC over the whole
 // file before returning a single byte of payload, so a truncated or
 // corrupted checkpoint yields a *FormatError and no state is ever
-// partially applied from it. Writes go through a temp file and rename,
-// so a crash mid-checkpoint leaves the previous checkpoint intact.
+// partially applied from it. Writes go through a synced temp file and a
+// rename, so a crash mid-checkpoint leaves the previous checkpoint intact
+// and a power loss never leaves a torn file under a canonical name.
 
 // Magic identifies a checkpoint file; the trailing digits version the
 // container framing itself (the payload schema is versioned separately
@@ -55,10 +55,16 @@ const Magic = "CRSNAP01"
 // functions of (seed, entity, cycle), so the generator words the
 // injector, corruption and hazard payloads carried are gone. A link
 // record gains a flag for its Gilbert-Elliott bad state, and the count of
-// corrupted flits becomes a network counter. It is the only version
-// Decode accepts: a payload has one reader, the one that matches its
-// writer.
-const FormatVersion = 6
+// corrupted flits becomes a network counter.
+//
+// Version 7 (each fact once): the network payload drops what another
+// saved value, the configuration or the restored components already
+// determine — the busy-link refs, both worklists, the router's output
+// holders and link liveness, an input's routed flag, the injector's pad
+// length and commit threshold, and the message id beside every worm id.
+// It is the only version Decode accepts: a payload has one reader, the
+// one that matches its writer.
+const FormatVersion = 7
 
 const headerSize = len(Magic) + 4 + 8 + 8 // magic + version + cycle + length
 
@@ -120,20 +126,49 @@ func Decode(name string, data []byte) (int64, []byte, error) {
 	return cycle, data[headerSize : len(data)-4], nil
 }
 
-// WriteFile atomically writes a checkpoint: the container is written to
-// a temp file in the same directory and renamed into place, so readers
-// never observe a half-written checkpoint and a crash preserves the
-// previous one.
+// WriteFile atomically and durably writes a checkpoint: the container is
+// written to a temp file in the same directory, synced, and renamed into
+// place, and then the directory is synced. Readers never observe a
+// half-written checkpoint, a crash preserves the previous one, and once
+// WriteFile returns the file under its final name survives a power loss
+// whole — without the first sync the rename could reach the disk before
+// the data, leaving a torn file that Latest would pick.
 func WriteFile(path string, cycle int64, payload []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, Encode(cycle, payload), 0o644); err != nil {
+	if err := writeSynced(tmp, Encode(cycle, payload)); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeSynced writes data to a new file at path and syncs it to stable
+// storage before closing it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ReadFile reads and fully validates the checkpoint at path, returning
@@ -146,37 +181,35 @@ func ReadFile(path string) (int64, []byte, error) {
 	return Decode(path, data)
 }
 
-// FileName returns the canonical checkpoint file name for a cycle. The
-// zero-padded fixed width makes lexicographic order equal cycle order,
-// which Latest relies on.
+// FileName returns the canonical checkpoint file name for a cycle: the
+// cycle zero-padded to a fixed width of 16 digits.
 func FileName(cycle int64) string {
 	return fmt.Sprintf("ckpt-%016d.crsnap", cycle)
 }
 
+// parseFileName returns the cycle a canonical FileName names, and false
+// for any other name: one that is not FileName of the number it carries
+// (a foreign word after the prefix, an unpadded or signed number, a temp
+// file).
+func parseFileName(name string) (int64, bool) {
+	c, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(name, "ckpt-"), ".crsnap"), 10, 64)
+	return c, err == nil && FileName(c) == name
+}
+
 // Latest returns the path of the highest-cycle checkpoint in dir, or
-// ok=false when the directory holds none. Only canonical FileName-shaped
-// entries are considered; temp files and foreign names are skipped.
+// ok=false when the directory holds none. Only names of FileName's exact
+// shape are considered; temp files and foreign names are skipped.
 func Latest(dir string) (path string, cycle int64, ok bool) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return "", 0, false
 	}
-	var names []string
 	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasPrefix(name, "ckpt-") || !strings.HasSuffix(name, ".crsnap") {
+		c, canonical := parseFileName(ent.Name())
+		if ent.IsDir() || !canonical || ok && c <= cycle {
 			continue
 		}
-		names = append(names, name)
+		path, cycle, ok = filepath.Join(dir, ent.Name()), c, true
 	}
-	if len(names) == 0 {
-		return "", 0, false
-	}
-	sort.Strings(names)
-	name := names[len(names)-1]
-	c, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(name, "ckpt-"), ".crsnap"), 10, 64)
-	if err != nil {
-		return "", 0, false
-	}
-	return filepath.Join(dir, name), c, true
+	return path, cycle, ok
 }

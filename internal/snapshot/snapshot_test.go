@@ -228,3 +228,27 @@ func TestLatest(t *testing.T) {
 		t.Fatalf("Latest path = %q", path)
 	}
 }
+
+// TestLatestIgnoresNonCanonicalNames: Latest picks by parsed cycle among
+// names of FileName's exact shape only. A name that shares the prefix
+// and suffix but not the shape ("ckpt-backup.crsnap") must neither hide
+// the valid checkpoints beside it nor be picked, and an unpadded name
+// ("ckpt-1.crsnap", which sorts after every padded one) must not be
+// returned ahead of a higher cycle.
+func TestLatestIgnoresNonCanonicalNames(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []int64{100, 40} {
+		if err := WriteFile(filepath.Join(dir, FileName(c)), c, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"ckpt-backup.crsnap", "ckpt-1.crsnap", "ckpt-+000000000000999.crsnap", "ckpt-00000000000009999.crsnap"} {
+		if err := WriteFile(filepath.Join(dir, name), 1, []byte("y")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path, cycle, ok := Latest(dir)
+	if !ok || cycle != 100 || filepath.Base(path) != FileName(100) {
+		t.Fatalf("Latest = %q cycle=%d ok=%v, want %s at cycle 100", path, cycle, ok, FileName(100))
+	}
+}
