@@ -94,12 +94,14 @@ chaos:
 # reader: arbitrary bytes must yield either a valid canonical container
 # of the one accepted version or a *FormatError, never a panic or a
 # partial payload. The network payload reader, seeded with the three
-# pinned payloads and a save of a mostly unbuilt network: an error or a
-# restored network, never a panic, and an accepted payload's re-save is
-# a fixed point (it loads and re-saves to itself). The minimize budget
-# is capped so a 10 s pass is spent finding inputs, not shrinking the
-# first interesting one. CI runs this budget on every
-# merge; crank FUZZTIME locally for a deeper soak.
+# pinned payloads and a save of a mostly unbuilt network: either an
+# error, or a restored network that steps 64 cycles under Config.Check
+# without a panic — the consistency walk passing after every Step — and
+# whose re-save is a fixed point (it loads and re-saves to itself). The
+# minimize budget is capped so a pass is spent finding inputs, not
+# shrinking the first interesting one. Each input steps four networks,
+# so CI's fuzz job passes FUZZTIME=60s; crank it locally for a deeper
+# soak.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/snapshot/ -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -run '^FuzzDecode$$'

@@ -147,6 +147,15 @@ func (in *Injector) backoffGap(now int64, i, attempt int) int64 {
 // Stats returns a copy of the injector's counters.
 func (in *Injector) Stats() InjStats { return in.stats }
 
+// Channel reports injection channel i's worm (the attempt it is sending,
+// backing off from, or last sent), how many of that attempt's flits it
+// has injected, and whether it is sending or backing off; an idle
+// channel is neither.
+func (in *Injector) Channel(i int) (worm flit.WormID, next int, sending, waiting bool) {
+	ch := &in.chs[i]
+	return ch.frame.WormID(), ch.next, ch.phase == chSending, ch.phase == chWaiting
+}
+
 // Failures returns the abandoned-message records (capped at 1024; the
 // Failed counter in Stats is always exact).
 func (in *Injector) Failures() []Failure { return in.failures }

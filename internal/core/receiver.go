@@ -118,6 +118,25 @@ func (rc *Receiver) Drain() []Delivery {
 	return d
 }
 
+// Expecting reports the sequence number the assembly of worm expects
+// next, and whether the receiver is assembling worm at all.
+func (rc *Receiver) Expecting(worm flit.WormID) (seq int, ok bool) {
+	i, ok := slices.BinarySearchFunc(rc.asm, worm, byWorm)
+	if !ok {
+		return 0, false
+	}
+	return rc.asm[i].nextSeq, true
+}
+
+// Assembling returns the worm of the i-th assembly in ascending worm
+// order, and false past the last.
+func (rc *Receiver) Assembling(i int) (flit.WormID, bool) {
+	if i >= len(rc.asm) {
+		return 0, false
+	}
+	return rc.asm[i].worm, true
+}
+
 // byWorm and bySource order asm and lastSeen for slices.BinarySearchFunc.
 func byWorm(a assembly, worm flit.WormID) int       { return cmp.Compare(a.worm, worm) }
 func bySource(m watermark, src topology.NodeID) int { return cmp.Compare(m.src, src) }

@@ -260,6 +260,15 @@ func (f *Flit) checksum() uint8 {
 	return CRC8(0xff, buf[:]...)
 }
 
+// WellFormed reports whether f could be a flit of a worm on a network
+// of the given node count: a known kind, a head exactly at sequence 0,
+// and endpoints that are nodes. (Corruption flips only the payload and
+// checksum, so a flit stays well formed wherever it travels.)
+func (f *Flit) WellFormed(nodes int) bool {
+	return f.Kind <= Pad && f.Seq >= 0 && (f.Kind == Head) == (f.Seq == 0) &&
+		uint(f.Src) < uint(nodes) && uint(f.Dst) < uint(nodes)
+}
+
 // Seal computes and stores the flit's checksum.
 func (f *Flit) Seal() { f.Check = f.checksum() }
 

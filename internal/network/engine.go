@@ -59,13 +59,8 @@ func (n *Network) finishStep(progressed bool) {
 		n.lastProgress = n.cycle
 	}
 	if n.cfg.Check {
-		for _, r := range n.routers {
-			if r == nil {
-				continue // never constructed, trivially consistent
-			}
-			if err := r.CheckInvariants(); err != nil {
-				panic(fmt.Sprintf("cycle %d: %v", n.cycle, err))
-			}
+		if err := n.checkNetwork(); err != nil {
+			panic(fmt.Sprintf("cycle %d: %v", n.cycle, err))
 		}
 	}
 	if n.hooks.Monitor != nil && n.health == nil {

@@ -97,6 +97,11 @@ type shard struct {
 	moved bool
 	// panicked carries a forked body's panic to the coordinator.
 	panicked any
+
+	// lo and hi bound the range's node ids; checkErr is the first
+	// inconsistency the range's part of the consistency walk found.
+	lo, hi   int
+	checkErr error
 }
 
 func (sh *shard) reset() {
@@ -135,6 +140,7 @@ func (n *Network) initShards(s int) {
 		}
 		sh := &n.shards[i]
 		sh.row = 1 + i
+		sh.lo, sh.hi = lo, lo+size
 		sh.activeR = newNodeSet(n.nodes)
 		sh.activeI = newNodeSet(n.nodes)
 		sh.recvPend = newNodeSet(n.nodes)
@@ -175,6 +181,7 @@ const (
 	spAllocate
 	spTransmit
 	spCredits
+	spCheck
 )
 
 // forkJoin runs one per-range phase, full barrier before returning. A
@@ -231,6 +238,8 @@ func (n *Network) shardRun(sh *shard, ph shardPhase) {
 		n.shardTransmit(sh)
 	case spCredits:
 		n.shardCredits(sh)
+	case spCheck:
+		n.shardCheck(sh)
 	}
 }
 

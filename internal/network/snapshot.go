@@ -349,6 +349,10 @@ func (n *Network) saveNodes(e *snapshot.Encoder) {
 // a slot the payload does not name is returned to nil, whatever the
 // target had built, and is constructed on its first touch against the
 // restored link state like any other lazy node.
+//
+// The sections check only sizes, indices and shape as they decode; the
+// restore ends with the consistency walk (checkNetwork), so it accepts
+// exactly the states a Config.Check cycle accepts.
 func (n *Network) LoadState(d *snapshot.Decoder) error {
 	fp := d.U64()
 	if err := d.Err(); err != nil {
@@ -398,7 +402,13 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	return n.loadNodes(d)
+	if err := n.loadNodes(d); err != nil {
+		return err
+	}
+	if err := n.checkNetwork(); err != nil {
+		return fmt.Errorf("network: %w", err)
+	}
+	return nil
 }
 
 // loadQueues decodes what saveQueues wrote.
@@ -409,7 +419,7 @@ func (n *Network) loadQueues(d *snapshot.Decoder) error {
 	}
 	n.signals = n.signals[:0]
 	for i := 0; i < nsig; i++ {
-		n.signals = append(n.signals, scheduledSignal{
+		s := scheduledSignal{
 			node: topology.NodeID(d.Varint()),
 			sig: router.Signal{
 				Kind: router.SignalKind(d.U8()),
@@ -417,7 +427,11 @@ func (n *Network) loadQueues(d *snapshot.Decoder) error {
 				VC:   d.Int(),
 				Worm: flit.WormID(d.U64()),
 			},
-		})
+		}
+		if err := n.checkSignal(d, i, s); err != nil {
+			return err
+		}
+		n.signals = append(n.signals, s)
 	}
 	ndel := d.Count(maxQueueItems)
 	if err := d.Err(); err != nil {
@@ -441,14 +455,43 @@ func (n *Network) loadQueues(d *snapshot.Decoder) error {
 	return d.Err()
 }
 
+// checkSignal rejects restored signal i unless it names a node and,
+// for a KILL, an input channel of it or, for an FKILL, an output one:
+// what ApplySignal indexes.
+func (n *Network) checkSignal(d *snapshot.Decoder, i int, s scheduledSignal) error {
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if s.node < 0 || int(s.node) >= n.nodes {
+		return fmt.Errorf("network: signal %d names node %d outside [0,%d)", i, s.node, n.nodes)
+	}
+	local := n.cfg.InjectionChannels
+	switch s.sig.Kind {
+	case router.KillFwd:
+	case router.KillBwd:
+		local = n.cfg.EjectionChannels
+	default:
+		return fmt.Errorf("network: signal %d has unknown kind %d", i, s.sig.Kind)
+	}
+	vcs := 1
+	if s.sig.Port < n.deg {
+		vcs = n.cfg.VCs
+	}
+	if s.sig.Port < 0 || s.sig.Port >= n.deg+local || s.sig.VC < 0 || s.sig.VC >= vcs {
+		return fmt.Errorf("network: signal %d (%s) names channel (%d,%d), which node %d does not have",
+			i, s.sig.Kind, s.sig.Port, s.sig.VC, s.node)
+	}
+	return nil
+}
+
 // loadLinks decodes the link section (see saveLinks), appending each
 // busy record's VC and flit to its range's busy list. A link is up
 // exactly when no failure cause is outstanding; a record that says
 // otherwise, or counts causes outside [1, MaxInt16], would restore a
 // link failLink and repairLink can never tear down or bring back. A
-// busy link is up (failLink clears busy, and Transmit skips dead
-// outputs) and carries a VC the network has. Only a network with
-// bursty corruption has links in the bad state.
+// busy link carries a VC the network has; that it is up, and that its
+// flit fits the channels on either side, is the walk's (checkNetwork).
+// Only a network with bursty corruption has links in the bad state.
 func (n *Network) loadLinks(d *snapshot.Decoder) error {
 	// run counts the pristine links still to skip; atRun says the next
 	// item in the stream is a run length.
@@ -464,7 +507,9 @@ func (n *Network) loadLinks(d *snapshot.Decoder) error {
 			}
 			if run > 0 {
 				run--
-				l.makePristine()
+				if !l.pristine() { // a fresh target's links are: leave their lines clean
+					l.makePristine()
+				}
 				continue
 			}
 			atRun = true
@@ -497,9 +542,6 @@ func (n *Network) loadLinks(d *snapshot.Decoder) error {
 			}
 			if !l.busy {
 				continue
-			}
-			if !up {
-				return fmt.Errorf("link (%d,%d): busy while down", id, p)
 			}
 			if vc < 0 || vc >= n.cfg.VCs {
 				return fmt.Errorf("link (%d,%d): in-flight VC %d outside [0,%d)", id, p, vc, n.cfg.VCs)

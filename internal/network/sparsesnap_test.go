@@ -10,6 +10,7 @@ import (
 	"crnet/internal/core"
 	"crnet/internal/faults"
 	"crnet/internal/flit"
+	"crnet/internal/router"
 	"crnet/internal/routing"
 	"crnet/internal/snapshot"
 	"crnet/internal/topology"
@@ -271,17 +272,20 @@ func TestSparseSnapshotRestoresWhatWasSaved(t *testing.T) {
 }
 
 // TestLoadStateRejectsCorruptSnapshots is the network-level table beside
-// the router's: every field of the link and node sections is
-// range-checked, and a bad value is an error that names it — never a
-// panic, a hang, construction driven by a count the payload cannot back,
-// or a link whose up bit and failure-cause count disagree (failLink and
-// repairLink could never tear it down or bring it back).
+// the router's: a size, index or shape in the link, queue and node
+// sections that the kernel cannot use is an error that names it — never
+// a panic, a hang, construction driven by a count the payload cannot
+// back, or a link whose up bit and failure-cause count disagree
+// (failLink and repairLink could never tear it down or bring it back) —
+// and a payload whose sections decode but disagree with each other is
+// an error from the consistency walk, which names the clause.
 func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 	donor := New(lazyCfg(1))
 	lazyRun(donor, lazyQuiet, &kernelSnapshot{})
 	clean := saveBytes(donor)
-	var linkSec, nodeSec snapshot.Encoder
+	var linkSec, queueSec, nodeSec snapshot.Encoder
 	donor.saveLinks(&linkSec)
+	donor.saveQueues(&queueSec)
 	donor.saveNodes(&nodeSec)
 	// The payload is fingerprint, cycle, links, ..., nodes.
 	var cyc snapshot.Encoder
@@ -289,18 +293,24 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 	linkOff := 8 + cyc.Len()
 	nodeOff := len(clean) - nodeSec.Len()
 	if !bytes.Equal(clean[linkOff:linkOff+linkSec.Len()], linkSec.Bytes()) ||
+		!bytes.Equal(clean[linkOff+linkSec.Len():][:queueSec.Len()], queueSec.Bytes()) ||
 		!bytes.Equal(clean[nodeOff:], nodeSec.Bytes()) {
 		t.Fatal("section offsets are wrong; the table below would mangle the wrong bytes")
 	}
 	nodes, links := uint64(donor.nodes), uint64(donor.LinkCount())
 
-	withLinks := func(build func(e *snapshot.Encoder)) []byte {
-		var e snapshot.Encoder
-		e.Raw(clean[:linkOff])
+	// withLinksOf re-saves n with its link section replaced by build's.
+	withLinksOf := func(n *Network, build func(e *snapshot.Encoder)) []byte {
+		var cyc, sec, e snapshot.Encoder
+		cyc.Varint(n.cycle)
+		n.saveLinks(&sec)
+		raw, off := saveBytes(n), 8+cyc.Len()
+		e.Raw(raw[:off])
 		build(&e)
-		e.Raw(clean[linkOff+linkSec.Len():])
+		e.Raw(raw[off+sec.Len():])
 		return e.Bytes()
 	}
+	withLinks := func(build func(e *snapshot.Encoder)) []byte { return withLinksOf(donor, build) }
 	withNodes := func(build func(e *snapshot.Encoder)) []byte {
 		var e snapshot.Encoder
 		e.Raw(clean[:nodeOff])
@@ -312,12 +322,14 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		e.Uvarint(count)
 		e.U8(mask)
 	}
-	// linkRecord is a whole, well-formed link section — one explicit
-	// record, then every other link pristine — so the only thing wrong
-	// with the payload is what the record says. A busy record carries an
-	// in-flight flit on VC vc.
-	linkRecord := func(flags uint8, refs, vc int) []byte {
-		return withLinks(func(e *snapshot.Encoder) {
+	// linkRecordOf is n's payload with a whole, well-formed link section
+	// — one explicit record, then every other link pristine — so the only
+	// thing wrong with the links is what the record says. A busy record
+	// carries an in-flight flit on VC vc. A row the walk rejects is built
+	// on an idle network, whose links are all pristine anyway: on the
+	// donor, its routers would disagree with the pristine links first.
+	linkRecordOf := func(n *Network, flags uint8, refs, vc int) []byte {
+		return withLinksOf(n, func(e *snapshot.Encoder) {
 			e.Uvarint(0)
 			e.U8(flags)
 			if flags&linkFlagDownRefs != 0 {
@@ -331,6 +343,148 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			e.Uvarint(links - 1)
 		})
 	}
+	linkRecord := func(flags uint8, refs, vc int) []byte { return linkRecordOf(donor, flags, refs, vc) }
+	// withSignal is the donor's payload with one more tear-down signal
+	// queued, first, ahead of the donor's own.
+	queueOff := linkOff + linkSec.Len()
+	withSignal := func(node int64, kind uint8, port int) []byte {
+		var count, e snapshot.Encoder
+		count.Uvarint(uint64(len(donor.signals)))
+		e.Raw(clean[:queueOff])
+		e.Uvarint(uint64(len(donor.signals)) + 1)
+		e.Varint(node)
+		e.U8(kind)
+		e.Int(port)
+		e.Int(0) // VC
+		e.U64(1) // worm
+		e.Raw(clean[queueOff+count.Len():])
+		return e.Bytes()
+	}
+
+	// The crash rows each change one fact of a restored copy of the
+	// donor, so that the sections still decode and only the walk can
+	// tell: before it existed, each restored with a nil error and
+	// panicked within 64 Steps, where the comment says.
+	fresh := func() *Network {
+		n := New(lazyCfg(1))
+		mustLoad(t, n, clean)
+		return n
+	}
+	// replaceFlit re-saves n with the one encoding of flit f replaced by
+	// that of a flit like f of the next attempt's worm.
+	replaceFlit := func(n *Network, f flit.Flit) []byte {
+		g := f
+		g.Worm++
+		var fe, ge snapshot.Encoder
+		flit.PutFlit(&fe, &f)
+		flit.PutFlit(&ge, &g)
+		raw := saveBytes(n)
+		if c := bytes.Count(raw, fe.Bytes()); c != 1 {
+			t.Fatalf("flit %v is encoded %d times in the payload, want 1", f, c)
+		}
+		return bytes.Replace(raw, fe.Bytes(), ge.Bytes(), 1)
+	}
+	// firstInput returns the first input of a built router, in node and
+	// port order, that matches.
+	firstInput := func(n *Network, match func(v router.Input) bool) router.Input {
+		for _, r := range n.routers {
+			for p := 0; r != nil && p < r.Degree()+n.cfg.InjectionChannels; p++ {
+				for vc := 0; vc < n.cfg.VCs && (vc == 0 || p < r.Degree()); vc++ {
+					if v := r.Input(p, vc); match(v) {
+						return v
+					}
+				}
+			}
+		}
+		t.Fatal("the donor has no such input; the row is vacuous")
+		return router.Input{}
+	}
+	// firstAssembly returns the first built receiver assembling a worm.
+	firstAssembly := func(n *Network) *core.Receiver {
+		for _, rc := range n.receivers {
+			if rc == nil {
+				continue
+			}
+			if _, ok := rc.Assembling(0); ok {
+				return rc
+			}
+		}
+		t.Fatal("the donor assembles no worm; the row is vacuous")
+		return nil
+	}
+	// receiver.go: "body flit ... without assembly".
+	lostAssembly := func() []byte {
+		n := fresh()
+		rc := firstAssembly(n)
+		w, _ := rc.Assembling(0)
+		rc.Discard(w)
+		return saveBytes(n)
+	}
+	// receiver.go: "flit out of order": the first assembly expects one
+	// flit further on than its worm sends.
+	skippedFlit := func() []byte {
+		n := fresh()
+		var e, b snapshot.Encoder
+		firstAssembly(n).SaveState(&e)
+		raw := e.Bytes()
+		// Skip the assembly count, then the first assembly's worm, source
+		// and data length, to its expected sequence number.
+		d := snapshot.NewDecoder(raw)
+		d.Uvarint()
+		d.U64()
+		d.Varint()
+		d.Int()
+		at := len(raw) - d.Remaining()
+		b.Raw(raw[:at])
+		b.Int(d.Int() + 1)
+		b.Raw(raw[len(raw)-d.Remaining():])
+		payload := saveBytes(n)
+		if c := bytes.Count(payload, raw); c != 1 {
+			t.Fatalf("the receiver is encoded %d times in the payload, want 1", c)
+		}
+		return bytes.Replace(payload, raw, b.Bytes(), 1)
+	}
+	// router.go Inject: "injected body flit ... into channel owned by":
+	// a sending channel's injection input is torn down behind its back.
+	tornInjection := func() []byte {
+		n := fresh()
+		for id, in := range n.injectors {
+			if in == nil {
+				continue
+			}
+			if w, _, sending, _ := in.Channel(0); sending {
+				r := n.routers[id]
+				r.ApplySignal(router.Signal{Kind: router.KillFwd, Port: r.InjPort(0), Worm: w}, nil)
+				return saveBytes(n)
+			}
+		}
+		t.Fatal("no injection channel is sending; the row is vacuous")
+		return nil
+	}
+	// transmit.go: "tail ... leaving unheld output": a routed input's
+	// only flit, its tail, is another worm's.
+	foreignTail := func() []byte {
+		n := fresh()
+		v := firstInput(n, func(v router.Input) bool {
+			return v.OutP >= 0 && v.Count == 1 && v.Back.Tail && v.Back.Kind != flit.Head
+		})
+		return replaceFlit(n, *v.Back)
+	}
+	// router.go AcceptRef: "body flit ... arrived on VC ... not owned by
+	// its worm": a busy link's body flit is another worm's.
+	foreignArrival := func() []byte {
+		n := fresh()
+		for i := range n.shards {
+			for _, e := range n.shards[i].busyLinks {
+				if e.f.Kind != flit.Head && !e.f.Tail {
+					return replaceFlit(n, e.f)
+				}
+			}
+		}
+		t.Fatal("no link carries a body flit; the row is vacuous")
+		return nil
+	}
+
 	// routerBytes is one valid router payload, to sit inside a run.
 	var rb snapshot.Encoder
 	donor.routers[0].SaveState(&rb)
@@ -405,15 +559,25 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		{"link-down-zero-causes", "up=false with 0 failure causes", linkRecord(linkFlagDownRefs, 0, 0)},
 		{"link-causes-negative", "with -1 failure causes", linkRecord(linkFlagDownRefs, -1, 0)},
 		{"link-causes-overflow-int16", "with 65536 failure causes", linkRecord(linkFlagDownRefs, 1<<16, 0)},
-		{"link-busy-while-down", "busy while down", linkRecord(linkFlagBusy|linkFlagDownRefs, 1, 0)},
+		{"link-busy-while-down", "busy while down", linkRecordOf(New(lazyCfg(1)), linkFlagBusy|linkFlagDownRefs, 1, 0)},
 		{"link-busy-vc-out-of-range", "in-flight VC 255 outside", linkRecord(linkFlagUp|linkFlagBusy, 0, 255)},
 		{"link-record-truncated", "link state", clean[:linkOff+linkSec.Len()/2]},
 		{"link-run-truncated", "link state", clean[:linkOff]},
+		{"signal-node-out-of-range", "signal 0 names node 9999 outside [0,64)", withSignal(9999, uint8(router.KillFwd), 0)},
+		{"signal-kind-unknown", "signal 0 has unknown kind 7", withSignal(0, 7, 0)},
+		{"signal-port-out-of-range", "signal 0 (FKILL) names channel (40,0)", withSignal(0, uint8(router.KillBwd), 40)},
+		// The crash rows: the walk rejects them, once the nodes are built.
+		{"body-flit-without-assembly", "next to its receiver, which expects 0 (assembling false)", lostAssembly()},
+		{"flit-out-of-order", "sends flit 20 next to its receiver, which expects 21", skippedFlit()},
+		{"injected-body-into-torn-down-channel", "disagrees with its input (worm 8448, active false", tornInjection()},
+		{"tail-leaving-unheld-output", "of worm 10240 holds {PAD|TAIL worm=40.1", foreignTail()},
+		{"body-flit-on-vc-not-its-worms", "carries {PAD worm=33.1 seq=14 0->3} from an output its worm holds: false", foreignArrival()},
 	}
+	walkRows := 5
 	if err := New(lazyCfg(1)).LoadState(snapshot.NewDecoder(clean)); err != nil {
 		t.Fatalf("clean snapshot rejected: %v", err)
 	}
-	for _, tc := range cases {
+	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n := New(lazyCfg(1))
 			err := n.LoadState(snapshot.NewDecoder(tc.payload))
@@ -423,7 +587,7 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not name the field (want %q)", err, tc.wantSub)
 			}
-			if r, _, _ := built(n); r > 2 {
+			if r, _, _ := built(n); r > 2 && i < len(cases)-walkRows {
 				t.Fatalf("rejected snapshot still had %d routers built", r)
 			}
 		})
@@ -432,16 +596,19 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 
 // FuzzNetworkLoadState offers arbitrary payloads to LoadState and asks
 // that it return — an error or success, never a panic — and that what it
-// accepts is a state the codec states stably: the accepted payload's
-// re-save S1 loads, and a network restored from S1 re-saves to S1 byte
-// for byte. A payload need not be canonical itself (a pristine link may
-// arrive as an explicit record), but every value LoadState derives
-// instead of reading — worklists, output holders, pad lengths, message
-// ids — must land where a second restore puts it. The seeds are the
-// three pinned payloads (mid-run networks) and a save of a mostly
-// unbuilt one, each from its own configuration; every input is offered
-// to all four, so a mutation that leaves the leading fingerprint alone
-// gets past one gate.
+// accepts is a network that runs: stepped 64 cycles, it never panics,
+// and every Step ends with the consistency walk (each configuration sets
+// Config.Check), so a restore the walk accepts stays consistent. What it
+// accepts must also be a state the codec states stably: the accepted
+// payload's re-save S1 loads, and a network restored from S1 re-saves
+// to S1 byte for byte. A payload need not be canonical itself (a
+// pristine link may arrive as an explicit record), but every value
+// LoadState derives instead of reading — worklists, output holders, pad
+// lengths, message ids — must land where a second restore puts it. The
+// seeds are the three pinned payloads (mid-run networks) and a save of
+// a mostly unbuilt one, each from its own configuration; every input is
+// offered to all four, so a mutation that leaves the leading
+// fingerprint alone gets past one gate.
 func FuzzNetworkLoadState(f *testing.F) {
 	for _, file := range []string{goldenSnapshotFile, "damq_midrun.crsnap", "shared_midrun.crsnap"} {
 		_, payload, err := snapshot.ReadFile(filepath.Join("testdata", file))
@@ -455,6 +622,11 @@ func FuzzNetworkLoadState(f *testing.F) {
 	f.Add(saveBytes(donor))
 
 	configs := []Config{lazyCfg(1), snapCfg(), pooledSnapCfg(sharedOrgs[0]), pooledSnapCfg(sharedOrgs[1])}
+	for _, cfg := range configs {
+		if !cfg.Check {
+			f.Fatal("a configuration without Config.Check steps without the walk")
+		}
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		for _, cfg := range configs {
 			n := New(cfg)
@@ -469,6 +641,7 @@ func FuzzNetworkLoadState(f *testing.F) {
 			if s2 := saveBytes(again); !bytes.Equal(s2, s1) {
 				t.Fatalf("an accepted payload's re-save is not a fixed point: %d bytes, then %d", len(s1), len(s2))
 			}
+			n.Run(64)
 		}
 	})
 }

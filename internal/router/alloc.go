@@ -163,8 +163,10 @@ func (r *Router) selectCandidate(free []routing.Candidate) routing.Candidate {
 		}
 		return best
 	default: // SelectRotating
+		// Unsigned, so a rotation past MaxInt (or restored there) still
+		// picks a candidate; below it the index is the signed one.
 		r.allocRR++
-		return free[r.allocRR%len(free)]
+		return free[uint(r.allocRR)%uint(len(free))]
 	}
 }
 

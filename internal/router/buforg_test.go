@@ -300,12 +300,11 @@ func TestPooledSnapshotCanonical(t *testing.T) {
 	for i := range dst.ins {
 		n := d.Count(dst.capOf(i))
 		dst.ins[i].count = int32(n)
-		if err := dst.loadVC(d, i, n); err != nil {
-			t.Fatalf("loadVC(%d): %v", i, err)
-		}
+		dst.loadVC(d, i, n)
 	}
-	if err := dst.loadLedger(d, dst.ins); err != nil {
-		t.Fatalf("loadLedger: %v", err)
+	dst.loadLedger(d)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
 	}
 	dst.audit(t)
 	if again := encode(dst); !bytes.Equal(again, raw) {
@@ -354,17 +353,16 @@ func spliceInt(t *testing.T, raw []byte, bad int) []byte {
 	return bytes.Replace(raw, s.Bytes(), b.Bytes(), 1)
 }
 
-// TestLoadStateRejectsCorruptSnapshots is the regression table for the
-// snapshot range-validation fix: a corrupt or hostile payload must be
-// rejected with a descriptive error in every place it could break the
-// kernel — oversized per-VC counts, per-VC counts that are individually
-// plausible but overflow the shared pool, a granted-window ledger
-// outside its bounds or below the occupancy it must cover, a grant
-// rotation cursor out of range, credit/window pairs outside
-// 0 <= credit <= window <= maxWindow, an index Transmit or allocation
-// would dereference outside the router, two inputs allocated one output
-// VC, and a value outside the range of the narrow field it restores
-// into.
+// TestLoadStateRejectsCorruptSnapshots is the router's table of corrupt
+// or hostile payloads, each rejected with a descriptive error by the
+// restore — LoadState, then CheckInvariants as the network's walk runs
+// it: LoadState rejects oversized per-VC counts, credit/window pairs
+// outside 0 <= credit <= window <= maxWindow, an index Transmit or
+// allocation would dereference outside the router, and a value outside
+// the range of the narrow field it restores into; CheckInvariants
+// rejects a granted-window ledger outside its bounds, below the
+// occupancy it must cover or over the pool's budget, a grant rotation
+// cursor out of range, and two inputs allocated one output VC.
 func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 	save := func(r *Router) []byte {
 		var e snapshot.Encoder
@@ -391,24 +389,23 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			raw[0] = 100
 			return raw
 		}},
-		{"pool-overflow", "overflow", func(t *testing.T) []byte {
-			// Per-VC counts of 3 each pass the per-VC bound (window cap
-			// 3) but three of them oversubscribe the 8-slot shared pool.
-			// Built from a static-FIFO donor with BufDepth 3, whose
-			// per-VC payload layout matches through the input section.
-			cfg := testConfig()
-			cfg.BufDepth = 3
-			donor := New(1, topology.NewTorus(4, 1), routing.MinimalAdaptive{}, cfg)
-			fr := frame(11, 1, 3, 9, 0, 0)
-			for vc := 0; vc < 3; vc++ {
+		{"pool-overflow", "granted sum 10 exceeds capacity 8", func(t *testing.T) []byte {
+			// Three VCs each hold a worm of three flits inside its own
+			// grant of 3 (the window cap), which together oversubscribe
+			// the 8-slot shared pool.
+			r := sharedTestRouter(t)
+			for i := 0; i < 3; i++ {
+				fr := frame(flit.MessageID(11+i), 1, 3, 9, 0, 0)
+				v := &r.ins[i]
+				v.active, v.worm, v.count = true, fr.WormID(), 3
 				for k := 0; k < 3; k++ {
-					v := donor.in(vc/cfg.VCs, vc%cfg.VCs)
-					pushFlit(donor, v, fr.FlitAt(vc*3+k))
+					*r.store.at(i, k) = fr.FlitAt(k)
 				}
+				r.store.granted[i] = 3
 			}
-			return save(donor)
+			return save(r)
 		}},
-		{"granted-over-cap", "granted window", func(t *testing.T) []byte {
+		{"granted-over-cap", "granted 99 outside", func(t *testing.T) []byte {
 			r := sharedTestRouter(t)
 			r.store.granted[0] = 99
 			return save(r)
@@ -418,6 +415,7 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			r := sharedTestRouter(t)
 			fr := frame(12, 1, 3, 4, 0, 0)
 			v := r.in(0, 0)
+			v.active, v.worm = true, fr.WormID()
 			pushFlit(r, v, fr.FlitAt(0))
 			pushFlit(r, v, fr.FlitAt(1))
 			return save(r)
@@ -469,14 +467,11 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			r.outs[1].rr = len(r.ins)
 			return save(r)
 		}},
-		{"alloc-rotation-negative", "allocation rotation", func(t *testing.T) []byte {
-			r := sharedTestRouter(t)
-			r.allocRR = -5
-			return save(r)
-		}},
-		{"two-inputs-routed-to-one-output", "both routed to output", func(t *testing.T) []byte {
+		{"two-inputs-routed-to-one-output", "input (0,0) allocation to (0,1) inconsistent", func(t *testing.T) []byte {
 			// A second active input names the output the injected
-			// header holds: two holders for one output VC.
+			// header holds: two holders for one output VC. The holder
+			// derived on load is the later input, so the first points
+			// at an output it does not hold.
 			r, in, _ := routedTestRouter(t)
 			v := &r.ins[0]
 			v.active, v.worm = true, 77
@@ -517,7 +512,13 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			raw := tc.build(t)
-			err := sharedTestRouter(t).LoadState(snapshot.NewDecoder(raw))
+			// A restore is LoadState, then the network's consistency
+			// walk, which starts with each router's CheckInvariants.
+			r := sharedTestRouter(t)
+			err := r.LoadState(snapshot.NewDecoder(raw))
+			if err == nil {
+				err = r.CheckInvariants()
+			}
 			if err == nil {
 				t.Fatal("corrupt snapshot accepted")
 			}

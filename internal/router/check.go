@@ -1,10 +1,15 @@
 package router
 
-import "fmt"
+import (
+	"fmt"
+
+	"crnet/internal/flit"
+)
 
 // CheckInvariants verifies the router's internal consistency and returns
-// a descriptive error on the first violation. Tests call it between
-// cycles; production runs skip it.
+// a descriptive error on the first violation. The network's consistency
+// walk starts with it on every router, after a restore and, under
+// Config.Check, after every cycle.
 //
 // Invariants:
 //   - buffer occupancy within [0, the VC's organization cap]
@@ -17,14 +22,18 @@ import "fmt"
 //   - every held output VC's owner input VC is active, claims the same
 //     worm, and points back at the output
 //   - every routed input VC's allocated output VC is held by its worm
-//   - inactive input VCs hold no flits and no allocation
+//   - inactive input VCs hold no flits and no allocation; an active one
+//     that is unrouted has its worm's head at the front
+//   - an input VC's flits are its worm's and well formed, their
+//     sequence numbers run contiguously from front to back, and only
+//     the back flit may be a tail
 //   - the cached buffered-flit counter matches the sum over input VCs
 //   - the store's ledger audit passes (shared organizations): granted
 //     windows within bounds and covering their occupancy, per-pool sums
 //     within the budget, and flit conservation (per pool, Σ occupancy of
 //     its VCs == the pool's occupancy counter)
 func (r *Router) CheckInvariants() error {
-	total := 0
+	total, nodes := 0, r.topo.Nodes()
 	for i := range r.ins {
 		v := &r.ins[i]
 		total += int(v.count)
@@ -40,6 +49,9 @@ func (r *Router) CheckInvariants() error {
 			}
 			continue
 		}
+		if err := r.checkFlits(v, nodes); err != nil {
+			return err
+		}
 		if v.routed() {
 			o := &r.outs[v.outP].vcs[v.outV]
 			if !o.held || o.worm != v.worm || o.ownerP != v.p || o.ownerV != v.vc {
@@ -51,7 +63,7 @@ func (r *Router) CheckInvariants() error {
 	if total != r.buffered {
 		return fmt.Errorf("router %d: buffered counter %d, actual %d", r.id, r.buffered, total)
 	}
-	wLo, wHi := int32(r.cfg.initWindow()), int32(r.cfg.maxWindow(r.deg))
+	wLo, wHi := int32(r.cfg.InitWindow()), int32(r.cfg.maxWindow(r.deg))
 	for p := range r.outs {
 		out := &r.outs[p]
 		for vc := range out.vcs {
@@ -79,16 +91,81 @@ func (r *Router) CheckInvariants() error {
 	return nil
 }
 
-// CreditOf returns the credit count of output (p, vc); used by
-// network-level conservation checks.
-func (r *Router) CreditOf(p, vc int) int { return int(r.outs[p].vcs[vc].credit) }
+// checkFlits audits the flits buffered in active input v: each is v's
+// worm's, well formed, in sequence from front to back, a tail only at
+// the back. An unrouted input has its head at the front, waiting for
+// allocation.
+func (r *Router) checkFlits(v *inVC, nodes int) error {
+	if !v.routed() && v.count == 0 {
+		return fmt.Errorf("router %d: active input (%d,%d) holds neither a flit nor an allocation", r.id, v.p, v.vc)
+	}
+	first := r.front(v).Seq
+	for k := 0; k < int(v.count); k++ {
+		f := r.store.at(int(v.idx), k)
+		if f.Worm != v.worm || f.Seq != first+k || !f.WellFormed(nodes) || f.Tail && k != int(v.count)-1 {
+			return fmt.Errorf("router %d: input (%d,%d) of worm %d holds %v at position %d", r.id, v.p, v.vc, v.worm, *f, k)
+		}
+	}
+	if !v.routed() && first != 0 {
+		return fmt.Errorf("router %d: unrouted input (%d,%d) is fronted by %v", r.id, v.p, v.vc, *r.front(v))
+	}
+	return nil
+}
 
-// BufferedAt returns the buffered flit count of input (p, vc); used by
-// network-level conservation checks.
+// BufferedAt returns the buffered flit count of input (p, vc).
 func (r *Router) BufferedAt(p, vc int) int { return int(r.in(p, vc).count) }
 
-// InputActive reports whether input (p, vc) hosts a worm.
-func (r *Router) InputActive(p, vc int) bool { return r.in(p, vc).active }
+// Input is one input VC as the network's consistency walk reads it.
+// Its flits are Back and the Count-1 before it, whose sequence numbers
+// (once CheckInvariants passes) count up to Back's.
+type Input struct {
+	Worm flit.WormID
+	// Purge is the worm whose stragglers the VC absorbs, when PurgeValid.
+	Purge flit.WormID
+	Back  *flit.Flit // nil while empty
+	Count int
+	// OutP, OutV is the allocated output VC, (-1,-1) while unrouted.
+	OutP, OutV int
+	// Granted is the window the VC grants its upstream output: BufDepth
+	// unpooled, the ledger's grant pooled.
+	Granted    int
+	Active     bool
+	PurgeValid bool
+}
+
+// Input returns input VC (p, vc)'s state.
+func (r *Router) Input(p, vc int) Input {
+	v := r.in(p, vc)
+	in := Input{
+		Worm: v.worm, Purge: v.purgeWorm, Count: int(v.count),
+		OutP: int(v.outP), OutV: int(v.outV), Granted: r.store.depth,
+		Active: v.active, PurgeValid: v.purgeValid,
+	}
+	if int(v.idx) < r.store.nPooled {
+		in.Granted = int(r.store.granted[v.idx])
+	}
+	if v.count > 0 {
+		in.Back = r.store.at(int(v.idx), int(v.count)-1)
+	}
+	return in
+}
+
+// Output is one output VC as the network's consistency walk reads it;
+// the worm and its owner input (OwnerP, OwnerV) are meaningful only
+// while Held.
+type Output struct {
+	Worm           flit.WormID
+	Credit, Window int
+	OwnerP, OwnerV int
+	Held           bool
+}
+
+// Output returns output VC (p, vc)'s state.
+func (r *Router) Output(p, vc int) Output {
+	o := &r.outs[p].vcs[vc]
+	return Output{Worm: o.worm, Credit: int(o.credit), Window: int(o.window),
+		OwnerP: int(o.ownerP), OwnerV: int(o.ownerV), Held: o.held}
+}
 
 // BufferedFlits returns the total number of flits buffered in the
 // router, for network-level conservation checks. The count is maintained

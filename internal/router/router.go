@@ -361,7 +361,7 @@ func New(id topology.NodeID, topo topology.Topology, alg routing.Algorithm, cfg 
 			o.vcs[0] = outVC{credit: ejectCredit, window: ejectCredit}
 		} else {
 			o.vcs = r.outArena[p*cfg.VCs : (p+1)*cfg.VCs]
-			w := int32(cfg.initWindow())
+			w := int32(cfg.InitWindow())
 			for v := range o.vcs {
 				o.vcs[v].credit = w
 				o.vcs[v].window = w
@@ -437,7 +437,7 @@ func (r *Router) SetLinkDown(p int) { r.outs[p].linkUp = false }
 func (r *Router) SetLinkUp(p int) {
 	out := &r.outs[p]
 	out.linkUp = true
-	w := int32(r.cfg.initWindow())
+	w := int32(r.cfg.InitWindow())
 	for vc := range out.vcs {
 		o := &out.vcs[vc]
 		o.held = false

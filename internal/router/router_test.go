@@ -1,11 +1,13 @@
 package router
 
 import (
+	"math"
 	"testing"
 	"unsafe"
 
 	"crnet/internal/flit"
 	"crnet/internal/routing"
+	"crnet/internal/snapshot"
 	"crnet/internal/topology"
 )
 
@@ -521,5 +523,33 @@ func TestSelectFirstAlwaysLowestCandidate(t *testing.T) {
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestAllocRotationRestoredAtMaxInt restores a router whose allocation
+// rotation is math.MaxInt — a value no run reaches, which a checkpoint
+// can nevertheless carry — and allocates a header among three free
+// candidates: the rotation wraps past MaxInt, and the index it selects
+// must still be a candidate.
+func TestAllocRotationRestoredAtMaxInt(t *testing.T) {
+	cfg := testConfig()
+	cfg.VCs = 3
+	topo := topology.NewTorus(4, 1)
+	src := New(0, topo, routing.MinimalAdaptive{}, cfg)
+	src.allocRR = math.MaxInt
+	var e snapshot.Encoder
+	src.SaveState(&e)
+	r := New(0, topo, routing.MinimalAdaptive{}, cfg)
+	if err := r.LoadState(snapshot.NewDecoder(e.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	// Node 1 is one hop the + way: one minimal port, three VCs free.
+	r.Inject(0, frame(1, 0, 1, 2, 0, 0).FlitAt(0))
+	r.RouteAndAllocate(nil)
+	if p, vc := heldOutput(t, r); p != int(topology.PortFor(0, true)) || vc != 2 {
+		t.Fatalf("allocated output (%d,%d), want (%d,2)", p, vc, topology.PortFor(0, true))
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
