@@ -143,11 +143,12 @@ snapshot-pin:
 # FKILL, hazard and shed counters moved, so a path the gate stopped
 # reaching fails it. The structures the kernel holds one
 # of per link, per flit, per busy link and per credit (link, flit.Flit,
-# linkRef, inFlight, creditEvent) and the router's per-VC state (inVC,
-# outVC) must stay within their byte budgets, so a field added to one
-# fails here rather than in peak RSS or cache misses. Run uncached so it
+# linkRef, inFlight, creditEvent), the router's per-VC state (inVC,
+# outVC) and its route cache and masks (one allocation, 2 bytes a slot)
+# must stay within their byte budgets, so a field added to one fails
+# here rather than in peak RSS or cache misses. Run uncached so it
 # cannot silently go stale.
-ALLOC_GATES = TestSteadyStateZeroAlloc|TestServiceZeroAlloc|TestEncoderZeroAlloc|TestReceiverSaveStateAllocs|TestReplayerSaveStateAllocs|TestHotStructSizes|TestVCStateSizes
+ALLOC_GATES = TestSteadyStateZeroAlloc|TestServiceZeroAlloc|TestEncoderZeroAlloc|TestReceiverSaveStateAllocs|TestReplayerSaveStateAllocs|TestHotStructSizes|TestVCStateSizes|TestRouteCacheBytes
 alloc-gate:
 	$(GO) test ./internal/network/ ./internal/core/ ./internal/sim/ ./internal/snapshot/ ./internal/router/ ./internal/workload/ -run '$(ALLOC_GATES)' -count=1
 

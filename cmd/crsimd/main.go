@@ -10,7 +10,10 @@
 //
 // With -listen the service exposes live observability over HTTP:
 // /status (JSON summary), /metrics (current registry values, text) and
-// /series (sampled time-series, JSON).
+// /series (sampled time-series, JSON), and the Go runtime's profiles
+// under /debug/pprof/, so the daemon itself can be profiled in place:
+//
+//	go tool pprof http://127.0.0.1:8080/debug/pprof/profile?seconds=10
 //
 // A load-coupled failure process (-hazard-lambda0/-hazard-alpha) and
 // the graceful-degradation controller (-slo-p95) turn the daemon into
@@ -33,6 +36,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -103,7 +107,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		ckptDir   = fs.String("checkpoint-dir", "", "checkpoint directory (empty: checkpointing off)")
 		ckptEvery = fs.Int64("checkpoint-every", 10000, "checkpoint interval in cycles")
 
-		listen      = fs.String("listen", "", "serve /status /metrics /series on this address")
+		listen      = fs.String("listen", "", "serve /status /metrics /series and /debug/pprof/ on this address")
 		sampleEvery = fs.Int64("sample-every", 100, "metrics sampling interval in cycles (0: off)")
 		sampleCap   = fs.Int("sample-cap", 512, "sample ring capacity")
 	)
@@ -269,6 +273,13 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("/status", s.handleStatus)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/series", s.handleSeries)
+	// pprof.Index serves every named profile (heap, goroutine, ...)
+	// under its prefix; the rest are the handlers it does not cover.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

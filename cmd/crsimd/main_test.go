@@ -164,6 +164,46 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// TestPprofEndpoints checks that the mux serves the runtime's profiles:
+// the index, a named profile, and a CPU profile of the stepping daemon.
+func TestPprofEndpoints(t *testing.T) {
+	svc, err := sim.NewService(sim.ServiceConfig{
+		Net: testNetConfig(),
+		Trace: workload.GenUniform(workload.TraceSpec{
+			Nodes: 16, Cycles: 300, Rate: 0.05, MsgLen: 8, Seed: 2,
+		}),
+		Loop: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := (&server{svc: svc}).mux()
+	for _, c := range []struct{ path, want string }{
+		{"/debug/pprof/", "goroutine"},
+		{"/debug/pprof/heap?debug=1", "heap profile"},
+		{"/debug/pprof/cmdline", ""},
+	} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", c.path, nil))
+		if rec.Code != 200 || !strings.Contains(rec.Body.String(), c.want) {
+			t.Fatalf("%s = %d, want 200 with %q:\n%.300s", c.path, rec.Code, c.want, rec.Body.String())
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			svc.Step(100) //nolint:errcheck — load for the profile only
+		}
+	}()
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/profile?seconds=1", nil))
+	<-done
+	if rec.Code != 200 || rec.Body.Len() == 0 {
+		t.Fatalf("/debug/pprof/profile = %d with %d bytes, want a CPU profile", rec.Code, rec.Body.Len())
+	}
+}
+
 // TestResumeWithHazardDegradeFlags is the binary-level resume pin for
 // the availability subsystems: with the load-coupled hazard and the
 // degradation controller both enabled by flags, a checkpointed-and-

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"crnet/internal/core"
+	"crnet/internal/faults"
 	"crnet/internal/flit"
 	"crnet/internal/rng"
 	"crnet/internal/routing"
@@ -71,6 +72,79 @@ func randomConfig(r *rng.Source, seed uint64) (Config, float64, int) {
 	return cfg, load, msgLen
 }
 
+// TestSoakInvalidationConfigurations is the soak's second arm. It draws
+// what the first leaves out: a permanent fail/repair timeline, retries
+// that may misroute, and the DOR, Duato and (on a mesh) west-first
+// routing functions. So every path that drops a cached route or moves
+// a bit of the waiting and holding masks (router/alloc.go) runs under
+// Check, whose consistency walk compares each cached route with a fresh
+// one every cycle. It draws from its own keyed source, so the first
+// arm's configurations do not move.
+func TestSoakInvalidationConfigurations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak takes ~5s")
+	}
+	r := rng.New(0x1AB5E)
+	const configs = 8
+	for i := 0; i < configs; i++ {
+		cfg, load, msgLen := randomInvalidationConfig(r, i%4, uint64(i)+500)
+		name := fmt.Sprintf("cfg%02d_%s_%s_%s_vc%d", i, cfg.Topo.Name(), cfg.Alg.Name(), cfg.Protocol, cfg.VCs)
+		t.Run(name, func(t *testing.T) {
+			soakOne(t, cfg, load, msgLen)
+		})
+	}
+}
+
+// randomInvalidationConfig draws one configuration for the second soak
+// arm: routing function fn (0 minimal adaptive, 1 DOR, 2 Duato, 3
+// west-first) on a topology it supports, misrouting, and a fail/repair
+// timeline over every link.
+func randomInvalidationConfig(r *rng.Source, fn int, seed uint64) (Config, float64, int) {
+	var topo topology.Topology
+	var alg routing.Algorithm
+	switch fn {
+	case 0:
+		alg = routing.MinimalAdaptive{}
+		topo = []topology.Topology{topology.NewTorus(4, 2), topology.NewMesh(4, 2), topology.NewHypercube(4)}[r.Intn(3)]
+	case 1:
+		alg = routing.DOR{Lanes: 1 + r.Intn(2)}
+		topo = []topology.Topology{topology.NewTorus(4, 2), topology.NewMesh(4, 2), topology.NewHypercube(4)}[r.Intn(3)]
+	case 2:
+		alg = routing.Duato{AdaptiveVCs: 1 + r.Intn(2)}
+		topo = []topology.Topology{topology.NewTorus(4, 2), topology.NewMesh(4, 2)}[r.Intn(2)]
+	default:
+		alg = routing.WestFirst{}
+		topo = topology.NewMesh(4, 2)
+	}
+	cfg := Config{
+		Topo:              topo,
+		Protocol:          core.Protocol(1 + r.Intn(2)), // CR or FCR
+		Alg:               alg,
+		VCs:               alg.MinVCs(topo) + r.Intn(2),
+		BufDepth:          1 + r.Intn(3),
+		InjectionChannels: 1 + r.Intn(2),
+		EjectionChannels:  1 + r.Intn(2),
+		Backoff:           core.Backoff{Kind: core.BackoffKind(r.Intn(2)), Gap: 4 << r.Intn(3)},
+		MaxAttempts:       255,
+		MisrouteAfter:     1 + r.Intn(3),
+		MaxDetours:        1 + r.Intn(3),
+		Seed:              seed,
+		Faults: faults.RandomTimeline(faults.TimelineConfig{
+			Links:    LinksOf(topo),
+			LinkMTBF: 400 + 800*r.Float64(), LinkMTTR: 20 + 40*r.Float64(),
+			Start: 50, Horizon: 2000,
+			Seed: seed,
+		}),
+		Check: true,
+	}
+	if r.Bernoulli(0.5) {
+		cfg.TransientRate = 1e-3
+	}
+	load := 0.3 + r.Float64()*0.5
+	msgLen := 2 + r.Intn(16)
+	return cfg, load, msgLen
+}
+
 func soakOne(t *testing.T, cfg Config, load float64, msgLen int) {
 	t.Helper()
 	n := New(cfg)
@@ -107,9 +181,19 @@ func soakOne(t *testing.T, cfg Config, load float64, msgLen int) {
 		}
 	}
 	failed := n.InjectorStats().Failed
-	if int64(len(delivered))+failed != int64(len(submitted)) {
+	lost := int64(len(submitted)) - int64(len(delivered)) - failed
+	switch {
+	case lost < 0 || lost > 0 && cfg.Faults == nil:
 		t.Fatalf("delivered %d + failed %d != submitted %d",
 			len(delivered), failed, len(submitted))
+	case lost > 0:
+		// A link that dies under a worm whose tail has left its source
+		// (CR's commit point) loses the message: the source no longer
+		// holds it to retransmit. It must stay rare.
+		if float64(lost) > 0.05*float64(len(submitted)) {
+			t.Fatalf("%d of %d messages lost to link failures", lost, len(submitted))
+		}
+		t.Logf("note: %d of %d messages lost to link failures", lost, len(submitted))
 	}
 	if failed > 0 {
 		// Extreme random configs (tiny buffers + tiny timeout) may give

@@ -20,7 +20,8 @@ import (
 //     synchronous with its final tail refund (kill teardowns freeze
 //     the tenure instead of shrinking — see Router.purge).
 //   - every held output VC's owner input VC is active, claims the same
-//     worm, and points back at the output
+//     worm, and points back at the output; its link is alive (a link's
+//     death tears its holders down, and a claim needs a live link)
 //   - every routed input VC's allocated output VC is held by its worm
 //   - inactive input VCs hold no flits and no allocation; an active one
 //     that is unrouted has its worm's head at the front
@@ -28,6 +29,9 @@ import (
 //     sequence numbers run contiguously from front to back, and only
 //     the back flit may be a tail
 //   - the cached buffered-flit counter matches the sum over input VCs
+//   - the waiting mask names exactly the active unrouted input VCs, the
+//     holding mask exactly the output ports with a held VC, and each
+//     waiting head's cached route is the one Route gives now
 //   - the store's ledger audit passes (shared organizations): granted
 //     windows within bounds and covering their occupancy, per-pool sums
 //     within the budget, and flit conservation (per pool, Σ occupancy of
@@ -37,6 +41,10 @@ func (r *Router) CheckInvariants() error {
 	for i := range r.ins {
 		v := &r.ins[i]
 		total += int(v.count)
+		if hasBit(r.waiting, i) != (v.active && !v.routed()) {
+			return fmt.Errorf("router %d: input (%d,%d) waiting bit %t, active %t, routed %t",
+				r.id, v.p, v.vc, hasBit(r.waiting, i), v.active, v.routed())
+		}
 		if v.count < 0 || int(v.count) > r.store.capOf(i) {
 			return fmt.Errorf("router %d: input (%d,%d) occupancy %d", r.id, v.p, v.vc, v.count)
 		}
@@ -51,6 +59,9 @@ func (r *Router) CheckInvariants() error {
 		}
 		if err := r.checkFlits(v, nodes); err != nil {
 			return err
+		}
+		if !v.routed() && v.routeN > 0 && !r.routeFresh(v) {
+			return fmt.Errorf("router %d: input (%d,%d) caches a stale route %v", r.id, v.p, v.vc, r.route(v))
 		}
 		if v.routed() {
 			o := &r.outs[v.outP].vcs[v.outV]
@@ -76,6 +87,9 @@ func (r *Router) CheckInvariants() error {
 				return fmt.Errorf("router %d: output (%d,%d) credit %d with window %d",
 					r.id, p, vc, o.credit, o.window)
 			}
+			if o.held && !out.ejection && !out.linkUp {
+				return fmt.Errorf("router %d: output (%d,%d) held on a dead link", r.id, p, vc)
+			}
 			if o.held {
 				v := r.in(int(o.ownerP), int(o.ownerV))
 				if !v.active || v.worm != o.worm || int(v.outP) != p || int(v.outV) != vc {
@@ -84,11 +98,23 @@ func (r *Router) CheckInvariants() error {
 				}
 			}
 		}
+		if hasBit(r.holding, p) != r.holds(p) {
+			return fmt.Errorf("router %d: output port %d holding bit %t, held VCs %t", r.id, p, hasBit(r.holding, p), r.holds(p))
+		}
+	}
+	if strayBits(r.waiting, len(r.ins)) || strayBits(r.holding, len(r.outs)) {
+		return fmt.Errorf("router %d: a mask sets bits past its last input or output", r.id)
 	}
 	if err := r.store.check(r.ins); err != nil {
 		return fmt.Errorf("router %d: buffer store: %w", r.id, err)
 	}
 	return nil
+}
+
+// strayBits reports whether mask, over n indices, sets a bit at n or
+// above.
+func strayBits(mask []uint16, n int) bool {
+	return n%16 != 0 && mask[len(mask)-1]>>(n%16) != 0
 }
 
 // checkFlits audits the flits buffered in active input v: each is v's

@@ -28,8 +28,11 @@
 //
 // Activity: Busy reports whether any flit is buffered here. A router
 // with no buffered flits has nothing to do in RouteAndAllocate or
-// Transmit (both act only on occupied input VCs), which is what lets
-// the network's cycle engine skip quiescent routers entirely.
+// Transmit, which is what lets the network's cycle engine skip
+// quiescent routers entirely. Inside a busy router, RouteAndAllocate
+// visits only inputs with a waiting head and Transmit only output ports
+// with a held VC, and a blocked head reuses the route computed on its
+// first visit (alloc.go).
 //
 // Determinism: all iteration is in fixed port/VC order and arbitration
 // state advances deterministically, so identical inputs give identical
@@ -189,6 +192,11 @@ type inVC struct {
 	outP int16
 	outV int16
 
+	// routeN is the length of the waiting head's cached route plus one,
+	// 0 while none is cached (see alloc.go). It fills padding: the
+	// struct is 40 bytes with or without it.
+	routeN int16
+
 	active     bool // a worm has claimed this VC (head arrived, tail not yet passed)
 	purgeValid bool
 }
@@ -320,7 +328,18 @@ type Router struct {
 	maxHops     int
 	maxHopsWorm flit.WormID
 
-	candBuf []routing.Candidate      //cr:nosnap per-call scratch
+	// waiting and holding are bitmasks, bit i of word i/16: the input
+	// VCs whose head waits for an output (active and unrouted), and the
+	// output ports with a held VC. RouteAndAllocate and TransmitRef walk
+	// them, in ascending index, instead of every input and output.
+	waiting []uint16 //cr:nosnap derived from the inputs' claims, rebuilt by LoadState
+	holding []uint16 //cr:nosnap derived from the outputs' holders, rebuilt by LoadState
+	// routes is the route cache: span slots per input VC, holding the
+	// waiting head's candidates as output VC indices (see alloc.go).
+	routes []uint16 //cr:nosnap derived: a function of each waiting head and the link state, dropped by LoadState
+	span   int      //cr:nosnap deg*VCs, the route cache's slots per input VC
+
+	candBuf []routing.Candidate      //cr:nosnap per-call scratch, allocated by the first route
 	portBuf []topology.Port          //cr:nosnap per-call scratch handed to routing via Request.PortBuf
 	linkUp  func(topology.Port) bool //cr:nosnap callback, reattached by the owner after restore
 }
@@ -372,10 +391,8 @@ func New(id topology.NodeID, topo topology.Topology, alg routing.Algorithm, cfg 
 		}
 	}
 	r.portBuf = make([]topology.Port, 0, deg)
-	// allocateNetwork appends the free candidates after the routed list,
-	// so two lists of at most one candidate per output VC fit without
-	// regrowing.
-	r.candBuf = make([]routing.Candidate, 0, 2*deg*cfg.VCs)
+	r.span = deg * cfg.VCs
+	r.newDerived()
 	r.linkUp = func(port topology.Port) bool { return r.outs[port].linkUp }
 	return r
 }
@@ -407,9 +424,9 @@ func (r *Router) Stats() Stats { return r.stats }
 func (r *Router) Degree() int { return r.deg }
 
 // Busy reports whether any flit is buffered in the router. A non-busy
-// router does nothing in RouteAndAllocate or Transmit (both act only on
-// occupied input VCs), so the network's cycle engine may skip it until
-// a flit arrives or is injected.
+// router does nothing in RouteAndAllocate or Transmit (a waiting head
+// and a flit to forward are both buffered flits), so the network's
+// cycle engine may skip it until a flit arrives or is injected.
 func (r *Router) Busy() bool { return r.buffered > 0 }
 
 // InjPort returns the input port index of injection channel ch.
@@ -424,16 +441,21 @@ func (r *Router) IsEjection(p int) bool { return p >= r.deg }
 // LinkUp reports whether the outgoing link on network port p is alive.
 func (r *Router) LinkUp(p int) bool { return r.outs[p].linkUp }
 
-// SetLinkDown marks the outgoing link on network port p dead. Worm
+// SetLinkDown marks the outgoing link on network port p dead and drops
+// the route cache, which holds candidates on live links only. Worm
 // tear-down for the link's victims is driven by the network via
 // HeldWorms/ActiveWorms and ApplySignal.
-func (r *Router) SetLinkDown(p int) { r.outs[p].linkUp = false }
+func (r *Router) SetLinkDown(p int) {
+	r.outs[p].linkUp = false
+	r.dropRoutes()
+}
 
 // SetLinkUp restores the outgoing link on network port p after a repair:
 // the link comes back with no holders and a fully drained downstream
 // buffer (the network resets the downstream input side in the same
 // event, which returns every downstream window to the reserve), so
 // every virtual channel is immediately claimable at its initial window.
+// The route cache is dropped: a waiting head may now route over p.
 func (r *Router) SetLinkUp(p int) {
 	out := &r.outs[p]
 	out.linkUp = true
@@ -444,6 +466,8 @@ func (r *Router) SetLinkUp(p int) {
 		o.credit = w
 		o.window = w
 	}
+	clearBit(r.holding, p)
+	r.dropRoutes()
 }
 
 // ResetInput clears the residue of a dead upstream link from network
@@ -499,6 +523,7 @@ func (r *Router) Inject(ch int, f flit.Flit) {
 		v.worm = f.Worm
 		v.purgeValid = false
 		v.blocked = 0
+		r.await(v)
 	} else if !v.active || v.worm != f.Worm {
 		panic(fmt.Sprintf("router %d: injected body flit of worm %d into channel owned by %d", r.id, f.Worm, v.worm))
 	}
@@ -531,6 +556,7 @@ func (r *Router) AcceptRef(p, vc int, f *flit.Flit) bool {
 		v.worm = f.Worm
 		v.purgeValid = false
 		v.blocked = 0
+		r.await(v)
 		// Shared organizations grow the VC's window on head acceptance
 		// and advertise the delta upstream (a no-op for static FIFO).
 		if g := r.store.grantOnHead(int(v.idx)); g > 0 && r.advert != nil {

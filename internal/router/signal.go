@@ -91,7 +91,8 @@ func (r *Router) purge(v *inVC) int {
 
 // releaseIn resets an input VC after tear-down, arming the straggler
 // absorber for the dead worm.
-func releaseIn(v *inVC, worm flit.WormID) {
+func (r *Router) releaseIn(v *inVC, worm flit.WormID) {
+	clearBit(r.waiting, int(v.idx))
 	v.active = false
 	v.outP, v.outV = -1, -1
 	v.purgeWorm = worm
@@ -131,10 +132,10 @@ func (r *Router) applyKillFwd(s Signal, emits []Emit) []Emit {
 		if r.cfg.Check && (!o.held || o.worm != s.Worm) {
 			panic(fmt.Sprintf("router %d: forward kill found inconsistent allocation", r.id))
 		}
-		o.held = false
+		r.unhold(o, int(v.outP))
 		emits = append(emits, Emit{Kind: EmitKillFwd, Port: int(v.outP), VC: int(v.outV), Worm: s.Worm})
 	}
-	releaseIn(v, s.Worm)
+	r.releaseIn(v, s.Worm)
 	return emits
 }
 
@@ -156,9 +157,9 @@ func (r *Router) applyKillBwd(s Signal, emits []Emit) []Emit {
 	if purged := r.purge(v); purged > 0 && p < r.deg {
 		emits = append(emits, Emit{Kind: EmitCredits, Port: p, VC: vc, Worm: s.Worm, N: purged})
 	}
-	o.held = false
+	r.unhold(o, s.Port)
 	emits = append(emits, Emit{Kind: EmitKillBwd, Port: p, VC: vc, Worm: s.Worm})
-	releaseIn(v, s.Worm)
+	r.releaseIn(v, s.Worm)
 	return emits
 }
 

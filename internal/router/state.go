@@ -33,7 +33,10 @@ import (
 // slots relative to the front), so a ring's phase is not serialized and
 // every restored FIFO starts at offset zero — the encoding is
 // independent of buffer history in every organization. The per-pool
-// occupancy counters are likewise recomputed from the restored counts.
+// occupancy counters are likewise recomputed from the restored counts,
+// and the waiting and holding masks from the inputs and holders in the
+// loops that restore them; the route cache restores empty, and each
+// waiting head routes afresh on its next visit (alloc.go).
 //
 // LoadState checks what decoding needs and a narrow field can hold:
 // per-VC counts against the ring (Decoder.Count), every index Transmit,
@@ -97,6 +100,8 @@ func (r *Router) SaveState(e *snapshot.Encoder) {
 func (r *Router) LoadState(d *snapshot.Decoder) error {
 	buffered := 0
 	r.store.reset()
+	clear(r.waiting)
+	clear(r.holding)
 	for i := range r.ins {
 		v := &r.ins[i]
 		count := d.Count(r.store.capOf(i))
@@ -125,6 +130,10 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 		}
 		v.outP, v.outV = int16(outP), int16(outV)
 		v.blocked = int32(blocked)
+		v.routeN = 0
+		if v.active && !v.routed() {
+			setBit(r.waiting, i)
+		}
 	}
 	r.store.loadLedger(d)
 	wLo, wHi := r.cfg.InitWindow(), r.cfg.maxWindow(r.deg)
@@ -157,6 +166,7 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 		if v := &r.ins[i]; v.routed() {
 			ov := &r.outs[v.outP].vcs[v.outV]
 			ov.held, ov.worm, ov.ownerP, ov.ownerV = true, v.worm, v.p, v.vc
+			setBit(r.holding, int(v.outP))
 		}
 	}
 	r.buffered = buffered

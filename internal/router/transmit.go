@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"crnet/internal/flit"
 )
@@ -21,70 +22,78 @@ func (r *Router) Transmit(moveFlit func(outPort, outVC int, f flit.Flit), credit
 // slot the flit vacated, valid only for the call: it must copy the flit
 // out, not keep the pointer.
 //
-// Switch arbitration round-robins each output's pointer over the flat
-// input-VC index space. Candidates are found through the output VCs'
-// owner back-pointers rather than by scanning the inputs: every input
-// with a flit for this output holds one of its VCs (a checked
-// invariant), so the held VCs enumerate exactly the competitors, and
-// the winner is the one whose input index comes first in round-robin
-// order from rr — the same input a linear scan from rr would find.
+// Only output ports with a held VC can move a flit; the holding mask
+// lists them, walked in ascending port order. Switch arbitration
+// round-robins each output's pointer over the flat input-VC index
+// space. Candidates are found through the output VCs' owner
+// back-pointers rather than by scanning the inputs: every input with a
+// flit for this output holds one of its VCs (a checked invariant), so
+// the held VCs enumerate exactly the competitors, and the winner is the
+// one whose input index comes first in round-robin order from rr — the
+// same input a linear scan from rr would find.
 func (r *Router) TransmitRef(moveFlit func(outPort, outVC int, f *flit.Flit), creditFlit func(inPort, inVC int)) {
 	n := len(r.ins)
-	for op := range r.outs {
-		out := &r.outs[op]
-		if !out.ejection && !out.linkUp {
-			continue // dead or unconnected link transmits nothing
-		}
-		win, winKey := -1, n
-		var winV *inVC
-		for ovi := range out.vcs {
-			ov := &out.vcs[ovi]
-			if !ov.held {
+	for w, m := range r.holding {
+		for ; m != 0; m &= m - 1 {
+			op := w<<4 | bits.TrailingZeros16(m)
+			out := &r.outs[op]
+			if !out.ejection && !out.linkUp {
+				continue // dead link transmits nothing
+			}
+			win, winKey := -1, n
+			var winV *inVC
+			for ovi := range out.vcs {
+				ov := &out.vcs[ovi]
+				if !ov.held {
+					continue
+				}
+				if !out.ejection && ov.credit == 0 {
+					continue
+				}
+				v := r.in(int(ov.ownerP), int(ov.ownerV))
+				if v.count == 0 {
+					continue
+				}
+				key := int(v.idx) - out.rr
+				if key < 0 {
+					key += n
+				}
+				if key < winKey {
+					win, winKey, winV = ovi, key, v
+				}
+			}
+			if win < 0 {
 				continue
 			}
-			if !out.ejection && ov.credit == 0 {
-				continue
+			// Winner: move one flit.
+			v := winV
+			ov := &out.vcs[win]
+			// rr and winKey are both below n.
+			if out.rr += winKey + 1; out.rr >= n {
+				out.rr -= n
 			}
-			v := r.in(int(ov.ownerP), int(ov.ownerV))
-			if v.count == 0 {
-				continue
+			f := r.pop(v)
+			r.buffered--
+			if !out.ejection {
+				ov.credit--
 			}
-			key := int(v.idx) - out.rr
-			if key < 0 {
-				key += n
+			r.stats.FlitsMoved++
+			if f.Tail {
+				if r.cfg.Check && ov.worm != f.Worm {
+					panic(fmt.Sprintf("router %d: tail of worm %d leaving unheld output", r.id, f.Worm))
+				}
+				r.unhold(ov, op)
+				v.active = false
+				v.outP, v.outV = -1, -1
+				// The worm has fully left this input VC: shrink its shared
+				// window back to the reserve and re-grant the freed budget to
+				// active siblings (no-op for static FIFO).
+				r.store.release(int(v.idx), r.ins, r.advert)
 			}
-			if key < winKey {
-				win, winKey, winV = ovi, key, v
+			if int(v.p) < r.deg {
+				creditFlit(int(v.p), int(v.vc))
 			}
+			moveFlit(op, win, f)
 		}
-		if win < 0 {
-			continue
-		}
-		// Winner: move one flit.
-		v := winV
-		ov := &out.vcs[win]
-		out.rr = (out.rr + winKey + 1) % n
-		f := r.pop(v)
-		r.buffered--
-		if !out.ejection {
-			ov.credit--
-		}
-		r.stats.FlitsMoved++
-		if f.Tail {
-			if r.cfg.Check && ov.worm != f.Worm {
-				panic(fmt.Sprintf("router %d: tail of worm %d leaving unheld output", r.id, f.Worm))
-			}
-			ov.held = false
-			v.active = false
-			v.outP, v.outV = -1, -1
-			// The worm has fully left this input VC: shrink its shared
-			// window back to the reserve and re-grant the freed budget to
-			// active siblings (no-op for static FIFO).
-			r.store.release(int(v.idx), r.ins, r.advert)
-		}
-		if int(v.p) < r.deg {
-			creditFlit(int(v.p), int(v.vc))
-		}
-		moveFlit(op, win, f)
 	}
 }
