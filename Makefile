@@ -120,8 +120,8 @@ bench:
 # nodes, and the sparse512 shape restoring exactly what was saved. The
 # second run restores the pinned checkpoint files under
 # internal/network/testdata (a serial, a DAMQ and a credit-shared
-# mid-run network, recorded at format 6 and carried forward to format 7;
-# DESIGN.md §8) to the
+# mid-run network, recorded at format 6 and carried forward to formats 7
+# and 8; DESIGN.md §8) to the
 # recorded digests and re-saves them to their own bytes; it is separate
 # because a '/' in -run filters every test's subtests.
 snapshot-pin:
@@ -145,10 +145,10 @@ snapshot-pin:
 # of per link, per flit, per busy link and per credit (link, flit.Flit,
 # linkRef, inFlight, creditEvent), the router's per-VC state (inVC,
 # outVC) and its route cache and masks (one allocation, 2 bytes a slot)
-# must stay within their byte budgets, so a field added to one fails
-# here rather than in peak RSS or cache misses. Run uncached so it
-# cannot silently go stale.
-ALLOC_GATES = TestSteadyStateZeroAlloc|TestServiceZeroAlloc|TestEncoderZeroAlloc|TestReceiverSaveStateAllocs|TestReplayerSaveStateAllocs|TestHotStructSizes|TestVCStateSizes|TestRouteCacheBytes
+# and a receiver's stamp records (48 bytes each) must stay within their
+# byte budgets, so a field added to one fails here rather than in peak
+# RSS or cache misses. Run uncached so it cannot silently go stale.
+ALLOC_GATES = TestSteadyStateZeroAlloc|TestServiceZeroAlloc|TestEncoderZeroAlloc|TestReceiverSaveStateAllocs|TestReplayerSaveStateAllocs|TestHotStructSizes|TestVCStateSizes|TestRouteCacheBytes|TestStampRecordBytes
 alloc-gate:
 	$(GO) test ./internal/network/ ./internal/core/ ./internal/sim/ ./internal/snapshot/ ./internal/router/ ./internal/workload/ -run '$(ALLOC_GATES)' -count=1
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,10 +11,12 @@ import (
 
 // fakePort is a scripted injection channel for driving the injector.
 type fakePort struct {
-	free     int
-	notReady bool
-	injected []flit.Flit
-	kills    []flit.WormID
+	free      int
+	notReady  bool
+	injected  []flit.Flit
+	kills     []flit.WormID
+	stamped   []flit.Stamps // one per Stamp call
+	unstamped []flit.WormID
 }
 
 func (p *fakePort) Ready() bool { return !p.notReady }
@@ -25,6 +28,10 @@ func (p *fakePort) Inject(f flit.Flit) {
 	p.injected = append(p.injected, f)
 }
 func (p *fakePort) Kill(w flit.WormID) { p.kills = append(p.kills, w) }
+func (p *fakePort) Stamp(_ topology.NodeID, _ flit.WormID, s flit.Stamps) {
+	p.stamped = append(p.stamped, s)
+}
+func (p *fakePort) Unstamp(_ topology.NodeID, w flit.WormID) { p.unstamped = append(p.unstamped, w) }
 
 func crConfig() Config {
 	return Config{Protocol: CR, BufDepth: 2, VCs: 1, Backoff: Backoff{Kind: BackoffStatic, Gap: 8}}
@@ -212,6 +219,48 @@ func TestTimeoutKillAndRetry(t *testing.T) {
 	}
 	if inj.Stats().Completed != 1 {
 		t.Fatal("retried message did not complete")
+	}
+}
+
+// TestStampsOncePerAttempt: the injector records each attempt's phase
+// timestamps once, when its head enters the port, and withdraws them
+// when the attempt is torn down while it is still being sent — by a
+// timeout kill or an FKILL.
+func TestStampsOncePerAttempt(t *testing.T) {
+	cfg := crConfig()
+	cfg.Timeout = 5
+	port := &fakePort{free: 1 << 20}
+	inj, _ := newInj(t, cfg, port)
+	m := msgTo(3, 4)
+	m.CreateTime = -7
+	inj.Submit(m)
+	inj.Tick(0) // the head of attempt 0
+	port.free = 0
+	c := int64(1)
+	for ; len(port.kills) == 0; c++ {
+		inj.Tick(c)
+	}
+	killed := c - 1
+	port.free = 1 << 20
+	for ; inj.Stats().Retries == 0; c++ {
+		inj.Tick(c)
+	}
+	retried := c - 1
+	worm0, worm1 := flit.MakeWormID(m.ID, 0), flit.MakeWormID(m.ID, 1)
+	want := []flit.Stamps{
+		{Create: -7, FirstInject: 0, AttemptInject: 0},
+		{Create: -7, FirstInject: 0, AttemptInject: retried, Backoff: retried - killed},
+	}
+	if !slices.Equal(port.stamped, want) || !slices.Equal(port.unstamped, []flit.WormID{worm0}) {
+		t.Fatalf("stamped %+v, unstamped %v; want %+v and [%d]", port.stamped, port.unstamped, want, worm0)
+	}
+	inj.FKilled(worm1, c)
+	if !slices.Equal(port.unstamped, []flit.WormID{worm0, worm1}) {
+		t.Fatalf("after an FKILL of attempt 1, unstamped %v", port.unstamped)
+	}
+	inj.FKilled(worm0, c) // stale: attempt 0 is no longer sent
+	if len(port.unstamped) != 2 || len(port.stamped) != 2 {
+		t.Fatalf("a stale FKILL moved the records: stamped %d, unstamped %d", len(port.stamped), len(port.unstamped))
 	}
 }
 
@@ -632,5 +681,11 @@ func TestInjectorRespectsNotReadyChannel(t *testing.T) {
 	}
 }
 
-// accept hands rc a flit held by value.
-func accept(rc *Receiver, ch int, f flit.Flit, now int64) { rc.Accept(ch, &f, now) }
+// accept hands rc a flit held by value, recording an empty stamp record
+// for a head first, as its injector would have.
+func accept(rc *Receiver, ch int, f flit.Flit, now int64) {
+	if f.Kind == flit.Head {
+		rc.Stamp(f.Worm, flit.DecodeHeader(f.Payload).Src, flit.Stamps{})
+	}
+	rc.Accept(ch, &f, now)
+}

@@ -11,7 +11,9 @@ import (
 // Port is one injection channel into the local router, provided by the
 // network. Free/Inject mirror the router's injection buffer; Kill
 // applies an out-of-band forward kill to the channel's current worm and
-// propagates the tear-down into the network.
+// propagates the tear-down into the network; Stamp and Unstamp hand an
+// attempt's phase timestamps to the destination, which joins them into
+// the attempt's delivery.
 type Port interface {
 	// Ready reports whether the channel is idle and empty, so a new
 	// worm's head may enter. The previous worm's tail must have left the
@@ -24,6 +26,14 @@ type Port interface {
 	Inject(f flit.Flit)
 	// Kill tears down the given worm starting at this injection channel.
 	Kill(worm flit.WormID)
+	// Stamp records the phase timestamps of the attempt whose head the
+	// channel has just injected, once per attempt, with the receiver of
+	// dst (see Receiver.Stamp).
+	Stamp(dst topology.NodeID, worm flit.WormID, s flit.Stamps)
+	// Unstamp withdraws them when the attempt is torn down while the
+	// channel is still sending it (a timeout kill or an FKILL), so it
+	// will not be delivered.
+	Unstamp(dst topology.NodeID, worm flit.WormID)
 }
 
 // chState is the per-injection-channel protocol engine state machine.
@@ -35,12 +45,12 @@ type chState struct {
 	stall   int // consecutive cycles injection made no progress
 	retryAt int64
 
-	createTime int64 // message creation (queue latency base)
-
 	// Phase-timestamp bookkeeping for the latency decomposition: the
 	// head-injection cycle of attempt 0, the cumulative cycles spent in
 	// chWaiting (retransmission backoff), and when the current wait
-	// began. Stamped onto each attempt's head flit (see flit.Stamps).
+	// began. Recorded through Port.Stamp when each attempt's head is
+	// injected (see flit.Stamps), with the frame's message creation
+	// time.
 	firstInject int64
 	backoff     int64
 	waitStart   int64
@@ -275,7 +285,6 @@ func (in *Injector) tickChannel(now int64, i int) {
 		ch.phase = chSending
 		ch.next = 0
 		ch.stall = 0
-		ch.createTime = m.CreateTime
 		ch.firstInject = -1
 		ch.backoff = 0
 		in.inject(now, i)
@@ -292,7 +301,7 @@ func (in *Injector) tickChannel(now int64, i int) {
 			if len(in.failures) < maxFailureRecords {
 				in.failures = append(in.failures, Failure{
 					Msg: ch.frame.Msg.ID, Src: ch.frame.Msg.Src, Dst: ch.frame.Msg.Dst,
-					Created: ch.createTime, Cycle: now, Attempts: attempt,
+					Created: ch.frame.Msg.CreateTime, Cycle: now, Attempts: attempt,
 				})
 			}
 			ch.phase = chIdle
@@ -318,21 +327,21 @@ func (in *Injector) inject(now int64, i int) {
 		return
 	}
 	f := ch.frame.FlitAt(ch.next)
+	port.Inject(f)
 	if ch.next == 0 {
-		// Stamp the head with the phase timestamps of this attempt; the
-		// receiver carries them into the delivery record so the
-		// observability layer can decompose end-to-end latency.
+		// Record this attempt's phase timestamps with its destination,
+		// which joins them into the delivery so the observability layer
+		// can decompose end-to-end latency.
 		if ch.firstInject < 0 {
 			ch.firstInject = now
 		}
-		f.Stamps = flit.Stamps{
-			Create:        ch.createTime,
+		port.Stamp(ch.frame.Msg.Dst, f.Worm, flit.Stamps{
+			Create:        ch.frame.Msg.CreateTime,
 			FirstInject:   ch.firstInject,
 			AttemptInject: now,
 			Backoff:       ch.backoff,
-		}
+		})
 	}
-	port.Inject(f)
 	ch.next++
 	ch.stall = 0
 	if f.Kind == flit.Pad {
@@ -365,6 +374,9 @@ func (in *Injector) stalled(now int64, i int) {
 	}
 	in.stats.Kills++
 	in.ports[i].Kill(ch.frame.WormID())
+	if ch.next > 0 { // the head, and with it the record, went out
+		in.ports[i].Unstamp(ch.frame.Msg.Dst, ch.frame.WormID())
+	}
 	ch.phase = chWaiting
 	ch.waitStart = now
 	ch.retryAt = now + in.backoffGap(now, i, ch.frame.Attempt)
@@ -378,6 +390,7 @@ func (in *Injector) FKilled(worm flit.WormID, now int64) {
 		ch := &in.chs[i]
 		if ch.phase == chSending && ch.frame.WormID() == worm {
 			in.stats.FKills++
+			in.ports[i].Unstamp(ch.frame.Msg.Dst, worm)
 			ch.phase = chWaiting
 			ch.waitStart = now
 			// FKILL means the attempt was rejected by the receiver (or a

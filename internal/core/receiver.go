@@ -29,10 +29,11 @@ type Delivery struct {
 	DataOK bool
 
 	// Stamps are the source-side phase timestamps of the delivered
-	// attempt, copied from its head flit; HeadArrived is the cycle that
-	// head reached this receiver. Together with Time (tail drained)
-	// they decompose end-to-end latency into queue/retry/flight/drain
-	// phases (see internal/obs.PhaseBreakdown).
+	// attempt, taken from its stamp record when its head arrived (see
+	// Receiver.Stamp); HeadArrived is the cycle that head reached this
+	// receiver. Together with Time (tail drained) they decompose
+	// end-to-end latency into queue/retry/flight/drain phases (see
+	// internal/obs.PhaseBreakdown).
 	Stamps      flit.Stamps
 	HeadArrived int64
 }
@@ -57,8 +58,19 @@ type assembly struct {
 	nextSeq int
 	dataOK  bool
 
-	stamps      flit.Stamps // phase timestamps from the head flit
+	stamps      flit.Stamps // taken from the worm's stamp record
 	headArrived int64       // cycle the head reached this receiver
+}
+
+// stampRec is the phase-timestamp record of one attempt bound for this
+// node whose head has not arrived, keyed by its worm and the node that
+// injected it. A source's own node is known when the record is made and
+// withdrawn, so a caller that reuses message ids across sources cannot
+// withdraw another source's record.
+type stampRec struct {
+	worm   flit.WormID
+	src    topology.NodeID
+	stamps flit.Stamps
 }
 
 // watermark is the per-source FIFO watermark: the message id last
@@ -72,11 +84,13 @@ type watermark struct {
 // ejection channels, strips padding, verifies checksums under FCR and
 // delivers completed messages.
 //
-// Both collections are kept sorted — asm ascending by worm, lastSeen
-// ascending by source — which is the order SaveState writes them in, so
-// a checkpoint walks them as they lie. asm holds at most one worm per
-// ejection channel in practice; lastSeen one entry per source ever
-// delivered from.
+// Its collections are kept sorted — asm ascending by worm, lastSeen
+// ascending by source, stamps ascending by (worm, source) — which is
+// the order SaveState and SaveStamps write them in, so a checkpoint
+// walks them as they lie. asm holds at most one worm per ejection channel in
+// practice; lastSeen one entry per source ever delivered from; stamps
+// one record per attempt bound here whose head has been injected but
+// has not arrived, and that its source has not withdrawn.
 type Receiver struct {
 	cfg   Config          //cr:nosnap construction parameters
 	node  topology.NodeID //cr:nosnap node identity, fixed at construction
@@ -89,6 +103,7 @@ type Receiver struct {
 	deliveries []Delivery //cr:nosnap cycle-transient completions, cleared by LoadState; checkpoints sit at drain boundaries
 	drained    []Delivery //cr:nosnap spare drain buffer, re-grown on demand
 	lastSeen   []watermark
+	stamps     []stampRec
 	stats      RecvStats
 }
 
@@ -141,6 +156,89 @@ func (rc *Receiver) Assembling(i int) (flit.WormID, bool) {
 func byWorm(a assembly, worm flit.WormID) int       { return cmp.Compare(a.worm, worm) }
 func bySource(m watermark, src topology.NodeID) int { return cmp.Compare(m.src, src) }
 
+// stampAt returns the index of the first record of (worm, src) in
+// stamps, or of the first record after it if there is none. Records of
+// the same key (a source reusing a message id while an earlier message
+// is outstanding) keep the order they were made in.
+func (rc *Receiver) stampAt(worm flit.WormID, src topology.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(rc.stamps, stampRec{worm: worm, src: src}, func(r, k stampRec) int {
+		if c := cmp.Compare(r.worm, k.worm); c != 0 {
+			return c
+		}
+		return cmp.Compare(r.src, k.src)
+	})
+}
+
+// minStamps is the record capacity a receiver's first record makes room
+// for. Measured on the benchmark workloads (3-second runs, seed 1), the
+// most records any receiver held at once was 4 on daemon16, 3 on
+// sat64-shard2 and 4 on sparse512; 98 % of sat16's receivers and 75 %
+// of sweep8's (whose points past saturation reach 9) stayed within 4.
+// So on the first three no receiver regrows its records after the
+// first; growing from one record instead regrows at each new
+// high-water mark, long after warmup, and TestServiceZeroAlloc, a
+// daemon16-shaped service, catches such a growth in its window below a
+// capacity of 2.
+const minStamps = 4
+
+// Stamp records the phase timestamps of attempt worm, whose head node
+// src has just injected toward this receiver. The network hands the
+// record over at the barrier that ends the injection phase, so it is
+// here before the head can arrive; the head's arrival moves the stamps
+// into the worm's assembly, and so into its delivery.
+//
+// Under CR and FCR the head arrives before the source commits, so an
+// attempt torn down before its head arrives is one its source was still
+// sending, which withdraws the record (Unstamp); a record is left over
+// only by a worm lost while its source was done and its head still on
+// the way, which Plain wormhole, unpadded, allows.
+func (rc *Receiver) Stamp(worm flit.WormID, src topology.NodeID, s flit.Stamps) {
+	if cap(rc.stamps) == 0 {
+		rc.stamps = make([]stampRec, 0, minStamps)
+	}
+	i, _ := rc.stampAt(worm, src)
+	for i < len(rc.stamps) && rc.stamps[i].worm == worm && rc.stamps[i].src == src {
+		i++
+	}
+	rc.stamps = slices.Insert(rc.stamps, i, stampRec{worm: worm, src: src, stamps: s})
+}
+
+// Unstamp withdraws the record of attempt worm from src, torn down
+// while its source was still sending it (see Port.Unstamp). A record
+// its head has already taken, or one never made, is not there to
+// withdraw, and that is no error.
+func (rc *Receiver) Unstamp(worm flit.WormID, src topology.NodeID) {
+	if i, ok := rc.stampAt(worm, src); ok {
+		rc.stamps = slices.Delete(rc.stamps, i, i+1)
+	}
+}
+
+// takeStamps removes and returns the record of the worm whose head f
+// has arrived with header source src: the one from src. A head whose
+// checksum fails (every flit is sealed; CR delivers a corrupt header)
+// may name a wrong source, so it takes the worm's first record if src
+// has none. A sound head with no record from its source is one its
+// source withdrew, already torn down — even if another source's record
+// of the same id waits here: a forward kill is on its way to discard
+// the assembly, which is never delivered, so its stamps are zero.
+func (rc *Receiver) takeStamps(f *flit.Flit, src topology.NodeID) flit.Stamps {
+	i, ok := rc.stampAt(f.Worm, src)
+	if !ok {
+		if f.Verify() {
+			return flit.Stamps{}
+		}
+		if i, _ = rc.stampAt(f.Worm, -1); i == len(rc.stamps) || rc.stamps[i].worm != f.Worm {
+			return flit.Stamps{}
+		}
+	}
+	s := rc.stamps[i].stamps
+	rc.stamps = slices.Delete(rc.stamps, i, i+1)
+	return s
+}
+
+// StampRecords returns how many stamp records wait for their heads.
+func (rc *Receiver) StampRecords() int { return len(rc.stamps) }
+
 // Accept consumes one flit arriving on ejection channel ch at cycle now.
 // It reads *f and keeps no reference to it (the network hands it the
 // router ring slot the flit just left).
@@ -158,7 +256,7 @@ func (rc *Receiver) Accept(ch int, f *flit.Flit, now int64) {
 		}
 		h := flit.DecodeHeader(f.Payload)
 		a := assembly{worm: f.Worm, src: h.Src, dataLen: h.DataLen, nextSeq: 1, dataOK: true,
-			stamps: f.Stamps, headArrived: now}
+			stamps: rc.takeStamps(f, h.Src), headArrived: now}
 		rc.stats.DataFlits++
 		if f.Tail {
 			rc.deliver(&a, now)
@@ -174,7 +272,7 @@ func (rc *Receiver) Accept(ch int, f *flit.Flit, now int64) {
 		panic(fmt.Sprintf("core: body flit %v without assembly at node %d", *f, rc.node))
 	}
 	a := &rc.asm[i]
-	if f.Seq != a.nextSeq {
+	if int(f.Seq) != a.nextSeq {
 		panic(fmt.Sprintf("core: worm %d flit out of order at node %d: seq %d, want %d",
 			f.Worm, rc.node, f.Seq, a.nextSeq))
 	}
@@ -187,7 +285,7 @@ func (rc *Receiver) Accept(ch int, f *flit.Flit, now int64) {
 			rc.reject(ch, f.Worm)
 			return
 		}
-		if f.Payload != flit.PayloadWord(a.worm.Message(), f.Seq) {
+		if f.Payload != flit.PayloadWord(a.worm.Message(), int(f.Seq)) {
 			a.dataOK = false
 		}
 	case flit.Pad:

@@ -36,7 +36,6 @@ func (in *Injector) SaveState(e *snapshot.Encoder) {
 		e.Int(ch.next)
 		e.Int(ch.stall)
 		e.Varint(ch.retryAt)
-		e.Varint(ch.createTime)
 		e.Varint(ch.firstInject)
 		e.Varint(ch.backoff)
 		e.Varint(ch.waitStart)
@@ -90,7 +89,6 @@ func (in *Injector) LoadState(d *snapshot.Decoder) error {
 		ch.next = d.Int()
 		ch.stall = d.Int()
 		ch.retryAt = d.Varint()
-		ch.createTime = d.Varint()
 		ch.firstInject = d.Varint()
 		ch.backoff = d.Varint()
 		ch.waitStart = d.Varint()
@@ -198,7 +196,10 @@ func (in *Injector) checkMessage(m flit.Message) error {
 // in-progress worm assemblies, the per-source FIFO watermarks and the
 // counters. The per-cycle delivery buffers are not serialized — the
 // network drains them inside every Step, so they are empty at any
-// cycle boundary a checkpoint can observe.
+// cycle boundary a checkpoint can observe. The stamp records are saved
+// apart (SaveStamps): a receiver holds them only while heads are on
+// their way to it, so most hold none at a checkpoint, and the network
+// writes only those that do.
 func (rc *Receiver) SaveState(e *snapshot.Encoder) {
 	e.Uvarint(uint64(len(rc.asm)))
 	for i := range rc.asm {
@@ -227,11 +228,11 @@ func (rc *Receiver) SaveState(e *snapshot.Encoder) {
 }
 
 // LoadState restores a state written by SaveState. Existing assemblies
-// and watermarks are replaced. Worms and sources must ascend strictly,
-// as SaveState writes them: a duplicate would otherwise restore two
-// records for one key, and the lookups assume sorted order. On error
-// the receiver is unusable; the network discards it with the rest of a
-// failed restore.
+// and watermarks are replaced, and stamp records dropped (LoadStamps
+// restores them). Worms and sources must ascend strictly, as SaveState
+// writes them: a duplicate would otherwise restore two records for one
+// key, and the lookups assume sorted order. On error the receiver is
+// unusable; the network discards it with the rest of a failed restore.
 func (rc *Receiver) LoadState(d *snapshot.Decoder) error {
 	na := d.Count(maxSnapshotItems)
 	if err := d.Err(); err != nil {
@@ -285,6 +286,47 @@ func (rc *Receiver) LoadState(d *snapshot.Decoder) error {
 	}
 	rc.deliveries = rc.deliveries[:0]
 	rc.drained = rc.drained[:0]
+	rc.stamps = rc.stamps[:0]
 	rc.stats = s
+	return nil
+}
+
+// SaveStamps appends the receiver's stamp records to a snapshot, as
+// they lie: their count, then each record's worm as its distance from
+// the previous record's (they ascend), its source and its stamps
+// (flit.PutStamps).
+func (rc *Receiver) SaveStamps(e *snapshot.Encoder) {
+	e.Uvarint(uint64(len(rc.stamps)))
+	prev := flit.WormID(0)
+	for i := range rc.stamps {
+		r := &rc.stamps[i]
+		e.Uvarint(uint64(r.worm - prev))
+		e.Varint(int64(r.src))
+		flit.PutStamps(e, r.stamps)
+		prev = r.worm
+	}
+}
+
+// LoadStamps replaces the receiver's stamp records with those written by
+// SaveStamps. They must ascend by (worm, source), as SaveStamps writes
+// them; equal keys are legal (a source reusing an id).
+func (rc *Receiver) LoadStamps(d *snapshot.Decoder) error {
+	n := d.Count(maxSnapshotItems)
+	if err := d.Err(); err != nil {
+		return err
+	}
+	rc.stamps = slices.Grow(rc.stamps[:0], n)
+	prev := stampRec{}
+	for i := 0; i < n; i++ {
+		r := stampRec{worm: prev.worm + flit.WormID(d.Uvarint()), src: topology.NodeID(d.Varint()), stamps: flit.GetStamps(d)}
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if i > 0 && (r.worm < prev.worm || r.worm == prev.worm && r.src < prev.src) {
+			return fmt.Errorf("core: snapshot stamp record of worm %d from %d does not follow worm %d from %d", r.worm, r.src, prev.worm, prev.src)
+		}
+		rc.stamps = append(rc.stamps, r)
+		prev = r
+	}
 	return nil
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"crnet/internal/flit"
 	"crnet/internal/rng"
@@ -13,16 +15,56 @@ import (
 	"crnet/internal/topology"
 )
 
-// mapReceiver is a reference receiver that keeps its assemblies and
-// watermarks in maps and sorts the keys only when it saves — the
-// straightforward shape the sorted-slice Receiver must be
+// mapReceiver is a reference receiver that keeps its assemblies,
+// watermarks and stamp records in maps and sorts the keys only when it
+// saves — the straightforward shape the sorted-slice Receiver must be
 // indistinguishable from, in deliveries, counters and checkpoint bytes.
 type mapReceiver struct {
 	fcr      bool
 	asm      map[flit.WormID]assembly
 	lastSeen map[topology.NodeID]flit.MessageID
+	stamps   map[stampKey][]flit.Stamps // per key, in the order made
 	stats    RecvStats
 	out      []Delivery
+}
+
+type stampKey struct {
+	worm flit.WormID
+	src  topology.NodeID
+}
+
+func (m *mapReceiver) stamp(worm flit.WormID, src topology.NodeID, s flit.Stamps) {
+	k := stampKey{worm, src}
+	m.stamps[k] = append(m.stamps[k], s)
+}
+
+func (m *mapReceiver) unstamp(worm flit.WormID, src topology.NodeID) {
+	k := stampKey{worm, src}
+	if q := m.stamps[k]; len(q) > 1 {
+		m.stamps[k] = q[1:]
+	} else {
+		delete(m.stamps, k)
+	}
+}
+
+// take removes the record the head of worm takes on arrival with header
+// source src: src's first; failing that, if the header is corrupt, the
+// first made by the lowest-numbered source with one; else none.
+func (m *mapReceiver) take(worm flit.WormID, src topology.NodeID, corrupt bool) flit.Stamps {
+	best, found := stampKey{worm, src}, len(m.stamps[stampKey{worm, src}]) > 0
+	if !found && corrupt {
+		for k := range m.stamps {
+			if k.worm == worm && (!found || k.src < best.src) {
+				best, found = k, true
+			}
+		}
+	}
+	if !found {
+		return flit.Stamps{}
+	}
+	s := m.stamps[best][0]
+	m.unstamp(best.worm, best.src)
+	return s
 }
 
 func (m *mapReceiver) accept(f flit.Flit, now int64) {
@@ -38,15 +80,15 @@ func (m *mapReceiver) accept(f flit.Flit, now int64) {
 	case f.Kind == flit.Head:
 		h := flit.DecodeHeader(f.Payload)
 		a = assembly{worm: f.Worm, src: h.Src, dataLen: h.DataLen, dataOK: true,
-			stamps: f.Stamps, headArrived: now}
+			stamps: m.take(f.Worm, h.Src, !f.Verify()), headArrived: now}
 		m.stats.DataFlits++
 	case f.Kind == flit.Data:
 		m.stats.DataFlits++
-		a.dataOK = a.dataOK && f.Payload == flit.PayloadWord(a.worm.Message(), f.Seq)
+		a.dataOK = a.dataOK && f.Payload == flit.PayloadWord(a.worm.Message(), int(f.Seq))
 	default:
 		m.stats.PadFlits++
 	}
-	a.nextSeq = f.Seq + 1
+	a.nextSeq = int(f.Seq) + 1
 	if !f.Tail {
 		m.asm[f.Worm] = a
 		return
@@ -72,7 +114,8 @@ func (m *mapReceiver) discard(worm flit.WormID) {
 	}
 }
 
-// save writes the receiver payload format from the maps, keys sorted.
+// save writes the receiver payload and then its stamp records from the
+// maps, keys sorted.
 func (m *mapReceiver) save() []byte {
 	var e snapshot.Encoder
 	var worms []flit.WormID
@@ -105,6 +148,28 @@ func (m *mapReceiver) save() []byte {
 	for _, v := range []int64{s.Delivered, s.CorruptData, s.FKillsSent, s.KilledPartial, s.DataFlits, s.PadFlits, s.OrderErrors} {
 		e.Varint(v)
 	}
+	var keys []stampKey
+	records := 0
+	for k, q := range m.stamps {
+		keys = append(keys, k)
+		records += len(q)
+	}
+	slices.SortFunc(keys, func(a, b stampKey) int {
+		if a.worm != b.worm {
+			return cmp.Compare(a.worm, b.worm)
+		}
+		return cmp.Compare(a.src, b.src)
+	})
+	e.Uvarint(uint64(records))
+	prev := flit.WormID(0)
+	for _, k := range keys {
+		for _, st := range m.stamps[k] {
+			e.Uvarint(uint64(k.worm - prev))
+			e.Varint(int64(k.src))
+			flit.PutStamps(&e, st)
+			prev = k.worm
+		}
+	}
 	return e.Bytes()
 }
 
@@ -112,25 +177,46 @@ func (m *mapReceiver) save() []byte {
 // and the map-keyed reference: worms from several sources interleaved
 // across several ejection channels, forward-kill discards, corrupt
 // flits (FCR rejects them, CR flags the data) and message ids that
-// sometimes run backwards per source. After every flit the deliveries
-// and the SaveState bytes must agree, and every so often the receiver
-// is replaced by a fresh one restored from its own checkpoint.
+// sometimes run backwards per source. Each worm's source makes a stamp
+// record before its head, which takes it on arrival, and withdraws it
+// when the worm is torn down. Now and then a head is lost on the way
+// and its record withdrawn or, as a source that has finished cannot
+// withdraw it, left; now and then a second source makes a record of the
+// same worm, as a caller reusing ids does; now and then a source
+// withdraws its record while its head is on the way, which arrives —
+// often beside another source's record of the same worm, which it must
+// not take — and is discarded by the forward kill. After every flit the
+// deliveries and the SaveState bytes must agree, and every so often the
+// receiver is replaced by a fresh one restored from its own checkpoint.
 func TestReceiverMatchesMapModel(t *testing.T) {
 	for _, proto := range []Protocol{CR, FCR} {
 		t.Run(proto.String(), func(t *testing.T) {
 			cfg := crConfig()
 			cfg.Protocol = proto
 			fk := &fakeFKiller{}
-			rc := NewReceiver(cfg, 5, fk)
-			m := &mapReceiver{fcr: proto == FCR, asm: map[flit.WormID]assembly{}, lastSeen: map[topology.NodeID]flit.MessageID{}}
 			r := rng.New(0x7ecf)
+			rc := NewReceiver(cfg, 5, fk)
+			m := &mapReceiver{fcr: proto == FCR, asm: map[flit.WormID]assembly{}, lastSeen: map[topology.NodeID]flit.MessageID{},
+				stamps: map[stampKey][]flit.Stamps{}}
+			unstamp := func(fr flit.Frame, src topology.NodeID) {
+				rc.Unstamp(fr.WormID(), src)
+				m.unstamp(fr.WormID(), src)
+			}
+			stamp := func(fr flit.Frame, src topology.NodeID, now int64) {
+				s := flit.Stamps{Create: now - int64(r.Intn(100)), FirstInject: now - 3, AttemptInject: now - 2, Backoff: int64(r.Intn(2))}
+				rc.Stamp(fr.WormID(), src, s)
+				m.stamp(fr.WormID(), src, s)
+			}
 			const channels, sources = 3, 40
 			type stream struct {
-				fr   flit.Frame
-				next int // next flit to send; 0 means the channel is idle
+				fr    flit.Frame
+				next  int  // next flit to send; 0 means the channel is idle
+				dying bool // withdrawn by its source; a forward kill follows the head
 			}
 			var chs [channels]stream
 			var nextMsg flit.MessageID = 1000
+			twins := 0      // records made beside another source's of the same worm
+			dyingTwins := 0 // withdrawn heads sent while another source's record of their worm waits
 			for step := int64(0); step < 30000; step++ {
 				ch := r.Intn(channels)
 				c := &chs[ch]
@@ -150,25 +236,49 @@ func TestReceiverMatchesMapModel(t *testing.T) {
 					if _, live := m.asm[fr.WormID()]; live {
 						continue
 					}
-					c.fr = fr
+					stamp(fr, fr.Msg.Src, step)
+					if r.Intn(100) == 0 {
+						stamp(fr, (fr.Msg.Src+1)%sources, step)
+						twins++
+					}
+					if r.Intn(20) == 0 { // the head is lost on the way
+						if r.Intn(5) != 0 {
+							unstamp(fr, fr.Msg.Src)
+						}
+						continue
+					}
+					c.fr, c.dying = fr, r.Intn(30) == 0
+					if c.dying {
+						if r.Intn(2) == 0 {
+							stamp(fr, (fr.Msg.Src+1)%sources, step)
+							twins++
+							dyingTwins++
+						}
+						unstamp(fr, fr.Msg.Src)
+					}
 				} else if r.Intn(25) == 0 {
+					unstamp(c.fr, c.fr.Msg.Src)
 					rc.Discard(c.fr.WormID())
 					m.discard(c.fr.WormID())
 					c.next = 0
 					continue
 				}
 				f := c.fr.FlitAt(c.next)
-				if c.next == 0 {
-					f.Stamps = flit.Stamps{Create: step - int64(r.Intn(100)), FirstInject: step - 3, AttemptInject: step - 2}
-				}
 				if r.Intn(20) == 0 {
 					f.Payload ^= 1 << r.Intn(64)
 				}
 				kills := len(fk.calls)
-				accept(rc, ch, f, step)
+				rc.Accept(ch, &f, step)
 				m.accept(f, step)
 				c.next++
+				if len(fk.calls) > kills {
+					unstamp(c.fr, c.fr.Msg.Src)
+				}
 				if f.Tail || len(fk.calls) > kills {
+					c.next = 0
+				} else if c.dying {
+					rc.Discard(c.fr.WormID())
+					m.discard(c.fr.WormID())
 					c.next = 0
 				}
 				if got := rc.Drain(); !slices.Equal(got, m.out) {
@@ -177,14 +287,19 @@ func TestReceiverMatchesMapModel(t *testing.T) {
 				m.out = m.out[:0]
 				var e snapshot.Encoder
 				rc.SaveState(&e)
+				rc.SaveStamps(&e)
 				raw := e.Bytes()
 				if want := m.save(); !bytes.Equal(raw, want) {
-					t.Fatalf("step %d: SaveState bytes differ from the reference's\n got %x\nwant %x", step, raw, want)
+					t.Fatalf("step %d: SaveState and SaveStamps bytes differ from the reference's\n got %x\nwant %x", step, raw, want)
 				}
 				if step%97 == 0 {
 					rc = NewReceiver(cfg, 5, fk)
-					if err := rc.LoadState(snapshot.NewDecoder(raw)); err != nil {
+					d := snapshot.NewDecoder(raw)
+					if err := rc.LoadState(d); err != nil {
 						t.Fatalf("step %d: restoring the receiver's own checkpoint: %v", step, err)
+					}
+					if err := rc.LoadStamps(d); err != nil {
+						t.Fatalf("step %d: restoring the receiver's own stamp records: %v", step, err)
 					}
 				}
 			}
@@ -197,16 +312,21 @@ func TestReceiverMatchesMapModel(t *testing.T) {
 				(proto == FCR && s.FKillsSent == 0) || (proto == CR && s.CorruptData == 0) {
 				t.Fatalf("script left a path untested: %+v", s)
 			}
+			if rc.StampRecords() == 0 || twins == 0 || dyingTwins == 0 {
+				t.Fatalf("script left %d records behind, made %d beside another source's of the same worm, %d of them beside a withdrawn head; want all > 0",
+					rc.StampRecords(), twins, dyingTwins)
+			}
 		})
 	}
 }
 
 // TestReceiverLoadRejectsCorruptState: assemblies and watermarks must
-// ascend strictly, as SaveState writes them. A duplicate or descending
-// key would otherwise restore silently — with the last record winning,
-// or out of the order every lookup relies on.
+// ascend strictly, as SaveState writes them, and stamp records ascend by
+// (worm, source), as SaveStamps writes them. A duplicate or descending key would otherwise restore
+// silently — with the last record winning, or out of the order every
+// lookup relies on.
 func TestReceiverLoadRejectsCorruptState(t *testing.T) {
-	payload := func(worms []flit.WormID, srcs []topology.NodeID) []byte {
+	payload := func(worms []flit.WormID, srcs []topology.NodeID, stamped ...stampKey) []byte {
 		var e snapshot.Encoder
 		e.Uvarint(uint64(len(worms)))
 		for _, w := range worms {
@@ -226,28 +346,47 @@ func TestReceiverLoadRejectsCorruptState(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			e.Varint(0) // counters
 		}
+		e.Uvarint(uint64(len(stamped))) // the stamp records (SaveStamps)
+		prev := flit.WormID(0)
+		for _, k := range stamped {
+			e.Uvarint(uint64(k.worm - prev)) // wraps for a descending worm
+			e.Varint(int64(k.src))
+			flit.PutStamps(&e, flit.Stamps{})
+			prev = k.worm
+		}
 		return e.Bytes()
 	}
+	load := func(payload []byte) error {
+		rc, d := NewReceiver(crConfig(), 5, nil), snapshot.NewDecoder(payload)
+		if err := rc.LoadState(d); err != nil {
+			return err
+		}
+		return rc.LoadStamps(d)
+	}
 	w1, w2 := flit.MakeWormID(7, 0), flit.MakeWormID(9, 1)
-	if err := NewReceiver(crConfig(), 5, nil).LoadState(snapshot.NewDecoder(payload([]flit.WormID{w1, w2}, []topology.NodeID{1, 3}))); err != nil {
+	// Equal keys are a source that reused a message id.
+	ok := payload([]flit.WormID{w1, w2}, []topology.NodeID{1, 3}, stampKey{w1, 2}, stampKey{w1, 2}, stampKey{w1, 4}, stampKey{w2, 0})
+	if err := load(ok); err != nil {
 		t.Fatalf("well-formed payload rejected: %v", err)
 	}
 	cases := []struct {
-		name  string
-		worms []flit.WormID
-		srcs  []topology.NodeID
-		want  string
+		name    string
+		worms   []flit.WormID
+		srcs    []topology.NodeID
+		stamped []stampKey
+		want    string
 	}{
-		{"duplicate-worm", []flit.WormID{w1, w1}, nil, "assembly of worm"},
-		{"descending-worms", []flit.WormID{w2, w1}, nil, "assembly of worm"},
-		{"duplicate-source", nil, []topology.NodeID{4, 4}, "watermark of source"},
-		{"descending-sources", nil, []topology.NodeID{1, 6, 2}, "watermark of source"},
+		{"duplicate-worm", []flit.WormID{w1, w1}, nil, nil, "assembly of worm"},
+		{"descending-worms", []flit.WormID{w2, w1}, nil, nil, "assembly of worm"},
+		{"duplicate-source", nil, []topology.NodeID{4, 4}, nil, "watermark of source"},
+		{"descending-sources", nil, []topology.NodeID{1, 6, 2}, nil, "watermark of source"},
+		{"descending-stamp-sources", nil, nil, []stampKey{{w1, 3}, {w1, 2}}, "stamp record"},
+		{"descending-stamp-worms", nil, nil, []stampKey{{w2, 0}, {w1, 0}}, "stamp record"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := NewReceiver(crConfig(), 5, nil).LoadState(snapshot.NewDecoder(payload(tc.worms, tc.srcs)))
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("LoadState = %v, want an error mentioning %q", err, tc.want)
+			if err := load(payload(tc.worms, tc.srcs, tc.stamped...)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadState, LoadStamps = %v, want an error mentioning %q", err, tc.want)
 			}
 		})
 	}
@@ -331,6 +470,14 @@ func TestJitterUniform(t *testing.T) {
 	// Independent channels agree one time in g+1.
 	if share := float64(same) / trials; math.Abs(share-1.0/(g+1)) > 0.01 {
 		t.Fatalf("channels 0 and 1 drew the same gap %.3f of the time, want %.3f", share, 1.0/(g+1))
+	}
+}
+
+// TestStampRecordBytes pins the byte budget of the stamp table: a
+// record is its worm, its source and four stamps, 48 bytes.
+func TestStampRecordBytes(t *testing.T) {
+	if size := unsafe.Sizeof(stampRec{}); size != 48 {
+		t.Fatalf("a stamp record is %d bytes, want 48", size)
 	}
 }
 

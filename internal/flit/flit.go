@@ -67,12 +67,19 @@ func (w WormID) Message() MessageID { return MessageID(uint64(w) >> 8) }
 // Attempt returns the transmission attempt number (0 = first try).
 func (w WormID) Attempt() int { return int(uint64(w) & 0xff) }
 
-// Flit is one flow-control unit. Every router ring slot and every
-// in-flight link entry holds one by value, so the struct is kept small
-// and flat deliberately: the 8-byte words come first and the narrow
-// fields share the last one, 80 bytes with no interior padding. The
-// checkpoint codec (PutFlit) and the checksum name fields explicitly,
-// so declaration order is free.
+// Flit is one flow-control unit: what the wire carries. Every router
+// ring slot and every in-flight link entry holds one by value, so the
+// struct is kept small and flat deliberately: the two 8-byte words
+// first, then the 4-byte sequence number and destination, and the
+// narrow fields sharing the last word, 32 bytes in all. The checkpoint
+// codec (PutFlit) and the checksum name fields explicitly, so
+// declaration order is free.
+//
+// What the wire would not carry stays off the flit: the source is in
+// the head's header (Payload), and the source-side phase timestamps of
+// an attempt are recorded once, at head injection, with the
+// destination's receiver, which joins them into the delivery (see
+// core.Port.Stamp).
 //
 // Between those homes a flit moves by reference, so one hop costs
 // exactly two copies: ring slot into the link's in-flight entry
@@ -83,23 +90,19 @@ func (w WormID) Attempt() int { return int(uint64(w) & 0xff) }
 // be kept.
 type Flit struct {
 	Worm WormID
-	Seq  int // position within the worm, 0 = head
 
 	// Payload is the data word. For Head flits it is the encoded header
 	// (see EncodeHeader); for Data flits a payload word; for Pad flits a
 	// fixed filler pattern.
 	Payload uint64
 
-	// Src and Dst are the endpoints. They are carried on every flit for
-	// simulator bookkeeping; real hardware keeps them only in the head.
-	Src, Dst topology.NodeID
+	Seq int32 // position within the worm, 0 = head
 
-	// Stamps carries the source-side phase timestamps used by the
-	// observability layer's latency decomposition. The injector sets
-	// them on head flits only; like Src/Dst they are simulator
-	// bookkeeping outside the checksum (real hardware would not ship
-	// them per flit).
-	Stamps Stamps
+	// Dst is the destination node, carried on every flit for the
+	// simulator's routers and checks; real hardware keeps it only in the
+	// head. It fits 32 bits because a header names at most MaxNodes
+	// nodes.
+	Dst int32
 
 	// Hops counts the network channels this worm's head has claimed,
 	// maintained by routers for the livelock watchdog. Like Detours it
@@ -123,7 +126,8 @@ type Flit struct {
 }
 
 // Stamps are the source-side phase timestamps of one transmission
-// attempt, stamped onto the attempt's head flit. Together with the
+// attempt, recorded by its injector when the head enters the network
+// and joined into the delivery at the destination. Together with the
 // receiver-side arrival times they partition end-to-end latency into
 // queueing, retransmission and network phases (see internal/obs).
 type Stamps struct {
@@ -148,8 +152,8 @@ func (f Flit) String() string {
 	if f.Tail {
 		tail = "|TAIL"
 	}
-	return fmt.Sprintf("{%s%s worm=%d.%d seq=%d %d->%d}",
-		f.Kind, tail, f.Worm.Message(), f.Worm.Attempt(), f.Seq, f.Src, f.Dst)
+	return fmt.Sprintf("{%s%s worm=%d.%d seq=%d dst=%d}",
+		f.Kind, tail, f.Worm.Message(), f.Worm.Attempt(), f.Seq, f.Dst)
 }
 
 // Header is the routing information carried in a head flit's payload.
@@ -167,6 +171,15 @@ const (
 	headerAttBits  = 8
 	maxHeaderNode  = 1<<headerNodeBits - 1
 	maxHeaderLen   = 1<<headerLenBits - 1
+)
+
+// MaxNodes is the largest network a header can address, and MaxDataLen
+// the longest message it can describe (data flits including the head).
+// Message.Validate and the network configuration reject anything
+// larger when it is accepted, so a head flit can always be built.
+const (
+	MaxNodes   = maxHeaderNode + 1
+	MaxDataLen = maxHeaderLen
 )
 
 // EncodeHeader packs h into a 64-bit payload word. It returns an error if
@@ -262,11 +275,11 @@ func (f *Flit) checksum() uint8 {
 
 // WellFormed reports whether f could be a flit of a worm on a network
 // of the given node count: a known kind, a head exactly at sequence 0,
-// and endpoints that are nodes. (Corruption flips only the payload and
-// checksum, so a flit stays well formed wherever it travels.)
+// and a destination that is a node. (Corruption flips only the payload
+// and checksum, so a flit stays well formed wherever it travels.)
 func (f *Flit) WellFormed(nodes int) bool {
 	return f.Kind <= Pad && f.Seq >= 0 && (f.Kind == Head) == (f.Seq == 0) &&
-		uint(f.Src) < uint(nodes) && uint(f.Dst) < uint(nodes)
+		uint(f.Dst) < uint(nodes)
 }
 
 // Seal computes and stores the flit's checksum.
@@ -290,8 +303,8 @@ type Message struct {
 
 // Validate reports a descriptive error for malformed messages.
 func (m Message) Validate(nodes int) error {
-	if m.DataLen < 1 {
-		return fmt.Errorf("flit: message %d has length %d", m.ID, m.DataLen)
+	if m.DataLen < 1 || m.DataLen > MaxDataLen {
+		return fmt.Errorf("flit: message %d has length %d outside [1,%d]", m.ID, m.DataLen, MaxDataLen)
 	}
 	if m.Src < 0 || int(m.Src) >= nodes || m.Dst < 0 || int(m.Dst) >= nodes {
 		return fmt.Errorf("flit: message %d endpoints %d->%d outside [0,%d)", m.ID, m.Src, m.Dst, nodes)
@@ -326,17 +339,16 @@ func (fr Frame) FlitAt(seq int) Flit {
 	}
 	f := Flit{
 		Worm: fr.WormID(),
-		Seq:  seq,
+		Seq:  int32(seq),
 		Tail: seq == total-1,
-		Src:  fr.Msg.Src,
-		Dst:  fr.Msg.Dst,
+		Dst:  int32(fr.Msg.Dst),
 	}
 	switch {
 	case seq == 0:
 		f.Kind = Head
 		w, err := EncodeHeader(Header{Src: fr.Msg.Src, Dst: fr.Msg.Dst, DataLen: fr.Msg.DataLen, Attempt: fr.Attempt})
 		if err != nil {
-			panic(err) // construction validated by the injector
+			panic(err) // Message.Validate and the network configuration admit only encodable headers
 		}
 		f.Payload = w
 	case seq < fr.Msg.DataLen:

@@ -194,6 +194,8 @@ func TestMessageValidate(t *testing.T) {
 		{Message{ID: 3, Src: 0, Dst: 1, DataLen: 0}, false},
 		{Message{ID: 4, Src: -1, Dst: 1, DataLen: 4}, false},
 		{Message{ID: 5, Src: 0, Dst: 100, DataLen: 4}, false},
+		{Message{ID: 6, Src: 0, Dst: 1, DataLen: MaxDataLen}, true},
+		{Message{ID: 7, Src: 0, Dst: 1, DataLen: MaxDataLen + 1}, false}, // the header's 16-bit length
 	}
 	for _, c := range cases {
 		err := c.m.Validate(16)
@@ -227,7 +229,7 @@ func TestQuickRandomCorruptionDetected(t *testing.T) {
 		}
 		if f.Verify() {
 			// The two flips may have cancelled.
-			g := fr.FlitAt(f.Seq)
+			g := fr.FlitAt(int(f.Seq))
 			if g.Payload != f.Payload {
 				t.Fatalf("trial %d: %d-bit corruption undetected", trial, nbits)
 			}

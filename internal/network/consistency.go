@@ -109,7 +109,7 @@ func (n *Network) checkNode(id int, busy *busyCursor) error {
 			worm, next, sending, waiting = in.Channel(ch)
 		}
 		if v.Active && (in == nil || v.Worm != worm || waiting) || sending && !v.Active ||
-			v.Count > 0 && (v.Back.Seq != next-1 || v.Back.Tail == sending) {
+			v.Count > 0 && (int(v.Back.Seq) != next-1 || v.Back.Tail == sending) {
 			return fmt.Errorf("node %d: injection channel %d (worm %d, %d flits injected, sending %t, waiting %t) disagrees with its input (worm %d, active %t, %d flits)",
 				id, ch, worm, next, sending, waiting, v.Worm, v.Active, v.Count)
 		}
@@ -235,7 +235,7 @@ func (n *Network) checkArrival(e *inFlight, l *link, o router.Output, d router.I
 	case d.OutP < 0: // which d's router, perhaps not yet checked, also fails on
 		return fmt.Errorf("link (%d,%d) VC %d carries %v to input (%d,%d), which holds neither a flit nor an allocation", id, p, vc, *f, l.toNode, l.toPort)
 	}
-	return n.follow(f.Worm, f.Seq, int(l.toNode), d.OutP, d.OutV)
+	return n.follow(f.Worm, int(f.Seq), int(l.toNode), d.OutP, d.OutV)
 }
 
 // followOwner follows the worm holding output (p, vc) of node id's
@@ -248,7 +248,7 @@ func (n *Network) followOwner(r *router.Router, in *core.Injector, id, p, vc int
 	owner, x := r.Input(o.OwnerP, o.OwnerV), 0
 	switch {
 	case owner.Count > 0:
-		x = owner.Back.Seq - (owner.Count - 1) // the front's, as its router's check found
+		x = int(owner.Back.Seq) - (owner.Count - 1) // the front's, as its router's check found
 	case o.OwnerP < n.deg:
 		return nil
 	default:
@@ -298,7 +298,7 @@ func (n *Network) follow(w flit.WormID, x, node, p, vc int) error {
 // has drained d, so that the way goes on from d's output.
 func (n *Network) hop(w flit.WormID, x, node, p, vc int, e *inFlight, d router.Input) (bool, error) {
 	if e != nil {
-		if e.f.Worm != w || e.f.Seq != x-1 || e.f.Tail {
+		if e.f.Worm != w || int(e.f.Seq) != x-1 || e.f.Tail {
 			return false, fmt.Errorf("link (%d,%d) VC %d carries %v ahead of worm %d's flit %d", node, p, vc, e.f, w, x)
 		}
 		return false, nil
@@ -307,7 +307,7 @@ func (n *Network) hop(w flit.WormID, x, node, p, vc int, e *inFlight, d router.I
 	case x == 0:
 		return false, nil // the head has not left
 	case d.Active && d.Worm == w && d.Count > 0:
-		if d.Back.Seq != x-1 || d.Back.Tail {
+		if int(d.Back.Seq) != x-1 || d.Back.Tail {
 			return false, fmt.Errorf("worm %d sends flit %d next over output (%d,%d,%d), whose input ends at %v", w, x, node, p, vc, *d.Back)
 		}
 		return false, nil

@@ -31,10 +31,13 @@ import (
 // the three checkpoint files were therefore re-recorded once, by the
 // kernel of that change (DESIGN.md §8 has the log); the digest functions
 // below are what the recorder ran. From then on a kernel change that
-// moves a digest is a second re-seed and must say so. Format 7 changed
-// the files' layout, not the state they hold: the same recorder, which
-// still reproduced the format-6 files byte for byte, wrote them anew,
-// and only their hashes below changed.
+// moves a digest is a second re-seed and must say so. Formats 7 and 8
+// changed the files' layout, not the state they hold: each time the
+// same recorder, which still reproduced the previous format's files
+// byte for byte on the parent tree, wrote them anew, and only their
+// hashes below changed. (The recorder runs the schedule below to the
+// recorded cycle, submits that cycle's messages and encodes SaveState;
+// DESIGN.md §8 has the log.)
 
 // kernelGolden is testdata/kernel_golden.json.
 type kernelGolden struct {
@@ -191,9 +194,9 @@ func TestKernelGolden(t *testing.T) {
 // regenerated from a later tree (which would pin the kernel to itself)
 // cannot pass for the recording.
 var pinnedSnapshots = map[string]string{
-	goldenSnapshotFile:     "8043ae90a42dce0184285e3929d7c622b54ab9eda14d496183bf94cc3696e11d",
-	"damq_midrun.crsnap":   "8206aa540a1e538602332a3d9f28ae77623ee18c49295cb692d5a204ec0142ca",
-	"shared_midrun.crsnap": "f434bed4fc7530c793cb8722ef35093afe2a83625b10db72d413438e4014cb10",
+	goldenSnapshotFile:     "8b09de040fb05cbbc0dfc2f4e1be5213568f9d3dfdc42704164c811f5d44e429",
+	"damq_midrun.crsnap":   "2a61b70679d200c792830519671034967871588f698ebfdbdf631f674e86ad61",
+	"shared_midrun.crsnap": "4f727dc7a2ea2972c96c6beb61db6e72cd7749f255287763c43a17c958b9e748",
 }
 
 // readPinnedSnapshot returns the payload of a pinned checkpoint file

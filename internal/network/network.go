@@ -136,6 +136,9 @@ func (c *Config) fillDefaults() error {
 	if c.VCs > 255 {
 		return fmt.Errorf("network: VCs = %d exceeds 255", c.VCs)
 	}
+	if nodes := c.Topo.Nodes(); nodes > flit.MaxNodes {
+		return fmt.Errorf("network: %s has %d nodes; a head flit addresses at most %d", c.Topo.Name(), nodes, flit.MaxNodes)
+	}
 	if c.BufDepth == 0 {
 		c.BufDepth = 2
 	}
@@ -257,6 +260,16 @@ type creditEvent struct {
 	w    int32
 }
 
+// stampOp carries an injector's stamp record (add) or its withdrawal
+// from the source's range to the destination's receiver (see
+// injPort.Stamp).
+type stampOp struct {
+	dst, src int32
+	worm     flit.WormID
+	add      bool
+	s        flit.Stamps
+}
+
 // fkillReq is a receiver-initiated backward tear-down.
 type fkillReq struct {
 	node topology.NodeID
@@ -299,6 +312,8 @@ type Network struct {
 	cycle   int64
 	sigNow  []scheduledSignal //cr:nosnap mid-cycle scratch; snapshots are taken at cycle boundaries where it is empty
 	wormBuf []router.WormAt   //cr:nosnap per-call scratch for worm sweeps
+	stamped []int32           //cr:nosnap per-save scratch: the receivers saveNodes found holding stamp records
+	saveLen int               //cr:nosnap size of the last SaveState, which the next one reserves up front
 
 	// sink holds the coordinator's cross-node side-effect queues:
 	// scheduled signals, completed deliveries, and the flit counters fed
@@ -476,10 +491,25 @@ func (p injPort) Free() int {
 
 func (p injPort) Inject(f flit.Flit) {
 	sh := p.net.shardOf(p.node)
-	p.net.traceTo(&sh.sink, EvInject, p.node, p.ch, 0, f.Worm, f.Seq)
+	p.net.traceTo(&sh.sink, EvInject, p.node, p.ch, 0, f.Worm, int(f.Seq))
 	sh.flitsInjected++
 	sh.activeR.add(int32(p.node))
 	p.net.routerAt(p.node).Inject(p.ch, f)
+}
+
+// Stamp and Unstamp queue a stamp record, or its withdrawal, in the
+// source's range; the barrier that ends the phase hands it to the
+// destination's receiver (mergeBarrier). A withdrawal from an FKILL the
+// coordinator delivered (phaseSignals, failLink) waits in the range for
+// the next barrier, before the injection phase it precedes.
+func (p injPort) Stamp(dst topology.NodeID, worm flit.WormID, s flit.Stamps) {
+	sh := p.net.shardOf(p.node)
+	sh.stampOps = append(sh.stampOps, stampOp{dst: int32(dst), src: int32(p.node), worm: worm, add: true, s: s})
+}
+
+func (p injPort) Unstamp(dst topology.NodeID, worm flit.WormID) {
+	sh := p.net.shardOf(p.node)
+	sh.stampOps = append(sh.stampOps, stampOp{dst: int32(dst), src: int32(p.node), worm: worm})
 }
 
 func (p injPort) Kill(worm flit.WormID) {

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -473,6 +474,24 @@ func TestConfigDefaultsAndErrors(t *testing.T) {
 	New(Config{})
 }
 
+// TestSubmitRejectsUnencodableMessage: a message longer than a head
+// flit's 16-bit length field is refused when it is submitted, not
+// accepted and left to panic when the injector builds its head inside
+// Step.
+func TestSubmitRejectsUnencodableMessage(t *testing.T) {
+	n := crNet(topology.NewTorus(4, 2))
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "length 70000 outside [1,65535]") {
+			t.Fatalf("SubmitMessage of a 70000-flit message: recovered %v, want a length error", r)
+		}
+		if n.Cycle() != 0 {
+			t.Fatalf("the network stepped to cycle %d", n.Cycle())
+		}
+	}()
+	n.SubmitMessage(flit.Message{ID: 1, Src: 0, Dst: 5, DataLen: 70000})
+}
+
 // TestNewRejectsInvalidConfig: routers, injectors and receivers are
 // built lazily, so the configurations they reject must be refused by New
 // itself — not accepted and left to panic from the first SubmitMessage
@@ -491,6 +510,8 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{"transient-rate-above-one", "transient rate", Config{Topo: torus, Alg: routing.MinimalAdaptive{}, Protocol: core.FCR, TransientRate: 1.5}},
 		{"burst-sojourn-below-one", "burst sojourns", Config{Topo: torus, Alg: routing.MinimalAdaptive{}, Protocol: core.FCR,
 			Burst: &faults.BurstSpec{RateBad: 0.5, MeanGood: 0.5, MeanBad: 10}}},
+		// A head flit's 20-bit node fields address 2^20 nodes; 1025^2 is more.
+		{"nodes-past-header", "a head flit addresses at most 1048576", Config{Topo: topology.NewTorus(1025, 2), Alg: routing.MinimalAdaptive{}, Protocol: core.CR}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -80,6 +80,7 @@ type shard struct {
 	busyLinks []inFlight // this range's output links carrying a flit, with the flit
 	recvPend  nodeSet    // this range's receivers that accepted a flit this cycle
 	fkills    []fkillReq
+	stampOps  []stampOp // this range's injectors' stamp records, bound for their destinations
 
 	// inCredits is this range's column of the credit matrix: the refunds
 	// addressed to its routers, one queue per sending context (sink.row).
@@ -111,6 +112,7 @@ func (sh *shard) reset() {
 	sh.busyLinks = sh.busyLinks[:0]
 	sh.recvPend.reset()
 	sh.fkills = sh.fkills[:0]
+	sh.stampOps = sh.stampOps[:0]
 	for r := range sh.inCredits {
 		sh.inCredits[r] = sh.inCredits[r][:0]
 	}
@@ -249,6 +251,12 @@ func (n *Network) shardRun(sh *shard, ph shardPhase) {
 // ascending node ranges and each phase body iterates ascending, so this
 // concatenation is the append order of one walk over all nodes;
 // buffered trace events replay the same way.
+//
+// It also hands each range's stamp records and withdrawals to their
+// destinations' receivers. Those of one source keep their order, and
+// records of different keys commute, so what a receiver holds after the
+// barrier does not depend on the range count. A record made this cycle
+// is in place before its head can arrive, which takes a link traversal.
 func (n *Network) mergeBarrier() bool {
 	n.flushEvents(&n.sink)
 	moved := false
@@ -263,6 +271,15 @@ func (n *Network) mergeBarrier() bool {
 			n.deliveries = append(n.deliveries, sh.deliveries...)
 			sh.deliveries = sh.deliveries[:0]
 		}
+		for i := range sh.stampOps {
+			op := &sh.stampOps[i]
+			if op.add {
+				n.receiverAt(topology.NodeID(op.dst)).Stamp(op.worm, topology.NodeID(op.src), op.s)
+			} else if rc := n.receivers[op.dst]; rc != nil {
+				rc.Unstamp(op.worm, topology.NodeID(op.src))
+			}
+		}
+		sh.stampOps = sh.stampOps[:0]
 		n.killsDropped += sh.killsDropped
 		n.flitsInjected += sh.flitsInjected
 		n.flitsEjected += sh.flitsEjected
@@ -298,9 +315,9 @@ func (n *Network) prepassArrivals() bool {
 			any = true
 			l.busy = false
 			if n.corrupt(l, uint64(idx), &e.f) {
-				n.trace(EvCorrupt, topology.NodeID(l.toNode), int(l.toPort), int(e.vc), e.f.Worm, e.f.Seq)
+				n.trace(EvCorrupt, topology.NodeID(l.toNode), int(l.toPort), int(e.vc), e.f.Worm, int(e.f.Seq))
 			}
-			n.trace(EvArrive, topology.NodeID(l.toNode), int(l.toPort), int(e.vc), e.f.Worm, e.f.Seq)
+			n.trace(EvArrive, topology.NodeID(l.toNode), int(l.toPort), int(e.vc), e.f.Worm, int(e.f.Seq))
 			dst := n.shardOf(topology.NodeID(l.toNode))
 			dst.arrivals = append(dst.arrivals, e)
 		}

@@ -18,13 +18,14 @@ import (
 // mutable field the cycle kernel carries from one Step to the next —
 // link occupancy and burst state, in-flight tear-down signals, undrained
 // deliveries, the hazard process, the fault-timeline cursor, the health
-// latch, the global counters, and every router/injector/receiver that
-// exists — so that a network restored from the snapshot steps forward
-// byte-identically to one that never stopped (see
-// TestResumeByteIdentical). What a Step fills and empties within itself
-// — the credit matrix, the FKILL requests, the accepting-receiver set,
-// the arrivals buckets — is empty whenever a caller can run, so it is
-// not in the payload; LoadState clears it. So is every random draw: the
+// latch, the global counters, every router/injector/receiver that
+// exists, and the receivers' stamp records — so that a network restored
+// from the snapshot steps forward byte-identically to one that never
+// stopped (see TestResumeByteIdentical). What a Step fills and empties
+// within itself — the credit matrix, the FKILL requests and stamp
+// records in transit, the accepting-receiver set, the arrivals buckets
+// — is empty whenever a caller can run, so it is not in the payload;
+// LoadState clears it. So is every random draw: the
 // kernel's draws are keyed by (seed, entity, cycle) (rng.At), so there is
 // no generator position to carry.
 //
@@ -65,8 +66,8 @@ import (
 // they are preserved across LoadState.
 
 // layoutSuffix continues the configuration digest into the fingerprint
-// of the payload layout (snapshot.FormatVersion 7).
-const layoutSuffix = " layout=7"
+// of the payload layout (snapshot.FormatVersion 8).
+const layoutSuffix = " layout=8"
 
 // ConfigFingerprint returns a 64-bit digest of the network's effective
 // configuration (defaults filled in), covering every knob that shapes
@@ -110,8 +111,12 @@ func (n *Network) fingerprint(layout string) uint64 {
 }
 
 // SaveState appends the network's complete mutable state to a snapshot.
-// Call it between Step calls (any cycle boundary).
+// Call it between Step calls (any cycle boundary). It reserves its
+// previous payload's size and an eighth more up front: successive
+// checkpoints of a network are much alike in size.
 func (n *Network) SaveState(e *snapshot.Encoder) {
+	start := e.Len()
+	e.Grow(n.saveLen + n.saveLen/8)
 	e.U64(n.ConfigFingerprint())
 	e.Varint(n.cycle)
 	n.saveLinks(e)
@@ -137,6 +142,8 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 	e.Varint(n.transients)
 
 	n.saveNodes(e)
+	n.saveStamps(e)
+	n.saveLen = e.Len() - start
 }
 
 // Flag bits of an explicit link record.
@@ -301,6 +308,7 @@ func (n *Network) presence(id int) uint8 {
 // built network is one run and a network with four thousand built nodes
 // in a quarter of a million pays for the four thousand.
 func (n *Network) saveNodes(e *snapshot.Encoder) {
+	n.stamped = n.stamped[:0]
 	runs, prev := uint64(0), uint8(0)
 	for id := 0; id < n.nodes; id++ {
 		m := n.presence(id)
@@ -331,8 +339,63 @@ func (n *Network) saveNodes(e *snapshot.Encoder) {
 				n.injectors[id].SaveState(e)
 			}
 			if m&hasReceiver != 0 {
-				n.receivers[id].SaveState(e)
+				rc := n.receivers[id]
+				rc.SaveState(e)
+				if rc.StampRecords() > 0 {
+					n.stamped = append(n.stamped, int32(id))
+				}
 			}
+		}
+	}
+}
+
+// saveStamps writes the stamp records of the receivers that hold any,
+// which at a checkpoint is only those with heads on their way:
+//
+//	per such receiver, ascending:
+//	  uvarint  node id − the previous one's (the first's + 1), never 0
+//	  then its records (core.Receiver.SaveStamps)
+//	uvarint  0, ending the section
+//
+// A drained network's section is the one byte, whatever its size. The
+// receivers are those saveNodes noted while it walked them, so a big
+// network is not walked a second time.
+func (n *Network) saveStamps(e *snapshot.Encoder) {
+	prev := -1
+	for _, id := range n.stamped {
+		e.Uvarint(uint64(int(id) - prev))
+		n.receivers[id].SaveStamps(e)
+		prev = int(id)
+	}
+	e.Uvarint(0)
+}
+
+// loadStamps decodes what saveStamps wrote into receivers the node
+// section built: a record names a worm bound for its receiver's node,
+// which a save has built.
+func (n *Network) loadStamps(d *snapshot.Decoder) error {
+	for prev := -1; ; {
+		step := d.Uvarint()
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("network: stamp records: %w", err)
+		}
+		if step == 0 {
+			return nil
+		}
+		if step > uint64(n.nodes-1-prev) {
+			return fmt.Errorf("network: stamp records name node %d + %d, not ascending within [0,%d)", prev, step, n.nodes)
+		}
+		id := prev + int(step)
+		prev = id
+		rc := n.receivers[id]
+		if rc == nil {
+			return fmt.Errorf("network: stamp records for node %d, whose receiver is not built", id)
+		}
+		if err := rc.LoadStamps(d); err != nil {
+			return fmt.Errorf("network: receiver %d: %w", id, err)
+		}
+		if rc.StampRecords() == 0 {
+			return fmt.Errorf("network: stamp records for node %d: none", id)
 		}
 	}
 }
@@ -403,6 +466,9 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 		return err
 	}
 	if err := n.loadNodes(d); err != nil {
+		return err
+	}
+	if err := n.loadStamps(d); err != nil {
 		return err
 	}
 	if err := n.checkNetwork(); err != nil {

@@ -254,7 +254,7 @@ func TestEarlierLayoutRefused(t *testing.T) {
 	var log []string
 	snapRun(donor, 200, &log)
 	payload := saveBytes(donor)
-	for _, layout := range []string{"", " layout=sparse4", " layout=5", " layout=6"} {
+	for _, layout := range []string{"", " layout=sparse4", " layout=5", " layout=6", " layout=7"} {
 		var e snapshot.Encoder
 		e.U64(donor.fingerprint(layout))
 		e.Raw(payload[8:])

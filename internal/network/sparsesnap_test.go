@@ -272,8 +272,8 @@ func TestSparseSnapshotRestoresWhatWasSaved(t *testing.T) {
 }
 
 // TestLoadStateRejectsCorruptSnapshots is the network-level table beside
-// the router's: a size, index or shape in the link, queue and node
-// sections that the kernel cannot use is an error that names it — never
+// the router's: a size, index or shape in the link, queue, node and
+// stamp-record sections that the kernel cannot use is an error that names it — never
 // a panic, a hang, construction driven by a count the payload cannot
 // back, or a link whose up bit and failure-cause count disagree
 // (failLink and repairLink could never tear it down or bring it back) —
@@ -283,18 +283,21 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 	donor := New(lazyCfg(1))
 	lazyRun(donor, lazyQuiet, &kernelSnapshot{})
 	clean := saveBytes(donor)
-	var linkSec, queueSec, nodeSec snapshot.Encoder
+	var linkSec, queueSec, nodeSec, stampSec snapshot.Encoder
 	donor.saveLinks(&linkSec)
 	donor.saveQueues(&queueSec)
 	donor.saveNodes(&nodeSec)
-	// The payload is fingerprint, cycle, links, ..., nodes.
+	donor.saveStamps(&stampSec)
+	// The payload is fingerprint, cycle, links, ..., nodes, stamp records.
 	var cyc snapshot.Encoder
 	cyc.Varint(donor.cycle)
 	linkOff := 8 + cyc.Len()
-	nodeOff := len(clean) - nodeSec.Len()
+	stampOff := len(clean) - stampSec.Len()
+	nodeOff := stampOff - nodeSec.Len()
 	if !bytes.Equal(clean[linkOff:linkOff+linkSec.Len()], linkSec.Bytes()) ||
 		!bytes.Equal(clean[linkOff+linkSec.Len():][:queueSec.Len()], queueSec.Bytes()) ||
-		!bytes.Equal(clean[nodeOff:], nodeSec.Bytes()) {
+		!bytes.Equal(clean[nodeOff:stampOff], nodeSec.Bytes()) ||
+		!bytes.Equal(clean[stampOff:], stampSec.Bytes()) {
 		t.Fatal("section offsets are wrong; the table below would mangle the wrong bytes")
 	}
 	nodes, links := uint64(donor.nodes), uint64(donor.LinkCount())
@@ -316,6 +319,33 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		e.Raw(clean[:nodeOff])
 		build(&e)
 		return e.Bytes()
+	}
+	withStamps := func(build func(e *snapshot.Encoder)) []byte {
+		var e snapshot.Encoder
+		e.Raw(clean[:stampOff])
+		build(&e)
+		return e.Bytes()
+	}
+	// recordList writes one receiver's records: worm deltas and sources.
+	recordList := func(e *snapshot.Encoder, keys ...[2]uint64) {
+		e.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			e.Uvarint(k[0])
+			e.Varint(int64(k[1]))
+			flit.PutStamps(e, flit.Stamps{})
+		}
+	}
+	builtRecv, unbuiltRecv := -1, -1
+	for id, rc := range donor.receivers {
+		if rc != nil && builtRecv < 0 {
+			builtRecv = id
+		}
+		if rc == nil && unbuiltRecv < 0 {
+			unbuiltRecv = id
+		}
+	}
+	if builtRecv < 0 || unbuiltRecv < 0 {
+		t.Fatal("the donor needs a built and an unbuilt receiver")
 	}
 	nodeRun := func(e *snapshot.Encoder, first, count uint64, mask uint8) {
 		e.Uvarint(first)
@@ -566,14 +596,37 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		{"signal-node-out-of-range", "signal 0 names node 9999 outside [0,64)", withSignal(9999, uint8(router.KillFwd), 0)},
 		{"signal-kind-unknown", "signal 0 has unknown kind 7", withSignal(0, 7, 0)},
 		{"signal-port-out-of-range", "signal 0 (FKILL) names channel (40,0)", withSignal(0, uint8(router.KillBwd), 40)},
-		// The crash rows: the walk rejects them, once the nodes are built.
+		// The stamp rows follow the node section, and the crash rows are
+		// the walk's: both are rejected once the nodes are built.
+		{"stamps-past-nodes", "not ascending within [0,64)", withStamps(func(e *snapshot.Encoder) {
+			e.Uvarint(nodes + 1)
+		})},
+		{"stamps-unbuilt-receiver", "whose receiver is not built", withStamps(func(e *snapshot.Encoder) {
+			e.Uvarint(uint64(unbuiltRecv) + 1)
+			recordList(e, [2]uint64{5, 1})
+			e.Uvarint(0)
+		})},
+		{"stamps-none", "none", withStamps(func(e *snapshot.Encoder) {
+			e.Uvarint(uint64(builtRecv) + 1)
+			recordList(e)
+			e.Uvarint(0)
+		})},
+		{"stamps-descending-sources", "does not follow", withStamps(func(e *snapshot.Encoder) {
+			e.Uvarint(uint64(builtRecv) + 1)
+			recordList(e, [2]uint64{5, 3}, [2]uint64{0, 2})
+			e.Uvarint(0)
+		})},
+		{"stamps-unterminated", "stamp records", withStamps(func(e *snapshot.Encoder) {
+			e.Uvarint(uint64(builtRecv) + 1)
+			recordList(e, [2]uint64{5, 1})
+		})},
 		{"body-flit-without-assembly", "next to its receiver, which expects 0 (assembling false)", lostAssembly()},
 		{"flit-out-of-order", "sends flit 20 next to its receiver, which expects 21", skippedFlit()},
 		{"injected-body-into-torn-down-channel", "disagrees with its input (worm 8448, active false", tornInjection()},
 		{"tail-leaving-unheld-output", "of worm 10240 holds {PAD|TAIL worm=40.1", foreignTail()},
-		{"body-flit-on-vc-not-its-worms", "carries {PAD worm=33.1 seq=14 0->3} from an output its worm holds: false", foreignArrival()},
+		{"body-flit-on-vc-not-its-worms", "carries {PAD worm=33.1 seq=14 dst=3} from an output its worm holds: false", foreignArrival()},
 	}
-	walkRows := 5
+	builtRows := 10
 	if err := New(lazyCfg(1)).LoadState(snapshot.NewDecoder(clean)); err != nil {
 		t.Fatalf("clean snapshot rejected: %v", err)
 	}
@@ -587,7 +640,7 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not name the field (want %q)", err, tc.wantSub)
 			}
-			if r, _, _ := built(n); r > 2 && i < len(cases)-walkRows {
+			if r, _, _ := built(n); r > 2 && i < len(cases)-builtRows {
 				t.Fatalf("rejected snapshot still had %d routers built", r)
 			}
 		})

@@ -249,7 +249,7 @@ func (n *Network) transmitRouter(sh *shard, id int) bool {
 		func(outPort, outVC int, f *flit.Flit) {
 			moved = true
 			if outPort >= deg {
-				n.traceTo(sk, EvEject, node, outPort-deg, 0, f.Worm, f.Seq)
+				n.traceTo(sk, EvEject, node, outPort-deg, 0, f.Worm, int(f.Seq))
 				sk.flitsEjected++
 				sh.recvPend.add(int32(id))
 				n.receiverAt(node).Accept(outPort-deg, f, n.cycle)

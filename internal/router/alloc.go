@@ -85,7 +85,7 @@ func (r *Router) route(v *inVC) []uint16 {
 // candidates returns Route's candidates for head waiting at v, in
 // candBuf, or none at its destination.
 func (r *Router) candidates(v *inVC, head *flit.Flit) []routing.Candidate {
-	if head.Dst == r.id {
+	if topology.NodeID(head.Dst) == r.id {
 		return nil
 	}
 	inPort := topology.InvalidPort
@@ -100,7 +100,7 @@ func (r *Router) candidates(v *inVC, head *flit.Flit) []routing.Candidate {
 	req := routing.Request{
 		Topo:          r.topo,
 		Cur:           r.id,
-		Dst:           head.Dst,
+		Dst:           topology.NodeID(head.Dst),
 		InPort:        inPort,
 		InVC:          inVCIdx,
 		NumVCs:        r.cfg.VCs,
@@ -176,7 +176,7 @@ func (r *Router) RouteAndAllocate(emits []Emit) []Emit {
 				r.cacheRoute(v, head)
 			}
 			var ok bool
-			if head.Dst == r.id {
+			if topology.NodeID(head.Dst) == r.id {
 				ok = r.allocateEjection(v)
 			} else {
 				ok = r.allocateNetwork(v, head)
@@ -369,7 +369,7 @@ func (r *Router) claim(v *inVC, head *flit.Flit, e uint16) bool {
 		r.maxHopsWorm = head.Worm
 	}
 	next, _ := r.topo.Neighbor(r.id, topology.Port(port))
-	if r.topo.Distance(next, head.Dst) >= r.topo.Distance(r.id, head.Dst) {
+	if dst := topology.NodeID(head.Dst); r.topo.Distance(next, dst) >= r.topo.Distance(r.id, dst) {
 		head.Detours++
 		r.stats.Misroutes++
 	}

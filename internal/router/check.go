@@ -125,10 +125,10 @@ func (r *Router) checkFlits(v *inVC, nodes int) error {
 	if !v.routed() && v.count == 0 {
 		return fmt.Errorf("router %d: active input (%d,%d) holds neither a flit nor an allocation", r.id, v.p, v.vc)
 	}
-	first := r.front(v).Seq
+	first := int(r.front(v).Seq)
 	for k := 0; k < int(v.count); k++ {
 		f := r.store.at(int(v.idx), k)
-		if f.Worm != v.worm || f.Seq != first+k || !f.WellFormed(nodes) || f.Tail && k != int(v.count)-1 {
+		if f.Worm != v.worm || int(f.Seq) != first+k || !f.WellFormed(nodes) || f.Tail && k != int(v.count)-1 {
 			return fmt.Errorf("router %d: input (%d,%d) of worm %d holds %v at position %d", r.id, v.p, v.vc, v.worm, *f, k)
 		}
 	}

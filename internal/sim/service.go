@@ -73,6 +73,8 @@ type Service struct {
 	// equivalence experiment (E28) and crsimd's /status expose
 	// determinism without shipping full logs.
 	streamHash uint64
+
+	saveLen int // size of the last Save's payload, which the next one reserves up front
 }
 
 // NewService validates the configuration and builds the service at
@@ -198,9 +200,11 @@ func fnvMix(h, v uint64) uint64 {
 // Save serializes the complete service state — network, replay
 // position, cumulative statistics, stream hash, sampler — as a payload
 // for snapshot.Encode/WriteFile. The returned slice is freshly
-// allocated.
+// allocated, once: the encoder reserves the previous payload's size and
+// an eighth more.
 func (s *Service) Save() []byte {
 	var e snap.Encoder
+	e.Grow(s.saveLen + s.saveLen/8)
 	e.U32(serviceStateVersion)
 	s.net.SaveState(&e)
 	s.rep.SaveState(&e)
@@ -217,7 +221,8 @@ func (s *Service) Save() []byte {
 	if s.deg != nil {
 		s.deg.SaveState(&e)
 	}
-	return append([]byte(nil), e.Bytes()...)
+	s.saveLen = e.Len()
+	return e.Bytes()
 }
 
 // Restore loads a payload written by Save into this service. The

@@ -25,6 +25,7 @@ package snapshot
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Encoder serializes state into a growable byte buffer. The zero value
@@ -39,6 +40,12 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.buf) }
+
+// Grow makes room for n more bytes in one allocation, so that encoding
+// that many does not regrow the buffer: appending a large payload a
+// value at a time would otherwise allocate, zero and copy several times
+// its size on the way.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // Raw appends bytes verbatim (no length prefix) — for fixed-size
 // framing like magic strings, where the reader knows the length.

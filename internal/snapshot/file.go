@@ -62,9 +62,17 @@ const Magic = "CRSNAP01"
 // determine — the busy-link refs, both worklists, the router's output
 // holders and link liveness, an input's routed flag, the injector's pad
 // length and commit threshold, and the message id beside every worm id.
-// It is the only version Decode accepts: a payload has one reader, the
-// one that matches its writer.
-const FormatVersion = 7
+//
+// Version 8 (a flit is what the wire carries): a flit no longer carries
+// its source or the source-side phase timestamps. The stamps of each
+// attempt are stated once: in a stamp record at its destination's
+// receiver from head injection to head arrival (a section of their own
+// at the end of the network payload), in the assembly after, each as
+// deltas back from the attempt's injection cycle; an injector channel
+// no longer repeats its message's creation cycle. It is the only
+// version Decode accepts: a payload has one reader, the one that
+// matches its writer.
+const FormatVersion = 8
 
 const headerSize = len(Magic) + 4 + 8 + 8 // magic + version + cycle + length
 

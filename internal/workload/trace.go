@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 
+	"crnet/internal/flit"
 	"crnet/internal/rng"
 	"crnet/internal/topology"
 )
@@ -56,8 +57,8 @@ func (t *Trace) Validate() error {
 		if r.Src == r.Dst || r.Src < 0 || int(r.Src) >= t.Nodes || r.Dst < 0 || int(r.Dst) >= t.Nodes {
 			return fmt.Errorf("workload: trace %q record %d endpoints %d->%d invalid", t.Name, i, r.Src, r.Dst)
 		}
-		if r.DataLen < 1 {
-			return fmt.Errorf("workload: trace %q record %d length %d", t.Name, i, r.DataLen)
+		if r.DataLen < 1 || r.DataLen > flit.MaxDataLen {
+			return fmt.Errorf("workload: trace %q record %d length %d outside [1,%d]", t.Name, i, r.DataLen, flit.MaxDataLen)
 		}
 	}
 	return nil

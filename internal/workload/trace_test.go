@@ -160,3 +160,17 @@ func TestTraceForDerivesRate(t *testing.T) {
 		t.Fatalf("rate = %g, want %g", spec.Rate, want)
 	}
 }
+
+// TestTraceValidateRejectsUnencodableLength: a record longer than a head
+// flit's 16-bit length field is refused when the trace is validated, not
+// left to panic when its message is submitted.
+func TestTraceValidateRejectsUnencodableLength(t *testing.T) {
+	tr := &Trace{Name: "long", Nodes: 4, Records: []TraceRecord{{Cycle: 0, Src: 0, Dst: 1, DataLen: flit.MaxDataLen}}}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("a %d-flit record rejected: %v", flit.MaxDataLen, err)
+	}
+	tr.Records[0].DataLen = flit.MaxDataLen + 1
+	if err := tr.Validate(); err == nil {
+		t.Fatalf("a %d-flit record accepted", flit.MaxDataLen+1)
+	}
+}

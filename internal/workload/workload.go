@@ -14,6 +14,7 @@ package workload
 import (
 	"fmt"
 
+	"crnet/internal/flit"
 	"crnet/internal/topology"
 )
 
@@ -47,7 +48,7 @@ type Msg struct {
 }
 
 func (m Msg) validate(nodes int) error {
-	if m.DataLen < 1 {
+	if m.DataLen < 1 || m.DataLen > flit.MaxDataLen {
 		return fmt.Errorf("workload: message tag %d has length %d", m.Tag, m.DataLen)
 	}
 	if m.Src == m.Dst || m.Src < 0 || int(m.Src) >= nodes || m.Dst < 0 || int(m.Dst) >= nodes {
