@@ -39,9 +39,9 @@ func TestHotStructSizes(t *testing.T) {
 // TestMillionNodeTorus pins the memory diet: a 1024x1024 torus (2^20
 // nodes, 4M links) must construct and step within a modest heap. The
 // flat link array is the only per-link cost (24 B each, ~100 MB total;
-// the heap after this run measures 148 MiB on linux/amd64, go1.24,
-// with 32-byte flits as it did with 80-byte ones: the links are the
-// heap, and the 16 routers this run builds hold few flits);
+// the heap after this run measures 149 MiB on linux/amd64, go1.24:
+// the links are the heap, the 16 routers this run builds hold few
+// flits, and the router reserve adds a pointer per 8 nodes);
 // routers, injectors, and receivers are built lazily, so a run that
 // touches a corner of the network pays only for that corner. The
 // test routes real traffic through a handful of neighborhoods under the

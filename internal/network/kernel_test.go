@@ -227,7 +227,8 @@ func (p nextNode) Dest(src topology.NodeID, _ *rng.Source) topology.NodeID {
 // queue, pool and receiver watermark list past what the gated load
 // needs, then settles at the gated load until the backlog has drained
 // (DESIGN.md §5). The 64x64 case holds the same bodies to zero on a
-// working set 64 times the 8x8 one, on next-node traffic.
+// working set 64 times the 8x8 one, on next-node traffic, and the
+// two-range case holds the fork and its barriers to zero.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	const (
 		kills = iota
@@ -246,14 +247,16 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		pattern func(nodes int) traffic.Pattern
 		chaos   bool
 		moved   []int // counters the gated window must advance
+		shards  int
 	}
 	uniform := func(nodes int) traffic.Pattern { return traffic.Uniform{Nodes: nodes} }
 	cases := []gateCase{
-		{"fifo", 8, router.OrgStaticFIFO, 0.1, 8500, uniform, false, []int{kills}},
-		{"damq", 8, router.OrgDAMQ, 0.1, 8500, uniform, false, []int{kills}},
-		{"shared", 8, router.OrgCreditShared, 0.07, 8500, uniform, false, []int{kills}},
-		{"k64", 64, router.OrgStaticFIFO, 0.3, 1000, func(nodes int) traffic.Pattern { return nextNode{nodes} }, false, nil},
-		{"fcr-chaos", 8, router.OrgStaticFIFO, 0.05, 8500, uniform, true, []int{kills, fkills, hazardFailures, hazardRepairs}},
+		{"fifo", 8, router.OrgStaticFIFO, 0.1, 8500, uniform, false, []int{kills}, 1},
+		{"damq", 8, router.OrgDAMQ, 0.1, 8500, uniform, false, []int{kills}, 1},
+		{"shared", 8, router.OrgCreditShared, 0.07, 8500, uniform, false, []int{kills}, 1},
+		{"k64", 64, router.OrgStaticFIFO, 0.3, 1000, func(nodes int) traffic.Pattern { return nextNode{nodes} }, false, nil, 1},
+		{"fcr-chaos", 8, router.OrgStaticFIFO, 0.05, 8500, uniform, true, []int{kills, fkills, hazardFailures, hazardRepairs}, 1},
+		{"fifo-shards2", 8, router.OrgStaticFIFO, 0.1, 8500, uniform, false, []int{kills}, 2},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -268,7 +271,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				Protocol: core.CR,
 				BufOrg:   tc.org,
 				Backoff:  core.Backoff{Kind: core.BackoffExponential, Gap: 8},
-				Shards:   1,
+				Shards:   tc.shards,
 				Seed:     1,
 			}
 			if tc.chaos {

@@ -411,13 +411,31 @@ func New(cfg Config) *Network {
 // linkAt returns the link at (node, port) in the flat array.
 func (n *Network) linkAt(id, p int) *link { return &n.links[id*n.deg+p] }
 
+// routerBlock is the size of the id blocks routerAt builds routers in:
+// consecutive ids, aligned to a multiple of routerBlock and clipped to
+// the owning range. A block builds at most routerBlock-1 routers that
+// are never touched; a larger block would cost more memory on sparse
+// fabrics.
+const routerBlock = 8
+
 // routerAt returns node id's router, constructing it on first touch.
 // Stats accessors that only *read* router state skip nil entries
 // instead (an untouched router contributes its zero/initial values).
+//
+// The router comes from its range's reserve: the first touch in a block
+// builds every unbuilt router of the block in ascending id order, and
+// each is adopted — stored in n.routers, with its dead ports and
+// advertiser set — at its own first touch. Every phase walks routers in
+// ascending id order, but light load touches them in random order;
+// built one at a time, each router's objects would land next to
+// whatever was built just before it rather than next to its id
+// neighbours'. A fresh router holds no state that depends on when it is
+// built, so "built" still means "touched", and results, checkpoints and
+// presence bits are the same as building each router on its own.
 func (n *Network) routerAt(id topology.NodeID) *router.Router {
 	r := n.routers[id]
 	if r == nil {
-		r = router.New(id, n.topo, n.cfg.Alg, n.rcfg)
+		r = n.fromReserve(n.shardOf(id), id)
 		if n.rcfg.Org != router.OrgStaticFIFO {
 			// Shared organizations advertise window deltas back to the
 			// upstream router feeding each input port. Deltas ride the
@@ -445,6 +463,25 @@ func (n *Network) routerAt(id topology.NodeID) *router.Router {
 		}
 		n.routers[id] = r //cr:sharded one-time deterministic store; a node is first-touched only by its owning shard
 	}
+	return r
+}
+
+// fromReserve takes node id's router, not yet built, out of range sh's
+// reserve, first reserving id's block if it has no reservation.
+func (n *Network) fromReserve(sh *shard, id topology.NodeID) *router.Router {
+	blk := &sh.reserve[int(id)/routerBlock-sh.lo/routerBlock]
+	if *blk == nil {
+		*blk = new([routerBlock]*router.Router)
+		first := int(id) / routerBlock * routerBlock
+		for j := max(first, sh.lo); j < min(first+routerBlock, sh.hi); j++ {
+			if n.routers[j] == nil {
+				(*blk)[j-first] = router.New(topology.NodeID(j), n.topo, n.cfg.Alg, n.rcfg)
+			}
+		}
+	}
+	slot := &(*blk)[int(id)%routerBlock]
+	r := *slot
+	*slot = nil
 	return r
 }
 

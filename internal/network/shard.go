@@ -103,6 +103,18 @@ type shard struct {
 	// inconsistency the range's part of the consistency walk found.
 	lo, hi   int
 	checkErr error
+
+	// reserve holds the routers built ahead of their first touch, one
+	// entry per routerBlock-aligned block the range overlaps (block
+	// id/routerBlock - lo/routerBlock); nil until the block is reserved.
+	// See routerAt.
+	reserve []*[routerBlock]*router.Router
+
+	// phase is the body the range's next fork runs; work runs it on a
+	// forked goroutine. work is bound once by initShards, so a fork
+	// allocates nothing.
+	phase shardPhase
+	work  func()
 }
 
 func (sh *shard) reset() {
@@ -147,6 +159,8 @@ func (n *Network) initShards(s int) {
 		sh.activeI = newNodeSet(n.nodes)
 		sh.recvPend = newNodeSet(n.nodes)
 		sh.inCredits = make([][]creditEvent, 1+s)
+		sh.reserve = make([]*[routerBlock]*router.Router, (sh.hi-1)/routerBlock-sh.lo/routerBlock+1)
+		sh.work = func() { n.shardWorker(sh) }
 		for id := lo; id < lo+size; id++ {
 			n.nodeShard[id] = int32(i)
 		}
@@ -188,10 +202,11 @@ const (
 
 // forkJoin runs one per-range phase, full barrier before returning. A
 // single range runs inline on the caller's goroutine; several run one
-// goroutine each. Goroutines are per-phase rather than long-lived so the
-// Network needs no Close and an idle network holds no threads; the spawn
-// cost is far below one phase's work at the sizes where sharding is
-// worth enabling.
+// goroutine each, started through the range's bound work function, so a
+// fork allocates nothing. Goroutines are per-phase rather than
+// long-lived so the Network needs no Close and an idle network holds no
+// threads; the spawn cost is far below one phase's work at the sizes
+// where sharding is worth enabling.
 //
 // A panic in a forked body is carried back and re-raised here, on the
 // caller's goroutine, where the caller's recover (harness.SweepSafe, a
@@ -206,7 +221,9 @@ func (n *Network) forkJoin(ph shardPhase) {
 	}
 	n.wg.Add(len(n.shards))
 	for i := range n.shards {
-		go n.shardWorker(&n.shards[i], ph)
+		sh := &n.shards[i]
+		sh.phase = ph
+		go sh.work()
 	}
 	n.wg.Wait()
 	var first any
@@ -220,12 +237,12 @@ func (n *Network) forkJoin(ph shardPhase) {
 	}
 }
 
-func (n *Network) shardWorker(sh *shard, ph shardPhase) {
+func (n *Network) shardWorker(sh *shard) {
 	defer func() {
 		sh.panicked = recover()
 		n.wg.Done()
 	}()
-	n.shardRun(sh, ph)
+	n.shardRun(sh, sh.phase)
 }
 
 func (n *Network) shardRun(sh *shard, ph shardPhase) {

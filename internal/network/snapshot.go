@@ -642,6 +642,12 @@ func (n *Network) loadNodes(d *snapshot.Decoder) error {
 	clear(n.routers)
 	clear(n.injectors)
 	clear(n.receivers)
+	for i := range n.shards {
+		// A reservation must hold every unbuilt router of its block, so
+		// it goes with the routers it was adopted from; the dropped
+		// routers are discarded, not returned to a reserve.
+		clear(n.shards[i].reserve)
+	}
 	next := uint64(0) // the first node id no run has covered yet
 	for i := 0; i < runs; i++ {
 		first, count, mask := d.Uvarint(), d.Uvarint(), d.U8()

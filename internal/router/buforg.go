@@ -219,7 +219,7 @@ func (s *store) push(i, n int, f *flit.Flit) {
 		}
 		s.used[p]++
 	}
-	s.arena[i*s.stride+(int(s.head[i])+n)%s.stride] = *f
+	*s.at(i, n) = *f
 }
 
 // pop removes VC i's front flit and returns a pointer to the slot it
@@ -232,8 +232,10 @@ func (s *store) pop(i int) *flit.Flit {
 	if i < s.nPooled {
 		s.used[i/s.vcsPer]--
 	}
-	f := &s.arena[i*s.stride+int(s.head[i])]
-	s.head[i] = int32((int(s.head[i]) + 1) % s.stride)
+	f := s.front(i)
+	if s.head[i]++; int(s.head[i]) == s.stride {
+		s.head[i] = 0
+	}
 	return f
 }
 
@@ -348,9 +350,8 @@ func (s *store) resetGrant(i int) {
 
 // saveVC encodes VC i's n buffered flits front-to-back.
 func (s *store) saveVC(e *snapshot.Encoder, i, n int) {
-	base := i * s.stride
 	for k := 0; k < n; k++ {
-		flit.PutFlit(e, &s.arena[base+(int(s.head[i])+k)%s.stride])
+		flit.PutFlit(e, s.at(i, k))
 	}
 }
 
