@@ -72,15 +72,20 @@ race-harness:
 # barrier executes with real goroutine interleaving. -short replays the
 # byte-identity and golden pins at one forked range count (2) beside the
 # inline one; `make test` runs their whole {1,2,4,7,8,GOMAXPROCS} matrix
-# without the race detector, and race-sharded-full runs it with.
-RACE_SHARDED = GOMAXPROCS=4 $(GO) test -race -count=1 -timeout 30m \
+# without the race detector, and race-sharded-full runs it with. Both
+# also run -short at GOMAXPROCS=1, where the coordinator and the range
+# workers share one P, so every handoff and join goes through their
+# yields.
+RACE_SHARDED = $(GO) test -race -count=1 -timeout 30m \
 	-run 'TestSharded|TestShardPartition|TestActiveSetMatchesBruteForce|TestKernelGolden' \
 	./internal/network/ ./internal/sim/
 race-sharded:
-	$(RACE_SHARDED) -short
+	GOMAXPROCS=4 $(RACE_SHARDED) -short
+	GOMAXPROCS=1 $(RACE_SHARDED) -short
 
 race-sharded-full:
-	$(RACE_SHARDED)
+	GOMAXPROCS=4 $(RACE_SHARDED)
+	GOMAXPROCS=1 $(RACE_SHARDED) -short
 
 # The chaos soaks (random fail/repair timeline, the load-coupled hazard
 # process, and the graceful-degradation controller's recovery arc, all

@@ -5,8 +5,8 @@
 //
 // The cycle kernel (internal/network/shard.go, DESIGN.md §5 and §10)
 // partitions the nodes into contiguous ranges and runs the node-ordered
-// phases one body per range — inline for a single range, on one worker
-// goroutine per range otherwise — with the guarantee that results are
+// phases one body per range — inline for a single range, handed to
+// range worker goroutines otherwise — with the guarantee that results are
 // byte-identical for every range count. That only holds — and only
 // races are absent — because the bodies confine their side effects to
 // three seams: their own range's sink (merged in range order at the
@@ -20,7 +20,7 @@
 // race-sharded`.
 //
 // Mechanically: the roots are the methods whose name starts with
-// "shard" (shardWorker, shardRun and the shard* phase bodies); the
+// "shard" (shardRun and the shard* phase bodies); the
 // analyzer walks the package-local call graph from them — direct calls
 // to same-package functions and methods, function literals inlined —
 // and inside every reachable body flags
@@ -36,7 +36,7 @@
 // `//cr:sharded <reason>` escape. Escapes attach at three levels: the
 // offending statement, the whole function (doc comment), or the struct
 // field being touched — the last for fields that are immutable after
-// construction (topo) or are the synchronization primitive itself (wg).
+// construction (topo).
 // An escape without a justification is itself a finding.
 //
 // Known soundness limits, covered by the dynamic race gate: writes

@@ -31,7 +31,8 @@ func (n *Network) SetHooks(h Hooks) { n.hooks = h }
 // ascending (node, port) order (see the package comment for why signals
 // precede arrivals). Phases named phase*/prepass*/apply* run on the
 // calling goroutine — the coordinator; forkJoin runs a phase body once
-// per node range (inline for one range, one goroutine each for several;
+// per node range (inline for one range; with several, range 0 inline
+// and the others handed to range workers that stay awake between forks;
 // see shard.go), and mergeBarrier folds the ranges' side effects back
 // in range order, so results are byte-identical for every Config.Shards.
 func (n *Network) Step() {

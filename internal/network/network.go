@@ -37,7 +37,7 @@ package network
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"crnet/internal/core"
 	"crnet/internal/faults"
@@ -330,13 +330,12 @@ type Network struct {
 
 	// shards are the node ranges — always at least one — each owning its
 	// nodes' activity worklists (see step.go for the maintenance
-	// protocol); nodeShard is the node→range index and wg the fork/join
-	// group.
+	// protocol); nodeShard is the node→range index, and pending and
+	// joined are a fork's join (see forkJoin).
 	shards    []shard
-	nodeShard []int32 //cr:nosnap derived node-to-range index, rebuilt from Config by initShards
-	//cr:nosnap synchronization primitive; serializing it is meaningless
-	//cr:sharded the fork/join group is the shard synchronization protocol itself
-	wg sync.WaitGroup
+	nodeShard []int32       //cr:nosnap derived node-to-range index, rebuilt from Config by initShards
+	pending   atomic.Int32  //cr:nosnap a fork's join count; nothing of it outlives the fork
+	joined    chan struct{} //cr:nosnap a fork's join wake-up, empty between forks
 
 	// Load-coupled failure process (nil unless cfg.Hazard is set).
 	// hazardLinks fixes the entity order; hazardFlits/hazardLoad are

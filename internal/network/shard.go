@@ -1,6 +1,9 @@
 package network
 
 import (
+	"runtime"
+	"sync/atomic"
+
 	"crnet/internal/core"
 	"crnet/internal/faults"
 	"crnet/internal/flit"
@@ -96,7 +99,7 @@ type shard struct {
 	// moved reports switch-transmission progress in this range's transmit
 	// phase; the barrier ORs it into the cycle's progress flag.
 	moved bool
-	// panicked carries a forked body's panic to the coordinator.
+	// panicked carries a body's panic to the coordinator's re-raise.
 	panicked any
 
 	// lo and hi bound the range's node ids; checkErr is the first
@@ -110,11 +113,17 @@ type shard struct {
 	// See routerAt.
 	reserve []*[routerBlock]*router.Router
 
-	// phase is the body the range's next fork runs; work runs it on a
-	// forked goroutine. work is bound once by initShards, so a fork
-	// allocates nothing.
+	// The range's worker handoff (ranges 1.. of a forked network; see
+	// forkJoin): state is workerGone, workerSpinning or workerClaimed.
+	// A claim sets net and phase, the body to run, before it publishes
+	// workerClaimed; the worker clears net before it hands the range
+	// back, so between claims it holds no reference to the Network.
+	// start is rangeWorker bound to the range once by initShards, so
+	// starting a worker allocates nothing.
+	state atomic.Int32
+	net   *Network
 	phase shardPhase
-	work  func()
+	start func()
 }
 
 func (sh *shard) reset() {
@@ -144,6 +153,9 @@ func (n *Network) initShards(s int) {
 		s = n.nodes
 	}
 	n.shards = make([]shard, s)
+	if s > 1 {
+		n.joined = make(chan struct{}, 1)
+	}
 	n.nodeShard = make([]int32, n.nodes)
 	per, rem := n.nodes/s, n.nodes%s
 	lo := 0
@@ -160,7 +172,7 @@ func (n *Network) initShards(s int) {
 		sh.recvPend = newNodeSet(n.nodes)
 		sh.inCredits = make([][]creditEvent, 1+s)
 		sh.reserve = make([]*[routerBlock]*router.Router, (sh.hi-1)/routerBlock-sh.lo/routerBlock+1)
-		sh.work = func() { n.shardWorker(sh) }
+		sh.start = func() { rangeWorker(sh) }
 		for id := lo; id < lo+size; id++ {
 			n.nodeShard[id] = int32(i)
 		}
@@ -200,32 +212,57 @@ const (
 	spCheck
 )
 
+// Worker states (shard.state).
+const (
+	workerGone     int32 = iota // no goroutine: the next fork starts one
+	workerSpinning              // between bodies, yielding until a claim or its budget ends
+	workerClaimed               // handed a body to run
+)
+
+// spinYields bounds a wait between phases, counted in runtime.Gosched
+// yields rather than time: a range worker's for its next claim before it
+// exits, and the coordinator's for the join before it blocks. It is
+// long enough for a worker to outlast the gap between two Steps of a
+// stepping loop; DESIGN.md §10 has the measurements behind the value.
+const spinYields = 4000
+
 // forkJoin runs one per-range phase, full barrier before returning. A
-// single range runs inline on the caller's goroutine; several run one
-// goroutine each, started through the range's bound work function, so a
-// fork allocates nothing. Goroutines are per-phase rather than
-// long-lived so the Network needs no Close and an idle network holds no
-// threads; the spawn cost is far below one phase's work at the sizes
-// where sharding is worth enabling.
+// single range runs inline on the caller's goroutine. With several, the
+// coordinator hands ranges 1.. to their workers, runs range 0 itself
+// and waits for the rest. A worker that finished its last body spins
+// for a claim (rangeWorker); one that gave up and exited is started
+// again here, through the CAS that keeps an exit and a claim from both
+// winning. So a stepping network keeps its workers awake, and an idle
+// one holds no goroutines and needs no Close.
 //
-// A panic in a forked body is carried back and re-raised here, on the
-// caller's goroutine, where the caller's recover (harness.SweepSafe, a
-// test) can see it as it would with one range; the lowest range wins so
-// the outcome does not depend on scheduling. The re-raised value is the
-// original one — the worker's stack is gone, and one range (same
-// results, by construction) is the way to get it.
+// The join counts the workers still running plus one token of the
+// coordinator's own: the coordinator spins until only its token is
+// left, and otherwise gives the token up and blocks on joined, which
+// the worker that drops the count to zero fills. A fork allocates
+// nothing.
+//
+// A panic in a body is carried back and re-raised here, on the caller's
+// goroutine, where the caller's recover (harness.SweepSafe, a test) can
+// see it as it would with one range; the lowest range wins so the
+// outcome does not depend on scheduling. The re-raised value is the
+// original one — a worker's stack is gone, and one range (same results,
+// by construction) is the way to get it.
 func (n *Network) forkJoin(ph shardPhase) {
 	if len(n.shards) == 1 {
 		n.shardRun(&n.shards[0], ph)
 		return
 	}
-	n.wg.Add(len(n.shards))
-	for i := range n.shards {
+	n.pending.Store(int32(len(n.shards)))
+	for i := 1; i < len(n.shards); i++ {
 		sh := &n.shards[i]
-		sh.phase = ph
-		go sh.work()
+		sh.net, sh.phase = n, ph
+		if !sh.state.CompareAndSwap(workerSpinning, workerClaimed) {
+			sh.state.Store(workerClaimed)
+			go sh.start()
+		}
 	}
-	n.wg.Wait()
+	n.runGuarded(&n.shards[0], ph)
+	n.join()
 	var first any
 	for i := len(n.shards) - 1; i >= 0; i-- {
 		if p := n.shards[i].panicked; p != nil {
@@ -237,12 +274,50 @@ func (n *Network) forkJoin(ph shardPhase) {
 	}
 }
 
-func (n *Network) shardWorker(sh *shard) {
-	defer func() {
-		sh.panicked = recover()
-		n.wg.Done()
-	}()
-	n.shardRun(sh, sh.phase)
+// join waits for every worker of the current fork (see forkJoin).
+func (n *Network) join() {
+	for i := 0; i < spinYields; i++ {
+		if n.pending.Load() == 1 {
+			return
+		}
+		runtime.Gosched()
+	}
+	if n.pending.Add(-1) != 0 {
+		<-n.joined
+	}
+}
+
+// rangeWorker runs the range's claimed bodies until a spin for the next
+// claim runs out.
+func rangeWorker(sh *shard) {
+	for {
+		runClaim(sh)
+		for i := 0; sh.state.Load() != workerClaimed; i++ {
+			if i == spinYields && sh.state.CompareAndSwap(workerSpinning, workerGone) {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+}
+
+// runClaim runs one claimed body and hands the range back. The state
+// turns workerSpinning before the join count drops, so the next fork,
+// which starts only after the join, finds it claimable.
+func runClaim(sh *shard) {
+	n := sh.net
+	sh.net = nil
+	n.runGuarded(sh, sh.phase)
+	sh.state.Store(workerSpinning)
+	if n.pending.Add(-1) == 0 {
+		n.joined <- struct{}{}
+	}
+}
+
+// runGuarded runs one range's body, keeping its panic for forkJoin.
+func (n *Network) runGuarded(sh *shard, ph shardPhase) {
+	defer func() { sh.panicked = recover() }()
+	n.shardRun(sh, ph)
 }
 
 func (n *Network) shardRun(sh *shard, ph shardPhase) {

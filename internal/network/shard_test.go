@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"crnet/internal/core"
@@ -184,56 +185,82 @@ func TestShardedSnapshotCrossMode(t *testing.T) {
 		return out
 	}
 	const half, full = 600, 1200
+	type restore struct {
+		from, to int
+		awake    bool // step the target first, so its range workers are awake at the restore
+	}
+	cases := []restore{{from: 2, to: 2, awake: true}}
 	for _, from := range []int{0, 3} {
 		for _, to := range []int{0, 4} {
-			if from == to {
-				continue
+			if from != to {
+				cases = append(cases, restore{from: from, to: to})
 			}
-			t.Run(fmt.Sprintf("shards%d_to_%d", from, to), func(t *testing.T) {
-				src := newNet(from)
-				firstHalf := drive(src, 0, half)
-				var e snapshot.Encoder
-				src.SaveState(&e)
-				rest := newNet(to)
-				if err := rest.LoadState(snapshot.NewDecoder(e.Bytes())); err != nil {
-					t.Fatalf("cross-mode restore failed: %v", err)
-				}
-				// The restored network must replay the second half exactly
-				// as the unbroken source does.
-				wantSecond := drive(src, half, full)
-				gotSecond := drive(rest, half, full)
-				if !reflect.DeepEqual(gotSecond, wantSecond) {
-					t.Fatalf("restored run diverged: %d deliveries vs %d", len(gotSecond), len(wantSecond))
-				}
-				if src.Cycle() != rest.Cycle() || src.flitsDropped != rest.flitsDropped {
-					t.Fatalf("restored counters diverged: cycle %d/%d dropped %d/%d",
-						rest.Cycle(), src.Cycle(), rest.flitsDropped, src.flitsDropped)
-				}
-				_ = firstHalf
-			})
 		}
+	}
+	for _, tc := range cases {
+		from, to := tc.from, tc.to
+		name := fmt.Sprintf("shards%d_to_%d", from, to)
+		if tc.awake {
+			name += "_awake"
+		}
+		t.Run(name, func(t *testing.T) {
+			src := newNet(from)
+			firstHalf := drive(src, 0, half)
+			var e snapshot.Encoder
+			src.SaveState(&e)
+			rest := newNet(to)
+			if tc.awake {
+				drive(rest, 0, half/2)
+			}
+			if err := rest.LoadState(snapshot.NewDecoder(e.Bytes())); err != nil {
+				t.Fatalf("cross-mode restore failed: %v", err)
+			}
+			// The restored network must replay the second half exactly
+			// as the unbroken source does.
+			wantSecond := drive(src, half, full)
+			gotSecond := drive(rest, half, full)
+			if !reflect.DeepEqual(gotSecond, wantSecond) {
+				t.Fatalf("restored run diverged: %d deliveries vs %d", len(gotSecond), len(wantSecond))
+			}
+			if src.Cycle() != rest.Cycle() || src.flitsDropped != rest.flitsDropped {
+				t.Fatalf("restored counters diverged: cycle %d/%d dropped %d/%d",
+					rest.Cycle(), src.Cycle(), rest.flitsDropped, src.flitsDropped)
+			}
+			_ = firstHalf
+		})
 	}
 }
 
-// plantedPanic panics on the first header any router tries to route,
-// from inside the allocate phase body.
-type plantedPanic struct{ routing.MinimalAdaptive }
+// plantedPanic panics on the first header a router tries to route,
+// from inside the allocate phase body: at any node, or only at node at
+// when only is set.
+type plantedPanic struct {
+	routing.MinimalAdaptive
+	only bool
+	at   topology.NodeID
+}
 
-func (plantedPanic) Route(req routing.Request, _ []routing.Candidate) []routing.Candidate {
+func (p plantedPanic) Route(req routing.Request, out []routing.Candidate) []routing.Candidate {
+	if p.only && req.Cur != p.at {
+		return p.MinimalAdaptive.Route(req, out)
+	}
 	panic(fmt.Sprintf("planted panic routing at node %d", req.Cur))
 }
 
 // TestShardedPanicReachesCaller pins that a panic inside a phase body
 // surfaces on the goroutine that called Step whether the body ran inline
-// or forked, so harness.SweepSafe turns it into one point's error
-// instead of the process dying on a worker nobody can recover — and that
-// it is the same panic either way: the planted point has every node
-// route a header in cycle 0, so every range panics in the same phase,
-// and the lowest range's value is re-raised — the one a single ascending
-// walk hits first.
+// or on a range worker, so harness.SweepSafe turns it into one point's
+// error instead of the process dying on a worker nobody can recover —
+// and that it is the same panic either way. The everywhere plant has
+// every node route a header in cycle 0, so every range panics in the
+// same phase, and the lowest range's value is re-raised — the one a
+// single ascending walk hits first. The last-node plant panics only in
+// the last range: the coordinator's own range returns normally while a
+// worker panics, and the point still fails with the worker's value.
 func TestShardedPanicReachesCaller(t *testing.T) {
 	topo := topology.NewTorus(4, 2)
-	sweep := func(shards int) ([]int, []harness.PointError) {
+	last := topology.NodeID(topo.Nodes() - 1)
+	sweep := func(shards int, plant plantedPanic) ([]int, []harness.PointError) {
 		return harness.SweepSafe(3, harness.SafeOptions{}, func(i int, _ <-chan struct{}) (int, error) {
 			cfg := Config{
 				Topo:     topo,
@@ -244,7 +271,7 @@ func TestShardedPanicReachesCaller(t *testing.T) {
 				Seed:     uint64(i),
 			}
 			if i == 1 {
-				cfg.Alg = plantedPanic{}
+				cfg.Alg = plant
 			}
 			n := New(cfg)
 			if i == 1 {
@@ -260,22 +287,91 @@ func TestShardedPanicReachesCaller(t *testing.T) {
 			return len(runKernel(n, gen, 300, 300*50).deliveries), nil
 		})
 	}
-	var inline []int
-	for _, shards := range []int{1, 2} {
-		res, errs := sweep(shards)
-		if len(errs) != 1 || errs[0].Index != 1 || errs[0].Kind != harness.PointPanicKind {
-			t.Fatalf("shards=%d: point errors = %+v, want one panic at point 1", shards, errs)
-		}
-		if want := "planted panic routing at node 0"; errs[0].Err != want {
-			t.Errorf("shards=%d: panic %q, want %q", shards, errs[0].Err, want)
-		}
-		if inline == nil {
-			inline = res
-		}
-		if res[0] == 0 || res[2] == 0 || !reflect.DeepEqual(res, inline) {
-			t.Errorf("shards=%d: surviving points = %v, want the inline run's %v (both non-zero)", shards, res, inline)
+	for _, tc := range []struct {
+		name  string
+		plant plantedPanic
+		want  string
+	}{
+		{"everywhere", plantedPanic{}, "planted panic routing at node 0"},
+		{"last-node", plantedPanic{only: true, at: last}, fmt.Sprintf("planted panic routing at node %d", last)},
+	} {
+		var inline []int
+		for _, shards := range []int{1, 2, 3, 7} {
+			res, errs := sweep(shards, tc.plant)
+			if len(errs) != 1 || errs[0].Index != 1 || errs[0].Kind != harness.PointPanicKind {
+				t.Fatalf("%s shards=%d: point errors = %+v, want one panic at point 1", tc.name, shards, errs)
+			}
+			if errs[0].Err != tc.want {
+				t.Errorf("%s shards=%d: panic %q, want %q", tc.name, shards, errs[0].Err, tc.want)
+			}
+			if inline == nil {
+				inline = res
+			}
+			if res[0] == 0 || res[2] == 0 || !reflect.DeepEqual(res, inline) {
+				t.Errorf("%s shards=%d: surviving points = %v, want the inline run's %v (both non-zero)", tc.name, shards, res, inline)
+			}
 		}
 	}
+}
+
+// TestShardedWorkersExit pins the range workers' lifecycle: a network
+// that stops stepping gives its workers up after their spin, leaving
+// no goroutine behind, and a dropped network is collected, since
+// between claims a worker holds no reference to it.
+func TestShardedWorkersExit(t *testing.T) {
+	const yields = 1000 * spinYields // far past the spin of every worker
+	settle := func(what string, done func() bool) {
+		for i := 0; !done(); i++ {
+			if i == yields {
+				t.Fatalf("%s: not after %d yields", what, yields)
+			}
+			runtime.Gosched()
+		}
+	}
+	// Earlier tests' workers may still be spinning.
+	settle("earlier range workers exit", func() bool { return rangeWorkers() == 0 })
+	base := runtime.NumGoroutine()
+	for _, shards := range []int{2, 7} {
+		collected := make(chan struct{}, 1)
+		stepAndDrop(shards, func() { collected <- struct{}{} })
+		settle(fmt.Sprintf("shards=%d: back at %d goroutines", shards, base),
+			func() bool { return runtime.NumGoroutine() <= base })
+		settle(fmt.Sprintf("shards=%d: dropped network collected", shards), func() bool {
+			runtime.GC()
+			select {
+			case <-collected:
+				return true
+			default:
+				return false
+			}
+		})
+	}
+}
+
+// stepAndDrop steps a loaded shards-range network for a while and
+// drops it, calling finalized once the collector has freed it. The
+// sentinel is the node-to-range index, which holds no pointers and
+// which only the Network references: a finalizer on the Network itself
+// would never run, since its components point back at it, and the
+// collector does not free a cycle that holds a finalizer.
+func stepAndDrop(shards int, finalized func()) {
+	topo := topology.NewTorus(8, 2)
+	n := New(Config{
+		Topo:     topo,
+		Alg:      routing.MinimalAdaptive{},
+		Protocol: core.CR,
+		Backoff:  core.Backoff{Kind: core.BackoffExponential, Gap: 8},
+		Shards:   shards,
+	})
+	runtime.SetFinalizer(&n.nodeShard[0], func(*int32) { finalized() })
+	gen := traffic.NewGenerator(topo, traffic.Uniform{Nodes: topo.Nodes()}, 0.3, 6, 7)
+	runKernel(n, gen, 200, 200*50)
+}
+
+// rangeWorkers counts the goroutines running rangeWorker.
+func rangeWorkers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "network.rangeWorker(")
 }
 
 // TestShardPartition pins the contiguous partition arithmetic,
