@@ -74,8 +74,8 @@ race-harness:
 # inline one; `make test` runs their whole {1,2,4,7,8,GOMAXPROCS} matrix
 # without the race detector, and race-sharded-full runs it with. Both
 # also run -short at GOMAXPROCS=1, where the coordinator and the range
-# workers share one P, so every handoff and join goes through their
-# yields.
+# workers share one P: the coordinator recalls most claims, and a
+# worker runs one only when a preemption lands inside a fork.
 RACE_SHARDED = $(GO) test -race -count=1 -timeout 30m \
 	-run 'TestSharded|TestShardPartition|TestActiveSetMatchesBruteForce|TestKernelGolden' \
 	./internal/network/ ./internal/sim/

@@ -20,7 +20,8 @@
 // race-sharded`.
 //
 // Mechanically: the roots are the methods whose name starts with
-// "shard" (shardRun and the shard* phase bodies); the
+// "shard" (shardClaim, the range worker's side of a fork, shardRun and
+// the shard* phase bodies); the
 // analyzer walks the package-local call graph from them — direct calls
 // to same-package functions and methods, function literals inlined —
 // and inside every reachable body flags
@@ -36,7 +37,8 @@
 // `//cr:sharded <reason>` escape. Escapes attach at three levels: the
 // offending statement, the whole function (doc comment), or the struct
 // field being touched — the last for fields that are immutable after
-// construction (topo).
+// construction (topo) or are the fork's synchronization itself
+// (pending, joined).
 // An escape without a justification is itself a finding.
 //
 // Known soundness limits, covered by the dynamic race gate: writes

@@ -333,9 +333,13 @@ type Network struct {
 	// protocol); nodeShard is the node→range index, and pending and
 	// joined are a fork's join (see forkJoin).
 	shards    []shard
-	nodeShard []int32       //cr:nosnap derived node-to-range index, rebuilt from Config by initShards
-	pending   atomic.Int32  //cr:nosnap a fork's join count; nothing of it outlives the fork
-	joined    chan struct{} //cr:nosnap a fork's join wake-up, empty between forks
+	nodeShard []int32 //cr:nosnap derived node-to-range index, rebuilt from Config by initShards
+	//cr:nosnap a fork's join count; nothing of it outlives the fork
+	//cr:sharded the join count is the fork's synchronization protocol itself
+	pending atomic.Int32
+	//cr:nosnap a fork's join wake-up, empty between forks
+	//cr:sharded the join wake-up is the fork's synchronization protocol itself
+	joined chan struct{}
 
 	// Load-coupled failure process (nil unless cfg.Hazard is set).
 	// hazardLinks fixes the entity order; hazardFlits/hazardLoad are

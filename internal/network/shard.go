@@ -114,13 +114,17 @@ type shard struct {
 	reserve []*[routerBlock]*router.Router
 
 	// The range's worker handoff (ranges 1.. of a forked network; see
-	// forkJoin): state is workerGone, workerSpinning or workerClaimed.
-	// A claim sets net and phase, the body to run, before it publishes
-	// workerClaimed; the worker clears net before it hands the range
-	// back, so between claims it holds no reference to the Network.
-	// start is rangeWorker bound to the range once by initShards, so
-	// starting a worker allocates nothing.
+	// forkJoin and rangeWorker): state is one of the worker states
+	// below. A claim sets net and phase, the body to run, before it
+	// publishes workerClaimed; whoever takes the claim, the worker or
+	// the coordinator, clears net, so between claims the worker holds
+	// no reference to the Network. spin is the worker's budget of
+	// yields for its next claim; only workers touch it after initShards,
+	// and each passes it to the next through the exit CAS and the claim
+	// that starts it. start is rangeWorker bound to the range once by
+	// initShards, so starting a worker allocates nothing.
 	state atomic.Int32
+	spin  int32
 	net   *Network
 	phase shardPhase
 	start func()
@@ -173,6 +177,7 @@ func (n *Network) initShards(s int) {
 		sh.inCredits = make([][]creditEvent, 1+s)
 		sh.reserve = make([]*[routerBlock]*router.Router, (sh.hi-1)/routerBlock-sh.lo/routerBlock+1)
 		sh.start = func() { rangeWorker(sh) }
+		sh.spin = spinYields
 		for id := lo; id < lo+size; id++ {
 			n.nodeShard[id] = int32(i)
 		}
@@ -216,26 +221,34 @@ const (
 const (
 	workerGone     int32 = iota // no goroutine: the next fork starts one
 	workerSpinning              // between bodies, yielding until a claim or its budget ends
-	workerClaimed               // handed a body to run
+	workerClaimed               // handed a body it has not started
+	workerRunning               // running its claimed body
+	workerRecalled              // its claim ran on the coordinator: it exits unless claimed first
 )
 
 // spinYields bounds a wait between phases, counted in runtime.Gosched
-// yields rather than time: a range worker's for its next claim before it
-// exits, and the coordinator's for the join before it blocks. It is
-// long enough for a worker to outlast the gap between two Steps of a
+// yields rather than time: the coordinator's for the join before it
+// blocks, and a range worker's for its next claim before it exits (a
+// worker's budget starts here and adapts; see rangeWorker). It is long
+// enough for a worker to outlast the gap between two Steps of a
 // stepping loop; DESIGN.md §10 has the measurements behind the value.
 const spinYields = 4000
 
 // forkJoin runs one per-range phase, full barrier before returning. A
 // single range runs inline on the caller's goroutine. With several, the
-// coordinator hands ranges 1.. to their workers, runs range 0 itself
-// and waits for the rest. A worker that finished its last body spins
-// for a claim (rangeWorker); one that gave up and exited is started
-// again here, through the CAS that keeps an exit and a claim from both
-// winning. So a stepping network keeps its workers awake, and an idle
-// one holds no goroutines and needs no Close.
+// coordinator hands ranges 1.. to their workers, runs range 0 itself,
+// then takes back every claim whose worker has not started it and runs
+// that range too, and waits for the rest. A worker that is not on a
+// core when the coordinator gets there — the cores are busy with other
+// work, or the phase was short — costs the fork nothing but the claim;
+// only a body a worker has begun is waited for. A worker that finished
+// its last body spins for a claim, within a budget that adapts to
+// whether spinning pays (rangeWorker); one that gave up and exited is
+// started again here, through the CAS that keeps an exit and a claim
+// from both winning. So a stepping network keeps its workers awake,
+// and an idle one holds no goroutines and needs no Close.
 //
-// The join counts the workers still running plus one token of the
+// The join counts the ranges not yet run plus one token of the
 // coordinator's own: the coordinator spins until only its token is
 // left, and otherwise gives the token up and blocks on joined, which
 // the worker that drops the count to zero fills. A fork allocates
@@ -256,12 +269,18 @@ func (n *Network) forkJoin(ph shardPhase) {
 	for i := 1; i < len(n.shards); i++ {
 		sh := &n.shards[i]
 		sh.net, sh.phase = n, ph
-		if !sh.state.CompareAndSwap(workerSpinning, workerClaimed) {
-			sh.state.Store(workerClaimed)
+		if sh.state.Swap(workerClaimed) == workerGone {
 			go sh.start()
 		}
 	}
 	n.runGuarded(&n.shards[0], ph)
+	for i := 1; i < len(n.shards); i++ {
+		if sh := &n.shards[i]; sh.state.CompareAndSwap(workerClaimed, workerRecalled) {
+			sh.net = nil
+			n.runGuarded(sh, ph)
+			n.pending.Add(-1)
+		}
+	}
 	n.join()
 	var first any
 	for i := len(n.shards) - 1; i >= 0; i-- {
@@ -287,26 +306,40 @@ func (n *Network) join() {
 	}
 }
 
-// rangeWorker runs the range's claimed bodies until a spin for the next
-// claim runs out.
+// rangeWorker runs the range's claims until it finds one recalled or
+// its spin for the next one runs out, and then exits. Both say the
+// spin is not paying. A recall says the worker was not on a core when
+// its claim came. A spin that runs out says the coordinator did not
+// come back within the budget: it stopped stepping, or the host ran
+// something else in its place. So either exit halves the range's
+// budget, and each claim the worker takes grows it back by a sixteenth
+// of spinYields. On a quiet host the budget stays near spinYields; on
+// a contended one it falls towards a worker started per fork, where
+// the recalls keep the fork from waiting for it.
 func rangeWorker(sh *shard) {
-	for {
-		runClaim(sh)
-		for i := 0; sh.state.Load() != workerClaimed; i++ {
-			if i == spinYields && sh.state.CompareAndSwap(workerSpinning, workerGone) {
+	for i := 0; ; i++ {
+		if sh.state.CompareAndSwap(workerClaimed, workerRunning) {
+			n := sh.net
+			sh.net = nil
+			n.shardClaim(sh)
+			sh.spin = min(sh.spin+spinYields/16, spinYields)
+			i = 0
+		} else if st := sh.state.Load(); st == workerRecalled || st == workerSpinning && i >= int(sh.spin) {
+			sh.spin /= 2 // before the exit CAS: once gone, the next worker owns spin
+			if sh.state.CompareAndSwap(st, workerGone) {
 				return
 			}
+		} else {
 			runtime.Gosched()
 		}
 	}
 }
 
-// runClaim runs one claimed body and hands the range back. The state
-// turns workerSpinning before the join count drops, so the next fork,
-// which starts only after the join, finds it claimable.
-func runClaim(sh *shard) {
-	n := sh.net
-	sh.net = nil
+// shardClaim runs one claimed body on the range's worker and hands the
+// range back. The state turns workerSpinning before the join count
+// drops, so the next fork, which starts only after the join, finds it
+// claimable.
+func (n *Network) shardClaim(sh *shard) {
 	n.runGuarded(sh, sh.phase)
 	sh.state.Store(workerSpinning)
 	if n.pending.Add(-1) == 0 {

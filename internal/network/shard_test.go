@@ -91,10 +91,17 @@ type tracedSnapshot struct {
 }
 
 func (pc pinConfig) run(shards int) tracedSnapshot {
+	return pc.runPrepared(shards, func(*Network) {})
+}
+
+// runPrepared is run with prep applied to the network before its first
+// cycle.
+func (pc pinConfig) runPrepared(shards int, prep func(*Network)) tracedSnapshot {
 	c := pc.cfg
 	c.Shards = shards
 	c.Faults = faults.RandomTimeline(pc.timeline)
 	n := New(c)
+	prep(n)
 	var snap tracedSnapshot
 	n.SetTracer(func(ev Event) { snap.events = append(snap.events, ev) })
 	gen := traffic.NewGenerator(c.Topo, traffic.Uniform{Nodes: c.Topo.Nodes()}, pc.load, pc.msgLen, c.Seed+5)
@@ -138,6 +145,35 @@ func TestShardedMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardedRecallsUnstartedClaims pins the coordinator's side of the
+// handoff: a claim whose worker has not started it is run by the
+// coordinator, so a fork completes even when no worker ever gets a
+// core. Every worker is marked awake with no goroutine behind it, so
+// each fork finds no worker gone, starts none, and recalls every claim;
+// the run must still match one range byte for byte.
+func TestShardedRecallsUnstartedClaims(t *testing.T) {
+	pc := shardedPinConfigs()[0]
+	serial := pc.run(0)
+	for _, shards := range []int{2, 7} {
+		var n *Network
+		got := pc.runPrepared(shards, func(nw *Network) {
+			n = nw
+			for i := 1; i < len(n.shards); i++ {
+				n.shards[i].state.Store(workerSpinning)
+			}
+		})
+		if !reflect.DeepEqual(got, serial) {
+			t.Errorf("shards=%d: recalled run diverged from one range (cycle %d vs %d, %d vs %d deliveries)",
+				shards, got.cycle, serial.cycle, len(got.deliveries), len(serial.deliveries))
+		}
+		for i := 1; i < len(n.shards); i++ {
+			if st := n.shards[i].state.Load(); st != workerRecalled {
+				t.Errorf("shards=%d: range %d ended in state %d, want recalled: a worker ran a claim", shards, i, st)
+			}
+		}
 	}
 }
 
