@@ -3,7 +3,7 @@
 // must be referenced by both halves of its codec, or carry an explicit
 // justification for being excluded.
 //
-// The repo's resume guarantee (DESIGN.md §9, `make snapshot-pin`) is
+// The repo's resume guarantee (DESIGN.md §8, `make snapshot-pin`) is
 // that a run restored from a checkpoint is byte-identical to an
 // unbroken one. That guarantee is only as strong as the codecs: a field
 // added to a state struct but forgotten in SaveState or LoadState
@@ -36,8 +36,7 @@
 // every other mention is the target of an assignment, a ++/--, or a
 // composite-literal key — is state with a writer and no reader. It costs
 // a struct slot, checkpoint bytes and a line in each codec half to carry
-// a value nothing consumes (attemptStart, assembly.channel and
-// flitsDegraded rode along that way until format 5). Delete such a
+// a value nothing consumes. Delete such a
 // field, or annotate `//cr:unread <reason>` when the reader lives where
 // the analyzer cannot see it. Exported fields are skipped for that
 // reason: their readers may be in another package.

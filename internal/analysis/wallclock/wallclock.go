@@ -34,8 +34,7 @@ var Analyzer = &analysis.Analyzer{
 // remain allowed: configuration may be expressed in durations as long
 // as the core never samples the clock. Reset covers the methods
 // (*time.Timer).Reset and (*time.Ticker).Reset — re-arming a timer is a
-// clock read by another name, and used to slip through when only
-// package-level functions were matched.
+// clock read by another name.
 var forbidden = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 	"After": true, "AfterFunc": true, "Tick": true,

@@ -189,9 +189,10 @@ const minStamps = 4
 //
 // Under CR and FCR the head arrives before the source commits, so an
 // attempt torn down before its head arrives is one its source was still
-// sending, which withdraws the record (Unstamp); a record is left over
-// only by a worm lost while its source was done and its head still on
-// the way, which Plain wormhole, unpadded, allows.
+// sending, which withdraws the record (Unstamp). Plain wormhole,
+// unpadded, or padding set short (PadAdjust) can lose a worm while its
+// source is done and its head still on the way, so a head dropped in the
+// network, or rejected here, withdraws its record too (Lose).
 func (rc *Receiver) Stamp(worm flit.WormID, src topology.NodeID, s flit.Stamps) {
 	if cap(rc.stamps) == 0 {
 		rc.stamps = make([]stampRec, 0, minStamps)
@@ -213,27 +214,62 @@ func (rc *Receiver) Unstamp(worm flit.WormID, src topology.NodeID) {
 	}
 }
 
-// takeStamps removes and returns the record of the worm whose head f
-// has arrived with header source src: the one from src. A head whose
-// checksum fails (every flit is sealed; CR delivers a corrupt header)
-// may name a wrong source, so it takes the worm's first record if src
-// has none. A sound head with no record from its source is one its
-// source withdrew, already torn down — even if another source's record
-// of the same id waits here: a forward kill is on its way to discard
-// the assembly, which is never delivered, so its stamps are zero.
-func (rc *Receiver) takeStamps(f *flit.Flit, src topology.NodeID) flit.Stamps {
+// recordOf returns the index of the record that head f, whose header
+// names source src, takes: the one from src. A head whose checksum
+// fails (every flit is sealed; CR delivers a corrupt header) may name a
+// wrong source, so it takes the worm's first record if src has none. A
+// sound head with no record from its source is one its source withdrew,
+// already torn down — even if another source's record of the same id
+// waits here: a forward kill is on its way to discard the assembly,
+// which is never delivered, so its stamps are zero.
+func (rc *Receiver) recordOf(f *flit.Flit, src topology.NodeID) (int, bool) {
 	i, ok := rc.stampAt(f.Worm, src)
+	if ok || f.Verify() {
+		return i, ok
+	}
+	i, _ = rc.stampAt(f.Worm, -1)
+	return i, i < len(rc.stamps) && rc.stamps[i].worm == f.Worm
+}
+
+// takeStamps removes and returns the record of the worm whose head f
+// has arrived with header source src (see recordOf).
+func (rc *Receiver) takeStamps(f *flit.Flit, src topology.NodeID) flit.Stamps {
+	i, ok := rc.recordOf(f, src)
 	if !ok {
-		if f.Verify() {
-			return flit.Stamps{}
-		}
-		if i, _ = rc.stampAt(f.Worm, -1); i == len(rc.stamps) || rc.stamps[i].worm != f.Worm {
-			return flit.Stamps{}
-		}
+		return flit.Stamps{}
 	}
 	s := rc.stamps[i].stamps
 	rc.stamps = slices.Delete(rc.stamps, i, i+1)
 	return s
+}
+
+// Lose withdraws the record that head f, dropped in the network or
+// rejected here, would have taken on arrival. The source is read from
+// the header, so a reused message id withdraws only its own source's
+// record.
+func (rc *Receiver) Lose(f *flit.Flit) {
+	if i, ok := rc.recordOf(f, flit.DecodeHeader(f.Payload).Src); ok {
+		rc.stamps = slices.Delete(rc.stamps, i, i+1)
+	}
+}
+
+// Awaits returns the source of the record head f, still in the network,
+// will take on arrival, if there is one.
+func (rc *Receiver) Awaits(f *flit.Flit) (topology.NodeID, bool) {
+	i, ok := rc.recordOf(f, flit.DecodeHeader(f.Payload).Src)
+	if !ok {
+		return 0, false
+	}
+	return rc.stamps[i].src, true
+}
+
+// StampRecord returns the worm and source of the i-th stamp record, and
+// false past the last.
+func (rc *Receiver) StampRecord(i int) (flit.WormID, topology.NodeID, bool) {
+	if i >= len(rc.stamps) {
+		return 0, 0, false
+	}
+	return rc.stamps[i].worm, rc.stamps[i].src, true
 }
 
 // StampRecords returns how many stamp records wait for their heads.
@@ -251,6 +287,7 @@ func (rc *Receiver) Accept(ch int, f *flit.Flit, now int64) {
 		if rc.cfg.Protocol == FCR && !f.Verify() {
 			// Corrupt header that slipped to the destination (possible
 			// when corruption happens on the final link).
+			rc.Lose(f)
 			rc.reject(ch, f.Worm)
 			return
 		}

@@ -73,6 +73,8 @@ func (m *mapReceiver) accept(f flit.Flit, now int64) {
 	case m.fcr && f.Kind != flit.Pad && !f.Verify():
 		if f.Kind == flit.Data {
 			m.stats.DataFlits++
+		} else { // a rejected head gives up the record it would take
+			m.take(f.Worm, flit.DecodeHeader(f.Payload).Src, true)
 		}
 		m.stats.FKillsSent++
 		delete(m.asm, f.Worm)
@@ -180,10 +182,11 @@ func (m *mapReceiver) save() []byte {
 // sometimes run backwards per source. Each worm's source makes a stamp
 // record before its head, which takes it on arrival, and withdraws it
 // when the worm is torn down. Now and then a head is lost on the way
-// and its record withdrawn or, as a source that has finished cannot
-// withdraw it, left; now and then a second source makes a record of the
-// same worm, as a caller reusing ids does; now and then a source
-// withdraws its record while its head is on the way, which arrives —
+// and its record withdrawn, by its source or, once the source is done,
+// where the head is dropped (Lose), as is a head FCR rejects; now and
+// then a second source makes a record of the same worm, as a caller
+// reusing ids does; now and then a source withdraws its record while
+// its head is on the way, which arrives —
 // often beside another source's record of the same worm, which it must
 // not take — and is discarded by the forward kill. After every flit the
 // deliveries and the SaveState bytes must agree, and every so often the
@@ -243,7 +246,11 @@ func TestReceiverMatchesMapModel(t *testing.T) {
 					}
 					if r.Intn(20) == 0 { // the head is lost on the way
 						if r.Intn(5) != 0 {
-							unstamp(fr, fr.Msg.Src)
+							unstamp(fr, fr.Msg.Src) // by its source, still sending it
+						} else { // where the network drops it, its source done
+							head := fr.FlitAt(0)
+							rc.Lose(&head)
+							m.take(fr.WormID(), fr.Msg.Src, false)
 						}
 						continue
 					}

@@ -46,17 +46,28 @@ import (
 //     expects the one the holder sends next (a head at the front: no
 //     assembly yet);
 //     - every assembly's worm holds an ejection channel of its node;
-//  3. flit conservation (FlitLedger.Check).
+//  3. every stamp record whose source no longer sends its attempt (the
+//     source withdraws the record of an attempt torn down while it
+//     sends) waits for a head still in the network: counted, there are
+//     at least as many such heads, at inputs' fronts and on links, as
+//     such records;
+//  4. flit conservation (FlitLedger.Check).
 //
 // What it needs to be meaningful — counts within each ring, allocations
 // naming outputs that exist, busy-link VCs the network has — the
 // loaders check as they decode.
 func (n *Network) checkNetwork() error {
 	n.forkJoin(spCheck)
+	awaited, carried := 0, 0
 	for i := range n.shards {
 		if err := n.shards[i].checkErr; err != nil {
 			return err // the lowest range's, which a single range finds first
 		}
+		awaited += n.shards[i].awaited
+		carried += n.shards[i].carried
+	}
+	if carried < awaited {
+		return fmt.Errorf("%d stamp records wait for heads, %d of which are in the network", awaited, carried)
 	}
 	return n.Ledger().Check()
 }
@@ -65,13 +76,13 @@ func (n *Network) checkNetwork() error {
 // and the flits on their links. It only reads, so ranges may run it at
 // once.
 func (n *Network) shardCheck(sh *shard) {
-	sh.checkErr = nil
+	sh.checkErr, sh.awaited, sh.carried = nil, 0, 0
 	busy := busyCursor{shards: n.shards[sh.row-1 : sh.row]} // this range's busy list
 	for id := sh.lo; id < sh.hi; id++ {
 		if n.routers[id] == nil && n.injectors[id] == nil && n.receivers[id] == nil {
 			continue // nothing built: as New left it
 		}
-		if sh.checkErr = n.checkNode(id, &busy); sh.checkErr != nil {
+		if sh.checkErr = n.checkNode(sh, id, &busy); sh.checkErr != nil {
 			return
 		}
 	}
@@ -82,9 +93,21 @@ func (n *Network) shardCheck(sh *shard) {
 
 // checkNode checks node id's router on its own and against its links,
 // injector and receiver, and follows every worm it holds downstream.
-// busy is at the first busy link of node id or a later node.
-func (n *Network) checkNode(id int, busy *busyCursor) error {
+// busy is at the first busy link of node id or a later node. It counts
+// into sh the awaited stamp records of id's receiver and the heads
+// carrying them at id's injection inputs, on its output links and at
+// the inputs those feed.
+func (n *Network) checkNode(sh *shard, id int, busy *busyCursor) error {
 	r, in, rc := n.routers[id], n.injectors[id], n.receivers[id]
+	for i := 0; rc != nil; i++ {
+		worm, src, ok := rc.StampRecord(i)
+		if !ok {
+			break
+		}
+		if !n.sends(src, worm) {
+			sh.awaited++
+		}
+	}
 	if r == nil {
 		for ch := 0; in != nil && ch < n.cfg.InjectionChannels; ch++ {
 			if worm, _, sending, _ := in.Channel(ch); sending {
@@ -113,6 +136,7 @@ func (n *Network) checkNode(id int, busy *busyCursor) error {
 			return fmt.Errorf("node %d: injection channel %d (worm %d, %d flits injected, sending %t, waiting %t) disagrees with its input (worm %d, active %t, %d flits)",
 				id, ch, worm, next, sending, waiting, v.Worm, v.Active, v.Count)
 		}
+		n.countHead(sh, v.Front)
 	}
 	init := n.rcfg.InitWindow()
 	pristine := router.Output{Credit: init, Window: init}
@@ -144,6 +168,7 @@ func (n *Network) checkNode(id int, busy *busyCursor) error {
 			d := router.Input{Granted: init}
 			if down != nil {
 				d = down.Input(nbPort, vc)
+				n.countHead(sh, d.Front)
 			}
 			ev := e // the flit on vc, if any
 			if e != nil && int(e.vc) != vc {
@@ -158,6 +183,7 @@ func (n *Network) checkNode(id int, busy *busyCursor) error {
 				if err := n.checkArrival(ev, l, o, d); err != nil {
 					return err
 				}
+				n.countHead(sh, &ev.f)
 			}
 			if o.Held {
 				if err := n.followOwner(r, in, id, p, vc, o, ev, d); err != nil {
@@ -188,6 +214,32 @@ func (n *Network) checkNode(id int, busy *busyCursor) error {
 		}
 	}
 	return nil
+}
+
+// countHead counts f into sh.carried if it is a head whose stamp record
+// waits at its receiver and its source no longer sends it.
+func (n *Network) countHead(sh *shard, f *flit.Flit) {
+	if f == nil || f.Kind != flit.Head || !f.WellFormed(n.nodes) {
+		return // a malformed flit fails its own router's check
+	}
+	if rc := n.receivers[f.Dst]; rc != nil {
+		if src, ok := rc.Awaits(f); ok && !n.sends(src, f.Worm) {
+			sh.carried++
+		}
+	}
+}
+
+// sends reports whether node src's injector is sending worm.
+func (n *Network) sends(src topology.NodeID, worm flit.WormID) bool {
+	if src < 0 || int(src) >= n.nodes || n.injectors[src] == nil {
+		return false
+	}
+	for ch := 0; ch < n.cfg.InjectionChannels; ch++ {
+		if w, _, sending, _ := n.injectors[src].Channel(ch); sending && w == worm {
+			return true
+		}
+	}
+	return false
 }
 
 // checkCredit checks the credit relation of VC vc on the up link (a, p),

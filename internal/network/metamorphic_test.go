@@ -183,3 +183,87 @@ func sortByCycle(ds []core.Delivery) {
 		return cmp.Compare(a.Worm, b.Worm)
 	})
 }
+
+// TestMetamorphicRelabeling: on an Irregular graph, renaming the nodes
+// by a permutation — the same edge list in the same order with each
+// endpoint renamed, so every router keeps its port order — renames the
+// delivery stream: the same messages, attempts and cycles, from the
+// renamed sources. Routing, arbitration and padding see only ports and
+// distances, which the renaming keeps; the range partition and the
+// router reserve's id blocks see ids, and must not matter. Domain: as
+// TestMetamorphicTranslation's, on a random connected graph of 8–16
+// nodes with up to six ports a node.
+func TestMetamorphicRelabeling(t *testing.T) {
+	r := rng.New(0x7e1a)
+	checked := 0
+	for i := 0; drawn(t, i, checked); i++ {
+		cfg, _ := metaConfig(r, uint64(i))
+		nodes := 8 + r.Intn(9)
+		edges := randomGraph(r, nodes, 6)
+		perm := make([]int, nodes)
+		r.Perm(perm)
+		rename := func(id topology.NodeID) topology.NodeID { return topology.NodeID(perm[id]) }
+		renamed := make([]topology.Edge, len(edges))
+		for j, e := range edges {
+			renamed[j] = topology.Edge{A: rename(e.A), B: rename(e.B)}
+		}
+		graph := topology.MustIrregular("graph", nodes, edges)
+		cfg.Topo, cfg.Protocol = graph, core.CR
+		gen := traffic.NewGenerator(graph, traffic.Uniform{Nodes: nodes}, 0.02+0.06*r.Float64(), 2+r.Intn(24), uint64(i)+53)
+		script := genSchedule(graph, gen, 150)
+		moved := make(schedule, len(script))
+		for c, ms := range script {
+			for _, m := range ms {
+				m.Src, m.Dst = rename(m.Src), rename(m.Dst)
+				moved[c] = append(moved[c], m)
+			}
+		}
+		ref, retried := metaRun(t, cfg, script, 0, 1)
+		if retried {
+			continue
+		}
+		checked++
+		for j := range ref {
+			ref[j].Src = rename(ref[j].Src)
+		}
+		sortByCycle(ref)
+		cfg.Topo = topology.MustIrregular("graph", nodes, renamed)
+		for _, shards := range goldenShards() {
+			got, _ := metaRun(t, cfg, moved, 0, shards)
+			sortByCycle(got)
+			if !slices.Equal(got, ref) {
+				t.Fatalf("script %d (%d nodes, %d edges, vcs %d, depth %d), shards=%d: the renamed run's deliveries are not the first run's renamed",
+					i, nodes, len(edges), cfg.VCs, cfg.BufDepth, shards)
+			}
+		}
+	}
+}
+
+// randomGraph returns the edges of a random connected graph on nodes
+// nodes with at most maxDeg ports a node: a random spanning tree, then
+// up to nodes more edges, in the order drawn.
+func randomGraph(r *rng.Source, nodes, maxDeg int) []topology.Edge {
+	deg := make([]int, nodes)
+	linked := map[[2]int]bool{}
+	var edges []topology.Edge
+	link := func(a, b int) {
+		if a == b || deg[a] == maxDeg || deg[b] == maxDeg || linked[[2]int{min(a, b), max(a, b)}] {
+			return
+		}
+		linked[[2]int{min(a, b), max(a, b)}] = true
+		deg[a]++
+		deg[b]++
+		edges = append(edges, topology.Edge{A: topology.NodeID(a), B: topology.NodeID(b)})
+	}
+	for v := 1; v < nodes; v++ {
+		u := r.Intn(v)
+		for deg[u] == maxDeg { // a tree on v nodes leaves one with room
+			u = (u + 1) % v
+		}
+		link(v, u)
+	}
+	for j := 0; j < nodes; j++ {
+		link(r.Intn(nodes), r.Intn(nodes))
+	}
+	return edges
+}

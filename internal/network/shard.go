@@ -83,7 +83,8 @@ type shard struct {
 	busyLinks []inFlight // this range's output links carrying a flit, with the flit
 	recvPend  nodeSet    // this range's receivers that accepted a flit this cycle
 	fkills    []fkillReq
-	stampOps  []stampOp // this range's injectors' stamp records, bound for their destinations
+	stampOps  []stampOp   // this range's injectors' stamp records, bound for their destinations
+	lostHeads []flit.Flit // heads dropped in this range, whose records go (loseHead)
 
 	// inCredits is this range's column of the credit matrix: the refunds
 	// addressed to its routers, one queue per sending context (sink.row).
@@ -103,9 +104,11 @@ type shard struct {
 	panicked any
 
 	// lo and hi bound the range's node ids; checkErr is the first
-	// inconsistency the range's part of the consistency walk found.
-	lo, hi   int
-	checkErr error
+	// inconsistency the range's part of the consistency walk found, and
+	// awaited and carried its stamp-record counts (checkNode).
+	lo, hi           int
+	checkErr         error
+	awaited, carried int
 
 	// reserve holds the routers built ahead of their first touch, one
 	// entry per routerBlock-aligned block the range overlaps (block
@@ -138,6 +141,7 @@ func (sh *shard) reset() {
 	sh.recvPend.reset()
 	sh.fkills = sh.fkills[:0]
 	sh.stampOps = sh.stampOps[:0]
+	sh.lostHeads = sh.lostHeads[:0]
 	for r := range sh.inCredits {
 		sh.inCredits[r] = sh.inCredits[r][:0]
 	}
@@ -231,7 +235,8 @@ const (
 // blocks, and a range worker's for its next claim before it exits (a
 // worker's budget starts here and adapts; see rangeWorker). It is long
 // enough for a worker to outlast the gap between two Steps of a
-// stepping loop; DESIGN.md §10 has the measurements behind the value.
+// stepping loop, and 4 000 is the smallest budget at which sat64-shard2's
+// throughput stopped rising (DESIGN.md §10).
 const spinYields = 4000
 
 // forkJoin runs one per-range phase, full barrier before returning. A
@@ -377,10 +382,10 @@ func (n *Network) shardRun(sh *shard, ph shardPhase) {
 // concatenation is the append order of one walk over all nodes;
 // buffered trace events replay the same way.
 //
-// It also hands each range's stamp records and withdrawals to their
-// destinations' receivers. Those of one source keep their order, and
-// records of different keys commute, so what a receiver holds after the
-// barrier does not depend on the range count. A record made this cycle
+// It also hands each range's stamp records, their withdrawals and its
+// lost heads to their destinations' receivers. Those of one source keep
+// their order, and records of different keys commute, so what a
+// receiver holds after the barrier does not depend on the range count. A record made this cycle
 // is in place before its head can arrive, which takes a link traversal.
 func (n *Network) mergeBarrier() bool {
 	n.flushEvents(&n.sink)
@@ -405,6 +410,12 @@ func (n *Network) mergeBarrier() bool {
 			}
 		}
 		sh.stampOps = sh.stampOps[:0]
+		for i := range sh.lostHeads {
+			if rc := n.receivers[sh.lostHeads[i].Dst]; rc != nil {
+				rc.Lose(&sh.lostHeads[i])
+			}
+		}
+		sh.lostHeads = sh.lostHeads[:0]
 		n.killsDropped += sh.killsDropped
 		n.flitsInjected += sh.flitsInjected
 		n.flitsEjected += sh.flitsEjected
@@ -476,6 +487,9 @@ func (n *Network) shardArrivals(sh *shard) {
 		l := n.linkAt(int(e.ref.node), int(e.ref.port))
 		if n.routerAt(topology.NodeID(l.toNode)).AcceptRef(int(l.toPort), int(e.vc), &e.f) {
 			n.pushCredit(sk, topology.NodeID(e.ref.node), int(e.ref.port), int(e.vc), 1)
+			if e.f.Kind == flit.Head {
+				n.loseHead(topology.NodeID(l.toNode), &e.f)
+			}
 		}
 		sh.activeR.add(l.toNode)
 	}

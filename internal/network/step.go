@@ -304,6 +304,15 @@ func (n *Network) upstreamOf(id topology.NodeID, p int) (topology.NodeID, int) {
 	return topology.NodeID(l.toNode), int(l.toPort)
 }
 
+// loseHead queues the withdrawal of the stamp record of head f, dropped
+// at node, in node's range; the next barrier hands it to f's receiver
+// (Receiver.Lose). A source still sending the attempt withdraws the
+// record as well, which finds it gone.
+func (n *Network) loseHead(node topology.NodeID, f *flit.Flit) {
+	sh := n.shardOf(node)
+	sh.lostHeads = append(sh.lostHeads, *f)
+}
+
 // routeEmits delivers a router's tear-down side effects: further signal
 // propagation (scheduled for next cycle), credit refunds (deferred to
 // this cycle's credit phase), receiver discards and injector FKILL
@@ -351,6 +360,8 @@ func (n *Network) routeEmits(sk *sink, node topology.NodeID, emits []router.Emit
 		case router.EmitCredits:
 			upNode, upPort := n.upstreamOf(node, e.Port)
 			n.pushCredit(sk, upNode, upPort, e.VC, e.N)
+		case router.EmitHeadLost:
+			n.loseHead(node, &e.Head)
 		default:
 			panic(fmt.Sprintf("network: unknown emit kind %d", e.Kind))
 		}

@@ -207,9 +207,7 @@ func (r *Router) tearBlockedWorm(v *inVC, emits []Emit) []Emit {
 	r.stats.RouterKills++
 	worm := v.worm
 	p, vc := int(v.p), int(v.vc)
-	if purged := r.purge(v); purged > 0 && p < r.deg {
-		emits = append(emits, Emit{Kind: EmitCredits, Port: p, VC: vc, Worm: worm, N: purged})
-	}
+	emits = r.purge(v, emits)
 	emits = append(emits, Emit{Kind: EmitKillBwd, Port: p, VC: vc, Worm: worm})
 	r.releaseIn(v, worm)
 	return emits
@@ -221,9 +219,7 @@ func (r *Router) tearCorruptHeader(v *inVC, emits []Emit) []Emit {
 	r.stats.HeaderFaults++
 	worm := v.worm
 	p, vc := int(v.p), int(v.vc)
-	if purged := r.purge(v); purged > 0 && p < r.deg {
-		emits = append(emits, Emit{Kind: EmitCredits, Port: p, VC: vc, Worm: worm, N: purged})
-	}
+	emits = r.purge(v, emits)
 	emits = append(emits, Emit{Kind: EmitKillBwd, Port: p, VC: vc, Worm: worm})
 	r.releaseIn(v, worm)
 	return emits

@@ -142,14 +142,14 @@ func (r *Router) checkFlits(v *inVC, nodes int) error {
 func (r *Router) BufferedAt(p, vc int) int { return int(r.in(p, vc).count) }
 
 // Input is one input VC as the network's consistency walk reads it.
-// Its flits are Back and the Count-1 before it, whose sequence numbers
-// (once CheckInvariants passes) count up to Back's.
+// Its flits are Front to Back, Count of them, whose sequence numbers
+// (once CheckInvariants passes) count up by one.
 type Input struct {
 	Worm flit.WormID
 	// Purge is the worm whose stragglers the VC absorbs, when PurgeValid.
-	Purge flit.WormID
-	Back  *flit.Flit // nil while empty
-	Count int
+	Purge       flit.WormID
+	Front, Back *flit.Flit // nil while empty
+	Count       int
 	// OutP, OutV is the allocated output VC, (-1,-1) while unrouted.
 	OutP, OutV int
 	// Granted is the window the VC grants its upstream output: BufDepth
@@ -171,7 +171,7 @@ func (r *Router) Input(p, vc int) Input {
 		in.Granted = int(r.store.granted[v.idx])
 	}
 	if v.count > 0 {
-		in.Back = r.store.at(int(v.idx), int(v.count)-1)
+		in.Front, in.Back = r.front(v), r.store.at(int(v.idx), int(v.count)-1)
 	}
 	return in
 }

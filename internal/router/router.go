@@ -166,10 +166,9 @@ func (c Config) Validate() error {
 // VC's own address so flat iteration needs no index arithmetic.
 //
 // The fields are as narrow as their ranges allow, so an input VC is 40
-// bytes rather than 96: on a network far larger than L2 the allocate and
-// transmit walks miss on these lines more than on the flits. The codec
-// still writes every field as an int (state.go), so narrowing them moved
-// no checkpoint byte.
+// bytes (TestVCStateSizes): on a network far larger than L2 the allocate
+// and transmit walks miss on these lines more than on the flits. The
+// codec writes every field as an int (state.go).
 type inVC struct {
 	worm flit.WormID
 	// purgeWorm absorbs the single straggler flit that can be in flight

@@ -54,6 +54,9 @@ const (
 	// EmitCredits refunds N buffer credits to the upstream output feeding
 	// input Port/VC; emitted when a purge discards buffered flits.
 	EmitCredits
+	// EmitHeadLost reports that a purge of input Port/VC discarded Head,
+	// its worm's head, which so never reaches its receiver.
+	EmitHeadLost
 )
 
 // Emit is one side effect of a tear-down for the network to deliver.
@@ -62,10 +65,12 @@ type Emit struct {
 	Port int
 	VC   int
 	Worm flit.WormID
-	N    int // credits, for EmitCredits
+	N    int       // credits, for EmitCredits
+	Head flit.Flit // for EmitHeadLost
 }
 
-// purge discards every buffered flit of v and returns the count.
+// purge discards every buffered flit of v, refunds them to the upstream
+// output when a link feeds v, and reports a head among them.
 //
 // The shared organizations deliberately do NOT shrink the VC's granted
 // window here: a kill can race a same-cycle claim of the freed upstream
@@ -80,13 +85,22 @@ type Emit struct {
 // therefore race-free. The cost is shared budget stranded on a killed
 // channel until it hosts its next worm; the benefit is that
 // credit ∈ [0, window] holds unconditionally.
-func (r *Router) purge(v *inVC) int {
+func (r *Router) purge(v *inVC, emits []Emit) []Emit {
 	n := int(v.count)
+	if n == 0 {
+		return emits
+	}
+	if int(v.p) < r.deg {
+		emits = append(emits, Emit{Kind: EmitCredits, Port: int(v.p), VC: int(v.vc), Worm: v.worm, N: n})
+	}
+	if f := r.front(v); f.Kind == flit.Head {
+		emits = append(emits, Emit{Kind: EmitHeadLost, Port: int(v.p), VC: int(v.vc), Worm: v.worm, Head: *f})
+	}
 	r.store.purge(int(v.idx), n)
 	v.count = 0
 	r.buffered -= n
 	r.stats.PurgedFlits += int64(n)
-	return n
+	return emits
 }
 
 // releaseIn resets an input VC after tear-down, arming the straggler
@@ -124,9 +138,7 @@ func (r *Router) applyKillFwd(s Signal, emits []Emit) []Emit {
 		return emits
 	}
 	r.stats.KillsFwd++
-	if purged := r.purge(v); purged > 0 && s.Port < r.deg {
-		emits = append(emits, Emit{Kind: EmitCredits, Port: s.Port, VC: s.VC, Worm: s.Worm, N: purged})
-	}
+	emits = r.purge(v, emits)
 	if v.routed() {
 		o := &r.outs[v.outP].vcs[v.outV]
 		if r.cfg.Check && (!o.held || o.worm != s.Worm) {
@@ -154,9 +166,7 @@ func (r *Router) applyKillBwd(s Signal, emits []Emit) []Emit {
 	if r.cfg.Check && (!v.active || v.worm != s.Worm) {
 		panic(fmt.Sprintf("router %d: backward kill found inconsistent ownership", r.id))
 	}
-	if purged := r.purge(v); purged > 0 && p < r.deg {
-		emits = append(emits, Emit{Kind: EmitCredits, Port: p, VC: vc, Worm: s.Worm, N: purged})
-	}
+	emits = r.purge(v, emits)
 	r.unhold(o, s.Port)
 	emits = append(emits, Emit{Kind: EmitKillBwd, Port: p, VC: vc, Worm: s.Worm})
 	r.releaseIn(v, s.Worm)

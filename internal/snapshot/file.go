@@ -36,42 +36,9 @@ const Magic = "CRSNAP01"
 
 // FormatVersion is the payload schema version written into the header.
 // Bump it whenever any SaveState encoding changes so old readers refuse
-// new checkpoints instead of misreading them.
-//
-// Version 3 (buffer organizations): the router payload gains a per-VC
-// store section, a per-organization window/grant ledger and a window
-// field per output VC, and credit events carry a window delta.
-//
-// Version 4 (sparse network payload): the network payload opens with a
-// layout-qualified fingerprint, writes links as runs of pristine links
-// between flag-byte records, and carries only the routers, injectors and
-// receivers that have been built.
-//
-// Version 5 (one layout, no unread bytes): fields nothing read back are
-// gone from the injector, receiver and network payloads, and with them
-// the dense network layout version 3 wrote.
-//
-// Version 6 (randomness by key): the kernel's random draws are pure
-// functions of (seed, entity, cycle), so the generator words the
-// injector, corruption and hazard payloads carried are gone. A link
-// record gains a flag for its Gilbert-Elliott bad state, and the count of
-// corrupted flits becomes a network counter.
-//
-// Version 7 (each fact once): the network payload drops what another
-// saved value, the configuration or the restored components already
-// determine — the busy-link refs, both worklists, the router's output
-// holders and link liveness, an input's routed flag, the injector's pad
-// length and commit threshold, and the message id beside every worm id.
-//
-// Version 8 (a flit is what the wire carries): a flit no longer carries
-// its source or the source-side phase timestamps. The stamps of each
-// attempt are stated once: in a stamp record at its destination's
-// receiver from head injection to head arrival (a section of their own
-// at the end of the network payload), in the assembly after, each as
-// deltas back from the attempt's injection cycle; an injector channel
-// no longer repeats its message's creation cycle. It is the only
-// version Decode accepts: a payload has one reader, the one that
-// matches its writer.
+// new checkpoints instead of misreading them. It is the only version
+// Decode accepts: a payload has one reader, the one that matches its
+// writer. DESIGN.md §8 describes the version-8 network payload.
 const FormatVersion = 8
 
 const headerSize = len(Magic) + 4 + 8 + 8 // magic + version + cycle + length
