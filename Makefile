@@ -151,9 +151,11 @@ snapshot-pin:
 # linkRef, inFlight, creditEvent), the router's per-VC state (inVC,
 # outVC) and its route cache and masks (one allocation, 2 bytes a slot)
 # and a receiver's stamp records (48 bytes each) must stay within their
-# byte budgets, so a field added to one fails here rather than in peak
-# RSS or cache misses. Run uncached so it cannot silently go stale.
-ALLOC_GATES = TestSteadyStateZeroAlloc|TestServiceZeroAlloc|TestEncoderZeroAlloc|TestReceiverSaveStateAllocs|TestReplayerSaveStateAllocs|TestHotStructSizes|TestVCStateSizes|TestRouteCacheBytes|TestStampRecordBytes
+# byte budgets, and the router's hot fields within its first 256 bytes
+# with a pointer-free output (TestRouterHotHeader), so a field added to
+# one fails here rather than in peak RSS or cache misses. Run uncached
+# so it cannot silently go stale.
+ALLOC_GATES = TestSteadyStateZeroAlloc|TestServiceZeroAlloc|TestEncoderZeroAlloc|TestReceiverSaveStateAllocs|TestReplayerSaveStateAllocs|TestHotStructSizes|TestVCStateSizes|TestRouterHotHeader|TestRouteCacheBytes|TestStampRecordBytes
 alloc-gate:
 	$(GO) test ./internal/network/ ./internal/core/ ./internal/sim/ ./internal/snapshot/ ./internal/router/ ./internal/workload/ -run '$(ALLOC_GATES)' -count=1
 

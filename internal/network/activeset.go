@@ -1,83 +1,92 @@
 package network
 
 import (
-	"slices"
+	"math/bits"
 
 	"crnet/internal/flit"
 )
 
-// nodeSet is a deduplicated worklist of node ids with deterministic
-// (ascending) iteration order. Membership is tracked in a dense bitmap so
-// add is O(1); prepare sorts the id list in place before a phase iterates
-// it, so incidental insertion order (which depends on link directions and
-// event arrival order) can never leak into phase order and thus into
-// simulation results. Between cycles the list stays sorted (pruning
-// preserves order), so prepare sorts only the ids appended since the
-// last prepare and merges them backwards into the sorted prefix: O(adds
-// log adds + active) per cycle, with no allocation once scratch has
-// grown to the largest batch of adds.
+// nodeSet is a worklist over one range's node ids [lo, hi), a two-level
+// bitmap: bit i of words marks id lo+i a member, bit w of sum marks
+// words[w] non-empty. A walk visits members in ascending id, so phase
+// order is full-scan order whatever the order of adds, with no sort:
+//
+//	for w := s.word(0); w >= 0; w = s.word(w + 1) {
+//		for m := s.words[w]; m != 0; m &= m - 1 {
+//			id := s.id(w, m) // may be dropped here
+//
+// Through the summary and the count n, a walk costs O(members +
+// (hi-lo)/4096), and an empty set's nothing.
 type nodeSet struct {
-	member []bool
-	ids    []int32
-	// sorted is the length of the ascending prefix ids[:sorted]; the ids
-	// after it were added since the last prepare. A caller's pruning may
-	// shrink ids below it, which add and prepare clamp.
-	sorted  int
-	scratch []int32 // prepare's copy of the added tail
+	lo    int32
+	n     int
+	words []uint64
+	sum   []uint64
 }
 
-func newNodeSet(n int) nodeSet {
-	return nodeSet{member: make([]bool, n)}
+func newNodeSet(lo, hi int) nodeSet {
+	w := (hi - lo + 63) / 64
+	return nodeSet{lo: int32(lo), words: make([]uint64, w), sum: make([]uint64, (w+63)/64)}
 }
 
 // add inserts id if absent.
 func (s *nodeSet) add(id int32) {
-	if !s.member[id] {
-		s.member[id] = true
-		s.sorted = min(s.sorted, len(s.ids))
-		s.ids = append(s.ids, id)
-	}
-}
-
-// prepare sorts the pending ids ascending; call once before iterating.
-// Pruning (compaction during iteration) preserves sortedness, so only
-// cycles that added members do any work.
-func (s *nodeSet) prepare() {
-	ids := s.ids
-	lo := min(s.sorted, len(ids))
-	s.sorted = len(ids)
-	if lo == len(ids) {
+	i := uint(id - s.lo)
+	w, b := i>>6, uint64(1)<<(i&63)
+	if s.words[w]&b != 0 {
 		return
 	}
-	tail := append(s.scratch[:0], ids[lo:]...)
-	s.scratch = tail
-	slices.Sort(tail)
-	// Merge from the back: ids[k] is the larger of the prefix's and the
-	// tail's last unplaced ids, so no prefix id is overwritten before it
-	// has moved.
-	i, j := lo-1, len(tail)-1
-	for k := len(ids) - 1; j >= 0; k-- {
-		if i >= 0 && ids[i] > tail[j] {
-			ids[k] = ids[i]
-			i--
-		} else {
-			ids[k] = tail[j]
-			j--
-		}
+	if s.words[w] == 0 {
+		s.sum[w>>6] |= 1 << (w & 63)
 	}
+	s.words[w] |= b
+	s.n++
 }
 
-// drop removes id from the bitmap only; the caller compacts ids itself
-// while iterating (see shardTransmit).
-func (s *nodeSet) drop(id int32) { s.member[id] = false }
-
-// reset empties the set.
-func (s *nodeSet) reset() {
-	for _, id := range s.ids {
-		s.member[id] = false
+// drop removes id if present.
+func (s *nodeSet) drop(id int32) {
+	i := uint(id - s.lo)
+	w, b := i>>6, uint64(1)<<(i&63)
+	if s.words[w]&b == 0 {
+		return
 	}
-	s.ids = s.ids[:0]
-	s.sorted = 0
+	if s.words[w] &^= b; s.words[w] == 0 {
+		s.sum[w>>6] &^= 1 << (w & 63)
+	}
+	s.n--
+}
+
+// word returns the first non-empty word at or after w, or -1.
+func (s *nodeSet) word(w int) int {
+	j := w >> 6
+	if s.n == 0 || j >= len(s.sum) {
+		return -1
+	}
+	m := s.sum[j] &^ (1<<(w&63) - 1)
+	for m == 0 {
+		if j++; j == len(s.sum) {
+			return -1
+		}
+		m = s.sum[j]
+	}
+	return j<<6 | bits.TrailingZeros64(m)
+}
+
+// id returns the member of word w that m's lowest set bit marks.
+func (s *nodeSet) id(w int, m uint64) int32 { return s.lo + int32(w<<6|bits.TrailingZeros64(m)) }
+
+// reset empties the set, clearing only the non-empty words.
+func (s *nodeSet) reset() {
+	if s.n == 0 {
+		return
+	}
+	for j, m := range s.sum {
+		for ; m != 0; m &= m - 1 {
+			s.words[j<<6|bits.TrailingZeros64(m)] = 0
+		}
+		s.sum[j] = 0
+	}
+	s.n = 0
 }
 
 // linkRef identifies one directed link by its upstream (node, port).

@@ -65,14 +65,12 @@ func derivedSubmit(n *Network, cycle int64) {
 }
 
 // liveLists returns the ids on the network's router and injector
-// worklists, merged over the ranges and sorted.
+// worklists, merged over the ranges: ascending, since the ranges are.
 func liveLists(n *Network) (activeR, activeI []int32) {
 	for i := range n.shards {
-		activeR = append(activeR, n.shards[i].activeR.ids...)
-		activeI = append(activeI, n.shards[i].activeI.ids...)
+		activeR = members(&n.shards[i].activeR, activeR)
+		activeI = members(&n.shards[i].activeI, activeI)
 	}
-	slices.Sort(activeR)
-	slices.Sort(activeI)
 	return activeR, activeI
 }
 

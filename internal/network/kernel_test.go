@@ -15,91 +15,92 @@ import (
 	"crnet/internal/traffic"
 )
 
-// TestNodeSetSortedIteration pins the worklist determinism contract:
-// whatever order ids are added in, prepare yields ascending iteration
-// order, and dedup holds.
-func TestNodeSetSortedIteration(t *testing.T) {
-	s := newNodeSet(16)
-	for _, id := range []int32{9, 3, 14, 3, 0, 9, 7, 15, 1, 0} {
-		s.add(id)
-	}
-	s.prepare()
-	want := []int32{0, 1, 3, 7, 9, 14, 15}
-	if !reflect.DeepEqual(s.ids, want) {
-		t.Fatalf("ids after prepare = %v, want %v", s.ids, want)
-	}
-	// Pruning from the middle keeps the rest sorted; a subsequent add
-	// must still end up in order.
-	s.drop(7)
-	kept := s.ids[:0]
-	for _, id := range s.ids {
-		if s.member[id] {
-			kept = append(kept, id)
+// members appends s's members to out in walk order.
+func members(s *nodeSet, out []int32) []int32 {
+	for w := s.word(0); w >= 0; w = s.word(w + 1) {
+		for m := s.words[w]; m != 0; m &= m - 1 {
+			out = append(out, s.id(w, m))
 		}
 	}
-	s.ids = kept
-	s.add(2)
-	s.prepare()
-	want = []int32{0, 1, 2, 3, 9, 14, 15}
-	if !reflect.DeepEqual(s.ids, want) {
-		t.Fatalf("ids after drop+add = %v, want %v", s.ids, want)
-	}
-	s.reset()
-	if len(s.ids) != 0 || s.member[3] {
-		t.Fatalf("reset left state behind: ids=%v", s.ids)
-	}
-	s.add(4)
-	s.add(1)
-	s.prepare()
-	if !reflect.DeepEqual(s.ids, []int32{1, 4}) {
-		t.Fatalf("ids after reset+add = %v, want [1 4]", s.ids)
-	}
+	return out
+}
 
-	// A random add/drop/prepare sequence, pruned the way the phase
-	// bodies prune (drop while walking a prepared list, keep the rest in
-	// order), must iterate what a plain append-then-slices.Sort list of
-	// the same members would.
-	const n = 300
+// TestNodeSetModel holds the bitmap worklist to a sorted-list model:
+// random adds (sometimes a flood), walks that drop members as they visit
+// them the way the phase bodies prune, and resets must leave every walk
+// visiting exactly the model's ids in ascending order. The range starts
+// at a nonzero id and spans three summary words, and half the ids drawn
+// sit on a word or summary-word boundary or are the range's first or
+// last id.
+func TestNodeSetModel(t *testing.T) {
+	const lo, hi = 4000, 4000 + 2*4096 + 70
+	edges := []int32{lo, lo + 1, lo + 63, lo + 64, lo + 4095, lo + 4096, lo + 4097,
+		lo + 8191, lo + 8192, lo + 8256, hi - 65, hi - 64, hi - 2, hi - 1}
 	r := rng.New(0x5e75)
-	s = newNodeSet(n)
-	var model []int32
-	inModel := make([]bool, n)
+	pick := func() int32 {
+		if r.Intn(2) == 0 {
+			return edges[r.Intn(len(edges))]
+		}
+		return int32(lo + r.Intn(hi-lo))
+	}
+	s := newNodeSet(lo, hi)
+	in := make([]bool, hi-lo)
 	for round := 0; round < 2000; round++ {
-		// Mostly small batches, sometimes a flood, so the merge runs
-		// with an empty prefix, an empty tail and everything between.
 		adds := r.Intn(8)
 		if r.Intn(10) == 0 {
-			adds = r.Intn(2 * n)
+			adds = r.Intn(2 * (hi - lo))
 		}
 		for k := 0; k < adds; k++ {
-			id := int32(r.Intn(n))
+			id := pick()
 			s.add(id)
-			if !inModel[id] {
-				inModel[id] = true
-				model = append(model, id)
+			in[id-lo] = true
+		}
+		if r.Intn(4) == 0 {
+			// Dropping a non-member is a no-op.
+			if id := pick(); !in[id-lo] {
+				s.drop(id)
 			}
 		}
 		if r.Intn(8) == 0 {
 			s.reset()
-			clear(inModel)
-			model = model[:0]
+			clear(in)
 		}
-		s.prepare()
-		slices.Sort(model)
-		if !slices.Equal(s.ids, model) {
-			t.Fatalf("round %d: ids after prepare = %v, want %v", round, s.ids, model)
-		}
-		kept := s.ids[:0]
-		for _, id := range s.ids {
-			if r.Intn(3) == 0 {
-				s.drop(id)
-				inModel[id] = false
-			} else {
-				kept = append(kept, id)
+		var want []int32
+		for i, ok := range in {
+			if ok {
+				want = append(want, int32(lo+i))
 			}
 		}
-		s.ids = kept
-		model = append(model[:0], kept...)
+		if s.n != len(want) {
+			t.Fatalf("round %d: %d members counted, model has %d", round, s.n, len(want))
+		}
+		var got []int32
+		for w := s.word(0); w >= 0; w = s.word(w + 1) {
+			for m := s.words[w]; m != 0; m &= m - 1 {
+				id := s.id(w, m)
+				got = append(got, id)
+				if r.Intn(3) == 0 {
+					s.drop(id)
+					in[id-lo] = false
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: walk visited %v, want %v", round, got, want)
+		}
+		if got := members(&s, nil); len(got) != s.n {
+			t.Fatalf("round %d: after the dropping walk %d members counted, a walk finds %d", round, s.n, len(got))
+		}
+	}
+	s.reset()
+	for _, id := range []int32{hi - 1, lo} {
+		s.add(id)
+	}
+	if got := members(&s, nil); !slices.Equal(got, []int32{lo, hi - 1}) {
+		t.Fatalf("walk of the range's ends = %v", got)
+	}
+	if w := s.word(len(s.words)); w != -1 {
+		t.Fatalf("word past the range = %d, want -1", w)
 	}
 }
 

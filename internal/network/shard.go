@@ -175,9 +175,9 @@ func (n *Network) initShards(s int) {
 		sh := &n.shards[i]
 		sh.row = 1 + i
 		sh.lo, sh.hi = lo, lo+size
-		sh.activeR = newNodeSet(n.nodes)
-		sh.activeI = newNodeSet(n.nodes)
-		sh.recvPend = newNodeSet(n.nodes)
+		sh.activeR = newNodeSet(sh.lo, sh.hi)
+		sh.activeI = newNodeSet(sh.lo, sh.hi)
+		sh.recvPend = newNodeSet(sh.lo, sh.hi)
 		sh.inCredits = make([][]creditEvent, 1+s)
 		sh.reserve = make([]*[routerBlock]*router.Router, (sh.hi-1)/routerBlock-sh.lo/routerBlock+1)
 		sh.start = func() { rangeWorker(sh) }
@@ -191,8 +191,12 @@ func (n *Network) initShards(s int) {
 
 // shardOf returns the range owning node. In forked phases the executing
 // body is always node's owner, so the range's sink and worklists are
-// safe to append to without synchronization.
+// safe to append to without synchronization. One range needs no
+// nodeShard read, a miss on a big network's credit and prepass paths.
 func (n *Network) shardOf(node topology.NodeID) *shard {
+	if len(n.shards) == 1 {
+		return &n.shards[0]
+	}
 	return &n.shards[n.nodeShard[node]]
 }
 
@@ -500,18 +504,17 @@ func (n *Network) shardArrivals(sh *shard) {
 // range with pending work. An injector without it is pruned until the
 // next SubmitMessage re-activates it.
 func (n *Network) shardInjectors(sh *shard) {
-	sh.activeI.prepare()
-	kept := sh.activeI.ids[:0]
-	for _, id := range sh.activeI.ids {
-		in := n.injectors[id]
-		in.Tick(n.cycle)
-		if hasWork(in) {
-			kept = append(kept, id)
-		} else {
-			sh.activeI.drop(id)
+	set := &sh.activeI
+	for w := set.word(0); w >= 0; w = set.word(w + 1) {
+		for m := set.words[w]; m != 0; m &= m - 1 {
+			id := set.id(w, m)
+			in := n.injectors[id]
+			in.Tick(n.cycle)
+			if !hasWork(in) {
+				set.drop(id)
+			}
 		}
 	}
-	sh.activeI.ids = kept
 }
 
 // hasWork reports whether injector in has work for its next Tick: a
@@ -523,12 +526,14 @@ func hasWork(in *core.Injector) bool { return in.Busy() || in.QueueLen() > 0 }
 // shardAllocate routes waiting headers and claims output channels.
 func (n *Network) shardAllocate(sh *shard) {
 	sk := &sh.sink
-	sh.activeR.prepare()
-	for _, id := range sh.activeR.ids {
-		r := n.routers[id]
-		sk.emitBuf = r.RouteAndAllocate(sk.emitBuf[:0])
-		if len(sk.emitBuf) > 0 {
-			n.routeEmits(sk, topology.NodeID(id), sk.emitBuf)
+	set := &sh.activeR
+	for w := set.word(0); w >= 0; w = set.word(w + 1) {
+		for m := set.words[w]; m != 0; m &= m - 1 {
+			id := set.id(w, m)
+			sk.emitBuf = n.routers[id].RouteAndAllocate(sk.emitBuf[:0])
+			if len(sk.emitBuf) > 0 {
+				n.routeEmits(sk, topology.NodeID(id), sk.emitBuf)
+			}
 		}
 	}
 }
@@ -551,18 +556,18 @@ func (n *Network) shardAllocate(sh *shard) {
 // Deliveries are collected after the tear-downs (credits phase), so a
 // rejected worm never appears in the same cycle's output.
 func (n *Network) shardTransmit(sh *shard) {
-	kept := sh.activeR.ids[:0]
-	for _, id := range sh.activeR.ids {
-		if n.transmitRouter(sh, int(id)) {
-			sh.moved = true
-		}
-		if n.routers[id].Busy() {
-			kept = append(kept, id)
-		} else {
-			sh.activeR.drop(id)
+	set := &sh.activeR
+	for w := set.word(0); w >= 0; w = set.word(w + 1) {
+		for m := set.words[w]; m != 0; m &= m - 1 {
+			id := set.id(w, m)
+			if n.transmitRouter(sh, int(id)) {
+				sh.moved = true
+			}
+			if !n.routers[id].Busy() {
+				set.drop(id)
+			}
 		}
 	}
-	sh.activeR.ids = kept
 
 	sk := &sh.sink
 	for _, req := range sh.fkills {
@@ -579,8 +584,8 @@ func (n *Network) shardTransmit(sh *shard) {
 // deliveries. The coordinator's row — refunds from signal delivery and
 // fault sweeps — may name a router nothing has touched yet, which is
 // then built here, by its owner. Only receivers that accepted a flit
-// this cycle can hold deliveries, so only those (recvPend, in ascending
-// node order by construction) are drained.
+// this cycle can hold deliveries, so only those (recvPend, walked in
+// ascending node order) are drained.
 func (n *Network) shardCredits(sh *shard) {
 	for r, cell := range sh.inCredits {
 		for _, c := range cell {
@@ -592,8 +597,12 @@ func (n *Network) shardCredits(sh *shard) {
 		}
 		sh.inCredits[r] = cell[:0]
 	}
-	for _, id := range sh.recvPend.ids {
-		n.drainReceiver(&sh.sink, int(id), n.receivers[id])
+	set := &sh.recvPend
+	for w := set.word(0); w >= 0; w = set.word(w + 1) {
+		for m := set.words[w]; m != 0; m &= m - 1 {
+			id := set.id(w, m)
+			n.drainReceiver(&sh.sink, int(id), n.receivers[id])
+		}
 	}
-	sh.recvPend.reset()
+	set.reset()
 }

@@ -41,7 +41,7 @@ import (
 //   - recvPend: receivers that accepted a flit this cycle; only they can
 //     hold deliveries, so only they are drained.
 //
-// Both node sets are sorted ascending before use (nodeSet.prepare), so
+// The node sets are bitmaps walked in ascending id (nodeSet.word), so
 // phase order matches the full scan's and cannot depend on incidental
 // insertion order. The scan-everything reference stepper that
 // cross-checks the worklists cycle by cycle lives in reference_test.go.

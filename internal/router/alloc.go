@@ -166,7 +166,7 @@ func (r *Router) RouteAndAllocate(emits []Emit) []Emit {
 			v := &r.ins[w<<4|bits.TrailingZeros16(m)]
 			head := r.front(v)
 			if v.routeN == 0 {
-				if r.cfg.Check && head.Kind != flit.Head {
+				if r.check && head.Kind != flit.Head {
 					panic(fmt.Sprintf("router %d: unrouted VC (%d,%d) fronted by %v", r.id, v.p, v.vc, head))
 				}
 				if r.cfg.VerifyHeaders && !head.Verify() {
@@ -229,7 +229,7 @@ func (r *Router) tearCorruptHeader(v *inVC, emits []Emit) []Emit {
 // reached its destination.
 func (r *Router) allocateEjection(v *inVC) bool {
 	for e := r.deg; e < len(r.outs); e++ {
-		o := &r.outs[e].vcs[0]
+		o := &r.vcsOf(e)[0]
 		if o.held {
 			continue
 		}
@@ -302,8 +302,8 @@ func (r *Router) selectCandidate(route []uint16, nFree int) uint16 {
 // output port's virtual channels — its "drained-ness".
 func (r *Router) portCredit(p int) int {
 	total := 0
-	for vc := range r.outs[p].vcs {
-		total += int(r.outs[p].vcs[vc].credit)
+	for _, o := range r.vcsOf(p) {
+		total += int(o.credit)
 	}
 	return total
 }
@@ -335,8 +335,8 @@ func (r *Router) hold(v *inVC, o *outVC, p, vc int) {
 
 // holds reports whether output port p has a held VC.
 func (r *Router) holds(p int) bool {
-	for vc := range r.outs[p].vcs {
-		if r.outs[p].vcs[vc].held {
+	for _, o := range r.vcsOf(p) {
+		if o.held {
 			return true
 		}
 	}

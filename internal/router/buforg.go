@@ -154,19 +154,20 @@ func (c Config) AbsorbDepth(deg int) int { return c.maxWindow(deg) }
 // nPooled (everything under static FIFO, the injection channels always)
 // are plain BufDepth windows the ledger never touches.
 type store struct {
-	arena  []flit.Flit
-	head   []int32 // per VC: ring offset of the front flit
-	stride int     // ring length, and window cap of a pooled VC: maxWindow
-	depth  int     // admission cap of an unpooled VC: BufDepth
+	// The fields push, pop and front read come first: the router keeps
+	// them in its hot header (see Router).
+	arena   []flit.Flit
+	head    []int32 // per VC: ring offset of the front flit
+	stride  int     // ring length, and window cap of a pooled VC: maxWindow
+	depth   int     // admission cap of an unpooled VC: BufDepth
+	nPooled int
+	vcsPer  int
+	poolCap int32   // per pool: flit budget
+	used    []int32 //cr:nosnap per pool: buffered flits, recomputed by loadVC from the restored counts
 
 	granted  []int32 // per pooled VC: advertised window (the upstream mirror)
 	grantSum []int32 // per pool: sum of granted (the advertisement budget)
 	grantRR  []int32 // per pool: round-robin start for release top-ups
-	used     []int32 //cr:nosnap per pool: buffered flits, recomputed by loadVC from the restored counts
-
-	nPooled int
-	vcsPer  int
-	poolCap int32 // per pool: flit budget
 }
 
 // newStore builds the store for a router with the given degree and flat

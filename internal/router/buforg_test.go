@@ -333,7 +333,7 @@ func routedTestRouter(t *testing.T) (*Router, *inVC, *outVC) {
 	r.Inject(0, frame(13, 1, 2, 4, 0, 0).FlitAt(0))
 	r.RouteAndAllocate(nil)
 	p, vc := heldOutput(t, r)
-	return r, r.in(r.InjPort(0), 0), &r.outs[p].vcs[vc]
+	return r, r.in(r.InjPort(0), 0), &r.vcsOf(p)[vc]
 }
 
 // sentinel is a field value whose encoding appears once in a test
@@ -436,18 +436,18 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		}},
 		{"credit-over-window", "outside bounds", func(t *testing.T) []byte {
 			r := sharedTestRouter(t)
-			ov := &r.outs[0].vcs[0]
+			ov := &r.vcsOf(0)[0]
 			ov.credit = ov.window + 1
 			return save(r)
 		}},
 		{"credit-negative", "outside bounds", func(t *testing.T) []byte {
 			r := sharedTestRouter(t)
-			r.outs[0].vcs[0].credit = -1
+			r.vcsOf(0)[0].credit = -1
 			return save(r)
 		}},
 		{"window-over-max", "outside bounds", func(t *testing.T) []byte {
 			r := sharedTestRouter(t)
-			ov := &r.outs[0].vcs[1]
+			ov := &r.vcsOf(0)[1]
 			ov.window = 9
 			ov.credit = 9
 			return save(r)
@@ -464,7 +464,7 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		}},
 		{"output-rr-out-of-range", "round-robin pointer", func(t *testing.T) []byte {
 			r := sharedTestRouter(t)
-			r.outs[1].rr = len(r.ins)
+			r.outs[1].rr = int32(len(r.ins))
 			return save(r)
 		}},
 		{"two-inputs-routed-to-one-output", "input (0,0) allocation to (0,1) inconsistent", func(t *testing.T) []byte {
@@ -505,7 +505,7 @@ func TestLoadStateRejectsCorruptSnapshots(t *testing.T) {
 		}},
 		{"ejection-credit-over-int32", "ejection output", func(t *testing.T) []byte {
 			r := sharedTestRouter(t)
-			r.outs[r.EjPort(0)].vcs[0].credit = sentinel
+			r.vcsOf(r.EjPort(0))[0].credit = sentinel
 			return spliceInt(t, save(r), 1<<40)
 		}},
 	}

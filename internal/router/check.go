@@ -64,7 +64,7 @@ func (r *Router) CheckInvariants() error {
 			return fmt.Errorf("router %d: input (%d,%d) caches a stale route %v", r.id, v.p, v.vc, r.route(v))
 		}
 		if v.routed() {
-			o := &r.outs[v.outP].vcs[v.outV]
+			o := &r.vcsOf(int(v.outP))[v.outV]
 			if !o.held || o.worm != v.worm || o.ownerP != v.p || o.ownerV != v.vc {
 				return fmt.Errorf("router %d: input (%d,%d) allocation to (%d,%d) inconsistent",
 					r.id, v.p, v.vc, v.outP, v.outV)
@@ -77,8 +77,9 @@ func (r *Router) CheckInvariants() error {
 	wLo, wHi := int32(r.cfg.InitWindow()), int32(r.cfg.maxWindow(r.deg))
 	for p := range r.outs {
 		out := &r.outs[p]
-		for vc := range out.vcs {
-			o := &out.vcs[vc]
+		vcs := r.vcsOf(p)
+		for vc := range vcs {
+			o := &vcs[vc]
 			if !out.ejection && (o.window < wLo || o.window > wHi) {
 				return fmt.Errorf("router %d: output (%d,%d) window %d outside [%d,%d]",
 					r.id, p, vc, o.window, wLo, wHi)
@@ -188,7 +189,7 @@ type Output struct {
 
 // Output returns output VC (p, vc)'s state.
 func (r *Router) Output(p, vc int) Output {
-	o := &r.outs[p].vcs[vc]
+	o := &r.vcsOf(p)[vc]
 	return Output{Worm: o.worm, Credit: int(o.credit), Window: int(o.window),
 		OwnerP: int(o.ownerP), OwnerV: int(o.ownerV), Held: o.held}
 }

@@ -245,11 +245,13 @@ type outVC struct {
 // has no downstream buffer, so neither ever moves.
 const ejectCredit = 1 << 30
 
-// output is one output physical channel with its VCs and arbitration
-// pointer. vcs is a window into the router's shared outVC arena.
+// output is one output physical channel: where its VCs start in the
+// router's outArena, its arbitration pointer and its link state. It
+// holds no pointer, so reaching an output VC is one load of off, not a
+// slice header's; vcsOf returns the VCs.
 type output struct {
-	vcs    []outVC
-	rr     int // round-robin pointer over flattened input VC indices
+	off    int32 // index of the port's first VC in outArena
+	rr     int32 // round-robin pointer over flattened input VC indices
 	linkUp bool
 	// ejection marks local delivery channels: single VC, no credits,
 	// one flit per cycle.
@@ -291,41 +293,19 @@ func (s *Stats) Add(o Stats) {
 // Router is one wormhole router. Construct with New; drive with the
 // phase methods. Routers are not safe for concurrent use — the network's
 // cycle loop is single-threaded by design (determinism).
+//
+// The fields TransmitRef, AcceptRef, ApplyCredit and RouteAndAllocate
+// read on every visit come first, ending with the store's, so a visit
+// reads the first four cache lines (TestRouterHotHeader).
 type Router struct {
-	id   topology.NodeID   //cr:nosnap node identity, fixed at construction
-	topo topology.Topology //cr:nosnap immutable, supplied by the constructor
-	alg  routing.Algorithm //cr:nosnap stateless strategy object, supplied by the constructor
-	cfg  Config            //cr:nosnap construction parameters
-	deg  int               //cr:nosnap derived from the topology at construction
-
 	// ins holds every input VC flat: network ports' VCs first
 	// (port-major: port p's VCs occupy ins[p*VCs : (p+1)*VCs]), then one
 	// single-VC entry per injection channel. The slice is never
 	// reallocated, so *inVC pointers into it stay valid for the router's
 	// lifetime.
-	ins   []inVC
-	store store // every input VC's ring, plus the window ledger
-
-	// advert publishes window deltas upstream for the shared
-	// organizations (nil until SetAdvertiser; static FIFO never calls
-	// it).
-	advert CreditAdvert //cr:nosnap callback, reattached by the owner after restore
-
-	outs     []output // per output port; vcs window into outArena
-	outArena []outVC  //cr:nosnap backing arena; its state is serialized through the outs windows
-
-	// buffered is the total flit count across all input VCs, maintained
-	// incrementally; Busy() == (buffered > 0) is the activity signal the
-	// network's scheduler keys on.
-	buffered int //cr:nosnap derived total, recomputed by LoadState from the restored input VCs
-
-	allocRR int // rotation for adaptive candidate selection
-	stats   Stats
-
-	// maxHops is the largest per-worm hop count observed here (see
-	// flit.Flit.Hops), the livelock watchdog's raw signal.
-	maxHops     int
-	maxHopsWorm flit.WormID
+	ins      []inVC
+	outs     []output // per output port, addressing its VCs in outArena
+	outArena []outVC  //cr:nosnap backing arena; its state is serialized through the outputs
 
 	// waiting and holding are bitmasks, bit i of word i/16: the input
 	// VCs whose head waits for an output (active and unrouted), and the
@@ -333,10 +313,37 @@ type Router struct {
 	// them, in ascending index, instead of every input and output.
 	waiting []uint16 //cr:nosnap derived from the inputs' claims, rebuilt by LoadState
 	holding []uint16 //cr:nosnap derived from the outputs' holders, rebuilt by LoadState
-	// routes is the route cache: span slots per input VC, holding the
-	// waiting head's candidates as output VC indices (see alloc.go).
-	routes []uint16 //cr:nosnap derived: a function of each waiting head and the link state, dropped by LoadState
-	span   int      //cr:nosnap deg*VCs, the route cache's slots per input VC
+
+	// buffered is the total flit count across all input VCs, maintained
+	// incrementally; Busy() == (buffered > 0) is the activity signal the
+	// network's scheduler keys on.
+	buffered   int   //cr:nosnap derived total, recomputed by LoadState from the restored input VCs
+	deg        int   //cr:nosnap derived from the topology at construction
+	flitsMoved int64 // Stats().FlitsMoved, counted here rather than in the cold stats
+	vcs        int32 //cr:nosnap cfg.VCs
+	check      bool  //cr:nosnap cfg.Check
+	store      store // every input VC's ring, plus the window ledger
+
+	// The cold fields, those a waiting head's visit reads first.
+	id      topology.NodeID //cr:nosnap node identity, fixed at construction
+	routes  []uint16        //cr:nosnap derived route cache: span slots per input VC (alloc.go), dropped by LoadState
+	span    int             //cr:nosnap deg*VCs, the route cache's slots per input VC
+	allocRR int             // rotation for adaptive candidate selection
+	cfg     Config          //cr:nosnap construction parameters
+	stats   Stats           // every counter but FlitsMoved
+
+	topo topology.Topology //cr:nosnap immutable, supplied by the constructor
+	alg  routing.Algorithm //cr:nosnap stateless strategy object, supplied by the constructor
+
+	// maxHops is the largest per-worm hop count observed here (see
+	// flit.Flit.Hops), the livelock watchdog's raw signal.
+	maxHops     int
+	maxHopsWorm flit.WormID
+
+	// advert publishes window deltas upstream for the shared
+	// organizations (nil until SetAdvertiser; static FIFO never calls
+	// it).
+	advert CreditAdvert //cr:nosnap callback, reattached by the owner after restore
 
 	candBuf []routing.Candidate      //cr:nosnap per-call scratch, allocated by the first route
 	portBuf []topology.Port          //cr:nosnap per-call scratch handed to routing via Request.PortBuf
@@ -354,7 +361,7 @@ func New(id topology.NodeID, topo topology.Topology, alg routing.Algorithm, cfg 
 		panic(fmt.Sprintf("router: %s needs %d VCs on %s, config has %d", alg.Name(), min, topo.Name(), cfg.VCs))
 	}
 	deg := topo.Degree()
-	r := &Router{id: id, topo: topo, alg: alg, cfg: cfg, deg: deg}
+	r := &Router{id: id, topo: topo, alg: alg, cfg: cfg, deg: deg, vcs: int32(cfg.VCs), check: cfg.Check}
 	nIn := deg*cfg.VCs + cfg.InjectionChannels
 	r.ins = make([]inVC, nIn)
 	r.store = newStore(cfg, deg, nIn)
@@ -375,14 +382,13 @@ func New(id topology.NodeID, topo topology.Topology, alg routing.Algorithm, cfg 
 		o.linkUp = true
 		if p >= deg {
 			o.ejection = true
-			o.vcs = r.outArena[deg*cfg.VCs+(p-deg) : deg*cfg.VCs+(p-deg)+1]
-			o.vcs[0] = outVC{credit: ejectCredit, window: ejectCredit}
+			o.off = int32(deg*cfg.VCs + (p - deg))
+			r.outArena[o.off] = outVC{credit: ejectCredit, window: ejectCredit}
 		} else {
-			o.vcs = r.outArena[p*cfg.VCs : (p+1)*cfg.VCs]
+			o.off = int32(p * cfg.VCs)
 			w := int32(cfg.InitWindow())
-			for v := range o.vcs {
-				o.vcs[v].credit = w
-				o.vcs[v].window = w
+			for v := range r.vcsOf(p) {
+				r.outArena[int(o.off)+v] = outVC{credit: w, window: w}
 			}
 			if _, ok := topo.Neighbor(id, topology.Port(p)); !ok {
 				o.linkUp = false // unconnected mesh edge
@@ -400,24 +406,35 @@ func New(id topology.NodeID, topo topology.Topology, alg routing.Algorithm, cfg 
 // injection ports (p >= deg) hold one.
 func (r *Router) in(p, vc int) *inVC {
 	if p < r.deg {
-		return &r.ins[p*r.cfg.VCs+vc]
+		return &r.ins[p*int(r.vcs)+vc]
 	}
-	return &r.ins[r.deg*r.cfg.VCs+(p-r.deg)]
+	return &r.ins[r.deg*int(r.vcs)+(p-r.deg)]
 }
 
 // numVCs returns how many virtual channels input port p carries.
 func (r *Router) numVCs(p int) int {
 	if p < r.deg {
-		return r.cfg.VCs
+		return int(r.vcs)
 	}
 	return 1
+}
+
+// vcsOf returns output port p's VCs: cfg.VCs of them on a network port,
+// one on an ejection port, as numVCs counts input ports.
+func (r *Router) vcsOf(p int) []outVC {
+	off := int(r.outs[p].off)
+	return r.outArena[off : off+r.numVCs(p)]
 }
 
 // ID returns the router's node id.
 func (r *Router) ID() topology.NodeID { return r.id }
 
 // Stats returns a copy of the router's counters.
-func (r *Router) Stats() Stats { return r.stats }
+func (r *Router) Stats() Stats {
+	s := r.stats
+	s.FlitsMoved = r.flitsMoved
+	return s
+}
 
 // Degree returns the number of network ports.
 func (r *Router) Degree() int { return r.deg }
@@ -459,8 +476,9 @@ func (r *Router) SetLinkUp(p int) {
 	out := &r.outs[p]
 	out.linkUp = true
 	w := int32(r.cfg.InitWindow())
-	for vc := range out.vcs {
-		o := &out.vcs[vc]
+	vcs := r.vcsOf(p)
+	for vc := range vcs {
+		o := &vcs[vc]
 		o.held = false
 		o.credit = w
 		o.window = w
@@ -561,7 +579,7 @@ func (r *Router) AcceptRef(p, vc int, f *flit.Flit) bool {
 		if g := r.store.grantOnHead(int(v.idx)); g > 0 && r.advert != nil {
 			r.advert(p, vc, g)
 		}
-	} else if r.cfg.Check && (!v.active || v.worm != f.Worm) {
+	} else if r.check && (!v.active || v.worm != f.Worm) {
 		panic(fmt.Sprintf("router %d: body flit %v arrived on VC (%d,%d) not owned by its worm", r.id, *f, p, vc))
 	}
 	r.push(v, f)

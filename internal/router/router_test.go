@@ -2,6 +2,7 @@ package router
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -30,6 +31,53 @@ func TestVCStateSizes(t *testing.T) {
 		if c.size > c.want {
 			t.Errorf("%s is %d bytes, want at most %d", c.name, c.size, c.want)
 		}
+	}
+}
+
+// TestRouterHotHeader pins the router's layout: every field a visit of
+// TransmitRef, AcceptRef, ApplyCredit or RouteAndAllocate reads ends
+// within the Router's first 256 bytes (four cache lines), and an output
+// holds no pointer, so reaching an output VC is one load. A field added
+// in front of the header fails here (make alloc-gate) rather than in
+// the benchmark's ns per flit hop.
+func TestRouterHotHeader(t *testing.T) {
+	const header = 256
+	var r Router
+	st := unsafe.Offsetof(r.store)
+	for _, f := range []struct {
+		name string
+		end  uintptr
+	}{
+		{"ins", unsafe.Offsetof(r.ins) + unsafe.Sizeof(r.ins)},
+		{"outs", unsafe.Offsetof(r.outs) + unsafe.Sizeof(r.outs)},
+		{"outArena", unsafe.Offsetof(r.outArena) + unsafe.Sizeof(r.outArena)},
+		{"waiting", unsafe.Offsetof(r.waiting) + unsafe.Sizeof(r.waiting)},
+		{"holding", unsafe.Offsetof(r.holding) + unsafe.Sizeof(r.holding)},
+		{"buffered", unsafe.Offsetof(r.buffered) + unsafe.Sizeof(r.buffered)},
+		{"deg", unsafe.Offsetof(r.deg) + unsafe.Sizeof(r.deg)},
+		{"flitsMoved", unsafe.Offsetof(r.flitsMoved) + unsafe.Sizeof(r.flitsMoved)},
+		{"vcs", unsafe.Offsetof(r.vcs) + unsafe.Sizeof(r.vcs)},
+		{"check", unsafe.Offsetof(r.check) + unsafe.Sizeof(r.check)},
+		{"store.arena", st + unsafe.Offsetof(r.store.arena) + unsafe.Sizeof(r.store.arena)},
+		{"store.head", st + unsafe.Offsetof(r.store.head) + unsafe.Sizeof(r.store.head)},
+		{"store.stride", st + unsafe.Offsetof(r.store.stride) + unsafe.Sizeof(r.store.stride)},
+		{"store.depth", st + unsafe.Offsetof(r.store.depth) + unsafe.Sizeof(r.store.depth)},
+		{"store.nPooled", st + unsafe.Offsetof(r.store.nPooled) + unsafe.Sizeof(r.store.nPooled)},
+	} {
+		if f.end > header {
+			t.Errorf("Router.%s ends at byte %d, past the %d-byte hot header", f.name, f.end, header)
+		}
+	}
+	ot := reflect.TypeOf(output{})
+	for i := 0; i < ot.NumField(); i++ {
+		switch k := ot.Field(i).Type.Kind(); k {
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		default:
+			t.Errorf("output.%s is a %s; an output holds no pointer", ot.Field(i).Name, k)
+		}
+	}
+	if size := unsafe.Sizeof(output{}); size != 12 {
+		t.Errorf("output is %d bytes, want 12", size)
 	}
 }
 
@@ -306,8 +354,8 @@ func TestBackwardKillTearsOwnerAndPropagates(t *testing.T) {
 func heldOutput(t *testing.T, r *Router) (int, int) {
 	t.Helper()
 	for p := range r.outs {
-		for vc := range r.outs[p].vcs {
-			if r.outs[p].vcs[vc].held {
+		for vc, o := range r.vcsOf(p) {
+			if o.held {
 				return p, vc
 			}
 		}

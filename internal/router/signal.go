@@ -140,8 +140,8 @@ func (r *Router) applyKillFwd(s Signal, emits []Emit) []Emit {
 	r.stats.KillsFwd++
 	emits = r.purge(v, emits)
 	if v.routed() {
-		o := &r.outs[v.outP].vcs[v.outV]
-		if r.cfg.Check && (!o.held || o.worm != s.Worm) {
+		o := &r.vcsOf(int(v.outP))[v.outV]
+		if r.check && (!o.held || o.worm != s.Worm) {
 			panic(fmt.Sprintf("router %d: forward kill found inconsistent allocation", r.id))
 		}
 		r.unhold(o, int(v.outP))
@@ -152,7 +152,7 @@ func (r *Router) applyKillFwd(s Signal, emits []Emit) []Emit {
 }
 
 func (r *Router) applyKillBwd(s Signal, emits []Emit) []Emit {
-	o := &r.outs[s.Port].vcs[s.VC]
+	o := &r.vcsOf(s.Port)[s.VC]
 	if !o.held || o.worm != s.Worm {
 		// The worm's tail already passed here (possible only if the
 		// protocol's padding bound was violated) or the worm was torn
@@ -163,7 +163,7 @@ func (r *Router) applyKillBwd(s Signal, emits []Emit) []Emit {
 	r.stats.KillsBwd++
 	p, vc := int(o.ownerP), int(o.ownerV)
 	v := r.in(p, vc)
-	if r.cfg.Check && (!v.active || v.worm != s.Worm) {
+	if r.check && (!v.active || v.worm != s.Worm) {
 		panic(fmt.Sprintf("router %d: backward kill found inconsistent ownership", r.id))
 	}
 	emits = r.purge(v, emits)
@@ -183,8 +183,7 @@ type WormAt struct {
 // port p. When the link on p dies, the network tears each down backward
 // (KillBwd at this router) so their sources retransmit on another path.
 func (r *Router) HeldWorms(p int, buf []WormAt) []WormAt {
-	for vc := range r.outs[p].vcs {
-		o := &r.outs[p].vcs[vc]
+	for vc, o := range r.vcsOf(p) {
 		if o.held {
 			buf = append(buf, WormAt{VC: vc, Worm: o.worm})
 		}
@@ -254,10 +253,10 @@ func (r *Router) SetAdvertiser(a CreditAdvert) { r.advert = a }
 // end-of-cycle bound (credit <= window) is asserted by CheckInvariants
 // instead.
 func (r *Router) ApplyCredit(p, vc, n, w int) {
-	o := &r.outs[p].vcs[vc]
+	o := &r.vcsOf(p)[vc]
 	o.credit += int32(n + w)
 	o.window += int32(w)
-	if r.cfg.Check && r.cfg.Org == OrgStaticFIFO && !r.outs[p].ejection && int(o.credit) > r.cfg.BufDepth {
+	if r.check && r.cfg.Org == OrgStaticFIFO && !r.outs[p].ejection && int(o.credit) > r.cfg.BufDepth {
 		panic(fmt.Sprintf("router %d: credit overflow on output (%d,%d)", r.id, p, vc))
 	}
 }

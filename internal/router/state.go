@@ -64,16 +64,15 @@ func (r *Router) SaveState(e *snapshot.Encoder) {
 	r.store.saveLedger(e)
 	for p := range r.outs {
 		o := &r.outs[p]
-		e.Int(o.rr)
-		for vc := range o.vcs {
-			ov := &o.vcs[vc]
+		e.Int(int(o.rr))
+		for _, ov := range r.vcsOf(p) {
 			e.Int(int(ov.credit))
 			e.Int(int(ov.window))
 		}
 	}
 	e.Int(r.allocRR)
 	s := &r.stats
-	e.Varint(s.FlitsMoved)
+	e.Varint(r.flitsMoved)
 	e.Varint(s.HeadersRouted)
 	e.Varint(s.PDS)
 	e.Varint(s.Misroutes)
@@ -120,7 +119,7 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("router %d: input VC %d: %w", r.id, i, err)
 		}
-		if (outP != -1 || outV != -1) && (outP < 0 || outP >= len(r.outs) || outV < 0 || outV >= len(r.outs[outP].vcs)) {
+		if (outP != -1 || outV != -1) && (outP < 0 || outP >= len(r.outs) || outV < 0 || outV >= len(r.vcsOf(outP))) {
 			return fmt.Errorf("router %d: input (%d,%d) routed to output (%d,%d), which does not exist",
 				r.id, v.p, v.vc, outP, outV)
 		}
@@ -139,11 +138,13 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 	wLo, wHi := r.cfg.InitWindow(), r.cfg.maxWindow(r.deg)
 	for p := range r.outs {
 		o := &r.outs[p]
-		o.rr = d.Int()
-		if o.rr < 0 || o.rr >= len(r.ins) {
-			return fmt.Errorf("router %d: output %d round-robin pointer %d outside [0,%d)", r.id, p, o.rr, len(r.ins))
+		rr := d.Int()
+		if rr < 0 || rr >= len(r.ins) {
+			return fmt.Errorf("router %d: output %d round-robin pointer %d outside [0,%d)", r.id, p, rr, len(r.ins))
 		}
-		for vc := range o.vcs {
+		o.rr = int32(rr)
+		vcs := r.vcsOf(p)
+		for vc := range vcs {
 			credit, window := d.Int(), d.Int()
 			if d.Err() != nil {
 				break
@@ -156,7 +157,7 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 				return fmt.Errorf("router %d: output (%d,%d) credit %d / window %d outside bounds [%d,%d]",
 					r.id, p, vc, credit, window, wLo, wHi)
 			}
-			o.vcs[vc] = outVC{credit: int32(credit), window: int32(window)}
+			vcs[vc] = outVC{credit: int32(credit), window: int32(window)}
 		}
 	}
 	// The holders are the routed inputs' allocations read backwards; of
@@ -164,7 +165,7 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 	// finds the other pointing at an output it does not hold.
 	for i := range r.ins {
 		if v := &r.ins[i]; v.routed() {
-			ov := &r.outs[v.outP].vcs[v.outV]
+			ov := &r.vcsOf(int(v.outP))[v.outV]
 			ov.held, ov.worm, ov.ownerP, ov.ownerV = true, v.worm, v.p, v.vc
 			setBit(r.holding, int(v.outP))
 		}
@@ -172,7 +173,7 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 	r.buffered = buffered
 	r.allocRR = d.Int()
 	s := &r.stats
-	s.FlitsMoved = d.Varint()
+	r.flitsMoved = d.Varint()
 	s.HeadersRouted = d.Varint()
 	s.PDS = d.Varint()
 	s.Misroutes = d.Varint()

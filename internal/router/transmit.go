@@ -40,10 +40,11 @@ func (r *Router) TransmitRef(moveFlit func(outPort, outVC int, f *flit.Flit), cr
 			if !out.ejection && !out.linkUp {
 				continue // dead link transmits nothing
 			}
+			vcs := r.vcsOf(op)
 			win, winKey := -1, n
 			var winV *inVC
-			for ovi := range out.vcs {
-				ov := &out.vcs[ovi]
+			for ovi := range vcs {
+				ov := &vcs[ovi]
 				if !ov.held {
 					continue
 				}
@@ -54,7 +55,7 @@ func (r *Router) TransmitRef(moveFlit func(outPort, outVC int, f *flit.Flit), cr
 				if v.count == 0 {
 					continue
 				}
-				key := int(v.idx) - out.rr
+				key := int(v.idx) - int(out.rr)
 				if key < 0 {
 					key += n
 				}
@@ -67,19 +68,19 @@ func (r *Router) TransmitRef(moveFlit func(outPort, outVC int, f *flit.Flit), cr
 			}
 			// Winner: move one flit.
 			v := winV
-			ov := &out.vcs[win]
+			ov := &vcs[win]
 			// rr and winKey are both below n.
-			if out.rr += winKey + 1; out.rr >= n {
-				out.rr -= n
+			if out.rr += int32(winKey + 1); int(out.rr) >= n {
+				out.rr -= int32(n)
 			}
 			f := r.pop(v)
 			r.buffered--
 			if !out.ejection {
 				ov.credit--
 			}
-			r.stats.FlitsMoved++
+			r.flitsMoved++
 			if f.Tail {
-				if r.cfg.Check && ov.worm != f.Worm {
+				if r.check && ov.worm != f.Worm {
 					panic(fmt.Sprintf("router %d: tail of worm %d leaving unheld output", r.id, f.Worm))
 				}
 				r.unhold(ov, op)
